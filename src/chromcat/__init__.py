@@ -17,7 +17,6 @@ from .categories import (
     is_level_n_morphism,
     quillen_category,
     skeleton,
-    stabilization_rank,
     witness_scan,
 )
 from .colimits import (
@@ -36,10 +35,9 @@ from .elemab import (
     identity_morphism,
     injective_hom_count,
     injective_homs,
-    morphism_on_elements,
     p_rank,
 )
-from .fgl import FGL, TruncSeries, honda_fgl, series_inverse
+from .fgl import FGL, honda_fgl, series_inverse
 from .fqfield import GF
 from .groups import (
     DEFAULT_ORDER_CAP,
@@ -76,7 +74,6 @@ from .polyfp import (
     invariant_basis,
     orbit_sum,
     parse_poly,
-    relation_check,
     subring_membership,
 )
 from .subrings import (

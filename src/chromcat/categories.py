@@ -268,7 +268,8 @@ class SkeletonReport:
         return "\n".join(lines) + "\n"
 
 
-def _iso_classes(cat: ChromCategory) -> list[list[int]]:
+def iso_classes(cat: ChromCategory) -> list[list[int]]:
+    """Object indices grouped into isomorphism classes, each sorted."""
     objects = cat.objects
     n = len(objects)
     parent = list(range(n))
@@ -299,7 +300,7 @@ def _iso_classes(cat: ChromCategory) -> list[list[int]]:
 
 def skeleton(cat: ChromCategory) -> SkeletonReport:
     """Object classes under isomorphism in the category, with orbit data."""
-    groups = _iso_classes(cat)
+    groups = iso_classes(cat)
     if len(groups) > 1:
         groups = [g for g in groups if cat.objects[g[0]].rank > 0]
     report = SkeletonReport()
@@ -379,20 +380,10 @@ def _orbit_decomposition(mats, aut_target, aut_source, p):
 # -- stabilization ------------------------------------------------------------
 
 
-def stabilization_rank(group: FiniteGroup, p: int) -> int:
-    """Smallest n >= 1 with the level-n category equal to the Quillen one."""
-    quillen = quillen_category(group, p)
-    n = 1
-    while True:
-        if build_category(group, p, n).equals(quillen):
-            return n
-        n += 1
-
-
 @dataclass
 class HomChainReport:
     p_rank: int
-    stabilization_rank: int
+    stabilization_rank: int  # smallest n >= 1 with A^(n) equal to the Quillen category
     strict: dict  # level n -> True iff A^(n) strictly contains A^(n+1)
 
     def to_dict(self) -> dict:

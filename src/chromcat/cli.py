@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from .colimits import colim_points, component_count, filtration_tower
 from .demo import DemoFailure, a4_demo
 from .elemab import enumerate_elem_abelians, p_rank
 from .fqfield import FqError
-from .groups import GroupError
+from .groups import DEFAULT_ORDER_CAP, GroupError
 from .library import (
     builtin_names,
     bundled_library,
@@ -34,7 +35,6 @@ from .library import (
 from .polyfp import parse_poly
 from .subrings import (
     SubringPresentation,
-    UnsupportedGroupError,
     build_CR,
     sylow_elem_abelian,
     weyl_action,
@@ -70,6 +70,18 @@ def _emit(args, text):
 
 def _emit_json(args, payload):
     _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _parse_prime(value):
+    p = int(value)
+    # a larger prime divides no group order the loaders accept
+    if p > DEFAULT_ORDER_CAP:
+        raise argparse.ArgumentTypeError(
+            "%s exceeds the group order cap %d" % (value, DEFAULT_ORDER_CAP)
+        )
+    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise argparse.ArgumentTypeError("%s is not a prime" % value)
+    return p
 
 
 def _parse_level(value):
@@ -186,17 +198,31 @@ def cmd_colim(args):
     return 0
 
 
+def _read_generators(path, rank):
+    """Generator polynomials and subring name from a JSON generator file."""
+    doc = json.loads(Path(path).read_text())
+    strings = doc.get("generators") if isinstance(doc, dict) else None
+    if not isinstance(strings, list) or not all(isinstance(s, str) for s in strings):
+        raise UsageError('%s must hold {"generators": [polynomial strings]}' % path)
+    try:
+        gens = [parse_poly(s, 2, rank) for s in strings]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    return gens, doc.get("name", Path(path).stem)
+
+
 def cmd_cr(args):
     group = _load_group(args)
     sylow = sylow_elem_abelian(group, 2)
     weyl = weyl_action(group, sylow)
     if args.generators:
-        doc = json.loads(Path(args.generators).read_text())
-        gens = [parse_poly(s, 2, sylow.rank) for s in doc["generators"]]
-        name = doc.get("name", Path(args.generators).stem)
+        gens, name = _read_generators(args.generators, sylow.rank)
     else:
         gens, name = [], "unit"
-    presentation = SubringPresentation(sylow, weyl, gens, name=name)
+    try:
+        presentation = SubringPresentation(sylow, weyl, gens, name=name)
+    except ValueError as exc:  # an inhomogeneous or non-invariant generator
+        raise UsageError(str(exc)) from exc
     cat = build_CR(group, presentation)
     rank = max(v.rank for v in cat.objects)
     comparisons = {}
@@ -284,7 +310,7 @@ def _build_parser():
         if group:
             sp.add_argument("--group", "-g", help="builtin name or JSON file path")
         if prime:
-            sp.add_argument("-p", type=int, default=2, help="prime (default 2)")
+            sp.add_argument("-p", type=_parse_prime, default=2, help="prime (default 2)")
         if output:
             sp.add_argument("--output", "-o", help="write report to this path")
         if fmt:
@@ -346,10 +372,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, GroupError, UnsupportedGroupError, FqError) as exc:
+    except (UsageError, GroupError, FqError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        # unreadable or malformed input files
         sys.stderr.write("error: %s\n" % exc)
         return 2
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import modp
-from .categories import ChromCategory, build_category
+from .categories import ChromCategory, build_category, iso_classes
 from .elemab import ElemAbelian, enumerate_elem_abelians
 from .fqfield import GF
 from .groups import FiniteGroup
@@ -178,30 +177,15 @@ def filtration_tower(group: FiniteGroup, p: int, q: int) -> FiltrationTower:
 
 
 def component_count(cat: ChromCategory) -> int:
-    """Isomorphism classes of maximal objects (no morphism to larger rank)."""
-    maximal = []
+    """Isomorphism classes of maximal objects (no morphism to larger rank).
+
+    Maximality is invariant under isomorphism, so each class is tested
+    through its representative.
+    """
     n = len(cat.objects)
-    for i, v in enumerate(cat.objects):
-        if any(
-            cat.hom(i, j) and cat.objects[j].rank > v.rank for j in range(n)
-        ):
-            continue
-        maximal.append(i)
-    classes = []
-    for i in maximal:
-        placed = False
-        for cls in classes:
-            j = cls[0]
-            if cat.objects[i].rank != cat.objects[j].rank:
-                continue
-            back = cat.hom_matrices(j, i)
-            for f in cat.hom(i, j):
-                if modp.mat_inverse(f.matrix, cat.p) in back:
-                    cls.append(i)
-                    placed = True
-                    break
-            if placed:
-                break
-        if not placed:
-            classes.append([i])
-    return len(classes)
+
+    def maximal(i):
+        rank = cat.objects[i].rank
+        return not any(cat.hom(i, j) and cat.objects[j].rank > rank for j in range(n))
+
+    return sum(1 for members in iso_classes(cat) if maximal(members[0]))

@@ -206,7 +206,3 @@ def injective_hom_count(r_source: int, r_target: int, p: int) -> int:
     for i in range(r_source):
         n *= p ** r_target - p ** i
     return n
-
-
-def morphism_on_elements(f: LinearMorphism, w: int) -> int:
-    return f(w)

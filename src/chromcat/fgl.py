@@ -3,209 +3,35 @@
 A height-n law at p is built over the rationals from the logarithm
 l(x) = sum_i x^(p^(n i)) / p^i: invert it compositionally, form
 F = l^-1(l(s) + l(t)), verify every retained coefficient is p-integral and
-only then reduce mod p.  No floating point appears anywhere.
+only then reduce mod p.  No floating point appears anywhere.  Series are
+``PolyFp`` polynomials truncated above a total degree (their ``bound``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
 
-Coeff = Union[int, Fraction]
-
-
-class TruncSeries:
-    """Power series truncated above a total degree.
-
-    Coefficients are exact rationals when ``p`` is None and integers mod p
-    otherwise; ``coeffs`` maps exponent tuples to nonzero coefficients.
-    """
-
-    __slots__ = ("p", "nvars", "degree", "coeffs")
-
-    def __init__(self, p: Optional[int], nvars: int, degree: int, coeffs=None):
-        self.p = p
-        self.nvars = nvars
-        self.degree = degree
-        clean = {}
-        for exps, c in (coeffs or {}).items():
-            if sum(exps) > degree:
-                continue
-            if p is not None:
-                c %= p
-            if c:
-                clean[tuple(exps)] = c
-        self.coeffs = clean
-
-    # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def zero(cls, p, nvars, degree):
-        return cls(p, nvars, degree)
-
-    @classmethod
-    def constant(cls, p, nvars, degree, c):
-        return cls(p, nvars, degree, {(0,) * nvars: c})
-
-    @classmethod
-    def variable(cls, p, nvars, degree, i):
-        exps = [0] * nvars
-        exps[i] = 1
-        return cls(p, nvars, degree, {tuple(exps): 1})
-
-    # -- ring operations --------------------------------------------------------
-
-    def _check(self, other):
-        if (self.p, self.nvars, self.degree) != (other.p, other.nvars, other.degree):
-            raise ValueError("series domains do not match")
-
-    def __add__(self, other):
-        self._check(other)
-        coeffs = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            coeffs[e] = coeffs.get(e, 0) + c
-        return TruncSeries(self.p, self.nvars, self.degree, coeffs)
-
-    def __sub__(self, other):
-        self._check(other)
-        coeffs = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            coeffs[e] = coeffs.get(e, 0) - c
-        return TruncSeries(self.p, self.nvars, self.degree, coeffs)
-
-    def __mul__(self, other):
-        self._check(other)
-        coeffs = {}
-        d = self.degree
-        for e1, c1 in self.coeffs.items():
-            d1 = sum(e1)
-            for e2, c2 in other.coeffs.items():
-                if d1 + sum(e2) > d:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                coeffs[e] = coeffs.get(e, 0) + c1 * c2
-        return TruncSeries(self.p, self.nvars, self.degree, coeffs)
-
-    def scale(self, c: Coeff):
-        return TruncSeries(
-            self.p, self.nvars, self.degree, {e: v * c for e, v in self.coeffs.items()}
-        )
-
-    def __pow__(self, k: int):
-        out = TruncSeries.constant(self.p, self.nvars, self.degree, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncSeries)
-            and (self.p, self.nvars, self.degree) == (other.p, other.nvars, other.degree)
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.nvars, self.degree, frozenset(self.coeffs.items())))
-
-    # -- structure ----------------------------------------------------------------
-
-    def coefficient(self, exps: Sequence[int]) -> Coeff:
-        return self.coeffs.get(tuple(exps), 0)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def min_degree(self) -> int:
-        return min((sum(e) for e in self.coeffs), default=self.degree + 1)
-
-    def truncated(self, degree: int) -> "TruncSeries":
-        return TruncSeries(self.p, self.nvars, degree, self.coeffs)
-
-    def substitute(self, args: Sequence["TruncSeries"]) -> "TruncSeries":
-        """Compose: plug args[i] in for variable i.
-
-        Every argument must have zero constant term so that the composite is
-        well defined under truncation.
-        """
-        if len(args) != self.nvars:
-            raise ValueError("need one argument per variable")
-        tmpl = args[0]
-        for a in args:
-            if a.coefficient((0,) * a.nvars):
-                raise ValueError("substitution requires zero constant term")
-        powers = [
-            {0: TruncSeries.constant(tmpl.p, tmpl.nvars, tmpl.degree, 1)}
-            for _ in args
-        ]
-
-        def power(i, k):
-            cache = powers[i]
-            if k not in cache:
-                cache[k] = power(i, k - 1) * args[i]
-            return cache[k]
-
-        out = TruncSeries.zero(tmpl.p, tmpl.nvars, tmpl.degree)
-        for exps, c in self.coeffs.items():
-            lower = sum(e * a.min_degree() for e, a in zip(exps, args))
-            if lower > tmpl.degree:
-                continue
-            term = TruncSeries.constant(tmpl.p, tmpl.nvars, tmpl.degree, c)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * power(i, e)
-            out = out + term
-        return out
-
-    def reduce_mod(self, p: int) -> "TruncSeries":
-        """Reduce rational coefficients mod p after checking p-integrality."""
-        coeffs = {}
-        for e, c in self.coeffs.items():
-            c = Fraction(c)
-            if c.denominator % p == 0:
-                raise ValueError(
-                    "coefficient %s at %r is not %d-integral" % (c, e, p)
-                )
-            coeffs[e] = c.numerator * pow(c.denominator, -1, p) % p
-        return TruncSeries(p, self.nvars, self.degree, coeffs)
-
-    def render(self, names: Sequence[str]) -> str:
-        if not self.coeffs:
-            return "0"
-        items = sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), tuple(-e for e in kv[0])))
-        parts = []
-        for exps, c in items:
-            factors = []
-            if c != 1 or not any(exps):
-                factors.append(str(c))
-            for n, e in zip(names, exps):
-                factors.append(n if e == 1 else "%s^%d" % (n, e) if e else "")
-            parts.append("*".join(f for f in factors if f))
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return "TruncSeries(p=%r, %s)" % (
-            self.p,
-            self.render(tuple("stu"[: self.nvars])),
-        )
+from .polyfp import PolyFp
 
 
-def series_inverse(f: TruncSeries) -> TruncSeries:
-    """Compositional inverse of a univariate series x + O(x^2)."""
-    if f.nvars != 1 or f.coefficient((1,)) != 1 or f.coefficient((0,)):
-        raise ValueError("inverse needs a univariate series of the form x + ...")
-    d = f.degree
+def series_inverse(f: PolyFp) -> PolyFp:
+    """Compositional inverse of a truncated univariate series x + O(x^2)."""
+    if (
+        f.nvars != 1
+        or f.bound is None
+        or f.coefficient((1,)) != 1
+        or f.coefficient((0,))
+    ):
+        raise ValueError("inverse needs a truncated univariate series of the form x + ...")
+    d = f.bound
     g_coeffs = {(1,): 1}
     for k in range(2, d + 1):
-        g = TruncSeries(f.p, 1, d, g_coeffs)
+        g = PolyFp(f.p, 1, g_coeffs, bound=d)
         err = f.substitute([g]).coefficient((k,))
         if err:
             g_coeffs[(k,)] = -err
-    return TruncSeries(f.p, 1, d, g_coeffs)
+    return PolyFp(f.p, 1, g_coeffs, bound=d)
 
 
 @dataclass(frozen=True)
@@ -215,41 +41,40 @@ class FGL:
     p: int
     height: int
     degree: int
-    series: TruncSeries  # two variables, coefficients mod p
+    series: PolyFp  # two variables, coefficients mod p, bound = degree
 
-    def add_series(self, a: TruncSeries, b: TruncSeries) -> TruncSeries:
+    def _variable(self, nvars: int, i: int) -> PolyFp:
+        return PolyFp.variable(self.p, nvars, i, bound=self.degree)
+
+    def add_series(self, a: PolyFp, b: PolyFp) -> PolyFp:
         """Formal sum a +_F b for series with zero constant term."""
-        return self.series.truncated(a.degree).substitute([a, b])
+        return self.series.substitute([a, b])
 
-    def n_series(self, n: int) -> TruncSeries:
+    def n_series(self, n: int) -> PolyFp:
         """[n]_F(x), built iteratively as F(x, [n-1]_F(x))."""
-        x = TruncSeries.variable(self.p, 1, self.degree, 0)
+        x = self._variable(1, 0)
         if n == 0:
-            return TruncSeries.zero(self.p, 1, self.degree)
+            return PolyFp.zero(self.p, 1, bound=self.degree)
         acc = x
         for _ in range(n - 1):
             acc = self.series.substitute([acc, x])
         return acc
 
-    def p_series(self) -> TruncSeries:
+    def p_series(self) -> PolyFp:
         return self.n_series(self.p)
 
     def axiom_failures(self) -> list[str]:
         """Unit, commutativity, associativity up to the truncation degree."""
         failures = []
-        p, d = self.p, self.degree
-        s2 = TruncSeries.variable(p, 2, d, 0)
-        t2 = TruncSeries.variable(p, 2, d, 1)
-        zero2 = TruncSeries.zero(p, 2, d)
+        s2, t2 = self._variable(2, 0), self._variable(2, 1)
+        zero2 = PolyFp.zero(self.p, 2, bound=self.degree)
         if self.series.substitute([s2, zero2]) != s2:
             failures.append("F(s, 0) != s")
         if self.series.substitute([zero2, t2]) != t2:
             failures.append("F(0, t) != t")
         if self.series.substitute([t2, s2]) != self.series:
             failures.append("F(s, t) != F(t, s)")
-        s3 = TruncSeries.variable(p, 3, d, 0)
-        t3 = TruncSeries.variable(p, 3, d, 1)
-        u3 = TruncSeries.variable(p, 3, d, 2)
+        s3, t3, u3 = (self._variable(3, i) for i in range(3))
         left = self.series.substitute([self.series.substitute([s3, t3]), u3])
         right = self.series.substitute([s3, self.series.substitute([t3, u3])])
         if left != right:
@@ -272,14 +97,8 @@ def honda_fgl(p: int, n: int, degree: int) -> FGL:
     while p ** (n * i) <= degree:
         log[(p ** (n * i),)] = Fraction(1, p ** i)
         i += 1
-    log_series = TruncSeries(None, 1, degree, log)
-    exp_series = series_inverse(log_series)
-
-    log_s = TruncSeries(
-        None, 2, degree, {(e[0], 0): c for e, c in log_series.coeffs.items()}
-    )
-    log_t = TruncSeries(
-        None, 2, degree, {(0, e[0]): c for e, c in log_series.coeffs.items()}
-    )
-    f_rational = exp_series.substitute([log_s + log_t])
+    log_series = PolyFp(None, 1, log, bound=degree)
+    s, t = (PolyFp.variable(None, 2, i, bound=degree) for i in range(2))
+    log_sum = log_series.substitute([s]) + log_series.substitute([t])
+    f_rational = series_inverse(log_series).substitute([log_sum])
     return FGL(p=p, height=n, degree=degree, series=f_rational.reduce_mod(p))

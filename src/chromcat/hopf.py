@@ -35,6 +35,16 @@ class HopfError(ValueError):
 # -- truncated polynomial ring F_p[x_1..x_r]/(x_i^(p^n)) -----------------------
 
 
+class RingElt(PolyFp):
+    """An element of a ``CycRing``: ``PolyFp`` arithmetic under the exponent
+    cap, printed in ascending term order on the variables w, z, u, v."""
+
+    __slots__ = ()
+
+    def render(self, names: Optional[Sequence[str]] = None) -> str:
+        return super().render(names or "wzuv"[: self.nvars], key=lambda e: (sum(e), e))
+
+
 class CycRing:
     """The model ring for B(Z/p)^r at height n: exponents are capped below
     p^n per variable and anything reaching the cap dies."""
@@ -45,123 +55,31 @@ class CycRing:
         self.rank = rank
         self.cap = p ** height
 
-    def elt(self, terms=None) -> "RingElt":
-        return RingElt(self, terms)
+    def elt(self, coeffs=None) -> RingElt:
+        return RingElt(self.p, self.rank, coeffs, cap=self.cap)
 
-    def zero(self) -> "RingElt":
-        return RingElt(self)
+    def zero(self) -> RingElt:
+        return self.elt()
 
-    def one(self) -> "RingElt":
-        return RingElt(self, {(0,) * self.rank: 1})
+    def one(self) -> RingElt:
+        return self.elt({(0,) * self.rank: 1})
 
-    def monomial(self, exps: Sequence[int], c: int = 1) -> "RingElt":
-        return RingElt(self, {tuple(exps): c})
-
-    def variable(self, i: int) -> "RingElt":
+    def variable(self, i: int) -> RingElt:
         exps = [0] * self.rank
         exps[i] = 1
-        return self.monomial(exps)
+        return self.elt({tuple(exps): 1})
 
-    def fgl_sum(self, fgl: FGL, a: "RingElt", b: "RingElt") -> "RingElt":
+    def fgl_sum(self, fgl: FGL, a: RingElt, b: RingElt) -> RingElt:
         """a +_F b evaluated in the ring (nilpotence truncates the series)."""
         # surviving monomials have every exponent below the cap
         if fgl.degree < self.rank * (self.cap - 1):
             raise HopfError("formal group law is not truncated deep enough")
-        out = self.zero()
-        for (i, j), c in fgl.series.coeffs.items():
-            out = out + (a ** i) * (b ** j) * c
-        return out
+        return fgl.series.substitute([a, b])
 
-    def fgl_of_variables(self, fgl: FGL) -> "RingElt":
+    def fgl_of_variables(self, fgl: FGL) -> RingElt:
         if self.rank != 2:
             raise HopfError("F(w, z) needs the rank-2 ring")
         return self.fgl_sum(fgl, self.variable(0), self.variable(1))
-
-
-class RingElt:
-    __slots__ = ("ring", "terms")
-
-    def __init__(self, ring: CycRing, terms=None):
-        self.ring = ring
-        clean = {}
-        for exps, c in (terms or {}).items():
-            c %= ring.p
-            if c and all(e < ring.cap for e in exps):
-                clean[tuple(exps)] = c
-        self.terms = clean
-
-    def _check(self, other):
-        if self.ring is not other.ring:
-            raise HopfError("elements live in different rings")
-
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return RingElt(self.ring, terms)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return RingElt(self.ring, {e: c * other for e, c in self.terms.items()})
-        self._check(other)
-        cap = self.ring.cap
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if all(x < cap for x in e):
-                    terms[e] = terms.get(e, 0) + c1 * c2
-        return RingElt(self.ring, terms)
-
-    def __pow__(self, k: int):
-        out = self.ring.one()
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RingElt)
-            and self.ring is other.ring
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self):
-        return not self.terms
-
-    def is_monomial(self):
-        return len(self.terms) == 1 and next(iter(self.terms.values())) == 1
-
-    def substitute(self, images: Sequence["RingElt"]) -> "RingElt":
-        out = self.ring.zero()
-        for exps, c in self.terms.items():
-            term = self.ring.one() * c
-            for img, e in zip(images, exps):
-                term = term * img ** e
-            out = out + term
-        return out
-
-    def render(self, names: Optional[Sequence[str]] = None) -> str:
-        if not self.terms:
-            return "0"
-        names = tuple(names) if names else tuple("wzuv"[: self.ring.rank])
-        parts = []
-        for exps, c in sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0])):
-            factors = [] if c == 1 and any(exps) else [str(c)]
-            for n, e in zip(names, exps):
-                if e == 1:
-                    factors.append(n)
-                elif e > 1:
-                    factors.append("%s^%d" % (n, e))
-            parts.append("*".join(factors))
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return "RingElt(%s)" % self.render()
 
 
 # -- Weyl orbit restriction (Mackey formula) ------------------------------------
@@ -187,16 +105,21 @@ class OrbitRestriction:
         ]
 
 
+def _tag_values(ring: CycRing, fgl: FGL) -> dict:
+    """Ring values of the series-argument tags; None where the rank lacks one."""
+    return {
+        "s": ring.variable(0),
+        "t": ring.variable(1) if ring.rank > 1 else None,
+        "s+t": ring.fgl_of_variables(fgl) if ring.rank == 2 else None,
+    }
+
+
 def orbit_from_terms(
     terms: Sequence[Sequence[tuple]], ring: CycRing, fgl: FGL
 ) -> OrbitRestriction:
     """Build an orbit presentation from explicit ((tag, power), ...) terms;
     used to rerun a pushforward in a different height's model."""
-    values = {
-        "s": ring.variable(0),
-        "t": ring.variable(1) if ring.rank > 1 else None,
-        "s+t": ring.fgl_of_variables(fgl) if ring.rank == 2 else None,
-    }
+    values = _tag_values(ring, fgl)
     total = ring.zero()
     for term in terms:
         prod = ring.one()
@@ -216,25 +139,20 @@ def close_weyl_action(
     """Close substitution endomorphisms (tuples of variable images) into a
     group; raises if the closure does not stop within the cap."""
     ident = tuple(ring.variable(i) for i in range(ring.rank))
-
-    def key(endo):
-        return tuple(tuple(sorted(img.terms.items())) for img in endo)
-
     elements = [ident]
-    index = {key(ident): 0}
+    seen = {ident}
     frontier = [ident]
     while frontier:
         cur = frontier.pop()
         for gen in generators:
             gen = tuple(gen)
             nxt = tuple(img.substitute(gen) for img in cur)
-            k = key(nxt)
-            if k not in index:
+            if nxt not in seen:
                 if len(elements) >= cap:
                     raise HopfError(
                         "Weyl action failed to close within %d elements" % cap
                     )
-                index[k] = len(elements)
+                seen.add(nxt)
                 elements.append(nxt)
                 frontier.append(nxt)
     return elements
@@ -246,46 +164,30 @@ def weyl_orbit_restriction(
     """Sum of expr over the closed Weyl action (one summand per group
     element, so invariant inputs pick up a multiplicity).
 
-    For a monomial input whose orbit factors through the tags
-    {w, z, F(w, z)}, the structured term list is retained; the homology
-    pushforward requires that form.
+    The ring is the height-n model of ``fgl`` in ``expr``'s variables.  For
+    a monomial input whose orbit factors through the tags {w, z, F(w, z)},
+    the structured term list is retained; the homology pushforward requires
+    that form.
     """
-    ring = expr.ring
+    ring = CycRing(fgl.p, fgl.height, expr.nvars)
+    for elt in [expr, *(img for gen in generators for img in gen)]:
+        if (elt.p, elt.nvars, elt.cap) != (ring.p, ring.rank, ring.cap):
+            raise HopfError("ring element and formal group law disagree")
     action = close_weyl_action(ring, generators)
     total = ring.zero()
-    images = []
     for endo in action:
-        img = expr.substitute(endo)
-        images.append(endo)
-        total = total + img
+        total = total + expr.substitute(endo)
 
     terms = None
     if expr.is_monomial():
-        exps = next(iter(expr.terms))
-        tags = {
-            "s": ring.variable(0),
-            "t": ring.variable(1) if ring.rank > 1 else None,
-            "s+t": ring.fgl_of_variables(fgl) if ring.rank == 2 else None,
-        }
-        terms = []
-        for endo in action:
-            term = []
-            ok = True
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                tag = next(
-                    (name for name, val in tags.items() if val is not None and val == endo[i]),
-                    None,
-                )
-                if tag is None:
-                    ok = False
-                    break
-                term.append((tag, e))
-            if not ok:
-                terms = None
-                break
-            terms.append(tuple(term))
+        exps = next(iter(expr.coeffs))
+        tag_of = {val: tag for tag, val in _tag_values(ring, fgl).items() if val is not None}
+        terms = [
+            tuple((tag_of.get(endo[i]), e) for i, e in enumerate(exps) if e)
+            for endo in action
+        ]
+        if any(tag is None for term in terms for tag, _ in term):
+            terms = None
     return OrbitRestriction(ring=ring, fgl=fgl, total=total, terms=terms)
 
 
@@ -382,14 +284,6 @@ class HopfExpr:
         for star, poly in other.terms.items():
             terms[star] = terms.get(star, self._poly()) + poly
         return HopfExpr(self.p, self.height, self.degree, terms)
-
-    def scale_poly(self, poly: PolyFp) -> "HopfExpr":
-        return HopfExpr(
-            self.p,
-            self.height,
-            self.degree,
-            {star: coeff * poly for star, coeff in self.terms.items()},
-        )
 
     def star_mul(self, other: "HopfExpr") -> "HopfExpr":
         """The * product: grouplike tags add, circle factors concatenate."""
@@ -498,9 +392,7 @@ def beta_pushforward(orbit: OrbitRestriction, degree: int) -> HopfExpr:
     args = {
         "s": PolyFp.variable(p, 2, 0),
         "t": PolyFp.variable(p, 2, 1),
-        "s+t": PolyFp(
-            p, 2, {e: c for e, c in orbit.fgl.series.coeffs.items()}
-        ).truncate(degree),
+        "s+t": PolyFp(p, 2, orbit.fgl.series.coeffs, bound=degree),
     }
     series = {
         tag: b_series(poly, p, height, degree) for tag, poly in args.items()

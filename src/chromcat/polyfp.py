@@ -1,15 +1,21 @@
-"""Sparse multivariate polynomials over F_p, linear actions, and invariants.
+"""Sparse multivariate polynomials, linear actions, and invariants.
 
-Polynomials store nonzero coefficients keyed by exponent tuples; rendering
-and iteration follow a graded order (total degree, then descending
-lexicographic exponents) so "x^2*y + x*y^2" style strings are reproducible
-and parseable back.
+One class serves every polynomial ring in the package: the cohomology rings
+F_p[x_1..x_r], power series truncated by total degree over Q or F_p (formal
+group laws and Hopf-ring coefficients), and the model rings
+F_p[x_1..x_r]/(x_i^cap).  Polynomials store nonzero coefficients keyed by
+exponent tuples; rendering and iteration follow a graded order (total
+degree, then descending lexicographic exponents) so "x^2*y + x*y^2" style
+strings are reproducible and parseable back.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
+from fractions import Fraction
+from operator import add
 from typing import Optional, Sequence
 
 from . import modp
@@ -27,39 +33,80 @@ def _term_key(exps: tuple) -> tuple:
     return (sum(exps), tuple(-e for e in exps))
 
 
+def _meet(a: Optional[int], b: Optional[int]) -> Optional[int]:
+    """The truncation two operands share, None meaning no truncation."""
+    if a is None:
+        return b
+    if b is not None and a != b:
+        raise ValueError("polynomial truncations do not match")
+    return a
+
+
 class PolyFp:
-    """A polynomial over F_p in a fixed number of variables."""
+    """A polynomial in a fixed number of variables.
 
-    __slots__ = ("p", "nvars", "terms")
+    Coefficients are integers mod ``p``, or exact rationals when ``p`` is
+    None.  Two optional truncations make it an element of a quotient ring:
+    under ``bound`` every term of total degree above the bound dies (a
+    truncated power series), under ``cap`` every term with an exponent
+    >= cap dies (F_p[x_1..x_r]/(x_i^cap)).  Both kill an ideal, so dropping
+    terms while a product is formed gives the same result as dropping them
+    afterwards.  An operand without a truncation takes the other's; two
+    different truncations do not mix.  A bound that no term under the cap
+    can pass is dropped.  Equality and hashing compare coefficients only.
+    """
 
-    def __init__(self, p: int, nvars: int, terms=None):
+    __slots__ = ("p", "nvars", "coeffs", "bound", "cap")
+
+    def __init__(
+        self,
+        p: Optional[int],
+        nvars: int,
+        coeffs=None,
+        bound: Optional[int] = None,
+        cap: Optional[int] = None,
+    ):
+        if cap is not None and bound is not None and bound >= nvars * (cap - 1):
+            bound = None
         self.p = p
         self.nvars = nvars
+        self.bound = bound
+        self.cap = cap
         clean = {}
-        for exps, c in (terms or {}).items():
-            c %= p
-            if c:
-                exps = tuple(exps)
-                if len(exps) != nvars:
-                    raise ValueError("exponent tuple has wrong length")
-                clean[exps] = c
-        self.terms = clean
+        for exps, c in (coeffs or {}).items():
+            if p is not None:
+                c %= p
+            if not c:
+                continue
+            exps = tuple(exps)
+            if len(exps) != nvars:
+                raise ValueError("exponent tuple has wrong length")
+            if bound is not None and sum(exps) > bound:
+                continue
+            if cap is not None and max(exps, default=0) >= cap:
+                continue
+            clean[exps] = c
+        self.coeffs = clean
+
+    def _new(self, coeffs, bound, cap) -> "PolyFp":
+        """Same class and coefficient domain, new coefficients and truncations."""
+        return type(self)(self.p, self.nvars, coeffs, bound, cap)
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def zero(cls, p, nvars):
-        return cls(p, nvars)
+    def zero(cls, p, nvars, bound=None):
+        return cls(p, nvars, None, bound)
 
     @classmethod
     def constant(cls, p, nvars, c):
         return cls(p, nvars, {(0,) * nvars: c})
 
     @classmethod
-    def variable(cls, p, nvars, i):
+    def variable(cls, p, nvars, i, bound=None):
         exps = [0] * nvars
         exps[i] = 1
-        return cls(p, nvars, {tuple(exps): 1})
+        return cls(p, nvars, {tuple(exps): 1}, bound)
 
     @classmethod
     def monomial(cls, p, nvars, exps, c=1):
@@ -68,72 +115,96 @@ class PolyFp:
     # -- structure -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coeffs
+
+    def is_monomial(self) -> bool:
+        """One term, with coefficient one."""
+        return len(self.coeffs) == 1 and next(iter(self.coeffs.values())) == 1
 
     def degree(self) -> int:
         """Total degree; the zero polynomial reports -1."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max((sum(e) for e in self.coeffs), default=-1)
+
+    def min_degree(self):
+        """Lowest total degree of a term; the zero polynomial reports
+        infinity."""
+        return min((sum(e) for e in self.coeffs), default=math.inf)
 
     def is_homogeneous(self) -> bool:
-        return len({sum(e) for e in self.terms}) <= 1
+        return len({sum(e) for e in self.coeffs}) <= 1
 
     def homogeneous_part(self, d: int) -> "PolyFp":
-        return PolyFp(
-            self.p, self.nvars, {e: c for e, c in self.terms.items() if sum(e) == d}
+        return self._new(
+            {e: c for e, c in self.coeffs.items() if sum(e) == d}, self.bound, self.cap
         )
 
     def truncate(self, max_degree: int) -> "PolyFp":
-        return PolyFp(
-            self.p,
-            self.nvars,
-            {e: c for e, c in self.terms.items() if sum(e) <= max_degree},
-        )
+        """Drop the terms above ``max_degree``, now and in later products."""
+        bound = max_degree if self.bound is None else min(self.bound, max_degree)
+        return self._new(self.coeffs, bound, self.cap)
 
-    def coefficient(self, exps: Sequence[int]) -> int:
-        return self.terms.get(tuple(exps), 0)
+    def coefficient(self, exps: Sequence[int]):
+        return self.coeffs.get(tuple(exps), 0)
 
     def sorted_terms(self) -> list:
-        return sorted(self.terms.items(), key=lambda item: _term_key(item[0]))
+        return sorted(self.coeffs.items(), key=lambda item: _term_key(item[0]))
 
     def canonical(self) -> tuple:
         return tuple(self.sorted_terms())
 
+    def reduce_mod(self, p: int) -> "PolyFp":
+        """Reduce rational coefficients mod p after checking p-integrality."""
+        coeffs = {}
+        for e, c in self.coeffs.items():
+            c = Fraction(c)
+            if c.denominator % p == 0:
+                raise ValueError("coefficient %s at %r is not %d-integral" % (c, e, p))
+            coeffs[e] = c.numerator * pow(c.denominator, -1, p)
+        return type(self)(p, self.nvars, coeffs, self.bound, self.cap)
+
     # -- arithmetic ----------------------------------------------------------
 
-    def _check(self, other):
+    def _check(self, other) -> tuple:
+        """The (bound, cap) a combination of the two lives under."""
         if self.p != other.p or self.nvars != other.nvars:
             raise ValueError("polynomial domains do not match")
+        return _meet(self.bound, other.bound), _meet(self.cap, other.cap)
 
     def __add__(self, other: "PolyFp") -> "PolyFp":
-        self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return PolyFp(self.p, self.nvars, terms)
+        bound, cap = self._check(other)
+        coeffs = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            coeffs[e] = coeffs.get(e, 0) + c
+        return self._new(coeffs, bound, cap)
 
     def __sub__(self, other: "PolyFp") -> "PolyFp":
-        self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, 0) - c
-        return PolyFp(self.p, self.nvars, terms)
+        bound, cap = self._check(other)
+        coeffs = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            coeffs[e] = coeffs.get(e, 0) - c
+        return self._new(coeffs, bound, cap)
 
     def __mul__(self, other: "PolyFp") -> "PolyFp":
-        self._check(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return PolyFp(self.p, self.nvars, terms)
+        bound, cap = self._check(other)
+        # pairs whose total degree passes the bound are skipped unformed
+        limit = math.inf if bound is None else bound
+        right = [(e, c, sum(e)) for e, c in other.coeffs.items()]
+        coeffs = {}
+        for e1, c1 in self.coeffs.items():
+            room = limit - sum(e1)
+            for e2, c2, d2 in right:
+                if d2 <= room:
+                    e = tuple(map(add, e1, e2))
+                    coeffs[e] = coeffs.get(e, 0) + c1 * c2
+        return self._new(coeffs, bound, cap)
 
-    def scale(self, c: int) -> "PolyFp":
-        return PolyFp(self.p, self.nvars, {e: v * c for e, v in self.terms.items()})
+    def scale(self, c) -> "PolyFp":
+        return self._new({e: v * c for e, v in self.coeffs.items()}, self.bound, self.cap)
 
     def __pow__(self, k: int) -> "PolyFp":
         if k < 0:
             raise ValueError("negative power")
-        result = PolyFp.constant(self.p, self.nvars, 1)
+        result = self._new({(0,) * self.nvars: 1}, self.bound, self.cap)
         base = self
         while k:
             if k & 1:
@@ -147,11 +218,53 @@ class PolyFp:
             isinstance(other, PolyFp)
             and self.p == other.p
             and self.nvars == other.nvars
-            and self.terms == other.terms
+            and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
-        return hash((self.p, self.nvars, frozenset(self.terms.items())))
+        return hash((self.p, self.nvars, frozenset(self.coeffs.items())))
+
+    def substitute(self, images: Sequence["PolyFp"]) -> "PolyFp":
+        """Plug images[i] in for variable i.
+
+        The result lives where the images do: their class, coefficient
+        domain, variable count and truncations, under this polynomial's
+        degree bound as well.  Under a degree bound every image needs zero
+        constant term, so a term whose lowest possible degree passes the
+        bound is skipped unformed.
+        """
+        if len(images) != self.nvars:
+            raise ValueError("need one image per variable")
+        like = images[0] if images else self
+        if like.p != self.p:
+            raise ValueError("polynomial domains do not match")
+        bound, cap = like.bound, like.cap
+        for img in images:
+            if img.p != like.p or img.nvars != like.nvars:
+                raise ValueError("polynomial domains do not match")
+            bound, cap = _meet(bound, img.bound), _meet(cap, img.cap)
+        if self.bound is not None and (bound is None or self.bound < bound):
+            bound = self.bound
+            images = [img.truncate(bound) for img in images]
+        if bound is not None and any(img.coefficient((0,) * like.nvars) for img in images):
+            raise ValueError("substitution into a truncated series needs zero constant terms")
+        orders = [img.min_degree() for img in images]
+        one = like._new({(0,) * like.nvars: 1}, bound, cap)
+        powers = [[one] for _ in images]  # powers[i][k] = images[i] ** k
+        coeffs = {}
+        for exps, c in self.coeffs.items():
+            if bound is not None and sum(e * o for e, o in zip(exps, orders) if e) > bound:
+                continue
+            term = one
+            for i, e in enumerate(exps):
+                if e:
+                    cache = powers[i]
+                    while len(cache) <= e:
+                        cache.append(cache[-1] * images[i])
+                    term = cache[e] if term is one else term * cache[e]
+            for e, v in term.coeffs.items():
+                coeffs[e] = coeffs.get(e, 0) + c * v
+        return like._new(coeffs, bound, cap)
 
     def substitute_linear(self, matrix: tuple) -> "PolyFp":
         """Send variable x_j to sum_i matrix[i][j] * x_i (new variable count
@@ -159,34 +272,23 @@ class PolyFp:
         new_nvars = len(matrix)
         if any(len(row) != self.nvars for row in matrix):
             raise ValueError("matrix shape does not match variable count")
-        images = [
-            PolyFp(
-                self.p,
-                new_nvars,
-                {
-                    tuple(1 if i == k else 0 for i in range(new_nvars)): matrix[k][j]
-                    for k in range(new_nvars)
-                },
-            )
-            for j in range(self.nvars)
-        ]
-        result = PolyFp.zero(self.p, new_nvars)
-        for exps, c in self.terms.items():
-            term = PolyFp.constant(self.p, new_nvars, c)
-            for j, e in enumerate(exps):
-                if e:
-                    term = term * images[j] ** e
-            result = result + term
-        return result
+        units = [tuple(int(i == k) for i in range(new_nvars)) for k in range(new_nvars)]
+        return self.substitute(
+            [
+                PolyFp(self.p, new_nvars, {units[k]: matrix[k][j] for k in range(new_nvars)})
+                for j in range(self.nvars)
+            ]
+        )
 
     # -- rendering -----------------------------------------------------------
 
-    def render(self, names: Optional[Sequence[str]] = None) -> str:
-        if not self.terms:
+    def render(self, names: Optional[Sequence[str]] = None, key=_term_key) -> str:
+        """'c*x^a*y^b + ...' with terms sorted by ``key`` on exponents."""
+        if not self.coeffs:
             return "0"
         names = tuple(names) if names else default_names(self.nvars)
         parts = []
-        for exps, c in self.sorted_terms():
+        for exps, c in sorted(self.coeffs.items(), key=lambda item: key(item[0])):
             factors = []
             if c != 1 or not any(exps):
                 factors.append(str(c))
@@ -199,7 +301,7 @@ class PolyFp:
         return " + ".join(parts)
 
     def __repr__(self):
-        return "PolyFp(%d, %r)" % (self.p, self.render())
+        return "%s(%r, %r)" % (type(self).__name__, self.p, self.render())
 
 
 _FACTOR_RE = re.compile(r"^([A-Za-z]\w*)(?:\^(\d+))?$")
@@ -270,21 +372,11 @@ class LinearAction:
     def order(self) -> int:
         return len(self.elements)
 
-    def act(self, matrix: tuple, f: PolyFp) -> PolyFp:
-        return f.substitute_linear(matrix)
-
 
 def orbit_sum(f: PolyFp, action: LinearAction) -> PolyFp:
     """Sum of the distinct polynomials in the orbit of f."""
-    seen = set()
-    total = PolyFp.zero(f.p, f.nvars)
-    for m in action.elements:
-        g = f.substitute_linear(m)
-        key = g.canonical()
-        if key not in seen:
-            seen.add(key)
-            total = total + g
-    return total
+    orbit = {f.substitute_linear(m) for m in action.elements}
+    return sum(orbit, PolyFp.zero(f.p, f.nvars))
 
 
 def _monomials_of_degree(nvars: int, d: int) -> list:
@@ -376,14 +468,10 @@ def subring_membership(
 
     def vec(poly):
         row = [0] * len(mons)
-        for e, c in poly.terms.items():
+        for e, c in poly.coeffs.items():
             row[index[e]] = c
         return tuple(row)
 
     span_vectors = [vec(g) for g in spanning]
     return modp.in_span(span_vectors, vec(f), f.p)
 
-
-def relation_check(lhs: PolyFp, rhs: PolyFp) -> bool:
-    """Exact equality of canonical forms."""
-    return lhs == rhs

@@ -1,8 +1,10 @@
 """Independent brute-force oracles used to confirm derived fixture values.
 
 Nothing here shares code paths with the library's optimized implementations:
-the level oracle enumerates tuples, the subgroup oracle scans subsets, and
-the quotient oracle relabels until stable instead of using union-find.
+the level oracle enumerates tuples, the subgroup oracle scans subsets, the
+quotient oracle relabels until stable instead of using union-find, and the
+polynomial oracles multiply and compose in full before truncating instead
+of dropping terms as products are formed.
 """
 
 from __future__ import annotations
@@ -133,3 +135,53 @@ def canonical_tuple_class(group, tup):
     return min(
         tuple(group.conjugate(x, g) for x in tup) for g in group.elements()
     )
+
+
+def _full_product(a, b, p):
+    """Untruncated product of two exponent -> coefficient dicts."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    if p is not None:
+        out = {e: c % p for e, c in out.items()}
+    return {e: c for e, c in out.items() if c}
+
+
+def _truncate_late(coeffs, bound, cap):
+    """Drop terms of total degree above ``bound`` or with an exponent at or
+    above ``cap`` (None disables either) from a finished result."""
+    return {
+        e: c
+        for e, c in coeffs.items()
+        if (bound is None or sum(e) <= bound) and (cap is None or all(x < cap for x in e))
+    }
+
+
+def naive_truncated_product(a, b, p, bound=None, cap=None):
+    """Multiply in full, then truncate."""
+    return _truncate_late(_full_product(a, b, p), bound, cap)
+
+
+def naive_truncated_power(a, k, nvars, p, bound=None, cap=None):
+    """k-fold full product, then truncate."""
+    out = {(0,) * nvars: 1}
+    for _ in range(k):
+        out = _full_product(out, a, p)
+    return _truncate_late(out, bound, cap)
+
+
+def naive_truncated_composition(f, images, nvars, p, bound=None, cap=None):
+    """Expand f(images[0], images[1], ...) in full, then truncate."""
+    out = {}
+    for exps, c in f.items():
+        term = {(0,) * nvars: c}
+        for img, e in zip(images, exps):
+            for _ in range(e):
+                term = _full_product(term, img, p)
+        for e, v in term.items():
+            out[e] = out.get(e, 0) + v
+    if p is not None:
+        out = {e: c % p for e, c in out.items()}
+    return _truncate_late({e: c for e, c in out.items() if c}, bound, cap)

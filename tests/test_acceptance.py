@@ -20,6 +20,7 @@ from chromcat import (
     build_category,
     colim_points,
     filtration_tower,
+    hom_chain_report,
     honda_fgl,
     hurewicz_eval,
     invariant_basis,
@@ -27,7 +28,6 @@ from chromcat import (
     parse_poly,
     quillen_category,
     skeleton,
-    stabilization_rank,
     subring_membership,
     verify_kn_injectivity,
 )
@@ -64,7 +64,7 @@ def test_criterion_1_a4_skeletons():
 def test_criterion_2_stabilization():
     def body():
         a4 = load_builtin("a4")
-        assert stabilization_rank(a4, 2) == 2
+        assert hom_chain_report(a4, 2).stabilization_rank == 2
         one = build_category(a4, 2, 1)
         two = build_category(a4, 2, 2)
         assert not one.equals(two)

@@ -6,7 +6,6 @@ from chromcat import (
     injective_homs,
     is_level_n_morphism,
     skeleton,
-    stabilization_rank,
     witness_scan,
 )
 from chromcat.elemab import LinearMorphism
@@ -92,7 +91,6 @@ def test_skeleton_dot_round_trip():
 
 
 def test_stabilization_a4():
-    assert stabilization_rank(group("a4"), 2) == 2
     report = hom_chain_report(group("a4"), 2)
     assert report.p_rank == 2
     assert report.stabilization_rank == 2
@@ -101,11 +99,11 @@ def test_stabilization_a4():
 
 def test_stabilization_rank_one_groups():
     # cyclic 2-group: p-rank 1
-    assert stabilization_rank(group("c4"), 2) == 1
+    assert hom_chain_report(group("c4"), 2).stabilization_rank == 1
     # elementary abelian: all conjugation is trivial, so every level is the
     # inclusion category
-    assert stabilization_rank(group("k4"), 2) == 1
     report = hom_chain_report(group("k4"), 2)
+    assert report.stabilization_rank == 1
     assert report.strict == {1: False, 2: False}
 
 

@@ -116,6 +116,25 @@ def test_a4_demo_exit_zero(capsys):
     payload = json.loads(out)
     assert payload["ok"] is True
     assert payload["b1_cube_degree3"] == "s^3 + s^2*t + t^3"
+    assert payload["fgl"] == "s + t + s^2*t^2"
+    assert payload["two_series"] == "x^4"
+    assert payload["mackey_terms"] == ["s^2 * t^1", "t^2 * s+t^1", "s+t^2 * s^1"]
+    # ring elements print in ascending term order on w, z
+    assert payload["mackey_total"] == "z^3 + w^2*z + w^3"
+    assert payload["reduced"] == (
+        "[0] + (s^3 + s^2*t + t^3 + s^2*t^4) b1ob1ob1"
+        " + (s^4 + s^2*t^2 + t^4) b1ob1ob2"
+        " + (s^5 + s*t^4 + t^5 + s^4*t^4 + s^2*t^6) b1ob1ob3"
+        " + (s^6 + s^2*t^4 + t^6) b1ob1ob4"
+        " + (s^7 + s^4*t^3 + s^2*t^5 + s*t^6 + t^7) b1ob1ob5"
+        " + (s^8 + s^4*t^4 + t^8) b1ob1ob6"
+        " + (s^5 + s^4*t + t^5 + s^2*t^6) b1ob2ob2"
+        " + (s^7 + s^6*t + s^5*t^2 + s^3*t^4 + t^7) b1ob3ob3"
+        " + (s^6 + s^4*t^2 + t^6) b2ob2ob2"
+        " + (s^7 + s^4*t^3 + s^2*t^5 + s*t^6 + t^7) b2ob2ob3"
+        " + (s^8 + s^4*t^4 + t^8) b2ob2ob4"
+        " + (s^8 + s^4*t^4 + t^8) b2ob3ob3"
+    )
 
 
 def test_input_errors_exit_two(capsys, tmp_path):
@@ -130,6 +149,38 @@ def test_input_errors_exit_two(capsys, tmp_path):
     code, _, err = run_cli(capsys, "cr", "--group", "d8")
     assert code == 2
     assert "Sylow" in err
+    # -p must be a prime: argparse rejects the rest with exit status 2
+    for argv in (
+        ("elemab", "-g", "c4", "-p", "4"),
+        ("category", "-g", "d8", "-p", "1"),
+        ("category", "-g", "d8", "-p", "0"),
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(list(argv))
+        assert exit_info.value.code == 2
+        assert "is not a prime" in capsys.readouterr().err
+    # a prime above the group order cap is refused without a primality test
+    with pytest.raises(SystemExit) as exit_info:
+        main(["elemab", "-g", "c4", "-p", "1000000000000000003"])
+    assert exit_info.value.code == 2
+    assert "exceeds the group order cap 2048" in capsys.readouterr().err
+    # a generator file without the "generators" key
+    nokey = tmp_path / "nokey.json"
+    nokey.write_text(json.dumps({"name": "chern"}))
+    code, out, err = run_cli(capsys, "cr", "--group", "a4", "--generators", str(nokey))
+    assert code == 2
+    assert out == "" and "generators" in err
+
+
+def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
+    import chromcat.cli as cli_mod
+
+    def broken():
+        raise ValueError("polynomial domains do not match")
+
+    monkeypatch.setattr(cli_mod, "a4_demo", broken)
+    with pytest.raises(ValueError, match="domains do not match"):
+        main(["a4-demo"])
 
 
 def test_output_file(capsys, tmp_path):

@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from chromcat import TruncSeries, honda_fgl, series_inverse
+from chromcat import PolyFp, honda_fgl, series_inverse
 
 
 def test_series_arithmetic():
-    x = TruncSeries.variable(None, 1, 6, 0)
-    one = TruncSeries.constant(None, 1, 6, 1)
+    x = PolyFp.variable(None, 1, 0, bound=6)
+    one = PolyFp(None, 1, {(0,): 1}, bound=6)
     f = x + x * x
     assert (f * f).coefficient((2,)) == 1
     assert (f * f).coefficient((3,)) == 2
@@ -20,22 +20,22 @@ def test_series_arithmetic():
 
 def test_series_inverse_exact():
     # log = x + x^2/2 inverts to x - x^2/2 + x^3/2 - ... (hand computation)
-    log = TruncSeries(None, 1, 4, {(1,): 1, (2,): Fraction(1, 2)})
+    log = PolyFp(None, 1, {(1,): 1, (2,): Fraction(1, 2)}, bound=4)
     exp = series_inverse(log)
     assert exp.coefficient((1,)) == 1
     assert exp.coefficient((2,)) == Fraction(-1, 2)
     assert exp.coefficient((3,)) == Fraction(1, 2)
     # round trip both ways
-    x = TruncSeries.variable(None, 1, 4, 0)
+    x = PolyFp.variable(None, 1, 0, bound=4)
     assert log.substitute([exp]) == x
     assert exp.substitute([log]) == x
 
 
 def test_reduce_mod_rejects_non_integral():
-    bad = TruncSeries(None, 1, 3, {(1,): Fraction(1, 2)})
+    bad = PolyFp(None, 1, {(1,): Fraction(1, 2)}, bound=3)
     with pytest.raises(ValueError):
         bad.reduce_mod(2)
-    ok = TruncSeries(None, 1, 3, {(1,): Fraction(1, 3)})
+    ok = PolyFp(None, 1, {(1,): Fraction(1, 3)}, bound=3)
     assert ok.reduce_mod(2).coefficient((1,)) == 1  # 3^-1 = 1 mod 2
 
 
@@ -81,8 +81,8 @@ def test_degree_cap():
 
 def test_formal_sum_in_series():
     fgl = honda_fgl(2, 2, 8)
-    s = TruncSeries.variable(2, 2, 8, 0)
-    t = TruncSeries.variable(2, 2, 8, 1)
+    s = PolyFp.variable(2, 2, 0, bound=8)
+    t = PolyFp.variable(2, 2, 1, bound=8)
     assert fgl.add_series(s, t) == fgl.series
     # x +_F x = [2](x) embedded in two variables
     both = fgl.add_series(s, s)

@@ -37,9 +37,22 @@ def poly_st(text):
 def test_cyc_ring_truncation():
     ring = ring22()
     w = ring.variable(0)
-    assert (w ** 3).terms == {(3, 0): 1}
+    assert (w ** 3).coeffs == {(3, 0): 1}
     assert (w ** 4).is_zero()
     assert ring.elt({(1, 0): 2}).is_zero()  # coefficients live in F_2
+
+
+def test_rings_of_different_heights_do_not_mix():
+    w1, w2 = CycRing(2, 1, 2).variable(0), ring22().variable(0)
+    with pytest.raises(ValueError):
+        w1 * w2
+    with pytest.raises(ValueError):
+        w1 + w2
+    # Weyl generators from the height-1 ring do not act on the height-2 law
+    low = CycRing(2, 1, 2)
+    swap = [low.variable(1), low.variable(0)]
+    with pytest.raises(HopfError):
+        weyl_orbit_restriction(w2, [swap], FGL22)
 
 
 def test_fgl_in_ring_closes_the_action():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +13,14 @@ from chromcat import (
     invariant_basis,
     orbit_sum,
     parse_poly,
-    relation_check,
     subring_membership,
 )
 from chromcat.polyfp import _monomials_of_degree, graded_piece
+from oracles import (
+    naive_truncated_composition,
+    naive_truncated_power,
+    naive_truncated_product,
+)
 
 C3 = LinearAction(2, [((0, 1), (1, 1))])  # x -> y -> x+y
 SWAP = ((0, 1), (1, 0))
@@ -123,8 +128,8 @@ def test_dickson_full_gl_invariance():
 
 
 def test_relation_and_membership():
-    assert relation_check(ETA ** 2 + ETA * D0 + D1 ** 3 + D0 ** 2, PolyFp.zero(2, 2))
-    assert relation_check(D1 ** 2, parse_poly("x^4 + x^2*y^2 + y^4", 2, 2))
+    assert ETA ** 2 + ETA * D0 + D1 ** 3 + D0 ** 2 == PolyFp.zero(2, 2)
+    assert D1 ** 2 == parse_poly("x^4 + x^2*y^2 + y^4", 2, 2)
     assert subring_membership(PolyFp.zero(2, 2), [D1 ** 2, D0 ** 2])
     assert not subring_membership(ETA, [D1 ** 2, D0 ** 2])
     assert not subring_membership(ETA ** 2, [D1 ** 2, D0 ** 2])
@@ -148,3 +153,73 @@ def test_render_parse_round_trip():
     assert parse_poly(f3.render(), 3, 2) == f3
     assert D0.render() == "x^2*y + x*y^2"
     assert ETA.render() == "x^3 + x^2*y + y^3"
+
+
+def _coefficients(p):
+    if p is None:
+        return st.builds(
+            Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3])
+        )
+    return st.integers(min_value=0, max_value=p - 1)
+
+
+def _coeff_dicts(p, max_degree, constant=True):
+    mons = [
+        e
+        for d in range(0 if constant else 1, max_degree + 1)
+        for e in _monomials_of_degree(2, d)
+    ]
+    return st.dictionaries(st.sampled_from(mons), _coefficients(p), max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_truncated_arithmetic_matches_naive_oracle(data):
+    # bounded (total degree <= 5), capped (exponents < 3), both (degree <= 3
+    # and exponents < 3) and plain polynomials over F_2, F_3 and Q: products, powers and compositions
+    # that truncate as they go agree with full expansion truncated at the end
+    p = data.draw(st.sampled_from([2, 3, None]), label="p")
+    bound, cap = data.draw(
+        st.sampled_from([(None, None), (5, None), (None, 3), (3, 3)])
+    )
+    f = PolyFp(p, 2, data.draw(_coeff_dicts(p, 4)), bound, cap)
+    g = PolyFp(p, 2, data.draw(_coeff_dicts(p, 4)), bound, cap)
+    assert (f * g).coeffs == naive_truncated_product(f.coeffs, g.coeffs, p, bound, cap)
+    k = data.draw(st.integers(min_value=0, max_value=5), label="k")
+    assert (f ** k).coeffs == naive_truncated_power(f.coeffs, k, 2, p, bound, cap)
+    # images under a degree bound need zero constant term
+    images = [
+        PolyFp(p, 2, data.draw(_coeff_dicts(p, 2, constant=bound is None)), bound, cap)
+        for _ in range(2)
+    ]
+    composite = naive_truncated_composition(
+        f.coeffs, [img.coeffs for img in images], 2, p, bound, cap
+    )
+    assert f.substitute(images).coeffs == composite
+
+
+def test_different_truncations_do_not_mix():
+    x5 = PolyFp.variable(2, 2, 0, bound=5)
+    x6 = PolyFp.variable(2, 2, 0, bound=6)
+    capped = PolyFp(2, 2, {(1, 0): 1}, cap=4)
+    with pytest.raises(ValueError, match="truncations do not match"):
+        x5 * x6
+    with pytest.raises(ValueError, match="truncations do not match"):
+        capped + PolyFp(2, 2, {(0, 1): 1}, cap=2)
+    # an operand without a truncation takes the other's
+    assert (x5 * X).bound == 5
+    assert (capped * X).cap == 4
+    # a bound no term under the cap can pass is dropped
+    assert PolyFp(2, 2, {(1, 0): 1}, bound=6, cap=4).bound is None
+    assert PolyFp(2, 2, {(1, 0): 1}, bound=5, cap=4).bound == 5
+
+
+def test_substitute_keeps_the_bound_of_the_series():
+    # (x + x^2) composed with an unbounded x + x^2 is only known to degree 3
+    f = PolyFp(None, 1, {(1,): 1, (2,): 1}, bound=3)
+    x = PolyFp.variable(None, 1, 0)
+    g = f.substitute([x + x * x])
+    assert g.bound == 3
+    assert g == PolyFp(None, 1, {(1,): 1, (2,): 2, (3,): 2})
+    with pytest.raises(ValueError, match="zero constant terms"):
+        f.substitute([x + PolyFp.constant(None, 1, 1)])
