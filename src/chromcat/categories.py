@@ -6,6 +6,12 @@ that every n-tuple of source elements is carried to a simultaneously conjugate
 tuple.  ``quillen_category`` builds the inclusion-and-conjugation category
 directly; the two agree for n at least the p-rank.
 
+Every morphism f: W -> V is an isomorphism onto U = f(W) followed by the
+inclusion U <= V, and the level, conjugation and subring conditions see only
+the isomorphism.  So each builder keeps the isomorphisms between objects of
+equal rank that pass its test (Quillen: one conjugate lookup per object and
+group element), and ``_with_inclusions`` composes them with the inclusions.
+
 The level test does not enumerate n-tuples.  A witness conjugating a basis of
 a subgroup S <= W conjugates every element of S, and every tuple generates
 such a subgroup of rank <= n, so it suffices to test the canonical bases of
@@ -23,6 +29,7 @@ from . import modp
 from .elemab import (
     ElemAbelian,
     LinearMorphism,
+    conjugation_matrix,
     enumerate_elem_abelians,
     injective_homs,
 )
@@ -67,7 +74,7 @@ class ChromCategory:
     """A category of elementary abelian p-subgroups with linear morphisms.
 
     ``homs[(i, j)]`` is the tuple of LinearMorphism from objects[i] to
-    objects[j]; ``witnesses[(i, j, matrix)]`` records one group element
+    objects[j], sorted by matrix; ``witnesses[(i, j, matrix)]`` records one group element
     inducing each conjugation-induced morphism.
     """
 
@@ -123,37 +130,65 @@ class ChromCategory:
         )
 
 
-def _conjugation_homs(group, objects):
-    """hom(W, V) = maps x -> gxg^-1 with gWg^-1 <= V, plus one witness each."""
-    homs = {}
-    witnesses = {}
+def _conjugation_isos(group, objects):
+    """Iso_Q(W, U) as {(i, k, matrix): least inducing g}: conjugating each
+    object by each g lands on exactly one object, found by its element set."""
+    index = {u.elements: k for k, u in enumerate(objects)}
+    isos = {}
     for i, w in enumerate(objects):
-        for j, v in enumerate(objects):
-            if w.rank > v.rank:
-                continue
-            seen = {}
-            for g in group.elements():
-                images = tuple(group.conjugate(b, g) for b in w.basis)
-                if any(x not in v for x in images):
-                    continue
-                matrix = modp.transpose(tuple(v.coordinates(x) for x in images))
-                if w.rank == 0:
-                    matrix = tuple(() for _ in range(v.rank))
-                if matrix not in seen:
-                    seen[matrix] = g
-            if seen:
-                homs[(i, j)] = tuple(
-                    LinearMorphism(w, v, m) for m in sorted(seen)
-                )
-                for m, g in seen.items():
-                    witnesses[(i, j, m)] = g
-    return homs, witnesses
+        for g in group.elements():
+            k = index[frozenset(group.conjugate(x, g) for x in w.elements)]
+            isos.setdefault((i, k, conjugation_matrix(w, objects[k], g)), g)
+    return isos
+
+
+def _isos_passing(objects, test):
+    """(i, k, matrix) for every isomorphism W_i -> U_k that passes test."""
+    return [
+        (i, k, f.matrix)
+        for i, w in enumerate(objects)
+        for k, u in enumerate(objects)
+        if w.rank == u.rank
+        for f in injective_homs(w, u)
+        if test(f)
+    ]
+
+
+def _with_inclusions(p, objects, isos, witnesses):
+    """Hom(W, V) as the union over U <= V of Iso(W, U) followed by U <= V.
+
+    Distinct (U, iso) pairs give distinct composites, whose image is U.  An
+    iso with an entry in ``witnesses`` passes its conjugating g on to each
+    composite.  Returns (homs, witnesses) keyed as in ChromCategory.
+    """
+    above = [
+        [(j, conjugation_matrix(u, v, 0))
+         for j, v in enumerate(objects) if u.elements <= v.elements]
+        for u in objects
+    ]
+    mats = {}
+    composed = {}
+    for i, k, iso in isos:
+        g = witnesses.get((i, k, iso))
+        for j, inclusion in above[k]:
+            m = modp.mat_mul(inclusion, iso, p)
+            mats.setdefault((i, j), []).append(m)
+            if g is not None:
+                composed[(i, j, m)] = g
+    homs = {
+        (i, j): tuple(
+            LinearMorphism(objects[i], objects[j], m) for m in sorted(mats[(i, j)])
+        )
+        for i, j in sorted(mats)
+    }
+    return homs, composed
 
 
 def quillen_category(group: FiniteGroup, p: int) -> ChromCategory:
     """The category generated by inclusions and conjugations, built directly."""
     objects = enumerate_elem_abelians(group, p)
-    homs, witnesses = _conjugation_homs(group, objects)
+    isos = _conjugation_isos(group, objects)
+    homs, witnesses = _with_inclusions(p, objects, isos, isos)
     return ChromCategory(group, p, None, "quillen", objects, homs, witnesses)
 
 
@@ -164,17 +199,10 @@ def build_category(group: FiniteGroup, p: int, n: Level) -> ChromCategory:
     if n < 0:
         raise GroupError("level must be >= 0")
     objects = enumerate_elem_abelians(group, p)
-    _, witnesses = _conjugation_homs(group, objects)
-    homs = {}
-    for i, w in enumerate(objects):
-        for j, v in enumerate(objects):
-            if w.rank > v.rank:
-                continue
-            kept = tuple(
-                f for f in injective_homs(w, v) if is_level_n_morphism(f, n).ok
-            )
-            if kept:
-                homs[(i, j)] = kept
+    isos = _isos_passing(objects, lambda f: is_level_n_morphism(f, n).ok)
+    homs, witnesses = _with_inclusions(
+        p, objects, isos, _conjugation_isos(group, objects)
+    )
     return ChromCategory(group, p, n, "level", objects, homs, witnesses)
 
 
@@ -316,7 +344,7 @@ def skeleton(cat: ChromCategory) -> SkeletonReport:
         )
         exponent = 1
         for m in mats:
-            k = modp.matrix_order(m, cat.p) if cat.objects[rep].rank else 1
+            k = modp.matrix_order(m, cat.p)
             exponent = exponent * k // math.gcd(exponent, k)
         report.classes.append(
             ObjectClass(

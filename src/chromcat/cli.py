@@ -89,7 +89,7 @@ def _parse_level(value):
         return None
     n = int(value)
     if n < 0:
-        raise UsageError("level must be >= 0 or 'inf'")
+        raise argparse.ArgumentTypeError("level must be >= 0 or 'inf'")
     return n
 
 

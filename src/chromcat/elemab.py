@@ -188,6 +188,19 @@ def identity_morphism(v: ElemAbelian) -> LinearMorphism:
     return LinearMorphism(v, v, modp.identity_matrix(v.rank))
 
 
+def conjugation_matrix(sub: ElemAbelian, target: ElemAbelian, g: int):
+    """Matrix of x -> gxg^-1 : sub -> target in basis coordinates, or None
+    when g does not conjugate sub into target; g = 0 gives the inclusion."""
+    group = sub.group
+    cols = []
+    for b in sub.basis:
+        image = group.conjugate(b, g)
+        if image not in target:
+            return None
+        cols.append(target.coordinates(image))
+    return tuple(tuple(col[i] for col in cols) for i in range(target.rank))
+
+
 def injective_homs(w: ElemAbelian, v: ElemAbelian) -> list[LinearMorphism]:
     """All injective homomorphisms W -> V, in lexicographic column order."""
     if w.p != v.p:

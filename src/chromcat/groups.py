@@ -148,32 +148,21 @@ class FiniteGroup:
         self._centralizer_cache[key] = result
         return result
 
-    def simultaneous_conjugacy(
-        self, a: Sequence[int], b: Sequence[int], method: str = "pruned"
-    ) -> Optional[int]:
+    def simultaneous_conjugacy(self, a: Sequence[int], b: Sequence[int]) -> Optional[int]:
         """Least g with g a_i g^-1 = b_i for all i, or None.
 
-        ``method="brute"`` scans all of G; the default prunes the scan to the
-        coset of witnesses for a_1 -> b_1 extended through the centralizer of
-        a_1.  Both return the minimal witness index, so they agree exactly.
+        The scan is pruned to the coset of witnesses for a_1 -> b_1, the
+        first such witness times the centralizer of a_1.
         """
         a, b = tuple(a), tuple(b)
         if len(a) != len(b):
             raise GroupError("tuples must have equal length")
-        if method == "brute":
-            return self._simconj_brute(a, b)
         key = (a, b)
         if key in self._simconj_cache:
             return self._simconj_cache[key]
         result = self._simconj_pruned(a, b)
         self._simconj_cache[key] = result
         return result
-
-    def _simconj_brute(self, a, b):
-        for g in range(self.order):
-            if all(self.conjugate(x, g) == y for x, y in zip(a, b)):
-                return g
-        return None
 
     def _simconj_pruned(self, a, b):
         if not a:

@@ -389,6 +389,8 @@ def beta_pushforward(orbit: OrbitRestriction, degree: int) -> HopfExpr:
     p, height = orbit.ring.p, orbit.ring.height
     if orbit.ring.p != orbit.fgl.p or orbit.ring.height != orbit.fgl.height:
         raise HopfError("ring and formal group law disagree")
+    if degree > orbit.fgl.degree:
+        raise HopfError("formal group law is not truncated deep enough")
     args = {
         "s": PolyFp.variable(p, 2, 0),
         "t": PolyFp.variable(p, 2, 1),

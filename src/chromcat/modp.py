@@ -34,22 +34,7 @@ def mat_mul(a: tuple, b: tuple, p: int) -> tuple:
 
 
 def mat_rank(m: tuple, p: int) -> int:
-    rows = [list(r) for r in m]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] % p), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [(x - c * y) % p for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+    return len(rref(m, p)[1])
 
 
 def rref(m: tuple, p: int) -> tuple[tuple, tuple]:
@@ -115,9 +100,6 @@ def enumerate_vectors(r: int, p: int) -> Iterator[tuple]:
 
 def enumerate_injective_matrices(rows: int, cols: int, p: int) -> Iterator[tuple]:
     """All full-column-rank rows x cols matrices, columns chosen in lex order."""
-    if cols == 0:
-        yield tuple(() for _ in range(rows))
-        return
     if cols > rows:
         return
 

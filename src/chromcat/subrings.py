@@ -22,8 +22,13 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from . import modp
-from .categories import ChromCategory
-from .elemab import ElemAbelian, LinearMorphism, enumerate_elem_abelians, injective_homs
+from .categories import ChromCategory, _isos_passing, _with_inclusions
+from .elemab import (
+    ElemAbelian,
+    LinearMorphism,
+    conjugation_matrix,
+    enumerate_elem_abelians,
+)
 from .groups import FiniteGroup, GroupError
 from .polyfp import LinearAction, PolyFp
 
@@ -46,25 +51,12 @@ def sylow_elem_abelian(group: FiniteGroup, p: int = 2) -> ElemAbelian:
     )
 
 
-def _conjugation_matrix(group: FiniteGroup, sub: ElemAbelian, target: ElemAbelian, g: int):
-    """Matrix of x -> gxg^-1 : sub -> target in basis coordinates, or None."""
-    cols = []
-    for b in sub.basis:
-        image = group.conjugate(b, g)
-        if image not in target:
-            return None
-        cols.append(target.coordinates(image))
-    if sub.rank == 0:
-        return tuple(() for _ in range(target.rank))
-    return modp.transpose(tuple(cols))
-
-
 def embeddings_into(group: FiniteGroup, sub: ElemAbelian, ambient: ElemAbelian) -> list:
     """All conjugation embeddings of sub into ambient, as distinct matrices
     in group-element scan order."""
     seen = []
     for g in group.elements():
-        m = _conjugation_matrix(group, sub, ambient, g)
+        m = conjugation_matrix(sub, ambient, g)
         if m is not None and m not in seen:
             seen.append(m)
     return seen
@@ -78,7 +70,7 @@ def weyl_action(group: FiniteGroup, sylow: ElemAbelian) -> LinearAction:
     """
     mats = set()
     for g in group.elements():
-        a = _conjugation_matrix(group, sylow, sylow, g)
+        a = conjugation_matrix(sylow, sylow, g)
         if a is not None:
             mats.add(modp.transpose(modp.mat_inverse(a, sylow.p)))
     return LinearAction(sylow.p, sorted(mats))
@@ -121,20 +113,28 @@ class SubringPresentation:
 def restriction(sylow: ElemAbelian, sub: ElemAbelian, f: PolyFp) -> PolyFp:
     """Restrict a polynomial on P's variables along an actual inclusion
     sub <= P (dual linear substitution by the transposed coordinate matrix)."""
-    if not sub.elements <= sylow.elements:
+    inclusion = conjugation_matrix(sub, sylow, 0)
+    if inclusion is None:
         raise GroupError("subgroup is not contained in the ambient Sylow subgroup")
-    cols = tuple(sylow.coordinates(b) for b in sub.basis)
-    # cols[j] is the coordinate row of basis j; the substitution matrix is
-    # (C^T) with C the rank(P) x rank(sub) coordinate matrix.
-    matrix = cols  # already the transpose of C
-    if sub.rank == 0:
-        matrix = ()
-    return f.substitute_linear(matrix)
+    return _restriction_along(inclusion, f)
 
 
 def _restriction_along(embedding: tuple, f: PolyFp) -> PolyFp:
     """Restriction along a conjugation embedding matrix E (rank P x rank V)."""
     return f.substitute_linear(modp.transpose(embedding))
+
+
+def _restrictions(
+    presentation: SubringPresentation, v: ElemAbelian, choice: int = 0
+) -> list:
+    """Res_V of every generator, through V's choice-th embedding into P."""
+    embs = embeddings_into(v.group, v, presentation.sylow)
+    if not embs:
+        raise UnsupportedGroupError(
+            "object of rank %d is not conjugate into the Sylow subgroup" % v.rank
+        )
+    emb = embs[choice % len(embs)]
+    return [_restriction_along(emb, g) for g in presentation.generators]
 
 
 def build_CR(
@@ -147,36 +147,23 @@ def build_CR(
 
     Restriction to an object is computed through its embedding_choice-th
     conjugation embedding into P; independence of that choice is a tested
-    property, not an assumption.
+    property, not an assumption.  The test runs on isomorphisms W -> U onto
+    the image only: fusion in the abelian P is controlled by N_G(P) and the
+    generators are Weyl-invariant, so the inclusion U <= V pulls Res_V back
+    to Res_U.
     """
     p = presentation.p
     objects = enumerate_elem_abelians(group, p)
-    sylow = presentation.sylow
-    res = []
-    for v in objects:
-        embs = embeddings_into(group, v, sylow)
-        if not embs:
-            raise UnsupportedGroupError(
-                "object of rank %d is not conjugate into the Sylow subgroup" % v.rank
-            )
-        emb = embs[embedding_choice % len(embs)]
-        res.append([_restriction_along(emb, g) for g in presentation.generators])
+    res = {v: _restrictions(presentation, v, embedding_choice) for v in objects}
 
-    homs = {}
-    for i, w in enumerate(objects):
-        for j, v in enumerate(objects):
-            if w.rank > v.rank:
-                continue
-            kept = []
-            for f in injective_homs(w, v):
-                pullback = modp.transpose(f.matrix)
-                if all(
-                    rv.substitute_linear(pullback) == rw
-                    for rv, rw in zip(res[j], res[i])
-                ):
-                    kept.append(f)
-            if kept:
-                homs[(i, j)] = tuple(kept)
+    def restricts(f):
+        pullback = modp.transpose(f.matrix)
+        return all(
+            rv.substitute_linear(pullback) == rw
+            for rv, rw in zip(res[f.target], res[f.source])
+        )
+
+    homs, _ = _with_inclusions(p, objects, _isos_passing(objects, restricts), {})
     return ChromCategory(group, p, None, "subring", objects, homs, {})
 
 
@@ -184,16 +171,12 @@ def distinguishing_generator(
     presentation: SubringPresentation, f: LinearMorphism
 ) -> Optional[PolyFp]:
     """A generator witnessing that f is not a C_R morphism, if any."""
-    group = f.source.group
-    sylow = presentation.sylow
-    emb_w = embeddings_into(group, f.source, sylow)
-    emb_v = embeddings_into(group, f.target, sylow)
-    if not emb_w or not emb_v:
-        raise UnsupportedGroupError("objects are not conjugate into the Sylow subgroup")
     pullback = modp.transpose(f.matrix)
-    for gen in presentation.generators:
-        res_w = _restriction_along(emb_w[0], gen)
-        res_v = _restriction_along(emb_v[0], gen)
-        if res_v.substitute_linear(pullback) != res_w:
+    for gen, rv, rw in zip(
+        presentation.generators,
+        _restrictions(presentation, f.target),
+        _restrictions(presentation, f.source),
+    ):
+        if rv.substitute_linear(pullback) != rw:
             return gen
     return None

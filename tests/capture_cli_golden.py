@@ -1,0 +1,85 @@
+"""Capture the CLI reports that ``test_cli.py::test_cli_matches_golden``
+compares byte for byte.
+
+Run from the repository root, with the package whose output is to be kept
+on the path:
+
+    PYTHONPATH=src python tests/capture_cli_golden.py
+
+For every bundled group of order <= 64 and every prime p dividing its order
+it keeps ``category --format json`` at each level 0..p-rank and at ``inf``,
+``colim -q p --tower`` and ``colim -q p -n 1``.  x32 keeps only its
+``category -n inf`` report: its other levels take seconds each.  Each
+report is written to ``tests/golden/cli/<case>.json``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+from chromcat import builtin_names, load_builtin, p_rank
+from chromcat.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden" / "cli"
+MAX_ORDER = 64
+INF_ONLY = ("x32",)
+
+
+def _primes_dividing(order):
+    return [
+        p for p in range(2, order + 1)
+        if order % p == 0 and all(p % d for d in range(2, p))
+    ]
+
+
+def cases():
+    """(case name, argv) for every captured report, in a fixed order."""
+    out = []
+    for name in builtin_names():
+        group = load_builtin(name)
+        if group.order > MAX_ORDER:
+            continue
+        for p in _primes_dividing(group.order):
+            levels = [str(n) for n in range(p_rank(group, p) + 1)] + ["inf"]
+            if name in INF_ONLY:
+                levels = ["inf"]
+            common = ["-g", name, "-p", str(p)]
+            for level in levels:
+                out.append((
+                    "%s-p%d-category-n%s" % (name, p, level),
+                    ["category", *common, "--format", "json", "-n", level],
+                ))
+            if name in INF_ONLY:
+                continue
+            out.append((
+                "%s-p%d-colim-tower" % (name, p),
+                ["colim", *common, "-q", str(p), "--tower"],
+            ))
+            out.append((
+                "%s-p%d-colim-n1" % (name, p),
+                ["colim", *common, "-q", str(p), "-n", "1"],
+            ))
+    return out
+
+
+def report(argv):
+    """The stdout of one CLI run; a nonzero exit status is an error."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    if code != 0:
+        raise RuntimeError("%s exited with status %d" % (" ".join(argv), code))
+    return buf.getvalue()
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+    for stale in GOLDEN_DIR.glob("*.json"):
+        stale.unlink()
+    kept = cases()
+    for case, argv in kept:
+        (GOLDEN_DIR / (case + ".json")).write_text(report(argv))
+    sys.stdout.write("wrote %d reports to %s\n" % (len(kept), GOLDEN_DIR))

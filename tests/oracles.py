@@ -4,12 +4,25 @@ Nothing here shares code paths with the library's optimized implementations:
 the level oracle enumerates tuples, the subgroup oracle scans subsets, the
 quotient oracle relabels until stable instead of using union-find, and the
 polynomial oracles multiply and compose in full before truncating instead
-of dropping terms as products are formed.
+of dropping terms as products are formed.  The all-pairs category
+builders below share the level test and the enumeration of injective maps
+with the library, but test every injective map W -> V for every pair of
+objects and scan all of G for every pair, where the library composes
+isomorphisms onto the image with inclusions.
 """
 
 from __future__ import annotations
 
 import itertools
+
+from chromcat import (
+    LinearMorphism,
+    embeddings_into,
+    enumerate_elem_abelians,
+    injective_homs,
+    is_level_n_morphism,
+    modp,
+)
 
 
 def brute_simultaneous_conjugacy(group, a, b):
@@ -185,3 +198,74 @@ def naive_truncated_composition(f, images, nvars, p, bound=None, cap=None):
     if p is not None:
         out = {e: c % p for e, c in out.items()}
     return _truncate_late({e: c for e, c in out.items() if c}, bound, cap)
+
+
+def all_pairs_conjugation_homs(group, objects):
+    """hom(W, V) = maps x -> gxg^-1 with gWg^-1 <= V, plus one witness each."""
+    homs = {}
+    witnesses = {}
+    for i, w in enumerate(objects):
+        for j, v in enumerate(objects):
+            if w.rank > v.rank:
+                continue
+            seen = {}
+            for g in group.elements():
+                images = tuple(group.conjugate(b, g) for b in w.basis)
+                if any(x not in v for x in images):
+                    continue
+                matrix = modp.transpose(tuple(v.coordinates(x) for x in images))
+                if w.rank == 0:
+                    matrix = tuple(() for _ in range(v.rank))
+                if matrix not in seen:
+                    seen[matrix] = g
+            if seen:
+                homs[(i, j)] = tuple(
+                    LinearMorphism(w, v, m) for m in sorted(seen)
+                )
+                for m, g in seen.items():
+                    witnesses[(i, j, m)] = g
+    return homs, witnesses
+
+
+def all_pairs_filtered_homs(objects, keep):
+    """hom(W_i, V_j) = the injective maps f with keep(i, j, f)."""
+    homs = {}
+    for i, w in enumerate(objects):
+        for j, v in enumerate(objects):
+            if w.rank > v.rank:
+                continue
+            kept = tuple(f for f in injective_homs(w, v) if keep(i, j, f))
+            if kept:
+                homs[(i, j)] = kept
+    return homs
+
+
+def all_pairs_category(group, p, n):
+    """(objects, homs, witnesses) of the Quillen category (n None) or of the
+    level-n category, built pair by pair."""
+    objects = enumerate_elem_abelians(group, p)
+    homs, witnesses = all_pairs_conjugation_homs(group, objects)
+    if n is not None:
+        homs = all_pairs_filtered_homs(
+            objects, lambda i, j, f: is_level_n_morphism(f, n).ok
+        )
+    return objects, homs, witnesses
+
+
+def all_pairs_CR(group, presentation, embedding_choice=0):
+    """(objects, homs, witnesses) of C_R, built pair by pair: f: W -> V is
+    kept when f^* Res_V = Res_W on every generator."""
+    objects = enumerate_elem_abelians(group, presentation.p)
+    res = []
+    for v in objects:
+        embs = embeddings_into(group, v, presentation.sylow)
+        emb = modp.transpose(embs[embedding_choice % len(embs)])
+        res.append([g.substitute_linear(emb) for g in presentation.generators])
+
+    def keep(i, j, f):
+        pullback = modp.transpose(f.matrix)
+        return all(
+            rv.substitute_linear(pullback) == rw for rv, rw in zip(res[j], res[i])
+        )
+
+    return objects, all_pairs_filtered_homs(objects, keep), {}

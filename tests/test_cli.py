@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from capture_cli_golden import GOLDEN_DIR, cases, report
 from chromcat import builtin_names, bundled_library, load_builtin, load_group_file
 from chromcat.cli import main
 from chromcat.groups import GroupError
@@ -137,6 +138,18 @@ def test_a4_demo_exit_zero(capsys):
     )
 
 
+def test_cli_matches_golden():
+    # reports kept by capture_cli_golden.py stay byte-identical
+    kept = {path.stem for path in GOLDEN_DIR.glob("*.json")}
+    assert kept == {case for case, _ in cases()}
+    changed = [
+        case
+        for case, argv in cases()
+        if report(argv) != (GOLDEN_DIR / (case + ".json")).read_text()
+    ]
+    assert changed == []
+
+
 def test_input_errors_exit_two(capsys, tmp_path):
     code, _, err = run_cli(capsys, "group-info", "--group", "definitely-not-a-group")
     assert code == 2
@@ -159,6 +172,11 @@ def test_input_errors_exit_two(capsys, tmp_path):
             main(list(argv))
         assert exit_info.value.code == 2
         assert "is not a prime" in capsys.readouterr().err
+    # a negative level is refused with its own message
+    with pytest.raises(SystemExit) as exit_info:
+        main(["category", "-g", "a4", "-n", "-1"])
+    assert exit_info.value.code == 2
+    assert "level must be >= 0" in capsys.readouterr().err
     # a prime above the group order cap is refused without a primality test
     with pytest.raises(SystemExit) as exit_info:
         main(["elemab", "-g", "c4", "-p", "1000000000000000003"])

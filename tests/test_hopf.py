@@ -190,6 +190,14 @@ def test_single_term_pushforward():
     assert coefficient_of(push, (1, 1, 1), 3) == poly_st("s^2*t")
 
 
+def test_pushforward_deeper_than_the_law_raises():
+    # a law truncated at degree 6 has no coefficients to give at degree 12
+    orbit = orbit_from_terms([(("s", 1),)], ring22(), honda_fgl(2, 2, 6))
+    with pytest.raises(HopfError):
+        beta_pushforward(orbit, 12)
+    assert beta_pushforward(orbit, 6) == b_series(PolyFp.variable(2, 2, 0), 2, 2, 6)
+
+
 def test_mod_indecomposables_rules():
     p1 = PolyFp.variable(2, 2, 0)
     m = HopfExpr.omono(2, 2, 8, (1,), p1)

@@ -1,7 +1,8 @@
 """Library-wide structural properties of the categories.
 
 These suites run over every bundled group of order <= 64 at p in {2, 3}:
-category axioms at every level, monotonicity of hom-sets in the level,
+agreement of the factorized builders with the all-pairs oracle, category
+axioms at every level, monotonicity of hom-sets in the level,
 agreement with the conjugation category at the p-rank, the elementwise
 characterization of level 1, and agreement of the subgroup-reduction level
 test with the all-tuples brute force (order <= 32, n <= 3).
@@ -19,9 +20,18 @@ import pytest
 from chromcat import build_CR, injective_homs, is_level_n_morphism, parse_poly
 from chromcat.subrings import SubringPresentation
 from conftest import ORACLE_LIBRARY, SMALL_LIBRARY, category, group
-from oracles import a1_elementwise, level_oracle_all_tuples
+from oracles import (
+    a1_elementwise,
+    all_pairs_CR,
+    all_pairs_category,
+    level_oracle_all_tuples,
+)
 
 PRIMES = (2, 3)
+
+D1 = parse_poly("x^2 + x*y + y^2", 2, 2)
+D0 = parse_poly("x^2*y + x*y^2", 2, 2)
+ETA = parse_poly("x^3 + x^2*y + y^3", 2, 2)
 
 # composable-pair budget above which closure checking switches to a stride
 CLOSURE_BUDGET = 200_000
@@ -206,13 +216,39 @@ def test_rank_reduction_matches_all_tuples_oracle(name, p):
     check_oracle_agreement(name, p)
 
 
+def _check_against_all_pairs(cat, objects, homs, witnesses):
+    assert cat.objects == tuple(objects)
+    assert set(cat.homs) == set(homs)
+    for key, fs in cat.homs.items():
+        mats = [f.matrix for f in fs]
+        assert mats == sorted(set(mats)), key  # sorted, without repeats
+        assert set(mats) == {f.matrix for f in homs[key]}, key
+    assert cat.witnesses == witnesses
+
+
+@pytest.mark.parametrize("name,p", _cases())
+def test_factorized_builders_match_all_pairs_oracle(name, p):
+    g = group(name)
+    for n in list(range(_p_rank_of(name, p) + 1)) + [None]:
+        _check_against_all_pairs(category(name, p, n), *all_pairs_category(g, p, n))
+
+
+@pytest.mark.parametrize("name", ["a4", "a5"])
+def test_factorized_subring_categories_match_all_pairs_oracle(name):
+    g = group(name)
+    for gens in ([], [D1 ** 2, D0 ** 2], [D1, D0, ETA]):
+        presentation = SubringPresentation.for_group(g, gens)
+        for choice in (0, 1):
+            _check_against_all_pairs(
+                build_CR(g, presentation, embedding_choice=choice),
+                *all_pairs_CR(g, presentation, embedding_choice=choice),
+            )
+
+
 def test_subring_category_axioms():
     # C_R instances satisfy the same categorical axioms
     a4 = group("a4")
-    d1 = parse_poly("x^2 + x*y + y^2", 2, 2)
-    d0 = parse_poly("x^2*y + x*y^2", 2, 2)
-    eta = parse_poly("x^3 + x^2*y + y^3", 2, 2)
-    for gens in ([d1, d0, eta], [d1 ** 2, d0 ** 2], []):
+    for gens in ([D1, D0, ETA], [D1 ** 2, D0 ** 2], []):
         cat = build_CR(a4, SubringPresentation.for_group(a4, gens))
         size = len(cat.objects)
         for i in range(size):
