@@ -9,21 +9,37 @@ directly; the two agree for n at least the p-rank.
 Every morphism f: W -> V is an isomorphism onto U = f(W) followed by the
 inclusion U <= V, and the level, conjugation and subring conditions see only
 the isomorphism.  So each builder keeps the isomorphisms between objects of
-equal rank that pass its test (Quillen: one conjugate lookup per object and
-group element), and ``_with_inclusions`` composes them with the inclusions.
+equal rank that pass its test, and ``_with_inclusions`` composes them with
+the inclusions.
 
-The level test does not enumerate n-tuples.  A witness conjugating a basis of
-a subgroup S <= W conjugates every element of S, and every tuple generates
-such a subgroup of rank <= n, so it suffices to test the canonical bases of
-the rank-min(n, rank W) subgroups of W.  The all-tuples brute force lives in
-the test suite as the independent oracle for this reduction.
+Each build makes one conjugation scan of the group.  For each object S it
+records the orbit of S's basis under conjugation, {g S.basis g^-1: least g},
+and the conjugation isomorphisms Iso_Q(S, gSg^-1) with their least g; a
+basis tuple seen before costs one lookup, so an object costs |G| lookups and
+|G : C_G(S)| target searches.
+
+The level test enumerates no tuples.  A witness conjugating a basis of a
+subgroup S <= W conjugates every element of S, and every n-tuple generates
+such a subgroup of rank <= n, so f: W -> U is level-n exactly when, for each
+object S <= W of rank min(n, rank W), the images under f of S.basis form a
+key of S's orbit.  When rank W <= n the only such S is W itself, so
+Iso_n(W, U) = Iso_Q(W, U) and comes straight from the scan, with no
+candidate tested.  Level 0 keeps every invertible matrix.  Otherwise a
+candidate sends each basis element of W to one of its conjugates in U, and
+is kept when it passes the orbit test; no morphism object is made for a
+rejected candidate.  ``is_level_n_morphism`` tests the same reduction with
+a conjugacy search per subgroup and returns a certificate of witnesses; the
+builder does not call it, and the tests compare the builder with it.  The
+all-tuples brute force lives in the test suite as the independent oracle
+for the reduction.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import modp
 from .elemab import (
@@ -130,16 +146,83 @@ class ChromCategory:
         )
 
 
-def _conjugation_isos(group, objects):
-    """Iso_Q(W, U) as {(i, k, matrix): least inducing g}: conjugating each
-    object by each g lands on exactly one object, found by its element set."""
+class _Scan(NamedTuple):
+    """What one pass of G over the objects yields: the objects, Iso_Q as
+    {(i, k, matrix): least inducing g}, and orbits[i] = {g W_i.basis g^-1:
+    least g}."""
+
+    objects: list
+    isos: dict
+    orbits: list
+
+
+def _conjugation_scan(group, p) -> _Scan:
+    """One pass of G over every object; a conjugate basis tuple seen before
+    adds nothing, so only a new one has its target object and matrix found."""
+    objects = enumerate_elem_abelians(group, p)
     index = {u.elements: k for k, u in enumerate(objects)}
     isos = {}
+    orbits = []
     for i, w in enumerate(objects):
+        orbit = {}
         for g in group.elements():
+            images = tuple(group.conjugate(b, g) for b in w.basis)
+            if images in orbit:
+                continue
+            orbit[images] = g
             k = index[frozenset(group.conjugate(x, g) for x in w.elements)]
-            isos.setdefault((i, k, conjugation_matrix(w, objects[k], g)), g)
-    return isos
+            isos[(i, k, conjugation_matrix(w, objects[k], g))] = g
+        orbits.append(orbit)
+    return _Scan(objects, isos, orbits)
+
+
+def _level_isos(group, p, scan, n):
+    """(i, k, matrix) for every level-n isomorphism W_i -> U_k.
+
+    Iso_Q when rank W <= n; every invertible matrix when n = 0.  Otherwise
+    column j must be a conjugate in U of the j-th basis element of W, and a
+    choice of columns is kept when it carries the basis of every rank-n
+    object S <= W into S's orbit.  Such a matrix is invertible, because
+    every nonzero vector of W lies in some S, on which it is a conjugation.
+    """
+    objects, isos, orbits = scan
+    kept = [key for key in isos if objects[key[0]].rank <= n]
+    by_rank = {}
+    for k, u in enumerate(objects):
+        by_rank.setdefault(u.rank, []).append(k)
+    conjugates = {}
+    for r, members in sorted(by_rank.items()):
+        if r <= n:
+            continue
+        if n == 0:
+            gl = list(modp.enumerate_injective_matrices(r, r, p))
+            kept.extend((i, k, m) for i in members for k in members for m in gl)
+            continue
+        for i in members:
+            w = objects[i]
+            subs = [
+                (orbits[s], [w.coordinates(b) for b in objects[s].basis])
+                for s in by_rank[n]
+                if objects[s].elements <= w.elements
+            ]
+            for b in w.basis:
+                if b not in conjugates:
+                    conjugates[b] = {group.conjugate(b, g) for g in group.elements()}
+            for k in members:
+                u = objects[k]
+                choices = [
+                    [u.coordinates(x) for x in sorted(u.elements & conjugates[b])]
+                    for b in w.basis
+                ]
+                for columns in itertools.product(*choices):
+                    m = tuple(zip(*columns))
+                    if all(
+                        tuple(u.element_at(modp.mat_vec(m, c, p)) for c in coords)
+                        in orbit
+                        for orbit, coords in subs
+                    ):
+                        kept.append((i, k, m))
+    return kept
 
 
 def _isos_passing(objects, test):
@@ -184,12 +267,18 @@ def _with_inclusions(p, objects, isos, witnesses):
     return homs, composed
 
 
+def _category(group, p, n) -> ChromCategory:
+    """A^(n) from one conjugation scan; n None gives the Quillen category."""
+    scan = _conjugation_scan(group, p)
+    isos = scan.isos if n is None else _level_isos(group, p, scan, n)
+    homs, witnesses = _with_inclusions(p, scan.objects, isos, scan.isos)
+    kind = "quillen" if n is None else "level"
+    return ChromCategory(group, p, n, kind, scan.objects, homs, witnesses)
+
+
 def quillen_category(group: FiniteGroup, p: int) -> ChromCategory:
     """The category generated by inclusions and conjugations, built directly."""
-    objects = enumerate_elem_abelians(group, p)
-    isos = _conjugation_isos(group, objects)
-    homs, witnesses = _with_inclusions(p, objects, isos, isos)
-    return ChromCategory(group, p, None, "quillen", objects, homs, witnesses)
+    return _category(group, p, None)
 
 
 def build_category(group: FiniteGroup, p: int, n: Level) -> ChromCategory:
@@ -198,12 +287,7 @@ def build_category(group: FiniteGroup, p: int, n: Level) -> ChromCategory:
         return quillen_category(group, p)
     if n < 0:
         raise GroupError("level must be >= 0")
-    objects = enumerate_elem_abelians(group, p)
-    isos = _isos_passing(objects, lambda f: is_level_n_morphism(f, n).ok)
-    homs, witnesses = _with_inclusions(
-        p, objects, isos, _conjugation_isos(group, objects)
-    )
-    return ChromCategory(group, p, n, "level", objects, homs, witnesses)
+    return _category(group, p, n)
 
 
 # -- skeleton reports ---------------------------------------------------------

@@ -5,6 +5,16 @@ Groups are materialized as full multiplication tables over element indices
 integers; every operation here is pure and instances never mutate after
 construction (internal caches are idempotent).
 
+A permutation group's table is read off its closure.  The breadth-first
+closure records x * gen_j for every element x and generator gen_j, and the
+generator step by which each element k was first reached from its parent;
+then a * k = (a * parent_k) * gen_j, so every table entry is one integer
+lookup and no permutation is composed after the closure.
+
+Every table is checked for associativity exhaustively by Light's test: the
+elements s with (x s) y = x (s y) for all x, y are closed under products, so
+it suffices to test the s of a generating set, |S| * order^2 products in all.
+
 Conjugation convention: ``conjugate(g, h) = h * g * h**-1`` throughout the
 package.  A tuple witness g for simultaneous conjugacy satisfies
 ``g a_i g**-1 = b_i`` for all i.
@@ -12,15 +22,10 @@ package.  A tuple witness g for simultaneous conjugacy satisfies
 
 from __future__ import annotations
 
-import itertools
-import random
+from operator import itemgetter
 from typing import Optional, Sequence
 
 DEFAULT_ORDER_CAP = 2048
-
-# Associativity is checked exhaustively up to this order, by sampling above it.
-_EXHAUSTIVE_ASSOC_LIMIT = 64
-_ASSOC_SAMPLES = 10_000
 
 
 class GroupError(ValueError):
@@ -44,8 +49,6 @@ class FiniteGroup:
         self._validate()
         self.inverse = tuple(self._find_inverse(a) for a in range(self.order))
         self._order_cache: dict[int, int] = {}
-        self._centralizer_cache: dict[tuple, tuple] = {}
-        self._simconj_cache: dict[tuple, Optional[int]] = {}
 
     def _validate(self):
         n = self.order
@@ -53,28 +56,44 @@ class FiniteGroup:
             raise GroupError("empty Cayley table")
         if len(self.labels) != n:
             raise GroupError("label count does not match order")
-        for row in self.table:
-            if len(row) != n or any(not (0 <= x < n) for x in row):
-                raise GroupError("Cayley table is not closed")
-        for a in range(n):
-            if self.table[0][a] != a or self.table[a][0] != a:
-                raise GroupError("index 0 is not a two-sided identity")
-        if n <= _EXHAUSTIVE_ASSOC_LIMIT:
-            triples = itertools.product(range(n), repeat=3)
-        else:
-            rng = random.Random(0)
-            triples = (
-                (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                for _ in range(_ASSOC_SAMPLES)
-            )
         t = self.table
-        for a, b, c in triples:
-            if t[t[a][b]][c] != t[a][t[b][c]]:
-                raise GroupError("multiplication table is not associative")
+        for row in t:
+            if len(row) != n or min(row) < 0 or max(row) >= n:
+                raise GroupError("Cayley table is not closed")
+        if t[0] != tuple(range(n)) or any(t[a][0] != a for a in range(n)):
+            raise GroupError("index 0 is not a two-sided identity")
+        for s in self._generating_set():
+            times_row_s = itemgetter(*t[s])  # row_x -> x (s y) for every y
+            for row_x in t:
+                if t[row_x[s]] != times_row_s(row_x):
+                    raise GroupError("multiplication table is not associative")
+
+    def _generating_set(self) -> list:
+        """Elements chosen greedily in index order until their left-bracketed
+        products ((s1 s2) s3)... reach every element; Light's test needs
+        nothing more of a generating set."""
+        t = self.table
+        gens = []
+        reached = {0}
+        for a in range(1, self.order):
+            if a in reached:
+                continue
+            gens.append(a)
+            found = [0]
+            reached = {0}
+            for x in found:
+                for s in gens:
+                    y = t[x][s]
+                    if y not in reached:
+                        reached.add(y)
+                        found.append(y)
+        return gens
 
     def _find_inverse(self, a: int) -> int:
-        for b in range(self.order):
-            if self.table[a][b] == 0 and self.table[b][a] == 0:
+        row = self.table[a]
+        if 0 in row:
+            b = row.index(0)
+            if self.table[b][a] == 0:
                 return b
         raise GroupError("element %d has no inverse" % a)
 
@@ -137,46 +156,19 @@ class FiniteGroup:
 
     def centralizer(self, elements: Sequence[int]) -> tuple:
         """Pointwise centralizer of a tuple of elements, as sorted indices."""
-        key = tuple(elements)
-        cached = self._centralizer_cache.get(key)
-        if cached is not None:
-            return cached
         t = self.table
-        result = tuple(
-            g for g in range(self.order) if all(t[g][x] == t[x][g] for x in key)
+        return tuple(
+            g for g in range(self.order) if all(t[g][x] == t[x][g] for x in elements)
         )
-        self._centralizer_cache[key] = result
-        return result
 
     def simultaneous_conjugacy(self, a: Sequence[int], b: Sequence[int]) -> Optional[int]:
-        """Least g with g a_i g^-1 = b_i for all i, or None.
-
-        The scan is pruned to the coset of witnesses for a_1 -> b_1, the
-        first such witness times the centralizer of a_1.
-        """
+        """Least g with g a_i g^-1 = b_i for all i, or None (a plain scan)."""
         a, b = tuple(a), tuple(b)
         if len(a) != len(b):
             raise GroupError("tuples must have equal length")
-        key = (a, b)
-        if key in self._simconj_cache:
-            return self._simconj_cache[key]
-        result = self._simconj_pruned(a, b)
-        self._simconj_cache[key] = result
-        return result
-
-    def _simconj_pruned(self, a, b):
-        if not a:
-            return 0
-        g0 = next(
-            (g for g in range(self.order) if self.conjugate(a[0], g) == b[0]), None
-        )
-        if g0 is None:
-            return None
-        # Full witness set for a_1 -> b_1 is the coset g0 * C(a_1).
-        candidates = sorted(self.table[g0][c] for c in self.centralizer((a[0],)))
-        rest = list(zip(a[1:], b[1:]))
-        for g in candidates:
-            if all(self.conjugate(x, g) == y for x, y in rest):
+        t, pairs = self.table, list(zip(a, b))
+        for g, (row, g_inv) in enumerate(zip(t, self.inverse)):
+            if all(t[row[x]][g_inv] == y for x, y in pairs):
                 return g
         return None
 
@@ -236,20 +228,26 @@ def group_from_permutations(
     ident = tuple(range(degree))
     elements = [ident]
     index = {ident: 0}
-    queue = [ident]
-    while queue:
-        cur = queue.pop(0)
-        for g in gens:
+    right = [[] for _ in gens]  # right[j][x]: index of x * gens[j]
+    reached_by = [None]  # (parent, j): element k is parent * gens[j]
+    x = 0
+    while x < len(elements):
+        cur = elements[x]
+        for j, g in enumerate(gens):
             nxt = _compose(cur, g)
-            if nxt not in index:
+            k = index.get(nxt)
+            if k is None:
                 if len(elements) >= order_cap:
                     raise GroupError("closure exceeds order cap %d" % order_cap)
-                index[nxt] = len(elements)
+                k = index[nxt] = len(elements)
                 elements.append(nxt)
-                queue.append(nxt)
+                reached_by.append((x, j))
+            right[j].append(k)
+        x += 1
 
-    table = tuple(
-        tuple(index[_compose(a, b)] for b in elements) for a in elements
-    )
+    # columns[k][a] = a * k = (a * parent) * gens[j]
+    columns = [tuple(range(len(elements)))]
+    for parent, j in reached_by[1:]:
+        columns.append(itemgetter(*columns[parent])(right[j]))
     labels = tuple(cycle_string(e) for e in elements)
-    return FiniteGroup(table, labels=labels, name=name)
+    return FiniteGroup(tuple(zip(*columns)), labels=labels, name=name)

@@ -99,19 +99,29 @@ def enumerate_vectors(r: int, p: int) -> Iterator[tuple]:
 
 
 def enumerate_injective_matrices(rows: int, cols: int, p: int) -> Iterator[tuple]:
-    """All full-column-rank rows x cols matrices, columns chosen in lex order."""
+    """All full-column-rank rows x cols matrices, columns chosen in lex order.
+
+    A column is accepted when it lies outside the span of the columns chosen
+    before it; the span is grown as a set of vectors, so no rank is computed.
+    """
     if cols > rows:
         return
+    vectors = list(enumerate_vectors(rows, p))
 
-    def extend(chosen):
+    def extend(chosen, span):
         if len(chosen) == cols:
             yield tuple(tuple(col[i] for col in chosen) for i in range(rows))
             return
-        for v in enumerate_vectors(rows, p):
-            if mat_rank(tuple(chosen) + (v,), p) == len(chosen) + 1:
-                yield from extend(chosen + [v])
+        for v in vectors:
+            if v not in span:
+                grown = {
+                    tuple((x + c * y) % p for x, y in zip(s, v))
+                    for s in span
+                    for c in range(p)
+                }
+                yield from extend(chosen + [v], grown)
 
-    yield from extend([])
+    yield from extend([], {(0,) * rows})
 
 
 def enumerate_subspaces(ambient: int, dim: int, p: int) -> Iterator[tuple]:

@@ -4,7 +4,10 @@ Nothing here shares code paths with the library's optimized implementations:
 the level oracle enumerates tuples, the subgroup oracle scans subsets, the
 quotient oracle relabels until stable instead of using union-find, and the
 polynomial oracles multiply and compose in full before truncating instead
-of dropping terms as products are formed.  The all-pairs category
+of dropping terms as products are formed, the injective-matrix enumerator
+tests each column by a rank computation instead of a span set, and the
+Cayley table composes every pair of permutations instead of reading the
+closure's generator steps.  The all-pairs category
 builders below share the level test and the enumeration of injective maps
 with the library, but test every injective map W -> V for every pair of
 objects and scan all of G for every pair, where the library composes
@@ -269,3 +272,38 @@ def all_pairs_CR(group, presentation, embedding_choice=0):
         )
 
     return objects, all_pairs_filtered_homs(objects, keep), {}
+
+
+def rank_injective_matrices(rows, cols, p):
+    """Full-column-rank rows x cols matrices, columns in lex order, each
+    column kept when it raises the rank of the columns chosen before it."""
+    if cols > rows:
+        return
+
+    def extend(chosen):
+        if len(chosen) == cols:
+            yield tuple(tuple(col[i] for col in chosen) for i in range(rows))
+            return
+        for v in itertools.product(range(p), repeat=rows):
+            if modp.mat_rank(tuple(chosen) + (v,), p) == len(chosen) + 1:
+                yield from extend(chosen + [v])
+
+    yield from extend([])
+
+
+def naive_cayley_table(degree, generators):
+    """Breadth-first closure from the identity, then table[a][b] = the index
+    of a o b (b applied first), composing every pair of permutations."""
+    gens = [tuple(g) for g in generators]
+    elements = [tuple(range(degree))]
+    index = {elements[0]: 0}
+    for cur in elements:
+        for g in gens:
+            nxt = tuple(cur[g[i]] for i in range(degree))
+            if nxt not in index:
+                index[nxt] = len(elements)
+                elements.append(nxt)
+    return tuple(
+        tuple(index[tuple(a[b[i]] for i in range(degree))] for b in elements)
+        for a in elements
+    )

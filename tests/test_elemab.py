@@ -10,10 +10,11 @@ from chromcat import (
     identity_morphism,
     injective_hom_count,
     injective_homs,
+    modp,
     p_rank,
 )
 from conftest import ORACLE_LIBRARY, group
-from oracles import brute_elem_abelian_count
+from oracles import brute_elem_abelian_count, rank_injective_matrices
 
 
 def test_a4_enumeration():
@@ -118,6 +119,17 @@ def test_count_formula_against_enumeration():
         for r_v in range(0, 4):
             w, v = by_rank9[r_w], by_rank9[r_v]
             assert len(injective_homs(w, v)) == injective_hom_count(r_w, r_v, 3)
+
+
+def test_span_enumeration_matches_rank_oracle():
+    for p in (2, 3):
+        for rows in range(6):
+            for cols in range(rows + 2):
+                if injective_hom_count(cols, rows, p) > 20_000:
+                    continue
+                assert list(modp.enumerate_injective_matrices(rows, cols, p)) == list(
+                    rank_injective_matrices(rows, cols, p)
+                ), (rows, cols, p)
 
 
 def test_morphism_application_and_composition():

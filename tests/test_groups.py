@@ -1,13 +1,25 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 import pytest
 
-from chromcat import FiniteGroup, GroupError, cycle_string, group_from_permutations
+from chromcat import (
+    FiniteGroup,
+    GroupError,
+    builtin_names,
+    cycle_string,
+    group_from_permutations,
+)
+from chromcat.library import LIBRARY_DIR
 from conftest import group
-from oracles import brute_simultaneous_conjugacy, canonical_tuple_class
+from oracles import (
+    brute_simultaneous_conjugacy,
+    canonical_tuple_class,
+    naive_cayley_table,
+)
 
 
 def test_closure_orders():
@@ -43,6 +55,48 @@ def test_malformed_tables_rejected():
         FiniteGroup([[0, 1], [1, 1]])  # not a group: 1*1=1
     with pytest.raises(GroupError):
         FiniteGroup([[1, 0], [0, 1]])  # identity not at index 0
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_closure_table_matches_all_pairs_composition(name):
+    doc = json.loads((LIBRARY_DIR / (name + ".json")).read_text())
+    orders = [doc["generators"]]
+    if name in ("s5", "x32"):
+        orders.append(doc["generators"][::-1])
+    for gens in orders:
+        table = group_from_permutations(doc["degree"], gens).table
+        assert table == naive_cayley_table(doc["degree"], gens)
+
+
+def test_non_associative_tables_rejected():
+    # a Latin square with identity 0 and every element its own inverse, but
+    # (1 * 1) * 2 = 2 while 1 * (1 * 2) = 4
+    loop = [
+        [0, 1, 2, 3, 4],
+        [1, 0, 3, 4, 2],
+        [2, 4, 0, 1, 3],
+        [3, 2, 4, 0, 1],
+        [4, 3, 1, 2, 0],
+    ]
+    with pytest.raises(GroupError, match="not associative"):
+        FiniteGroup(loop)
+    # C2 x loop with (a, l) at index a + 2 l: element 1 = (1, e) associates
+    # with everything, so the check must go on to later generators
+    product = [
+        [(a ^ b) + 2 * loop[l][m] for m in range(5) for b in range(2)]
+        for l in range(5)
+        for a in range(2)
+    ]
+    with pytest.raises(GroupError, match="not associative"):
+        FiniteGroup(product)
+    # S5 with two non-identity entries of one row swapped: every row is still
+    # a permutation and index 0 is still the identity
+    table = [list(row) for row in group("s5").table]
+    row = table[7]
+    assert 0 not in (row[3], row[11])
+    row[3], row[11] = row[11], row[3]
+    with pytest.raises(GroupError, match="not associative"):
+        FiniteGroup(table)
 
 
 def test_conjugate_convention():

@@ -5,7 +5,9 @@ agreement of the factorized builders with the all-pairs oracle, category
 axioms at every level, monotonicity of hom-sets in the level,
 agreement with the conjugation category at the p-rank, the elementwise
 characterization of level 1, and agreement of the subgroup-reduction level
-test with the all-tuples brute force (order <= 32, n <= 3).
+test with the all-tuples brute force (order <= 32, n <= 3).  A hypothesis
+property compares the builders with the all-pairs oracle on random
+permutation groups of degree <= 6, beyond the fixed library.
 
 The check_* functions are plain callables so the acceptance gate can drive
 the whole battery in one timed pass.
@@ -16,8 +18,20 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from chromcat import build_CR, injective_homs, is_level_n_morphism, parse_poly
+from chromcat import (
+    GroupError,
+    build_CR,
+    build_category,
+    group_from_permutations,
+    injective_homs,
+    is_level_n_morphism,
+    p_rank,
+    parse_poly,
+    quillen_category,
+)
 from chromcat.subrings import SubringPresentation
 from conftest import ORACLE_LIBRARY, SMALL_LIBRARY, category, group
 from oracles import (
@@ -231,6 +245,26 @@ def test_factorized_builders_match_all_pairs_oracle(name, p):
     g = group(name)
     for n in list(range(_p_rank_of(name, p) + 1)) + [None]:
         _check_against_all_pairs(category(name, p, n), *all_pairs_category(g, p, n))
+
+
+@st.composite
+def small_permutation_groups(draw):
+    """1-3 random permutations of degree <= 6 whose closure has order <= 120."""
+    degree = draw(st.integers(1, 6))
+    gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
+    try:
+        return group_from_permutations(degree, gens, order_cap=120)
+    except GroupError:
+        assume(False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_permutation_groups())
+def test_builders_match_all_pairs_oracle_on_random_groups(g):
+    for p in PRIMES:
+        for n in list(range(p_rank(g, p) + 2)) + [None]:
+            cat = quillen_category(g, p) if n is None else build_category(g, p, n)
+            _check_against_all_pairs(cat, *all_pairs_category(g, p, n))
 
 
 @pytest.mark.parametrize("name", ["a4", "a5"])
