@@ -93,6 +93,13 @@ def _parse_level(value):
     return n
 
 
+def _parse_degree(value):
+    d = int(value)
+    if d < 0:
+        raise argparse.ArgumentTypeError("degree must be >= 0")
+    return d
+
+
 def _category_for(group, p, level):
     if level is None:
         return quillen_category(group, p)
@@ -306,7 +313,7 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, group=True, prime=True, output=True, fmt=("json", "text")):
+    def common(sp, group=True, prime=True, output=True, fmt=("json",)):
         if group:
             sp.add_argument("--group", "-g", help="builtin name or JSON file path")
         if prime:
@@ -335,9 +342,10 @@ def _build_parser():
 
     sp = sub.add_parser("colim", help="F_q-points of the colimit")
     common(sp)
-    sp.add_argument("-n", type=_parse_level, default=None)
     sp.add_argument("-q", type=int, required=True, help="field size, a power of p")
-    sp.add_argument("--tower", action="store_true", help="full filtration tower")
+    which = sp.add_mutually_exclusive_group()
+    which.add_argument("-n", type=_parse_level, default=None)
+    which.add_argument("--tower", action="store_true", help="full filtration tower")
     sp.set_defaults(func=cmd_colim)
 
     sp = sub.add_parser("cr", help="subring category C_R from a generator file")
@@ -350,7 +358,7 @@ def _build_parser():
 
     sp = sub.add_parser("invariants", help="Weyl-invariant bases per degree")
     common(sp)
-    sp.add_argument("--max-degree", type=int, default=6)
+    sp.add_argument("--max-degree", type=_parse_degree, default=6)
     sp.set_defaults(func=cmd_invariants)
 
     sp = sub.add_parser("witness", help="scan a library for A^(n) != A^(n+1)")
@@ -361,7 +369,7 @@ def _build_parser():
     sp.set_defaults(func=cmd_witness)
 
     sp = sub.add_parser("a4-demo", help="run the A_4 worked example")
-    common(sp, group=False, prime=False)
+    common(sp, group=False, prime=False, fmt=("json", "text"))
     sp.set_defaults(func=cmd_a4_demo)
 
     return parser

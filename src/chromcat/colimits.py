@@ -1,55 +1,126 @@
 """F_q-rational points of category colimits.
 
 For a category C of elementary abelian p-subgroups, the point set of an
-object V of rank r is F_q^r; the colimit is the disjoint union of those sets
-modulo x ~ f(x) for every morphism f, computed by union-find.  The finite
-field stands in for an algebraically closed one: results are always
-"F_q-points of the colimit", never the variety itself, and equal counts are
-never promoted to equality of varieties.
+object V of rank r is V (x) F_q = F_q^r; the colimit is the disjoint union of
+those sets modulo x ~ f(x) for every morphism f.  The finite field stands in
+for an algebraically closed one: results are always "F_q-points of the
+colimit", never the variety itself, and equal counts are never promoted to
+equality of varieties.
+
+The quotient has a closed form.  Write F_q = F_p^m, so a point x of V is r
+field elements, or m coordinate columns in F_p^r.  The support of x is the
+subgroup S <= V those columns span, and x has full support when S = V, that
+is when its r field elements are F_p-independent.  Every point is the
+inclusion of a full-support point of its support.  Morphisms are injective
+and restrict to morphisms between subgroups, so f carries x to a point with
+support f(S), and x ~ y exactly when their supports are isomorphic in C and
+the two full-support points, carried to one representative U, lie in one
+orbit of Aut_C(U).  So each colimit class holds exactly one Aut_C(U)-orbit
+of full-support points of one isomorphism class [U]:
+
+* Aut_C(U) acts freely on the prod_{i<r} (q - p^i) full-support points of U,
+  so [U] contributes that many points divided by |Aut_C(U)| classes;
+* the class of a full-support x meets V in the points f(x), f in
+  Hom_C(U, V), and f -> f(x) is injective, so it has sum_V |Hom_C(U, V)|
+  points.
+
+Objects are sorted by rank, so the least point of a class lies in the least
+object U of [U]: the class walk below lists U's full-support points in
+lexicographic order, and each point not yet seen is the least point of its
+class.  Field elements are handled as their indices in ``GF.elements``; an
+F_p-matrix applied to a point needs only addition and F_p-scaling, read from
+two tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .categories import ChromCategory, build_category, iso_classes
-from .elemab import ElemAbelian, enumerate_elem_abelians
+from .elemab import ElemAbelian, _span, enumerate_elem_abelians, injective_hom_count
 from .fqfield import GF
 from .groups import FiniteGroup
-
-
-class UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            # deterministic class representative: smaller index wins
-            if rx > ry:
-                rx, ry = ry, rx
-            self.parent[ry] = rx
 
 
 def fq_points(v: ElemAbelian, q: int) -> list[tuple]:
     """All q^rank coordinate vectors of V over F_q, in lexicographic order."""
     field = GF.of_size(q, v.p)
-    return _points_of_rank(v.rank, field)
-
-
-def _points_of_rank(rank: int, field: GF) -> list[tuple]:
     points = [()]
-    for _ in range(rank):
+    for _ in range(v.rank):
         points = [pt + (e,) for pt in points for e in field.elements]
     return points
+
+
+class _IndexedField:
+    """F_q with elements named by their index in ``GF.elements``.
+
+    A point of rank r is a tuple of r indices; its point index (its position
+    in ``fq_points``) reads them as base-q digits.
+    """
+
+    def __init__(self, q: int, p: int):
+        gf = GF.of_size(q, p)
+        index = {e: k for k, e in enumerate(gf.elements)}
+        self.p, self.m, self.q = p, gf.m, q
+        self.digits = gf.elements
+        self.add = [[index[gf.add(a, b)] for b in gf.elements] for a in gf.elements]
+        self.scale = [[index[gf.scalar(c, a)] for a in gf.elements] for c in range(p)]
+
+    def apply(self, matrix: tuple, pt: tuple) -> tuple:
+        """The point matrix . pt."""
+        add, scale = self.add, self.scale
+        out = []
+        for row in matrix:
+            acc = 0
+            for c, x in zip(row, pt):
+                if c:
+                    acc = add[acc][scale[c][x]]
+            out.append(acc)
+        return tuple(out)
+
+    def full_support_points(self, r: int):
+        """Points of rank r with F_p-independent entries, lexicographically."""
+        add, scale, p, q = self.add, self.scale, self.p, self.q
+
+        def extend(prefix, span):
+            if len(prefix) == r - 1:
+                for x in range(q):
+                    if x not in span:
+                        yield prefix + (x,)
+                return
+            for x in range(q):
+                if x not in span:
+                    wider = {add[s][scale[c][x]] for s in span for c in range(p)}
+                    yield from extend(prefix + (x,), wider)
+
+        return extend((), {0}) if r else iter([()])
+
+    def point_index(self, pt: tuple) -> int:
+        k = 0
+        for x in pt:
+            k = k * self.q + x
+        return k
+
+    def point_at(self, k: int, r: int) -> tuple:
+        out = []
+        for _ in range(r):
+            k, x = divmod(k, self.q)
+            out.append(x)
+        return tuple(reversed(out))
+
+    def columns(self, pt: tuple) -> list[tuple]:
+        """The m coordinate columns of pt, vectors in F_p^r."""
+        return [tuple(self.digits[x][c] for x in pt) for c in range(self.m)]
+
+    def from_columns(self, columns: list[tuple], r: int) -> tuple:
+        p = self.p
+        out = []
+        for j in range(r):
+            x = 0
+            for col in columns:
+                x = x * p + col[j]
+            out.append(x)
+        return tuple(out)
 
 
 @dataclass
@@ -57,9 +128,13 @@ class ColimResult:
     q: int
     object_counts: list          # points per object
     size: int                    # number of colimit classes
-    node_class: list             # global node index -> class id
-    class_members: list          # class id -> list of (object index, point index)
-    class_reps: list             # class id -> (object index, point index)
+    class_reps: list             # class id -> least (object index, point index)
+    class_sizes: list            # class id -> number of points in the class
+    _objects: tuple = field(repr=False)
+    _field: _IndexedField = field(repr=False)
+    _index: dict = field(repr=False)      # element set -> object index
+    _orbits: dict = field(repr=False)     # least object of [U] -> {point: class id}
+    _to_least: list = field(repr=False)   # object -> (least object of its class, iso)
 
     def to_dict(self) -> dict:
         return {
@@ -67,60 +142,75 @@ class ColimResult:
             "object_counts": list(self.object_counts),
             "size": self.size,
             "classes": [
-                {"rep": list(rep), "size": len(members)}
-                for rep, members in zip(self.class_reps, self.class_members)
+                {"rep": list(rep), "size": size}
+                for rep, size in zip(self.class_reps, self.class_sizes)
             ],
         }
 
+    def class_of(self, i: int, point: int) -> int:
+        """The class id of point index ``point`` of object i.
+
+        The point's coordinate columns span its support S; in S's basis the
+        point has full support, and an isomorphism from S to the least object
+        of S's class carries it into an orbit of the class walk.
+        """
+        f = self._field
+        v = self._objects[i]
+        columns = [v.element_at(col) for col in f.columns(f.point_at(point, v.rank))]
+        s = self._index[frozenset(_span(v.group, columns))]
+        sub = self._objects[s]
+        return self._orbit_class(
+            s, f.from_columns([sub.coordinates(x) for x in columns], sub.rank)
+        )
+
+    def _orbit_class(self, s: int, pt: tuple) -> int:
+        """The class id of a full-support point of object s."""
+        least, iso = self._to_least[s]
+        return self._orbits[least][self._field.apply(iso, pt)]
+
 
 def colim_points(cat: ChromCategory, q: int) -> ColimResult:
-    """Union-find quotient of the disjoint object point sets by all morphisms."""
-    field = GF.of_size(q, cat.p)
-    ranks = [v.rank for v in cat.objects]
-    points = [_points_of_rank(r, field) for r in ranks]
-    index = [{pt: k for k, pt in enumerate(pts)} for pts in points]
-    offsets = []
-    total = 0
-    for pts in points:
-        offsets.append(total)
-        total += len(pts)
-
-    uf = UnionFind(total)
-    for (i, j), morphisms in sorted(cat.homs.items()):
-        for f in morphisms:
-            rows = f.matrix
-            for k, pt in enumerate(points[i]):
-                image = tuple(
-                    _linear_combination(row, pt, field) for row in rows
-                )
-                uf.union(offsets[i] + k, offsets[j] + index[j][image])
-
-    classes = {}
-    for i in range(len(points)):
-        for k in range(len(points[i])):
-            node = offsets[i] + k
-            classes.setdefault(uf.find(node), []).append((i, k))
-    roots = sorted(classes)
-    class_of_root = {r: c for c, r in enumerate(roots)}
-    node_class = [class_of_root[uf.find(n)] for n in range(total)]
-    members = [classes[r] for r in roots]
-    reps = [m[0] for m in members]
+    """The colimit's F_q-points, one Aut-orbit walk per isomorphism class."""
+    f = _IndexedField(q, cat.p)
+    n = len(cat.objects)
+    counts = [q ** v.rank for v in cat.objects]
+    reps, sizes, orbits, to_least = [], [], {}, [None] * n
+    for members in sorted(iso_classes(cat)):
+        least = members[0]
+        rank = cat.objects[least].rank
+        auts = cat.hom_matrices(least, least)
+        size = sum(len(cat.hom_matrices(least, j)) for j in range(n))
+        orbit = orbits[least] = {}
+        found = 0
+        for pt in f.full_support_points(rank):
+            if pt in orbit:
+                continue
+            for a in auts:
+                orbit[f.apply(a, pt)] = len(reps)
+            reps.append((least, f.point_index(pt)))
+            sizes.append(size)
+            found += 1
+        if found * len(auts) != injective_hom_count(rank, f.m, cat.p):
+            raise AssertionError(
+                "Aut of object %d does not act freely on its full-support points"
+                % least
+            )
+        for s in members:
+            to_least[s] = (least, cat.hom(s, least)[0].matrix)
+    if sum(sizes) != sum(counts):
+        raise AssertionError("colimit classes do not partition the points")
     return ColimResult(
         q=q,
-        object_counts=[len(pts) for pts in points],
-        size=len(roots),
-        node_class=node_class,
-        class_members=members,
+        object_counts=counts,
+        size=len(reps),
         class_reps=reps,
+        class_sizes=sizes,
+        _objects=cat.objects,
+        _field=f,
+        _index={v.elements: k for k, v in enumerate(cat.objects)},
+        _orbits=orbits,
+        _to_least=to_least,
     )
-
-
-def _linear_combination(row, pt, field):
-    acc = field.zero
-    for c, x in zip(row, pt):
-        if c:
-            acc = field.add(acc, field.scalar(c, x))
-    return acc
 
 
 @dataclass
@@ -148,25 +238,20 @@ def filtration_tower(group: FiniteGroup, p: int, q: int) -> FiltrationTower:
 
     Hom-sets grow as n decreases, so each level's partition refines the next
     lower level's; the connecting map sends a level-(n+1) class to the
-    level-n class containing it and is checked surjective.
+    level-n class of its representative and is checked surjective.
     """
-    rank = max(v.rank for v in enumerate_elem_abelians(group, p))
-    top = max(rank, 1)
+    ranks = [v.rank for v in enumerate_elem_abelians(group, p)]
+    top = max(max(ranks), 1)
     levels = []
     for n in range(top, 0, -1):
         levels.append((n, colim_points(build_category(group, p, n), q)))
     surjections = []
     for (n_hi, hi), (n_lo, lo) in zip(levels, levels[1:]):
-        mapping = [None] * hi.size
-        for node, cls_hi in enumerate(hi.node_class):
-            cls_lo = lo.node_class[node]
-            if mapping[cls_hi] is None:
-                mapping[cls_hi] = cls_lo
-            elif mapping[cls_hi] != cls_lo:
-                raise AssertionError(
-                    "connecting map ill-defined between levels %d and %d"
-                    % (n_hi, n_lo)
-                )
+        # a class rep has full support in its own object: no support to find
+        mapping = [
+            lo._orbit_class(i, lo._field.point_at(k, ranks[i]))
+            for i, k in hi.class_reps
+        ]
         if set(mapping) != set(range(lo.size)):
             raise AssertionError(
                 "connecting map not surjective between levels %d and %d"

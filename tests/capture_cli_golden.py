@@ -8,9 +8,12 @@ on the path:
 
 For every bundled group of order <= 64 and every prime p dividing its order
 it keeps ``category --format json`` at each level 0..p-rank and at ``inf``,
-``colim -q p --tower`` and ``colim -q p -n 1``.  x32 keeps only its
-``category -n inf`` report: its other levels take seconds each.  Each
-report is written to ``tests/golden/cli/<case>.json``.
+``colim -q p --tower``, ``colim -q p -n 1`` and ``colim -q p^2 --tower``.
+At q = p no point of rank >= 2 has F_p-independent coordinates, so the
+q = p^2 towers are the reports whose colimit classes hold points of rank
+>= 2.  x32 keeps only its ``category -n inf`` and q = p^2 tower reports:
+its other category levels take seconds each.  Each report is written to
+``tests/golden/cli/<case>.json``.
 """
 
 from __future__ import annotations
@@ -52,6 +55,10 @@ def cases():
                     "%s-p%d-category-n%s" % (name, p, level),
                     ["category", *common, "--format", "json", "-n", level],
                 ))
+            out.append((
+                "%s-p%d-colim-q%d-tower" % (name, p, p * p),
+                ["colim", *common, "-q", str(p * p), "--tower"],
+            ))
             if name in INF_ONLY:
                 continue
             out.append((

@@ -2,7 +2,9 @@
 
 Nothing here shares code paths with the library's optimized implementations:
 the level oracle enumerates tuples, the subgroup oracle scans subsets, the
-quotient oracle relabels until stable instead of using union-find, and the
+colimit oracles apply every morphism to every F_q-point and merge by
+union-find or by relabelling until stable, where the library walks one
+Aut-orbit of full-support points per isomorphism class, and the
 polynomial oracles multiply and compose in full before truncating instead
 of dropping terms as products are formed, the injective-matrix enumerator
 tests each column by a rank computation instead of a span set, and the
@@ -17,9 +19,12 @@ isomorphisms onto the image with inclusions.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 from chromcat import (
+    FiltrationTower,
     LinearMorphism,
+    build_category,
     embeddings_into,
     enumerate_elem_abelians,
     injective_homs,
@@ -144,6 +149,134 @@ def colim_size_naive(cat, q):
                     out.append(acc)
                 pairs.append((offsets[i] + k, offsets[j] + index[j][tuple(out)]))
     return naive_quotient_size(total, pairs)
+
+
+class UnionFind:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, x: int, y: int):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            # deterministic class representative: smaller index wins
+            if rx > ry:
+                rx, ry = ry, rx
+            self.parent[ry] = rx
+
+
+@dataclass
+class UnionFindColim:
+    q: int
+    object_counts: list          # points per object
+    size: int                    # number of colimit classes
+    node_class: list             # global node index -> class id
+    class_members: list          # class id -> list of (object index, point index)
+    class_reps: list             # class id -> (object index, point index)
+
+    def to_dict(self) -> dict:
+        return {
+            "q": self.q,
+            "object_counts": list(self.object_counts),
+            "size": self.size,
+            "classes": [
+                {"rep": list(rep), "size": len(members)}
+                for rep, members in zip(self.class_reps, self.class_members)
+            ],
+        }
+
+
+def union_find_colim(cat, q) -> UnionFindColim:
+    """Union-find quotient of the disjoint object point sets by all morphisms."""
+    from chromcat.fqfield import GF
+
+    field = GF.of_size(q, cat.p)
+    ranks = [v.rank for v in cat.objects]
+    points = []
+    for r in ranks:
+        pts = [()]
+        for _ in range(r):
+            pts = [pt + (e,) for pt in pts for e in field.elements]
+        points.append(pts)
+    index = [{pt: k for k, pt in enumerate(pts)} for pts in points]
+    offsets = []
+    total = 0
+    for pts in points:
+        offsets.append(total)
+        total += len(pts)
+
+    uf = UnionFind(total)
+    for (i, j), morphisms in sorted(cat.homs.items()):
+        for f in morphisms:
+            rows = f.matrix
+            for k, pt in enumerate(points[i]):
+                image = tuple(
+                    _linear_combination(row, pt, field) for row in rows
+                )
+                uf.union(offsets[i] + k, offsets[j] + index[j][image])
+
+    classes = {}
+    for i in range(len(points)):
+        for k in range(len(points[i])):
+            node = offsets[i] + k
+            classes.setdefault(uf.find(node), []).append((i, k))
+    roots = sorted(classes)
+    class_of_root = {r: c for c, r in enumerate(roots)}
+    node_class = [class_of_root[uf.find(n)] for n in range(total)]
+    members = [classes[r] for r in roots]
+    reps = [m[0] for m in members]
+    return UnionFindColim(
+        q=q,
+        object_counts=[len(pts) for pts in points],
+        size=len(roots),
+        node_class=node_class,
+        class_members=members,
+        class_reps=reps,
+    )
+
+
+def _linear_combination(row, pt, field):
+    acc = field.zero
+    for c, x in zip(row, pt):
+        if c:
+            acc = field.add(acc, field.scalar(c, x))
+    return acc
+
+
+def union_find_tower(group, p, q) -> FiltrationTower:
+    """The filtration tower from union-find levels; the connecting map is
+    read node by node and checked well defined and surjective."""
+    rank = max(v.rank for v in enumerate_elem_abelians(group, p))
+    top = max(rank, 1)
+    levels = []
+    for n in range(top, 0, -1):
+        levels.append((n, union_find_colim(build_category(group, p, n), q)))
+    surjections = []
+    for (n_hi, hi), (n_lo, lo) in zip(levels, levels[1:]):
+        mapping = [None] * hi.size
+        for node, cls_hi in enumerate(hi.node_class):
+            cls_lo = lo.node_class[node]
+            if mapping[cls_hi] is None:
+                mapping[cls_hi] = cls_lo
+            elif mapping[cls_hi] != cls_lo:
+                raise AssertionError(
+                    "connecting map ill-defined between levels %d and %d"
+                    % (n_hi, n_lo)
+                )
+        if set(mapping) != set(range(lo.size)):
+            raise AssertionError(
+                "connecting map not surjective between levels %d and %d"
+                % (n_hi, n_lo)
+            )
+        surjections.append(mapping)
+    return FiltrationTower(q=q, levels=levels, surjections=surjections)
 
 
 def canonical_tuple_class(group, tup):

@@ -182,6 +182,30 @@ def test_input_errors_exit_two(capsys, tmp_path):
         main(["elemab", "-g", "c4", "-p", "1000000000000000003"])
     assert exit_info.value.code == 2
     assert "exceeds the group order cap 2048" in capsys.readouterr().err
+    # --format offers only what a command renders
+    for argv in (
+        ("colim", "-g", "a4", "-q", "4"),
+        ("stab", "-g", "a4"),
+        ("group-info", "-g", "a4"),
+        ("elemab", "-g", "a4"),
+        ("invariants", "-g", "a4"),
+        ("witness",),
+        ("cr", "-g", "a4"),
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--format", "text"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'text'" in capsys.readouterr().err
+    # a tower has every level, so -n is refused beside --tower
+    with pytest.raises(SystemExit) as exit_info:
+        main(["colim", "-g", "a4", "-q", "4", "--tower", "-n", "1"])
+    assert exit_info.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    # a negative degree bound
+    with pytest.raises(SystemExit) as exit_info:
+        main(["invariants", "-g", "a4", "--max-degree", "-1"])
+    assert exit_info.value.code == 2
+    assert "degree must be >= 0" in capsys.readouterr().err
     # a generator file without the "generators" key
     nokey = tmp_path / "nokey.json"
     nokey.write_text(json.dumps({"name": "chern"}))

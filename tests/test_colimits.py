@@ -11,11 +11,13 @@ from chromcat import (
     enumerate_elem_abelians,
     filtration_tower,
     fq_points,
+    p_rank,
     quillen_category,
 )
+from chromcat.categories import ChromCategory
 from chromcat.fqfield import FqError
-from conftest import category, group
-from oracles import colim_size_naive
+from conftest import SMALL_LIBRARY, category, group
+from oracles import colim_size_naive, union_find_colim, union_find_tower
 
 
 def test_field_tables():
@@ -138,9 +140,70 @@ def test_rank2_orbits_stay_separate():
     # (1,0) scaled by the two primitive field elements lands in the same
     # C_3-orbit class only when the Weyl action carries one to the other
     classes = {}
-    offset = sum(res.object_counts[:4])
     for k, pt in enumerate(pts):
-        classes.setdefault(res.node_class[offset + k], []).append(pt)
+        classes.setdefault(res.class_of(4, k), []).append(pt)
     sizes = sorted(len(v) for v in classes.values())
     assert sum(sizes) == 16
     assert len(classes) == 6  # zero class plus five orbits of size 3
+
+
+def _oracle_cases():
+    """(group, p, q) for every bundled group of order <= 64 and p in {2, 3}
+    dividing its order, at q = p, p^2 and p^3 (x32 up to p^2)."""
+    for name in SMALL_LIBRARY:
+        for p in (2, 3):
+            if group(name).order % p:
+                continue
+            for e in (1, 2) if name == "x32" else (1, 2, 3):
+                yield name, p, p ** e
+
+
+@pytest.mark.parametrize("name,p,q", list(_oracle_cases()))
+def test_closed_form_matches_union_find(name, p, q):
+    g = group(name)
+    for level in list(range(p_rank(g, p) + 1)) + [None]:
+        cat = category(name, p, level)
+        assert colim_points(cat, q).to_dict() == union_find_colim(cat, q).to_dict(), level
+    assert filtration_tower(g, p, q).to_dict() == union_find_tower(g, p, q).to_dict()
+
+
+# In s4 and d16 some isomorphic objects are joined by no identity-matrix
+# isomorphism, so only these cases see the choice of iso in class_of.
+@pytest.mark.parametrize("name,p", [("a4", 2), ("d8", 2), ("e9", 3), ("s4", 2), ("d16", 2)])
+def test_class_of_matches_union_find_on_every_point(name, p):
+    q = p * p
+    for level in list(range(p_rank(group(name), p) + 1)) + [None]:
+        cat = category(name, p, level)
+        res = colim_points(cat, q)
+        oracle = union_find_colim(cat, q)
+        offset = 0
+        for i, count in enumerate(res.object_counts):
+            assert [res.class_of(i, k) for k in range(count)] == (
+                oracle.node_class[offset:offset + count]
+            ), (level, i)
+            offset += count
+
+
+def test_duplicated_morphisms_match_union_find():
+    # a class is sized by distinct matrices, so repeated morphisms change nothing
+    base = category("a4", 2, 1)
+    doubled = ChromCategory(
+        base.group,
+        base.p,
+        base.level,
+        base.kind,
+        base.objects,
+        {key: fs + fs for key, fs in base.homs.items()},
+        base.witnesses,
+    )
+    for q in (2, 4, 8):
+        assert colim_points(doubled, q).to_dict() == union_find_colim(base, q).to_dict()
+
+
+def test_class_counts_follow_the_closed_form():
+    # each isomorphism class [U] of rank r contributes prod (q - p^i) / |Aut U|;
+    # in the Quillen category of A_4 the three lines are conjugate and the
+    # Klein four group has Aut = C_3
+    res = colim_points(category("a4", 2, None), 16)
+    assert res.size == 1 + 15 // 1 + (15 * 14) // 3
+    assert sum(res.class_sizes) == sum(res.object_counts) == 1 + 3 * 16 + 256

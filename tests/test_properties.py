@@ -7,7 +7,8 @@ agreement with the conjugation category at the p-rank, the elementwise
 characterization of level 1, and agreement of the subgroup-reduction level
 test with the all-tuples brute force (order <= 32, n <= 3).  A hypothesis
 property compares the builders with the all-pairs oracle on random
-permutation groups of degree <= 6, beyond the fixed library.
+permutation groups of degree <= 6, beyond the fixed library, and another
+compares their colimits and towers at q = p^2 with the union-find oracle.
 
 The check_* functions are plain callables so the acceptance gate can drive
 the whole battery in one timed pass.
@@ -25,6 +26,8 @@ from chromcat import (
     GroupError,
     build_CR,
     build_category,
+    colim_points,
+    filtration_tower,
     group_from_permutations,
     injective_homs,
     is_level_n_morphism,
@@ -39,6 +42,8 @@ from oracles import (
     all_pairs_CR,
     all_pairs_category,
     level_oracle_all_tuples,
+    union_find_colim,
+    union_find_tower,
 )
 
 PRIMES = (2, 3)
@@ -265,6 +270,17 @@ def test_builders_match_all_pairs_oracle_on_random_groups(g):
         for n in list(range(p_rank(g, p) + 2)) + [None]:
             cat = quillen_category(g, p) if n is None else build_category(g, p, n)
             _check_against_all_pairs(cat, *all_pairs_category(g, p, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_permutation_groups())
+def test_colimits_match_union_find_on_random_groups(g):
+    for p in PRIMES:
+        q = p * p
+        for n in list(range(p_rank(g, p) + 2)) + [None]:
+            cat = quillen_category(g, p) if n is None else build_category(g, p, n)
+            assert colim_points(cat, q).to_dict() == union_find_colim(cat, q).to_dict()
+        assert filtration_tower(g, p, q).to_dict() == union_find_tower(g, p, q).to_dict()
 
 
 @pytest.mark.parametrize("name", ["a4", "a5"])
