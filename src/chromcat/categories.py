@@ -6,17 +6,22 @@ that every n-tuple of source elements is carried to a simultaneously conjugate
 tuple.  ``quillen_category`` builds the inclusion-and-conjugation category
 directly; the two agree for n at least the p-rank.
 
-Every morphism f: W -> V is an isomorphism onto U = f(W) followed by the
-inclusion U <= V, and the level, conjugation and subring conditions see only
-the isomorphism.  So each builder keeps the isomorphisms between objects of
-equal rank that pass its test, and ``_with_inclusions`` composes them with
-the inclusions.
+Every morphism f: W -> V is an isomorphism onto its image U = f(W) followed
+by the inclusion U <= V, so the split is unique, and the level, conjugation
+and subring conditions see only the isomorphism.  A ``ChromCategory`` stores
+just that: Iso_C(W, U) for each pair of objects of equal rank, and the
+inclusion poset of the objects.  Hom-sets are composed only when asked for;
+morphism counts, isomorphism classes, equality and colimit class sizes are
+read off the isomorphisms and the poset.
 
-Each build makes one conjugation scan of the group.  For each object S it
-records the orbit of S's basis under conjugation, {g S.basis g^-1: least g},
-and the conjugation isomorphisms Iso_Q(S, gSg^-1) with their least g; a
-basis tuple seen before costs one lookup, so an object costs |G| lookups and
-|G : C_G(S)| target searches.
+A ``Fusion`` is one group at one prime for as long as its caller holds it:
+the objects, their inclusion poset and one conjugation scan of the group,
+from which it builds every level, the Quillen category and C_R.  A request
+that compares several of them scans the group once.  For each object S the
+scan records the orbit of S's basis under conjugation, {g S.basis g^-1:
+least g}, and the conjugation isomorphisms Iso_Q(S, gSg^-1) with their
+least g; a basis tuple seen before costs one lookup, so an object costs |G|
+lookups and |G : C_G(S)| target searches.
 
 The level test enumerates no tuples.  A witness conjugating a basis of a
 subgroup S <= W conjugates every element of S, and every n-tuple generates
@@ -24,18 +29,19 @@ such a subgroup of rank <= n, so f: W -> U is level-n exactly when, for each
 object S <= W of rank min(n, rank W), the images under f of S.basis form a
 key of S's orbit.  When rank W <= n the only such S is W itself, so
 Iso_n(W, U) = Iso_Q(W, U) and comes straight from the scan, with no
-candidate tested.  Level 0 keeps every invertible matrix.  Otherwise a
-candidate sends each basis element of W to one of its conjugates in U, and
-is kept when it passes the orbit test; no morphism object is made for a
-rejected candidate.  ``is_level_n_morphism`` tests the same reduction with
-a conjugacy search per subgroup and returns a certificate of witnesses; the
-builder does not call it, and the tests compare the builder with it.  The
-all-tuples brute force lives in the test suite as the independent oracle
-for the reduction.
+candidate tested; from the p-rank on, A^(n) is the Quillen category.  Level
+0 keeps every invertible matrix.  Otherwise a candidate sends each basis
+element of W to one of its conjugates in U, and is kept when it passes the
+orbit test; no morphism object is made for a rejected candidate.
+``is_level_n_morphism`` tests the same reduction with a conjugacy search per
+subgroup and returns a certificate of witnesses; the builder does not call
+it, and the tests compare the builder with it.  The all-tuples brute force
+lives in the test suite as the independent oracle for the reduction.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -45,9 +51,9 @@ from . import modp
 from .elemab import (
     ElemAbelian,
     LinearMorphism,
+    _span,
     conjugation_matrix,
     enumerate_elem_abelians,
-    injective_homs,
 )
 from .groups import FiniteGroup, GroupError
 
@@ -86,53 +92,125 @@ def is_level_n_morphism(f: LinearMorphism, n: int) -> LevelCertificate:
     return LevelCertificate(True, witnesses)
 
 
-class ChromCategory:
-    """A category of elementary abelian p-subgroups with linear morphisms.
+def _inclusion_poset(objects: Sequence[ElemAbelian]) -> tuple:
+    """(above, inclusions): above[k] lists the j with objects[k] <=
+    objects[j], k included, and inclusions[(k, j)] is that inclusion's
+    matrix."""
+    above = []
+    inclusions = {}
+    for k, u in enumerate(objects):
+        js = [j for j, v in enumerate(objects) if u.elements <= v.elements]
+        for j in js:
+            inclusions[(k, j)] = conjugation_matrix(u, objects[j], 0)
+        above.append(tuple(js))
+    return tuple(above), inclusions
 
-    ``homs[(i, j)]`` is the tuple of LinearMorphism from objects[i] to
-    objects[j], sorted by matrix; ``witnesses[(i, j, matrix)]`` records one group element
-    inducing each conjugation-induced morphism.
+
+class ChromCategory:
+    """A category of elementary abelian p-subgroups with linear morphisms,
+    stored as its isomorphisms and the inclusion poset.
+
+    ``isos[(i, k)]`` is Iso_C(objects[i], objects[k]) as a sorted tuple of
+    matrices without repeats; a pair with no isomorphism is absent, and the
+    constructor sorts and deduplicates what it is given.
+    ``iso_witnesses[(i, k, matrix)]`` is the least group element inducing a
+    conjugation isomorphism.  ``poset`` is the objects' (above, inclusions),
+    computed when not given.  Hom(W_i, V_j) is the union over the objects
+    U_k <= V_j of Iso(i, k) followed by the inclusion, and distinct (k, iso)
+    give distinct composites, so nothing but ``composites``, ``hom`` and
+    ``homs`` multiplies them out, and only for the hom-sets asked for.
     """
 
-    def __init__(self, group, p, level, kind, objects, homs, witnesses):
+    def __init__(self, group, p, level, kind, objects, isos, iso_witnesses, poset=None):
         self.group = group
         self.p = p
         self.level = level
         self.kind = kind  # "level" | "quillen" | "subring"
         self.objects = tuple(objects)
-        self.homs = homs
-        self.witnesses = witnesses
+        self.isos = {}
+        for key, mats in isos.items():
+            mats = tuple(mats)
+            if any(a >= b for a, b in itertools.pairwise(mats)):
+                mats = tuple(sorted(set(mats)))
+            if mats:
+                self.isos[key] = mats
+        self.iso_witnesses = iso_witnesses
+        self.above, self.inclusions = poset or _inclusion_poset(self.objects)
+        self._targets = {}
+        for i, k in self.isos:
+            self._targets.setdefault(i, []).append(k)
+        self._homs = {}
 
     def object_index(self, v: ElemAbelian) -> int:
         return self.objects.index(v)
 
+    def iso(self, i: int, k: int) -> tuple:
+        return self.isos.get((i, k), ())
+
+    def composites(self, i: int, j: int) -> tuple:
+        """The matrices of Hom(objects[i], objects[j]), sorted."""
+        out = []
+        for k in self._targets.get(i, ()):
+            inclusion = self.inclusions.get((k, j))
+            if inclusion is not None:
+                out.extend(modp.mat_mul(inclusion, m, self.p) for m in self.isos[(i, k)])
+        out.sort()
+        return tuple(out)
+
     def hom(self, i: int, j: int) -> tuple:
-        return self.homs.get((i, j), ())
+        """Hom(objects[i], objects[j]) as LinearMorphisms sorted by matrix,
+        composed on the first call and kept with the category."""
+        fs = self._homs.get((i, j))
+        if fs is None:
+            w, v = self.objects[i], self.objects[j]
+            fs = tuple(LinearMorphism(w, v, m) for m in self.composites(i, j))
+            self._homs[(i, j)] = fs
+        return fs
 
     def hom_matrices(self, i: int, j: int) -> frozenset:
         return frozenset(f.matrix for f in self.hom(i, j))
 
+    @property
+    def homs(self) -> dict:
+        """{(i, j): hom(i, j)} over the nonempty hom-sets."""
+        keys = {(i, j) for i, k in self.isos for j in self.above[k]}
+        return {key: self.hom(*key) for key in sorted(keys)}
+
     def iter_morphisms(self) -> Iterator[tuple]:
-        for (i, j), fs in sorted(self.homs.items()):
+        for (i, j), fs in self.homs.items():
             for f in fs:
                 yield i, j, f
 
     def morphism_count(self) -> int:
-        return sum(len(fs) for fs in self.homs.values())
+        return sum(len(mats) * len(self.above[k]) for (_, k), mats in self.isos.items())
+
+    @functools.cached_property
+    def _index(self) -> dict:
+        return {v.elements: k for k, v in enumerate(self.objects)}
+
+    def witness(self, i: int, j: int, matrix: tuple) -> Optional[int]:
+        """The least g inducing the morphism objects[i] -> objects[j] with
+        this matrix, or None when it is not a conjugation morphism.
+
+        The columns span the image U_k; the matrix is Iso(i, k) followed by
+        U_k <= V_j, and g is the witness of that isomorphism.
+        """
+        v = self.objects[j]
+        images = [v.element_at(col) for col in zip(*matrix)]
+        k = self._index[frozenset(_span(self.group, images))]
+        u = self.objects[k]
+        cols = [u.coordinates(x) for x in images]
+        iso = tuple(tuple(col[r] for col in cols) for r in range(u.rank))
+        return self.iso_witnesses.get((i, k, iso))
 
     def same_objects(self, other: "ChromCategory") -> bool:
         return self.group is other.group and self.objects == other.objects
 
     def equals(self, other: "ChromCategory") -> bool:
-        """Hom-set by hom-set equality over the identical object list."""
-        if not self.same_objects(other):
-            return False
-        n = len(self.objects)
-        return all(
-            self.hom_matrices(i, j) == other.hom_matrices(i, j)
-            for i in range(n)
-            for j in range(n)
-        )
+        """Hom-set by hom-set equality over the identical object list.  The
+        objects fix the inclusions and the split is unique, so equal hom-sets
+        are equal iso sets."""
+        return self.same_objects(other) and self.isos == other.isos
 
     def __repr__(self):
         lev = "oo" if self.level is None else self.level
@@ -147,21 +225,21 @@ class ChromCategory:
 
 
 class _Scan(NamedTuple):
-    """What one pass of G over the objects yields: the objects, Iso_Q as
-    {(i, k, matrix): least inducing g}, and orbits[i] = {g W_i.basis g^-1:
-    least g}."""
+    """What one pass of G over the objects yields: Iso_Q as {(i, k): sorted
+    matrices}, the least inducing g of each as {(i, k, matrix): g}, and
+    orbits[i] = {g W_i.basis g^-1: least g}."""
 
-    objects: list
     isos: dict
+    witnesses: dict
     orbits: list
 
 
-def _conjugation_scan(group, p) -> _Scan:
+def _conjugation_scan(group, objects) -> _Scan:
     """One pass of G over every object; a conjugate basis tuple seen before
     adds nothing, so only a new one has its target object and matrix found."""
-    objects = enumerate_elem_abelians(group, p)
     index = {u.elements: k for k, u in enumerate(objects)}
     isos = {}
+    witnesses = {}
     orbits = []
     for i, w in enumerate(objects):
         orbit = {}
@@ -171,123 +249,150 @@ def _conjugation_scan(group, p) -> _Scan:
                 continue
             orbit[images] = g
             k = index[frozenset(group.conjugate(x, g) for x in w.elements)]
-            isos[(i, k, conjugation_matrix(w, objects[k], g))] = g
+            m = conjugation_matrix(w, objects[k], g)
+            isos.setdefault((i, k), []).append(m)
+            witnesses[(i, k, m)] = g
         orbits.append(orbit)
-    return _Scan(objects, isos, orbits)
+    return _Scan({key: tuple(sorted(ms)) for key, ms in isos.items()}, witnesses, orbits)
 
 
-def _level_isos(group, p, scan, n):
-    """(i, k, matrix) for every level-n isomorphism W_i -> U_k.
+class Fusion:
+    """One group at one prime, shared by every category a request builds.
 
-    Iso_Q when rank W <= n; every invertible matrix when n = 0.  Otherwise
-    column j must be a conjugate in U of the j-th basis element of W, and a
-    choice of columns is kept when it carries the basis of every rank-n
-    object S <= W into S's orbit.  Such a matrix is invertible, because
-    every nonzero vector of W lies in some S, on which it is a conjugation.
+    It holds the objects and their inclusion poset, runs the conjugation
+    scan once, on first use, and builds the level-n, Quillen and subring
+    categories from them.  ``stats`` counts what it did: objects, scans run,
+    and level candidates tested and kept.  Nothing is kept anywhere else, so
+    the scan lives exactly as long as the Fusion.
     """
-    objects, isos, orbits = scan
-    kept = [key for key in isos if objects[key[0]].rank <= n]
-    by_rank = {}
-    for k, u in enumerate(objects):
-        by_rank.setdefault(u.rank, []).append(k)
-    conjugates = {}
-    for r, members in sorted(by_rank.items()):
-        if r <= n:
-            continue
-        if n == 0:
-            gl = list(modp.enumerate_injective_matrices(r, r, p))
-            kept.extend((i, k, m) for i in members for k in members for m in gl)
-            continue
-        for i in members:
-            w = objects[i]
-            subs = [
-                (orbits[s], [w.coordinates(b) for b in objects[s].basis])
-                for s in by_rank[n]
-                if objects[s].elements <= w.elements
-            ]
-            for b in w.basis:
-                if b not in conjugates:
-                    conjugates[b] = {group.conjugate(b, g) for g in group.elements()}
-            for k in members:
-                u = objects[k]
-                choices = [
-                    [u.coordinates(x) for x in sorted(u.elements & conjugates[b])]
-                    for b in w.basis
-                ]
-                for columns in itertools.product(*choices):
-                    m = tuple(zip(*columns))
-                    if all(
-                        tuple(u.element_at(modp.mat_vec(m, c, p)) for c in coords)
-                        in orbit
-                        for orbit, coords in subs
-                    ):
-                        kept.append((i, k, m))
-    return kept
 
+    def __init__(self, group: FiniteGroup, p: int):
+        self.group = group
+        self.p = p
+        self.objects = tuple(enumerate_elem_abelians(group, p))
+        self.rank = max(v.rank for v in self.objects)
+        self.poset = _inclusion_poset(self.objects)
+        self.stats = {
+            "objects": len(self.objects),
+            "scans": 0,
+            "level_candidates": 0,
+            "level_kept": 0,
+        }
+        self._scan = None
+        self._gls = {}
 
-def _isos_passing(objects, test):
-    """(i, k, matrix) for every isomorphism W_i -> U_k that passes test."""
-    return [
-        (i, k, f.matrix)
-        for i, w in enumerate(objects)
-        for k, u in enumerate(objects)
-        if w.rank == u.rank
-        for f in injective_homs(w, u)
-        if test(f)
-    ]
+    @property
+    def scan(self) -> _Scan:
+        if self._scan is None:
+            self._scan = _conjugation_scan(self.group, self.objects)
+            self.stats["scans"] += 1
+        return self._scan
 
+    def category(self, n: Level) -> ChromCategory:
+        """A^(n); n None or math.inf gives the Quillen category."""
+        if n is None or n == math.inf:
+            return self._category(None, "quillen", self.scan.isos)
+        if n < 0:
+            raise GroupError("level must be >= 0")
+        return self._category(n, "level", self._level_isos(n))
 
-def _with_inclusions(p, objects, isos, witnesses):
-    """Hom(W, V) as the union over U <= V of Iso(W, U) followed by U <= V.
+    def quillen(self) -> ChromCategory:
+        return self.category(None)
 
-    Distinct (U, iso) pairs give distinct composites, whose image is U.  An
-    iso with an entry in ``witnesses`` passes its conjugating g on to each
-    composite.  Returns (homs, witnesses) keyed as in ChromCategory.
-    """
-    above = [
-        [(j, conjugation_matrix(u, v, 0))
-         for j, v in enumerate(objects) if u.elements <= v.elements]
-        for u in objects
-    ]
-    mats = {}
-    composed = {}
-    for i, k, iso in isos:
-        g = witnesses.get((i, k, iso))
-        for j, inclusion in above[k]:
-            m = modp.mat_mul(inclusion, iso, p)
-            mats.setdefault((i, j), []).append(m)
-            if g is not None:
-                composed[(i, j, m)] = g
-    homs = {
-        (i, j): tuple(
-            LinearMorphism(objects[i], objects[j], m) for m in sorted(mats[(i, j)])
+    def subring(self, presentation, embedding_choice: int = 0) -> ChromCategory:
+        """C_R of ``subrings.build_CR`` on these objects."""
+        from .subrings import _restriction_test  # subrings builds on this module
+
+        test = _restriction_test(presentation, self.objects, embedding_choice)
+        isos = {
+            (i, k): [m for m in self._gl(w.rank) if test(i, k, m)]
+            for i, w in enumerate(self.objects)
+            for k, u in enumerate(self.objects)
+            if w.rank == u.rank
+        }
+        return self._category(None, "subring", isos, {})
+
+    def _category(self, level, kind, isos, witnesses=None) -> ChromCategory:
+        if witnesses is None:
+            witnesses = self.scan.witnesses
+        return ChromCategory(
+            self.group, self.p, level, kind, self.objects, isos, witnesses, self.poset
         )
-        for i, j in sorted(mats)
-    }
-    return homs, composed
 
+    def _gl(self, r: int) -> tuple:
+        """Every invertible r x r matrix over F_p, sorted; one tuple per rank
+        is shared by every pair that keeps them all."""
+        if r not in self._gls:
+            self._gls[r] = tuple(sorted(modp.enumerate_injective_matrices(r, r, self.p)))
+        return self._gls[r]
 
-def _category(group, p, n) -> ChromCategory:
-    """A^(n) from one conjugation scan; n None gives the Quillen category."""
-    scan = _conjugation_scan(group, p)
-    isos = scan.isos if n is None else _level_isos(group, p, scan, n)
-    homs, witnesses = _with_inclusions(p, scan.objects, isos, scan.isos)
-    kind = "quillen" if n is None else "level"
-    return ChromCategory(group, p, n, kind, scan.objects, homs, witnesses)
+    def _level_isos(self, n: int) -> dict:
+        """Iso_n(W_i, U_k) as {(i, k): matrices}.
+
+        Iso_Q when rank W <= n; every invertible matrix when n = 0.  Otherwise
+        column j must be a conjugate in U of the j-th basis element of W, and
+        a choice of columns is kept when it carries the basis of every rank-n
+        object S <= W into S's orbit.  Such a matrix is invertible, because
+        every nonzero vector of W lies in some S, on which it is a
+        conjugation.
+        """
+        group, p, objects = self.group, self.p, self.objects
+        isos, orbits = self.scan.isos, self.scan.orbits
+        if n >= self.rank:
+            return isos
+        kept = {key: ms for key, ms in isos.items() if objects[key[0]].rank <= n}
+        by_rank = {}
+        for k, u in enumerate(objects):
+            by_rank.setdefault(u.rank, []).append(k)
+        conjugates = {}
+        tested = 0
+        for r, members in sorted(by_rank.items()):
+            if r <= n:
+                continue
+            if n == 0:
+                kept.update(((i, k), self._gl(r)) for i in members for k in members)
+                continue
+            for i in members:
+                w = objects[i]
+                subs = [
+                    (orbits[s], [w.coordinates(b) for b in objects[s].basis])
+                    for s in by_rank[n]
+                    if objects[s].elements <= w.elements
+                ]
+                for b in w.basis:
+                    if b not in conjugates:
+                        conjugates[b] = {group.conjugate(b, g) for g in group.elements()}
+                for k in members:
+                    u = objects[k]
+                    choices = [
+                        [u.coordinates(x) for x in sorted(u.elements & conjugates[b])]
+                        for b in w.basis
+                    ]
+                    mats = []
+                    for columns in itertools.product(*choices):
+                        tested += 1
+                        m = tuple(zip(*columns))
+                        if all(
+                            tuple(u.element_at(modp.mat_vec(m, c, p)) for c in coords)
+                            in orbit
+                            for orbit, coords in subs
+                        ):
+                            mats.append(m)
+                    if mats:
+                        kept[(i, k)] = mats
+                        self.stats["level_kept"] += len(mats)
+        self.stats["level_candidates"] += tested
+        return kept
 
 
 def quillen_category(group: FiniteGroup, p: int) -> ChromCategory:
     """The category generated by inclusions and conjugations, built directly."""
-    return _category(group, p, None)
+    return Fusion(group, p).quillen()
 
 
 def build_category(group: FiniteGroup, p: int, n: Level) -> ChromCategory:
     """The level-n category; n = 0 keeps every injective homomorphism."""
-    if n is None or n == math.inf:
-        return quillen_category(group, p)
-    if n < 0:
-        raise GroupError("level must be >= 0")
-    return _category(group, p, n)
+    return Fusion(group, p).category(n)
 
 
 # -- skeleton reports ---------------------------------------------------------
@@ -381,10 +486,10 @@ class SkeletonReport:
 
 
 def iso_classes(cat: ChromCategory) -> list[list[int]]:
-    """Object indices grouped into isomorphism classes, each sorted."""
-    objects = cat.objects
-    n = len(objects)
-    parent = list(range(n))
+    """Object indices grouped into isomorphism classes: the components of
+    the relation "Iso(i, k) is nonempty", each sorted, ordered by least
+    member."""
+    parent = list(range(len(cat.objects)))
 
     def find(x):
         while parent[x] != x:
@@ -392,26 +497,19 @@ def iso_classes(cat: ChromCategory) -> list[list[int]]:
             x = parent[x]
         return x
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if objects[i].rank != objects[j].rank:
-                continue
-            if find(i) == find(j):
-                continue
-            back = cat.hom_matrices(j, i)
-            for f in cat.hom(i, j):
-                inv = modp.mat_inverse(f.matrix, cat.p)
-                if inv in back:
-                    parent[find(j)] = find(i)
-                    break
+    for i, k in cat.isos:
+        parent[find(k)] = find(i)
     classes = {}
-    for i in range(n):
+    for i in range(len(parent)):
+        # a class is met first at its least member
         classes.setdefault(find(i), []).append(i)
-    return [sorted(v) for _, v in sorted(classes.items())]
+    return list(classes.values())
 
 
 def skeleton(cat: ChromCategory) -> SkeletonReport:
-    """Object classes under isomorphism in the category, with orbit data."""
+    """Object classes under isomorphism in the category, with orbit data.
+
+    Only the hom-sets between class representatives are composed."""
     groups = iso_classes(cat)
     if len(groups) > 1:
         groups = [g for g in groups if cat.objects[g[0]].rank > 0]
@@ -419,8 +517,7 @@ def skeleton(cat: ChromCategory) -> SkeletonReport:
     reps = []
     for members in groups:
         rep = members[0]
-        auts = cat.hom(rep, rep)
-        mats = [f.matrix for f in auts]
+        mats = cat.iso(rep, rep)
         abelian = all(
             modp.mat_mul(a, b, cat.p) == modp.mat_mul(b, a, cat.p)
             for a in mats
@@ -435,7 +532,7 @@ def skeleton(cat: ChromCategory) -> SkeletonReport:
                 rank=cat.objects[rep].rank,
                 representative=rep,
                 members=tuple(members),
-                aut_order=len(auts),
+                aut_order=len(mats),
                 aut_abelian=abelian,
                 aut_exponent=exponent,
             )
@@ -446,17 +543,13 @@ def skeleton(cat: ChromCategory) -> SkeletonReport:
         for ti, trep in enumerate(reps):
             if si == ti:
                 continue
-            hom = cat.hom(srep, trep)
+            hom = cat.composites(srep, trep)
             if not hom:
                 continue
-            aut_t = [f.matrix for f in cat.hom(trep, trep)]
-            aut_s = [f.matrix for f in cat.hom(srep, srep)]
-            orbits = _orbit_decomposition(
-                [f.matrix for f in hom], aut_t, [], cat.p
-            )
-            two_sided = _orbit_decomposition(
-                [f.matrix for f in hom], aut_t, aut_s, cat.p
-            )
+            aut_t = cat.iso(trep, trep)
+            aut_s = cat.iso(srep, srep)
+            orbits = _orbit_decomposition(hom, aut_t, (), cat.p)
+            two_sided = _orbit_decomposition(hom, aut_t, aut_s, cat.p)
             report.edges.append(
                 SkeletonEdge(
                     source=si,
@@ -507,13 +600,16 @@ class HomChainReport:
 
 
 def hom_chain_report(group: FiniteGroup, p: int) -> HomChainReport:
-    objects = enumerate_elem_abelians(group, p)
-    rank = max(v.rank for v in objects)
-    cats = {n: build_category(group, p, n) for n in range(1, rank + 2)}
+    """Strictness of A^(n) >= A^(n+1) for 1 <= n <= p-rank, and the first
+    level equal to the Quillen category, from one Fusion: only the levels
+    below the p-rank test candidates."""
+    fusion = Fusion(group, p)
+    rank = fusion.rank
+    cats = {n: fusion.category(n) for n in range(1, rank + 2)}
     strict = {
         n: not cats[n].equals(cats[n + 1]) for n in range(1, rank + 1)
     }
-    quillen = quillen_category(group, p)
+    quillen = fusion.quillen()
     stab = next(
         (n for n in range(1, rank + 2) if cats[n].equals(quillen)), rank + 1
     )
@@ -535,9 +631,8 @@ def witness_scan(
         if group.order > order_cap:
             skipped.append({"name": name, "order": group.order})
             continue
-        strict = not build_category(group, p, n).equals(
-            build_category(group, p, n + 1)
-        )
+        fusion = Fusion(group, p)
+        strict = not fusion.category(n).equals(fusion.category(n + 1))
         checked.append({"name": name, "order": group.order, "strict": strict})
         if strict:
             found.append(name)

@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from .categories import (
+    Fusion,
     build_category,
     hom_chain_report,
     quillen_category,
@@ -35,7 +36,6 @@ from .library import (
 from .polyfp import parse_poly
 from .subrings import (
     SubringPresentation,
-    build_CR,
     sylow_elem_abelian,
     weyl_action,
 )
@@ -230,12 +230,12 @@ def cmd_cr(args):
         presentation = SubringPresentation(sylow, weyl, gens, name=name)
     except ValueError as exc:  # an inhomogeneous or non-invariant generator
         raise UsageError(str(exc)) from exc
-    cat = build_CR(group, presentation)
-    rank = max(v.rank for v in cat.objects)
+    fusion = Fusion(group, 2)
+    cat = fusion.subring(presentation)
     comparisons = {}
-    for n in range(0, rank + 1):
-        comparisons["A^(%d)" % n] = cat.equals(build_category(group, 2, n))
-    comparisons["quillen"] = cat.equals(quillen_category(group, 2))
+    for n in range(0, fusion.rank + 1):
+        comparisons["A^(%d)" % n] = cat.equals(fusion.category(n))
+    comparisons["quillen"] = cat.equals(fusion.quillen())
     payload = {
         "group": group.name,
         "subring": name,

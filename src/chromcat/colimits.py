@@ -36,8 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .categories import ChromCategory, build_category, iso_classes
-from .elemab import ElemAbelian, _span, enumerate_elem_abelians, injective_hom_count
+from .categories import ChromCategory, Fusion, iso_classes
+from .elemab import ElemAbelian, _span, injective_hom_count
 from .fqfield import GF
 from .groups import FiniteGroup
 
@@ -175,11 +175,12 @@ def colim_points(cat: ChromCategory, q: int) -> ColimResult:
     n = len(cat.objects)
     counts = [q ** v.rank for v in cat.objects]
     reps, sizes, orbits, to_least = [], [], {}, [None] * n
-    for members in sorted(iso_classes(cat)):
+    for members in iso_classes(cat):
         least = members[0]
         rank = cat.objects[least].rank
-        auts = cat.hom_matrices(least, least)
-        size = sum(len(cat.hom_matrices(least, j)) for j in range(n))
+        auts = cat.iso(least, least)
+        # Hom(U, V) is Iso(U, U_k) followed by U_k <= V, one V per object above U_k
+        size = sum(len(cat.iso(least, k)) * len(cat.above[k]) for k in members)
         orbit = orbits[least] = {}
         found = 0
         for pt in f.full_support_points(rank):
@@ -196,7 +197,7 @@ def colim_points(cat: ChromCategory, q: int) -> ColimResult:
                 % least
             )
         for s in members:
-            to_least[s] = (least, cat.hom(s, least)[0].matrix)
+            to_least[s] = (least, cat.iso(s, least)[0])
     if sum(sizes) != sum(counts):
         raise AssertionError("colimit classes do not partition the points")
     return ColimResult(
@@ -238,13 +239,15 @@ def filtration_tower(group: FiniteGroup, p: int, q: int) -> FiltrationTower:
 
     Hom-sets grow as n decreases, so each level's partition refines the next
     lower level's; the connecting map sends a level-(n+1) class to the
-    level-n class of its representative and is checked surjective.
+    level-n class of its representative and is checked surjective.  One
+    Fusion builds every level.
     """
-    ranks = [v.rank for v in enumerate_elem_abelians(group, p)]
-    top = max(max(ranks), 1)
-    levels = []
-    for n in range(top, 0, -1):
-        levels.append((n, colim_points(build_category(group, p, n), q)))
+    fusion = Fusion(group, p)
+    ranks = [v.rank for v in fusion.objects]
+    levels = [
+        (n, colim_points(fusion.category(n), q))
+        for n in range(max(fusion.rank, 1), 0, -1)
+    ]
     surjections = []
     for (n_hi, hi), (n_lo, lo) in zip(levels, levels[1:]):
         # a class rep has full support in its own object: no support to find
@@ -264,13 +267,12 @@ def filtration_tower(group: FiniteGroup, p: int, q: int) -> FiltrationTower:
 def component_count(cat: ChromCategory) -> int:
     """Isomorphism classes of maximal objects (no morphism to larger rank).
 
-    Maximality is invariant under isomorphism, so each class is tested
-    through its representative.
+    A morphism out of U reaches a larger object exactly when some U_k
+    isomorphic to U lies below another object, so maximality is read off
+    the inclusion poset.
     """
-    n = len(cat.objects)
-
-    def maximal(i):
-        rank = cat.objects[i].rank
-        return not any(cat.hom(i, j) and cat.objects[j].rank > rank for j in range(n))
-
-    return sum(1 for members in iso_classes(cat) if maximal(members[0]))
+    return sum(
+        1
+        for members in iso_classes(cat)
+        if all(len(cat.above[k]) == 1 for k in members)
+    )

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from . import modp
-from .categories import ChromCategory, _isos_passing, _with_inclusions
+from .categories import ChromCategory, Fusion
 from .elemab import (
     ElemAbelian,
     LinearMorphism,
@@ -152,19 +152,23 @@ def build_CR(
     generators are Weyl-invariant, so the inclusion U <= V pulls Res_V back
     to Res_U.
     """
-    p = presentation.p
-    objects = enumerate_elem_abelians(group, p)
-    res = {v: _restrictions(presentation, v, embedding_choice) for v in objects}
+    return Fusion(group, presentation.p).subring(presentation, embedding_choice)
 
-    def restricts(f):
-        pullback = modp.transpose(f.matrix)
+
+def _restriction_test(
+    presentation: SubringPresentation, objects: Sequence[ElemAbelian], choice: int
+):
+    """test(i, k, matrix): does the isomorphism objects[i] -> objects[k]
+    pull Res back to Res on every generator?"""
+    res = [_restrictions(presentation, v, choice) for v in objects]
+
+    def restricts(i, k, matrix):
+        pullback = modp.transpose(matrix)
         return all(
-            rv.substitute_linear(pullback) == rw
-            for rv, rw in zip(res[f.target], res[f.source])
+            rv.substitute_linear(pullback) == rw for rv, rw in zip(res[k], res[i])
         )
 
-    homs, _ = _with_inclusions(p, objects, _isos_passing(objects, restricts), {})
-    return ChromCategory(group, p, None, "subring", objects, homs, {})
+    return restricts
 
 
 def distinguishing_generator(

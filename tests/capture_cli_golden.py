@@ -11,8 +11,12 @@ it keeps ``category --format json`` at each level 0..p-rank and at ``inf``,
 ``colim -q p --tower``, ``colim -q p -n 1`` and ``colim -q p^2 --tower``.
 At q = p no point of rank >= 2 has F_p-independent coordinates, so the
 q = p^2 towers are the reports whose colimit classes hold points of rank
->= 2.  x32 keeps only its ``category -n inf`` and q = p^2 tower reports:
-its other category levels take seconds each.  Each report is written to
+>= 2.  x32 keeps only its ``category -n inf``, q = p^2 tower and ``stab``
+reports: its other category levels take seconds each.  Every group and
+prime also keeps ``stab``.  Beyond the per-group reports it keeps ``cr``
+for a4 and a5 with the unit subring and with the Chern and full generator
+sets of ``tests/golden/generators/``, and ``witness`` over the bundled
+library at (p, n) = (2, 1), (2, 2) and (3, 1).  Each report is written to
 ``tests/golden/cli/<case>.json``.
 """
 
@@ -27,6 +31,7 @@ from chromcat import builtin_names, load_builtin, p_rank
 from chromcat.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "cli"
+GENERATOR_DIR = Path(__file__).parent / "golden" / "generators"
 MAX_ORDER = 64
 INF_ONLY = ("x32",)
 
@@ -55,6 +60,7 @@ def cases():
                     "%s-p%d-category-n%s" % (name, p, level),
                     ["category", *common, "--format", "json", "-n", level],
                 ))
+            out.append(("%s-p%d-stab" % (name, p), ["stab", *common]))
             out.append((
                 "%s-p%d-colim-q%d-tower" % (name, p, p * p),
                 ["colim", *common, "-q", str(p * p), "--tower"],
@@ -69,6 +75,17 @@ def cases():
                 "%s-p%d-colim-n1" % (name, p),
                 ["colim", *common, "-q", str(p), "-n", "1"],
             ))
+    for name in ("a4", "a5"):
+        out.append(("%s-cr-unit" % name, ["cr", "-g", name]))
+        for subring in ("chern", "full"):
+            out.append((
+                "%s-cr-%s" % (name, subring),
+                ["cr", "-g", name, "--generators", str(GENERATOR_DIR / (subring + ".json"))],
+            ))
+    for p, n in ((2, 1), (2, 2), (3, 1)):
+        out.append((
+            "witness-p%d-n%d" % (p, n), ["witness", "-p", str(p), "-n", str(n)]
+        ))
     return out
 
 

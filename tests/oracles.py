@@ -13,7 +13,12 @@ closure's generator steps.  The all-pairs category
 builders below share the level test and the enumeration of injective maps
 with the library, but test every injective map W -> V for every pair of
 objects and scan all of G for every pair, where the library composes
-isomorphisms onto the image with inclusions.
+isomorphisms onto the image with inclusions.  ``with_inclusions``
+multiplies every such composite out into a morphism, where the library
+composes a hom-set only when asked for it, and ``inverse_iso_classes``
+joins two objects when some morphism has its inverse matrix among the
+morphisms back, where the library takes the components of the nonempty
+Iso relation.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from chromcat import (
     is_level_n_morphism,
     modp,
 )
+from chromcat.elemab import conjugation_matrix
 
 
 def brute_simultaneous_conjugacy(group, a, b):
@@ -440,3 +446,65 @@ def naive_cayley_table(degree, generators):
         tuple(index[tuple(a[b[i]] for i in range(degree))] for b in elements)
         for a in elements
     )
+
+
+def with_inclusions(p, objects, isos, witnesses):
+    """Hom(W, V) as the union over U <= V of Iso(W, U) followed by U <= V,
+    every composite made a LinearMorphism.
+
+    ``isos`` is an iterable of (i, k, matrix).  Distinct (U, iso) pairs give
+    distinct composites, whose image is U.  An iso with an entry in
+    ``witnesses`` passes its conjugating g on to each composite.  Returns
+    (homs, witnesses) keyed as the all-pairs builders key them.
+    """
+    above = [
+        [(j, conjugation_matrix(u, v, 0))
+         for j, v in enumerate(objects) if u.elements <= v.elements]
+        for u in objects
+    ]
+    mats = {}
+    composed = {}
+    for i, k, iso in isos:
+        g = witnesses.get((i, k, iso))
+        for j, inclusion in above[k]:
+            m = modp.mat_mul(inclusion, iso, p)
+            mats.setdefault((i, j), []).append(m)
+            if g is not None:
+                composed[(i, j, m)] = g
+    homs = {
+        (i, j): tuple(
+            LinearMorphism(objects[i], objects[j], m) for m in sorted(mats[(i, j)])
+        )
+        for i, j in sorted(mats)
+    }
+    return homs, composed
+
+
+def inverse_iso_classes(objects, homs, p):
+    """Object indices grouped into isomorphism classes, each sorted: i and j
+    of equal rank are joined when some f in Hom(i, j) has its inverse matrix
+    in Hom(j, i)."""
+    n = len(objects)
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if objects[i].rank != objects[j].rank:
+                continue
+            if find(i) == find(j):
+                continue
+            back = {f.matrix for f in homs.get((j, i), ())}
+            for f in homs.get((i, j), ()):
+                if modp.mat_inverse(f.matrix, p) in back:
+                    parent[find(j)] = find(i)
+                    break
+    classes = {}
+    for i in range(n):
+        classes.setdefault(find(i), []).append(i)
+    return [sorted(v) for _, v in sorted(classes.items())]

@@ -1,16 +1,25 @@
 from __future__ import annotations
 
+from pathlib import Path
+
+import pytest
+
 from chromcat import (
+    Fusion,
     build_category,
+    filtration_tower,
     hom_chain_report,
     injective_homs,
     is_level_n_morphism,
     skeleton,
     witness_scan,
 )
+from chromcat.cli import main
 from chromcat.elemab import LinearMorphism
 from conftest import category, group
 from oracles import level_oracle_all_tuples
+
+GENERATORS = Path(__file__).parent / "golden" / "generators"
 
 
 def _a4_rank_objects():
@@ -131,13 +140,13 @@ def test_witness_cache_induces_morphisms():
         q = category(name, p, None)
         g = q.group
         for (i, j, f) in q.iter_morphisms():
-            wit = q.witnesses[(i, j, f.matrix)]
+            wit = q.witness(i, j, f.matrix)
             for x in f.source.elements:
                 assert g.conjugate(x, wit) == f(x)
         # level categories carry the same conjugation witnesses
         lvl = category(name, p, 1)
-        for key, wit in q.witnesses.items():
-            assert lvl.witnesses[key] == wit
+        for (i, j, f) in q.iter_morphisms():
+            assert lvl.witness(i, j, f.matrix) == q.witness(i, j, f.matrix)
 
 
 def test_prime_not_dividing_order():
@@ -163,3 +172,56 @@ def test_odd_prime_witness():
     g = group("e9sl23")
     assert g.order == 216
     assert not build_category(g, 3, 1).equals(build_category(g, 3, 2))
+
+
+@pytest.fixture
+def fusions(monkeypatch):
+    """Every Fusion made while the test runs."""
+    made = []
+    init = Fusion.__init__
+
+    def recording(self, group, p):
+        init(self, group, p)
+        made.append(self)
+
+    monkeypatch.setattr(Fusion, "__init__", recording)
+    return made
+
+
+def _scans(fusions):
+    """Scans run per (group name, p)."""
+    out = {}
+    for f in fusions:
+        key = (f.group.name, f.p)
+        out[key] = out.get(key, 0) + f.stats["scans"]
+    return out
+
+
+def test_hom_chain_report_scans_once(fusions):
+    hom_chain_report(group("a4"), 2)
+    assert _scans(fusions) == {("A4", 2): 1}
+    # A^(1) tests the 3 x 3 column choices on the Klein four and keeps the 6
+    # of GL_2(2); A^(2) and A^(3) are Quillen's and test none
+    assert fusions[0].stats == {
+        "objects": 5, "scans": 1, "level_candidates": 9, "level_kept": 6,
+    }
+    hom_chain_report(group("s5"), 2)
+    assert _scans(fusions) == {("A4", 2): 1, ("S5", 2): 1}
+
+
+def test_filtration_tower_scans_once(fusions):
+    filtration_tower(group("s4"), 2, 4)
+    assert _scans(fusions) == {("S4", 2): 1}
+
+
+def test_witness_scan_scans_once_per_checked_group(fusions):
+    lib = [("A4", group("a4")), ("C2", group("c2")), ("A6", group("a6"))]
+    result = witness_scan(lib, 2, 1, order_cap=100)
+    assert [c["name"] for c in result["checked"]] == ["A4", "C2"]
+    assert _scans(fusions) == {("A4", 2): 1, ("C2", 2): 1}
+
+
+def test_cli_cr_scans_once(fusions, capsys):
+    assert main(["cr", "-g", "a5", "--generators", str(GENERATORS / "chern.json")]) == 0
+    assert capsys.readouterr().err == ""
+    assert _scans(fusions) == {("A5", 2): 1}

@@ -103,8 +103,8 @@ def test_monotone_in_level():
 
 
 def test_relation_closure_idempotent():
-    # duplicating morphisms (here: adding a subcategory's morphisms back in)
-    # cannot change the quotient
+    # duplicating morphisms (here: listing every isomorphism twice, which
+    # repeats every composite) cannot change the quotient
     from chromcat.categories import ChromCategory
 
     base = category("a4", 2, 1)
@@ -114,8 +114,8 @@ def test_relation_closure_idempotent():
         base.level,
         base.kind,
         base.objects,
-        {key: fs + fs for key, fs in base.homs.items()},
-        base.witnesses,
+        {key: mats + mats for key, mats in base.isos.items()},
+        base.iso_witnesses,
     )
     for q in (2, 4):
         assert colim_points(base, q).size == colim_points(doubled, q).size
@@ -130,6 +130,10 @@ def test_component_counts():
     # A5's five Klein fours are all conjugate: one class of maximal objects
     assert component_count(category("a5", 2, None)) == 1
     assert component_count(category("s4", 2, None)) == 2
+    # at level 0 the rank-2 subgroups of C3 wr C3 not in the rank-3 base
+    # are isomorphic to those in it, so they are not maximal: only the base
+    # counts
+    assert component_count(category("c3wrc3", 3, 0)) == 1
 
 
 def test_rank2_orbits_stay_separate():
@@ -185,7 +189,8 @@ def test_class_of_matches_union_find_on_every_point(name, p):
 
 
 def test_duplicated_morphisms_match_union_find():
-    # a class is sized by distinct matrices, so repeated morphisms change nothing
+    # a class is sized by distinct matrices, so repeated isomorphisms, and
+    # with them repeated composites, change nothing
     base = category("a4", 2, 1)
     doubled = ChromCategory(
         base.group,
@@ -193,8 +198,8 @@ def test_duplicated_morphisms_match_union_find():
         base.level,
         base.kind,
         base.objects,
-        {key: fs + fs for key, fs in base.homs.items()},
-        base.witnesses,
+        {key: mats + mats for key, mats in base.isos.items()},
+        base.iso_witnesses,
     )
     for q in (2, 4, 8):
         assert colim_points(doubled, q).to_dict() == union_find_colim(base, q).to_dict()

@@ -5,7 +5,11 @@ agreement of the factorized builders with the all-pairs oracle, category
 axioms at every level, monotonicity of hom-sets in the level,
 agreement with the conjugation category at the p-rank, the elementwise
 characterization of level 1, and agreement of the subgroup-reduction level
-test with the all-tuples brute force (order <= 32, n <= 3).  A hypothesis
+test with the all-tuples brute force (order <= 32, n <= 3).  The lazily
+composed hom-sets, morphism counts, isomorphism classes, equality and
+witnesses are checked against every composite multiplied out, at every
+level, Quillen and C_R for A_4 and A_5, and the all-pairs oracle also runs
+at A^(1) and Quillen on three groups beyond order 64.  A hypothesis
 property compares the builders with the all-pairs oracle on random
 permutation groups of degree <= 6, beyond the fixed library, and another
 compares their colimits and towers at q = p^2 with the union-find oracle.
@@ -35,15 +39,18 @@ from chromcat import (
     parse_poly,
     quillen_category,
 )
+from chromcat.categories import iso_classes
 from chromcat.subrings import SubringPresentation
 from conftest import ORACLE_LIBRARY, SMALL_LIBRARY, category, group
 from oracles import (
     a1_elementwise,
     all_pairs_CR,
     all_pairs_category,
+    inverse_iso_classes,
     level_oracle_all_tuples,
     union_find_colim,
     union_find_tower,
+    with_inclusions,
 )
 
 PRIMES = (2, 3)
@@ -237,12 +244,18 @@ def test_rank_reduction_matches_all_tuples_oracle(name, p):
 
 def _check_against_all_pairs(cat, objects, homs, witnesses):
     assert cat.objects == tuple(objects)
-    assert set(cat.homs) == set(homs)
-    for key, fs in cat.homs.items():
+    composed = cat.homs
+    assert set(composed) == set(homs)
+    for key, fs in composed.items():
         mats = [f.matrix for f in fs]
         assert mats == sorted(set(mats)), key  # sorted, without repeats
         assert set(mats) == {f.matrix for f in homs[key]}, key
-    assert cat.witnesses == witnesses
+    found = {
+        (i, j, f.matrix): cat.witness(i, j, f.matrix)
+        for (i, j), fs in composed.items()
+        for f in fs
+    }
+    assert {key: g for key, g in found.items() if g is not None} == witnesses
 
 
 @pytest.mark.parametrize("name,p", _cases())
@@ -250,6 +263,69 @@ def test_factorized_builders_match_all_pairs_oracle(name, p):
     g = group(name)
     for n in list(range(_p_rank_of(name, p) + 1)) + [None]:
         _check_against_all_pairs(category(name, p, n), *all_pairs_category(g, p, n))
+
+
+# Beyond the order-64 library; each costs 0.5-3 s per level in the all-pairs
+# oracle, so only A^(1), the first level that tests candidates, and Quillen.
+@pytest.mark.parametrize("name,p", [("s5", 2), ("e9sl23", 3), ("c3wrc3", 3)])
+def test_factorized_builders_match_all_pairs_oracle_beyond_order_64(name, p):
+    g = group(name)
+    for n in (1, None):
+        _check_against_all_pairs(category(name, p, n), *all_pairs_category(g, p, n))
+
+
+def _materialized(cat):
+    """{(i, j): sorted composite matrices} multiplied out by the oracle,
+    after checking the lazy category against it: every hom-set in order
+    and without repeats, the morphism count, the isomorphism classes, and
+    each composite's witness, which must induce it."""
+    triples = [(i, k, m) for (i, k), mats in cat.isos.items() for m in mats]
+    homs, witnesses = with_inclusions(cat.p, cat.objects, triples, cat.iso_witnesses)
+    size = len(cat.objects)
+    for i in range(size):
+        for j in range(size):
+            lazy = [f.matrix for f in cat.hom(i, j)]
+            assert lazy == [f.matrix for f in homs.get((i, j), ())], (i, j)
+            assert lazy == sorted(set(lazy)), (i, j)
+    assert cat.morphism_count() == sum(len(fs) for fs in homs.values())
+    assert iso_classes(cat) == inverse_iso_classes(cat.objects, homs, cat.p)
+    for (i, j), fs in homs.items():
+        for f in fs:
+            g = witnesses.get((i, j, f.matrix))
+            assert cat.witness(i, j, f.matrix) == g, (i, j, f.matrix)
+            if g is not None:
+                assert all(
+                    cat.group.conjugate(x, g) == f(x) for x in f.source.elements
+                )
+    return {key: [f.matrix for f in fs] for key, fs in homs.items()}
+
+
+def _check_equals_against_materialized(cats):
+    composed = [_materialized(cat) for cat in cats]
+    for (a, ha), (b, hb) in itertools.combinations(zip(cats, composed), 2):
+        assert a.equals(b) == (ha == hb), (a, b)
+
+
+@pytest.mark.parametrize("name,p", [
+    (name, p)
+    for name in SMALL_LIBRARY
+    for p in (2, 3, 5)
+    if group(name).order % p == 0
+])
+def test_lazy_homs_match_materialized_composites(name, p):
+    levels = list(range(_p_rank_of(name, p) + 1)) + [None]
+    _check_equals_against_materialized([category(name, p, n) for n in levels])
+
+
+@pytest.mark.parametrize("name", ["a4", "a5"])
+def test_lazy_subring_homs_match_materialized_composites(name):
+    g = group(name)
+    cats = [category(name, 2, n) for n in range(p_rank(g, 2) + 1)] + [
+        category(name, 2, None)
+    ]
+    for gens in ([], [D1 ** 2, D0 ** 2], [D1, D0, ETA]):
+        cats.append(build_CR(g, SubringPresentation.for_group(g, gens)))
+    _check_equals_against_materialized(cats)
 
 
 @st.composite
