@@ -26,7 +26,6 @@ from .colimits import (
     colim_points,
     component_count,
     filtration_tower,
-    fq_points,
 )
 from .demo import DemoFailure, a4_demo
 from .elemab import (
@@ -39,7 +38,6 @@ from .elemab import (
     p_rank,
 )
 from .fgl import FGL, honda_fgl, series_inverse
-from .fqfield import GF
 from .groups import (
     DEFAULT_ORDER_CAP,
     FiniteGroup,

@@ -141,9 +141,6 @@ class ChromCategory:
             self._targets.setdefault(i, []).append(k)
         self._homs = {}
 
-    def object_index(self, v: ElemAbelian) -> int:
-        return self.objects.index(v)
-
     def iso(self, i: int, k: int) -> tuple:
         return self.isos.get((i, k), ())
 

@@ -18,14 +18,12 @@ from .categories import (
     Fusion,
     build_category,
     hom_chain_report,
-    quillen_category,
     skeleton,
     witness_scan,
 )
-from .colimits import colim_points, component_count, filtration_tower
+from .colimits import FqError, colim_points, component_count, filtration_tower
 from .demo import DemoFailure, a4_demo
 from .elemab import enumerate_elem_abelians, p_rank
-from .fqfield import FqError
 from .groups import DEFAULT_ORDER_CAP, GroupError
 from .library import (
     builtin_names,
@@ -100,10 +98,11 @@ def _parse_degree(value):
     return d
 
 
-def _category_for(group, p, level):
-    if level is None:
-        return quillen_category(group, p)
-    return build_category(group, p, level)
+def _parse_order(value):
+    n = int(value)
+    if n < 1:
+        raise argparse.ArgumentTypeError("max order must be >= 1")
+    return n
 
 
 # -- commands -------------------------------------------------------------------
@@ -149,7 +148,7 @@ def cmd_elemab(args):
 
 def cmd_category(args):
     group = _load_group(args)
-    cat = _category_for(group, args.p, args.n)
+    cat = build_category(group, args.p, args.n)
     report = skeleton(cat)
     if args.format == "dot":
         _emit(args, report.to_dot())
@@ -192,7 +191,7 @@ def cmd_colim(args):
         tower = filtration_tower(group, args.p, args.q)
         payload = {"group": group.name, "p": args.p, **tower.to_dict()}
     else:
-        cat = _category_for(group, args.p, args.n)
+        cat = build_category(group, args.p, args.n)
         res = colim_points(cat, args.q)
         payload = {
             "group": group.name,
@@ -342,7 +341,10 @@ def _build_parser():
 
     sp = sub.add_parser("colim", help="F_q-points of the colimit")
     common(sp)
-    sp.add_argument("-q", type=int, required=True, help="field size, a power of p")
+    sp.add_argument(
+        "-q", type=int, required=True,
+        help="field size, any power of p within the colimit work bound",
+    )
     which = sp.add_mutually_exclusive_group()
     which.add_argument("-n", type=_parse_level, default=None)
     which.add_argument("--tower", action="store_true", help="full filtration tower")
@@ -365,7 +367,7 @@ def _build_parser():
     common(sp, group=False)
     sp.add_argument("-n", type=int, default=1)
     sp.add_argument("--library", help="directory of group JSON files (default: bundled)")
-    sp.add_argument("--max-order", type=int, default=64)
+    sp.add_argument("--max-order", type=_parse_order, default=64)
     sp.set_defaults(func=cmd_witness)
 
     sp = sub.add_parser("a4-demo", help="run the A_4 worked example")

@@ -27,44 +27,67 @@ of full-support points of one isomorphism class [U]:
 Objects are sorted by rank, so the least point of a class lies in the least
 object U of [U]: the class walk below lists U's full-support points in
 lexicographic order, and each point not yet seen is the least point of its
-class.  Field elements are handled as their indices in ``GF.elements``; an
-F_p-matrix applied to a point needs only addition and F_p-scaling, read from
-two tables.
+class.  A field element is its m coordinates in F_p, named by the integer
+they spell as base-p digits; an F_p-matrix applied to a point needs only
+addition and F_p-scaling, read from two tables.  Only that vector space is
+used, never the field multiplication, so q may be any power of p.  The work
+still grows with q: WORK_BOUND caps the q^2 addition-table entries plus the
+full-support points walked, and a larger request is refused before any table
+is built.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 from .categories import ChromCategory, Fusion, iso_classes
-from .elemab import ElemAbelian, _span, injective_hom_count
-from .fqfield import GF
+from .elemab import _span, injective_hom_count
 from .groups import FiniteGroup
 
+# Most addition-table entries plus full-support points one colimit may use.
+WORK_BOUND = 2 ** 20
 
-def fq_points(v: ElemAbelian, q: int) -> list[tuple]:
-    """All q^rank coordinate vectors of V over F_q, in lexicographic order."""
-    field = GF.of_size(q, v.p)
-    points = [()]
-    for _ in range(v.rank):
-        points = [pt + (e,) for pt in points for e in field.elements]
-    return points
+
+class FqError(ValueError):
+    pass
+
+
+def q_to_pm(q: int, p: int) -> int:
+    """The exponent m with q = p^m, or raise."""
+    m = 0
+    n = q
+    while n > 1:
+        if n % p:
+            raise FqError("%d is not a power of %d" % (q, p))
+        n //= p
+        m += 1
+    if m == 0:
+        raise FqError("field size must be at least p")
+    return m
 
 
 class _IndexedField:
-    """F_q with elements named by their index in ``GF.elements``.
+    """F_q as F_p^m, each element named by its coordinates read as base-p
+    digits (the index of the coordinate tuple in ``itertools.product`` order).
 
-    A point of rank r is a tuple of r indices; its point index (its position
-    in ``fq_points``) reads them as base-q digits.
+    A point of rank r is a tuple of r element names; its point index reads
+    them as base-q digits.
     """
 
-    def __init__(self, q: int, p: int):
-        gf = GF.of_size(q, p)
-        index = {e: k for k, e in enumerate(gf.elements)}
-        self.p, self.m, self.q = p, gf.m, q
-        self.digits = gf.elements
-        self.add = [[index[gf.add(a, b)] for b in gf.elements] for a in gf.elements]
-        self.scale = [[index[gf.scalar(c, a)] for a in gf.elements] for c in range(p)]
+    def __init__(self, p: int, m: int):
+        self.p, self.m, self.q = p, m, p ** m
+        self.digits = tuple(itertools.product(range(p), repeat=m))
+        index = {e: k for k, e in enumerate(self.digits)}
+        self.add = [
+            [index[tuple((x + y) % p for x, y in zip(a, b))] for b in self.digits]
+            for a in self.digits
+        ]
+        self.scale = [
+            [index[tuple(c * x % p for x in a)] for a in self.digits]
+            for c in range(p)
+        ]
 
     def apply(self, matrix: tuple, pt: tuple) -> tuple:
         """The point matrix . pt."""
@@ -171,11 +194,22 @@ class ColimResult:
 
 def colim_points(cat: ChromCategory, q: int) -> ColimResult:
     """The colimit's F_q-points, one Aut-orbit walk per isomorphism class."""
-    f = _IndexedField(q, cat.p)
+    m = q_to_pm(q, cat.p)
+    classes = iso_classes(cat)
+    walked = sum(
+        math.prod(q - cat.p ** i for i in range(cat.objects[members[0]].rank))
+        for members in classes
+    )
+    if q * q + walked > WORK_BOUND:
+        raise FqError(
+            "q = %d needs %d addition-table entries and %d full-support points, "
+            "past the work bound %d on their sum" % (q, q * q, walked, WORK_BOUND)
+        )
+    f = _IndexedField(cat.p, m)
     n = len(cat.objects)
     counts = [q ** v.rank for v in cat.objects]
     reps, sizes, orbits, to_least = [], [], {}, [None] * n
-    for members in iso_classes(cat):
+    for members in classes:
         least = members[0]
         rank = cat.objects[least].rank
         auts = cat.iso(least, least)

@@ -338,9 +338,6 @@ class HopfExpr:
             out = out.circ_mul(self)
         return out
 
-    def grouplike_part(self) -> dict:
-        return {c: poly for (c, ms), poly in self.terms.items() if not ms}
-
     def render(self) -> str:
         if not self.terms:
             return "0"

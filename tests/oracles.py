@@ -2,9 +2,10 @@
 
 Nothing here shares code paths with the library's optimized implementations:
 the level oracle enumerates tuples, the subgroup oracle scans subsets, the
-colimit oracles apply every morphism to every F_q-point and merge by
-union-find or by relabelling until stable, where the library walks one
-Aut-orbit of full-support points per isomorphism class, and the
+colimit oracles apply every morphism to every F_q-point, with F_q as
+coordinate tuples of F_p^m added mod p, and merge by union-find or by
+relabelling until stable, where the library walks one Aut-orbit of
+full-support points per isomorphism class in base-p digit tables, and the
 polynomial oracles multiply and compose in full before truncating instead
 of dropping terms as products are formed, the injective-matrix enumerator
 tests each column by a rank computation instead of a span set, and the
@@ -124,18 +125,39 @@ def naive_quotient_size(n_nodes, pairs):
     return len(set(labels))
 
 
+def fq_elements(q, p):
+    """F_q as the vector space F_p^m: all coordinate m-tuples, in
+    lexicographic order."""
+    m = 0
+    while p ** m < q:
+        m += 1
+    if m == 0 or p ** m != q:
+        raise ValueError("%d is not a positive power of %d" % (q, p))
+    return list(itertools.product(range(p), repeat=m))
+
+
+def _fq_add(a, b, p):
+    return tuple((x + y) % p for x, y in zip(a, b))
+
+
+def _points(rank, elements):
+    pts = [()]
+    for _ in range(rank):
+        pts = [pt + (e,) for pt in pts for e in elements]
+    return pts
+
+
+def fq_points(v, q):
+    """All q^rank coordinate vectors of V over F_q, in lexicographic order."""
+    return _points(v.rank, fq_elements(q, v.p))
+
+
 def colim_size_naive(cat, q):
     """Recompute a colimit point count with independent field application and
     the naive closure above."""
-    from chromcat.fqfield import GF
-
-    field = GF.of_size(q, cat.p)
-    points = []
-    for v in cat.objects:
-        pts = [()]
-        for _ in range(v.rank):
-            pts = [pt + (e,) for pt in pts for e in field.elements]
-        points.append(pts)
+    elements = fq_elements(q, cat.p)
+    zero = elements[0]
+    points = [_points(v.rank, elements) for v in cat.objects]
     index = [{pt: k for k, pt in enumerate(pts)} for pts in points]
     offsets = []
     total = 0
@@ -148,10 +170,10 @@ def colim_size_naive(cat, q):
             for k, pt in enumerate(points[i]):
                 out = []
                 for row in f.matrix:
-                    acc = field.zero
+                    acc = zero
                     for c, x in zip(row, pt):
                         for _ in range(c):
-                            acc = field.add(acc, x)
+                            acc = _fq_add(acc, x, cat.p)
                     out.append(acc)
                 pairs.append((offsets[i] + k, offsets[j] + index[j][tuple(out)]))
     return naive_quotient_size(total, pairs)
@@ -201,16 +223,9 @@ class UnionFindColim:
 
 def union_find_colim(cat, q) -> UnionFindColim:
     """Union-find quotient of the disjoint object point sets by all morphisms."""
-    from chromcat.fqfield import GF
-
-    field = GF.of_size(q, cat.p)
-    ranks = [v.rank for v in cat.objects]
-    points = []
-    for r in ranks:
-        pts = [()]
-        for _ in range(r):
-            pts = [pt + (e,) for pt in pts for e in field.elements]
-        points.append(pts)
+    elements = fq_elements(q, cat.p)
+    m = len(elements[0])
+    points = [_points(v.rank, elements) for v in cat.objects]
     index = [{pt: k for k, pt in enumerate(pts)} for pts in points]
     offsets = []
     total = 0
@@ -224,7 +239,7 @@ def union_find_colim(cat, q) -> UnionFindColim:
             rows = f.matrix
             for k, pt in enumerate(points[i]):
                 image = tuple(
-                    _linear_combination(row, pt, field) for row in rows
+                    _linear_combination(row, pt, cat.p, m) for row in rows
                 )
                 uf.union(offsets[i] + k, offsets[j] + index[j][image])
 
@@ -248,12 +263,9 @@ def union_find_colim(cat, q) -> UnionFindColim:
     )
 
 
-def _linear_combination(row, pt, field):
-    acc = field.zero
-    for c, x in zip(row, pt):
-        if c:
-            acc = field.add(acc, field.scalar(c, x))
-    return acc
+def _linear_combination(row, pt, p, m):
+    """sum_k row[k] * pt[k] in F_p^m, coordinate by coordinate."""
+    return tuple(sum(c * x[t] for c, x in zip(row, pt)) % p for t in range(m))
 
 
 def union_find_tower(group, p, q) -> FiltrationTower:

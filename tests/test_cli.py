@@ -212,6 +212,26 @@ def test_input_errors_exit_two(capsys, tmp_path):
     code, out, err = run_cli(capsys, "cr", "--group", "a4", "--generators", str(nokey))
     assert code == 2
     assert out == "" and "generators" in err
+    # q must be a power of p, at least p, and within the colimit work bound;
+    # c3 at p=2 has only the trivial subgroup, so only the q^2 table term
+    # stops it
+    for argv, message in (
+        (("colim", "-g", "a4", "-q", "6"), "6 is not a power of 2"),
+        (("colim", "-g", "a4", "-p", "2", "-q", "9"), "9 is not a power of 2"),
+        (("colim", "-g", "a4", "-q", "1"), "field size must be at least p"),
+        (("colim", "-g", "e8", "-q", "1024"), "past the work bound 1048576"),
+        (("colim", "-g", "c3", "-p", "2", "-q", "1099511627776"),
+         "past the work bound 1048576"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert message in err, argv
+    # a library scan needs room for at least the trivial group
+    for bound in ("0", "-1"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["witness", "--max-order", bound])
+        assert exit_info.value.code == 2
+        assert "max order must be >= 1" in capsys.readouterr().err
 
 
 def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):

@@ -1,49 +1,26 @@
 from __future__ import annotations
 
-import itertools
-
 import pytest
 
 from chromcat import (
-    GF,
     colim_points,
     component_count,
     enumerate_elem_abelians,
     filtration_tower,
-    fq_points,
     p_rank,
     quillen_category,
 )
 from chromcat.categories import ChromCategory
-from chromcat.fqfield import FqError
+from chromcat.colimits import FqError, q_to_pm
 from conftest import SMALL_LIBRARY, category, group
-from oracles import colim_size_naive, union_find_colim, union_find_tower
-
-
-def test_field_tables():
-    for p, m in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2)]:
-        field = GF(p, m)
-        elems = field.elements
-        assert len(elems) == p ** m
-        # field axioms on the full multiplication table
-        for a in elems:
-            assert field.add(a, field.zero) == a
-            assert field.mul(a, field.one) == a
-            if a != field.zero:
-                assert field.mul(a, field.inverse(a)) == field.one
-        for a, b in itertools.product(elems, repeat=2):
-            assert field.mul(a, b) == field.mul(b, a)
-        # no zero divisors
-        nonzero = [a for a in elems if a != field.zero]
-        for a, b in itertools.product(nonzero, repeat=2):
-            assert field.mul(a, b) != field.zero
+from oracles import colim_size_naive, fq_points, union_find_colim, union_find_tower
 
 
 def test_q_must_be_power_of_p():
     with pytest.raises(FqError):
-        GF.of_size(6, 2)
+        q_to_pm(6, 2)
     with pytest.raises(FqError):
-        GF.of_size(9, 2)
+        q_to_pm(9, 2)
 
 
 def test_fq_point_counts():
@@ -61,6 +38,8 @@ def test_a4_colim_counts():
     assert colim_points(q_cat, 2).size == 2
     assert colim_points(c1, 2).size == 2
     assert colim_points(category("c1", 2, None), 2).size == 1
+    # at q = 32: 1 + 31 + 31*30/3 and 1 + 31 + 31*30/6
+    assert filtration_tower(group("a4"), 2, 32).sizes() == [342, 187]
 
 
 @pytest.mark.parametrize("name,p,q", [
@@ -139,7 +118,6 @@ def test_component_counts():
 def test_rank2_orbits_stay_separate():
     # nonzero rank-2 points in different Weyl orbits are not merged
     res = colim_points(category("a4", 2, None), 4)
-    field = GF(2, 2)
     pts = fq_points(category("a4", 2, None).objects[4], 4)
     # (1,0) scaled by the two primitive field elements lands in the same
     # C_3-orbit class only when the Weyl action carries one to the other
@@ -153,13 +131,15 @@ def test_rank2_orbits_stay_separate():
 
 def _oracle_cases():
     """(group, p, q) for every bundled group of order <= 64 and p in {2, 3}
-    dividing its order, at q = p, p^2 and p^3 (x32 up to p^2)."""
+    dividing its order, at q = p, p^2 and p^3 (x32 up to p^2), and a few
+    fields past p^3."""
     for name in SMALL_LIBRARY:
         for p in (2, 3):
             if group(name).order % p:
                 continue
             for e in (1, 2) if name == "x32" else (1, 2, 3):
                 yield name, p, p ** e
+    yield from [("a4", 2, 32), ("d8", 2, 32), ("s3", 3, 81), ("a5", 5, 125)]
 
 
 @pytest.mark.parametrize("name,p,q", list(_oracle_cases()))
