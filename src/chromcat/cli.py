@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .categories import (
@@ -21,7 +22,13 @@ from .categories import (
     skeleton,
     witness_scan,
 )
-from .colimits import FqError, colim_points, component_count, filtration_tower
+from .colimits import (
+    FqError,
+    colim_points,
+    component_count,
+    filtration_tower,
+    q_to_pm,
+)
 from .demo import DemoFailure, a4_demo
 from .elemab import enumerate_elem_abelians, p_rank
 from .groups import DEFAULT_ORDER_CAP, GroupError
@@ -37,9 +44,6 @@ from .subrings import (
     sylow_elem_abelian,
     weyl_action,
 )
-
-_PRIMES = (2, 3, 5, 7)
-
 
 class UsageError(ValueError):
     pass
@@ -67,7 +71,114 @@ def _emit(args, text):
 
 
 def _emit_json(args, payload):
-    _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _emit(args, _json_text(payload) + "\n")
+
+
+# The writer below gives exactly json.dumps(value, indent=2, sort_keys=True).
+# The stdlib uses its C encoder only without indent, so reports are written
+# here: a list of scalars with one join, a list of same-shaped int records
+# with one % template, the rest by a plain recursion.
+
+_INDENT = "  "
+_SCALAR_TEXT = {
+    int: int.__repr__,
+    str: encode_basestring_ascii,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _json_text(value, nl="\n"):
+    """value as json.dumps(value, indent=2, sort_keys=True) writes it, where
+    nl is the newline and indentation of the line that holds value."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = nl + _INDENT
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        sep = "," + inner
+        body = _scalars_body(value, sep)
+        if body is None:
+            body = _records_body(value, inner)
+        if body is None:
+            body = sep.join([_json_text(x, inner) for x in value])
+        return "[" + inner + body + nl + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # sorted on the keys themselves, as json.dumps sorts before it
+        # turns int, float, bool or None keys into strings
+        return "{" + inner + ("," + inner).join(
+            encode_basestring_ascii(_key_text(k)) + ": " + _json_text(v, inner)
+            for k, v in sorted(value.items())
+        ) + nl + "}"
+    # floats, and anything json.dumps refuses with its own TypeError
+    return json.dumps(value)
+
+
+def _key_text(key):
+    if isinstance(key, str):
+        return key
+    if key is not None and not isinstance(key, (int, float)):
+        raise TypeError(
+            "keys must be str, int, float, bool or None, not %s"
+            % key.__class__.__name__
+        )
+    return json.dumps(key)
+
+
+def _scalars_body(items, sep):
+    """Exact ints, strings, bools and Nones joined by sep, or None when any
+    item is something else."""
+    try:
+        return sep.join([_SCALAR_TEXT[type(x)](x) for x in items])
+    except KeyError:
+        return None
+
+
+def _records_body(rows, nl):
+    """Dicts that share one set of str keys, joined by "," + nl, or None when
+    any row differs.  Each value must be an exact int, or a list of exact
+    ints of one length in every row; one % template then writes them all."""
+    first = rows[0]
+    if type(first) is not dict or set(map(type, first)) != {str}:
+        return None
+    # None marks an int field, else the length of a list field
+    fields = [
+        (k, len(first[k]) if type(first[k]) is list else None) for k in sorted(first)
+    ]
+    shape = first.keys()
+    values = []
+    for row in rows:
+        if type(row) is not dict or row.keys() != shape:
+            return None
+        for k, w in fields:
+            v = row[k]
+            if w is None:
+                values.append(v)
+            elif type(v) is list and len(v) == w:
+                values += v
+            else:
+                return None
+    if not {int}.issuperset(map(type, values)):
+        return None
+    inner, deeper = nl + _INDENT, nl + 2 * _INDENT
+    template = "{" + inner + ("," + inner).join(
+        encode_basestring_ascii(k).replace("%", "%%") + ": "
+        + ("%d" if w is None else "[]" if w == 0
+           else "[" + deeper + ("," + deeper).join(["%d"] * w) + inner + "]")
+        for k, w in fields
+    ) + nl + "}"
+    return ("," + nl).join([template] * len(rows)) % tuple(values)
 
 
 def _parse_prime(value):
@@ -105,6 +216,20 @@ def _parse_order(value):
     return n
 
 
+def _prime_divisors(n):
+    """The primes dividing n, by trial division."""
+    primes, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            primes.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
 # -- commands -------------------------------------------------------------------
 
 
@@ -117,9 +242,7 @@ def cmd_group_info(args):
         "exponent": group.exponent(),
         "center_order": len(group.center()),
         "conjugacy_classes": group.conjugacy_class_count(),
-        "p_ranks": {
-            str(p): p_rank(group, p) for p in _PRIMES if group.order % p == 0
-        },
+        "p_ranks": {str(p): p_rank(group, p) for p in _prime_divisors(group.order)},
     }
     _emit_json(args, info)
     return 0
@@ -186,6 +309,7 @@ def cmd_stab(args):
 
 
 def cmd_colim(args):
+    q_to_pm(args.q, args.p)
     group = _load_group(args)
     if args.tower:
         tower = filtration_tower(group, args.p, args.q)

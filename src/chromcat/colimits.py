@@ -55,7 +55,11 @@ class FqError(ValueError):
 
 
 def q_to_pm(q: int, p: int) -> int:
-    """The exponent m with q = p^m, or raise."""
+    """The exponent m with q = p^m, or raise.
+
+    Also raises when the q^2 addition-table entries alone pass WORK_BOUND.
+    Neither check needs a category, so callers run this before any build.
+    """
     m = 0
     n = q
     while n > 1:
@@ -65,6 +69,11 @@ def q_to_pm(q: int, p: int) -> int:
         m += 1
     if m == 0:
         raise FqError("field size must be at least p")
+    if q * q > WORK_BOUND:
+        raise FqError(
+            "q = %d needs %d addition-table entries, past the work bound %d"
+            % (q, q * q, WORK_BOUND)
+        )
     return m
 
 
@@ -276,6 +285,7 @@ def filtration_tower(group: FiniteGroup, p: int, q: int) -> FiltrationTower:
     level-n class of its representative and is checked surjective.  One
     Fusion builds every level.
     """
+    q_to_pm(q, p)
     fusion = Fusion(group, p)
     ranks = [v.rank for v in fusion.objects]
     levels = [

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -150,7 +154,7 @@ def test_cli_matches_golden():
     assert changed == []
 
 
-def test_input_errors_exit_two(capsys, tmp_path):
+def test_input_errors_exit_two(capsys, tmp_path, monkeypatch):
     code, _, err = run_cli(capsys, "group-info", "--group", "definitely-not-a-group")
     assert code == 2
     assert "error" in err
@@ -226,12 +230,69 @@ def test_input_errors_exit_two(capsys, tmp_path):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
         assert message in err, argv
+    # a bad q is refused before any category of the group is built
+    import chromcat.cli as cli_mod
+    import chromcat.colimits as colimits_mod
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a category was built before q was checked")
+
+    with monkeypatch.context() as patch:
+        for module, name in (
+            (cli_mod, "Fusion"),
+            (cli_mod, "build_category"),
+            (colimits_mod, "Fusion"),
+        ):
+            patch.setattr(module, name, no_build)
+        for argv, message in (
+            (("colim", "-g", "s6", "-q", "6"), "6 is not a power of 2"),
+            (("colim", "-g", "s6", "-q", "4096"), "past the work bound 1048576"),
+            (("colim", "-g", "s6", "-q", "6", "--tower"), "6 is not a power of 2"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == "", argv
+            assert message in err, argv
     # a library scan needs room for at least the trivial group
     for bound in ("0", "-1"):
         with pytest.raises(SystemExit) as exit_info:
             main(["witness", "--max-order", bound])
         assert exit_info.value.code == 2
         assert "max order must be >= 1" in capsys.readouterr().err
+
+
+def test_group_info_reports_every_prime(capsys, tmp_path):
+    # C11 and D11 as permutations of 11 points: a rotation and a reflection
+    rotation = [(i + 1) % 11 for i in range(11)]
+    reflection = [(-i) % 11 for i in range(11)]
+    for name, generators, p_ranks in (
+        ("C11", [rotation], {"11": 1}),
+        ("D11", [rotation, reflection], {"11": 1, "2": 1}),
+    ):
+        path = tmp_path / (name + ".json")
+        path.write_text(
+            json.dumps({"name": name, "degree": 11, "generators": generators})
+        )
+        code, out, _ = run_cli(capsys, "group-info", "--group", str(path))
+        assert code == 0
+        assert json.loads(out)["p_ranks"] == p_ranks
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "chromcat", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    done = run("stab", "-g", "a4")
+    assert done.returncode == 0
+    assert done.stdout == (GOLDEN_DIR / "a4-p2-stab.json").read_text()
+    done = run("stab", "-g", "a4", "-p", "4")
+    assert done.returncode == 2 and done.stdout == ""
+    assert "is not a prime" in done.stderr
 
 
 def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
