@@ -45,7 +45,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import modp
 from .elemab import (
@@ -57,7 +57,7 @@ from .elemab import (
 )
 from .groups import FiniteGroup, GroupError
 
-Level = Union[int, float, None]  # int >= 0, math.inf or None for Quillen
+Level = Optional[int]  # int >= 0, or None for Quillen
 
 
 @dataclass
@@ -259,8 +259,8 @@ class Fusion:
     It holds the objects and their inclusion poset, runs the conjugation
     scan once, on first use, and builds the level-n, Quillen and subring
     categories from them.  ``stats`` counts what it did: objects, scans run,
-    and level candidates tested and kept.  Nothing is kept anywhere else, so
-    the scan lives exactly as long as the Fusion.
+    level candidates tested and kept, and C_R keys pulled back.  Nothing is
+    kept anywhere else, so the scan lives exactly as long as the Fusion.
     """
 
     def __init__(self, group: FiniteGroup, p: int):
@@ -274,6 +274,7 @@ class Fusion:
             "scans": 0,
             "level_candidates": 0,
             "level_kept": 0,
+            "subring_pullbacks": 0,
         }
         self._scan = None
         self._gls = {}
@@ -286,27 +287,37 @@ class Fusion:
         return self._scan
 
     def category(self, n: Level) -> ChromCategory:
-        """A^(n); n None or math.inf gives the Quillen category."""
-        if n is None or n == math.inf:
+        """A^(n); n None gives the Quillen category."""
+        if n is None:
             return self._category(None, "quillen", self.scan.isos)
         if n < 0:
             raise GroupError("level must be >= 0")
         return self._category(n, "level", self._level_isos(n))
 
-    def quillen(self) -> ChromCategory:
-        return self.category(None)
-
     def subring(self, presentation, embedding_choice: int = 0) -> ChromCategory:
-        """C_R of ``subrings.build_CR`` on these objects."""
-        from .subrings import _restriction_test  # subrings builds on this module
+        """C_R of ``subrings.build_CR`` on these objects.
 
-        test = _restriction_test(presentation, self.objects, embedding_choice)
-        isos = {
-            (i, k): [m for m in self._gl(w.rank) if test(i, k, m)]
-            for i, w in enumerate(self.objects)
-            for k, u in enumerate(self.objects)
-            if w.rank == u.rank
-        }
+        f: W -> U is kept when f^* Res_U = Res_W, so the equation is solved
+        by lookup: each object's key is its rank and Res of every generator,
+        U's key is pulled back once along each f in GL_rank(U), and f joins
+        Iso_R(W, U) for every W whose key equals the pullback.
+        """
+        keys = [
+            (w.rank, presentation.restrictions(w, embedding_choice))
+            for w in self.objects
+        ]
+        sources = {}
+        for i, key in enumerate(keys):
+            sources.setdefault(key, []).append(i)
+        isos = {}
+        for k, (rank, res) in enumerate(keys):
+            gl = self._gl(rank)
+            self.stats["subring_pullbacks"] += len(gl)
+            for m in gl:
+                pullback = modp.transpose(m)
+                key = (rank, tuple(rv.substitute_linear(pullback) for rv in res))
+                for i in sources.get(key, ()):
+                    isos.setdefault((i, k), []).append(m)
         return self._category(None, "subring", isos, {})
 
     def _category(self, level, kind, isos, witnesses=None) -> ChromCategory:
@@ -384,7 +395,7 @@ class Fusion:
 
 def quillen_category(group: FiniteGroup, p: int) -> ChromCategory:
     """The category generated by inclusions and conjugations, built directly."""
-    return Fusion(group, p).quillen()
+    return Fusion(group, p).category(None)
 
 
 def build_category(group: FiniteGroup, p: int, n: Level) -> ChromCategory:
@@ -606,7 +617,7 @@ def hom_chain_report(group: FiniteGroup, p: int) -> HomChainReport:
     strict = {
         n: not cats[n].equals(cats[n + 1]) for n in range(1, rank + 1)
     }
-    quillen = fusion.quillen()
+    quillen = fusion.category(None)
     stab = next(
         (n for n in range(1, rank + 2) if cats[n].equals(quillen)), rank + 1
     )

@@ -358,7 +358,7 @@ def cmd_cr(args):
     comparisons = {}
     for n in range(0, fusion.rank + 1):
         comparisons["A^(%d)" % n] = cat.equals(fusion.category(n))
-    comparisons["quillen"] = cat.equals(fusion.quillen())
+    comparisons["quillen"] = cat.equals(fusion.category(None))
     payload = {
         "group": group.name,
         "subring": name,

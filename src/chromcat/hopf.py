@@ -437,24 +437,6 @@ def coefficient_of(e: HopfExpr, indices: Sequence[int], degree: int) -> PolyFp:
 # -- Hurewicz evaluation ---------------------------------------------------------
 
 
-def _single_term_image(p, height, degree, coeff, power, t):
-    """Image of beta_t under the map for coeff * x^power."""
-    if power == 0:
-        if t == 0:
-            return HopfExpr.grouplike(p, height, degree, coeff)
-        return HopfExpr.zero(p, height, degree)
-    if t == 0:
-        return HopfExpr.grouplike(p, height, degree, 0)
-    total = HopfExpr.zero(p, height, degree)
-    # compositions of t into `power` positive parts; parts with a zero entry
-    # die against b_0
-    for comp in _compositions(t, power):
-        total = total + HopfExpr.omono(
-            p, height, degree, comp, PolyFp.constant(p, 2, coeff)
-        )
-    return total
-
-
 def _compositions(total, parts):
     if parts == 1:
         if total >= 1:
@@ -468,11 +450,15 @@ def _compositions(total, parts):
 def hurewicz_eval(
     element: dict, t: int, p: int, height: int, degree: int = 0
 ) -> HopfExpr:
-    """Image of beta_t under the coalgebra map of a rank-1 ring element.
+    """Image of beta_t under the coalgebra map of a rank-1 ring element,
+    reduced mod *-decomposables.
 
-    ``element`` maps exponents (< p^height) to F_p coefficients.  Sums of
-    terms convolve through the coproduct psi(beta_t) = sum beta_u x beta_v;
-    the result is reduced mod *-decomposables.
+    ``element`` maps exponents (< p^height) to F_p coefficients c_k.  The
+    coproduct psi(beta_t) = sum beta_u x beta_v splits t over the terms
+    c_k x^k, and a split giving two terms a positive share is a *-product of
+    two circle-monomials, which dies.  So beta_0 goes to [c_0], and beta_t
+    for t > 0 to the sum over k >= 1 of c_k b_{i_1} o ... o b_{i_k}, one
+    summand for each composition (i_1, ..., i_k) of t into k positive parts.
     """
     if not 0 <= t < p ** height:
         raise HopfError("beta index out of range")
@@ -480,26 +466,16 @@ def hurewicz_eval(
     for k, _ in items:
         if not 0 <= k < p ** height:
             raise HopfError("exponent %d out of range" % k)
-    if not items:
-        # the zero map: beta_0 -> [0], higher betas -> 0
-        if t == 0:
-            return HopfExpr.grouplike(p, height, degree, 0)
-        return HopfExpr.zero(p, height, degree)
-
-    def eval_terms(terms, tt):
-        power, coeff = terms[0]
-        if len(terms) == 1:
-            return _single_term_image(p, height, degree, coeff, power, tt)
-        out = HopfExpr.zero(p, height, degree)
-        for u in range(tt + 1):
-            left = _single_term_image(p, height, degree, coeff, power, u)
-            if left.is_zero():
-                continue
-            right = eval_terms(terms[1:], tt - u)
-            out = out + left.star_mul(right)
-        return out
-
-    return mod_indecomposables(eval_terms(items, t))
+    if t == 0:
+        return HopfExpr.grouplike(p, height, degree, dict(items).get(0, 0))
+    counts = {}
+    for k, c in items:
+        if k:
+            for comp in _compositions(t, k):
+                om = tuple(sorted(comp))
+                counts[om] = counts.get(om, 0) + c
+    terms = {(0, (om,)): PolyFp.constant(p, 2, c) for om, c in counts.items()}
+    return HopfExpr(p, height, degree, terms)
 
 
 def verify_kn_injectivity(p: int, height: int) -> dict:

@@ -24,7 +24,20 @@ def load_group_data(data: dict, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGro
         generators = data["generators"]
     except (KeyError, TypeError) as exc:
         raise GroupError("group document needs name, degree, generators") from exc
+    if not isinstance(name, str):
+        raise GroupError("group name must be a string, not %r" % (name,))
+    if not _is_int(degree) or degree < 1:
+        raise GroupError("degree must be an integer >= 1, not %r" % (degree,))
+    if not isinstance(generators, list) or not all(
+        isinstance(g, list) and all(_is_int(x) for x in g) for g in generators
+    ):
+        raise GroupError("generators must be a list of lists of integers")
     return group_from_permutations(degree, generators, name=name, order_cap=order_cap)
+
+
+def _is_int(x) -> bool:
+    """An int that is not a bool, which JSON would have written true/false."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def load_group_file(path, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -57,9 +70,12 @@ def bundled_library(
     """(name, group) pairs from a library directory, smallest orders first.
 
     Groups whose closure exceeds max_order are dropped here (the scan caller
-    reports groups over its own cap itself).
+    reports groups over its own cap itself).  A path that is not a directory
+    is an error, not an empty library.
     """
     directory = Path(directory) if directory else LIBRARY_DIR
+    if not directory.is_dir():
+        raise GroupError("group library %s is not a directory" % directory)
     out = []
     for path in sorted(directory.glob("*.json")):
         group = load_group_file(path, order_cap=order_cap)

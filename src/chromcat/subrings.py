@@ -109,6 +109,16 @@ class SubringPresentation:
         sylow = sylow_elem_abelian(group, 2)
         return cls(sylow, weyl_action(group, sylow), generators, name=name)
 
+    def restrictions(self, v: ElemAbelian, choice: int = 0) -> tuple:
+        """Res_V of every generator, through V's choice-th embedding into P."""
+        embs = embeddings_into(v.group, v, self.sylow)
+        if not embs:
+            raise UnsupportedGroupError(
+                "object of rank %d is not conjugate into the Sylow subgroup" % v.rank
+            )
+        emb = embs[choice % len(embs)]
+        return tuple(_restriction_along(emb, g) for g in self.generators)
+
 
 def restriction(sylow: ElemAbelian, sub: ElemAbelian, f: PolyFp) -> PolyFp:
     """Restrict a polynomial on P's variables along an actual inclusion
@@ -124,19 +134,6 @@ def _restriction_along(embedding: tuple, f: PolyFp) -> PolyFp:
     return f.substitute_linear(modp.transpose(embedding))
 
 
-def _restrictions(
-    presentation: SubringPresentation, v: ElemAbelian, choice: int = 0
-) -> list:
-    """Res_V of every generator, through V's choice-th embedding into P."""
-    embs = embeddings_into(v.group, v, presentation.sylow)
-    if not embs:
-        raise UnsupportedGroupError(
-            "object of rank %d is not conjugate into the Sylow subgroup" % v.rank
-        )
-    emb = embs[choice % len(embs)]
-    return [_restriction_along(emb, g) for g in presentation.generators]
-
-
 def build_CR(
     group: FiniteGroup,
     presentation: SubringPresentation,
@@ -147,28 +144,12 @@ def build_CR(
 
     Restriction to an object is computed through its embedding_choice-th
     conjugation embedding into P; independence of that choice is a tested
-    property, not an assumption.  The test runs on isomorphisms W -> U onto
-    the image only: fusion in the abelian P is controlled by N_G(P) and the
+    property, not an assumption.  Only the isomorphisms W -> U onto the
+    image are found: fusion in the abelian P is controlled by N_G(P) and the
     generators are Weyl-invariant, so the inclusion U <= V pulls Res_V back
-    to Res_U.
+    to Res_U.  ``Fusion.subring`` finds them by matching restriction keys.
     """
     return Fusion(group, presentation.p).subring(presentation, embedding_choice)
-
-
-def _restriction_test(
-    presentation: SubringPresentation, objects: Sequence[ElemAbelian], choice: int
-):
-    """test(i, k, matrix): does the isomorphism objects[i] -> objects[k]
-    pull Res back to Res on every generator?"""
-    res = [_restrictions(presentation, v, choice) for v in objects]
-
-    def restricts(i, k, matrix):
-        pullback = modp.transpose(matrix)
-        return all(
-            rv.substitute_linear(pullback) == rw for rv, rw in zip(res[k], res[i])
-        )
-
-    return restricts
 
 
 def distinguishing_generator(
@@ -178,8 +159,8 @@ def distinguishing_generator(
     pullback = modp.transpose(f.matrix)
     for gen, rv, rw in zip(
         presentation.generators,
-        _restrictions(presentation, f.target),
-        _restrictions(presentation, f.source),
+        presentation.restrictions(f.target),
+        presentation.restrictions(f.source),
     ):
         if rv.substitute_linear(pullback) != rw:
             return gen

@@ -10,11 +10,16 @@ polynomial oracles multiply and compose in full before truncating instead
 of dropping terms as products are formed, the injective-matrix enumerator
 tests each column by a rank computation instead of a span set, and the
 Cayley table composes every pair of permutations instead of reading the
-closure's generator steps.  The all-pairs category
+closure's generator steps.  The Hurewicz oracle convolves every split of
+the coproduct with the * product before reducing, where the library writes
+the reduced image in closed form.  The all-pairs category
 builders below share the level test and the enumeration of injective maps
 with the library, but test every injective map W -> V for every pair of
 objects and scan all of G for every pair, where the library composes
-isomorphisms onto the image with inclusions.  ``with_inclusions``
+isomorphisms onto the image with inclusions; ``all_pairs_CR`` tests the
+restriction equation on each such map, where the library pulls each
+object's restriction key back once per invertible matrix and looks the
+pullback up among the keys.  ``with_inclusions``
 multiplies every such composite out into a morphism, where the library
 composes a hom-set only when asked for it, and ``inverse_iso_classes``
 joins two objects when some morphism has its inverse matrix among the
@@ -29,12 +34,15 @@ from dataclasses import dataclass
 
 from chromcat import (
     FiltrationTower,
+    HopfExpr,
     LinearMorphism,
+    PolyFp,
     build_category,
     embeddings_into,
     enumerate_elem_abelians,
     injective_homs,
     is_level_n_morphism,
+    mod_indecomposables,
     modp,
 )
 from chromcat.elemab import conjugation_matrix
@@ -520,3 +528,48 @@ def inverse_iso_classes(objects, homs, p):
     for i in range(n):
         classes.setdefault(find(i), []).append(i)
     return [sorted(v) for _, v in sorted(classes.items())]
+
+
+def _single_term_hurewicz(p, height, degree, coeff, power, t):
+    """Image of beta_t under the map for coeff * x^power, unreduced."""
+    if power == 0:
+        if t == 0:
+            return HopfExpr.grouplike(p, height, degree, coeff)
+        return HopfExpr.zero(p, height, degree)
+    if t == 0:
+        return HopfExpr.grouplike(p, height, degree, 0)
+    total = HopfExpr.zero(p, height, degree)
+    # compositions of t into `power` positive parts, as cut points; parts
+    # with a zero entry die against b_0
+    for cuts in itertools.combinations(range(1, t), power - 1):
+        bounds = (0, *cuts, t)
+        parts = [b - a for a, b in zip(bounds, bounds[1:])]
+        total = total + HopfExpr.omono(
+            p, height, degree, parts, PolyFp.constant(p, 2, coeff)
+        )
+    return total
+
+
+def hurewicz_by_coproduct(element, t, p, height, degree=0):
+    """hurewicz_eval by convolving the terms of the element through the
+    coproduct psi(beta_t) = sum beta_u x beta_v, one * product per split,
+    and reducing mod *-decomposables at the end."""
+    items = sorted((k, v % p) for k, v in element.items() if v % p)
+    if not items:
+        if t == 0:
+            return HopfExpr.grouplike(p, height, degree, 0)
+        return HopfExpr.zero(p, height, degree)
+
+    def convolve(terms, tt):
+        power, coeff = terms[0]
+        if len(terms) == 1:
+            return _single_term_hurewicz(p, height, degree, coeff, power, tt)
+        out = HopfExpr.zero(p, height, degree)
+        for u in range(tt + 1):
+            left = _single_term_hurewicz(p, height, degree, coeff, power, u)
+            if left.is_zero():
+                continue
+            out = out + left.star_mul(convolve(terms[1:], tt - u))
+        return out
+
+    return mod_indecomposables(convolve(items, t))

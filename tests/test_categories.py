@@ -204,6 +204,7 @@ def test_hom_chain_report_scans_once(fusions):
     # of GL_2(2); A^(2) and A^(3) are Quillen's and test none
     assert fusions[0].stats == {
         "objects": 5, "scans": 1, "level_candidates": 9, "level_kept": 6,
+        "subring_pullbacks": 0,
     }
     hom_chain_report(group("s5"), 2)
     assert _scans(fusions) == {("A4", 2): 1, ("S5", 2): 1}

@@ -115,6 +115,21 @@ def test_witness_command(capsys):
     assert payload["found"] == ["A4"]
 
 
+def test_witness_library_must_be_a_directory(capsys, tmp_path):
+    afile = tmp_path / "a4.json"
+    afile.write_text(json.dumps({"name": "A4", "degree": 3, "generators": [[1, 2, 0]]}))
+    for library in (tmp_path / "no-such-dir", afile):
+        code, out, err = run_cli(capsys, "witness", "--library", str(library))
+        assert code == 2 and out == "", library
+        assert "is not a directory" in err, library
+    # an existing directory without group files is an empty scan
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    code, out, _ = run_cli(capsys, "witness", "--library", str(empty))
+    assert code == 0
+    assert json.loads(out)["checked"] == []
+
+
 def test_a4_demo_exit_zero(capsys):
     code, out, _ = run_cli(capsys, "a4-demo")
     assert code == 0
@@ -162,6 +177,20 @@ def test_input_errors_exit_two(capsys, tmp_path, monkeypatch):
     bad.write_text('{"name": "X", "degree": 3, "generators": [[0, 0, 1]]}')
     code, _, err = run_cli(capsys, "group-info", "--group", str(bad))
     assert code == 2
+    # fields of the wrong type are refused, not read as something else:
+    # "degree": true with a degree-1 generator would pass for the trivial group
+    for field, doc in (
+        ("degree", {"name": "C3", "degree": "3", "generators": [[1, 2, 0]]}),
+        ("degree", {"name": "C3", "degree": 3.5, "generators": [[1, 2, 0]]}),
+        ("degree", {"name": "C1", "degree": True, "generators": [[0]]}),
+        ("generators", {"name": "C3", "degree": 3, "generators": [5]}),
+        ("generators", {"name": "C3", "degree": 3, "generators": [[1, 2, 0.0]]}),
+        ("name", {"name": 5, "degree": 3, "generators": [[1, 2, 0]]}),
+    ):
+        bad.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "group-info", "--group", str(bad))
+        assert code == 2 and out == "", doc
+        assert field in err, doc
     # unsupported subring precondition reports the module's message
     code, _, err = run_cli(capsys, "cr", "--group", "d8")
     assert code == 2

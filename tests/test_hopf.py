@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
 from chromcat import (
@@ -18,6 +21,7 @@ from chromcat import (
     verify_kn_injectivity,
     weyl_orbit_restriction,
 )
+from oracles import hurewicz_by_coproduct
 
 FGL22 = honda_fgl(2, 2, 8)
 ST = ("s", "t")
@@ -265,6 +269,32 @@ def test_hurewicz_multiplicativity():
                         convolved = convolved + left.circ_mul(right)
                     direct = hurewicz_eval({a + b: 1}, t, p, n)
                     assert mod_indecomposables(convolved) == direct
+
+
+def _check_hurewicz_against_coproduct(element, p, n):
+    for t in range(p ** n):
+        for degree in (0, 3):
+            fast = hurewicz_eval(element, t, p, n, degree)
+            slow = hurewicz_by_coproduct(element, t, p, n, degree)
+            assert fast == slow, (element, t, degree)
+            assert fast.render() == slow.render(), (element, t, degree)
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (3, 1), (2, 3)])
+def test_hurewicz_closed_form_matches_coproduct_on_every_element(p, n):
+    q = p ** n
+    for coeffs in itertools.product(range(p), repeat=q):
+        _check_hurewicz_against_coproduct(dict(enumerate(coeffs)), p, n)
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 1)])
+def test_hurewicz_closed_form_matches_coproduct_on_a_sample(p, n):
+    rng = random.Random(9000 + 10 * p + n)
+    q = p ** n
+    for _ in range(60):
+        _check_hurewicz_against_coproduct(
+            {k: rng.randrange(p) for k in range(q)}, p, n
+        )
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (3, 1)])

@@ -9,10 +9,12 @@ test with the all-tuples brute force (order <= 32, n <= 3).  The lazily
 composed hom-sets, morphism counts, isomorphism classes, equality and
 witnesses are checked against every composite multiplied out, at every
 level, Quillen and C_R for A_4 and A_5, and the all-pairs oracle also runs
-at A^(1) and Quillen on three groups beyond order 64.  A hypothesis
-property compares the builders with the all-pairs oracle on random
-permutation groups of degree <= 6, beyond the fixed library, and another
-compares their colimits and towers at q = p^2 with the union-find oracle.
+at A^(1) and Quillen on three groups beyond order 64.  C_R is checked
+against its all-pairs oracle on every bundled group with an elementary
+abelian Sylow 2-subgroup.  Hypothesis properties compare the builders and
+C_R with the all-pairs oracles on random permutation groups of degree <= 6,
+beyond the fixed library, and another compares their colimits and towers
+at q = p^2 with the union-find oracle.
 
 The check_* functions are plain callables so the acceptance gate can drive
 the whole battery in one timed pass.
@@ -28,16 +30,19 @@ from hypothesis import strategies as st
 
 from chromcat import (
     GroupError,
+    UnsupportedGroupError,
     build_CR,
     build_category,
     colim_points,
     filtration_tower,
     group_from_permutations,
     injective_homs,
+    invariant_basis,
     is_level_n_morphism,
     p_rank,
     parse_poly,
     quillen_category,
+    sylow_elem_abelian,
 )
 from chromcat.categories import iso_classes
 from chromcat.subrings import SubringPresentation
@@ -359,16 +364,39 @@ def test_colimits_match_union_find_on_random_groups(g):
         assert filtration_tower(g, p, q).to_dict() == union_find_tower(g, p, q).to_dict()
 
 
-@pytest.mark.parametrize("name", ["a4", "a5"])
-def test_factorized_subring_categories_match_all_pairs_oracle(name):
-    g = group(name)
-    for gens in ([], [D1 ** 2, D0 ** 2], [D1, D0, ETA]):
+def _check_subrings_against_all_pairs(g, extra=()):
+    """C_R against the all-pairs oracle for the unit subring, the Weyl-invariant
+    basis of each degree 1-3 and of all three together, and ``extra``
+    generator sets, through embedding choices 0 and 1."""
+    presentation = SubringPresentation.for_group(g, [])
+    bases = [invariant_basis(presentation.weyl, d) for d in (1, 2, 3)]
+    for gens in ([], *bases, [f for b in bases for f in b], *extra):
         presentation = SubringPresentation.for_group(g, gens)
         for choice in (0, 1):
             _check_against_all_pairs(
                 build_CR(g, presentation, embedding_choice=choice),
                 *all_pairs_CR(g, presentation, embedding_choice=choice),
             )
+
+
+# Every bundled group whose Sylow 2-subgroup is elementary abelian: nontrivial
+# in the first seven, trivial in the last five.
+@pytest.mark.parametrize("name", [
+    "a4", "a5", "c2", "c6", "e8", "k4", "s3", "c1", "c3", "e9", "h27", "c3wrc3",
+])
+def test_factorized_subring_categories_match_all_pairs_oracle(name):
+    extra = ([D1 ** 2, D0 ** 2], [D1, D0, ETA]) if name in ("a4", "a5") else ()
+    _check_subrings_against_all_pairs(group(name), extra)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_permutation_groups())
+def test_subring_categories_match_all_pairs_oracle_on_random_groups(g):
+    try:
+        sylow_elem_abelian(g, 2)
+    except UnsupportedGroupError:
+        return  # C_R needs an elementary abelian Sylow 2-subgroup
+    _check_subrings_against_all_pairs(g)
 
 
 def test_subring_category_axioms():

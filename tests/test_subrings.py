@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from chromcat import (
+    Fusion,
     LinearMorphism,
     SubringPresentation,
     UnsupportedGroupError,
@@ -90,6 +91,18 @@ def test_cr_monotone_in_generators():
         for i in range(len(smaller.objects)):
             for j in range(len(smaller.objects)):
                 assert smaller.hom_matrices(i, j) <= larger.hom_matrices(i, j)
+
+
+def test_cr_pulls_back_one_key_per_object_and_matrix():
+    # A_5 at p = 2: the trivial group, 15 involutions and 5 Klein fours, so
+    # 1 + 15 * |GL_1| + 5 * |GL_2| = 46 pullbacks, where testing every
+    # equal-rank pair would take 1 + 15^2 + 5^2 * 6 = 376
+    a5 = group("a5")
+    fusion = Fusion(a5, 2)
+    cat = fusion.subring(SubringPresentation.for_group(a5, [D1, D0, ETA]))
+    assert fusion.stats["subring_pullbacks"] == 46
+    assert fusion.stats["scans"] == 0
+    assert cat.equals(quillen_category(a5, 2))
 
 
 def test_cr_embedding_choice_independent():
