@@ -80,7 +80,6 @@ from .subrings import (
     UnsupportedGroupError,
     build_CR,
     distinguishing_generator,
-    embeddings_into,
     restriction,
     sylow_elem_abelian,
     weyl_action,

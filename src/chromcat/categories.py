@@ -10,18 +10,21 @@ Every morphism f: W -> V is an isomorphism onto its image U = f(W) followed
 by the inclusion U <= V, so the split is unique, and the level, conjugation
 and subring conditions see only the isomorphism.  A ``ChromCategory`` stores
 just that: Iso_C(W, U) for each pair of objects of equal rank, and the
-inclusion poset of the objects.  Hom-sets are composed only when asked for;
-morphism counts, isomorphism classes, equality and colimit class sizes are
-read off the isomorphisms and the poset.
+inclusion poset of the objects.  A hom-set is a sorted tuple of matrices,
+composed each time it is asked for and never kept; morphism counts,
+isomorphism classes, equality and colimit class sizes are read off the
+isomorphisms and the poset.
 
 A ``Fusion`` is one group at one prime for as long as its caller holds it:
 the objects, their inclusion poset and one conjugation scan of the group,
 from which it builds every level, the Quillen category and C_R.  A request
 that compares several of them scans the group once.  For each object S the
-scan records the orbit of S's basis under conjugation, {g S.basis g^-1:
-least g}, and the conjugation isomorphisms Iso_Q(S, gSg^-1) with their
-least g; a basis tuple seen before costs one lookup, so an object costs |G|
-lookups and |G : C_G(S)| target searches.
+scan records the orbit of S's basis under conjugation, the set
+{g S.basis g^-1}, and the conjugation isomorphisms Iso_Q(S, gSg^-1) with
+their least g; a basis tuple seen before costs one lookup, so an object
+costs |G| lookups and |G : C_G(S)| target searches.  The j-th entries of
+the orbit's tuples are the G-class of S's j-th basis element, so the level
+search reads conjugacy from the scan and conjugates nothing itself.
 
 The level test enumerates no tuples.  A witness conjugating a basis of a
 subgroup S <= W conjugates every element of S, and every n-tuple generates
@@ -45,7 +48,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import modp
 from .elemab import (
@@ -117,8 +120,8 @@ class ChromCategory:
     conjugation isomorphism.  ``poset`` is the objects' (above, inclusions),
     computed when not given.  Hom(W_i, V_j) is the union over the objects
     U_k <= V_j of Iso(i, k) followed by the inclusion, and distinct (k, iso)
-    give distinct composites, so nothing but ``composites``, ``hom`` and
-    ``homs`` multiplies them out, and only for the hom-sets asked for.
+    give distinct morphisms, so only ``hom`` and ``homs`` multiply them
+    out, for the hom-sets asked for, and keep nothing.
     """
 
     def __init__(self, group, p, level, kind, objects, isos, iso_witnesses, poset=None):
@@ -139,12 +142,11 @@ class ChromCategory:
         self._targets = {}
         for i, k in self.isos:
             self._targets.setdefault(i, []).append(k)
-        self._homs = {}
 
     def iso(self, i: int, k: int) -> tuple:
         return self.isos.get((i, k), ())
 
-    def composites(self, i: int, j: int) -> tuple:
+    def hom(self, i: int, j: int) -> tuple:
         """The matrices of Hom(objects[i], objects[j]), sorted."""
         out = []
         for k in self._targets.get(i, ()):
@@ -154,29 +156,11 @@ class ChromCategory:
         out.sort()
         return tuple(out)
 
-    def hom(self, i: int, j: int) -> tuple:
-        """Hom(objects[i], objects[j]) as LinearMorphisms sorted by matrix,
-        composed on the first call and kept with the category."""
-        fs = self._homs.get((i, j))
-        if fs is None:
-            w, v = self.objects[i], self.objects[j]
-            fs = tuple(LinearMorphism(w, v, m) for m in self.composites(i, j))
-            self._homs[(i, j)] = fs
-        return fs
-
-    def hom_matrices(self, i: int, j: int) -> frozenset:
-        return frozenset(f.matrix for f in self.hom(i, j))
-
     @property
     def homs(self) -> dict:
         """{(i, j): hom(i, j)} over the nonempty hom-sets."""
         keys = {(i, j) for i, k in self.isos for j in self.above[k]}
         return {key: self.hom(*key) for key in sorted(keys)}
-
-    def iter_morphisms(self) -> Iterator[tuple]:
-        for (i, j), fs in self.homs.items():
-            for f in fs:
-                yield i, j, f
 
     def morphism_count(self) -> int:
         return sum(len(mats) * len(self.above[k]) for (_, k), mats in self.isos.items())
@@ -200,14 +184,15 @@ class ChromCategory:
         iso = tuple(tuple(col[r] for col in cols) for r in range(u.rank))
         return self.iso_witnesses.get((i, k, iso))
 
-    def same_objects(self, other: "ChromCategory") -> bool:
-        return self.group is other.group and self.objects == other.objects
-
     def equals(self, other: "ChromCategory") -> bool:
         """Hom-set by hom-set equality over the identical object list.  The
         objects fix the inclusions and the split is unique, so equal hom-sets
         are equal iso sets."""
-        return self.same_objects(other) and self.isos == other.isos
+        return (
+            self.group is other.group
+            and self.objects == other.objects
+            and self.isos == other.isos
+        )
 
     def __repr__(self):
         lev = "oo" if self.level is None else self.level
@@ -224,7 +209,7 @@ class ChromCategory:
 class _Scan(NamedTuple):
     """What one pass of G over the objects yields: Iso_Q as {(i, k): sorted
     matrices}, the least inducing g of each as {(i, k, matrix): g}, and
-    orbits[i] = {g W_i.basis g^-1: least g}."""
+    orbits[i] = the set {g W_i.basis g^-1} of basis-image tuples."""
 
     isos: dict
     witnesses: dict
@@ -239,12 +224,12 @@ def _conjugation_scan(group, objects) -> _Scan:
     witnesses = {}
     orbits = []
     for i, w in enumerate(objects):
-        orbit = {}
+        orbit = set()
         for g in group.elements():
             images = tuple(group.conjugate(b, g) for b in w.basis)
             if images in orbit:
                 continue
-            orbit[images] = g
+            orbit.add(images)
             k = index[frozenset(group.conjugate(x, g) for x in w.elements)]
             m = conjugation_matrix(w, objects[k], g)
             isos.setdefault((i, k), []).append(m)
@@ -294,7 +279,7 @@ class Fusion:
             raise GroupError("level must be >= 0")
         return self._category(n, "level", self._level_isos(n))
 
-    def subring(self, presentation, embedding_choice: int = 0) -> ChromCategory:
+    def subring(self, presentation) -> ChromCategory:
         """C_R of ``subrings.build_CR`` on these objects.
 
         f: W -> U is kept when f^* Res_U = Res_W, so the equation is solved
@@ -302,10 +287,7 @@ class Fusion:
         U's key is pulled back once along each f in GL_rank(U), and f joins
         Iso_R(W, U) for every W whose key equals the pullback.
         """
-        keys = [
-            (w.rank, presentation.restrictions(w, embedding_choice))
-            for w in self.objects
-        ]
+        keys = [(w.rank, presentation.restrictions(w)) for w in self.objects]
         sources = {}
         for i, key in enumerate(keys):
             sources.setdefault(key, []).append(i)
@@ -338,13 +320,13 @@ class Fusion:
         """Iso_n(W_i, U_k) as {(i, k): matrices}.
 
         Iso_Q when rank W <= n; every invertible matrix when n = 0.  Otherwise
-        column j must be a conjugate in U of the j-th basis element of W, and
-        a choice of columns is kept when it carries the basis of every rank-n
-        object S <= W into S's orbit.  Such a matrix is invertible, because
-        every nonzero vector of W lies in some S, on which it is a
-        conjugation.
+        column j must be a conjugate in U of the j-th basis element of W, read
+        off the j-th entries of W's orbit, and a choice of columns is kept
+        when it carries the basis of every rank-n object S <= W into S's
+        orbit.  Such a matrix is invertible, because every nonzero vector of
+        W lies in some S, on which it is a conjugation.
         """
-        group, p, objects = self.group, self.p, self.objects
+        p, objects = self.p, self.objects
         isos, orbits = self.scan.isos, self.scan.orbits
         if n >= self.rank:
             return isos
@@ -352,7 +334,6 @@ class Fusion:
         by_rank = {}
         for k, u in enumerate(objects):
             by_rank.setdefault(u.rank, []).append(k)
-        conjugates = {}
         tested = 0
         for r, members in sorted(by_rank.items()):
             if r <= n:
@@ -367,14 +348,12 @@ class Fusion:
                     for s in by_rank[n]
                     if objects[s].elements <= w.elements
                 ]
-                for b in w.basis:
-                    if b not in conjugates:
-                        conjugates[b] = {group.conjugate(b, g) for g in group.elements()}
+                classes = [set(col) for col in zip(*orbits[i])]
                 for k in members:
                     u = objects[k]
                     choices = [
-                        [u.coordinates(x) for x in sorted(u.elements & conjugates[b])]
-                        for b in w.basis
+                        [u.coordinates(x) for x in sorted(u.elements & c)]
+                        for c in classes
                     ]
                     mats = []
                     for columns in itertools.product(*choices):
@@ -551,7 +530,7 @@ def skeleton(cat: ChromCategory) -> SkeletonReport:
         for ti, trep in enumerate(reps):
             if si == ti:
                 continue
-            hom = cat.composites(srep, trep)
+            hom = cat.hom(srep, trep)
             if not hom:
                 continue
             aut_t = cat.iso(trep, trep)

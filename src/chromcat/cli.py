@@ -334,11 +334,14 @@ def _read_generators(path, rank):
     strings = doc.get("generators") if isinstance(doc, dict) else None
     if not isinstance(strings, list) or not all(isinstance(s, str) for s in strings):
         raise UsageError('%s must hold {"generators": [polynomial strings]}' % path)
+    name = doc.get("name", Path(path).stem)
+    if not isinstance(name, str):
+        raise UsageError('%s: "name" must be a string' % path)
     try:
         gens = [parse_poly(s, 2, rank) for s in strings]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return gens, doc.get("name", Path(path).stem)
+    return gens, name
 
 
 def cmd_cr(args):

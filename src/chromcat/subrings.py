@@ -51,17 +51,6 @@ def sylow_elem_abelian(group: FiniteGroup, p: int = 2) -> ElemAbelian:
     )
 
 
-def embeddings_into(group: FiniteGroup, sub: ElemAbelian, ambient: ElemAbelian) -> list:
-    """All conjugation embeddings of sub into ambient, as distinct matrices
-    in group-element scan order."""
-    seen = []
-    for g in group.elements():
-        m = conjugation_matrix(sub, ambient, g)
-        if m is not None and m not in seen:
-            seen.append(m)
-    return seen
-
-
 def weyl_action(group: FiniteGroup, sylow: ElemAbelian) -> LinearAction:
     """Action of N_G(P)/C_G(P) on the polynomial generators of H^*(BP).
 
@@ -109,15 +98,21 @@ class SubringPresentation:
         sylow = sylow_elem_abelian(group, 2)
         return cls(sylow, weyl_action(group, sylow), generators, name=name)
 
-    def restrictions(self, v: ElemAbelian, choice: int = 0) -> tuple:
-        """Res_V of every generator, through V's choice-th embedding into P."""
-        embs = embeddings_into(v.group, v, self.sylow)
-        if not embs:
-            raise UnsupportedGroupError(
-                "object of rank %d is not conjugate into the Sylow subgroup" % v.rank
-            )
-        emb = embs[choice % len(embs)]
-        return tuple(_restriction_along(emb, g) for g in self.generators)
+    def restrictions(self, v: ElemAbelian) -> tuple:
+        """Res_V of every generator, along the embedding x -> gxg^-1 of V
+        into P for the least g with gVg^-1 <= P.
+
+        Any embedding gives the same restrictions: P is abelian, so by
+        Burnside's fusion theorem two embeddings differ by an element of
+        N_G(P), and the generators are Weyl-invariant.
+        """
+        for g in v.group.elements():
+            emb = conjugation_matrix(v, self.sylow, g)
+            if emb is not None:
+                return tuple(_restriction_along(emb, f) for f in self.generators)
+        raise UnsupportedGroupError(
+            "object of rank %d is not conjugate into the Sylow subgroup" % v.rank
+        )
 
 
 def restriction(sylow: ElemAbelian, sub: ElemAbelian, f: PolyFp) -> PolyFp:
@@ -134,22 +129,19 @@ def _restriction_along(embedding: tuple, f: PolyFp) -> PolyFp:
     return f.substitute_linear(modp.transpose(embedding))
 
 
-def build_CR(
-    group: FiniteGroup,
-    presentation: SubringPresentation,
-    embedding_choice: int = 0,
-) -> ChromCategory:
+def build_CR(group: FiniteGroup, presentation: SubringPresentation) -> ChromCategory:
     """The category C_R: objects all elementary abelians, morphisms the
     injective f with f^* Res_V = Res_W on every generator.
 
-    Restriction to an object is computed through its embedding_choice-th
-    conjugation embedding into P; independence of that choice is a tested
-    property, not an assumption.  Only the isomorphisms W -> U onto the
-    image are found: fusion in the abelian P is controlled by N_G(P) and the
-    generators are Weyl-invariant, so the inclusion U <= V pulls Res_V back
-    to Res_U.  ``Fusion.subring`` finds them by matching restriction keys.
+    Restriction to an object is computed along its least-g conjugation
+    embedding into P, which gives what every embedding gives (see
+    ``SubringPresentation.restrictions``).  Only the isomorphisms W -> U
+    onto the image are found: fusion in the abelian P is controlled by
+    N_G(P) and the generators are Weyl-invariant, so the inclusion U <= V
+    pulls Res_V back to Res_U.  ``Fusion.subring`` finds them by matching
+    restriction keys.
     """
-    return Fusion(group, presentation.p).subring(presentation, embedding_choice)
+    return Fusion(group, presentation.p).subring(presentation)
 
 
 def distinguishing_generator(

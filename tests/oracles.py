@@ -17,9 +17,10 @@ builders below share the level test and the enumeration of injective maps
 with the library, but test every injective map W -> V for every pair of
 objects and scan all of G for every pair, where the library composes
 isomorphisms onto the image with inclusions; ``all_pairs_CR`` tests the
-restriction equation on each such map, where the library pulls each
-object's restriction key back once per invertible matrix and looks the
-pullback up among the keys.  ``with_inclusions``
+restriction equation on each such map, restricting along a chosen one of
+the embeddings that ``embeddings_into`` lists, where the library restricts
+along the least-g embedding, pulls each object's restriction key back once
+per invertible matrix and looks the pullback up among the keys.  ``with_inclusions``
 multiplies every such composite out into a morphism, where the library
 composes a hom-set only when asked for it, and ``inverse_iso_classes``
 joins two objects when some morphism has its inverse matrix among the
@@ -38,7 +39,6 @@ from chromcat import (
     LinearMorphism,
     PolyFp,
     build_category,
-    embeddings_into,
     enumerate_elem_abelians,
     injective_homs,
     is_level_n_morphism,
@@ -173,11 +173,11 @@ def colim_size_naive(cat, q):
         offsets.append(total)
         total += len(pts)
     pairs = []
-    for (i, j), fs in cat.homs.items():
-        for f in fs:
+    for (i, j), mats in cat.homs.items():
+        for matrix in mats:
             for k, pt in enumerate(points[i]):
                 out = []
-                for row in f.matrix:
+                for row in matrix:
                     acc = zero
                     for c, x in zip(row, pt):
                         for _ in range(c):
@@ -242,9 +242,8 @@ def union_find_colim(cat, q) -> UnionFindColim:
         total += len(pts)
 
     uf = UnionFind(total)
-    for (i, j), morphisms in sorted(cat.homs.items()):
-        for f in morphisms:
-            rows = f.matrix
+    for (i, j), mats in sorted(cat.homs.items()):
+        for rows in mats:
             for k, pt in enumerate(points[i]):
                 image = tuple(
                     _linear_combination(row, pt, cat.p, m) for row in rows
@@ -412,6 +411,17 @@ def all_pairs_category(group, p, n):
             objects, lambda i, j, f: is_level_n_morphism(f, n).ok
         )
     return objects, homs, witnesses
+
+
+def embeddings_into(group, sub, ambient):
+    """All conjugation embeddings of sub into ambient, as distinct matrices
+    in group-element scan order."""
+    seen = []
+    for g in group.elements():
+        m = conjugation_matrix(sub, ambient, g)
+        if m is not None and m not in seen:
+            seen.append(m)
+    return seen
 
 
 def all_pairs_CR(group, presentation, embedding_choice=0):

@@ -6,16 +6,20 @@ import pytest
 
 from chromcat import (
     Fusion,
+    SubringPresentation,
     build_category,
     filtration_tower,
     hom_chain_report,
     injective_homs,
     is_level_n_morphism,
+    modp,
     skeleton,
     witness_scan,
 )
+from chromcat import subrings
 from chromcat.cli import main
 from chromcat.elemab import LinearMorphism
+from chromcat.groups import FiniteGroup
 from conftest import category, group
 from oracles import level_oracle_all_tuples
 
@@ -32,8 +36,8 @@ def test_quillen_a4_counts():
     # hom(rank-1, rank-2) has exactly 3 elements
     assert len(q.hom(1, 4)) == 3
     # identities are present everywhere
-    for i in range(len(q.objects)):
-        assert any(f.is_identity() for f in q.hom(i, i))
+    for i, v in enumerate(q.objects):
+        assert modp.identity_matrix(v.rank) in q.hom(i, i)
     # rank-2 automorphisms form the Weyl group C_3
     assert len(q.hom(4, 4)) == 3
 
@@ -47,9 +51,10 @@ def test_level_membership_certificates():
     assert not cert2.ok and cert2.failing is not None
     # conjugation-induced morphisms pass at every level
     q = category("a4", 2, None)
-    for (i, j, f) in q.iter_morphisms():
-        for n in (1, 2, 3):
-            assert is_level_n_morphism(f, n).ok
+    for (i, j), mats in q.homs.items():
+        for m in mats:
+            f = LinearMorphism(q.objects[i], q.objects[j], m)
+            assert all(is_level_n_morphism(f, n).ok for n in (1, 2, 3))
 
 
 def test_level_zero_is_everything():
@@ -139,14 +144,14 @@ def test_witness_cache_induces_morphisms():
     for name, p in [("a4", 2), ("d8", 2), ("s3", 3)]:
         q = category(name, p, None)
         g = q.group
-        for (i, j, f) in q.iter_morphisms():
-            wit = q.witness(i, j, f.matrix)
-            for x in f.source.elements:
-                assert g.conjugate(x, wit) == f(x)
-        # level categories carry the same conjugation witnesses
-        lvl = category(name, p, 1)
-        for (i, j, f) in q.iter_morphisms():
-            assert lvl.witness(i, j, f.matrix) == q.witness(i, j, f.matrix)
+        for (i, j), mats in q.homs.items():
+            for m in mats:
+                f = LinearMorphism(q.objects[i], q.objects[j], m)
+                wit = q.witness(i, j, m)
+                for x in f.source.elements:
+                    assert g.conjugate(x, wit) == f(x)
+                # level categories carry the same conjugation witnesses
+                assert category(name, p, 1).witness(i, j, m) == wit
 
 
 def test_prime_not_dividing_order():
@@ -208,6 +213,49 @@ def test_hom_chain_report_scans_once(fusions):
     }
     hom_chain_report(group("s5"), 2)
     assert _scans(fusions) == {("A4", 2): 1, ("S5", 2): 1}
+
+
+def test_levels_read_conjugacy_from_the_scan(monkeypatch):
+    # once the scan has run, no level conjugates an element: each basis
+    # element's G-class is read off its object's orbit
+    calls = []
+    conjugate = FiniteGroup.conjugate
+
+    def counting(self, g, h):
+        calls.append(g)
+        return conjugate(self, g, h)
+
+    monkeypatch.setattr(FiniteGroup, "conjugate", counting)
+    for name, p in [("a5", 2), ("s5", 2), ("h27", 3), ("x32", 2)]:
+        fusion = Fusion(group(name), p)
+        fusion.scan
+        calls.clear()
+        for n in range(fusion.rank + 1):
+            fusion.category(n)
+        assert calls == [], (name, p)
+
+
+def test_restrictions_conjugate_once_per_object_in_the_sylow(monkeypatch):
+    # an object inside P embeds along g = 0, the first element tried
+    calls = []
+    conjugation_matrix = subrings.conjugation_matrix
+
+    def counting(sub, target, g):
+        calls.append(g)
+        return conjugation_matrix(sub, target, g)
+
+    monkeypatch.setattr(subrings, "conjugation_matrix", counting)
+    a5 = group("a5")
+    presentation = SubringPresentation.for_group(a5, [])
+    inside = [
+        v for v in Fusion(a5, 2).objects
+        if v.elements <= presentation.sylow.elements
+    ]
+    assert len(inside) == 5  # the trivial group, 3 involutions and P
+    for v in inside:
+        calls.clear()
+        presentation.restrictions(v)
+        assert calls == [0]
 
 
 def test_filtration_tower_scans_once(fusions):

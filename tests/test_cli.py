@@ -245,6 +245,13 @@ def test_input_errors_exit_two(capsys, tmp_path, monkeypatch):
     code, out, err = run_cli(capsys, "cr", "--group", "a4", "--generators", str(nokey))
     assert code == 2
     assert out == "" and "generators" in err
+    # a subring name that is not a string would be printed as it stands
+    named = tmp_path / "named.json"
+    for name in (5, None, ["a"]):
+        named.write_text(json.dumps({"name": name, "generators": []}))
+        code, out, err = run_cli(capsys, "cr", "--group", "a4", "--generators", str(named))
+        assert code == 2 and out == "", name
+        assert "name" in err, name
     # q must be a power of p, at least p, and within the colimit work bound;
     # c3 at p=2 has only the trivial subgroup, so only the q^2 table term
     # stops it

@@ -10,8 +10,10 @@ composed hom-sets, morphism counts, isomorphism classes, equality and
 witnesses are checked against every composite multiplied out, at every
 level, Quillen and C_R for A_4 and A_5, and the all-pairs oracle also runs
 at A^(1) and Quillen on three groups beyond order 64.  C_R is checked
-against its all-pairs oracle on every bundled group with an elementary
-abelian Sylow 2-subgroup.  Hypothesis properties compare the builders and
+against its all-pairs oracle, restricting along embedding choices 0-2, on
+every bundled group with an elementary abelian Sylow 2-subgroup, and there
+every object's restrictions must be the same along each of its embeddings
+into the Sylow subgroup.  Hypothesis properties compare the builders and
 C_R with the all-pairs oracles on random permutation groups of degree <= 6,
 beyond the fixed library, and another compares their colimits and towers
 at q = p^2 with the union-find oracle.
@@ -34,11 +36,13 @@ from chromcat import (
     build_CR,
     build_category,
     colim_points,
+    enumerate_elem_abelians,
     filtration_tower,
     group_from_permutations,
     injective_homs,
     invariant_basis,
     is_level_n_morphism,
+    modp,
     p_rank,
     parse_poly,
     quillen_category,
@@ -51,6 +55,7 @@ from oracles import (
     a1_elementwise,
     all_pairs_CR,
     all_pairs_category,
+    embeddings_into,
     inverse_iso_classes,
     level_oracle_all_tuples,
     union_find_colim,
@@ -87,70 +92,75 @@ def _cases():
     ]
 
 
+def _hom_sets(cat):
+    """{(i, j): set of Hom(objects[i], objects[j]) matrices} over every pair
+    of objects, empty hom-sets included."""
+    size = len(cat.objects)
+    homs = cat.homs
+    return {
+        (i, j): set(homs.get((i, j), ()))
+        for i in range(size)
+        for j in range(size)
+    }
+
+
+def _check_axioms(cat, label):
+    """Identities present and composition closed, composable pairs checked
+    at a stride above the budget."""
+    size = len(cat.objects)
+    mats = _hom_sets(cat)
+    for i, v in enumerate(cat.objects):
+        assert modp.identity_matrix(v.rank) in mats[(i, i)], (label, i)
+    total = sum(
+        len(mats[(i, j)]) * len(mats[(j, k)])
+        for i in range(size)
+        for j in range(size)
+        for k in range(size)
+    )
+    stride = max(1, total // CLOSURE_BUDGET)
+    count = 0
+    for j in range(size):
+        incoming = [(i, f) for i in range(size) for f in sorted(mats[(i, j)])]
+        outgoing = [(k, g) for k in range(size) for g in sorted(mats[(j, k)])]
+        for (i, f), (k, g) in itertools.product(incoming, outgoing):
+            count += 1
+            if count % stride:
+                continue
+            assert modp.mat_mul(g, f, cat.p) in mats[(i, k)], (label, i, j, k)
+
+
 def check_identities_present(name, p):
     for n in _levels(name, p) + [None]:
         cat = category(name, p, n)
-        for i in range(len(cat.objects)):
-            assert any(f.is_identity() for f in cat.hom(i, i)), (name, p, n, i)
+        for i, v in enumerate(cat.objects):
+            assert modp.identity_matrix(v.rank) in cat.hom(i, i), (name, p, n, i)
 
 
 def check_composition_closure(name, p):
     for n in _levels(name, p) + [None]:
-        cat = category(name, p, n)
-        size = len(cat.objects)
-        mats = {
-            (i, j): cat.hom_matrices(i, j)
-            for i in range(size)
-            for j in range(size)
-        }
-        total = sum(
-            len(cat.hom(i, j)) * len(cat.hom(j, k))
-            for i in range(size)
-            for j in range(size)
-            for k in range(size)
-        )
-        stride = max(1, total // CLOSURE_BUDGET)
-        count = 0
-        for j in range(size):
-            incoming = [(i, f) for i in range(size) for f in cat.hom(i, j)]
-            outgoing = [(k, g) for k in range(size) for g in cat.hom(j, k)]
-            for (i, f), (k, g) in itertools.product(incoming, outgoing):
-                count += 1
-                if count % stride:
-                    continue
-                composite = g.compose(f)
-                assert composite.matrix in mats[(i, k)], (name, p, n, i, j, k)
+        _check_axioms(category(name, p, n), (name, p, n))
 
 
 def check_conjugation_morphisms_present(name, p):
-    quillen = category(name, p, None)
-    size = len(quillen.objects)
+    quillen = _hom_sets(category(name, p, None))
     for n in _levels(name, p):
-        cat = category(name, p, n)
-        for i in range(size):
-            for j in range(size):
-                assert quillen.hom_matrices(i, j) <= cat.hom_matrices(i, j), (
-                    name, p, n, i, j,
-                )
+        homs = _hom_sets(category(name, p, n))
+        for key, mats in quillen.items():
+            assert mats <= homs[key], (name, p, n, key)
 
 
 def check_monotonicity_and_sandwich(name, p):
     levels = _levels(name, p)
-    cats = {n: category(name, p, n) for n in levels}
-    quillen = category(name, p, None)
-    size = len(quillen.objects)
+    cats = {n: _hom_sets(category(name, p, n)) for n in levels}
+    quillen = _hom_sets(category(name, p, None))
     for n in levels[:-1]:
         hi, lo = cats[n + 1], cats[n]
-        for i in range(size):
-            for j in range(size):
-                assert hi.hom_matrices(i, j) <= lo.hom_matrices(i, j), (name, p, n)
+        for key in quillen:
+            assert hi[key] <= lo[key], (name, p, n)
     for n in levels[1:]:
-        cat = cats[n]
-        for i in range(size):
-            for j in range(size):
-                homs = cat.hom_matrices(i, j)
-                assert quillen.hom_matrices(i, j) <= homs
-                assert homs <= cats[1].hom_matrices(i, j)
+        for key, mats in cats[n].items():
+            assert quillen[key] <= mats
+            assert mats <= cats[1][key]
 
 
 def check_equality_at_p_rank(name, p):
@@ -167,7 +177,7 @@ def check_level_one_elementwise(name, p):
         for j, v in enumerate(objects):
             if w.rank > v.rank:
                 continue
-            members = cat1.hom_matrices(i, j)
+            members = set(cat1.hom(i, j))
             for f in injective_homs(w, v):
                 assert (f.matrix in members) == a1_elementwise(f), (name, p, i, j)
 
@@ -251,14 +261,13 @@ def _check_against_all_pairs(cat, objects, homs, witnesses):
     assert cat.objects == tuple(objects)
     composed = cat.homs
     assert set(composed) == set(homs)
-    for key, fs in composed.items():
-        mats = [f.matrix for f in fs]
-        assert mats == sorted(set(mats)), key  # sorted, without repeats
+    for key, mats in composed.items():
+        assert list(mats) == sorted(set(mats)), key  # sorted, without repeats
         assert set(mats) == {f.matrix for f in homs[key]}, key
     found = {
-        (i, j, f.matrix): cat.witness(i, j, f.matrix)
-        for (i, j), fs in composed.items()
-        for f in fs
+        (i, j, m): cat.witness(i, j, m)
+        for (i, j), mats in composed.items()
+        for m in mats
     }
     assert {key: g for key, g in found.items() if g is not None} == witnesses
 
@@ -289,7 +298,7 @@ def _materialized(cat):
     size = len(cat.objects)
     for i in range(size):
         for j in range(size):
-            lazy = [f.matrix for f in cat.hom(i, j)]
+            lazy = list(cat.hom(i, j))
             assert lazy == [f.matrix for f in homs.get((i, j), ())], (i, j)
             assert lazy == sorted(set(lazy)), (i, j)
     assert cat.morphism_count() == sum(len(fs) for fs in homs.values())
@@ -364,29 +373,53 @@ def test_colimits_match_union_find_on_random_groups(g):
         assert filtration_tower(g, p, q).to_dict() == union_find_tower(g, p, q).to_dict()
 
 
+def _invariant_bases(g):
+    """The Weyl-invariant bases of degrees 1, 2 and 3 on g's Sylow 2-subgroup."""
+    weyl = SubringPresentation.for_group(g, []).weyl
+    return [invariant_basis(weyl, d) for d in (1, 2, 3)]
+
+
 def _check_subrings_against_all_pairs(g, extra=()):
     """C_R against the all-pairs oracle for the unit subring, the Weyl-invariant
     basis of each degree 1-3 and of all three together, and ``extra``
-    generator sets, through embedding choices 0 and 1."""
-    presentation = SubringPresentation.for_group(g, [])
-    bases = [invariant_basis(presentation.weyl, d) for d in (1, 2, 3)]
+    generator sets.  The oracle restricts along embedding choices 0, 1 and
+    2, and the one category the library builds must equal each."""
+    bases = _invariant_bases(g)
     for gens in ([], *bases, [f for b in bases for f in b], *extra):
         presentation = SubringPresentation.for_group(g, gens)
-        for choice in (0, 1):
+        cat = build_CR(g, presentation)
+        for choice in (0, 1, 2):
             _check_against_all_pairs(
-                build_CR(g, presentation, embedding_choice=choice),
-                *all_pairs_CR(g, presentation, embedding_choice=choice),
+                cat, *all_pairs_CR(g, presentation, embedding_choice=choice)
             )
 
 
 # Every bundled group whose Sylow 2-subgroup is elementary abelian: nontrivial
 # in the first seven, trivial in the last five.
-@pytest.mark.parametrize("name", [
+ELEMENTARY_ABELIAN_SYLOW_2 = [
     "a4", "a5", "c2", "c6", "e8", "k4", "s3", "c1", "c3", "e9", "h27", "c3wrc3",
-])
+]
+
+
+@pytest.mark.parametrize("name", ELEMENTARY_ABELIAN_SYLOW_2)
 def test_factorized_subring_categories_match_all_pairs_oracle(name):
     extra = ([D1 ** 2, D0 ** 2], [D1, D0, ETA]) if name in ("a4", "a5") else ()
     _check_subrings_against_all_pairs(group(name), extra)
+
+
+@pytest.mark.parametrize("name", ELEMENTARY_ABELIAN_SYLOW_2)
+def test_restrictions_agree_along_every_embedding(name):
+    # the library restricts along the least-g embedding into P; every other
+    # conjugation embedding must give the same restrictions
+    g = group(name)
+    gens = [f for b in _invariant_bases(g) for f in b]
+    presentation = SubringPresentation.for_group(g, gens)
+    for v in enumerate_elem_abelians(g, 2):
+        embs = embeddings_into(g, v, presentation.sylow)
+        assert embs, (name, v.rank)
+        for emb in embs:
+            along = tuple(f.substitute_linear(modp.transpose(emb)) for f in gens)
+            assert presentation.restrictions(v) == along, (name, v.rank, emb)
 
 
 @settings(max_examples=40, deadline=None)
@@ -403,13 +436,4 @@ def test_subring_category_axioms():
     # C_R instances satisfy the same categorical axioms
     a4 = group("a4")
     for gens in ([D1, D0, ETA], [D1 ** 2, D0 ** 2], []):
-        cat = build_CR(a4, SubringPresentation.for_group(a4, gens))
-        size = len(cat.objects)
-        for i in range(size):
-            assert any(f.is_identity() for f in cat.hom(i, i))
-        for i in range(size):
-            for j in range(size):
-                for k in range(size):
-                    for f in cat.hom(i, j):
-                        for g2 in cat.hom(j, k):
-                            assert g2.compose(f).matrix in cat.hom_matrices(i, k)
+        _check_axioms(build_CR(a4, SubringPresentation.for_group(a4, gens)), gens)
