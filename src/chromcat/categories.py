@@ -8,34 +8,36 @@ directly; the two agree for n at least the p-rank.
 
 Every morphism f: W -> V is an isomorphism onto its image U = f(W) followed
 by the inclusion U <= V, so the split is unique, and the level, conjugation
-and subring conditions see only the isomorphism.  A ``ChromCategory`` stores
-just that: Iso_C(W, U) for each pair of objects of equal rank, and the
-inclusion poset of the objects.  A hom-set is a sorted tuple of matrices,
-composed each time it is asked for and never kept; morphism counts,
-isomorphism classes, equality and colimit class sizes are read off the
-isomorphisms and the poset.
+and subring conditions see only the isomorphism.  Every category here
+contains the Quillen category, so its isomorphism classes are unions of
+G-conjugacy classes.  A ``ChromCategory`` stores, per class, Aut_C(R) of its
+least member R and one t_U in Iso_C(R, U) per member U, and the inclusion
+poset.  Iso_C(W, U) = t_U Aut_C(R) t_W^-1, and hom-sets are composed from
+these when asked for and never kept; morphism counts, isomorphism classes,
+equality and colimit class sizes are read off the classes and the poset.
 
 A ``Fusion`` is one group at one prime for as long as its caller holds it:
 the objects, their inclusion poset and one conjugation scan of the group,
-from which it builds every level, the Quillen category and C_R.  A request
-that compares several of them scans the group once.  For each object S the
-scan records the orbit of S's basis under conjugation, the set
-{g S.basis g^-1}, and the conjugation isomorphisms Iso_Q(S, gSg^-1) with
-their least g; a basis tuple seen before costs one lookup, so an object
-costs |G| lookups and |G : C_G(S)| target searches.  The j-th entries of
-the orbit's tuples are the G-class of S's j-th basis element, so the level
-search reads conjugacy from the scan and conjugates nothing itself.
+from which it builds every level, the Quillen category and C_R, searching
+class representatives only; a request that compares several of them scans
+the group once.  For each object S the scan records the orbit
+{g S.basis g^-1} of S's basis, and for the least S of each G-class also
+Aut_Q(S) and the conjugation by the least g onto each conjugate.  A basis
+tuple seen before costs one lookup, so an object costs |G| lookups and a
+class |G : C_G(S)| target searches.  The j-th entries of the orbit's tuples
+are the G-class of S's j-th basis element, so the level search reads
+conjugacy from the scan and conjugates nothing itself.
 
 The level test enumerates no tuples.  A witness conjugating a basis of a
 subgroup S <= W conjugates every element of S, and every n-tuple generates
 such a subgroup of rank <= n, so f: W -> U is level-n exactly when, for each
 object S <= W of rank min(n, rank W), the images under f of S.basis form a
 key of S's orbit.  When rank W <= n the only such S is W itself, so
-Iso_n(W, U) = Iso_Q(W, U) and comes straight from the scan, with no
-candidate tested; from the p-rank on, A^(n) is the Quillen category.  Level
-0 keeps every invertible matrix.  Otherwise a candidate sends each basis
-element of W to one of its conjugates in U, and is kept when it passes the
-orbit test; no morphism object is made for a rejected candidate.
+Iso_n(W, U) = Iso_Q(W, U) and the scan's class is kept, with no candidate
+tested; from the p-rank on, A^(n) is the Quillen category.  Level 0 keeps
+every invertible matrix.  Otherwise a candidate sends each basis element of
+W to one of its conjugates in U, and is kept when it passes the orbit test;
+no morphism object is made for a rejected candidate.
 ``is_level_n_morphism`` tests the same reduction with a conjugacy search per
 subgroup and returns a certificate of witnesses; the builder does not call
 it, and the tests compare the builder with it.  The all-tuples brute force
@@ -44,7 +46,6 @@ lives in the test suite as the independent oracle for the reduction.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -54,7 +55,6 @@ from . import modp
 from .elemab import (
     ElemAbelian,
     LinearMorphism,
-    _span,
     conjugation_matrix,
     enumerate_elem_abelians,
 )
@@ -111,88 +111,93 @@ def _inclusion_poset(objects: Sequence[ElemAbelian]) -> tuple:
 
 class ChromCategory:
     """A category of elementary abelian p-subgroups with linear morphisms,
-    stored as its isomorphisms and the inclusion poset.
+    stored as one groupoid per isomorphism class over the inclusion poset.
 
-    ``isos[(i, k)]`` is Iso_C(objects[i], objects[k]) as a sorted tuple of
-    matrices without repeats; a pair with no isomorphism is absent, and the
-    constructor sorts and deduplicates what it is given.
-    ``iso_witnesses[(i, k, matrix)]`` is the least group element inducing a
-    conjugation isomorphism.  ``poset`` is the objects' (above, inclusions),
-    computed when not given.  Hom(W_i, V_j) is the union over the objects
-    U_k <= V_j of Iso(i, k) followed by the inclusion, and distinct (k, iso)
-    give distinct morphisms, so only ``hom`` and ``homs`` multiply them
-    out, for the hom-sets asked for, and keep nothing.
+    ``classes`` lists the classes in order of least member R, each as
+    (Aut_C(R) as a sorted tuple of matrices, {U: t_U in Iso_C(R, U)}), and
+    ``poset`` is the objects' (above, inclusions).  Hom(W_i, V_j) is the
+    union over the objects U_k <= V_j of Iso(i, k) followed by the
+    inclusion, and distinct (k, iso) give distinct morphisms, so only
+    ``iso``, ``hom`` and ``homs`` multiply them out, and keep nothing.
     """
 
-    def __init__(self, group, p, level, kind, objects, isos, iso_witnesses, poset=None):
+    def __init__(self, group, p, level, kind, objects, classes, poset):
         self.group = group
         self.p = p
         self.level = level
         self.kind = kind  # "level" | "quillen" | "subring"
         self.objects = tuple(objects)
-        self.isos = {}
-        for key, mats in isos.items():
-            mats = tuple(mats)
-            if any(a >= b for a, b in itertools.pairwise(mats)):
-                mats = tuple(sorted(set(mats)))
-            if mats:
-                self.isos[key] = mats
-        self.iso_witnesses = iso_witnesses
-        self.above, self.inclusions = poset or _inclusion_poset(self.objects)
-        self._targets = {}
-        for i, k in self.isos:
-            self._targets.setdefault(i, []).append(k)
+        self.classes = classes
+        self.above, self.inclusions = poset
+        self.class_of = {k: c for c, (_, ts) in enumerate(classes) for k in ts}
+
+    def _composites(self, i: int, heads: list) -> tuple:
+        """h a t_i^-1 for h in heads and a in Aut(R) of i's class, sorted; the
+        builders give each R the identity t_R, so sets out of R invert nothing."""
+        aut, transports = self.classes[self.class_of[i]]
+        t = transports[i]
+        if heads and t != modp.identity_matrix(len(t)):
+            back = modp.mat_inverse(t, self.p)
+            aut = [modp.mat_mul(a, back, self.p) for a in aut]
+        return tuple(sorted(modp.mat_mul(h, a, self.p) for h in heads for a in aut))
 
     def iso(self, i: int, k: int) -> tuple:
-        return self.isos.get((i, k), ())
+        """The matrices of Iso(objects[i], objects[k]), sorted."""
+        transports = self.classes[self.class_of[i]][1]
+        return self._composites(i, [transports[k]]) if k in transports else ()
+
+    def _iso_pairs(self):
+        """Every (i, k) with objects[i] and objects[k] isomorphic."""
+        return ((i, k) for i, c in self.class_of.items() for k in self.classes[c][1])
+
+    @property
+    def isos(self) -> dict:
+        """{(i, k): iso(i, k)} over the pairs of isomorphic objects."""
+        return {key: self.iso(*key) for key in self._iso_pairs()}
 
     def hom(self, i: int, j: int) -> tuple:
         """The matrices of Hom(objects[i], objects[j]), sorted."""
-        out = []
-        for k in self._targets.get(i, ()):
-            inclusion = self.inclusions.get((k, j))
-            if inclusion is not None:
-                out.extend(modp.mat_mul(inclusion, m, self.p) for m in self.isos[(i, k)])
-        out.sort()
-        return tuple(out)
+        heads = [
+            modp.mat_mul(self.inclusions[(k, j)], t, self.p)
+            for k, t in self.classes[self.class_of[i]][1].items()
+            if (k, j) in self.inclusions
+        ]
+        return self._composites(i, heads)
 
     @property
     def homs(self) -> dict:
         """{(i, j): hom(i, j)} over the nonempty hom-sets."""
-        keys = {(i, j) for i, k in self.isos for j in self.above[k]}
+        keys = {(i, j) for i, k in self._iso_pairs() for j in self.above[k]}
         return {key: self.hom(*key) for key in sorted(keys)}
 
     def morphism_count(self) -> int:
-        return sum(len(mats) * len(self.above[k]) for (_, k), mats in self.isos.items())
-
-    @functools.cached_property
-    def _index(self) -> dict:
-        return {v.elements: k for k, v in enumerate(self.objects)}
+        return sum(
+            len(aut) * len(transports) * sum(len(self.above[k]) for k in transports)
+            for aut, transports in self.classes
+        )
 
     def witness(self, i: int, j: int, matrix: tuple) -> Optional[int]:
         """The least g inducing the morphism objects[i] -> objects[j] with
-        this matrix, or None when it is not a conjugation morphism.
-
-        The columns span the image U_k; the matrix is Iso(i, k) followed by
-        U_k <= V_j, and g is the witness of that isomorphism.
-        """
-        v = self.objects[j]
-        images = [v.element_at(col) for col in zip(*matrix)]
-        k = self._index[frozenset(_span(self.group, images))]
-        u = self.objects[k]
-        cols = [u.coordinates(x) for x in images]
-        iso = tuple(tuple(col[r] for col in cols) for r in range(u.rank))
-        return self.iso_witnesses.get((i, k, iso))
+        this matrix, or None when it is not a conjugation morphism."""
+        images = [self.objects[j].element_at(col) for col in zip(*matrix)]
+        return self.group.simultaneous_conjugacy(self.objects[i].basis, images)
 
     def equals(self, other: "ChromCategory") -> bool:
         """Hom-set by hom-set equality over the identical object list.  The
         objects fix the inclusions and the split is unique, so equal hom-sets
-        are equal iso sets."""
-        return (
-            self.group is other.group
-            and self.objects == other.objects
-            and self.isos == other.isos
-        )
+        are equal iso sets: the same classes with the same Aut(R), and each
+        transport of the other in this one's Iso(R, U) = t_U Aut(R)."""
+        same_objects = self.group is other.group and self.objects == other.objects
+        if not same_objects or self.class_of != other.class_of:
+            return False
+        for (aut, mine), (other_aut, theirs) in zip(self.classes, other.classes):
+            auts = set(aut)
+            if aut != other_aut or any(
+                modp.mat_mul(modp.mat_inverse(mine[k], self.p), t, self.p) not in auts
+                for k, t in theirs.items()
+            ):
+                return False
+        return True
 
     def __repr__(self):
         lev = "oo" if self.level is None else self.level
@@ -207,35 +212,38 @@ class ChromCategory:
 
 
 class _Scan(NamedTuple):
-    """What one pass of G over the objects yields: Iso_Q as {(i, k): sorted
-    matrices}, the least inducing g of each as {(i, k, matrix): g}, and
-    orbits[i] = the set {g W_i.basis g^-1} of basis-image tuples."""
+    """What one pass of G over the objects yields: the Quillen classes, one
+    per G-class of objects, and orbits[i] = the set {g W_i.basis g^-1}."""
 
-    isos: dict
-    witnesses: dict
+    classes: list
     orbits: list
 
 
 def _conjugation_scan(group, objects) -> _Scan:
     """One pass of G over every object; a conjugate basis tuple seen before
-    adds nothing, so only a new one has its target object and matrix found."""
+    adds nothing.  Only the least object R of each G-class finds the target
+    U and matrix of a new one: Aut_Q(R) when U = R, else t_U when U is new."""
     index = {u.elements: k for k, u in enumerate(objects)}
-    isos = {}
-    witnesses = {}
+    classes = []
     orbits = []
     for i, w in enumerate(objects):
-        orbit = set()
+        leads = not any(i in transports for _, transports in classes)
+        orbit, aut, transports = set(), [], {}
         for g in group.elements():
             images = tuple(group.conjugate(b, g) for b in w.basis)
             if images in orbit:
                 continue
             orbit.add(images)
-            k = index[frozenset(group.conjugate(x, g) for x in w.elements)]
-            m = conjugation_matrix(w, objects[k], g)
-            isos.setdefault((i, k), []).append(m)
-            witnesses[(i, k, m)] = g
+            if leads:
+                k = index[frozenset(group.conjugate(x, g) for x in w.elements)]
+                m = conjugation_matrix(w, objects[k], g)
+                if k == i:
+                    aut.append(m)
+                transports.setdefault(k, m)
         orbits.append(orbit)
-    return _Scan({key: tuple(sorted(ms)) for key, ms in isos.items()}, witnesses, orbits)
+        if leads:
+            classes.append((tuple(sorted(aut)), transports))
+    return _Scan(classes, orbits)
 
 
 class Fusion:
@@ -243,9 +251,10 @@ class Fusion:
 
     It holds the objects and their inclusion poset, runs the conjugation
     scan once, on first use, and builds the level-n, Quillen and subring
-    categories from them.  ``stats`` counts what it did: objects, scans run,
-    level candidates tested and kept, and C_R keys pulled back.  Nothing is
-    kept anywhere else, so the scan lives exactly as long as the Fusion.
+    categories from them, searching class representatives only.  ``stats``
+    counts what it did: objects, scans run, G-classes of objects, level
+    candidates tested and kept, and C_R keys pulled back.  Nothing is kept
+    anywhere else, so the scan lives exactly as long as the Fusion.
     """
 
     def __init__(self, group: FiniteGroup, p: int):
@@ -257,6 +266,7 @@ class Fusion:
         self.stats = {
             "objects": len(self.objects),
             "scans": 0,
+            "classes": 0,
             "level_candidates": 0,
             "level_kept": 0,
             "subring_pullbacks": 0,
@@ -269,107 +279,122 @@ class Fusion:
         if self._scan is None:
             self._scan = _conjugation_scan(self.group, self.objects)
             self.stats["scans"] += 1
+            self.stats["classes"] = len(self._scan.classes)
         return self._scan
 
     def category(self, n: Level) -> ChromCategory:
         """A^(n); n None gives the Quillen category."""
         if n is None:
-            return self._category(None, "quillen", self.scan.isos)
+            return self._category(None, "quillen", self.scan.classes)
         if n < 0:
             raise GroupError("level must be >= 0")
-        return self._category(n, "level", self._level_isos(n))
+        return self._category(n, "level", self._level_classes(n))
 
     def subring(self, presentation) -> ChromCategory:
         """C_R of ``subrings.build_CR`` on these objects.
 
         f: W -> U is kept when f^* Res_U = Res_W, so the equation is solved
-        by lookup: each object's key is its rank and Res of every generator,
-        U's key is pulled back once along each f in GL_rank(U), and f joins
-        Iso_R(W, U) for every W whose key equals the pullback.
+        by lookup: each object's key is its rank and Res of every generator.
+        Each object R not yet in a class leads one: its key is pulled back
+        along each m in GL_rank(R), and a W whose key is the pullback joins
+        with t_W = m^-1 (t_R = 1), m going into Aut(R) when W is R.
         """
         keys = [(w.rank, presentation.restrictions(w)) for w in self.objects]
         sources = {}
         for i, key in enumerate(keys):
             sources.setdefault(key, []).append(i)
-        isos = {}
-        for k, (rank, res) in enumerate(keys):
+        classes = []
+        for r, (rank, res) in enumerate(keys):
+            if any(r in transports for _, transports in classes):
+                continue
+            aut, transports = [], {r: modp.identity_matrix(rank)}
             gl = self._gl(rank)
             self.stats["subring_pullbacks"] += len(gl)
             for m in gl:
                 pullback = modp.transpose(m)
                 key = (rank, tuple(rv.substitute_linear(pullback) for rv in res))
                 for i in sources.get(key, ()):
-                    isos.setdefault((i, k), []).append(m)
-        return self._category(None, "subring", isos, {})
+                    if i == r:
+                        aut.append(m)
+                    if i not in transports:
+                        transports[i] = modp.mat_inverse(m, self.p)
+            classes.append((tuple(aut), transports))
+        return self._category(None, "subring", classes)
 
-    def _category(self, level, kind, isos, witnesses=None) -> ChromCategory:
-        if witnesses is None:
-            witnesses = self.scan.witnesses
+    def _category(self, level, kind, classes) -> ChromCategory:
         return ChromCategory(
-            self.group, self.p, level, kind, self.objects, isos, witnesses, self.poset
+            self.group, self.p, level, kind, self.objects, classes, self.poset
         )
 
     def _gl(self, r: int) -> tuple:
         """Every invertible r x r matrix over F_p, sorted; one tuple per rank
-        is shared by every pair that keeps them all."""
+        is shared by every class that keeps them all."""
         if r not in self._gls:
             self._gls[r] = tuple(sorted(modp.enumerate_injective_matrices(r, r, self.p)))
         return self._gls[r]
 
-    def _level_isos(self, n: int) -> dict:
-        """Iso_n(W_i, U_k) as {(i, k): matrices}.
+    def _level_classes(self, n: int) -> list:
+        """The classes of A^(n), from the Quillen classes.
 
-        Iso_Q when rank W <= n; every invertible matrix when n = 0.  Otherwise
-        column j must be a conjugate in U of the j-th basis element of W, read
-        off the j-th entries of W's orbit, and a choice of columns is kept
-        when it carries the basis of every rank-n object S <= W into S's
-        orbit.  Such a matrix is invertible, because every nonzero vector of
-        W lies in some S, on which it is a conjugation.
+        A Quillen class of rank <= n stays; at n = 0 each rank is one class,
+        with Aut = GL and identity transports.  Otherwise a Quillen class
+        with least member R' joins the first class R of its rank with a
+        level-n f: R -> R', its members U taking t_U f, or else leads a
+        class whose Aut are the level-n f: R' -> R'.
         """
-        p, objects = self.p, self.objects
-        isos, orbits = self.scan.isos, self.scan.orbits
         if n >= self.rank:
-            return isos
-        kept = {key: ms for key, ms in isos.items() if objects[key[0]].rank <= n}
-        by_rank = {}
-        for k, u in enumerate(objects):
-            by_rank.setdefault(u.rank, []).append(k)
-        tested = 0
-        for r, members in sorted(by_rank.items()):
-            if r <= n:
+            return self.scan.classes
+        if n == 0:
+            by_rank = {}
+            for k, u in enumerate(self.objects):
+                by_rank.setdefault(u.rank, {})[k] = modp.identity_matrix(u.rank)
+            return [(self._gl(r), transports) for r, transports in by_rank.items()]
+        classes = []
+        for aut, transports in self.scan.classes:
+            r = min(transports)
+            rank = self.objects[r].rank
+            if rank <= n:
+                classes.append((aut, transports))
                 continue
-            if n == 0:
-                kept.update(((i, k), self._gl(r)) for i in members for k in members)
-                continue
-            for i in members:
-                w = objects[i]
-                subs = [
-                    (orbits[s], [w.coordinates(b) for b in objects[s].basis])
-                    for s in by_rank[n]
-                    if objects[s].elements <= w.elements
-                ]
-                classes = [set(col) for col in zip(*orbits[i])]
-                for k in members:
-                    u = objects[k]
-                    choices = [
-                        [u.coordinates(x) for x in sorted(u.elements & c)]
-                        for c in classes
-                    ]
-                    mats = []
-                    for columns in itertools.product(*choices):
-                        tested += 1
-                        m = tuple(zip(*columns))
-                        if all(
-                            tuple(u.element_at(modp.mat_vec(m, c, p)) for c in coords)
-                            in orbit
-                            for orbit, coords in subs
-                        ):
-                            mats.append(m)
-                    if mats:
-                        kept[(i, k)] = mats
-                        self.stats["level_kept"] += len(mats)
-        self.stats["level_candidates"] += tested
-        return kept
+            for _, joined in classes:
+                lead = min(joined)
+                same_rank = self.objects[lead].rank == rank
+                f = next(self._level_isos(lead, r, n), None) if same_rank else None
+                if f is not None:
+                    joined.update((k, modp.mat_mul(t, f, self.p)) for k, t in transports.items())
+                    break
+            else:
+                classes.append((tuple(sorted(self._level_isos(r, r, n))), dict(transports)))
+        return classes
+
+    def _level_isos(self, i: int, k: int, n: int):
+        """The level-n isomorphisms W = objects[i] -> U = objects[k], lazily.
+
+        Column j is a conjugate in U of W's j-th basis element, read off W's
+        orbit, and a choice is kept when it carries the basis of every rank-n
+        object S <= W into S's orbit.  That makes it invertible: each nonzero
+        vector of W lies in some S, on which it is a conjugation.
+        """
+        p, objects, orbits = self.p, self.objects, self.scan.orbits
+        w, u = objects[i], objects[k]
+        subs = [
+            (orbits[s], [w.coordinates(b) for b in v.basis])
+            for s, v in enumerate(objects)
+            if v.rank == n and v.elements <= w.elements
+        ]
+        choices = [
+            [u.coordinates(x) for x in sorted(u.elements & set(col))]
+            for col in zip(*orbits[i])
+        ]
+        for columns in itertools.product(*choices):
+            self.stats["level_candidates"] += 1
+            m = tuple(zip(*columns))
+            if all(
+                tuple(u.element_at(modp.mat_vec(m, c, p)) for c in coords) in orbit
+                for orbit, coords in subs
+            ):
+                self.stats["level_kept"] += 1
+                yield m
 
 
 def quillen_category(group: FiniteGroup, p: int) -> ChromCategory:
@@ -473,38 +498,21 @@ class SkeletonReport:
 
 
 def iso_classes(cat: ChromCategory) -> list[list[int]]:
-    """Object indices grouped into isomorphism classes: the components of
-    the relation "Iso(i, k) is nonempty", each sorted, ordered by least
-    member."""
-    parent = list(range(len(cat.objects)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, k in cat.isos:
-        parent[find(k)] = find(i)
-    classes = {}
-    for i in range(len(parent)):
-        # a class is met first at its least member
-        classes.setdefault(find(i), []).append(i)
-    return list(classes.values())
+    """Object indices grouped into isomorphism classes, each sorted, ordered
+    by least member."""
+    return [sorted(transports) for _, transports in cat.classes]
 
 
 def skeleton(cat: ChromCategory) -> SkeletonReport:
     """Object classes under isomorphism in the category, with orbit data.
 
     Only the hom-sets between class representatives are composed."""
-    groups = iso_classes(cat)
+    groups = [(members, aut) for members, (aut, _) in zip(iso_classes(cat), cat.classes)]
     if len(groups) > 1:
-        groups = [g for g in groups if cat.objects[g[0]].rank > 0]
+        groups = [g for g in groups if cat.objects[g[0][0]].rank > 0]
     report = SkeletonReport()
-    reps = []
-    for members in groups:
+    for members, mats in groups:
         rep = members[0]
-        mats = cat.iso(rep, rep)
         abelian = all(
             modp.mat_mul(a, b, cat.p) == modp.mat_mul(b, a, cat.p)
             for a in mats
@@ -524,17 +532,14 @@ def skeleton(cat: ChromCategory) -> SkeletonReport:
                 aut_exponent=exponent,
             )
         )
-        reps.append(rep)
 
-    for si, srep in enumerate(reps):
-        for ti, trep in enumerate(reps):
+    for si, (sources, aut_s) in enumerate(groups):
+        for ti, (targets, aut_t) in enumerate(groups):
             if si == ti:
                 continue
-            hom = cat.hom(srep, trep)
+            hom = cat.hom(sources[0], targets[0])
             if not hom:
                 continue
-            aut_t = cat.iso(trep, trep)
-            aut_s = cat.iso(srep, srep)
             orbits = _orbit_decomposition(hom, aut_t, (), cat.p)
             two_sided = _orbit_decomposition(hom, aut_t, aut_s, cat.p)
             report.edges.append(

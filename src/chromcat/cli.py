@@ -41,6 +41,7 @@ from .library import (
 from .polyfp import parse_poly
 from .subrings import (
     SubringPresentation,
+    sylow_among,
     sylow_elem_abelian,
     weyl_action,
 )
@@ -346,7 +347,8 @@ def _read_generators(path, rank):
 
 def cmd_cr(args):
     group = _load_group(args)
-    sylow = sylow_elem_abelian(group, 2)
+    fusion = Fusion(group, 2)
+    sylow = sylow_among(fusion.objects)
     weyl = weyl_action(group, sylow)
     if args.generators:
         gens, name = _read_generators(args.generators, sylow.rank)
@@ -356,7 +358,6 @@ def cmd_cr(args):
         presentation = SubringPresentation(sylow, weyl, gens, name=name)
     except ValueError as exc:  # an inhomogeneous or non-invariant generator
         raise UsageError(str(exc)) from exc
-    fusion = Fusion(group, 2)
     cat = fusion.subring(presentation)
     comparisons = {}
     for n in range(0, fusion.rank + 1):

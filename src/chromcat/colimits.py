@@ -42,7 +42,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .categories import ChromCategory, Fusion, iso_classes
+from . import modp
+from .categories import ChromCategory, Fusion
 from .elemab import _span, injective_hom_count
 from .groups import FiniteGroup
 
@@ -204,10 +205,9 @@ class ColimResult:
 def colim_points(cat: ChromCategory, q: int) -> ColimResult:
     """The colimit's F_q-points, one Aut-orbit walk per isomorphism class."""
     m = q_to_pm(q, cat.p)
-    classes = iso_classes(cat)
     walked = sum(
-        math.prod(q - cat.p ** i for i in range(cat.objects[members[0]].rank))
-        for members in classes
+        math.prod(q - cat.p ** i for i in range(cat.objects[min(transports)].rank))
+        for _, transports in cat.classes
     )
     if q * q + walked > WORK_BOUND:
         raise FqError(
@@ -218,12 +218,11 @@ def colim_points(cat: ChromCategory, q: int) -> ColimResult:
     n = len(cat.objects)
     counts = [q ** v.rank for v in cat.objects]
     reps, sizes, orbits, to_least = [], [], {}, [None] * n
-    for members in classes:
-        least = members[0]
+    for auts, transports in cat.classes:
+        least = min(transports)
         rank = cat.objects[least].rank
-        auts = cat.iso(least, least)
         # Hom(U, V) is Iso(U, U_k) followed by U_k <= V, one V per object above U_k
-        size = sum(len(cat.iso(least, k)) * len(cat.above[k]) for k in members)
+        size = len(auts) * sum(len(cat.above[k]) for k in transports)
         orbit = orbits[least] = {}
         found = 0
         for pt in f.full_support_points(rank):
@@ -239,8 +238,8 @@ def colim_points(cat: ChromCategory, q: int) -> ColimResult:
                 "Aut of object %d does not act freely on its full-support points"
                 % least
             )
-        for s in members:
-            to_least[s] = (least, cat.iso(s, least)[0])
+        for s, t in transports.items():
+            to_least[s] = (least, modp.mat_inverse(t, cat.p))
     if sum(sizes) != sum(counts):
         raise AssertionError("colimit classes do not partition the points")
     return ColimResult(
@@ -317,6 +316,6 @@ def component_count(cat: ChromCategory) -> int:
     """
     return sum(
         1
-        for members in iso_classes(cat)
-        if all(len(cat.above[k]) == 1 for k in members)
+        for _, transports in cat.classes
+        if all(len(cat.above[k]) == 1 for k in transports)
     )

@@ -177,12 +177,6 @@ class LinearMorphism:
             other.source, self.target, modp.mat_mul(self.matrix, other.matrix, self.p)
         )
 
-    def is_identity(self) -> bool:
-        return (
-            self.source == self.target
-            and self.matrix == modp.identity_matrix(self.source.rank)
-        )
-
 
 def identity_morphism(v: ElemAbelian) -> LinearMorphism:
     return LinearMorphism(v, v, modp.identity_matrix(v.rank))

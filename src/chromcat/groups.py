@@ -22,6 +22,7 @@ package.  A tuple witness g for simultaneous conjugacy satisfies
 
 from __future__ import annotations
 
+import math
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -127,7 +128,7 @@ class FiniteGroup:
         e = 1
         for g in range(self.order):
             k = self.element_order(g)
-            e = e * k // _gcd(e, k)
+            e = e * k // math.gcd(e, k)
         return e
 
     def is_abelian(self) -> bool:
@@ -171,12 +172,6 @@ class FiniteGroup:
             if all(t[row[x]][g_inv] == y for x, y in pairs):
                 return g
         return None
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # -- permutation closure ------------------------------------------------------

@@ -40,10 +40,16 @@ class UnsupportedGroupError(GroupError):
 def sylow_elem_abelian(group: FiniteGroup, p: int = 2) -> ElemAbelian:
     """The first maximal elementary abelian subgroup that is a full Sylow
     p-subgroup; raises if the Sylow p-subgroup is not elementary abelian."""
+    return sylow_among(enumerate_elem_abelians(group, p))
+
+
+def sylow_among(objects: Sequence[ElemAbelian]) -> ElemAbelian:
+    """``sylow_elem_abelian`` read off all elementary abelians, by rank."""
+    group, p = objects[0].group, objects[0].p
     part = 1
     while group.order % (part * p) == 0:
         part *= p
-    for v in enumerate_elem_abelians(group, p):
+    for v in objects:
         if p ** v.rank == part:
             return v
     raise UnsupportedGroupError(

@@ -24,8 +24,8 @@ per invertible matrix and looks the pullback up among the keys.  ``with_inclusio
 multiplies every such composite out into a morphism, where the library
 composes a hom-set only when asked for it, and ``inverse_iso_classes``
 joins two objects when some morphism has its inverse matrix among the
-morphisms back, where the library takes the components of the nonempty
-Iso relation.
+morphisms back, where the library reads its classes off the groupoids it
+stores.
 """
 
 from __future__ import annotations
@@ -426,7 +426,8 @@ def embeddings_into(group, sub, ambient):
 
 def all_pairs_CR(group, presentation, embedding_choice=0):
     """(objects, homs, witnesses) of C_R, built pair by pair: f: W -> V is
-    kept when f^* Res_V = Res_W on every generator."""
+    kept when f^* Res_V = Res_W on every generator.  The witnesses are those
+    of the kept conjugation maps."""
     objects = enumerate_elem_abelians(group, presentation.p)
     res = []
     for v in objects:
@@ -440,7 +441,15 @@ def all_pairs_CR(group, presentation, embedding_choice=0):
             rv.substitute_linear(pullback) == rw for rv, rw in zip(res[j], res[i])
         )
 
-    return objects, all_pairs_filtered_homs(objects, keep), {}
+    homs = all_pairs_filtered_homs(objects, keep)
+    _, conjugations = all_pairs_conjugation_homs(group, objects)
+    witnesses = {
+        (i, j, f.matrix): conjugations[(i, j, f.matrix)]
+        for (i, j), fs in homs.items()
+        for f in fs
+        if (i, j, f.matrix) in conjugations
+    }
+    return objects, homs, witnesses
 
 
 def rank_injective_matrices(rows, cols, p):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,8 @@ from chromcat import (
     skeleton,
     witness_scan,
 )
-from chromcat import subrings
+from chromcat import elemab, subrings
+from chromcat.categories import ChromCategory
 from chromcat.cli import main
 from chromcat.elemab import LinearMorphism
 from chromcat.groups import FiniteGroup
@@ -154,6 +156,28 @@ def test_witness_cache_induces_morphisms():
                 assert category(name, p, 1).witness(i, j, m) == wit
 
 
+def test_equals_compares_transports_as_well_as_aut():
+    # the A_5 Klein fours form one class with Aut = C_3 in GL_2(2); moving
+    # one member's transport by the swap, which is outside C_3, keeps the
+    # partition and Aut(R) but changes Iso(R, U)
+    q = category("a5", 2, None)
+    aut, transports = q.classes[2]
+    swap = ((0, 1), (1, 0))
+    assert len(aut) == 3 and swap not in aut
+    u = max(transports)
+    moved = dict(transports)
+    moved[u] = modp.mat_mul(transports[u], swap, 2)
+    poset = (q.above, q.inclusions)
+
+    def rebuilt(classes):
+        return ChromCategory(q.group, 2, None, "quillen", q.objects, classes, poset)
+
+    twisted = rebuilt(q.classes[:2] + [(aut, moved)])
+    assert q.equals(rebuilt(list(q.classes)))
+    assert not q.equals(twisted) and not twisted.equals(q)
+    assert set(q.iso(min(transports), u)) != set(twisted.iso(min(transports), u))
+
+
 def test_prime_not_dividing_order():
     q = category("s3", 5, None)
     assert len(q.objects) == 1 and q.objects[0].rank == 0
@@ -206,13 +230,28 @@ def test_hom_chain_report_scans_once(fusions):
     hom_chain_report(group("a4"), 2)
     assert _scans(fusions) == {("A4", 2): 1}
     # A^(1) tests the 3 x 3 column choices on the Klein four and keeps the 6
-    # of GL_2(2); A^(2) and A^(3) are Quillen's and test none
+    # of GL_2(2); A^(2) and A^(3) are Quillen's and test none.  The scan
+    # finds 3 G-classes: the trivial group, the involutions and the Klein four
     assert fusions[0].stats == {
-        "objects": 5, "scans": 1, "level_candidates": 9, "level_kept": 6,
-        "subring_pullbacks": 0,
+        "objects": 5, "scans": 1, "classes": 3, "level_candidates": 9,
+        "level_kept": 6, "subring_pullbacks": 0,
     }
     hom_chain_report(group("s5"), 2)
     assert _scans(fusions) == {("A4", 2): 1, ("S5", 2): 1}
+
+
+def test_level_search_tests_class_representatives_only(fusions):
+    # Aut_n of each Quillen representative, and one candidate search per
+    # later representative of its rank; testing every equal-rank pair of
+    # objects took 1,140 candidates on S5 and 55,425 on S6
+    hom_chain_report(group("s5"), 2)
+    hom_chain_report(group("s6"), 2)
+    assert [f.stats for f in fusions] == [
+        {"objects": 46, "scans": 1, "classes": 5, "level_candidates": 13,
+         "level_kept": 8, "subring_pullbacks": 0},
+        {"objects": 271, "scans": 1, "classes": 11, "level_candidates": 95,
+         "level_kept": 36, "subring_pullbacks": 0},
+    ]
 
 
 def test_levels_read_conjugacy_from_the_scan(monkeypatch):
@@ -274,3 +313,24 @@ def test_cli_cr_scans_once(fusions, capsys):
     assert main(["cr", "-g", "a5", "--generators", str(GENERATORS / "chern.json")]) == 0
     assert capsys.readouterr().err == ""
     assert _scans(fusions) == {("A5", 2): 1}
+
+
+def test_cli_cr_enumerates_elementary_abelians_once(monkeypatch, capsys):
+    # the Sylow subgroup is read off the Fusion's objects, so the request
+    # enumerates the elementary abelian subgroups once; every chromcat
+    # module that imported the enumeration sees the counting wrapper
+    real = elemab.enumerate_elem_abelians
+    calls = []
+
+    def counting(group, p):
+        calls.append((group.name, p))
+        return real(group, p)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "chromcat" and getattr(
+            module, "enumerate_elem_abelians", None
+        ) is real:
+            monkeypatch.setattr(module, "enumerate_elem_abelians", counting)
+    assert main(["cr", "-g", "a5", "--generators", str(GENERATORS / "chern.json")]) == 0
+    assert capsys.readouterr().err == ""
+    assert calls == [("A5", 2)]

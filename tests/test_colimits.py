@@ -10,7 +10,6 @@ from chromcat import (
     p_rank,
     quillen_category,
 )
-from chromcat.categories import ChromCategory
 from chromcat.colimits import FqError, q_to_pm
 from conftest import SMALL_LIBRARY, category, group
 from oracles import colim_size_naive, fq_points, union_find_colim, union_find_tower
@@ -81,25 +80,6 @@ def test_monotone_in_level():
         assert sizes == sorted(sizes, reverse=True)
 
 
-def test_relation_closure_idempotent():
-    # duplicating morphisms (here: listing every isomorphism twice, which
-    # repeats every composite) cannot change the quotient
-    from chromcat.categories import ChromCategory
-
-    base = category("a4", 2, 1)
-    doubled = ChromCategory(
-        base.group,
-        base.p,
-        base.level,
-        base.kind,
-        base.objects,
-        {key: mats + mats for key, mats in base.isos.items()},
-        base.iso_witnesses,
-    )
-    for q in (2, 4):
-        assert colim_points(base, q).size == colim_points(doubled, q).size
-
-
 def test_component_counts():
     assert component_count(category("a4", 2, None)) == 1
     assert component_count(category("a4", 2, 1)) == 1
@@ -166,23 +146,6 @@ def test_class_of_matches_union_find_on_every_point(name, p):
                 oracle.node_class[offset:offset + count]
             ), (level, i)
             offset += count
-
-
-def test_duplicated_morphisms_match_union_find():
-    # a class is sized by distinct matrices, so repeated isomorphisms, and
-    # with them repeated composites, change nothing
-    base = category("a4", 2, 1)
-    doubled = ChromCategory(
-        base.group,
-        base.p,
-        base.level,
-        base.kind,
-        base.objects,
-        {key: mats + mats for key, mats in base.isos.items()},
-        base.iso_witnesses,
-    )
-    for q in (2, 4, 8):
-        assert colim_points(doubled, q).to_dict() == union_find_colim(base, q).to_dict()
 
 
 def test_class_counts_follow_the_closed_form():

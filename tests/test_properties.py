@@ -288,13 +288,55 @@ def test_factorized_builders_match_all_pairs_oracle_beyond_order_64(name, p):
         _check_against_all_pairs(category(name, p, n), *all_pairs_category(g, p, n))
 
 
+# A 2-group of order 64 whose A^(1) joins two G-classes of Klein fours
+# through a candidate that is not the identity matrix.  The bundled groups
+# join classes only in S6 and A6, and there through the identity, so only
+# this group sees the join's transports t_U f differ from the t_U it starts
+# from.
+LEVEL_JOIN_GENERATORS = [[5, 3, 1, 7, 6, 4, 0, 2], [1, 0, 5, 3, 7, 2, 6, 4]]
+
+
+def test_level_join_through_a_non_identity_candidate_matches_all_pairs_oracle():
+    g = group_from_permutations(8, LEVEL_JOIN_GENERATORS)
+    assert g.order == 64
+    for n in (1, 2, None):
+        cat = quillen_category(g, 2) if n is None else build_category(g, 2, n)
+        _check_against_all_pairs(cat, *all_pairs_category(g, 2, n))
+
+
+def _agl_1_8():
+    """AGL(1, 8): x -> x + 1 and x -> a x on F_8 = F_2[a]/(a^3 + a + 1),
+    field elements as bitmasks; order 56, Sylow 2-subgroup the translations."""
+    times_a = [(v << 1) ^ (0b1011 if v & 4 else 0) for v in range(8)]
+    return group_from_permutations(8, [[v ^ 1 for v in range(8)], times_a], "AGL(1,8)")
+
+
+def test_subring_transports_match_all_pairs_oracle_on_agl_1_8():
+    # the Weyl invariants of degrees 1-4 cut C_R down to the Quillen
+    # category, where a Klein four's automorphisms are trivial: each
+    # transport is the one isomorphism from the class's least member, and
+    # some have order 3, so a matched m stored in place of m^-1 shows
+    g = _agl_1_8()
+    assert g.order == 56
+    weyl = SubringPresentation.for_group(g, []).weyl
+    gens = [f for d in range(1, 5) for f in invariant_basis(weyl, d)]
+    presentation = SubringPresentation.for_group(g, gens)
+    cat = build_CR(g, presentation)
+    assert cat.equals(quillen_category(g, 2))
+    for choice in (0, 1, 2):
+        _check_against_all_pairs(cat, *all_pairs_CR(g, presentation, embedding_choice=choice))
+
+
 def _materialized(cat):
     """{(i, j): sorted composite matrices} multiplied out by the oracle,
     after checking the lazy category against it: every hom-set in order
     and without repeats, the morphism count, the isomorphism classes, and
     each composite's witness, which must induce it."""
     triples = [(i, k, m) for (i, k), mats in cat.isos.items() for m in mats]
-    homs, witnesses = with_inclusions(cat.p, cat.objects, triples, cat.iso_witnesses)
+    # each isomorphism's own witness, which with_inclusions passes on to
+    # its composites
+    conjugations = {(i, k, m): cat.witness(i, k, m) for i, k, m in triples}
+    homs, witnesses = with_inclusions(cat.p, cat.objects, triples, conjugations)
     size = len(cat.objects)
     for i in range(size):
         for j in range(size):
@@ -312,6 +354,42 @@ def _materialized(cat):
                     cat.group.conjugate(x, g) == f(x) for x in f.source.elements
                 )
     return {key: [f.matrix for f in fs] for key, fs in homs.items()}
+
+
+# Composites g f checked per (i, k, l) triple: every f in Iso(i, k) after
+# the first few g in Iso(k, l), on at most five members of each class.
+COMPOSE_SAMPLE = 4
+
+
+def _check_groupoid_laws(cat):
+    """For i, k, l in one class: Iso(k, l) Iso(i, k) lies in Iso(i, l),
+    Iso(k, i) is exactly the inverses of Iso(i, k), and |Iso(i, k)| is
+    |Aut(R)| of the class's least member R."""
+    p = cat.p
+    for members, (aut, _) in zip(iso_classes(cat), cat.classes):
+        sample = sorted(set(members[:3] + members[-2:]))
+        isos = {(i, k): cat.iso(i, k) for i in sample for k in sample}
+        assert isos[(members[0], members[0])] == aut, members
+        for (i, k), mats in isos.items():
+            assert len(mats) == len(aut), (i, k)
+            assert sorted(modp.mat_inverse(m, p) for m in mats) == list(isos[(k, i)])
+        for i, k, l in itertools.product(sample, repeat=3):
+            into = set(isos[(i, l)])
+            for g in isos[(k, l)][:COMPOSE_SAMPLE]:
+                assert all(modp.mat_mul(g, f, p) in into for f in isos[(i, k)]), (i, k, l)
+
+
+@pytest.mark.parametrize("name,p", _cases())
+def test_isomorphisms_form_a_groupoid(name, p):
+    for n in _levels(name, p) + [None]:
+        _check_groupoid_laws(category(name, p, n))
+
+
+@pytest.mark.parametrize("name", ["a4", "a5"])
+def test_subring_isomorphisms_form_a_groupoid(name):
+    g = group(name)
+    for gens in ([], [D1 ** 2, D0 ** 2], [D1, D0, ETA]):
+        _check_groupoid_laws(build_CR(g, SubringPresentation.for_group(g, gens)))
 
 
 def _check_equals_against_materialized(cats):

@@ -93,14 +93,15 @@ def test_cr_monotone_in_generators():
                 assert set(smaller.hom(i, j)) <= set(larger.hom(i, j))
 
 
-def test_cr_pulls_back_one_key_per_object_and_matrix():
-    # A_5 at p = 2: the trivial group, 15 involutions and 5 Klein fours, so
-    # 1 + 15 * |GL_1| + 5 * |GL_2| = 46 pullbacks, where testing every
-    # equal-rank pair would take 1 + 15^2 + 5^2 * 6 = 376
+def test_cr_pulls_back_one_key_per_class_and_matrix():
+    # A_5 at p = 2 has three C_R classes: the trivial group, the 15
+    # involutions and the 5 Klein fours, so 1 + |GL_1| + |GL_2| = 8
+    # pullbacks, where one per object took 1 + 15 * 1 + 5 * 6 = 46 and
+    # testing every equal-rank pair would take 1 + 15^2 + 5^2 * 6 = 376
     a5 = group("a5")
     fusion = Fusion(a5, 2)
     cat = fusion.subring(SubringPresentation.for_group(a5, [D1, D0, ETA]))
-    assert fusion.stats["subring_pullbacks"] == 46
+    assert fusion.stats["subring_pullbacks"] == 8
     assert fusion.stats["scans"] == 0
     assert cat.equals(quillen_category(a5, 2))
 
