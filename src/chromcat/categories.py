@@ -533,15 +533,14 @@ def skeleton(cat: ChromCategory) -> SkeletonReport:
             )
         )
 
-    for si, (sources, aut_s) in enumerate(groups):
+    for si, (sources, _) in enumerate(groups):
         for ti, (targets, aut_t) in enumerate(groups):
             if si == ti:
                 continue
             hom = cat.hom(sources[0], targets[0])
             if not hom:
                 continue
-            orbits = _orbit_decomposition(hom, aut_t, (), cat.p)
-            two_sided = _orbit_decomposition(hom, aut_t, aut_s, cat.p)
+            orbits = _orbit_decomposition(hom, aut_t, cat.p)
             report.edges.append(
                 SkeletonEdge(
                     source=si,
@@ -550,28 +549,53 @@ def skeleton(cat: ChromCategory) -> SkeletonReport:
                     orbits=tuple(
                         (len(o), len(aut_t) // len(o)) for o in orbits
                     ),
-                    two_sided_orbit_count=len(two_sided),
+                    two_sided_orbit_count=_subobject_orbit_count(
+                        cat, sources, targets[0], aut_t
+                    ),
                 )
             )
     return report
 
 
-def _orbit_decomposition(mats, aut_target, aut_source, p):
+def _orbit_decomposition(mats, aut_target, p):
+    """The orbits of Aut(target) acting on mats from the left, each sorted,
+    in order of least member."""
     remaining = set(mats)
     orbits = []
     while remaining:
         seed = min(remaining)
-        orbit = set()
-        if aut_source:
-            for a in aut_target:
-                for b in aut_source:
-                    orbit.add(modp.mat_mul(modp.mat_mul(a, seed, p), b, p))
-        else:
-            for a in aut_target:
-                orbit.add(modp.mat_mul(a, seed, p))
+        orbit = {modp.mat_mul(a, seed, p) for a in aut_target}
         remaining -= orbit
         orbits.append(sorted(orbit))
     return orbits
+
+
+def _subobject_orbit_count(cat, members, v, aut_v) -> int:
+    """The Aut(V) x Aut(R) orbits on Hom(R, V), R the least of ``members``.
+
+    Hom(R, V) is the union of the blocks incl_k t_k Aut(R) over the members
+    U_k <= V, and each block is one right Aut(R)-orbit, of the morphisms
+    with image U_k.  A left a in Aut(V) carries that image to a(U_k), so
+    the two-sided orbits are the Aut(V)-orbits of those subobjects, each
+    named by the row-reduced basis of its column span.
+    """
+    p = cat.p
+
+    def span(m):
+        return modp.rref(modp.transpose(m), p)[0]
+
+    remaining = {
+        span(cat.inclusions[(k, v)]): cat.inclusions[(k, v)]
+        for k in members
+        if (k, v) in cat.inclusions
+    }
+    count = 0
+    while remaining:
+        incl = remaining.popitem()[1]
+        for a in aut_v:
+            remaining.pop(span(modp.mat_mul(a, incl, p)), None)
+        count += 1
+    return count
 
 
 # -- stabilization ------------------------------------------------------------

@@ -27,13 +27,19 @@ of full-support points of one isomorphism class [U]:
 Objects are sorted by rank, so the least point of a class lies in the least
 object U of [U]: the class walk below lists U's full-support points in
 lexicographic order, and each point not yet seen is the least point of its
-class.  A field element is its m coordinates in F_p, named by the integer
+class.  The walk depends only on Aut_C(U), so a request walks each distinct
+Aut tuple once and every class with that Aut, at every level of a tower,
+shares it; a class's ids are its first id plus the walk's local orbit ids.
+The tower's connecting maps go one class at a time, and only a class whose
+least member was joined to a smaller one a level down applies a matrix to
+its points.  Walks and tables live for one call and are never kept.  A
+field element is its m coordinates in F_p, named by the integer
 they spell as base-p digits; an F_p-matrix applied to a point needs only
 addition and F_p-scaling, read from two tables.  Only that vector space is
 used, never the field multiplication, so q may be any power of p.  The work
 still grows with q: WORK_BOUND caps the q^2 addition-table entries plus the
-full-support points walked, and a larger request is refused before any table
-is built.
+full-support points of every class, shared walks counted once per class,
+and a larger request is refused before any table is built.
 """
 
 from __future__ import annotations
@@ -156,6 +162,33 @@ class _IndexedField:
         return tuple(out)
 
 
+class _Walk:
+    """The orbits of one Aut tuple on the full-support points of its rank.
+
+    ``points`` lists the least point of each orbit in lexicographic order,
+    ``indices`` their point indices, and ``orbit`` maps every full-support
+    point to its local orbit id.  Every class whose least member has this
+    Aut shares the walk, at every level of a tower.
+    """
+
+    def __init__(self, f: _IndexedField, auts: tuple):
+        rank = len(auts[0])
+        self.points, self.indices, self.orbit = [], [], {}
+        orbit = self.orbit
+        for pt in f.full_support_points(rank):
+            if pt in orbit:
+                continue
+            for a in auts:
+                orbit[f.apply(a, pt)] = len(self.points)
+            self.points.append(pt)
+            self.indices.append(f.point_index(pt))
+        if len(self.points) * len(auts) != injective_hom_count(rank, f.m, f.p):
+            raise AssertionError(
+                "Aut of rank %d does not act freely on its full-support points"
+                % rank
+            )
+
+
 @dataclass
 class ColimResult:
     q: int
@@ -166,7 +199,7 @@ class ColimResult:
     _objects: tuple = field(repr=False)
     _field: _IndexedField = field(repr=False)
     _index: dict = field(repr=False)      # element set -> object index
-    _orbits: dict = field(repr=False)     # least object of [U] -> {point: class id}
+    _walks: dict = field(repr=False)      # least object of [U] -> (first class id, walk)
     _to_least: list = field(repr=False)   # object -> (least object of its class, iso)
 
     def to_dict(self) -> dict:
@@ -199,12 +232,14 @@ class ColimResult:
     def _orbit_class(self, s: int, pt: tuple) -> int:
         """The class id of a full-support point of object s."""
         least, iso = self._to_least[s]
-        return self._orbits[least][self._field.apply(iso, pt)]
+        first, walk = self._walks[least]
+        return first + walk.orbit[self._field.apply(iso, pt)]
 
 
-def colim_points(cat: ChromCategory, q: int) -> ColimResult:
-    """The colimit's F_q-points, one Aut-orbit walk per isomorphism class."""
-    m = q_to_pm(q, cat.p)
+def _check_work(cat: ChromCategory, q: int) -> ChromCategory:
+    """cat, or raise when its q^2 table entries plus the full-support points
+    of every class pass WORK_BOUND.  Classes that share a walk are counted
+    once each, so the bound does not depend on how much is shared."""
     walked = sum(
         math.prod(q - cat.p ** i for i in range(cat.objects[min(transports)].rank))
         for _, transports in cat.classes
@@ -214,36 +249,38 @@ def colim_points(cat: ChromCategory, q: int) -> ColimResult:
             "q = %d needs %d addition-table entries and %d full-support points, "
             "past the work bound %d on their sum" % (q, q * q, walked, WORK_BOUND)
         )
-    f = _IndexedField(cat.p, m)
+    return cat
+
+
+def colim_points(cat: ChromCategory, q: int) -> ColimResult:
+    """The colimit's F_q-points, one Aut-orbit walk per distinct Aut."""
+    m = q_to_pm(q, cat.p)
+    _check_work(cat, q)
+    return _colim(cat, _IndexedField(cat.p, m), {})
+
+
+def _colim(cat: ChromCategory, f: _IndexedField, walks: dict) -> ColimResult:
+    """colim_points over the field f, taking each class's walk from
+    ``walks`` (Aut tuple -> walk) and adding the walks it lacks."""
     n = len(cat.objects)
-    counts = [q ** v.rank for v in cat.objects]
-    reps, sizes, orbits, to_least = [], [], {}, [None] * n
+    counts = [f.q ** v.rank for v in cat.objects]
+    reps, sizes, by_least, to_least = [], [], {}, [None] * n
     for auts, transports in cat.classes:
         least = min(transports)
-        rank = cat.objects[least].rank
+        if auts not in walks:
+            walks[auts] = _Walk(f, auts)
+        walk = walks[auts]
+        by_least[least] = (len(reps), walk)
         # Hom(U, V) is Iso(U, U_k) followed by U_k <= V, one V per object above U_k
         size = len(auts) * sum(len(cat.above[k]) for k in transports)
-        orbit = orbits[least] = {}
-        found = 0
-        for pt in f.full_support_points(rank):
-            if pt in orbit:
-                continue
-            for a in auts:
-                orbit[f.apply(a, pt)] = len(reps)
-            reps.append((least, f.point_index(pt)))
-            sizes.append(size)
-            found += 1
-        if found * len(auts) != injective_hom_count(rank, f.m, cat.p):
-            raise AssertionError(
-                "Aut of object %d does not act freely on its full-support points"
-                % least
-            )
+        reps.extend((least, k) for k in walk.indices)
+        sizes.extend([size] * len(walk.indices))
         for s, t in transports.items():
             to_least[s] = (least, modp.mat_inverse(t, cat.p))
     if sum(sizes) != sum(counts):
         raise AssertionError("colimit classes do not partition the points")
     return ColimResult(
-        q=q,
+        q=f.q,
         object_counts=counts,
         size=len(reps),
         class_reps=reps,
@@ -251,7 +288,7 @@ def colim_points(cat: ChromCategory, q: int) -> ColimResult:
         _objects=cat.objects,
         _field=f,
         _index={v.elements: k for k, v in enumerate(cat.objects)},
-        _orbits=orbits,
+        _walks=by_least,
         _to_least=to_least,
     )
 
@@ -282,22 +319,34 @@ def filtration_tower(group: FiniteGroup, p: int, q: int) -> FiltrationTower:
     Hom-sets grow as n decreases, so each level's partition refines the next
     lower level's; the connecting map sends a level-(n+1) class to the
     level-n class of its representative and is checked surjective.  One
-    Fusion builds every level.
+    Fusion builds every level, and one field and one walk per distinct Aut
+    serve them all.  The map is read one level-(n+1) class at a time: when
+    its least member R still leads its level-n class (t_R is the identity)
+    the reps are looked up in the level-n walk, which is the same walk
+    unless Aut(R) grew, and only a class joined below R applies the
+    isomorphism to each rep.
     """
-    q_to_pm(q, p)
+    m = q_to_pm(q, p)
     fusion = Fusion(group, p)
-    ranks = [v.rank for v in fusion.objects]
-    levels = [
-        (n, colim_points(fusion.category(n), q))
+    cats = [
+        (n, _check_work(fusion.category(n), q))
         for n in range(max(fusion.rank, 1), 0, -1)
     ]
+    f = _IndexedField(p, m)
+    walks = {}
+    levels = [(n, _colim(cat, f, walks)) for n, cat in cats]
     surjections = []
     for (n_hi, hi), (n_lo, lo) in zip(levels, levels[1:]):
-        # a class rep has full support in its own object: no support to find
-        mapping = [
-            lo._orbit_class(i, lo._field.point_at(k, ranks[i]))
-            for i, k in hi.class_reps
-        ]
+        mapping = []
+        for r, (_, walk) in hi._walks.items():
+            least, iso = lo._to_least[r]
+            first, lower = lo._walks[least]
+            if least != r:
+                mapping.extend(first + lower.orbit[f.apply(iso, pt)] for pt in walk.points)
+            elif lower is walk:
+                mapping.extend(range(first, first + len(walk.points)))
+            else:
+                mapping.extend(first + lower.orbit[pt] for pt in walk.points)
         if set(mapping) != set(range(lo.size)):
             raise AssertionError(
                 "connecting map not surjective between levels %d and %d"

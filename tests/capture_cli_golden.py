@@ -16,8 +16,11 @@ reports: its other category levels take seconds each.  Every group and
 prime also keeps ``stab``.  Beyond the per-group reports it keeps ``cr``
 for a4 and a5 with the unit subring and with the Chern and full generator
 sets of ``tests/golden/generators/``, and ``witness`` over the bundled
-library at (p, n) = (2, 1), (2, 2) and (3, 1).  Each report is written to
-``tests/golden/cli/<case>.json``.
+library at (p, n) = (2, 1), (2, 2) and (3, 1).  Past order 64 it keeps
+``colim -q 4 --tower`` for a6 and s6 at p = 2, whose A^(1) joins G-classes of
+Klein fours, so their connecting maps cross a level join, and
+``category -n 1`` for a6 at p = 3, where A^(1) and the Quillen category
+differ.  Each report is written to ``tests/golden/cli/<case>.json``.
 """
 
 from __future__ import annotations
@@ -86,6 +89,15 @@ def cases():
         out.append((
             "witness-p%d-n%d" % (p, n), ["witness", "-p", str(p), "-n", str(n)]
         ))
+    for name in ("a6", "s6"):
+        out.append((
+            "%s-p2-colim-q4-tower" % name,
+            ["colim", "-g", name, "-p", "2", "-q", "4", "--tower"],
+        ))
+    out.append((
+        "a6-p3-category-n1",
+        ["category", "-g", "a6", "-p", "3", "--format", "json", "-n", "1"],
+    ))
     return out
 
 

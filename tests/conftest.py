@@ -39,3 +39,9 @@ ORACLE_LIBRARY = [
     "c2", "c3", "c4", "c6", "k4", "e8", "e9", "s3", "d8", "q8",
     "c2wrc2", "a4", "d16", "sd16", "q16", "s4", "h27", "x32",
 ]
+
+# A 2-group of order 64 (as permutations of 8 points) whose A^(1) joins two
+# G-classes of Klein fours through a candidate that is not the identity
+# matrix.  The bundled groups join classes only in S6 and A6, and there
+# through the identity.
+LEVEL_JOIN_GENERATORS = [[5, 3, 1, 7, 6, 4, 0, 2], [1, 0, 5, 3, 7, 2, 6, 4]]

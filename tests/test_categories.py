@@ -14,6 +14,7 @@ from chromcat import (
     injective_homs,
     is_level_n_morphism,
     modp,
+    p_rank,
     skeleton,
     witness_scan,
 )
@@ -22,8 +23,8 @@ from chromcat.categories import ChromCategory
 from chromcat.cli import main
 from chromcat.elemab import LinearMorphism
 from chromcat.groups import FiniteGroup
-from conftest import category, group
-from oracles import level_oracle_all_tuples
+from conftest import SMALL_LIBRARY, category, group
+from oracles import level_oracle_all_tuples, two_sided_orbits
 
 GENERATORS = Path(__file__).parent / "golden" / "generators"
 
@@ -334,3 +335,22 @@ def test_cli_cr_enumerates_elementary_abelians_once(monkeypatch, capsys):
     assert main(["cr", "-g", "a5", "--generators", str(GENERATORS / "chern.json")]) == 0
     assert capsys.readouterr().err == ""
     assert calls == [("A5", 2)]
+
+
+@pytest.mark.parametrize("name", SMALL_LIBRARY)
+def test_two_sided_orbits_are_subobject_orbits(name):
+    # the skeleton counts Aut(V)-orbits of subobjects; the oracle multiplies
+    # every pair of automorphisms into every morphism
+    g = group(name)
+    for p in (2, 3, 5):
+        if g.order % p:
+            continue
+        for n in list(range(p_rank(g, p) + 1)) + [None]:
+            cat = category(name, p, n)
+            report = skeleton(cat)
+            for e in report.edges:
+                i, j = (report.classes[c].representative for c in (e.source, e.target))
+                aut_s, aut_t = (cat.classes[cat.class_of[k]][0] for k in (i, j))
+                assert e.two_sided_orbit_count == len(
+                    two_sided_orbits(cat.hom(i, j), aut_t, aut_s, p)
+                ), (p, n, e.source, e.target)

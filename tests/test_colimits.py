@@ -7,12 +7,19 @@ from chromcat import (
     component_count,
     enumerate_elem_abelians,
     filtration_tower,
+    group_from_permutations,
     p_rank,
     quillen_category,
 )
-from chromcat.colimits import FqError, q_to_pm
-from conftest import SMALL_LIBRARY, category, group
-from oracles import colim_size_naive, fq_points, union_find_colim, union_find_tower
+from chromcat.colimits import FqError, _IndexedField, q_to_pm
+from conftest import LEVEL_JOIN_GENERATORS, SMALL_LIBRARY, category, group
+from oracles import (
+    colim_size_naive,
+    fq_points,
+    per_point_tower_maps,
+    union_find_colim,
+    union_find_tower,
+)
 
 
 def test_q_must_be_power_of_p():
@@ -155,3 +162,65 @@ def test_class_counts_follow_the_closed_form():
     res = colim_points(category("a4", 2, None), 16)
     assert res.size == 1 + 15 // 1 + (15 * 14) // 3
     assert sum(res.class_sizes) == sum(res.object_counts) == 1 + 3 * 16 + 256
+
+
+def _count_field_work(monkeypatch) -> dict:
+    """Count full-support points walked, ``apply`` calls and fields built."""
+    counts = {"points": 0, "applies": 0, "fields": 0}
+    walk, apply, init = (
+        _IndexedField.full_support_points, _IndexedField.apply, _IndexedField.__init__
+    )
+
+    def counting_walk(self, r):
+        for pt in walk(self, r):
+            counts["points"] += 1
+            yield pt
+
+    def counting_apply(self, matrix, pt):
+        counts["applies"] += 1
+        return apply(self, matrix, pt)
+
+    def counting_init(self, p, m):
+        counts["fields"] += 1
+        init(self, p, m)
+
+    monkeypatch.setattr(_IndexedField, "full_support_points", counting_walk)
+    monkeypatch.setattr(_IndexedField, "apply", counting_apply)
+    monkeypatch.setattr(_IndexedField, "__init__", counting_init)
+    return counts
+
+
+@pytest.mark.parametrize("name,p,q,expected", [
+    # e8: every Aut is trivial, so one walk per rank and the maps are ranges
+    ("e8", 2, 16, {"points": 15 * 14 * 12 + 15 * 14 + 15 + 1, "applies": 2746, "fields": 1}),
+    # h27: both levels share one walk per rank
+    ("h27", 3, 27, {"points": 26 * 24 + 26 + 1, "fields": 1}),
+])
+def test_tower_walks_each_aut_once(monkeypatch, name, p, q, expected):
+    counts = _count_field_work(monkeypatch)
+    for _ in range(2):
+        # a second request repeats the work: nothing outlives a call
+        for key in counts:
+            counts[key] = 0
+        filtration_tower(group(name), p, q)
+        assert {key: counts[key] for key in expected} == expected
+
+
+@pytest.mark.parametrize("name,p,q", [
+    ("level-join", 2, 4), ("level-join", 2, 8), ("a6", 2, 4), ("s6", 2, 4),
+])
+def test_tower_maps_by_class_match_the_per_point_map(name, p, q):
+    # each of these towers has a class whose least member R is joined, one
+    # level down, to a class with a smaller least member
+    g = (
+        group_from_permutations(8, LEVEL_JOIN_GENERATORS)
+        if name == "level-join" else group(name)
+    )
+    tower = filtration_tower(g, p, q)
+    assert tower.surjections == per_point_tower_maps(tower)
+    assert any(
+        lo._to_least[r][0] != r
+        for (_, hi), (_, lo) in zip(tower.levels, tower.levels[1:])
+        for r in hi._walks
+    )
+    assert tower.to_dict() == union_find_tower(g, p, q).to_dict()

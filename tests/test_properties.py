@@ -50,7 +50,13 @@ from chromcat import (
 )
 from chromcat.categories import iso_classes
 from chromcat.subrings import SubringPresentation
-from conftest import ORACLE_LIBRARY, SMALL_LIBRARY, category, group
+from conftest import (
+    LEVEL_JOIN_GENERATORS,
+    ORACLE_LIBRARY,
+    SMALL_LIBRARY,
+    category,
+    group,
+)
 from oracles import (
     a1_elementwise,
     all_pairs_CR,
@@ -288,14 +294,8 @@ def test_factorized_builders_match_all_pairs_oracle_beyond_order_64(name, p):
         _check_against_all_pairs(category(name, p, n), *all_pairs_category(g, p, n))
 
 
-# A 2-group of order 64 whose A^(1) joins two G-classes of Klein fours
-# through a candidate that is not the identity matrix.  The bundled groups
-# join classes only in S6 and A6, and there through the identity, so only
-# this group sees the join's transports t_U f differ from the t_U it starts
-# from.
-LEVEL_JOIN_GENERATORS = [[5, 3, 1, 7, 6, 4, 0, 2], [1, 0, 5, 3, 7, 2, 6, 4]]
-
-
+# Only the LEVEL_JOIN_GENERATORS group sees the join's transports t_U f
+# differ from the t_U it starts from.
 def test_level_join_through_a_non_identity_candidate_matches_all_pairs_oracle():
     g = group_from_permutations(8, LEVEL_JOIN_GENERATORS)
     assert g.order == 64
