@@ -32,7 +32,6 @@ from .elemab import (
     ElemAbelian,
     LinearMorphism,
     enumerate_elem_abelians,
-    identity_morphism,
     injective_hom_count,
     injective_homs,
     p_rank,
@@ -79,7 +78,6 @@ from .subrings import (
     SubringPresentation,
     UnsupportedGroupError,
     build_CR,
-    distinguishing_generator,
     restriction,
     sylow_elem_abelian,
     weyl_action,

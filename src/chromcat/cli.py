@@ -203,6 +203,13 @@ def _parse_level(value):
     return n
 
 
+def _parse_finite_level(value):
+    n = int(value)
+    if n < 0:
+        raise argparse.ArgumentTypeError("level must be >= 0")
+    return n
+
+
 def _parse_degree(value):
     d = int(value)
     if d < 0:
@@ -493,7 +500,7 @@ def _build_parser():
 
     sp = sub.add_parser("witness", help="scan a library for A^(n) != A^(n+1)")
     common(sp, group=False)
-    sp.add_argument("-n", type=int, default=1)
+    sp.add_argument("-n", type=_parse_finite_level, default=1)
     sp.add_argument("--library", help="directory of group JSON files (default: bundled)")
     sp.add_argument("--max-order", type=_parse_order, default=64)
     sp.set_defaults(func=cmd_witness)

@@ -1,8 +1,11 @@
 """Elementary abelian p-subgroups as F_p vector spaces with chosen bases.
 
-A subgroup is identified by its element set; the stored basis is the
-lexicographically least one (by parent element index), which makes every
-downstream enumeration deterministic.  Group homomorphisms between elementary
+A subgroup is identified by its element set and is the span of its least
+basis: scanning the elements in index order, each one outside the span of
+those already taken joins the basis.  One routine, ``_extend``, grows a
+span and its coordinate table by one order-p element; the constructor, the
+enumerator and ``_span`` all build through it, so every downstream
+enumeration is deterministic.  Group homomorphisms between elementary
 abelians are exactly F_p-linear maps and are represented as matrices only.
 """
 
@@ -24,39 +27,38 @@ class ElemAbelian:
     """
 
     def __init__(self, group: FiniteGroup, p: int, elements: frozenset):
-        self.group = group
-        self.p = p
-        self.elements = frozenset(elements)
-        self.basis = self._least_basis()
-        self.rank = len(self.basis)
-        if p ** self.rank != len(self.elements):
+        elements = frozenset(elements)
+        basis, coords = [], {0: ()}
+        for e in sorted(elements):
+            if e not in coords:
+                basis.append(e)
+                coords = _extend(group, p, coords, e)
+        if coords.keys() != elements:
             raise GroupError("element set is not an elementary abelian subgroup")
-        self._by_coords = {}
-        self._coords = {}
-        for coords in itertools.product(range(p), repeat=self.rank):
-            g = 0
-            for b, c in zip(self.basis, coords):
-                for _ in range(c):
-                    g = group.mul(g, b)
-            self._by_coords[coords] = g
-            self._coords[g] = coords
-        if len(self._coords) != len(self.elements):
-            raise GroupError("basis does not span the subgroup freely")
-        for b in self.basis:
+        for b in basis:
             if group.element_order(b) != p:
                 raise GroupError("basis element %d does not have order %d" % (b, p))
-        for b, c in itertools.combinations(self.basis, 2):
+        for b, c in itertools.combinations(basis, 2):
             if group.mul(b, c) != group.mul(c, b):
                 raise GroupError("basis elements do not commute")
+        self._adopt(group, p, tuple(basis), coords)
 
-    def _least_basis(self) -> tuple:
-        basis = []
-        span = {0}
-        for e in sorted(self.elements):
-            if e not in span:
-                basis.append(e)
-                span = _span(self.group, basis)
-        return tuple(basis)
+    @classmethod
+    def _spanned(cls, group: FiniteGroup, p: int, basis: tuple, coords: dict):
+        """The subgroup whose least basis is ``basis``, with coords its
+        coordinate table {element: coordinates}; nothing is checked."""
+        v = cls.__new__(cls)
+        v._adopt(group, p, basis, coords)
+        return v
+
+    def _adopt(self, group, p, basis, coords):
+        self.group = group
+        self.p = p
+        self.basis = basis
+        self.rank = len(basis)
+        self.elements = frozenset(coords)
+        self._coords = coords
+        self._by_coords = {c: g for g, c in coords.items()}
 
     def element_at(self, coords: Sequence[int]) -> int:
         return self._by_coords[tuple(c % self.p for c in coords)]
@@ -88,54 +90,54 @@ class ElemAbelian:
         return "ElemAbelian(p=%d, rank=%d, basis=%r)" % (self.p, self.rank, self.basis)
 
 
+def _extend(group: FiniteGroup, p: int, coords: dict, e: int) -> dict:
+    """The table {element: coordinates} grown by the order-p element e:
+    each entry a gives a*e^k, with coordinates (coords(a), k), for k < p."""
+    table, grown = group.table, {}
+    for a, c in coords.items():
+        for k in range(p):
+            grown[a] = c + (k,)
+            a = table[a][e]
+    return grown
+
+
 def _span(group: FiniteGroup, gens: Sequence[int]) -> set:
-    span = {0}
+    coords = {0: ()}
     for g in gens:
-        new = set()
-        for s in span:
-            x = s
-            while True:
-                new.add(x)
-                x = group.mul(x, g)
-                if x == s:
-                    break
-        span = new
-    return span
+        coords = _extend(group, group.element_order(g), coords, g)
+    return set(coords)
 
 
 def enumerate_elem_abelians(group: FiniteGroup, p: int) -> list[ElemAbelian]:
     """All elementary abelian p-subgroups, trivial subgroup included.
 
-    Grown rank by rank: each rank-k subgroup is extended by every commuting
-    order-p element outside it, then deduplicated by element set.  Output is
-    sorted by (rank, sorted element indices).
+    Grown rank by rank, each subgroup built once: B with least basis
+    (b_1, ..., b_k, x) comes only from A = span(b_1, ..., b_k) and x.  So A
+    is extended only by order-p elements x outside A, past A's last basis
+    element and commuting with A's basis, for which x is the least element
+    of span(A, x) outside A.  Output is sorted by (rank, sorted element
+    indices).
     """
+    table = group.table
     order_p = [g for g in range(1, group.order) if group.element_order(g) == p]
-    levels = [{frozenset({0})}]
-    while levels[-1]:
-        nxt = set()
-        for s in levels[-1]:
+    level = [ElemAbelian._spanned(group, p, (), {0: ()})]
+    out = []
+    while level:
+        out += level
+        nxt = []
+        for a in level:
+            last = a.basis[-1] if a.basis else 0
             for x in order_p:
-                if x in s:
+                if x <= last or x in a.elements:
                     continue
-                if all(group.mul(x, y) == group.mul(y, x) for y in s):
-                    ext = frozenset(
-                        itertools.chain.from_iterable(
-                            _orbit_products(group, s_elt, x, p) for s_elt in s
-                        )
-                    )
-                    nxt.add(ext)
-        levels.append(nxt)
-    all_sets = [s for level in levels for s in level]
-    all_sets.sort(key=lambda s: (len(s), tuple(sorted(s))))
-    return [ElemAbelian(group, p, s) for s in all_sets]
-
-
-def _orbit_products(group, s_elt, x, p):
-    g = s_elt
-    for _ in range(p):
-        yield g
-        g = group.mul(g, x)
+                if any(table[x][b] != table[b][x] for b in a.basis):
+                    continue
+                coords = _extend(group, p, a._coords, x)
+                if min(g for g in coords if g not in a.elements) == x:
+                    nxt.append(ElemAbelian._spanned(group, p, a.basis + (x,), coords))
+        level = nxt
+    out.sort(key=lambda v: (v.rank, v.sorted_elements()))
+    return out
 
 
 def p_rank(group: FiniteGroup, p: int) -> int:
@@ -168,18 +170,6 @@ class LinearMorphism:
         """Image of a source group element under the linear map."""
         coords = self.source.coordinates(w)
         return self.target.element_at(modp.mat_vec(self.matrix, coords, self.p))
-
-    def compose(self, other: "LinearMorphism") -> "LinearMorphism":
-        """self after other (other: U -> W, self: W -> V)."""
-        if other.target != self.source:
-            raise GroupError("morphisms are not composable")
-        return LinearMorphism(
-            other.source, self.target, modp.mat_mul(self.matrix, other.matrix, self.p)
-        )
-
-
-def identity_morphism(v: ElemAbelian) -> LinearMorphism:
-    return LinearMorphism(v, v, modp.identity_matrix(v.rank))
 
 
 def conjugation_matrix(sub: ElemAbelian, target: ElemAbelian, g: int):

@@ -155,13 +155,6 @@ class FiniteGroup:
 
     # -- conjugacy search ---------------------------------------------------
 
-    def centralizer(self, elements: Sequence[int]) -> tuple:
-        """Pointwise centralizer of a tuple of elements, as sorted indices."""
-        t = self.table
-        return tuple(
-            g for g in range(self.order) if all(t[g][x] == t[x][g] for x in elements)
-        )
-
     def simultaneous_conjugacy(self, a: Sequence[int], b: Sequence[int]) -> Optional[int]:
         """Least g with g a_i g^-1 = b_i for all i, or None (a plain scan)."""
         a, b = tuple(a), tuple(b)

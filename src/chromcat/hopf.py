@@ -199,16 +199,23 @@ def weyl_orbit_restriction(
 
 class HopfExpr:
     """F_p-linear combination of *-monomials with (s, t)-polynomial
-    coefficients, truncated above total degree ``degree``."""
+    coefficients, truncated above total degree ``degree``.
+
+    ``terms`` is a dict or an iterable of (star, coefficient) pairs; the
+    coefficients of equal stars are added before each distinct star is
+    normalized and its coefficient truncated."""
 
     __slots__ = ("p", "height", "degree", "terms")
 
-    def __init__(self, p: int, height: int, degree: int, terms=None):
+    def __init__(self, p: int, height: int, degree: int, terms=()):
         self.p = p
         self.height = height
         self.degree = degree
+        raw = {}
+        for star, poly in terms.items() if isinstance(terms, dict) else terms:
+            raw[star] = raw[star] + poly if star in raw else poly
         clean = {}
-        for star, poly in (terms or {}).items():
+        for star, poly in raw.items():
             star = self._normalize_star(star)
             if star is None:
                 continue
@@ -246,11 +253,6 @@ class HopfExpr:
         if self._ctx() != other._ctx():
             raise HopfError("expressions live in different contexts")
 
-    def _poly(self, value=None) -> PolyFp:
-        if value is None:
-            return PolyFp.zero(self.p, 2)
-        return value
-
     @classmethod
     def zero(cls, p, height, degree):
         return cls(p, height, degree)
@@ -280,57 +282,46 @@ class HopfExpr:
 
     def __add__(self, other: "HopfExpr") -> "HopfExpr":
         self._check(other)
-        terms = dict(self.terms)
-        for star, poly in other.terms.items():
-            terms[star] = terms.get(star, self._poly()) + poly
-        return HopfExpr(self.p, self.height, self.degree, terms)
+        return HopfExpr(
+            self.p, self.height, self.degree, [*self.terms.items(), *other.terms.items()]
+        )
 
     def star_mul(self, other: "HopfExpr") -> "HopfExpr":
         """The * product: grouplike tags add, circle factors concatenate."""
         self._check(other)
-        terms = {}
-        for (c1, ms1), p1 in self.terms.items():
-            for (c2, ms2), p2 in other.terms.items():
-                star = ((c1 + c2) % self.p, tuple(sorted(ms1 + ms2)))
-                poly = p1 * p2
-                if star in terms:
-                    terms[star] = terms[star] + poly
-                else:
-                    terms[star] = poly
-        return HopfExpr(self.p, self.height, self.degree, terms)
+        return HopfExpr(self.p, self.height, self.degree, (
+            (((c1 + c2) % self.p, tuple(sorted(ms1 + ms2))), p1 * p2)
+            for (c1, ms1), p1 in self.terms.items()
+            for (c2, ms2), p2 in other.terms.items()
+        ))
 
     def circ_mul(self, other: "HopfExpr") -> "HopfExpr":
         """The o product on atomic expressions (grouplikes and single
         circle-monomials); Hopf-ring distributivity over * is never needed in
         this calculus and is deliberately not implemented."""
         self._check(other)
-        terms = {}
+        p = self.p
 
-        def add(star, poly):
-            if star in terms:
-                terms[star] = terms[star] + poly
-            else:
-                terms[star] = poly
-
-        for (c1, ms1), p1 in self.terms.items():
-            if len(ms1) > 1:
-                raise HopfError("circle product needs atomic operands")
-            for (c2, ms2), p2 in other.terms.items():
-                if len(ms2) > 1:
+        def pairs():
+            for (c1, ms1), p1 in self.terms.items():
+                if len(ms1) > 1:
                     raise HopfError("circle product needs atomic operands")
-                poly = p1 * p2
-                if not ms1 and not ms2:
-                    add(((c1 * c2) % self.p, ()), poly)
-                elif not ms1:
-                    # [c] o m = c m in positive degree; [0] o m = 0.
-                    if c1 % self.p:
-                        add((0, ms2), poly.scale(c1))
-                elif not ms2:
-                    if c2 % self.p:
-                        add((0, ms1), poly.scale(c2))
-                else:
-                    add((0, (tuple(sorted(ms1[0] + ms2[0])),)), poly)
-        return HopfExpr(self.p, self.height, self.degree, terms)
+                for (c2, ms2), p2 in other.terms.items():
+                    if len(ms2) > 1:
+                        raise HopfError("circle product needs atomic operands")
+                    if not ms1 and not ms2:
+                        yield ((c1 * c2) % p, ()), p1 * p2
+                    elif not ms1:
+                        # [c] o m = c m in positive degree; [0] o m = 0.
+                        if c1 % p:
+                            yield (0, ms2), (p1 * p2).scale(c1)
+                    elif not ms2:
+                        if c2 % p:
+                            yield (0, ms1), (p1 * p2).scale(c2)
+                    else:
+                        yield (0, (tuple(sorted(ms1[0] + ms2[0])),)), p1 * p2
+
+        return HopfExpr(p, self.height, self.degree, pairs())
 
     def circ_power(self, k: int) -> "HopfExpr":
         out = HopfExpr.grouplike(self.p, self.height, self.degree, 1)
@@ -409,16 +400,11 @@ def mod_indecomposables(e: HopfExpr) -> HopfExpr:
     """Quotient by *-decomposables: terms with two or more circle-monomial
     factors die, a lone circle-monomial sheds its grouplike *-factor, and
     grouplike-only terms survive unchanged."""
-    terms = {}
-    for (c, ms), poly in e.terms.items():
-        if len(ms) >= 2:
-            continue
-        star = (c, ()) if not ms else (0, ms)
-        if star in terms:
-            terms[star] = terms[star] + poly
-        else:
-            terms[star] = poly
-    return HopfExpr(e.p, e.height, e.degree, terms)
+    return HopfExpr(e.p, e.height, e.degree, (
+        ((c, ()) if not ms else (0, ms), poly)
+        for (c, ms), poly in e.terms.items()
+        if len(ms) < 2
+    ))
 
 
 def coefficient_of(e: HopfExpr, indices: Sequence[int], degree: int) -> PolyFp:
@@ -468,14 +454,11 @@ def hurewicz_eval(
             raise HopfError("exponent %d out of range" % k)
     if t == 0:
         return HopfExpr.grouplike(p, height, degree, dict(items).get(0, 0))
-    counts = {}
-    for k, c in items:
-        if k:
-            for comp in _compositions(t, k):
-                om = tuple(sorted(comp))
-                counts[om] = counts.get(om, 0) + c
-    terms = {(0, (om,)): PolyFp.constant(p, 2, c) for om, c in counts.items()}
-    return HopfExpr(p, height, degree, terms)
+    return HopfExpr(p, height, degree, (
+        ((0, (tuple(sorted(comp)),)), PolyFp.constant(p, 2, c))
+        for k, c in items if k
+        for comp in _compositions(t, k)
+    ))
 
 
 def verify_kn_injectivity(p: int, height: int) -> dict:

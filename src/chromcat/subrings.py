@@ -19,13 +19,12 @@ categories.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import modp
 from .categories import ChromCategory, Fusion
 from .elemab import (
     ElemAbelian,
-    LinearMorphism,
     conjugation_matrix,
     enumerate_elem_abelians,
 )
@@ -149,17 +148,3 @@ def build_CR(group: FiniteGroup, presentation: SubringPresentation) -> ChromCate
     """
     return Fusion(group, presentation.p).subring(presentation)
 
-
-def distinguishing_generator(
-    presentation: SubringPresentation, f: LinearMorphism
-) -> Optional[PolyFp]:
-    """A generator witnessing that f is not a C_R morphism, if any."""
-    pullback = modp.transpose(f.matrix)
-    for gen, rv, rw in zip(
-        presentation.generators,
-        presentation.restrictions(f.target),
-        presentation.restrictions(f.source),
-    ):
-        if rv.substitute_linear(pullback) != rw:
-            return gen
-    return None

@@ -6,21 +6,24 @@ on the path:
 
     PYTHONPATH=src python tests/capture_cli_golden.py
 
-For every bundled group of order <= 64 and every prime p dividing its order
-it keeps ``category --format json`` at each level 0..p-rank and at ``inf``,
+For every bundled group of order <= 64 it keeps ``group-info``.  For every
+such group and every prime p dividing its order it keeps ``elemab``, which
+lists the elementary abelian p-subgroups with their bases, and
+``category --format json`` at each level 0..p-rank and at ``inf``,
 ``colim -q p --tower``, ``colim -q p -n 1`` and ``colim -q p^2 --tower``.
 At q = p no point of rank >= 2 has F_p-independent coordinates, so the
 q = p^2 towers are the reports whose colimit classes hold points of rank
->= 2.  x32 keeps only its ``category -n inf``, q = p^2 tower and ``stab``
-reports: its other category levels take seconds each.  Every group and
-prime also keeps ``stab``.  Beyond the per-group reports it keeps ``cr``
+>= 2.  x32 keeps only its ``elemab``, ``category -n inf``, q = p^2 tower and
+``stab`` reports: its other category levels take seconds each.  Every group
+and prime also keeps ``stab``.  Beyond the per-group reports it keeps ``cr``
 for a4 and a5 with the unit subring and with the Chern and full generator
 sets of ``tests/golden/generators/``, and ``witness`` over the bundled
 library at (p, n) = (2, 1), (2, 2) and (3, 1).  Past order 64 it keeps
-``colim -q 4 --tower`` for a6 and s6 at p = 2, whose A^(1) joins G-classes of
-Klein fours, so their connecting maps cross a level join, and
-``category -n 1`` for a6 at p = 3, where A^(1) and the Quillen category
-differ.  Each report is written to ``tests/golden/cli/<case>.json``.
+``elemab`` for a6 and s6 at p = 2 and 3, ``colim -q 4 --tower`` for a6 and
+s6 at p = 2, whose A^(1) joins G-classes of Klein fours, so their
+connecting maps cross a level join, and ``category -n 1`` for a6 at p = 3,
+where A^(1) and the Quillen category differ.  Each report is written to
+``tests/golden/cli/<case>.json``.
 """
 
 from __future__ import annotations
@@ -53,11 +56,13 @@ def cases():
         group = load_builtin(name)
         if group.order > MAX_ORDER:
             continue
+        out.append(("%s-group-info" % name, ["group-info", "-g", name]))
         for p in _primes_dividing(group.order):
+            common = ["-g", name, "-p", str(p)]
+            out.append(("%s-p%d-elemab" % (name, p), ["elemab", *common]))
             levels = [str(n) for n in range(p_rank(group, p) + 1)] + ["inf"]
             if name in INF_ONLY:
                 levels = ["inf"]
-            common = ["-g", name, "-p", str(p)]
             for level in levels:
                 out.append((
                     "%s-p%d-category-n%s" % (name, p, level),
@@ -90,6 +95,10 @@ def cases():
             "witness-p%d-n%d" % (p, n), ["witness", "-p", str(p), "-n", str(n)]
         ))
     for name in ("a6", "s6"):
+        for p in (2, 3):
+            out.append((
+                "%s-p%d-elemab" % (name, p), ["elemab", "-g", name, "-p", str(p)]
+            ))
         out.append((
             "%s-p2-colim-q4-tower" % name,
             ["colim", "-g", name, "-p", "2", "-q", "4", "--tower"],

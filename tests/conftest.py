@@ -5,10 +5,18 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from chromcat import build_category, load_builtin, quillen_category
+from chromcat import (
+    GroupError,
+    build_category,
+    group_from_permutations,
+    load_builtin,
+    quillen_category,
+)
 
 
 @functools.lru_cache(maxsize=None)
@@ -45,3 +53,14 @@ ORACLE_LIBRARY = [
 # matrix.  The bundled groups join classes only in S6 and A6, and there
 # through the identity.
 LEVEL_JOIN_GENERATORS = [[5, 3, 1, 7, 6, 4, 0, 2], [1, 0, 5, 3, 7, 2, 6, 4]]
+
+
+@st.composite
+def small_permutation_groups(draw):
+    """1-3 random permutations of degree <= 6 whose closure has order <= 120."""
+    degree = draw(st.integers(1, 6))
+    gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
+    try:
+        return group_from_permutations(degree, gens, order_cap=120)
+    except GroupError:
+        assume(False)

@@ -29,7 +29,15 @@ multiplies every such composite out into a morphism, where the library
 composes a hom-set only when asked for it, and ``inverse_iso_classes``
 joins two objects when some morphism has its inverse matrix among the
 morphisms back, where the library reads its classes off the groupoids it
-stores.
+stores.  ``extend_and_dedupe_elem_abelians`` extends every subgroup by
+every commuting order-p element outside it and drops repeats by element
+set, with each least basis rebuilt span by span from scratch and the
+coordinates multiplied out power by power, where the library builds each
+subgroup once, from its least basis, through one span routine.
+
+``centralizer``, ``compose``, ``identity_morphism`` and
+``distinguishing_generator`` are reference helpers with no caller in the
+library.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ from dataclasses import dataclass
 
 from chromcat import (
     FiltrationTower,
+    GroupError,
     HopfExpr,
     LinearMorphism,
     PolyFp,
@@ -120,6 +129,105 @@ def brute_elem_abelian_count(group, p, rank, budget=200_000):
         if abelian:
             count += 1
     return count
+
+
+@dataclass(frozen=True)
+class ElemAbelianRecord:
+    """An elementary abelian subgroup as the reference enumeration sees it."""
+
+    elements: tuple
+    basis: tuple
+    by_coords: dict
+    coords: dict
+
+
+def _scratch_span(group, gens):
+    span = {0}
+    for g in gens:
+        new = set()
+        for s in span:
+            x = s
+            while True:
+                new.add(x)
+                x = group.mul(x, g)
+                if x == s:
+                    break
+        span = new
+    return span
+
+
+def _reference_record(group, p, elements):
+    basis, span = [], {0}
+    for e in sorted(elements):
+        if e not in span:
+            basis.append(e)
+            span = _scratch_span(group, basis)
+    by_coords, coords = {}, {}
+    for c in itertools.product(range(p), repeat=len(basis)):
+        g = 0
+        for b, k in zip(basis, c):
+            for _ in range(k):
+                g = group.mul(g, b)
+        by_coords[c] = g
+        coords[g] = c
+    return ElemAbelianRecord(tuple(sorted(elements)), tuple(basis), by_coords, coords)
+
+
+def extend_and_dedupe_elem_abelians(group, p):
+    """Every elementary abelian p-subgroup, grown rank by rank: each subgroup
+    is extended by every commuting order-p element outside it, and the
+    results are deduplicated by element set.  Sorted by (rank, elements)."""
+    order_p = [g for g in range(1, group.order) if group.element_order(g) == p]
+    levels = [{frozenset({0})}]
+    while levels[-1]:
+        nxt = set()
+        for s in levels[-1]:
+            for x in order_p:
+                if x in s or any(group.mul(x, y) != group.mul(y, x) for y in s):
+                    continue
+                ext = set()
+                for y in s:
+                    for _ in range(p):
+                        ext.add(y)
+                        y = group.mul(y, x)
+                nxt.add(frozenset(ext))
+        levels.append(nxt)
+    sets = sorted(
+        (s for level in levels for s in level), key=lambda s: (len(s), sorted(s))
+    )
+    return [_reference_record(group, p, s) for s in sets]
+
+
+def centralizer(group, elements):
+    """Pointwise centralizer of a tuple of elements, as sorted indices."""
+    t = group.table
+    return tuple(
+        g for g in range(group.order) if all(t[g][x] == t[x][g] for x in elements)
+    )
+
+
+def compose(f, g):
+    """f after g (g: U -> W, f: W -> V)."""
+    if g.target != f.source:
+        raise GroupError("morphisms are not composable")
+    return LinearMorphism(g.source, f.target, modp.mat_mul(f.matrix, g.matrix, f.p))
+
+
+def identity_morphism(v):
+    return LinearMorphism(v, v, modp.identity_matrix(v.rank))
+
+
+def distinguishing_generator(presentation, f):
+    """A generator witnessing that f is not a C_R morphism, if any."""
+    pullback = modp.transpose(f.matrix)
+    for gen, rv, rw in zip(
+        presentation.generators,
+        presentation.restrictions(f.target),
+        presentation.restrictions(f.source),
+    ):
+        if rv.substitute_linear(pullback) != rw:
+            return gen
+    return None
 
 
 def naive_quotient_size(n_nodes, pairs):

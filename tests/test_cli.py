@@ -288,6 +288,16 @@ def test_input_errors_exit_two(capsys, tmp_path, monkeypatch):
             code, out, err = run_cli(capsys, *argv)
             assert code == 2 and out == "", argv
             assert message in err, argv
+    # a negative witness level is refused before the library is loaded
+    def no_load(*args, **kwargs):
+        raise AssertionError("the library was loaded before -n was checked")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli_mod, "bundled_library", no_load)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["witness", "-p", "2", "-n", "-1"])
+        assert exit_info.value.code == 2
+        assert "level must be >= 0" in capsys.readouterr().err
     # a library scan needs room for at least the trivial group
     for bound in ("0", "-1"):
         with pytest.raises(SystemExit) as exit_info:

@@ -3,18 +3,26 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
 from chromcat import (
+    ElemAbelian,
     GroupError,
+    builtin_names,
     enumerate_elem_abelians,
-    identity_morphism,
     injective_hom_count,
     injective_homs,
     modp,
     p_rank,
 )
-from conftest import ORACLE_LIBRARY, group
-from oracles import brute_elem_abelian_count, rank_injective_matrices
+from conftest import ORACLE_LIBRARY, group, small_permutation_groups
+from oracles import (
+    brute_elem_abelian_count,
+    compose,
+    extend_and_dedupe_elem_abelians,
+    identity_morphism,
+    rank_injective_matrices,
+)
 
 
 def test_a4_enumeration():
@@ -144,5 +152,49 @@ def test_morphism_application_and_composition():
         for a in w.elements:
             for b in w.elements:
                 assert f(a4.mul(a, b)) == a4.mul(f(a), f(b))
-        back = ident.compose(f)
+        back = compose(ident, f)
         assert back.matrix == f.matrix
+
+
+def _assert_matches_reference(g, p):
+    subs = enumerate_elem_abelians(g, p)
+    reference = extend_and_dedupe_elem_abelians(g, p)
+    assert [v.sorted_elements() for v in subs] == [r.elements for r in reference]
+    for v, r in zip(subs, reference):
+        assert v.basis == r.basis
+        assert v.rank == len(r.basis)
+        assert list(v._by_coords.items()) == list(r.by_coords.items())
+        assert list(v._coords.items()) == list(r.coords.items())
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_enumeration_matches_extend_and_dedupe_oracle(name):
+    g = group(name)
+    for p in (d for d in range(2, g.order + 1) if g.order % d == 0):
+        if all(p % d for d in range(2, p)):
+            _assert_matches_reference(g, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_permutation_groups())
+def test_enumeration_matches_extend_and_dedupe_oracle_on_random_groups(g):
+    for p in (2, 3):
+        _assert_matches_reference(g, p)
+
+
+def test_constructor_rejects_what_is_not_elementary_abelian():
+    s3, c4, d8 = group("s3"), group("c4"), group("d8")
+    u, v = (s3.labels.index(x) for x in ("(0 1)", "(1 2)"))
+    for g, p, elements in (
+        (s3, 2, {0, u, v}),                # not closed: u*v is missing
+        (c4, 2, set(c4.elements())),       # its generator has order 4
+        (s3, 2, {0, u, v, s3.mul(u, v)}),  # the involutions do not commute
+    ):
+        with pytest.raises(GroupError):
+            ElemAbelian(g, p, elements)
+    # two involutions of D8 whose product is the largest of the four, so
+    # the set is the span of its least basis and only commuting fails
+    a, b = (d8.labels.index(x) for x in ("(1 3)", "(0 1)(2 3)"))
+    assert a < b < d8.mul(a, b)
+    with pytest.raises(GroupError, match="do not commute"):
+        ElemAbelian(d8, 2, {0, a, b, d8.mul(a, b)})

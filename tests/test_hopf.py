@@ -125,6 +125,30 @@ def test_grouplike_rules():
     assert e0.star_mul(m) == m       # [0] is the * unit
 
 
+def test_circle_product_needs_atomic_operands():
+    zero = HopfExpr.zero(2, 2, 8)
+    e1 = HopfExpr.grouplike(2, 2, 8, 1)
+    decomposable = HopfExpr.omono(2, 2, 8, (1,)).star_mul(HopfExpr.omono(2, 2, 8, (2,)))
+    # a zero left operand has no term to multiply, so nothing is refused
+    assert zero.circ_mul(decomposable).is_zero()
+    for left, right in ((decomposable, zero), (decomposable, e1), (e1, decomposable)):
+        with pytest.raises(HopfError, match="atomic operands"):
+            left.circ_mul(right)
+
+
+def test_equal_terms_are_added_before_truncation():
+    one = PolyFp.constant(2, 2, 1)
+    s = PolyFp.variable(2, 2, 0)
+    b1 = (0, ((1,),))
+    # pairs and a dict give the same expression
+    assert HopfExpr(2, 2, 8, [(b1, s)]) == HopfExpr(2, 2, 8, {b1: s})
+    # equal raw stars cancel mod 2, and so do stars equal once normalized
+    assert HopfExpr(2, 2, 8, [(b1, s), (b1, s)]).is_zero()
+    assert HopfExpr(2, 2, 8, [((2, ((1,),)), one), (b1, one)]).is_zero()
+    # a coefficient that sums past the bound is truncated once
+    assert HopfExpr(2, 2, 1, [(b1, s * s), (b1, s)]) == HopfExpr(2, 2, 1, {b1: s})
+
+
 def test_pure_b1_weight_vanishing():
     # at p^n = 4 the cube survives and the fourth power dies
     assert not HopfExpr.omono(2, 2, 8, (1, 1, 1)).is_zero()

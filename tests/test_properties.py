@@ -27,11 +27,9 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
 from chromcat import (
-    GroupError,
     UnsupportedGroupError,
     build_CR,
     build_category,
@@ -56,6 +54,7 @@ from conftest import (
     SMALL_LIBRARY,
     category,
     group,
+    small_permutation_groups,
 )
 from oracles import (
     a1_elementwise,
@@ -418,17 +417,6 @@ def test_lazy_subring_homs_match_materialized_composites(name):
     for gens in ([], [D1 ** 2, D0 ** 2], [D1, D0, ETA]):
         cats.append(build_CR(g, SubringPresentation.for_group(g, gens)))
     _check_equals_against_materialized(cats)
-
-
-@st.composite
-def small_permutation_groups(draw):
-    """1-3 random permutations of degree <= 6 whose closure has order <= 120."""
-    degree = draw(st.integers(1, 6))
-    gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
-    try:
-        return group_from_permutations(degree, gens, order_cap=120)
-    except GroupError:
-        assume(False)
 
 
 @settings(max_examples=40, deadline=None)

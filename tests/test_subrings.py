@@ -9,7 +9,6 @@ from chromcat import (
     UnsupportedGroupError,
     build_CR,
     build_category,
-    distinguishing_generator,
     parse_poly,
     quillen_category,
     restriction,
@@ -17,7 +16,7 @@ from chromcat import (
     weyl_action,
 )
 from conftest import category, group
-from oracles import all_pairs_CR, embeddings_into
+from oracles import all_pairs_CR, distinguishing_generator, embeddings_into
 
 D1 = parse_poly("x^2 + x*y + y^2", 2, 2)
 D0 = parse_poly("x^2*y + x*y^2", 2, 2)
