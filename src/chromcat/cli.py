@@ -2,8 +2,8 @@
 
 Every command reads a group (builtin name or JSON file), runs one of the
 library computations and writes a deterministic report: JSON with sorted
-keys, DOT for skeletons, or plain text.  Exit codes: 0 success, 1 assertion
-failure (a4-demo), 2 usage or input errors.
+keys, or DOT for skeletons (``category --format dot``).  Exit codes: 0
+success, 1 assertion failure (a4-demo), 2 usage or input errors.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def _load_group(args):
 
 
 def _emit(args, text):
-    if getattr(args, "output", None):
+    if args.output:
         Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
@@ -194,34 +194,22 @@ def _parse_prime(value):
     return p
 
 
+def _at_least(k, what):
+    """The argparse type of an int that is at least k, named what."""
+
+    def parse(value):
+        n = int(value)
+        if n < k:
+            raise argparse.ArgumentTypeError("%s must be >= %d" % (what, k))
+        return n
+
+    parse.__name__ = what
+    return parse
+
+
 def _parse_level(value):
-    if value in ("inf", "oo", "quillen"):
-        return None
-    n = int(value)
-    if n < 0:
-        raise argparse.ArgumentTypeError("level must be >= 0 or 'inf'")
-    return n
-
-
-def _parse_finite_level(value):
-    n = int(value)
-    if n < 0:
-        raise argparse.ArgumentTypeError("level must be >= 0")
-    return n
-
-
-def _parse_degree(value):
-    d = int(value)
-    if d < 0:
-        raise argparse.ArgumentTypeError("degree must be >= 0")
-    return d
-
-
-def _parse_order(value):
-    n = int(value)
-    if n < 1:
-        raise argparse.ArgumentTypeError("max order must be >= 1")
-    return n
+    """A level, or None for ``inf``, the Quillen category."""
+    return None if value == "inf" else _at_least(0, "level")(value)
 
 
 def _prime_divisors(n):
@@ -292,20 +280,7 @@ def cmd_category(args):
         "morphisms": cat.morphism_count(),
         "skeleton": report.to_dict(),
     }
-    if args.format == "text":
-        lines = ["%s at p=%d, level %s" % (group.name, args.p, payload["level"])]
-        for c in report.classes:
-            lines.append(
-                "  class rank=%d |Aut|=%d (x%d)" % (c.rank, c.aut_order, len(c.members))
-            )
-        for e in report.edges:
-            lines.append(
-                "  edge %d->%d: %d morphisms, orbits %s"
-                % (e.source, e.target, e.hom_size, list(e.orbits))
-            )
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        _emit_json(args, payload)
+    _emit_json(args, payload)
     return 0
 
 
@@ -416,24 +391,7 @@ def cmd_a4_demo(args):
     except DemoFailure as exc:
         _emit_json(args, {"ok": False, "error": str(exc)})
         return 1
-    if args.format == "text":
-        lines = ["A_4 worked example"]
-        lines.append("  F(s,t) = %s" % report["fgl"])
-        lines.append("  [2](x) = %s" % report["two_series"])
-        lines.append("  Mackey terms: %s" % ", ".join(report["mackey_terms"]))
-        lines.append("  reduced: %s" % report["reduced"])
-        lines.append(
-            "  degree-3 coefficient of b1ob1ob1 = %s" % report["b1_cube_degree3"]
-        )
-        lines.append(
-            "  eta^2 in Chern subring: %s" % report["eta_sq_in_chern_subring"]
-        )
-        lines.append("  colim sizes q=4: %s, q=2: %s"
-                     % (report["colim"]["q4_sizes"], report["colim"]["q2_sizes"]))
-        lines.append("  all assertions passed")
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        _emit_json(args, report)
+    _emit_json(args, report)
     return 0
 
 
@@ -447,15 +405,12 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, group=True, prime=True, output=True, fmt=("json",)):
+    def common(sp, group=True, prime=True):
         if group:
             sp.add_argument("--group", "-g", help="builtin name or JSON file path")
         if prime:
             sp.add_argument("-p", type=_parse_prime, default=2, help="prime (default 2)")
-        if output:
-            sp.add_argument("--output", "-o", help="write report to this path")
-        if fmt:
-            sp.add_argument("--format", choices=fmt, default=fmt[0])
+        sp.add_argument("--output", "-o", help="write report to this path")
 
     sp = sub.add_parser("group-info", help="order, center, classes, p-ranks")
     common(sp, prime=False)
@@ -466,7 +421,8 @@ def _build_parser():
     sp.set_defaults(func=cmd_elemab)
 
     sp = sub.add_parser("category", help="skeleton of the level-n category")
-    common(sp, fmt=("json", "dot", "text"))
+    common(sp)
+    sp.add_argument("--format", choices=("json", "dot"), default="json")
     sp.add_argument("-n", type=_parse_level, default=None, help="level (int or 'inf')")
     sp.set_defaults(func=cmd_category)
 
@@ -495,18 +451,18 @@ def _build_parser():
 
     sp = sub.add_parser("invariants", help="Weyl-invariant bases per degree")
     common(sp)
-    sp.add_argument("--max-degree", type=_parse_degree, default=6)
+    sp.add_argument("--max-degree", type=_at_least(0, "degree"), default=6)
     sp.set_defaults(func=cmd_invariants)
 
     sp = sub.add_parser("witness", help="scan a library for A^(n) != A^(n+1)")
     common(sp, group=False)
-    sp.add_argument("-n", type=_parse_finite_level, default=1)
+    sp.add_argument("-n", type=_at_least(0, "level"), default=1)
     sp.add_argument("--library", help="directory of group JSON files (default: bundled)")
-    sp.add_argument("--max-order", type=_parse_order, default=64)
+    sp.add_argument("--max-order", type=_at_least(1, "max order"), default=64)
     sp.set_defaults(func=cmd_witness)
 
     sp = sub.add_parser("a4-demo", help="run the A_4 worked example")
-    common(sp, group=False, prime=False, fmt=("json", "text"))
+    common(sp, group=False, prime=False)
     sp.set_defaults(func=cmd_a4_demo)
 
     return parser

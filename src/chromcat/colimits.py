@@ -32,25 +32,25 @@ Aut tuple once and every class with that Aut, at every level of a tower,
 shares it; a class's ids are its first id plus the walk's local orbit ids.
 The tower's connecting maps go one class at a time, and only a class whose
 least member was joined to a smaller one a level down applies a matrix to
-its points.  Walks and tables live for one call and are never kept.  A
-field element is its m coordinates in F_p, named by the integer
-they spell as base-p digits; an F_p-matrix applied to a point needs only
-addition and F_p-scaling, read from two tables.  Only that vector space is
-used, never the field multiplication, so q may be any power of p.  The work
-still grows with q: WORK_BOUND caps the q^2 addition-table entries plus the
-full-support points of every class, shared walks counted once per class,
-and a larger request is refused before any table is built.
+its points.  Walks and tables live for one call and are never kept.  F_q
+is ``modp.VectorSpace(p, m)``: a point is r vector names, the full-support
+points of rank r are the space's independent r-tuples, and an F_p-matrix
+applied to a point needs only addition and F_p-scaling, read from two
+tables.  Only that vector space is used, never the field multiplication,
+so q may be any power of p.  The work still grows with q: WORK_BOUND caps
+the q^2 addition-table entries plus the full-support points of every
+class, shared walks counted once per class, and a larger request is
+refused before any table is built.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 from . import modp
 from .categories import ChromCategory, Fusion
-from .elemab import _span, injective_hom_count
+from .elemab import injective_hom_count
 from .groups import FiniteGroup
 
 # Most addition-table entries plus full-support points one colimit may use.
@@ -84,84 +84,6 @@ def q_to_pm(q: int, p: int) -> int:
     return m
 
 
-class _IndexedField:
-    """F_q as F_p^m, each element named by its coordinates read as base-p
-    digits (the index of the coordinate tuple in ``itertools.product`` order).
-
-    A point of rank r is a tuple of r element names; its point index reads
-    them as base-q digits.
-    """
-
-    def __init__(self, p: int, m: int):
-        self.p, self.m, self.q = p, m, p ** m
-        self.digits = tuple(itertools.product(range(p), repeat=m))
-        index = {e: k for k, e in enumerate(self.digits)}
-        self.add = [
-            [index[tuple((x + y) % p for x, y in zip(a, b))] for b in self.digits]
-            for a in self.digits
-        ]
-        self.scale = [
-            [index[tuple(c * x % p for x in a)] for a in self.digits]
-            for c in range(p)
-        ]
-
-    def apply(self, matrix: tuple, pt: tuple) -> tuple:
-        """The point matrix . pt."""
-        add, scale = self.add, self.scale
-        out = []
-        for row in matrix:
-            acc = 0
-            for c, x in zip(row, pt):
-                if c:
-                    acc = add[acc][scale[c][x]]
-            out.append(acc)
-        return tuple(out)
-
-    def full_support_points(self, r: int):
-        """Points of rank r with F_p-independent entries, lexicographically."""
-        add, scale, p, q = self.add, self.scale, self.p, self.q
-
-        def extend(prefix, span):
-            if len(prefix) == r - 1:
-                for x in range(q):
-                    if x not in span:
-                        yield prefix + (x,)
-                return
-            for x in range(q):
-                if x not in span:
-                    wider = {add[s][scale[c][x]] for s in span for c in range(p)}
-                    yield from extend(prefix + (x,), wider)
-
-        return extend((), {0}) if r else iter([()])
-
-    def point_index(self, pt: tuple) -> int:
-        k = 0
-        for x in pt:
-            k = k * self.q + x
-        return k
-
-    def point_at(self, k: int, r: int) -> tuple:
-        out = []
-        for _ in range(r):
-            k, x = divmod(k, self.q)
-            out.append(x)
-        return tuple(reversed(out))
-
-    def columns(self, pt: tuple) -> list[tuple]:
-        """The m coordinate columns of pt, vectors in F_p^r."""
-        return [tuple(self.digits[x][c] for x in pt) for c in range(self.m)]
-
-    def from_columns(self, columns: list[tuple], r: int) -> tuple:
-        p = self.p
-        out = []
-        for j in range(r):
-            x = 0
-            for col in columns:
-                x = x * p + col[j]
-            out.append(x)
-        return tuple(out)
-
-
 class _Walk:
     """The orbits of one Aut tuple on the full-support points of its rank.
 
@@ -171,11 +93,11 @@ class _Walk:
     Aut shares the walk, at every level of a tower.
     """
 
-    def __init__(self, f: _IndexedField, auts: tuple):
+    def __init__(self, f: modp.VectorSpace, auts: tuple):
         rank = len(auts[0])
         self.points, self.indices, self.orbit = [], [], {}
         orbit = self.orbit
-        for pt in f.full_support_points(rank):
+        for pt in f.independent_tuples(rank):
             if pt in orbit:
                 continue
             for a in auts:
@@ -196,9 +118,6 @@ class ColimResult:
     size: int                    # number of colimit classes
     class_reps: list             # class id -> least (object index, point index)
     class_sizes: list            # class id -> number of points in the class
-    _objects: tuple = field(repr=False)
-    _field: _IndexedField = field(repr=False)
-    _index: dict = field(repr=False)      # element set -> object index
     _walks: dict = field(repr=False)      # least object of [U] -> (first class id, walk)
     _to_least: list = field(repr=False)   # object -> (least object of its class, iso)
 
@@ -212,28 +131,6 @@ class ColimResult:
                 for rep, size in zip(self.class_reps, self.class_sizes)
             ],
         }
-
-    def class_of(self, i: int, point: int) -> int:
-        """The class id of point index ``point`` of object i.
-
-        The point's coordinate columns span its support S; in S's basis the
-        point has full support, and an isomorphism from S to the least object
-        of S's class carries it into an orbit of the class walk.
-        """
-        f = self._field
-        v = self._objects[i]
-        columns = [v.element_at(col) for col in f.columns(f.point_at(point, v.rank))]
-        s = self._index[frozenset(_span(v.group, columns))]
-        sub = self._objects[s]
-        return self._orbit_class(
-            s, f.from_columns([sub.coordinates(x) for x in columns], sub.rank)
-        )
-
-    def _orbit_class(self, s: int, pt: tuple) -> int:
-        """The class id of a full-support point of object s."""
-        least, iso = self._to_least[s]
-        first, walk = self._walks[least]
-        return first + walk.orbit[self._field.apply(iso, pt)]
 
 
 def _check_work(cat: ChromCategory, q: int) -> ChromCategory:
@@ -256,10 +153,10 @@ def colim_points(cat: ChromCategory, q: int) -> ColimResult:
     """The colimit's F_q-points, one Aut-orbit walk per distinct Aut."""
     m = q_to_pm(q, cat.p)
     _check_work(cat, q)
-    return _colim(cat, _IndexedField(cat.p, m), {})
+    return _colim(cat, modp.VectorSpace(cat.p, m), {})
 
 
-def _colim(cat: ChromCategory, f: _IndexedField, walks: dict) -> ColimResult:
+def _colim(cat: ChromCategory, f: modp.VectorSpace, walks: dict) -> ColimResult:
     """colim_points over the field f, taking each class's walk from
     ``walks`` (Aut tuple -> walk) and adding the walks it lacks."""
     n = len(cat.objects)
@@ -285,9 +182,6 @@ def _colim(cat: ChromCategory, f: _IndexedField, walks: dict) -> ColimResult:
         size=len(reps),
         class_reps=reps,
         class_sizes=sizes,
-        _objects=cat.objects,
-        _field=f,
-        _index={v.elements: k for k, v in enumerate(cat.objects)},
         _walks=by_least,
         _to_least=to_least,
     )
@@ -332,7 +226,7 @@ def filtration_tower(group: FiniteGroup, p: int, q: int) -> FiltrationTower:
         (n, _check_work(fusion.category(n), q))
         for n in range(max(fusion.rank, 1), 0, -1)
     ]
-    f = _IndexedField(p, m)
+    f = modp.VectorSpace(p, m)
     walks = {}
     levels = [(n, _colim(cat, f, walks)) for n, cat in cats]
     surjections = []

@@ -3,9 +3,9 @@
 A subgroup is identified by its element set and is the span of its least
 basis: scanning the elements in index order, each one outside the span of
 those already taken joins the basis.  One routine, ``_extend``, grows a
-span and its coordinate table by one order-p element; the constructor, the
-enumerator and ``_span`` all build through it, so every downstream
-enumeration is deterministic.  Group homomorphisms between elementary
+span and its coordinate table by one order-p element; the constructor and
+the enumerator both build through it, so every downstream enumeration is
+deterministic.  Group homomorphisms between elementary
 abelians are exactly F_p-linear maps and are represented as matrices only.
 """
 
@@ -99,13 +99,6 @@ def _extend(group: FiniteGroup, p: int, coords: dict, e: int) -> dict:
             grown[a] = c + (k,)
             a = table[a][e]
     return grown
-
-
-def _span(group: FiniteGroup, gens: Sequence[int]) -> set:
-    coords = {0: ()}
-    for g in gens:
-        coords = _extend(group, group.element_order(g), coords, g)
-    return set(coords)
 
 
 def enumerate_elem_abelians(group: FiniteGroup, p: int) -> list[ElemAbelian]:

@@ -1,9 +1,10 @@
 """Loading permutation groups from JSON files and the bundled library.
 
 A group file is ``{"name": str, "degree": int, "generators": [[int, ...]]}``
-with 0-indexed image arrays.  The bundled library ships as data files next to
-this module so a witness scan can be extended by dropping files in a
-directory.
+with 0-indexed image arrays, closed into a group of at most
+``groups.DEFAULT_ORDER_CAP`` elements.  The bundled library ships as data
+files next to this module so a witness scan can be extended by dropping
+files in a directory.
 """
 
 from __future__ import annotations
@@ -12,12 +13,12 @@ import json
 from pathlib import Path
 from typing import Optional
 
-from .groups import DEFAULT_ORDER_CAP, FiniteGroup, GroupError, group_from_permutations
+from .groups import FiniteGroup, GroupError, group_from_permutations
 
 LIBRARY_DIR = Path(__file__).parent / "library"
 
 
-def load_group_data(data: dict, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def load_group_data(data: dict) -> FiniteGroup:
     try:
         name = data["name"]
         degree = data["degree"]
@@ -32,7 +33,7 @@ def load_group_data(data: dict, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGro
         isinstance(g, list) and all(_is_int(x) for x in g) for g in generators
     ):
         raise GroupError("generators must be a list of lists of integers")
-    return group_from_permutations(degree, generators, name=name, order_cap=order_cap)
+    return group_from_permutations(degree, generators, name=name)
 
 
 def _is_int(x) -> bool:
@@ -40,32 +41,31 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def load_group_file(path, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def load_group_file(path) -> FiniteGroup:
     with open(path) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise GroupError("malformed group file %s: %s" % (path, exc)) from exc
-    return load_group_data(data, order_cap=order_cap)
+    return load_group_data(data)
 
 
 def builtin_names() -> list[str]:
     return sorted(p.stem for p in LIBRARY_DIR.glob("*.json"))
 
 
-def load_builtin(name: str, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def load_builtin(name: str) -> FiniteGroup:
     path = LIBRARY_DIR / (name + ".json")
     if not path.exists():
         raise GroupError(
             "unknown builtin group %r (have: %s)" % (name, ", ".join(builtin_names()))
         )
-    return load_group_file(path, order_cap=order_cap)
+    return load_group_file(path)
 
 
 def bundled_library(
     max_order: Optional[int] = None,
     directory: Optional[Path] = None,
-    order_cap: int = DEFAULT_ORDER_CAP,
 ) -> list[tuple[str, FiniteGroup]]:
     """(name, group) pairs from a library directory, smallest orders first.
 
@@ -78,7 +78,7 @@ def bundled_library(
         raise GroupError("group library %s is not a directory" % directory)
     out = []
     for path in sorted(directory.glob("*.json")):
-        group = load_group_file(path, order_cap=order_cap)
+        group = load_group_file(path)
         if max_order is not None and group.order > max_order:
             continue
         out.append((group.name, group))

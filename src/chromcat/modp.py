@@ -3,11 +3,19 @@
 Matrices are tuples of row tuples with entries in 0..p-1; vectors are plain
 tuples.  Everything here is tiny and allocation-happy by design: the ambient
 vector spaces never exceed rank 5 or so.
+
+``VectorSpace(p, m)`` is F_p^m with each vector named by one integer, so that
+a walk over many vectors adds and scales by table lookups.  Its walk over
+the r-tuples of independent vectors is the one enumeration of injective
+linear maps F_p^r -> F_p^m: read as columns they are the injective
+matrices, and read as r elements of F_q = F_p^m they are the full-support
+points of a colimit.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from typing import Iterator
 
 
@@ -93,35 +101,79 @@ def matrix_order(m: tuple, p: int) -> int:
     return k
 
 
-def enumerate_vectors(r: int, p: int) -> Iterator[tuple]:
-    """All vectors of F_p^r in lexicographic order."""
-    return itertools.product(range(p), repeat=r)
+class VectorSpace:
+    """F_p^m, each vector named by its coordinates read as base-p digits
+    (its index in ``itertools.product`` order), so names order vectors
+    lexicographically.
+
+    A point of rank r is a tuple of r vector names; its point index reads
+    them as base-q digits, q = p^m.  The addition table has q^2 entries and
+    is built on first use: a walk over single vectors never needs it.
+    """
+
+    def __init__(self, p: int, m: int):
+        self.p, self.m, self.q = p, m, p ** m
+        self.digits = tuple(itertools.product(range(p), repeat=m))
+        self._index = {e: k for k, e in enumerate(self.digits)}
+        self.scale = [
+            [self._index[tuple(c * x % p for x in a)] for a in self.digits]
+            for c in range(p)
+        ]
+
+    @cached_property
+    def add(self) -> list:
+        index, p = self._index, self.p
+        return [
+            [index[tuple((x + y) % p for x, y in zip(a, b))] for b in self.digits]
+            for a in self.digits
+        ]
+
+    def apply(self, matrix: tuple, pt: tuple) -> tuple:
+        """The point matrix . pt."""
+        add, scale = self.add, self.scale
+        out = []
+        for row in matrix:
+            acc = 0
+            for c, x in zip(row, pt):
+                if c:
+                    acc = add[acc][scale[c][x]]
+            out.append(acc)
+        return tuple(out)
+
+    def independent_tuples(self, r: int) -> Iterator[tuple]:
+        """Every r-tuple of F_p-independent vectors, lexicographically."""
+        q, p = self.q, self.p
+
+        def extend(prefix, span):
+            if len(prefix) == r - 1:
+                for x in range(q):
+                    if x not in span:
+                        yield prefix + (x,)
+                return
+            add, scale = self.add, self.scale
+            for x in range(q):
+                if x not in span:
+                    wider = {add[s][scale[c][x]] for s in span for c in range(p)}
+                    yield from extend(prefix + (x,), wider)
+
+        return extend((), {0}) if r else iter([()])
+
+    def point_index(self, pt: tuple) -> int:
+        k = 0
+        for x in pt:
+            k = k * self.q + x
+        return k
 
 
 def enumerate_injective_matrices(rows: int, cols: int, p: int) -> Iterator[tuple]:
-    """All full-column-rank rows x cols matrices, columns chosen in lex order.
-
-    A column is accepted when it lies outside the span of the columns chosen
-    before it; the span is grown as a set of vectors, so no rank is computed.
-    """
+    """All full-column-rank rows x cols matrices, columns chosen in lex order:
+    column j holds the digits of the j-th vector of an independent tuple."""
     if cols > rows:
         return
-    vectors = list(enumerate_vectors(rows, p))
-
-    def extend(chosen, span):
-        if len(chosen) == cols:
-            yield tuple(tuple(col[i] for col in chosen) for i in range(rows))
-            return
-        for v in vectors:
-            if v not in span:
-                grown = {
-                    tuple((x + c * y) % p for x, y in zip(s, v))
-                    for s in span
-                    for c in range(p)
-                }
-                yield from extend(chosen + [v], grown)
-
-    yield from extend([], {(0,) * rows})
+    space = VectorSpace(p, rows)
+    digits = space.digits
+    for vectors in space.independent_tuples(cols):
+        yield tuple(tuple(digits[v][i] for v in vectors) for i in range(rows))
 
 
 def enumerate_subspaces(ambient: int, dim: int, p: int) -> Iterator[tuple]:

@@ -22,8 +22,10 @@ library at (p, n) = (2, 1), (2, 2) and (3, 1).  Past order 64 it keeps
 ``elemab`` for a6 and s6 at p = 2 and 3, ``colim -q 4 --tower`` for a6 and
 s6 at p = 2, whose A^(1) joins G-classes of Klein fours, so their
 connecting maps cross a level join, and ``category -n 1`` for a6 at p = 3,
-where A^(1) and the Quillen category differ.  Each report is written to
-``tests/golden/cli/<case>.json``.
+where A^(1) and the Quillen category differ.  The DOT renderer keeps
+``category --format dot`` for a4, s4 and a5 at p = 2 and for h27 at p = 3,
+each at n = 1 and ``inf``.  Each report is written to
+``tests/golden/cli/<case>.json``, or ``<case>.dot`` for a DOT report.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ def _primes_dividing(order):
 
 
 def cases():
-    """(case name, argv) for every captured report, in a fixed order."""
+    """(file name, argv) for every captured report, in a fixed order."""
     out = []
     for name in builtin_names():
         group = load_builtin(name)
@@ -107,7 +109,15 @@ def cases():
         "a6-p3-category-n1",
         ["category", "-g", "a6", "-p", "3", "--format", "json", "-n", "1"],
     ))
-    return out
+    for name, p in (("a4", 2), ("s4", 2), ("a5", 2), ("h27", 3)):
+        for level in ("1", "inf"):
+            out.append((
+                "%s-p%d-category-n%s" % (name, p, level),
+                ["category", "-g", name, "-p", str(p), "--format", "dot", "-n", level],
+            ))
+    return [
+        (case + (".dot" if "dot" in argv else ".json"), argv) for case, argv in out
+    ]
 
 
 def report(argv):
@@ -122,9 +132,9 @@ def report(argv):
 
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    for stale in GOLDEN_DIR.glob("*.json"):
+    for stale in GOLDEN_DIR.glob("*.*"):
         stale.unlink()
     kept = cases()
-    for case, argv in kept:
-        (GOLDEN_DIR / (case + ".json")).write_text(report(argv))
+    for file_name, argv in kept:
+        (GOLDEN_DIR / file_name).write_text(report(argv))
     sys.stdout.write("wrote %d reports to %s\n" % (len(kept), GOLDEN_DIR))

@@ -8,14 +8,14 @@ relabelling until stable, where the library walks one Aut-orbit of
 full-support points per isomorphism class in base-p digit tables, and the
 polynomial oracles multiply and compose in full before truncating instead
 of dropping terms as products are formed, the injective-matrix enumerator
-tests each column by a rank computation instead of a span set, and the
-Cayley table composes every pair of permutations instead of reading the
-closure's generator steps.  The Hurewicz oracle convolves every split of
+tests each column by a rank computation instead of a span of vector
+names, and the Cayley table composes every pair of permutations instead of
+reading the closure's generator steps.  The Hurewicz oracle convolves every split of
 the coproduct with the * product before reducing, where the library writes
-the reduced image in closed form.  ``per_point_tower_maps`` reads a
-tower's connecting maps one class rep at a time, where the library maps
-a class at a time from the shared walks, and ``two_sided_orbits`` multiplies
-every pair of automorphisms into every morphism, where the skeleton counts
+the reduced image in closed form.  ``union_find_tower`` reads a tower's
+connecting maps node by node, where the library maps a class at a time
+from the shared walks, and ``two_sided_orbits`` multiplies every pair of
+automorphisms into every morphism, where the skeleton counts
 Aut(target)-orbits of subobjects.  The all-pairs category
 builders below share the level test and the enumeration of injective maps
 with the library, but test every injective map W -> V for every pair of
@@ -414,19 +414,6 @@ def union_find_tower(group, p, q) -> FiltrationTower:
             )
         surjections.append(mapping)
     return FiltrationTower(q=q, levels=levels, surjections=surjections)
-
-
-def per_point_tower_maps(tower) -> list:
-    """The connecting maps of a tower, one class rep at a time: each rep, a
-    full-support point of its own object, carried by the isomorphism to its
-    level-n class's least member and looked up in that class's walk."""
-    maps = []
-    for (_, hi), (_, lo) in zip(tower.levels, tower.levels[1:]):
-        maps.append([
-            lo._orbit_class(i, lo._field.point_at(k, lo._objects[i].rank))
-            for i, k in hi.class_reps
-        ])
-    return maps
 
 
 def two_sided_orbits(mats, aut_target, aut_source, p) -> list:

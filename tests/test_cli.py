@@ -159,12 +159,12 @@ def test_a4_demo_exit_zero(capsys):
 
 def test_cli_matches_golden():
     # reports kept by capture_cli_golden.py stay byte-identical
-    kept = {path.stem for path in GOLDEN_DIR.glob("*.json")}
-    assert kept == {case for case, _ in cases()}
+    kept = {path.name for path in GOLDEN_DIR.glob("*.*")}
+    assert kept == {file_name for file_name, _ in cases()}
     changed = [
-        case
-        for case, argv in cases()
-        if report(argv) != (GOLDEN_DIR / (case + ".json")).read_text()
+        file_name
+        for file_name, argv in cases()
+        if report(argv) != (GOLDEN_DIR / file_name).read_text()
     ]
     assert changed == []
 
@@ -210,12 +210,22 @@ def test_input_errors_exit_two(capsys, tmp_path, monkeypatch):
         main(["category", "-g", "a4", "-n", "-1"])
     assert exit_info.value.code == 2
     assert "level must be >= 0" in capsys.readouterr().err
+    # inf is the one spelling of the Quillen level
+    for level in ("oo", "quillen"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["colim", "-g", "a4", "-q", "4", "-n", level])
+        assert exit_info.value.code == 2
+        assert "invalid" in capsys.readouterr().err
     # a prime above the group order cap is refused without a primality test
     with pytest.raises(SystemExit) as exit_info:
         main(["elemab", "-g", "c4", "-p", "1000000000000000003"])
     assert exit_info.value.code == 2
     assert "exceeds the group order cap 2048" in capsys.readouterr().err
-    # --format offers only what a command renders
+    # --format exists only where a second renderer does: category's DOT
+    with pytest.raises(SystemExit) as exit_info:
+        main(["category", "-g", "a4", "--format", "text"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'text'" in capsys.readouterr().err
     for argv in (
         ("colim", "-g", "a4", "-q", "4"),
         ("stab", "-g", "a4"),
@@ -224,11 +234,12 @@ def test_input_errors_exit_two(capsys, tmp_path, monkeypatch):
         ("invariants", "-g", "a4"),
         ("witness",),
         ("cr", "-g", "a4"),
+        ("a4-demo",),
     ):
         with pytest.raises(SystemExit) as exit_info:
-            main([*argv, "--format", "text"])
+            main([*argv, "--format", "json"])
         assert exit_info.value.code == 2
-        assert "invalid choice: 'text'" in capsys.readouterr().err
+        assert "unrecognized arguments" in capsys.readouterr().err
     # a tower has every level, so -n is refused beside --tower
     with pytest.raises(SystemExit) as exit_info:
         main(["colim", "-g", "a4", "-q", "4", "--tower", "-n", "1"])

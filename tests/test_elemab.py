@@ -130,7 +130,7 @@ def test_count_formula_against_enumeration():
 
 
 def test_span_enumeration_matches_rank_oracle():
-    for p in (2, 3):
+    for p in (2, 3, 5):
         for rows in range(6):
             for cols in range(rows + 2):
                 if injective_hom_count(cols, rows, p) > 20_000:
