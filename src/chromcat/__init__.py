@@ -69,6 +69,7 @@ from .library import (
 from .polyfp import (
     LinearAction,
     PolyFp,
+    invariant_bases,
     invariant_basis,
     orbit_sum,
     parse_poly,

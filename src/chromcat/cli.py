@@ -38,7 +38,7 @@ from .library import (
     load_builtin,
     load_group_file,
 )
-from .polyfp import parse_poly
+from .polyfp import invariant_bases, parse_poly
 from .subrings import (
     SubringPresentation,
     sylow_among,
@@ -361,16 +361,14 @@ def cmd_invariants(args):
     group = _load_group(args)
     sylow = sylow_elem_abelian(group, args.p)
     weyl = weyl_action(group, sylow)
-    from .polyfp import invariant_basis
-
+    bases = invariant_bases(weyl, range(0, args.max_degree + 1))
     payload = {
         "group": group.name,
         "p": args.p,
         "sylow_rank": sylow.rank,
         "weyl_order": weyl.order(),
         "invariants": {
-            str(d): [f.render() for f in invariant_basis(weyl, d)]
-            for d in range(0, args.max_degree + 1)
+            str(d): [f.render() for f in basis] for d, basis in bases.items()
         },
     }
     _emit_json(args, payload)
@@ -468,9 +466,11 @@ def _build_parser():
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (UsageError, GroupError, FqError) as exc:

@@ -46,22 +46,31 @@ def mat_rank(m: tuple, p: int) -> int:
 
 
 def rref(m: tuple, p: int) -> tuple[tuple, tuple]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    rows = [list(r) for r in m]
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+    Entries are reduced mod p on entry.  From then on the rows without a
+    pivot yet are zero left of the current column, the new pivot row among
+    them, so scaling it and eliminating with it touch only the columns from
+    the pivot on.
+    """
+    rows = [[x % p for x in r] for r in m]
     ncols = len(m[0]) if m else 0
     pivots = []
     rank = 0
     for col in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] % p), None)
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [(x - c * y) % p for x, y in zip(rows[i], rows[rank])]
+        tail = rows[rank][col:]
+        if tail[0] != 1:
+            inv = pow(tail[0], -1, p)
+            tail = [(x * inv) % p for x in tail]
+            rows[rank][col:] = tail
+        for i, row in enumerate(rows):
+            c = row[col]
+            if c and i != rank:
+                row[col:] = [(x - c * y) % p for x, y in zip(row[col:], tail)]
         pivots.append(col)
         rank += 1
     return tuple(tuple(r) for r in rows[:rank]), tuple(pivots)
@@ -122,11 +131,17 @@ class VectorSpace:
 
     @cached_property
     def add(self) -> list:
-        index, p = self._index, self.p
-        return [
-            [index[tuple((x + y) % p for x, y in zip(a, b))] for b in self.digits]
-            for a in self.digits
-        ]
+        # built one leading digit at a time: with S = p^k and T the table of
+        # k digits, a0*S + lo plus b0*S + x is (a0 + b0)*S + T[lo][x]
+        p, table, size = self.p, [[0]], 1
+        for _ in range(self.m):
+            table = [
+                [(a0 + b0) % p * size + x for b0 in range(p) for x in table[lo]]
+                for a0 in range(p)
+                for lo in range(size)
+            ]
+            size *= p
+        return table
 
     def apply(self, matrix: tuple, pt: tuple) -> tuple:
         """The point matrix . pt."""

@@ -342,19 +342,28 @@ def parse_poly(
 class LinearAction:
     """A finite matrix group over F_p acting on polynomial variables.
 
-    Built from generators; the closure (including the identity) is computed
-    eagerly and capped, since actions here are Weyl groups of desk-scale
-    groups.
+    Built from square invertible generators of one size, stored reduced mod
+    p; the closure (including the identity) is computed eagerly and capped,
+    since actions here are Weyl groups of desk-scale groups.
     """
 
     CLOSURE_CAP = 20_000
 
     def __init__(self, p: int, generators: Sequence[tuple]):
         self.p = p
-        self.generators = tuple(tuple(tuple(r) for r in m) for m in generators)
+        self.generators = tuple(
+            tuple(tuple(x % p for x in r) for r in m) for m in generators
+        )
         if not self.generators:
             raise ValueError("need at least one matrix to fix the dimension")
         self.nvars = len(self.generators[0])
+        for g in self.generators:
+            if len(g) != self.nvars or any(len(r) != self.nvars for r in g):
+                raise ValueError(
+                    "generators must all be %d x %d matrices" % (self.nvars, self.nvars)
+                )
+            if modp.mat_rank(g, p) != self.nvars:
+                raise ValueError("generator %r is singular over F_%d" % (g, p))
         ident = modp.identity_matrix(self.nvars)
         elements = {ident}
         frontier = [ident]
@@ -380,39 +389,92 @@ def orbit_sum(f: PolyFp, action: LinearAction) -> PolyFp:
 
 
 def _monomials_of_degree(nvars: int, d: int) -> list:
-    out = [
-        exps
-        for exps in itertools.product(range(d + 1), repeat=nvars)
-        if sum(exps) == d
+    """The exponent tuples of total degree d, lexicographically descending:
+    the order in which combinations_with_replacement lists the multisets
+    of d variables."""
+    if d < 0:
+        return []
+    out = []
+    for combo in itertools.combinations_with_replacement(range(nvars), d):
+        exps = [0] * nvars
+        for i in combo:
+            exps[i] += 1
+        out.append(tuple(exps))
+    return out
+
+
+def _times_form(image: dict, step: list, form: list, p: int) -> dict:
+    """image * sum_i w x_i over the (i, w) of form, monomials named by index:
+    step[c][i] is the index of monomial c times x_i."""
+    out = {}
+    for c, v in image.items():
+        row = step[c]
+        for i, w in form:
+            out[row[i]] = out.get(row[i], 0) + v * w
+    return {b: v % p for b, v in out.items() if v % p}
+
+
+def invariant_bases(action: LinearAction, degrees) -> dict:
+    """{d: echelon-form basis of the degree-d forms fixed by the action}.
+
+    Each basis solves the stacked (sigma - id) kernel over the monomial
+    basis, one block per generator; generators suffice since fixedness is
+    closed under products.  Each generator's monomial images are walked up
+    the degrees once: the image of m * x_j is the image of m times the
+    image sum_i g[i][j] x_i of x_j.
+    """
+    p, n = action.p, action.nvars
+    wanted = set(degrees)
+    out = {d: [] for d in sorted(wanted) if d < 0}
+    top = max(wanted, default=-1)
+    mons = [_monomials_of_degree(n, k) for k in range(top + 1)]
+    # up[k][a][i]: the index in mons[k + 1] of mons[k][a] * x_i
+    up = []
+    for k in range(top):
+        index = {m: b for b, m in enumerate(mons[k + 1])}
+        up.append([
+            [index[m[:i] + (m[i] + 1,) + m[i + 1:]] for i in range(n)]
+            for m in mons[k]
+        ])
+    # forms[t][j]: the image of x_j under generator t, as (i, coefficient)
+    forms = [
+        [[(i, g[i][j]) for i in range(n) if g[i][j]] for j in range(n)]
+        for g in action.generators
     ]
-    return sorted(out, key=lambda e: tuple(-x for x in e))
+    # images[t][b]: the image under generator t of the b-th monomial of the
+    # current degree, as {monomial index: coefficient}
+    images = [[{0: 1}] for _ in action.generators]
+    for k in range(top + 1):
+        if k:
+            step = up[k - 1]
+            for t, form in enumerate(forms):
+                cur = [None] * len(mons[k])
+                for a, image in enumerate(images[t]):
+                    for j, b in enumerate(step[a]):
+                        if cur[b] is None:
+                            cur[b] = _times_form(image, step, form[j], p)
+                images[t] = cur
+        if k not in wanted:
+            continue
+        size = len(mons[k])
+        rows = []
+        for cur in images:
+            block = [[0] * size for _ in range(size)]
+            for col, image in enumerate(cur):
+                for b, v in image.items():
+                    block[b][col] = v
+                block[col][col] = (block[col][col] - 1) % p
+            rows += block
+        out[k] = [
+            PolyFp(p, n, dict(zip(mons[k], vec)))
+            for vec in modp.kernel_basis(rows, p, size)
+        ]
+    return out
 
 
 def invariant_basis(action: LinearAction, d: int) -> list[PolyFp]:
-    """Echelon-form basis of the degree-d forms fixed by the action.
-
-    Solves the stacked (sigma - id) kernel over the monomial basis, one block
-    per generator; generators suffice since fixedness is closed under
-    products.
-    """
-    mons = _monomials_of_degree(action.nvars, d)
-    rows = []
-    for g in action.generators:
-        images = [
-            PolyFp.monomial(action.p, action.nvars, m).substitute_linear(g)
-            for m in mons
-        ]
-        for e in mons:
-            rows.append(
-                tuple(
-                    (img.coefficient(e) - (1 if m == e else 0)) % action.p
-                    for m, img in zip(mons, images)
-                )
-            )
-    kernel = modp.kernel_basis(tuple(rows), action.p, len(mons))
-    return [
-        PolyFp(action.p, action.nvars, dict(zip(mons, vec))) for vec in kernel
-    ]
+    """Echelon-form basis of the degree-d forms fixed by the action."""
+    return invariant_bases(action, (d,))[d]
 
 
 # -- graded subring membership --------------------------------------------------

@@ -24,7 +24,11 @@ s6 at p = 2, whose A^(1) joins G-classes of Klein fours, so their
 connecting maps cross a level join, and ``category -n 1`` for a6 at p = 3,
 where A^(1) and the Quillen category differ.  The DOT renderer keeps
 ``category --format dot`` for a4, s4 and a5 at p = 2 and for h27 at p = 3,
-each at n = 1 and ``inf``.  Each report is written to
+each at n = 1 and ``inf``.  ``invariants --max-degree 8`` is kept for every
+bundled group of order <= 64 at every prime where its Sylow subgroup is
+elementary abelian, ``invariants --max-degree 14`` for a4, a5 and e8 at
+p = 2, ``invariants --max-degree 8`` for a6 at p = 3, and ``a4-demo``.  Each
+report is written to
 ``tests/golden/cli/<case>.json``, or ``<case>.dot`` for a DOT report.
 """
 
@@ -35,7 +39,13 @@ import io
 import sys
 from pathlib import Path
 
-from chromcat import builtin_names, load_builtin, p_rank
+from chromcat import (
+    UnsupportedGroupError,
+    builtin_names,
+    load_builtin,
+    p_rank,
+    sylow_elem_abelian,
+)
 from chromcat.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "cli"
@@ -49,6 +59,13 @@ def _primes_dividing(order):
         p for p in range(2, order + 1)
         if order % p == 0 and all(p % d for d in range(2, p))
     ]
+
+
+def _invariants_case(name, p, max_degree):
+    return (
+        "%s-p%d-invariants-d%d" % (name, p, max_degree),
+        ["invariants", "-g", name, "-p", str(p), "--max-degree", str(max_degree)],
+    )
 
 
 def cases():
@@ -115,6 +132,19 @@ def cases():
                 "%s-p%d-category-n%s" % (name, p, level),
                 ["category", "-g", name, "-p", str(p), "--format", "dot", "-n", level],
             ))
+    for name in builtin_names():
+        group = load_builtin(name)
+        if group.order > MAX_ORDER:
+            continue
+        for p in _primes_dividing(group.order):
+            try:
+                sylow_elem_abelian(group, p)
+            except UnsupportedGroupError:
+                continue
+            out.append(_invariants_case(name, p, 8))
+    out += [_invariants_case(name, 2, 14) for name in ("a4", "a5", "e8")]
+    out.append(_invariants_case("a6", 3, 8))
+    out.append(("a4-demo", ["a4-demo"]))
     return [
         (case + (".dot" if "dot" in argv else ".json"), argv) for case, argv in out
     ]

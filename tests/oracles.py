@@ -34,6 +34,13 @@ every commuting order-p element outside it and drops repeats by element
 set, with each least basis rebuilt span by span from scratch and the
 coordinates multiplied out power by power, where the library builds each
 subgroup once, from its least basis, through one span routine.
+``whole_row_rref`` eliminates with whole rows and reduces mod p as it goes,
+where ``modp.rref`` reduces once on entry and works from the pivot column
+on; ``substitute_invariant_basis`` substitutes every monomial afresh and
+looks up each (sigma - id) entry by coefficient, where the library walks
+each generator's monomial images up the degrees once; and
+``digit_tuple_add_table`` adds F_p^m vectors as digit tuples, where
+``modp.VectorSpace`` builds its table a leading digit at a time.
 
 ``centralizer``, ``compose``, ``identity_morphism`` and
 ``distinguishing_generator`` are reference helpers with no caller in the
@@ -721,3 +728,72 @@ def hurewicz_by_coproduct(element, t, p, height, degree=0):
         return out
 
     return mod_indecomposables(convolve(items, t))
+
+
+def whole_row_rref(m, p):
+    """Reduced row echelon form by whole-row operations: (rows, pivots)."""
+    rows = [list(r) for r in m]
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] % p), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [(x * inv) % p for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] % p:
+                c = rows[i][col]
+                rows[i] = [(x - c * y) % p for x, y in zip(rows[i], rows[rank])]
+        pivots.append(col)
+        rank += 1
+    return tuple(tuple(r) for r in rows[:rank]), tuple(pivots)
+
+
+def whole_row_kernel_basis(m, p, ncols):
+    """The right kernel basis ``modp.kernel_basis`` reads off the RREF."""
+    reduced, pivots = whole_row_rref(m, p)
+    basis = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        v = [0] * ncols
+        v[j] = 1
+        for i, pc in enumerate(pivots):
+            v[pc] = (-reduced[i][j]) % p
+        basis.append(tuple(v))
+    return basis
+
+
+def substitute_invariant_basis(action, d):
+    """The degree-d invariant basis from a fresh substitution per monomial
+    and one coefficient lookup per (sigma - id) entry."""
+    p, n = action.p, action.nvars
+    mons = sorted(
+        (e for e in itertools.product(range(d + 1), repeat=n) if sum(e) == d),
+        key=lambda e: tuple(-x for x in e),
+    )
+    rows = []
+    for g in action.generators:
+        images = [PolyFp.monomial(p, n, m).substitute_linear(g) for m in mons]
+        for e in mons:
+            rows.append(tuple(
+                (img.coefficient(e) - (1 if m == e else 0)) % p
+                for m, img in zip(mons, images)
+            ))
+    return [
+        PolyFp(p, n, dict(zip(mons, vec)))
+        for vec in whole_row_kernel_basis(tuple(rows), p, len(mons))
+    ]
+
+
+def digit_tuple_add_table(p, m):
+    """F_p^m addition on vector names, by adding digit tuples mod p."""
+    digits = list(itertools.product(range(p), repeat=m))
+    index = {e: k for k, e in enumerate(digits)}
+    return [
+        [index[tuple((x + y) % p for x, y in zip(a, b))] for b in digits]
+        for a in digits
+    ]

@@ -169,6 +169,25 @@ def test_cli_matches_golden():
     assert changed == []
 
 
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    # the parser is built once, on import; a usage error in between leaves
+    # no trace in the next report
+    import chromcat.cli as cli_mod
+
+    def no_build():
+        raise AssertionError("the parser was rebuilt")
+
+    monkeypatch.setattr(cli_mod, "_build_parser", no_build)
+    argv = ["invariants", "-g", "a4", "-p", "2", "--max-degree", "8"]
+    golden = (GOLDEN_DIR / "a4-p2-invariants-d8.json").read_text()
+    assert report(argv) == golden
+    with pytest.raises(SystemExit) as exit_info:
+        main(["invariants", "-g", "a4", "-p", "4", "--max-degree", "3"])
+    assert exit_info.value.code == 2
+    assert "is not a prime" in capsys.readouterr().err
+    assert report(argv) == golden
+
+
 def test_input_errors_exit_two(capsys, tmp_path, monkeypatch):
     code, _, err = run_cli(capsys, "group-info", "--group", "definitely-not-a-group")
     assert code == 2

@@ -10,16 +10,24 @@ from hypothesis import strategies as st
 from chromcat import (
     LinearAction,
     PolyFp,
+    UnsupportedGroupError,
+    builtin_names,
+    invariant_bases,
     invariant_basis,
+    load_builtin,
     orbit_sum,
     parse_poly,
     subring_membership,
+    sylow_elem_abelian,
+    weyl_action,
 )
+from chromcat.modp import mat_rank
 from chromcat.polyfp import _monomials_of_degree, graded_piece
 from oracles import (
     naive_truncated_composition,
     naive_truncated_power,
     naive_truncated_product,
+    substitute_invariant_basis,
 )
 
 C3 = LinearAction(2, [((0, 1), (1, 1))])  # x -> y -> x+y
@@ -115,6 +123,115 @@ def test_invariant_bases():
     for f in deg3:
         for m in C3.generators:
             assert f.substitute_linear(m) == f
+
+
+# GL(3, 2): a transvection and the coordinate 3-cycle
+GL32 = LinearAction(2, [
+    ((1, 1, 0), (0, 1, 0), (0, 0, 1)),
+    ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
+])
+
+
+def _check_against_oracle(action, degrees):
+    bases = invariant_bases(action, degrees)
+    assert list(bases) == sorted(set(degrees))
+    for d, basis in bases.items():
+        assert basis == substitute_invariant_basis(action, d), d
+        assert invariant_basis(action, d) == basis, d
+
+
+def test_gl32_invariant_bases_match_substitution_oracle():
+    assert GL32.order() == 168
+    _check_against_oracle(GL32, range(15))
+    # the Dickson invariants of degrees 4, 6 and 7 are the first ones
+    dims = [len(b) for b in invariant_bases(GL32, range(8)).values()]
+    assert dims == [1, 0, 0, 0, 1, 0, 1, 1]
+
+
+def _weyl_actions():
+    for name in builtin_names():
+        group = load_builtin(name)
+        for p in (2, 3, 5):
+            if group.order % p:
+                continue
+            try:
+                sylow = sylow_elem_abelian(group, p)
+            except UnsupportedGroupError:
+                continue
+            yield "%s-p%d" % (name, p), weyl_action(group, sylow)
+
+
+def test_weyl_invariant_bases_match_substitution_oracle():
+    seen = []
+    for label, action in _weyl_actions():
+        seen.append(label)
+        _check_against_oracle(action, range(9))
+    # every group of the library whose Sylow subgroup is elementary abelian
+    assert "a6-p3" in seen and "s6-p3" in seen and "e8-p2" in seen
+    assert len(seen) == 21
+
+
+def test_degrees_empty_unsorted_or_repeated():
+    assert invariant_bases(C3, []) == {}
+    assert invariant_bases(C3, iter(())) == {}
+    bases = invariant_bases(C3, [3, 1, 3, 0, 2])
+    assert list(bases) == [0, 1, 2, 3]
+    assert bases[2] == [D1] and bases[1] == []
+    assert bases[0] == [PolyFp.constant(2, 2, 1)]
+    for d in range(4):
+        assert bases[d] == invariant_basis(C3, d)
+    # a negative degree has no forms
+    assert invariant_bases(C3, [-1, 2]) == {-1: [], 2: [D1]}
+    assert invariant_basis(C3, -1) == []
+
+
+@st.composite
+def matrix_groups(draw):
+    p = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(min_value=1, max_value=3 if p == 2 else 2))
+    entry = st.integers(min_value=-p, max_value=2 * p)
+    square = st.tuples(*[st.tuples(*[entry] * n)] * n)
+    invertible = square.filter(lambda m: mat_rank(m, p) == n)
+    gens = draw(st.lists(invertible, min_size=1, max_size=3))
+    return LinearAction(p, gens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    matrix_groups(),
+    st.lists(st.integers(min_value=0, max_value=6), max_size=5),
+)
+def test_random_matrix_groups_match_substitution_oracle(action, degrees):
+    _check_against_oracle(action, degrees)
+    for d, basis in invariant_bases(action, degrees).items():
+        for f in basis:
+            assert all(f.substitute_linear(g) == f for g in action.generators), d
+
+
+def test_linear_action_refuses_what_is_not_a_matrix_group():
+    # a singular matrix "closes" to a semigroup of 3 elements over F_2
+    with pytest.raises(ValueError, match="singular"):
+        LinearAction(2, [((1, 1), (1, 1))])
+    # invertible over Z, singular mod p
+    with pytest.raises(ValueError, match="singular"):
+        LinearAction(3, [((3, 0), (0, 1))])
+    with pytest.raises(ValueError, match="2 x 2"):
+        LinearAction(2, [((0, 1), (1, 1)), ((1,),)])
+    with pytest.raises(ValueError, match="1 x 1"):
+        LinearAction(2, [((1,),), ((0, 1), (1, 0))])
+    with pytest.raises(ValueError, match="2 x 2"):
+        LinearAction(2, [((1, 0, 0), (0, 1, 0))])
+    with pytest.raises(ValueError, match="2 x 2"):
+        LinearAction(2, [((1, 0), (1,))])
+    with pytest.raises(ValueError, match="at least one"):
+        LinearAction(2, [])
+
+
+def test_linear_action_stores_generators_reduced():
+    action = LinearAction(5, [((6, -5), (10, -1))])
+    assert action.generators == (((1, 0), (0, 4)),)
+    assert action.order() == 2
+    assert invariant_basis(action, 2) == substitute_invariant_basis(action, 2)
 
 
 def test_dickson_full_gl_invariance():
