@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
@@ -58,7 +59,7 @@ from .elemab import (
     conjugation_matrix,
     enumerate_elem_abelians,
 )
-from .groups import FiniteGroup, GroupError
+from .groups import DEFAULT_ORDER_CAP, FiniteGroup, GroupError, orbit_walk
 
 Level = Optional[int]  # int >= 0, or None for Quillen
 
@@ -175,12 +176,6 @@ class ChromCategory:
             len(aut) * len(transports) * sum(len(self.above[k]) for k in transports)
             for aut, transports in self.classes
         )
-
-    def witness(self, i: int, j: int, matrix: tuple) -> Optional[int]:
-        """The least g inducing the morphism objects[i] -> objects[j] with
-        this matrix, or None when it is not a conjugation morphism."""
-        images = [self.objects[j].element_at(col) for col in zip(*matrix)]
-        return self.group.simultaneous_conjugacy(self.objects[i].basis, images)
 
     def equals(self, other: "ChromCategory") -> bool:
         """Hom-set by hom-set equality over the identical object list.  The
@@ -540,34 +535,21 @@ def skeleton(cat: ChromCategory) -> SkeletonReport:
             hom = cat.hom(sources[0], targets[0])
             if not hom:
                 continue
-            orbits = _orbit_decomposition(hom, aut_t, cat.p)
+            # hom is sorted, so the orbits come in order of least member
+            ids = orbit_walk(hom, aut_t, lambda a, m: modp.mat_mul(a, m, cat.p))[1]
+            sizes = Counter(ids.values())
             report.edges.append(
                 SkeletonEdge(
                     source=si,
                     target=ti,
                     hom_size=len(hom),
-                    orbits=tuple(
-                        (len(o), len(aut_t) // len(o)) for o in orbits
-                    ),
+                    orbits=tuple((size, len(aut_t) // size) for size in sizes.values()),
                     two_sided_orbit_count=_subobject_orbit_count(
                         cat, sources, targets[0], aut_t
                     ),
                 )
             )
     return report
-
-
-def _orbit_decomposition(mats, aut_target, p):
-    """The orbits of Aut(target) acting on mats from the left, each sorted,
-    in order of least member."""
-    remaining = set(mats)
-    orbits = []
-    while remaining:
-        seed = min(remaining)
-        orbit = {modp.mat_mul(a, seed, p) for a in aut_target}
-        remaining -= orbit
-        orbits.append(sorted(orbit))
-    return orbits
 
 
 def _subobject_orbit_count(cat, members, v, aut_v) -> int:
@@ -584,18 +566,11 @@ def _subobject_orbit_count(cat, members, v, aut_v) -> int:
     def span(m):
         return modp.rref(modp.transpose(m), p)[0]
 
-    remaining = {
-        span(cat.inclusions[(k, v)]): cat.inclusions[(k, v)]
-        for k in members
-        if (k, v) in cat.inclusions
-    }
-    count = 0
-    while remaining:
-        incl = remaining.popitem()[1]
-        for a in aut_v:
-            remaining.pop(span(modp.mat_mul(a, incl, p)), None)
-        count += 1
-    return count
+    subobjects = [span(cat.inclusions[(k, v)]) for k in members if (k, v) in cat.inclusions]
+    leads = orbit_walk(
+        subobjects, aut_v, lambda a, s: span(modp.mat_mul(a, modp.transpose(s), p))
+    )[0]
+    return len(leads)
 
 
 # -- stabilization ------------------------------------------------------------
@@ -633,7 +608,7 @@ def hom_chain_report(group: FiniteGroup, p: int) -> HomChainReport:
 
 
 def witness_scan(
-    library: Sequence[tuple], p: int, n: int, order_cap: int = 2048
+    library: Sequence[tuple], p: int, n: int, order_cap: int = DEFAULT_ORDER_CAP
 ) -> dict:
     """Scan (name, group) pairs for A^(n) != A^(n+1); reports what was found.
 

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from . import modp
 from .categories import ChromCategory, Fusion
 from .elemab import injective_hom_count
-from .groups import FiniteGroup
+from .groups import FiniteGroup, orbit_walk
 
 # Most addition-table entries plus full-support points one colimit may use.
 WORK_BOUND = 2 ** 20
@@ -95,15 +95,8 @@ class _Walk:
 
     def __init__(self, f: modp.VectorSpace, auts: tuple):
         rank = len(auts[0])
-        self.points, self.indices, self.orbit = [], [], {}
-        orbit = self.orbit
-        for pt in f.independent_tuples(rank):
-            if pt in orbit:
-                continue
-            for a in auts:
-                orbit[f.apply(a, pt)] = len(self.points)
-            self.points.append(pt)
-            self.indices.append(f.point_index(pt))
+        self.points, self.orbit = orbit_walk(f.independent_tuples(rank), auts, f.apply)
+        self.indices = [f.point_index(pt) for pt in self.points]
         if len(self.points) * len(auts) != injective_hom_count(rank, f.m, f.p):
             raise AssertionError(
                 "Aut of rank %d does not act freely on its full-support points"

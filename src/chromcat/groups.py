@@ -15,6 +15,11 @@ Every table is checked for associativity exhaustively by Light's test: the
 elements s with (x s) y = x (s y) for all x, y are closed under products, so
 it suffices to test the s of a generating set, |S| * order^2 products in all.
 
+``orbit_walk`` is the package's one orbit walk over a listed group and
+``closure`` its one depth-first closure of generators; conjugacy classes,
+skeleton orbits, colimit classes, matrix actions and Weyl actions all go
+through them.
+
 Conjugation convention: ``conjugate(g, h) = h * g * h**-1`` throughout the
 package.  A tuple witness g for simultaneous conjugacy satisfies
 ``g a_i g**-1 = b_i`` for all i.
@@ -31,6 +36,41 @@ DEFAULT_ORDER_CAP = 2048
 
 class GroupError(ValueError):
     """Raised for malformed group data or violated construction limits."""
+
+
+def orbit_walk(items, group, act) -> tuple:
+    """The orbits of a listed group on ``items``, walked in order.
+
+    An item not yet reached leads a new orbit, and act(a, x) for every a in
+    ``group`` is given that orbit's id.  Returns the leads in order and
+    {reached item: orbit id}; walked in sorted order, each lead is the
+    least member of its orbit.
+    """
+    leads, ids = [], {}
+    for x in items:
+        if x in ids:
+            continue
+        for a in group:
+            ids[act(a, x)] = len(leads)
+        leads.append(x)
+    return leads, ids
+
+
+def closure(identity, generators, mul, cap) -> Optional[list]:
+    """Every mul(x, g) reachable from ``identity``, depth-first: each element
+    is appended when it is found.  None once more than ``cap`` are found."""
+    elements, seen, stack = [identity], {identity}, [identity]
+    while stack:
+        cur = stack.pop()
+        for g in generators:
+            nxt = mul(cur, g)
+            if nxt not in seen:
+                if len(elements) >= cap:
+                    return None
+                seen.add(nxt)
+                elements.append(nxt)
+                stack.append(nxt)
+    return elements
 
 
 class FiniteGroup:
@@ -77,17 +117,9 @@ class FiniteGroup:
         gens = []
         reached = {0}
         for a in range(1, self.order):
-            if a in reached:
-                continue
-            gens.append(a)
-            found = [0]
-            reached = {0}
-            for x in found:
-                for s in gens:
-                    y = t[x][s]
-                    if y not in reached:
-                        reached.add(y)
-                        found.append(y)
+            if a not in reached:
+                gens.append(a)
+                reached = set(closure(0, gens, lambda x, s: t[x][s], self.order))
         return gens
 
     def _find_inverse(self, a: int) -> int:
@@ -144,14 +176,8 @@ class FiniteGroup:
         )
 
     def conjugacy_class_count(self) -> int:
-        seen = set()
-        count = 0
-        for g in range(self.order):
-            if g in seen:
-                continue
-            count += 1
-            seen.update(self.conjugate(g, h) for h in range(self.order))
-        return count
+        elements = self.elements()
+        return len(orbit_walk(elements, elements, lambda h, g: self.conjugate(g, h))[0])
 
     # -- conjugacy search ---------------------------------------------------
 

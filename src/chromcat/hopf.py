@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .fgl import FGL
+from .groups import closure
 from .polyfp import PolyFp
 
 WEYL_CLOSURE_CAP = 24
@@ -138,23 +139,14 @@ def close_weyl_action(
 ) -> list:
     """Close substitution endomorphisms (tuples of variable images) into a
     group; raises if the closure does not stop within the cap."""
-    ident = tuple(ring.variable(i) for i in range(ring.rank))
-    elements = [ident]
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        cur = frontier.pop()
-        for gen in generators:
-            gen = tuple(gen)
-            nxt = tuple(img.substitute(gen) for img in cur)
-            if nxt not in seen:
-                if len(elements) >= cap:
-                    raise HopfError(
-                        "Weyl action failed to close within %d elements" % cap
-                    )
-                seen.add(nxt)
-                elements.append(nxt)
-                frontier.append(nxt)
+    elements = closure(
+        tuple(ring.variable(i) for i in range(ring.rank)),
+        [tuple(gen) for gen in generators],
+        lambda cur, gen: tuple(img.substitute(gen) for img in cur),
+        cap,
+    )
+    if elements is None:
+        raise HopfError("Weyl action failed to close within %d elements" % cap)
     return elements
 
 

@@ -19,6 +19,7 @@ from operator import add
 from typing import Optional, Sequence
 
 from . import modp
+from .groups import closure
 
 
 def default_names(nvars: int) -> tuple:
@@ -364,18 +365,14 @@ class LinearAction:
                 )
             if modp.mat_rank(g, p) != self.nvars:
                 raise ValueError("generator %r is singular over F_%d" % (g, p))
-        ident = modp.identity_matrix(self.nvars)
-        elements = {ident}
-        frontier = [ident]
-        while frontier:
-            cur = frontier.pop()
-            for g in self.generators:
-                nxt = modp.mat_mul(cur, g, p)
-                if nxt not in elements:
-                    if len(elements) >= self.CLOSURE_CAP:
-                        raise ValueError("matrix group closure cap exceeded")
-                    elements.add(nxt)
-                    frontier.append(nxt)
+        elements = closure(
+            modp.identity_matrix(self.nvars),
+            self.generators,
+            lambda cur, g: modp.mat_mul(cur, g, p),
+            self.CLOSURE_CAP,
+        )
+        if elements is None:
+            raise ValueError("matrix group closure cap exceeded")
         self.elements = tuple(sorted(elements))
 
     def order(self) -> int:

@@ -42,9 +42,9 @@ each generator's monomial images up the degrees once; and
 ``digit_tuple_add_table`` adds F_p^m vectors as digit tuples, where
 ``modp.VectorSpace`` builds its table a leading digit at a time.
 
-``centralizer``, ``compose``, ``identity_morphism`` and
-``distinguishing_generator`` are reference helpers with no caller in the
-library.
+``centralizer``, ``compose``, ``identity_morphism``,
+``distinguishing_generator`` and ``witness`` are reference helpers with no
+caller in the library.
 """
 
 from __future__ import annotations
@@ -74,6 +74,13 @@ def brute_simultaneous_conjugacy(group, a, b):
         if all(group.conjugate(x, g) == y for x, y in zip(a, b)):
             return g
     return None
+
+
+def witness(cat, i, j, matrix):
+    """The least g inducing the morphism objects[i] -> objects[j] of cat
+    with this matrix, or None when it is not a conjugation morphism."""
+    images = [cat.objects[j].element_at(col) for col in zip(*matrix)]
+    return brute_simultaneous_conjugacy(cat.group, cat.objects[i].basis, images)
 
 
 def level_oracle_all_tuples(f, n):

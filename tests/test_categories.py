@@ -24,7 +24,7 @@ from chromcat.cli import main
 from chromcat.elemab import LinearMorphism
 from chromcat.groups import FiniteGroup
 from conftest import SMALL_LIBRARY, category, group
-from oracles import level_oracle_all_tuples, two_sided_orbits
+from oracles import level_oracle_all_tuples, two_sided_orbits, witness
 
 GENERATORS = Path(__file__).parent / "golden" / "generators"
 
@@ -150,11 +150,11 @@ def test_witness_cache_induces_morphisms():
         for (i, j), mats in q.homs.items():
             for m in mats:
                 f = LinearMorphism(q.objects[i], q.objects[j], m)
-                wit = q.witness(i, j, m)
+                wit = witness(q, i, j, m)
                 for x in f.source.elements:
                     assert g.conjugate(x, wit) == f(x)
                 # level categories carry the same conjugation witnesses
-                assert category(name, p, 1).witness(i, j, m) == wit
+                assert witness(category(name, p, 1), i, j, m) == wit
 
 
 def test_equals_compares_transports_as_well_as_aut():
@@ -354,3 +354,10 @@ def test_two_sided_orbits_are_subobject_orbits(name):
                 assert e.two_sided_orbit_count == len(
                     two_sided_orbits(cat.hom(i, j), aut_t, aut_s, p)
                 ), (p, n, e.source, e.target)
+                # with a trivial source group the oracle's orbits are the
+                # one-sided Aut(target)-orbits, in order of least member
+                ident = (modp.identity_matrix(cat.objects[i].rank),)
+                assert list(e.orbits) == [
+                    (len(o), len(aut_t) // len(o))
+                    for o in two_sided_orbits(cat.hom(i, j), aut_t, ident, p)
+                ], (p, n, e.source, e.target)

@@ -78,8 +78,14 @@ def test_weyl_action_closure_cap():
     w, z = ring.variable(0), ring.variable(1)
     f = ring.fgl_of_variables(FGL22)
     assert len(close_weyl_action(ring, [[z, f]])) == 3
+    assert len(close_weyl_action(ring, [[z, f]], cap=3)) == 3
     with pytest.raises(HopfError):
         close_weyl_action(ring, [[z, f]], cap=2)
+    # depth-first, each element listed when it is found: weyl_orbit_restriction
+    # lists its terms in this order
+    assert close_weyl_action(ring, [[z, f], [z, w]]) == [
+        (w, z), (z, f), (z, w), (f, z), (w, f), (f, w),
+    ]
 
 
 # -- Mackey orbit -----------------------------------------------------------------

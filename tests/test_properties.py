@@ -66,6 +66,7 @@ from oracles import (
     union_find_colim,
     union_find_tower,
     with_inclusions,
+    witness,
 )
 
 PRIMES = (2, 3)
@@ -270,7 +271,7 @@ def _check_against_all_pairs(cat, objects, homs, witnesses):
         assert list(mats) == sorted(set(mats)), key  # sorted, without repeats
         assert set(mats) == {f.matrix for f in homs[key]}, key
     found = {
-        (i, j, m): cat.witness(i, j, m)
+        (i, j, m): witness(cat, i, j, m)
         for (i, j), mats in composed.items()
         for m in mats
     }
@@ -334,7 +335,7 @@ def _materialized(cat):
     triples = [(i, k, m) for (i, k), mats in cat.isos.items() for m in mats]
     # each isomorphism's own witness, which with_inclusions passes on to
     # its composites
-    conjugations = {(i, k, m): cat.witness(i, k, m) for i, k, m in triples}
+    conjugations = {(i, k, m): witness(cat, i, k, m) for i, k, m in triples}
     homs, witnesses = with_inclusions(cat.p, cat.objects, triples, conjugations)
     size = len(cat.objects)
     for i in range(size):
@@ -347,7 +348,7 @@ def _materialized(cat):
     for (i, j), fs in homs.items():
         for f in fs:
             g = witnesses.get((i, j, f.matrix))
-            assert cat.witness(i, j, f.matrix) == g, (i, j, f.matrix)
+            assert witness(cat, i, j, f.matrix) == g, (i, j, f.matrix)
             if g is not None:
                 assert all(
                     cat.group.conjugate(x, g) == f(x) for x in f.source.elements
