@@ -18,15 +18,17 @@ equality and colimit class sizes are read off the classes and the poset.
 
 A ``Fusion`` is one group at one prime for as long as its caller holds it:
 the objects, their inclusion poset and one conjugation scan of the group,
-from which it builds every level, the Quillen category and C_R, searching
-class representatives only; a request that compares several of them scans
-the group once.  For each object S the scan records the orbit
-{g S.basis g^-1} of S's basis, and for the least S of each G-class also
-Aut_Q(S) and the conjugation by the least g onto each conjugate.  A basis
-tuple seen before costs one lookup, so an object costs |G| lookups and a
-class |G : C_G(S)| target searches.  The j-th entries of the orbit's tuples
-are the G-class of S's j-th basis element, so the level search reads
-conjugacy from the scan and conjugates nothing itself.
+whose G-classes are the Quillen category's.  A^(n) for 0 < n < p-rank and
+C_R join those classes in one routine that searches class leads only, so
+C_R restricts its generators to one object per G-class; a request that
+compares several categories scans the group once.  For each object S the
+scan records the orbit {g S.basis g^-1} of S's basis, and for the least S
+of each G-class also Aut_Q(S) and the conjugation by the least g onto
+each conjugate.  A basis tuple seen before costs one lookup, so an object
+costs |G| lookups and a class |G : C_G(S)| target searches.  The j-th
+entries of the orbit's tuples are the G-class of S's j-th basis element,
+so the level search reads conjugacy from the scan and conjugates nothing
+itself.
 
 The level test enumerates no tuples.  A witness conjugating a basis of a
 subgroup S <= W conjugates every element of S, and every n-tuple generates
@@ -246,10 +248,10 @@ class Fusion:
 
     It holds the objects and their inclusion poset, runs the conjugation
     scan once, on first use, and builds the level-n, Quillen and subring
-    categories from them, searching class representatives only.  ``stats``
-    counts what it did: objects, scans run, G-classes of objects, level
-    candidates tested and kept, and C_R keys pulled back.  Nothing is kept
-    anywhere else, so the scan lives exactly as long as the Fusion.
+    categories from its classes, searching between class leads only.
+    ``stats`` counts what it did: objects, scans run, G-classes of objects,
+    level candidates tested and kept, and C_R keys pulled back.  Nothing is
+    kept anywhere else, so the scan lives exactly as long as the Fusion.
     """
 
     def __init__(self, group: FiniteGroup, p: int):
@@ -289,32 +291,32 @@ class Fusion:
         """C_R of ``subrings.build_CR`` on these objects.
 
         f: W -> U is kept when f^* Res_U = Res_W, so the equation is solved
-        by lookup: each object's key is its rank and Res of every generator.
-        Each object R not yet in a class leads one: its key is pulled back
-        along each m in GL_rank(R), and a W whose key is the pullback joins
-        with t_W = m^-1 (t_R = 1), m going into Aut(R) when W is R.
+        by lookup of keys, an object's key being its rank and Res of every
+        generator.  Conjugation keeps keys, so only Quillen leads are
+        restricted.  A class's lead R pulls its key back along each m in
+        GL_rank(R), m going into Aut(R) when that is R's key, and a later
+        lead whose key is the pullback along m joins with f = m^-1.
         """
-        keys = [(w.rank, presentation.restrictions(w)) for w in self.objects]
-        sources = {}
-        for i, key in enumerate(keys):
-            sources.setdefault(key, []).append(i)
-        classes = []
-        for r, (rank, res) in enumerate(keys):
-            if any(r in transports for _, transports in classes):
-                continue
-            aut, transports = [], {r: modp.identity_matrix(rank)}
+        keys, pullbacks = {}, {}
+        for _, transports in self.scan.classes:
+            v = self.objects[min(transports)]
+            keys[min(transports)] = (v.rank, presentation.restrictions(v))
+
+        def lead_aut(r, _):
+            rank, res = keys[r]
             gl = self._gl(rank)
             self.stats["subring_pullbacks"] += len(gl)
-            for m in gl:
-                pullback = modp.transpose(m)
-                key = (rank, tuple(rv.substitute_linear(pullback) for rv in res))
-                for i in sources.get(key, ()):
-                    if i == r:
-                        aut.append(m)
-                    if i not in transports:
-                        transports[i] = modp.mat_inverse(m, self.p)
-            classes.append((tuple(aut), transports))
-        return self._category(None, "subring", classes)
+            pulled = [
+                (rank, tuple(rv.substitute_linear(modp.transpose(m)) for rv in res)) for m in gl
+            ]
+            pullbacks[r] = dict(zip(pulled, gl))
+            return tuple(m for m, key in zip(gl, pulled) if key == keys[r])
+
+        def iso(lead, r):
+            m = pullbacks[lead].get(keys[r])
+            return None if m is None else modp.mat_inverse(m, self.p)
+
+        return self._category(None, "subring", self._joined_classes(lead_aut, iso))
 
     def _category(self, level, kind, classes) -> ChromCategory:
         return ChromCategory(
@@ -329,13 +331,10 @@ class Fusion:
         return self._gls[r]
 
     def _level_classes(self, n: int) -> list:
-        """The classes of A^(n), from the Quillen classes.
-
-        A Quillen class of rank <= n stays; at n = 0 each rank is one class,
-        with Aut = GL and identity transports.  Otherwise a Quillen class
-        with least member R' joins the first class R of its rank with a
-        level-n f: R -> R', its members U taking t_U f, or else leads a
-        class whose Aut are the level-n f: R' -> R'.
+        """The classes of A^(n).  At n = 0 each rank is one class, with Aut =
+        GL and identity transports; otherwise a Quillen class of rank <= n
+        stays, and a larger one joins the first class of its rank with a
+        level-n isomorphism onto its lead, or leads with the level-n Aut.
         """
         if n >= self.rank:
             return self.scan.classes
@@ -344,22 +343,32 @@ class Fusion:
             for k, u in enumerate(self.objects):
                 by_rank.setdefault(u.rank, {})[k] = modp.identity_matrix(u.rank)
             return [(self._gl(r), transports) for r, transports in by_rank.items()]
+
+        def lead_aut(r, aut):
+            return aut if self.objects[r].rank <= n else tuple(sorted(self._level_isos(r, r, n)))
+
+        def iso(lead, r):
+            rank = self.objects[r].rank
+            if rank > n and self.objects[lead].rank == rank:
+                return next(self._level_isos(lead, r, n), None)
+
+        return self._joined_classes(lead_aut, iso)
+
+    def _joined_classes(self, lead_aut, iso) -> list:
+        """The classes of a category containing the Quillen category: each
+        Quillen class, lead R' and Aut_Q(R') = aut, joins the first class
+        whose lead R has f = iso(R, R') in Iso_C(R, R'), its members U taking
+        t_U f, or else leads a class with Aut_C(R') = lead_aut(R', aut)."""
         classes = []
         for aut, transports in self.scan.classes:
             r = min(transports)
-            rank = self.objects[r].rank
-            if rank <= n:
-                classes.append((aut, transports))
-                continue
             for _, joined in classes:
-                lead = min(joined)
-                same_rank = self.objects[lead].rank == rank
-                f = next(self._level_isos(lead, r, n), None) if same_rank else None
+                f = iso(min(joined), r)
                 if f is not None:
                     joined.update((k, modp.mat_mul(t, f, self.p)) for k, t in transports.items())
                     break
             else:
-                classes.append((tuple(sorted(self._level_isos(r, r, n))), dict(transports)))
+                classes.append((lead_aut(r, aut), dict(transports)))
         return classes
 
     def _level_isos(self, i: int, k: int, n: int):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -189,7 +188,7 @@ def _parse_prime(value):
         raise argparse.ArgumentTypeError(
             "%s exceeds the group order cap %d" % (value, DEFAULT_ORDER_CAP)
         )
-    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+    if _prime_divisors(p) != [p]:
         raise argparse.ArgumentTypeError("%s is not a prime" % value)
     return p
 

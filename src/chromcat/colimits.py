@@ -207,11 +207,10 @@ def filtration_tower(group: FiniteGroup, p: int, q: int) -> FiltrationTower:
     lower level's; the connecting map sends a level-(n+1) class to the
     level-n class of its representative and is checked surjective.  One
     Fusion builds every level, and one field and one walk per distinct Aut
-    serve them all.  The map is read one level-(n+1) class at a time: when
-    its least member R still leads its level-n class (t_R is the identity)
-    the reps are looked up in the level-n walk, which is the same walk
-    unless Aut(R) grew, and only a class joined below R applies the
-    isomorphism to each rep.
+    serve them all.  The map is read one level-(n+1) class at a time, each
+    rep looked up in the level-n walk of its class's lead; only a class
+    whose least member R was joined to a smaller lead (t_R is not the
+    identity) first applies the isomorphism to each rep.
     """
     m = q_to_pm(q, p)
     fusion = Fusion(group, p)
@@ -228,12 +227,10 @@ def filtration_tower(group: FiniteGroup, p: int, q: int) -> FiltrationTower:
         for r, (_, walk) in hi._walks.items():
             least, iso = lo._to_least[r]
             first, lower = lo._walks[least]
-            if least != r:
-                mapping.extend(first + lower.orbit[f.apply(iso, pt)] for pt in walk.points)
-            elif lower is walk:
-                mapping.extend(range(first, first + len(walk.points)))
-            else:
-                mapping.extend(first + lower.orbit[pt] for pt in walk.points)
+            mapping.extend(
+                first + lower.orbit[pt if least == r else f.apply(iso, pt)]
+                for pt in walk.points
+            )
         if set(mapping) != set(range(lo.size)):
             raise AssertionError(
                 "connecting map not surjective between levels %d and %d"

@@ -114,7 +114,7 @@ class SubringPresentation:
         for g in v.group.elements():
             emb = conjugation_matrix(v, self.sylow, g)
             if emb is not None:
-                return tuple(_restriction_along(emb, f) for f in self.generators)
+                return tuple(f.substitute_linear(modp.transpose(emb)) for f in self.generators)
         raise UnsupportedGroupError(
             "object of rank %d is not conjugate into the Sylow subgroup" % v.rank
         )
@@ -126,25 +126,18 @@ def restriction(sylow: ElemAbelian, sub: ElemAbelian, f: PolyFp) -> PolyFp:
     inclusion = conjugation_matrix(sub, sylow, 0)
     if inclusion is None:
         raise GroupError("subgroup is not contained in the ambient Sylow subgroup")
-    return _restriction_along(inclusion, f)
-
-
-def _restriction_along(embedding: tuple, f: PolyFp) -> PolyFp:
-    """Restriction along a conjugation embedding matrix E (rank P x rank V)."""
-    return f.substitute_linear(modp.transpose(embedding))
+    return f.substitute_linear(modp.transpose(inclusion))
 
 
 def build_CR(group: FiniteGroup, presentation: SubringPresentation) -> ChromCategory:
     """The category C_R: objects all elementary abelians, morphisms the
     injective f with f^* Res_V = Res_W on every generator.
 
-    Restriction to an object is computed along its least-g conjugation
-    embedding into P, which gives what every embedding gives (see
-    ``SubringPresentation.restrictions``).  Only the isomorphisms W -> U
-    onto the image are found: fusion in the abelian P is controlled by
-    N_G(P) and the generators are Weyl-invariant, so the inclusion U <= V
-    pulls Res_V back to Res_U.  ``Fusion.subring`` finds them by matching
-    restriction keys.
+    Fusion in the abelian P is controlled by N_G(P) and the generators are
+    Weyl-invariant, so every conjugation embedding into P gives the same
+    restrictions, each inclusion U <= V pulls Res_V back to Res_U, and C_R
+    contains the Quillen category.  ``Fusion.subring`` joins its classes,
+    matching the restriction keys of each class's least member only.
     """
     return Fusion(group, presentation.p).subring(presentation)
 

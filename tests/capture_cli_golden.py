@@ -16,9 +16,11 @@ q = p^2 towers are the reports whose colimit classes hold points of rank
 >= 2.  x32 keeps only its ``elemab``, ``category -n inf``, q = p^2 tower and
 ``stab`` reports: its other category levels take seconds each.  Every group
 and prime also keeps ``stab``.  Beyond the per-group reports it keeps ``cr``
-for a4 and a5 with the unit subring and with the Chern and full generator
-sets of ``tests/golden/generators/``, and ``witness`` over the bundled
-library at (p, n) = (2, 1), (2, 2) and (3, 1).  Past order 64 it keeps
+with the unit subring for a4, a5, c1, c2, c3, c6, s3, k4 and e8, with the
+Chern and full generator sets of ``tests/golden/generators/`` for a4, a5
+and k4, and with ``e8-partial.json`` for e8, whose C_R joins some Quillen
+classes and equals no level; and ``witness`` over the bundled library at
+(p, n) = (2, 1), (2, 2) and (3, 1).  Past order 64 it keeps
 ``elemab`` for a6 and s6 at p = 2 and 3, ``colim -q 4 --tower`` for a6 and
 s6 at p = 2, whose A^(1) joins G-classes of Klein fours, so their
 connecting maps cross a level join, and ``category -n 1`` for a6 at p = 3,
@@ -102,9 +104,12 @@ def cases():
                 "%s-p%d-colim-n1" % (name, p),
                 ["colim", *common, "-q", str(p), "-n", "1"],
             ))
-    for name in ("a4", "a5"):
+    both = ("chern", "full")
+    cr_sets = {"a4": both, "a5": both, "c1": (), "c2": (), "c3": (), "c6": (),
+               "s3": (), "k4": both, "e8": ("e8-partial",)}
+    for name, subrings in cr_sets.items():
         out.append(("%s-cr-unit" % name, ["cr", "-g", name]))
-        for subring in ("chern", "full"):
+        for subring in subrings:
             out.append((
                 "%s-cr-%s" % (name, subring),
                 ["cr", "-g", name, "--generators", str(GENERATOR_DIR / (subring + ".json"))],

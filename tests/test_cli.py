@@ -219,6 +219,8 @@ def test_input_errors_exit_two(capsys, tmp_path, monkeypatch):
         ("elemab", "-g", "c4", "-p", "4"),
         ("category", "-g", "d8", "-p", "1"),
         ("category", "-g", "d8", "-p", "0"),
+        ("elemab", "-g", "c3", "-p", "9"),
+        ("elemab", "-g", "c3", "-p", "2047"),
     ):
         with pytest.raises(SystemExit) as exit_info:
             main(list(argv))

@@ -9,6 +9,7 @@ from chromcat import (
     UnsupportedGroupError,
     build_CR,
     build_category,
+    invariant_bases,
     parse_poly,
     quillen_category,
     restriction,
@@ -96,13 +97,32 @@ def test_cr_pulls_back_one_key_per_class_and_matrix():
     # A_5 at p = 2 has three C_R classes: the trivial group, the 15
     # involutions and the 5 Klein fours, so 1 + |GL_1| + |GL_2| = 8
     # pullbacks, where one per object took 1 + 15 * 1 + 5 * 6 = 46 and
-    # testing every equal-rank pair would take 1 + 15^2 + 5^2 * 6 = 376
+    # testing every equal-rank pair would take 1 + 15^2 + 5^2 * 6 = 376.
+    # C_R joins the Quillen classes, so it runs the one conjugation scan
     a5 = group("a5")
     fusion = Fusion(a5, 2)
     cat = fusion.subring(SubringPresentation.for_group(a5, [D1, D0, ETA]))
     assert fusion.stats["subring_pullbacks"] == 8
-    assert fusion.stats["scans"] == 0
+    assert fusion.stats["scans"] == 1
     assert cat.equals(quillen_category(a5, 2))
+
+
+def test_cr_restricts_the_least_member_of_each_quillen_class(monkeypatch):
+    # conjugate objects have equal keys, so A_5 restricts 3 of its 21 objects
+    calls = []
+    restrictions = SubringPresentation.restrictions
+
+    def counting(self, v):
+        calls.append(v)
+        return restrictions(self, v)
+
+    monkeypatch.setattr(SubringPresentation, "restrictions", counting)
+    a5 = group("a5")
+    fusion = Fusion(a5, 2)
+    fusion.subring(SubringPresentation.for_group(a5, [D1, D0, ETA]))
+    assert len(fusion.objects) == 21
+    assert calls == [fusion.objects[min(ts)] for _, ts in fusion.scan.classes]
+    assert len(calls) == 3
 
 
 def test_cr_embedding_choice_independent():
@@ -119,6 +139,41 @@ def test_cr_embedding_choice_independent():
         for choice in (0, 1, 2):
             _, oracle, _ = all_pairs_CR(a4, a4_presentation(gens), choice)
             assert homs == {key: {f.matrix for f in fs} for key, fs in oracle.items()}
+
+
+def _oracle_homs(g, presentation):
+    _, homs, _ = all_pairs_CR(g, presentation)
+    return {key: {f.matrix for f in fs} for key, fs in homs.items()}
+
+
+@pytest.mark.parametrize("top", [0, 2, 4])
+@pytest.mark.parametrize("name", ["a4", "a5", "c2", "c6", "s3", "k4", "e8"])
+def test_cr_matches_all_pairs_oracle(name, top):
+    # every bundled group whose Sylow 2-subgroup is elementary abelian and
+    # nontrivial, with the Weyl-invariant forms of degrees 1..top (top = 0
+    # is the unit subring)
+    g = group(name)
+    weyl = SubringPresentation.for_group(g, []).weyl
+    gens = [f for basis in invariant_bases(weyl, range(1, top + 1)).values() for f in basis]
+    presentation = SubringPresentation.for_group(g, gens)
+    cat = build_CR(g, presentation)
+    assert {key: set(mats) for key, mats in cat.homs.items()} == _oracle_homs(g, presentation)
+
+
+def test_cr_joins_some_quillen_classes_and_equals_no_level():
+    e8 = group("e8")
+    presentation = SubringPresentation.for_group(
+        e8, [parse_poly("x^2", 2, 3), parse_poly("y^2 + z^2", 2, 3)]
+    )
+    fusion = Fusion(e8, 2)
+    cat = fusion.subring(presentation)
+    assert {key: set(mats) for key, mats in cat.homs.items()} == _oracle_homs(e8, presentation)
+    quillen = fusion.scan.classes
+    assert len(cat.classes) == 10 < len(quillen) == len(fusion.objects)
+    # some classes are one Quillen class, others join several
+    sizes = sorted(len(ts) for _, ts in cat.classes)
+    assert sizes[0] == 1 and sizes[-1] > 1
+    assert not any(cat.equals(fusion.category(n)) for n in [*range(fusion.rank + 1), None])
 
 
 def test_distinguishing_generator():
