@@ -9,6 +9,7 @@ only then reduce mod p.  No floating point appears anywhere.  Series are
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,7 +28,8 @@ def series_inverse(f: PolyFp) -> PolyFp:
     d = f.bound
     g_coeffs = {(1,): 1}
     for k in range(2, d + 1):
-        g = PolyFp(f.p, 1, g_coeffs, bound=d)
+        # step k reads only coefficient k of f(g), so g is cut at degree k
+        g = PolyFp(f.p, 1, g_coeffs, bound=k)
         err = f.substitute([g]).coefficient((k,))
         if err:
             g_coeffs[(k,)] = -err
@@ -51,7 +53,10 @@ class FGL:
         return self.series.substitute([a, b])
 
     def n_series(self, n: int) -> PolyFp:
-        """[n]_F(x), built iteratively as F(x, [n-1]_F(x))."""
+        """[n]_F(x) for n >= 0, built iteratively as F(x, [n-1]_F(x)); the
+        formal inverse a negative n would need is not built."""
+        if n < 0:
+            raise ValueError("[n]_F(x) is built for n >= 0 only")
         x = self._variable(1, 0)
         if n == 0:
             return PolyFp.zero(self.p, 1, bound=self.degree)
@@ -83,7 +88,8 @@ class FGL:
 
 
 def honda_fgl(p: int, n: int, degree: int) -> FGL:
-    """The height-n Honda formal group law mod p, truncated above ``degree``.
+    """The height-n Honda formal group law mod a prime p, truncated above
+    ``degree``.
 
     Aborts if any coefficient of the rational-stage law fails p-integrality;
     that would indicate a construction bug, not bad input.
@@ -92,6 +98,8 @@ def honda_fgl(p: int, n: int, degree: int) -> FGL:
         raise ValueError("truncation degree above 16 is out of desk scale")
     if n < 1 or degree < 1:
         raise ValueError("need height >= 1 and degree >= 1")
+    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        raise ValueError("%d is not a prime" % p)
     log = {(1,): Fraction(1)}
     i = 1
     while p ** (n * i) <= degree:

@@ -195,7 +195,9 @@ class HopfExpr:
 
     ``terms`` is a dict or an iterable of (star, coefficient) pairs; the
     coefficients of equal stars are added before each distinct star is
-    normalized and its coefficient truncated."""
+    normalized and its coefficient truncated.  The * and o products never
+    form a coefficient product past the bound: a pair of terms whose lowest
+    degrees sum above ``degree`` is skipped unformed."""
 
     __slots__ = ("p", "height", "degree", "terms")
 
@@ -211,7 +213,8 @@ class HopfExpr:
             star = self._normalize_star(star)
             if star is None:
                 continue
-            poly = poly.truncate(degree)
+            if poly.bound is None or poly.bound > degree:
+                poly = poly.truncate(degree)
             if poly.is_zero():
                 continue
             if star in clean:
@@ -278,40 +281,55 @@ class HopfExpr:
             self.p, self.height, self.degree, [*self.terms.items(), *other.terms.items()]
         )
 
+    def _bounded_pairs(self, other):
+        """The pairs of terms whose coefficient product can survive the
+        bound.  Every coefficient is truncated at ``degree`` or below, so a
+        pair whose lowest degrees sum past it multiplies to zero; the right
+        terms are sorted by lowest degree and each left term stops at the
+        first one that does not fit."""
+        right = sorted(
+            ((poly.min_degree(), star, poly) for star, poly in other.terms.items()),
+            key=lambda item: item[0],
+        )
+        for star1, p1 in self.terms.items():
+            room = self.degree - p1.min_degree()
+            for d2, star2, p2 in right:
+                if d2 > room:
+                    break
+                yield star1, p1, star2, p2
+
     def star_mul(self, other: "HopfExpr") -> "HopfExpr":
         """The * product: grouplike tags add, circle factors concatenate."""
         self._check(other)
         return HopfExpr(self.p, self.height, self.degree, (
             (((c1 + c2) % self.p, tuple(sorted(ms1 + ms2))), p1 * p2)
-            for (c1, ms1), p1 in self.terms.items()
-            for (c2, ms2), p2 in other.terms.items()
+            for (c1, ms1), p1, (c2, ms2), p2 in self._bounded_pairs(other)
         ))
 
     def circ_mul(self, other: "HopfExpr") -> "HopfExpr":
         """The o product on atomic expressions (grouplikes and single
         circle-monomials); Hopf-ring distributivity over * is never needed in
-        this calculus and is deliberately not implemented."""
+        this calculus and is deliberately not implemented.  A nonzero left
+        operand refuses a non-atomic term on either side, even one whose
+        every product the bound kills; a zero left operand refuses nothing."""
         self._check(other)
         p = self.p
+        if self.terms and any(len(ms) > 1 for _, ms in (*self.terms, *other.terms)):
+            raise HopfError("circle product needs atomic operands")
 
         def pairs():
-            for (c1, ms1), p1 in self.terms.items():
-                if len(ms1) > 1:
-                    raise HopfError("circle product needs atomic operands")
-                for (c2, ms2), p2 in other.terms.items():
-                    if len(ms2) > 1:
-                        raise HopfError("circle product needs atomic operands")
-                    if not ms1 and not ms2:
-                        yield ((c1 * c2) % p, ()), p1 * p2
-                    elif not ms1:
-                        # [c] o m = c m in positive degree; [0] o m = 0.
-                        if c1 % p:
-                            yield (0, ms2), (p1 * p2).scale(c1)
-                    elif not ms2:
-                        if c2 % p:
-                            yield (0, ms1), (p1 * p2).scale(c2)
-                    else:
-                        yield (0, (tuple(sorted(ms1[0] + ms2[0])),)), p1 * p2
+            for (c1, ms1), p1, (c2, ms2), p2 in self._bounded_pairs(other):
+                if not ms1 and not ms2:
+                    yield ((c1 * c2) % p, ()), p1 * p2
+                elif not ms1:
+                    # [c] o m = c m in positive degree; [0] o m = 0.
+                    if c1 % p:
+                        yield (0, ms2), (p1 * p2).scale(c1)
+                elif not ms2:
+                    if c2 % p:
+                        yield (0, ms1), (p1 * p2).scale(c2)
+                else:
+                    yield (0, (tuple(sorted(ms1[0] + ms2[0])),)), p1 * p2
 
         return HopfExpr(p, self.height, self.degree, pairs())
 

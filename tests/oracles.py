@@ -12,7 +12,11 @@ tests each column by a rank computation instead of a span of vector
 names, and the Cayley table composes every pair of permutations instead of
 reading the closure's generator steps.  The Hurewicz oracle convolves every split of
 the coproduct with the * product before reducing, where the library writes
-the reduced image in closed form.  ``union_find_tower`` reads a tower's
+the reduced image in closed form.  ``all_pairs_star_mul`` and
+``all_pairs_circ_mul`` form every coefficient product and let the bound
+truncate afterwards, where the library skips each pair of terms whose
+lowest degrees sum past the bound, and ``all_pairs_beta_pushforward``
+runs the pushforward through them.  ``union_find_tower`` reads a tower's
 connecting maps node by node, where the library maps a class at a time
 from the shared walks, and ``two_sided_orbits`` multiplies every pair of
 automorphisms into every morphism, where the skeleton counts
@@ -55,9 +59,11 @@ from dataclasses import dataclass
 from chromcat import (
     FiltrationTower,
     GroupError,
+    HopfError,
     HopfExpr,
     LinearMorphism,
     PolyFp,
+    b_series,
     build_category,
     enumerate_elem_abelians,
     injective_homs,
@@ -735,6 +741,73 @@ def hurewicz_by_coproduct(element, t, p, height, degree=0):
         return out
 
     return mod_indecomposables(convolve(items, t))
+
+
+def _same_context(a, b):
+    if (a.p, a.height, a.degree) != (b.p, b.height, b.degree):
+        raise HopfError("expressions live in different contexts")
+
+
+def all_pairs_star_mul(a, b):
+    """The * product of two HopfExprs from every pair of terms."""
+    _same_context(a, b)
+    return HopfExpr(a.p, a.height, a.degree, (
+        (((c1 + c2) % a.p, tuple(sorted(ms1 + ms2))), p1 * p2)
+        for (c1, ms1), p1 in a.terms.items()
+        for (c2, ms2), p2 in b.terms.items()
+    ))
+
+
+def all_pairs_circ_mul(a, b):
+    """The o product of two atomic HopfExprs from every pair of terms,
+    refusing a non-atomic term as the walk meets it."""
+    _same_context(a, b)
+    p = a.p
+
+    def pairs():
+        for (c1, ms1), p1 in a.terms.items():
+            if len(ms1) > 1:
+                raise HopfError("circle product needs atomic operands")
+            for (c2, ms2), p2 in b.terms.items():
+                if len(ms2) > 1:
+                    raise HopfError("circle product needs atomic operands")
+                if not ms1 and not ms2:
+                    yield ((c1 * c2) % p, ()), p1 * p2
+                elif not ms1:
+                    if c1 % p:
+                        yield (0, ms2), (p1 * p2).scale(c1)
+                elif not ms2:
+                    if c2 % p:
+                        yield (0, ms1), (p1 * p2).scale(c2)
+                else:
+                    yield (0, (tuple(sorted(ms1[0] + ms2[0])),)), p1 * p2
+
+    return HopfExpr(p, a.height, a.degree, pairs())
+
+
+def all_pairs_beta_pushforward(orbit, degree):
+    """beta_pushforward with every * and o product formed in full, in the
+    library's order: b(u)^(o a) from [1] a factor at a time, each term's
+    factors o-multiplied from [1], the term images *-multiplied from [0].
+    The order matters: pure b_1 monomials of weight p^n are dropped as they
+    form, so the o product is not associative in this calculus."""
+    p, height = orbit.ring.p, orbit.ring.height
+    args = {
+        "s": PolyFp.variable(p, 2, 0),
+        "t": PolyFp.variable(p, 2, 1),
+        "s+t": PolyFp(p, 2, orbit.fgl.series.coeffs, bound=degree),
+    }
+    series = {tag: b_series(poly, p, height, degree) for tag, poly in args.items()}
+    result = HopfExpr.grouplike(p, height, degree, 0)
+    for term in orbit.terms:
+        factor = HopfExpr.grouplike(p, height, degree, 1)
+        for tag, power in term:
+            powered = HopfExpr.grouplike(p, height, degree, 1)
+            for _ in range(power):
+                powered = all_pairs_circ_mul(powered, series[tag])
+            factor = all_pairs_circ_mul(factor, powered)
+        result = all_pairs_star_mul(result, factor)
+    return result
 
 
 def whole_row_rref(m, p):

@@ -74,6 +74,38 @@ def test_height_two_law_at_two():
     assert small.series.coeffs == {(1, 0): 1, (0, 1): 1}
 
 
+def _honda_log(p, n, degree):
+    coeffs = {(1,): Fraction(1)}
+    for i in range(1, degree + 1):
+        if p ** (n * i) > degree:
+            break
+        coeffs[(p ** (n * i),)] = Fraction(1, p ** i)
+    return PolyFp(None, 1, coeffs, bound=degree)
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_honda_log_and_exp_invert_each_other(p, n):
+    log = _honda_log(p, n, 16)
+    exp = series_inverse(log)
+    x = PolyFp.variable(None, 1, 0, bound=16)
+    assert log.substitute([exp]) == x
+    assert exp.substitute([log]) == x
+
+
+@pytest.mark.parametrize("p,degree", [(1, 4), (6, 5), (0, 4), (4, 8), (-3, 4)])
+def test_honda_needs_a_prime(p, degree):
+    # at p = 0 or 1 the logarithm's powers of p never pass the degree
+    with pytest.raises(ValueError, match="not a prime"):
+        honda_fgl(p, 1, degree)
+
+
+def test_n_series_refuses_negative_n():
+    fgl = honda_fgl(2, 1, 8)
+    with pytest.raises(ValueError):
+        fgl.n_series(-1)
+    assert fgl.n_series(0).is_zero()
+
+
 def test_degree_cap():
     with pytest.raises(ValueError):
         honda_fgl(2, 1, 17)

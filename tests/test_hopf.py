@@ -21,7 +21,12 @@ from chromcat import (
     verify_kn_injectivity,
     weyl_orbit_restriction,
 )
-from oracles import hurewicz_by_coproduct
+from oracles import (
+    all_pairs_beta_pushforward,
+    all_pairs_circ_mul,
+    all_pairs_star_mul,
+    hurewicz_by_coproduct,
+)
 
 FGL22 = honda_fgl(2, 2, 8)
 ST = ("s", "t")
@@ -142,6 +147,53 @@ def test_circle_product_needs_atomic_operands():
             left.circ_mul(right)
 
 
+def test_circle_product_refuses_even_when_the_bound_kills_every_pair():
+    s, t = PolyFp.variable(2, 2, 0), PolyFp.variable(2, 2, 1)
+    atomic = HopfExpr.omono(2, 2, 4, (1,), s ** 3)
+    decomposable = HopfExpr(2, 2, 4, {(0, ((1,), (2,))): t * t})
+    # lowest degrees 3 + 2 pass the bound 4, so no product is formed
+    assert atomic.star_mul(decomposable).is_zero()
+    for left, right in ((atomic, decomposable), (decomposable, atomic)):
+        with pytest.raises(HopfError, match="atomic operands"):
+            left.circ_mul(right)
+        with pytest.raises(HopfError, match="atomic operands"):
+            all_pairs_circ_mul(left, right)
+    assert HopfExpr.zero(2, 2, 4).circ_mul(decomposable).is_zero()
+
+
+def _random_expr(rng, p, degree, atomic):
+    """A HopfExpr whose terms have coefficients of every lowest degree from
+    0 past the bound, so that some pairs straddle it."""
+    monomials = [
+        PolyFp.monomial(p, 2, (a, d - a)) for d in range(degree + 2) for a in range(d + 1)
+    ]
+    terms = []
+    for _ in range(rng.randrange(1, 7)):
+        width = rng.randrange(1 if atomic else 0, 2 if atomic else 4)
+        star = (
+            rng.randrange(p),
+            tuple(
+                tuple(rng.randrange(1, 4) for _ in range(rng.randrange(1, 3)))
+                for _ in range(width)
+            ),
+        )
+        coeff = PolyFp.zero(p, 2)
+        for mono in rng.sample(monomials, rng.randrange(1, 4)):
+            coeff = coeff + mono.scale(rng.randrange(1, p))
+        terms.append((star, coeff))
+    return HopfExpr(p, 1, degree, terms)
+
+
+@pytest.mark.parametrize("p,degree", [(2, 3), (2, 6), (3, 4)])
+def test_products_match_all_pairs_oracle_across_the_bound(p, degree):
+    rng = random.Random(18_000 + 10 * p + degree)
+    for _ in range(40):
+        a, b = (_random_expr(rng, p, degree, atomic=False) for _ in range(2))
+        assert a.star_mul(b).terms == all_pairs_star_mul(a, b).terms
+        a, b = (_random_expr(rng, p, degree, atomic=True) for _ in range(2))
+        assert a.circ_mul(b).terms == all_pairs_circ_mul(a, b).terms
+
+
 def test_equal_terms_are_added_before_truncation():
     one = PolyFp.constant(2, 2, 1)
     s = PolyFp.variable(2, 2, 0)
@@ -214,6 +266,28 @@ def test_worked_example_height_one_model():
     ]
     push = beta_pushforward(orbit_from_terms(terms, ring1, fgl1), 8)
     assert coefficient_of(push, (1, 1, 1), 3).is_zero()
+
+
+def _assert_pushforward_matches_all_pairs_oracle(orbit, degree):
+    fast = beta_pushforward(orbit, degree)
+    slow = all_pairs_beta_pushforward(orbit, degree)
+    assert fast.terms == slow.terms
+    assert fast.render() == slow.render()
+
+
+@pytest.mark.parametrize("degree", [8, 12, 14, 16])
+def test_a4_pushforward_matches_all_pairs_oracle(degree):
+    fgl = honda_fgl(2, 2, degree)
+    ring = ring22()
+    w, z = ring.variable(0), ring.variable(1)
+    orbit = weyl_orbit_restriction(w * w * z, [[z, ring.fgl_of_variables(fgl)]], fgl)
+    _assert_pushforward_matches_all_pairs_oracle(orbit, degree)
+
+
+def test_height_one_pushforward_matches_all_pairs_oracle():
+    terms = [(("s", 2), ("t", 1)), (("t", 2), ("s+t", 1)), (("s+t", 2), ("s", 1))]
+    orbit = orbit_from_terms(terms, CycRing(2, 1, 2), honda_fgl(2, 1, 8))
+    _assert_pushforward_matches_all_pairs_oracle(orbit, 8)
 
 
 def test_single_term_pushforward():
