@@ -21,20 +21,21 @@ the objects, their inclusion poset and one conjugation scan of the group,
 whose G-classes are the Quillen category's.  A^(n) for 0 < n < p-rank and
 C_R join those classes in one routine that searches class leads only, so
 C_R restricts its generators to one object per G-class; a request that
-compares several categories scans the group once.  For each object S the
-scan records the orbit {g S.basis g^-1} of S's basis, and for the least S
-of each G-class also Aut_Q(S) and the conjugation by the least g onto
-each conjugate.  A basis tuple seen before costs one lookup, so an object
-costs |G| lookups and a class |G : C_G(S)| target searches.  The j-th
-entries of the orbit's tuples are the G-class of S's j-th basis element,
-so the level search reads conjugacy from the scan and conjugates nothing
-itself.
+compares several categories scans the group once.  The scan walks G from
+the least object R of each G-class only: it records the orbit
+{g R.basis g^-1}, Aut_Q(R), and for each conjugate U the first tuple tau_U
+of the orbit that spans U, with t_U from the same least g.  A basis tuple
+seen before costs one lookup, so a class costs |G| lookups and
+|G : C_G(R)| target searches, and a member, read through its lead's orbit
+(the orbit of tau_U), nothing.  The j-th entries of the orbit's tuples are
+the G-class of R's j-th basis element, so the level search reads
+conjugacy from the scan and conjugates nothing itself.
 
 The level test enumerates no tuples.  A witness conjugating a basis of a
 subgroup S <= W conjugates every element of S, and every n-tuple generates
 such a subgroup of rank <= n, so f: W -> U is level-n exactly when, for each
-object S <= W of rank min(n, rank W), the images under f of S.basis form a
-key of S's orbit.  When rank W <= n the only such S is W itself, so
+object S <= W of rank min(n, rank W), the images under f of S's basis tau_S
+form a key of its orbit.  When rank W <= n the only such S is W itself, so
 Iso_n(W, U) = Iso_Q(W, U) and the scan's class is kept, with no candidate
 tested; from the p-rank on, A^(n) is the Quillen category.  Level 0 keeps
 every invertible matrix.  Otherwise a candidate sends each basis element of
@@ -55,12 +56,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 from . import modp
-from .elemab import (
-    ElemAbelian,
-    LinearMorphism,
-    conjugation_matrix,
-    enumerate_elem_abelians,
-)
+from .elemab import LinearMorphism, conjugation_matrix, enumerate_elem_abelians
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, GroupError, orbit_walk
 
 Level = Optional[int]  # int >= 0, or None for Quillen
@@ -98,40 +94,27 @@ def is_level_n_morphism(f: LinearMorphism, n: int) -> LevelCertificate:
     return LevelCertificate(True, witnesses)
 
 
-def _inclusion_poset(objects: Sequence[ElemAbelian]) -> tuple:
-    """(above, inclusions): above[k] lists the j with objects[k] <=
-    objects[j], k included, and inclusions[(k, j)] is that inclusion's
-    matrix."""
-    above = []
-    inclusions = {}
-    for k, u in enumerate(objects):
-        js = [j for j, v in enumerate(objects) if u.elements <= v.elements]
-        for j in js:
-            inclusions[(k, j)] = conjugation_matrix(u, objects[j], 0)
-        above.append(tuple(js))
-    return tuple(above), inclusions
-
-
 class ChromCategory:
     """A category of elementary abelian p-subgroups with linear morphisms,
     stored as one groupoid per isomorphism class over the inclusion poset.
 
     ``classes`` lists the classes in order of least member R, each as
     (Aut_C(R) as a sorted tuple of matrices, {U: t_U in Iso_C(R, U)}), and
-    ``poset`` is the objects' (above, inclusions).  Hom(W_i, V_j) is the
-    union over the objects U_k <= V_j of Iso(i, k) followed by the
-    inclusion, and distinct (k, iso) give distinct morphisms, so only
-    ``iso``, ``hom`` and ``homs`` multiply them out, and keep nothing.
+    ``above`` is the inclusion poset: above[k] lists the j with U_k <= V_j.
+    Hom(W_i, V_j) is the union over the objects U_k <= V_j of Iso(i, k)
+    followed by the inclusion, and distinct (k, iso) give distinct
+    morphisms, so only ``iso``, ``hom`` and ``homs`` multiply them out, with
+    the inclusion matrices of the pairs they read, and keep nothing.
     """
 
-    def __init__(self, group, p, level, kind, objects, classes, poset):
+    def __init__(self, group, p, level, kind, objects, classes, above):
         self.group = group
         self.p = p
         self.level = level
         self.kind = kind  # "level" | "quillen" | "subring"
         self.objects = tuple(objects)
         self.classes = classes
-        self.above, self.inclusions = poset
+        self.above = above
         self.class_of = {k: c for c, (_, ts) in enumerate(classes) for k in ts}
 
     def _composites(self, i: int, heads: list) -> tuple:
@@ -160,10 +143,11 @@ class ChromCategory:
 
     def hom(self, i: int, j: int) -> tuple:
         """The matrices of Hom(objects[i], objects[j]), sorted."""
+        v = self.objects[j]
         heads = [
-            modp.mat_mul(self.inclusions[(k, j)], t, self.p)
+            modp.mat_mul(conjugation_matrix(self.objects[k], v, 0), t, self.p)
             for k, t in self.classes[self.class_of[i]][1].items()
-            if (k, j) in self.inclusions
+            if j in self.above[k]
         ]
         return self._composites(i, heads)
 
@@ -209,38 +193,42 @@ class ChromCategory:
 
 
 class _Scan(NamedTuple):
-    """What one pass of G over the objects yields: the Quillen classes, one
-    per G-class of objects, and orbits[i] = the set {g W_i.basis g^-1}."""
+    """What one walk of G per G-class yields: the Quillen classes, and for
+    every object U the orbit {g R.basis g^-1} of its class lead R, one set
+    per class, and tau[U], that orbit's first tuple that spans U."""
 
     classes: list
     orbits: list
+    tau: list
 
 
 def _conjugation_scan(group, objects) -> _Scan:
-    """One pass of G over every object; a conjugate basis tuple seen before
-    adds nothing.  Only the least object R of each G-class finds the target
-    U and matrix of a new one: Aut_Q(R) when U = R, else t_U when U is new."""
+    """One walk of G from the least object R of each G-class; a conjugate
+    basis tuple seen before adds nothing.  The first new tuple that spans a
+    conjugate U gives tau_U and t_U, and Aut_Q(R) collects those of U = R,
+    so tau_R = R.basis."""
     index = {u.elements: k for k, u in enumerate(objects)}
     classes = []
-    orbits = []
-    for i, w in enumerate(objects):
-        leads = not any(i in transports for _, transports in classes)
+    orbits = [None] * len(objects)
+    tau = [None] * len(objects)
+    for i, r in enumerate(objects):
+        if orbits[i] is not None:
+            continue
         orbit, aut, transports = set(), [], {}
         for g in group.elements():
-            images = tuple(group.conjugate(b, g) for b in w.basis)
+            images = tuple(group.conjugate(b, g) for b in r.basis)
             if images in orbit:
                 continue
             orbit.add(images)
-            if leads:
-                k = index[frozenset(group.conjugate(x, g) for x in w.elements)]
-                m = conjugation_matrix(w, objects[k], g)
-                if k == i:
-                    aut.append(m)
-                transports.setdefault(k, m)
-        orbits.append(orbit)
-        if leads:
-            classes.append((tuple(sorted(aut)), transports))
-    return _Scan(classes, orbits)
+            k = index[frozenset(group.conjugate(x, g) for x in r.elements)]
+            m = conjugation_matrix(r, objects[k], g)
+            if k == i:
+                aut.append(m)
+            if k not in transports:
+                transports[k] = m
+                orbits[k], tau[k] = orbit, images
+        classes.append((tuple(sorted(aut)), transports))
+    return _Scan(classes, orbits, tau)
 
 
 class Fusion:
@@ -259,7 +247,10 @@ class Fusion:
         self.p = p
         self.objects = tuple(enumerate_elem_abelians(group, p))
         self.rank = max(v.rank for v in self.objects)
-        self.poset = _inclusion_poset(self.objects)
+        self.above = tuple(  # above[k]: the j with objects[k] <= objects[j]
+            tuple(j for j, v in enumerate(self.objects) if u.elements <= v.elements)
+            for u in self.objects
+        )
         self.stats = {
             "objects": len(self.objects),
             "scans": 0,
@@ -320,7 +311,7 @@ class Fusion:
 
     def _category(self, level, kind, classes) -> ChromCategory:
         return ChromCategory(
-            self.group, self.p, level, kind, self.objects, classes, self.poset
+            self.group, self.p, level, kind, self.objects, classes, self.above
         )
 
     def _gl(self, r: int) -> tuple:
@@ -374,15 +365,17 @@ class Fusion:
     def _level_isos(self, i: int, k: int, n: int):
         """The level-n isomorphisms W = objects[i] -> U = objects[k], lazily.
 
-        Column j is a conjugate in U of W's j-th basis element, read off W's
-        orbit, and a choice is kept when it carries the basis of every rank-n
-        object S <= W into S's orbit.  That makes it invertible: each nonzero
-        vector of W lies in some S, on which it is a conjugation.
+        W leads its G-class, so its orbit's tuples are conjugates of its
+        basis, and column j is a conjugate in U of W's j-th basis element.  A
+        choice is kept when, for every rank-n object S <= W, it carries tau_S
+        into the orbit of S's lead, which holds tau_S: that is, when it is a
+        conjugation on S.  That makes it invertible: each nonzero vector of W
+        lies in some S.
         """
-        p, objects, orbits = self.p, self.objects, self.scan.orbits
+        p, objects, (_, orbits, tau) = self.p, self.objects, self.scan
         w, u = objects[i], objects[k]
         subs = [
-            (orbits[s], [w.coordinates(b) for b in v.basis])
+            (orbits[s], [w.coordinates(b) for b in tau[s]])
             for s, v in enumerate(objects)
             if v.rank == n and v.elements <= w.elements
         ]
@@ -575,7 +568,11 @@ def _subobject_orbit_count(cat, members, v, aut_v) -> int:
     def span(m):
         return modp.rref(modp.transpose(m), p)[0]
 
-    subobjects = [span(cat.inclusions[(k, v)]) for k in members if (k, v) in cat.inclusions]
+    subobjects = [
+        span(conjugation_matrix(cat.objects[k], cat.objects[v], 0))
+        for k in members
+        if v in cat.above[k]
+    ]
     leads = orbit_walk(
         subobjects, aut_v, lambda a, s: span(modp.mat_mul(a, modp.transpose(s), p))
     )[0]

@@ -510,17 +510,18 @@ def graded_piece(generators: Sequence[PolyFp], d: int) -> list[PolyFp]:
     return out
 
 
-def subring_membership(
-    f: PolyFp, generators: Sequence[PolyFp], degree_bound: int = 12
-) -> bool:
+MEMBERSHIP_DEGREE_BOUND = 12  # the largest degree subring_membership decides
+
+
+def subring_membership(f: PolyFp, generators: Sequence[PolyFp]) -> bool:
     """Is f in the degree-(deg f) graded piece of the generated subring?"""
     if f.is_zero():
         return True
     if not f.is_homogeneous():
         raise ValueError("membership test requires a homogeneous polynomial")
     d = f.degree()
-    if d > degree_bound:
-        raise ValueError("degree %d exceeds bound %d" % (d, degree_bound))
+    if d > MEMBERSHIP_DEGREE_BOUND:
+        raise ValueError("degree %d exceeds bound %d" % (d, MEMBERSHIP_DEGREE_BOUND))
     spanning = graded_piece(generators, d)
     mons = _monomials_of_degree(f.nvars, d)
     index = {m: i for i, m in enumerate(mons)}

@@ -24,14 +24,18 @@ classes and equals no level; and ``witness`` over the bundled library at
 ``elemab`` for a6 and s6 at p = 2 and 3, ``colim -q 4 --tower`` for a6 and
 s6 at p = 2, whose A^(1) joins G-classes of Klein fours, so their
 connecting maps cross a level join, and ``category -n 1`` for a6 at p = 3,
-where A^(1) and the Quillen category differ.  The DOT renderer keeps
-``category --format dot`` for a4, s4 and a5 at p = 2 and for h27 at p = 3,
-each at n = 1 and ``inf``.  ``invariants --max-degree 8`` is kept for every
-bundled group of order <= 64 at every prime where its Sylow subgroup is
-elementary abelian, ``invariants --max-degree 14`` for a4, a5 and e8 at
-p = 2, ``invariants --max-degree 8`` for a6 at p = 3, and ``a4-demo``.  Each
-report is written to
-``tests/golden/cli/<case>.json``, or ``<case>.dot`` for a DOT report.
+where A^(1) and the Quillen category differ.  Two test-only groups of
+``tests/golden/groups/``, not bundled, keep ``stab``: AGL(3,2), order
+1344, and F_3^3 : H, order 1944, which also keeps ``category -n 2`` at
+p = 3.  F_3^3 : H is the one group known here with A^(2) != A^(3), and the
+level searches of both read many objects that lead no G-class.  The DOT
+renderer keeps ``category --format dot`` for a4, s4 and a5 at p = 2 and
+for h27 at p = 3, each at n = 1 and ``inf``.  ``invariants --max-degree 8``
+is kept for every bundled group of order <= 64 at every prime where its
+Sylow subgroup is elementary abelian, ``invariants --max-degree 14`` for
+a4, a5 and e8 at p = 2, ``invariants --max-degree 8`` for a6 at p = 3, and
+``a4-demo``.  Each report is written to ``tests/golden/cli/<case>.json``,
+or ``<case>.dot`` for a DOT report.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from chromcat.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "cli"
 GENERATOR_DIR = Path(__file__).parent / "golden" / "generators"
+GROUP_DIR = Path(__file__).parent / "golden" / "groups"
 MAX_ORDER = 64
 INF_ONLY = ("x32",)
 
@@ -130,6 +135,13 @@ def cases():
     out.append((
         "a6-p3-category-n1",
         ["category", "-g", "a6", "-p", "3", "--format", "json", "-n", "1"],
+    ))
+    stretch = {name: str(GROUP_DIR / (name + ".json")) for name in ("agl32", "f33h")}
+    out.append(("agl32-p2-stab", ["stab", "-g", stretch["agl32"], "-p", "2"]))
+    out.append(("f33h-p3-stab", ["stab", "-g", stretch["f33h"], "-p", "3"]))
+    out.append((
+        "f33h-p3-category-n2",
+        ["category", "-g", stretch["f33h"], "-p", "3", "--format", "json", "-n", "2"],
     ))
     for name, p in (("a4", 2), ("s4", 2), ("a5", 2), ("h27", 3)):
         for level in ("1", "inf"):

@@ -33,8 +33,10 @@ multiplies every such composite out into a morphism, where the library
 composes a hom-set only when asked for it, and ``inverse_iso_classes``
 joins two objects when some morphism has its inverse matrix among the
 morphisms back, where the library reads its classes off the groupoids it
-stores.  ``extend_and_dedupe_elem_abelians`` extends every subgroup by
-every commuting order-p element outside it and drops repeats by element
+stores.  ``per_object_scan`` walks all of G from every object, where the
+library walks it from one object per G-class.
+``extend_and_dedupe_elem_abelians`` extends every subgroup by every
+commuting order-p element outside it and drops repeats by element
 set, with each least basis rebuilt span by span from scratch and the
 coordinates multiplied out power by power, where the library builds each
 subgroup once, from its least basis, through one span routine.
@@ -535,6 +537,35 @@ def all_pairs_conjugation_homs(group, objects):
                 for m, g in seen.items():
                     witnesses[(i, j, m)] = g
     return homs, witnesses
+
+
+def per_object_scan(group, objects):
+    """(classes, orbits) from a walk of all of G from every object:
+    orbits[i] = {g W_i.basis g^-1}, and the least object R of each G-class
+    also finds Aut_Q(R) and the first conjugation onto each conjugate, where
+    the library walks G from class leads only and reads each member through
+    its lead's orbit."""
+    index = {u.elements: k for k, u in enumerate(objects)}
+    classes = []
+    orbits = []
+    for i, w in enumerate(objects):
+        leads = not any(i in transports for _, transports in classes)
+        orbit, aut, transports = set(), [], {}
+        for g in group.elements():
+            images = tuple(group.conjugate(b, g) for b in w.basis)
+            if images in orbit:
+                continue
+            orbit.add(images)
+            if leads:
+                k = index[frozenset(group.conjugate(x, g) for x in w.elements)]
+                m = conjugation_matrix(w, objects[k], g)
+                if k == i:
+                    aut.append(m)
+                transports.setdefault(k, m)
+        orbits.append(orbit)
+        if leads:
+            classes.append((tuple(sorted(aut)), transports))
+    return classes, orbits
 
 
 def all_pairs_filtered_homs(objects, keep):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import sys
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from chromcat import (
     Fusion,
     SubringPresentation,
     build_category,
+    builtin_names,
     filtration_tower,
     hom_chain_report,
     injective_homs,
@@ -23,8 +25,9 @@ from chromcat.categories import ChromCategory
 from chromcat.cli import main
 from chromcat.elemab import LinearMorphism
 from chromcat.groups import FiniteGroup
+from capture_cli_golden import _primes_dividing
 from conftest import SMALL_LIBRARY, category, group
-from oracles import level_oracle_all_tuples, two_sided_orbits, witness
+from oracles import level_oracle_all_tuples, per_object_scan, two_sided_orbits, witness
 
 GENERATORS = Path(__file__).parent / "golden" / "generators"
 
@@ -168,10 +171,9 @@ def test_equals_compares_transports_as_well_as_aut():
     u = max(transports)
     moved = dict(transports)
     moved[u] = modp.mat_mul(transports[u], swap, 2)
-    poset = (q.above, q.inclusions)
 
     def rebuilt(classes):
-        return ChromCategory(q.group, 2, None, "quillen", q.objects, classes, poset)
+        return ChromCategory(q.group, 2, None, "quillen", q.objects, classes, q.above)
 
     twisted = rebuilt(q.classes[:2] + [(aut, moved)])
     assert q.equals(rebuilt(list(q.classes)))
@@ -273,6 +275,66 @@ def test_levels_read_conjugacy_from_the_scan(monkeypatch):
         for n in range(fusion.rank + 1):
             fusion.category(n)
         assert calls == [], (name, p)
+
+
+def test_scan_walks_g_once_per_g_class(monkeypatch):
+    # only the least object of each G-class walks G; a member is read
+    # through its lead's orbit, which every member of the class shares
+    calls = []
+    elements = FiniteGroup.elements
+
+    def counting(self):
+        calls.append(self.name)
+        return elements(self)
+
+    monkeypatch.setattr(FiniteGroup, "elements", counting)
+    for name, walks in [("a5", 3), ("s5", 5), ("s6", 11)]:
+        fusion = Fusion(group(name), 2)
+        calls.clear()
+        scan = fusion.scan
+        assert len(calls) == walks == len(scan.classes), name
+        assert len({id(orbit) for orbit in scan.orbits}) == walks, name
+
+
+SCAN_CASES = [
+    (name, p)
+    for name in builtin_names()
+    if group(name).order <= 64
+    for p in _primes_dividing(group(name).order)
+] + [("s6", 2), ("a6", 2), ("a6", 3)]
+
+
+def _power_product(g, xs, exponents):
+    """prod x_j^e_j by Cayley-table products."""
+    out = 0
+    for x, e in zip(xs, exponents):
+        for _ in range(e):
+            out = g.table[out][x]
+    return out
+
+
+@pytest.mark.parametrize("name, p", SCAN_CASES)
+def test_scan_matches_per_object_oracle(name, p):
+    # the Quillen classes are the per-object walk's, and writing each
+    # object's basis as a word in tau_U carries its lead's orbit onto the
+    # oracle's orbit of that basis
+    g = group(name)
+    fusion = Fusion(g, p)
+    classes, orbits = per_object_scan(g, fusion.objects)
+    scan = fusion.scan
+    assert scan.classes == classes
+    for k, u in enumerate(fusion.objects):
+        tau = scan.tau[k]
+        words = {
+            _power_product(g, tau, e): e for e in itertools.product(range(p), repeat=u.rank)
+        }
+        assert len(words) == p ** u.rank and set(words) == u.elements
+        coords = [words[b] for b in u.basis]
+        rebased = {tuple(_power_product(g, t, e) for e in coords) for t in scan.orbits[k]}
+        assert rebased == orbits[k], (name, p, k)
+    for _, transports in scan.classes:
+        lead = min(transports)
+        assert scan.tau[lead] == fusion.objects[lead].basis
 
 
 def test_restrictions_conjugate_once_per_object_in_the_sylow(monkeypatch):

@@ -169,6 +169,14 @@ def test_cli_matches_golden():
     assert changed == []
 
 
+def test_stretch_golden_has_two_strict_steps():
+    # F_3^3 : H, kept by capture_cli_golden.py from tests/golden/groups/, is
+    # the one group known here with A^(2) != A^(3)
+    stab = json.loads((GOLDEN_DIR / "f33h-p3-stab.json").read_text())
+    assert stab["strict"] == {"1": True, "2": True, "3": False}
+    assert "F3^3:H" not in [load_builtin(name).name for name in builtin_names()]
+
+
 def test_one_parser_serves_every_call(capsys, monkeypatch):
     # the parser is built once, on import; a usage error in between leaves
     # no trace in the next report

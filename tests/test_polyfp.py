@@ -262,6 +262,12 @@ def test_membership_requires_homogeneous():
         subring_membership(X + X * Y, [D1])
 
 
+def test_membership_rejects_degree_past_the_bound():
+    assert subring_membership(D1 ** 6, [D1])  # degree 12, the bound itself
+    with pytest.raises(ValueError, match="degree 13 exceeds bound 12"):
+        subring_membership(X ** 13, [D1])
+
+
 def test_render_parse_round_trip():
     cases = [D1, D0, ETA, PolyFp.zero(2, 2), PolyFp.constant(2, 2, 1), ETA ** 2]
     for f in cases:
