@@ -1,17 +1,18 @@
 """Formal group laws by the functional-equation method, in exact arithmetic.
 
-A height-n law at p is built over the rationals from the logarithm
-l(x) = sum_i x^(p^(n i)) / p^i: invert it compositionally, form
-F = l^-1(l(s) + l(t)), verify every retained coefficient is p-integral and
-only then reduce mod p.  No floating point appears anywhere.  Series are
-``PolyFp`` polynomials truncated above a total degree (their ``bound``).
+The height-n law at p is F = l^-1(l(s) + l(t)) for the logarithm
+l(x) = sum_i x^(p^(n i)) / p^i, built over the integers: L(x) = l(px)/p has
+integer coefficients and leading term x, so G = L^-1(L(s) + L(t)) is
+integral and F(s, t) = p G(s/p, t/p).  Each G_ab is checked to be divisible
+by p^(a+b-1) before F is reduced mod p.  No fraction or floating point
+appears anywhere.  Series are ``PolyFp`` polynomials truncated above a
+total degree (their ``bound``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .polyfp import PolyFp
 
@@ -87,26 +88,42 @@ class FGL:
         return failures
 
 
+def is_prime(p: int) -> bool:
+    """Trial division; every integer below 2 is not prime."""
+    return p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1))
+
+
 def honda_fgl(p: int, n: int, degree: int) -> FGL:
     """The height-n Honda formal group law mod a prime p, truncated above
     ``degree``.
 
-    Aborts if any coefficient of the rational-stage law fails p-integrality;
-    that would indicate a construction bug, not bad input.
+    Aborts if a coefficient of the integral law G is not divisible by the
+    power of p that F = p G(s/p, t/p) divides it by; that would indicate a
+    construction bug, not bad input.
     """
     if degree > 16:
         raise ValueError("truncation degree above 16 is out of desk scale")
     if n < 1 or degree < 1:
         raise ValueError("need height >= 1 and degree >= 1")
-    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+    if not is_prime(p):
         raise ValueError("%d is not a prime" % p)
-    log = {(1,): Fraction(1)}
-    i = 1
+    # L(x) = l(px)/p: the term x^q / p^i of l becomes p^(q-1-i) x^q
+    log = {}
+    i = 0
     while p ** (n * i) <= degree:
-        log[(p ** (n * i),)] = Fraction(1, p ** i)
+        q = p ** (n * i)
+        log[(q,)] = p ** (q - 1 - i)
         i += 1
     log_series = PolyFp(None, 1, log, bound=degree)
     s, t = (PolyFp.variable(None, 2, i, bound=degree) for i in range(2))
     log_sum = log_series.substitute([s]) + log_series.substitute([t])
-    f_rational = series_inverse(log_series).substitute([log_sum])
-    return FGL(p=p, height=n, degree=degree, series=f_rational.reduce_mod(p))
+    g = series_inverse(log_series).substitute([log_sum])
+    coeffs = {}
+    for (a, b), c in g.coeffs.items():
+        scale = p ** (a + b - 1)
+        if c % scale:
+            raise ValueError(
+                "coefficient %d/%d at %r is not %d-integral" % (c, scale, (a, b), p)
+            )
+        coeffs[(a, b)] = c // scale
+    return FGL(p=p, height=n, degree=degree, series=PolyFp(p, 2, coeffs, bound=degree))

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .fgl import FGL
+from .fgl import FGL, is_prime
 from .groups import closure
 from .polyfp import PolyFp
 
@@ -478,6 +478,10 @@ def verify_kn_injectivity(p: int, height: int) -> dict:
     Only pure-b_1 powers and grouplikes are ever read as nonzero, exactly the
     terms whose nonvanishing the model asserts.
     """
+    if not is_prime(p):
+        raise HopfError("%d is not a prime" % p)
+    if height < 1:
+        raise HopfError("need height >= 1")
     q = p ** height
     if q > 16:
         raise HopfError("p^n above 16 is out of desk scale")

@@ -1,7 +1,7 @@
 """Sparse multivariate polynomials, linear actions, and invariants.
 
 One class serves every polynomial ring in the package: the cohomology rings
-F_p[x_1..x_r], power series truncated by total degree over Q or F_p (formal
+F_p[x_1..x_r], power series truncated by total degree over Z, Q or F_p (formal
 group laws and Hopf-ring coefficients), and the model rings
 F_p[x_1..x_r]/(x_i^cap).  Polynomials store nonzero coefficients keyed by
 exponent tuples; rendering and iteration follow a graded order (total
@@ -46,15 +46,16 @@ def _meet(a: Optional[int], b: Optional[int]) -> Optional[int]:
 class PolyFp:
     """A polynomial in a fixed number of variables.
 
-    Coefficients are integers mod ``p``, or exact rationals when ``p`` is
-    None.  Two optional truncations make it an element of a quotient ring:
-    under ``bound`` every term of total degree above the bound dies (a
-    truncated power series), under ``cap`` every term with an exponent
-    >= cap dies (F_p[x_1..x_r]/(x_i^cap)).  Both kill an ideal, so dropping
-    terms while a product is formed gives the same result as dropping them
-    afterwards.  An operand without a truncation takes the other's; two
-    different truncations do not mix.  A bound that no term under the cap
-    can pass is dropped.  Equality and hashing compare coefficients only.
+    Coefficients are integers mod ``p``, or exact integers or rationals when
+    ``p`` is None.  Two optional truncations make it an element of a
+    quotient ring: under ``bound`` every term of total degree above the
+    bound dies (a truncated power series), under ``cap`` every term with an
+    exponent >= cap dies (F_p[x_1..x_r]/(x_i^cap)).  Both kill an ideal, so
+    dropping terms while a product is formed gives the same result as
+    dropping them afterwards.  An operand without a truncation takes the
+    other's; two different truncations do not mix.  A bound that no term
+    under the cap can pass is dropped.  Equality and hashing compare
+    coefficients only.
     """
 
     __slots__ = ("p", "nvars", "coeffs", "bound", "cap")

@@ -47,6 +47,9 @@ looks up each (sigma - id) entry by coefficient, where the library walks
 each generator's monomial images up the degrees once; and
 ``digit_tuple_add_table`` adds F_p^m vectors as digit tuples, where
 ``modp.VectorSpace`` builds its table a leading digit at a time.
+``rational_honda_fgl`` builds the Honda law over the rationals from the
+logarithm l itself and reduces it with ``PolyFp.reduce_mod``, where the
+library builds p G(s/p, t/p) over the integers from l(px)/p.
 
 ``centralizer``, ``compose``, ``identity_morphism``,
 ``distinguishing_generator`` and ``witness`` are reference helpers with no
@@ -57,8 +60,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 from chromcat import (
+    FGL,
     FiltrationTower,
     GroupError,
     HopfError,
@@ -72,6 +77,7 @@ from chromcat import (
     is_level_n_morphism,
     mod_indecomposables,
     modp,
+    series_inverse,
 )
 from chromcat.elemab import conjugation_matrix
 
@@ -908,3 +914,23 @@ def digit_tuple_add_table(p, m):
         [index[tuple((x + y) % p for x, y in zip(a, b))] for b in digits]
         for a in digits
     ]
+
+
+def rational_honda_log(p, n, degree):
+    """The Honda logarithm l(x) = sum_i x^(p^(n i)) / p^i over Q."""
+    log = {(1,): Fraction(1)}
+    i = 1
+    while p ** (n * i) <= degree:
+        log[(p ** (n * i),)] = Fraction(1, p ** i)
+        i += 1
+    return PolyFp(None, 1, log, bound=degree)
+
+
+def rational_honda_fgl(p, n, degree):
+    """l^-1(l(s) + l(t)) in ``Fraction`` arithmetic, reduced mod p after
+    the p-integrality check of ``PolyFp.reduce_mod``."""
+    log_series = rational_honda_log(p, n, degree)
+    s, t = (PolyFp.variable(None, 2, i, bound=degree) for i in range(2))
+    log_sum = log_series.substitute([s]) + log_series.substitute([t])
+    f_rational = series_inverse(log_series).substitute([log_sum])
+    return FGL(p=p, height=n, degree=degree, series=f_rational.reduce_mod(p))

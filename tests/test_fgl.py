@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+import chromcat.fgl
 from chromcat import PolyFp, honda_fgl, series_inverse
+from oracles import rational_honda_fgl, rational_honda_log
 
 
 def test_series_arithmetic():
@@ -74,22 +76,55 @@ def test_height_two_law_at_two():
     assert small.series.coeffs == {(1, 0): 1, (0, 1): 1}
 
 
-def _honda_log(p, n, degree):
-    coeffs = {(1,): Fraction(1)}
-    for i in range(1, degree + 1):
-        if p ** (n * i) > degree:
-            break
-        coeffs[(p ** (n * i),)] = Fraction(1, p ** i)
-    return PolyFp(None, 1, coeffs, bound=degree)
-
-
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 1)])
 def test_honda_log_and_exp_invert_each_other(p, n):
-    log = _honda_log(p, n, 16)
+    log = rational_honda_log(p, n, 16)
     exp = series_inverse(log)
     x = PolyFp.variable(None, 1, 0, bound=16)
     assert log.substitute([exp]) == x
     assert exp.substitute([log]) == x
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_honda_matches_rational_oracle(p, n):
+    for degree in range(1, 17):
+        fgl = honda_fgl(p, n, degree)
+        oracle = rational_honda_fgl(p, n, degree)
+        assert fgl.series.coeffs == oracle.series.coeffs, degree
+        assert fgl.series.bound == oracle.series.bound == degree
+
+
+def test_honda_inverts_the_scaled_log_over_the_integers(monkeypatch):
+    # the series handed to series_inverse is l(2x)/2, and both it and its
+    # inverse carry int coefficients: no Fraction enters the construction
+    seen = []
+
+    def recording_inverse(f):
+        g = series_inverse(f)
+        seen.append((f, g))
+        return g
+
+    monkeypatch.setattr(chromcat.fgl, "series_inverse", recording_inverse)
+    honda_fgl(2, 1, 16)
+    [(scaled_log, exp)] = seen
+    log = rational_honda_log(2, 1, 16)
+    assert scaled_log.coeffs == {
+        (d,): c * 2 ** (d - 1) for (d,), c in log.coeffs.items()
+    }
+    for series in (scaled_log, exp):
+        assert series.p is None
+        assert all(type(c) is int for c in series.coeffs.values())
+
+
+def test_honda_refuses_a_law_that_is_not_p_integral(monkeypatch):
+    # x^3 added to the true inverse breaks the divisibility of G by p^(a+b-1)
+    def perturbed_inverse(f):
+        return series_inverse(f) + PolyFp(None, 1, {(3,): 1}, bound=f.bound)
+
+    monkeypatch.setattr(chromcat.fgl, "series_inverse", perturbed_inverse)
+    with pytest.raises(ValueError, match="2-integral"):
+        honda_fgl(2, 1, 8)
 
 
 @pytest.mark.parametrize("p,degree", [(1, 4), (6, 5), (0, 4), (4, 8), (-3, 4)])

@@ -412,3 +412,17 @@ def test_kn_injectivity(p, n):
 def test_kn_injectivity_desk_scale_guard():
     with pytest.raises(HopfError):
         verify_kn_injectivity(2, 5)
+
+
+@pytest.mark.parametrize("p", [4, 6, 9, 1, 0])
+def test_kn_injectivity_needs_a_prime(p):
+    # unchecked, a composite p gives a plausible table and p = 0 or 1 an
+    # empty one
+    with pytest.raises(HopfError, match="not a prime"):
+        verify_kn_injectivity(p, 1)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_kn_injectivity_needs_positive_height(n):
+    with pytest.raises(HopfError, match="height"):
+        verify_kn_injectivity(2, n)
