@@ -19,28 +19,30 @@ equality and colimit class sizes are read off the classes and the poset.
 A ``Fusion`` is one group at one prime for as long as its caller holds it:
 the objects, their inclusion poset and one conjugation scan of the group,
 whose G-classes are the Quillen category's.  A^(n) for 0 < n < p-rank and
-C_R join those classes in one routine that searches class leads only, so
-C_R restricts its generators to one object per G-class; a request that
-compares several categories scans the group once.  The scan walks G from
-the least object R of each G-class only: it records the orbit
-{g R.basis g^-1}, Aut_Q(R), and for each conjugate U the first tuple tau_U
-of the orbit that spans U, with t_U from the same least g.  A basis tuple
-seen before costs one lookup, so a class costs |G| lookups and
+C_R join those classes in one routine, through one pruned column search
+between class leads only, so C_R restricts its generators to one object per
+G-class; a request that compares several categories scans the group once.
+The scan walks G from the least object R of each G-class only: it records
+the orbit {g R.basis g^-1}, Aut_Q(R), and for each conjugate U the first
+tuple tau_U of the orbit that spans U, with t_U from the same least g.  A
+basis tuple seen before costs one lookup, so a class costs |G| lookups and
 |G : C_G(R)| target searches, and a member, read through its lead's orbit
 (the orbit of tau_U), nothing.  The j-th entries of the orbit's tuples are
-the G-class of R's j-th basis element, so the level search reads
-conjugacy from the scan and conjugates nothing itself.
+the G-class of R's j-th basis element, so the level search reads conjugacy
+from the scan and conjugates nothing itself.
 
 The level test enumerates no tuples.  A witness conjugating a basis of a
 subgroup S <= W conjugates every element of S, and every n-tuple generates
 such a subgroup of rank <= n, so f: W -> U is level-n exactly when, for each
 object S <= W of rank min(n, rank W), the images under f of S's basis tau_S
 form a key of its orbit.  When rank W <= n the only such S is W itself, so
-Iso_n(W, U) = Iso_Q(W, U) and the scan's class is kept, with no candidate
-tested; from the p-rank on, A^(n) is the Quillen category.  Level 0 keeps
-every invertible matrix.  Otherwise a candidate sends each basis element of
-W to one of its conjugates in U, and is kept when it passes the orbit test;
-no morphism object is made for a rejected candidate.
+Iso_n(W, U) = Iso_Q(W, U) and the scan's class is kept, with no column
+searched; from the p-rank on, A^(n) is the Quillen category.  Level 0 keeps
+every invertible matrix.  Otherwise f's column j is a conjugate in U of W's
+j-th basis element, and the column search that C_R shares fills the columns
+in one at a time, skipping one in the span of those before, and tests each
+S once the columns that tau_S reads are chosen, so a failing prefix cuts
+every matrix below it; no morphism object is made for a rejected prefix.
 ``is_level_n_morphism`` tests the same reduction with a conjugacy search per
 subgroup and returns a certificate of witnesses; the builder does not call
 it, and the tests compare the builder with it.  The all-tuples brute force
@@ -49,7 +51,6 @@ lives in the test suite as the independent oracle for the reduction.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -238,8 +239,9 @@ class Fusion:
     scan once, on first use, and builds the level-n, Quillen and subring
     categories from its classes, searching between class leads only.
     ``stats`` counts what it did: objects, scans run, G-classes of objects,
-    level candidates tested and kept, and C_R keys pulled back.  Nothing is
-    kept anywhere else, so the scan lives exactly as long as the Fusion.
+    column prefixes tested and matrices kept by the level search, and
+    prefixes C_R pulled back along.  Nothing is kept anywhere else, so the
+    scan lives exactly as long as the Fusion.
     """
 
     def __init__(self, group: FiniteGroup, p: int):
@@ -260,7 +262,6 @@ class Fusion:
             "subring_pullbacks": 0,
         }
         self._scan = None
-        self._gls = {}
 
     @property
     def scan(self) -> _Scan:
@@ -281,51 +282,40 @@ class Fusion:
     def subring(self, presentation) -> ChromCategory:
         """C_R of ``subrings.build_CR`` on these objects.
 
-        f: W -> U is kept when f^* Res_U = Res_W, so the equation is solved
-        by lookup of keys, an object's key being its rank and Res of every
-        generator.  Conjugation keeps keys, so only Quillen leads are
-        restricted.  A class's lead R pulls its key back along each m in
-        GL_rank(R), m going into Aut(R) when that is R's key, and a later
-        lead whose key is the pullback along m joins with f = m^-1.
+        f: W -> U is kept when f^* Res_U = Res_W.  Conjugation keeps
+        restrictions, so only Quillen leads are restricted, and the column
+        search joins them: Res_U pulled back along f's first j columns must
+        be Res_W on W's first j basis vectors, or the prefix is cut.
         """
-        keys, pullbacks = {}, {}
+        p, res = self.p, {}
         for _, transports in self.scan.classes:
-            v = self.objects[min(transports)]
-            keys[min(transports)] = (v.rank, presentation.restrictions(v))
+            res[min(transports)] = presentation.restrictions(self.objects[min(transports)])
 
-        def lead_aut(r, _):
-            rank, res = keys[r]
-            gl = self._gl(rank)
-            self.stats["subring_pullbacks"] += len(gl)
-            pulled = [
-                (rank, tuple(rv.substitute_linear(modp.transpose(m)) for rv in res)) for m in gl
-            ]
-            pullbacks[r] = dict(zip(pulled, gl))
-            return tuple(m for m, key in zip(gl, pulled) if key == keys[r])
+        def isos(i, k):
+            rank = self.objects[i].rank
+            unit = modp.identity_matrix(rank)
+            want = [tuple(f.substitute_linear(unit[:j]) for f in res[i]) for j in range(rank + 1)]
 
-        def iso(lead, r):
-            m = pullbacks[lead].get(keys[r])
-            return None if m is None else modp.mat_inverse(m, self.p)
+            def keep(cols):
+                return tuple(f.substitute_linear(cols) for f in res[k]) == want[len(cols)]
 
-        return self._category(None, "subring", self._joined_classes(lead_aut, iso))
+            nonzero = modp.VectorSpace(p, rank).digits[1:]
+            return self._search([nonzero] * rank, keep, "subring_pullbacks")
+
+        return self._category(None, "subring", self._joined_classes(isos))
 
     def _category(self, level, kind, classes) -> ChromCategory:
         return ChromCategory(
             self.group, self.p, level, kind, self.objects, classes, self.above
         )
 
-    def _gl(self, r: int) -> tuple:
-        """Every invertible r x r matrix over F_p, sorted; one tuple per rank
-        is shared by every class that keeps them all."""
-        if r not in self._gls:
-            self._gls[r] = tuple(sorted(modp.enumerate_injective_matrices(r, r, self.p)))
-        return self._gls[r]
-
     def _level_classes(self, n: int) -> list:
         """The classes of A^(n).  At n = 0 each rank is one class, with Aut =
         GL and identity transports; otherwise a Quillen class of rank <= n
-        stays, and a larger one joins the first class of its rank with a
-        level-n isomorphism onto its lead, or leads with the level-n Aut.
+        stays, and a larger one joins or leads as the column search finds.
+        W = objects[i] leads its G-class, so its orbit's tuples are conjugates
+        of its basis; f: W -> U passes a rank-n object S <= W when it carries
+        tau_S into the orbit of S's lead, which holds tau_S.
         """
         if n >= self.rank:
             return self.scan.classes
@@ -333,65 +323,84 @@ class Fusion:
             by_rank = {}
             for k, u in enumerate(self.objects):
                 by_rank.setdefault(u.rank, {})[k] = modp.identity_matrix(u.rank)
-            return [(self._gl(r), transports) for r, transports in by_rank.items()]
+            return [
+                (tuple(sorted(modp.enumerate_injective_matrices(r, r, self.p))), transports)
+                for r, transports in by_rank.items()
+            ]
+        p, objects, (classes, orbits, tau) = self.p, self.objects, self.scan
+        quillen = {min(transports): aut for aut, transports in classes}
 
-        def lead_aut(r, aut):
-            return aut if self.objects[r].rank <= n else tuple(sorted(self._level_isos(r, r, n)))
+        def isos(i, k):
+            w, u = objects[i], objects[k]
+            if w.rank <= n:
+                return iter(quillen[i] if i == k else ())
+            choices = [
+                [u.coordinates(x) for x in sorted(u.elements & set(col))]
+                for col in zip(*orbits[i])
+            ]
+            tests = [[] for _ in range(w.rank + 1)]  # tests[j]: the S read by j columns
+            for s, v in enumerate(objects if all(choices) else ()):
+                if v.rank == n and v.elements <= w.elements:
+                    coords = [w.coordinates(b) for b in tau[s]]
+                    d = next(j for j in range(w.rank, 0, -1) if any(c[j - 1] for c in coords))
+                    tests[d].append((orbits[s], [c[:d] for c in coords]))
 
-        def iso(lead, r):
-            rank = self.objects[r].rank
-            if rank > n and self.objects[lead].rank == rank:
-                return next(self._level_isos(lead, r, n), None)
+            def keep(cols):
+                m = tuple(zip(*cols))
+                return all(
+                    tuple(u.element_at(modp.mat_vec(m, c, p)) for c in coords) in orbit
+                    for orbit, coords in tests[len(cols)]
+                )
 
-        return self._joined_classes(lead_aut, iso)
+            return self._search(choices, keep, "level_candidates", "level_kept")
 
-    def _joined_classes(self, lead_aut, iso) -> list:
-        """The classes of a category containing the Quillen category: each
-        Quillen class, lead R' and Aut_Q(R') = aut, joins the first class
-        whose lead R has f = iso(R, R') in Iso_C(R, R'), its members U taking
-        t_U f, or else leads a class with Aut_C(R') = lead_aut(R', aut)."""
+        return self._joined_classes(isos)
+
+    def _joined_classes(self, isos) -> list:
+        """The classes of a category containing the Quillen category, from
+        isos(i, k), which lists Iso_C(objects[i], objects[k]) lazily for a
+        G-class lead i and k of its rank: each Quillen class, lead R', joins
+        the first class of its rank whose lead R has some f in isos(R, R'),
+        its members U taking t_U f, or leads with Aut_C(R') = isos(R', R')."""
         classes = []
-        for aut, transports in self.scan.classes:
+        for _, transports in self.scan.classes:
             r = min(transports)
             for _, joined in classes:
-                f = iso(min(joined), r)
+                lead = min(joined)
+                same_rank = self.objects[lead].rank == self.objects[r].rank
+                f = next(isos(lead, r), None) if same_rank else None
                 if f is not None:
                     joined.update((k, modp.mat_mul(t, f, self.p)) for k, t in transports.items())
                     break
             else:
-                classes.append((lead_aut(r, aut), dict(transports)))
+                classes.append((tuple(sorted(isos(r, r))), dict(transports)))
         return classes
 
-    def _level_isos(self, i: int, k: int, n: int):
-        """The level-n isomorphisms W = objects[i] -> U = objects[k], lazily.
+    def _search(self, choices, keep, tested, kept=None):
+        """The invertible square matrices with column j drawn from choices[j]
+        whose every column prefix passes keep, lazily and depth-first.  A
+        column in the span of the earlier ones is skipped; stats[tested]
+        counts the prefixes tested and stats[kept] the matrices found."""
+        p, depth = self.p, len(choices)
 
-        W leads its G-class, so its orbit's tuples are conjugates of its
-        basis, and column j is a conjugate in U of W's j-th basis element.  A
-        choice is kept when, for every rank-n object S <= W, it carries tau_S
-        into the orbit of S's lead, which holds tau_S: that is, when it is a
-        conjugation on S.  That makes it invertible: each nonzero vector of W
-        lies in some S.
-        """
-        p, objects, (_, orbits, tau) = self.p, self.objects, self.scan
-        w, u = objects[i], objects[k]
-        subs = [
-            (orbits[s], [w.coordinates(b) for b in tau[s]])
-            for s, v in enumerate(objects)
-            if v.rank == n and v.elements <= w.elements
-        ]
-        choices = [
-            [u.coordinates(x) for x in sorted(u.elements & set(col))]
-            for col in zip(*orbits[i])
-        ]
-        for columns in itertools.product(*choices):
-            self.stats["level_candidates"] += 1
-            m = tuple(zip(*columns))
-            if all(
-                tuple(u.element_at(modp.mat_vec(m, c, p)) for c in coords) in orbit
-                for orbit, coords in subs
-            ):
-                self.stats["level_kept"] += 1
-                yield m
+        def extend(cols, span):
+            if len(cols) == depth:
+                if kept:
+                    self.stats[kept] += 1
+                yield tuple(zip(*cols))
+                return
+            for c in choices[len(cols)]:
+                if c in span:
+                    continue
+                self.stats[tested] += 1
+                prefix = cols + (c,)
+                if keep(prefix):
+                    wider = span if len(prefix) == depth else {
+                        tuple((x + a * y) % p for x, y in zip(v, c)) for v in span for a in range(p)
+                    }
+                    yield from extend(prefix, wider)
+
+        return extend((), {(0,) * depth})
 
 
 def quillen_category(group: FiniteGroup, p: int) -> ChromCategory:

@@ -24,11 +24,12 @@ classes and equals no level; and ``witness`` over the bundled library at
 ``elemab`` for a6 and s6 at p = 2 and 3, ``colim -q 4 --tower`` for a6 and
 s6 at p = 2, whose A^(1) joins G-classes of Klein fours, so their
 connecting maps cross a level join, and ``category -n 1`` for a6 at p = 3,
-where A^(1) and the Quillen category differ.  Two test-only groups of
+where A^(1) and the Quillen category differ.  Three test-only groups of
 ``tests/golden/groups/``, not bundled, keep ``stab``: AGL(3,2), order
-1344, and F_3^3 : H, order 1944, which also keeps ``category -n 2`` at
-p = 3.  F_3^3 : H is the one group known here with A^(2) != A^(3), and the
-level searches of both read many objects that lead no G-class.  The DOT
+1344, AGL(1,16), order 240 and 2-rank 4, and F_3^3 : H, order 1944, which
+also keeps ``category -n 2`` at p = 3.  F_3^3 : H is the one group known
+here with A^(2) != A^(3); the level searches of it and of AGL(3,2) read
+many objects that lead no G-class, and AGL(1,16) has Aut_1 = GL_4(2).  The DOT
 renderer keeps ``category --format dot`` for a4, s4 and a5 at p = 2 and
 for h27 at p = 3, each at n = 1 and ``inf``.  ``invariants --max-degree 8``
 is kept for every bundled group of order <= 64 at every prime where its
@@ -136,8 +137,9 @@ def cases():
         "a6-p3-category-n1",
         ["category", "-g", "a6", "-p", "3", "--format", "json", "-n", "1"],
     ))
-    stretch = {name: str(GROUP_DIR / (name + ".json")) for name in ("agl32", "f33h")}
+    stretch = {name: str(GROUP_DIR / (name + ".json")) for name in ("agl32", "agl116", "f33h")}
     out.append(("agl32-p2-stab", ["stab", "-g", stretch["agl32"], "-p", "2"]))
+    out.append(("agl116-p2-stab", ["stab", "-g", stretch["agl116"], "-p", "2"]))
     out.append(("f33h-p3-stab", ["stab", "-g", stretch["f33h"], "-p", "3"]))
     out.append((
         "f33h-p3-category-n2",

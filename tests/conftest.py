@@ -15,6 +15,7 @@ from chromcat import (
     build_category,
     group_from_permutations,
     load_builtin,
+    load_group_file,
     quillen_category,
 )
 
@@ -22,6 +23,12 @@ from chromcat import (
 @functools.lru_cache(maxsize=None)
 def group(name):
     return load_builtin(name)
+
+
+@functools.lru_cache(maxsize=None)
+def stretch_group(name):
+    """A test-only group of ``golden/groups/``, not bundled."""
+    return load_group_file(Path(__file__).parent / "golden" / "groups" / (name + ".json"))
 
 
 @functools.lru_cache(maxsize=None)

@@ -27,8 +27,8 @@ objects and scan all of G for every pair, where the library composes
 isomorphisms onto the image with inclusions; ``all_pairs_CR`` tests the
 restriction equation on each such map, restricting along a chosen one of
 the embeddings that ``embeddings_into`` lists, where the library restricts
-along the least-g embedding, pulls each object's restriction key back once
-per invertible matrix and looks the pullback up among the keys.  ``with_inclusions``
+along the least-g embedding and searches the isomorphisms between G-class
+leads column by column.  ``with_inclusions``
 multiplies every such composite out into a morphism, where the library
 composes a hom-set only when asked for it, and ``inverse_iso_classes``
 joins two objects when some morphism has its inverse matrix among the
@@ -50,6 +50,11 @@ each generator's monomial images up the degrees once; and
 ``rational_honda_fgl`` builds the Honda law over the rationals from the
 logarithm l itself and reduces it with ``PolyFp.reduce_mod``, where the
 library builds p G(s/p, t/p) over the integers from l(px)/p.
+``class_lead_oracle`` tests every invertible matrix at each class lead with
+``level_iso_test``, which walks each subspace's conjugate tuples over G
+afresh, or with ``subring_iso_test``, which pulls every restriction back
+along the whole matrix, where the library's column search cuts a prefix as
+soon as it fails and reads conjugacy from the scan.
 
 ``centralizer``, ``compose``, ``identity_morphism``,
 ``distinguishing_generator`` and ``witness`` are reference helpers with no
@@ -636,6 +641,73 @@ def all_pairs_CR(group, presentation, embedding_choice=0):
         if (i, j, f.matrix) in conjugations
     }
     return objects, homs, witnesses
+
+
+def level_iso_test(cat, n):
+    """iso(i, k): whether a matrix m: objects[i] -> objects[k] carries the
+    basis of every rank-min(n, rank) subspace of objects[i] to a G-conjugate
+    tuple, each subspace's conjugate tuples walked afresh over all of G."""
+    group, p, subspaces = cat.group, cat.p, {}
+
+    def iso(i, k):
+        w, u = cat.objects[i], cat.objects[k]
+        if i not in subspaces:
+            subspaces[i] = []
+            for rows in modp.enumerate_subspaces(w.rank, min(n, w.rank), p):
+                basis = tuple(w.element_at(r) for r in rows)
+                orbit = {tuple(group.conjugate(b, g) for b in basis) for g in group.elements()}
+                subspaces[i].append((rows, orbit))
+        # the conjugates inside U, in U's coordinates, fewest first
+        inside = sorted(
+            (
+                ({tuple(map(u.coordinates, t)) for t in orbit if u.elements.issuperset(t)}, rows)
+                for rows, orbit in subspaces[i]
+            ),
+            key=lambda pair: len(pair[0]),
+        )
+        return lambda m: all(
+            images and tuple(modp.mat_vec(m, r, p) for r in rows) in images
+            for images, rows in inside
+        )
+
+    return iso
+
+
+def subring_iso_test(cat, presentation):
+    """iso(i, k): whether a matrix m: W = objects[i] -> U = objects[k] has
+    m^* Res_U = Res_W, every object restricted along its first embedding
+    into the Sylow."""
+    res = []
+    for v in cat.objects:
+        emb = modp.transpose(embeddings_into(cat.group, v, presentation.sylow)[0])
+        res.append(tuple(f.substitute_linear(emb) for f in presentation.generators))
+
+    def iso(i, k):
+        return lambda m: tuple(f.substitute_linear(modp.transpose(m)) for f in res[k]) == res[i]
+
+    return iso
+
+
+def class_lead_oracle(cat, iso):
+    """The faults in cat's classes, none when they agree with the unpruned
+    test iso(i, k)(m) of each matrix m: objects[i] -> objects[k].  For the
+    least member R of each class it filters every m in GL_rank(R): Aut(R)
+    must be exactly the m that pass, each transport t_U must pass, and no
+    m may carry R onto the least member of a later class of its rank."""
+    faults = []
+    leads = [min(transports) for _, transports in cat.classes]
+    for (aut, transports), r in zip(cat.classes, leads):
+        rank = cat.objects[r].rank
+        gl = list(modp.enumerate_injective_matrices(rank, rank, cat.p))
+        if aut != tuple(sorted(filter(iso(r, r), gl))):
+            faults.append(("aut", r))
+        faults += [("transport", r, k) for k, t in transports.items() if not iso(r, k)(t)]
+        faults += [
+            ("split", r, s)
+            for s in leads
+            if s > r and cat.objects[s].rank == rank and any(map(iso(r, s), gl))
+        ]
+    return faults
 
 
 def rank_injective_matrices(rows, cols, p):

@@ -26,8 +26,15 @@ from chromcat.cli import main
 from chromcat.elemab import LinearMorphism
 from chromcat.groups import FiniteGroup
 from capture_cli_golden import _primes_dividing
-from conftest import SMALL_LIBRARY, category, group
-from oracles import level_oracle_all_tuples, per_object_scan, two_sided_orbits, witness
+from conftest import SMALL_LIBRARY, category, group, stretch_group
+from oracles import (
+    class_lead_oracle,
+    level_iso_test,
+    level_oracle_all_tuples,
+    per_object_scan,
+    two_sided_orbits,
+    witness,
+)
 
 GENERATORS = Path(__file__).parent / "golden" / "generators"
 
@@ -232,9 +239,10 @@ def _scans(fusions):
 def test_hom_chain_report_scans_once(fusions):
     hom_chain_report(group("a4"), 2)
     assert _scans(fusions) == {("A4", 2): 1}
-    # A^(1) tests the 3 x 3 column choices on the Klein four and keeps the 6
-    # of GL_2(2); A^(2) and A^(3) are Quillen's and test none.  The scan
-    # finds 3 G-classes: the trivial group, the involutions and the Klein four
+    # A^(1) tests 3 first columns on the Klein four and, below each, the 2
+    # conjugates outside its span, 9 prefixes, and keeps the 6 of GL_2(2);
+    # A^(2) and A^(3) are Quillen's and test none.  The scan finds 3
+    # G-classes: the trivial group, the involutions and the Klein four
     assert fusions[0].stats == {
         "objects": 5, "scans": 1, "classes": 3, "level_candidates": 9,
         "level_kept": 6, "subring_pullbacks": 0,
@@ -244,17 +252,29 @@ def test_hom_chain_report_scans_once(fusions):
 
 
 def test_level_search_tests_class_representatives_only(fusions):
-    # Aut_n of each Quillen representative, and one candidate search per
-    # later representative of its rank; testing every equal-rank pair of
+    # Aut_n of each Quillen representative, and one column search per later
+    # representative of its rank, counted in column prefixes tested; the
+    # candidate product took 95 on S6, and testing every equal-rank pair of
     # objects took 1,140 candidates on S5 and 55,425 on S6
     hom_chain_report(group("s5"), 2)
     hom_chain_report(group("s6"), 2)
     assert [f.stats for f in fusions] == [
         {"objects": 46, "scans": 1, "classes": 5, "level_candidates": 13,
          "level_kept": 8, "subring_pullbacks": 0},
-        {"objects": 271, "scans": 1, "classes": 11, "level_candidates": 95,
+        {"objects": 271, "scans": 1, "classes": 11, "level_candidates": 74,
          "level_kept": 36, "subring_pullbacks": 0},
     ]
+
+
+@pytest.mark.parametrize(
+    "name, p, n", [("agl32", 2, 1), ("agl32", 2, 2), ("agl32", 2, 3), ("f33h", 3, 1), ("f33h", 3, 2)]
+)
+def test_level_search_matches_class_lead_oracle(name, p, n):
+    # rank-3 levels past the all-pairs oracles' order 64: every class's Aut
+    # is GL_3 filtered by the level test, each transport passes it, and no
+    # matrix joins two class leads
+    cat = Fusion(stretch_group(name), p).category(n)
+    assert class_lead_oracle(cat, level_iso_test(cat, n)) == []
 
 
 def test_levels_read_conjugacy_from_the_scan(monkeypatch):

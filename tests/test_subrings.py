@@ -16,8 +16,14 @@ from chromcat import (
     sylow_elem_abelian,
     weyl_action,
 )
-from conftest import category, group
-from oracles import all_pairs_CR, distinguishing_generator, embeddings_into
+from conftest import category, group, stretch_group
+from oracles import (
+    all_pairs_CR,
+    class_lead_oracle,
+    distinguishing_generator,
+    embeddings_into,
+    subring_iso_test,
+)
 
 D1 = parse_poly("x^2 + x*y + y^2", 2, 2)
 D0 = parse_poly("x^2*y + x*y^2", 2, 2)
@@ -95,14 +101,16 @@ def test_cr_monotone_in_generators():
 
 def test_cr_pulls_back_one_key_per_class_and_matrix():
     # A_5 at p = 2 has three C_R classes: the trivial group, the 15
-    # involutions and the 5 Klein fours, so 1 + |GL_1| + |GL_2| = 8
-    # pullbacks, where one per object took 1 + 15 * 1 + 5 * 6 = 46 and
-    # testing every equal-rank pair would take 1 + 15^2 + 5^2 * 6 = 376.
-    # C_R joins the Quillen classes, so it runs the one conjugation scan
+    # involutions and the 5 Klein fours.  The column search pulls back
+    # along 1 prefix for the involutions and, for the Klein fours, 3 first
+    # columns and the 2 columns outside each one's span, 10 prefixes in all;
+    # the GL pullback table took 1 + |GL_1| + |GL_2| = 8, one key per object
+    # 1 + 15 * 1 + 5 * 6 = 46, and every equal-rank pair 1 + 15^2 + 5^2 * 6
+    # = 376.  C_R joins the Quillen classes, so it runs the one scan
     a5 = group("a5")
     fusion = Fusion(a5, 2)
     cat = fusion.subring(SubringPresentation.for_group(a5, [D1, D0, ETA]))
-    assert fusion.stats["subring_pullbacks"] == 8
+    assert fusion.stats["subring_pullbacks"] == 10
     assert fusion.stats["scans"] == 1
     assert cat.equals(quillen_category(a5, 2))
 
@@ -174,6 +182,42 @@ def test_cr_joins_some_quillen_classes_and_equals_no_level():
     sizes = sorted(len(ts) for _, ts in cat.classes)
     assert sizes[0] == 1 and sizes[-1] > 1
     assert not any(cat.equals(fusion.category(n)) for n in [*range(fusion.rank + 1), None])
+
+
+def _invariant_presentation(g, top):
+    """C_R's presentation by the Weyl-invariant forms of degrees 1..top."""
+    weyl = SubringPresentation.for_group(g, []).weyl
+    gens = [f for basis in invariant_bases(weyl, range(1, top + 1)).values() for f in basis]
+    return SubringPresentation.for_group(g, gens)
+
+
+def test_cr_matches_class_lead_oracle_on_e8():
+    # the 34 monomials of degrees 1..4 in three variables: every class's Aut
+    # is GL_rank filtered by the full pullback, each transport pulls Res
+    # back, and no matrix joins two class leads
+    e8 = group("e8")
+    presentation = _invariant_presentation(e8, 4)
+    assert len(presentation.generators) == 34
+    cat = build_CR(e8, presentation)
+    assert class_lead_oracle(cat, subring_iso_test(cat, presentation)) == []
+
+
+def test_cr_on_agl116_is_level_two():
+    # AGL(1,16) at p = 2, rank 4, Weyl group C_15: its 5 invariants of
+    # degree <= 5 cut out A^(2) = A^(3) = A^(4) = Quillen.  The column search
+    # tests 641 prefixes where the GL_4(2) pullback table took 20,348, and
+    # the build took about 105 s
+    g = stretch_group("agl116")
+    presentation = _invariant_presentation(g, 5)
+    assert len(presentation.generators) == 5
+    fusion = Fusion(g, 2)
+    cat = fusion.subring(presentation)
+    assert fusion.stats["subring_pullbacks"] == 641
+    assert cat.morphism_count() == 6757
+    assert [len(aut) for aut, _ in cat.classes] == [1, 1, 1, 1, 3, 1, 15]
+    assert [cat.equals(fusion.category(n)) for n in (0, 1, 2, 3, 4, None)] == [
+        False, False, True, True, True, True,
+    ]
 
 
 def test_distinguishing_generator():
