@@ -1,8 +1,19 @@
 """Exact linear algebra over the prime field F_p.
 
 Matrices are tuples of row tuples with entries in 0..p-1; vectors are plain
-tuples.  Everything here is tiny and allocation-happy by design: the ambient
-vector spaces never exceed rank 5 or so.
+tuples.  The matrices range from 2 x 2 automorphisms to the stacked
+(sigma - id) blocks of ``polyfp.invariant_bases``, hundreds of columns wide
+and about 2% nonzero.
+
+Every elimination runs on packed rows, which store only the nonzero
+entries: at p = 2 a row is a Python int, bit j holding column j, and adding
+a row is one XOR; at odd p it is a {column: value} dict.  ``_echelon``
+reduces each row against the rows kept before it, keyed by pivot column
+(the lowest column of a kept row), so a row's work is the pivots its
+entries meet, not the width of the matrix.  ``rref``, ``mat_rank``,
+``mat_inverse``, ``kernel_basis`` and ``in_span`` all go through it, and
+``kernel_vectors`` takes and gives sparse {column: value} rows, so that a
+caller never writes out a dense matrix.
 
 ``VectorSpace(p, m)`` is F_p^m with each vector named by one integer, so that
 a walk over many vectors adds and scales by table lookups.  Its walk over
@@ -41,62 +52,147 @@ def mat_mul(a: tuple, b: tuple, p: int) -> tuple:
     )
 
 
+def _pack(m, p: int) -> list:
+    """Dense rows as packed rows, entries reduced mod p."""
+    if p == 2:
+        return [sum(1 << j for j, x in enumerate(row) if x & 1) for row in m]
+    return [{j: x % p for j, x in enumerate(row) if x % p} for row in m]
+
+
+def _unpack(row, p: int, cols: range) -> tuple:
+    """The entries of a packed row at ``cols``, as a dense tuple."""
+    if p == 2:
+        return tuple(row >> j & 1 for j in cols)
+    return tuple(row.get(j, 0) for j in cols)
+
+
+def _entries(row, p: int):
+    """The (column, value) pairs of a packed row's nonzero entries."""
+    if p == 2:
+        return [(j, 1) for j, bit in enumerate(bin(row)[:1:-1]) if bit == "1"]
+    return row.items()
+
+
+def _axpy(row: dict, f: int, other: dict, p: int) -> None:
+    """row += f * other in place, for odd-p rows and f nonzero mod p."""
+    for k, v in other.items():
+        x = (row.get(k, 0) + f * v) % p
+        if x:
+            row[k] = x
+        else:
+            del row[k]
+
+
+def _reduce(row, basis: dict, p: int):
+    """``row`` less multiples of the ``basis`` rows ({pivot column: row,
+    zero left of its pivot and 1 there}) until its lowest column is no
+    pivot: zero exactly when ``row`` lies in their span.  An odd-p row is
+    changed in place."""
+    if p == 2:
+        while row:
+            b = basis.get((row & -row).bit_length() - 1)
+            if b is None:
+                break
+            row ^= b
+        return row
+    while row:
+        c = min(row)
+        b = basis.get(c)
+        if b is None:
+            break
+        _axpy(row, -row[c], b, p)
+    return row
+
+
+def _echelon(rows, p: int) -> dict:
+    """{pivot column: row}: each packed row is reduced against the rows kept
+    before it and, if anything is left, kept scaled to 1 at its lowest
+    column.  Odd-p rows are consumed."""
+    basis = {}
+    for row in rows:
+        row = _reduce(row, basis, p)
+        if not row:
+            continue
+        if p == 2:
+            basis[(row & -row).bit_length() - 1] = row
+            continue
+        c = min(row)
+        if row[c] != 1:
+            inv = pow(row[c], -1, p)
+            row = {k: v * inv % p for k, v in row.items()}
+        basis[c] = row
+    return basis
+
+
+def _rref(rows, p: int) -> dict:
+    """The echelon basis of the packed rows, each row cleared at every other
+    pivot column: the reduced row echelon form, keyed by pivot.
+
+    Rows are cleared highest pivot first, so every row subtracted is
+    already clear and changes the row at no other pivot column."""
+    basis = _echelon(rows, p)
+    mask = sum(1 << c for c in basis) if p == 2 else 0
+    for c in sorted(basis, reverse=True):
+        row = basis[c]
+        if p == 2:
+            hits = (row & mask) ^ (1 << c)
+            while hits:
+                low = hits & -hits
+                row ^= basis[low.bit_length() - 1]
+                hits ^= low
+            basis[c] = row
+        else:
+            for k in [k for k in row if k != c and k in basis]:
+                _axpy(row, -row[k], basis[k], p)
+    return basis
+
+
 def mat_rank(m: tuple, p: int) -> int:
-    return len(rref(m, p)[1])
+    return len(_echelon(_pack(m, p), p))
 
 
 def rref(m: tuple, p: int) -> tuple[tuple, tuple]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns).
 
-    Entries are reduced mod p on entry.  From then on the rows without a
-    pivot yet are zero left of the current column, the new pivot row among
-    them, so scaling it and eliminating with it touch only the columns from
-    the pivot on.
-    """
-    rows = [[x % p for x in r] for r in m]
+    Entries are reduced mod p on entry.  The rows are eliminated packed
+    (see the module docstring) and written out dense."""
     ncols = len(m[0]) if m else 0
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        tail = rows[rank][col:]
-        if tail[0] != 1:
-            inv = pow(tail[0], -1, p)
-            tail = [(x * inv) % p for x in tail]
-            rows[rank][col:] = tail
-        for i, row in enumerate(rows):
-            c = row[col]
-            if c and i != rank:
-                row[col:] = [(x - c * y) % p for x, y in zip(row[col:], tail)]
-        pivots.append(col)
-        rank += 1
-    return tuple(tuple(r) for r in rows[:rank]), tuple(pivots)
+    basis = _rref(_pack(m, p), p)
+    pivots = tuple(sorted(basis))
+    return tuple(_unpack(basis[c], p, range(ncols)) for c in pivots), pivots
+
+
+def _kernel(rows: list, p: int, ncols: int) -> list[dict]:
+    """Basis of the right kernel of the packed ``rows``, as {column: value}
+    dicts with nonzero values: one vector per free column j of the RREF,
+    ascending, with 1 at j and minus column j of the RREF at the pivots."""
+    basis = _rref(rows, p)
+    out = {j: {j: 1} for j in range(ncols) if j not in basis}
+    for c, row in basis.items():
+        for j, v in _entries(row, p):
+            if j != c:
+                out[j][c] = -v % p
+    return list(out.values())
+
+
+def kernel_vectors(rows: list, p: int, ncols: int) -> list[dict]:
+    """``kernel_basis`` of sparse rows, {column: value} dicts of nonzero
+    entries reduced mod p (odd-p rows are consumed), with the basis vectors
+    as such dicts too."""
+    return _kernel([sum(1 << j for j in row) for row in rows] if p == 2 else rows, p, ncols)
 
 
 def kernel_basis(m: tuple, p: int, ncols: int) -> list[tuple]:
     """Deterministic basis of the right kernel of m (echelon-derived)."""
-    reduced, pivots = rref(m, p)
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for j in free:
-        v = [0] * ncols
-        v[j] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = (-reduced[i][j]) % p
-        basis.append(tuple(v))
-    return basis
+    return [tuple(v.get(j, 0) for j in range(ncols)) for v in _kernel(_pack(m, p), p, ncols)]
 
 
 def mat_inverse(m: tuple, p: int) -> tuple:
     r = len(m)
-    aug = [list(m[i]) + [1 if j == i else 0 for j in range(r)] for i in range(r)]
-    reduced, pivots = rref(tuple(tuple(row) for row in aug), p)
-    if pivots[:r] != tuple(range(r)):
+    basis = _rref(_pack([tuple(row) + e for row, e in zip(m, identity_matrix(r))], p), p)
+    if any(i not in basis for i in range(r)):
         raise ValueError("matrix is singular over F_%d" % p)
-    return tuple(tuple(row[r:]) for row in reduced[:r])
+    return tuple(_unpack(basis[i], p, range(r, 2 * r)) for i in range(r))
 
 
 def matrix_order(m: tuple, p: int) -> int:
@@ -213,7 +309,6 @@ def enumerate_subspaces(ambient: int, dim: int, p: int) -> Iterator[tuple]:
 
 
 def in_span(vectors: list[tuple], target: tuple, p: int) -> bool:
-    if not vectors:
-        return all(x % p == 0 for x in target)
-    m = tuple(vectors)
-    return mat_rank(m, p) == mat_rank(m + (target,), p)
+    """Is ``target`` in the span of ``vectors``?  One elimination: the target
+    is reduced against the echelon form of the vectors."""
+    return not _reduce(_pack([target], p)[0], _echelon(_pack(vectors, p), p), p)

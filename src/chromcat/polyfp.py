@@ -56,6 +56,11 @@ class PolyFp:
     other's; two different truncations do not mix.  A bound that no term
     under the cap can pass is dropped.  Equality and hashing compare
     coefficients only.
+
+    The constructor reduces, checks and truncates the coefficients it is
+    given.  Results of arithmetic are built by ``_stored``, which trusts its
+    coefficients to be reduced, nonzero and inside both truncations: each
+    operation keeps them so as it forms them.
     """
 
     __slots__ = ("p", "nvars", "coeffs", "bound", "cap")
@@ -68,12 +73,6 @@ class PolyFp:
         bound: Optional[int] = None,
         cap: Optional[int] = None,
     ):
-        if cap is not None and bound is not None and bound >= nvars * (cap - 1):
-            bound = None
-        self.p = p
-        self.nvars = nvars
-        self.bound = bound
-        self.cap = cap
         clean = {}
         for exps, c in (coeffs or {}).items():
             if p is not None:
@@ -88,11 +87,34 @@ class PolyFp:
             if cap is not None and max(exps, default=0) >= cap:
                 continue
             clean[exps] = c
-        self.coeffs = clean
+        self._set(p, nvars, clean, bound, cap)
 
-    def _new(self, coeffs, bound, cap) -> "PolyFp":
-        """Same class and coefficient domain, new coefficients and truncations."""
-        return type(self)(self.p, self.nvars, coeffs, bound, cap)
+    def _set(self, p, nvars, coeffs: dict, bound, cap) -> "PolyFp":
+        """Store the fields, dropping a bound that no term under the cap can
+        pass."""
+        if cap is not None and bound is not None and bound >= nvars * (cap - 1):
+            bound = None
+        self.p, self.nvars, self.coeffs, self.bound, self.cap = p, nvars, coeffs, bound, cap
+        return self
+
+    @classmethod
+    def _stored(cls, p, nvars, coeffs: dict, bound=None, cap=None) -> "PolyFp":
+        """A polynomial holding ``coeffs`` as given: already reduced, nonzero,
+        keyed by nvars-tuples and inside the truncations."""
+        return object.__new__(cls)._set(p, nvars, coeffs, bound, cap)
+
+    def _clean(self, coeffs: dict, cap: Optional[int] = None) -> dict:
+        """Sums and products of clean coefficients, reduced, without the
+        zeros and, under ``cap``, without the terms with an exponent at the
+        cap."""
+        p = self.p
+        if p is None:
+            coeffs = {e: c for e, c in coeffs.items() if c}
+        else:
+            coeffs = {e: c % p for e, c in coeffs.items() if c % p}
+        if cap is not None:
+            coeffs = {e: c for e, c in coeffs.items() if max(e, default=0) < cap}
+        return coeffs
 
     # -- constructors --------------------------------------------------------
 
@@ -136,14 +158,13 @@ class PolyFp:
         return len({sum(e) for e in self.coeffs}) <= 1
 
     def homogeneous_part(self, d: int) -> "PolyFp":
-        return self._new(
-            {e: c for e, c in self.coeffs.items() if sum(e) == d}, self.bound, self.cap
-        )
+        coeffs = {e: c for e, c in self.coeffs.items() if sum(e) == d}
+        return self._stored(self.p, self.nvars, coeffs, self.bound, self.cap)
 
     def truncate(self, max_degree: int) -> "PolyFp":
         """Drop the terms above ``max_degree``, now and in later products."""
         bound = max_degree if self.bound is None else min(self.bound, max_degree)
-        return self._new(self.coeffs, bound, self.cap)
+        return self._stored(self.p, self.nvars, self._cut(bound, self.cap), bound, self.cap)
 
     def coefficient(self, exps: Sequence[int]):
         return self.coeffs.get(tuple(exps), 0)
@@ -172,23 +193,37 @@ class PolyFp:
             raise ValueError("polynomial domains do not match")
         return _meet(self.bound, other.bound), _meet(self.cap, other.cap)
 
-    def __add__(self, other: "PolyFp") -> "PolyFp":
+    def _cut(self, bound, cap) -> dict:
+        """The terms inside truncations at least as tight as this
+        polynomial's own; its coefficients themselves when they are its own."""
+        bound = None if bound == self.bound else bound
+        cap = None if cap == self.cap else cap
+        if bound is None and cap is None:
+            return self.coeffs
+        return {
+            e: c
+            for e, c in self.coeffs.items()
+            if (bound is None or sum(e) <= bound) and (cap is None or max(e, default=0) < cap)
+        }
+
+    def _combine(self, other: "PolyFp", sign: int) -> "PolyFp":
+        """self + sign * other, under the truncations the two share."""
         bound, cap = self._check(other)
-        coeffs = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            coeffs[e] = coeffs.get(e, 0) + c
-        return self._new(coeffs, bound, cap)
+        coeffs = dict(self._cut(bound, cap))
+        for e, c in other._cut(bound, cap).items():
+            coeffs[e] = coeffs.get(e, 0) + sign * c
+        return self._stored(self.p, self.nvars, self._clean(coeffs), bound, cap)
+
+    def __add__(self, other: "PolyFp") -> "PolyFp":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "PolyFp") -> "PolyFp":
-        bound, cap = self._check(other)
-        coeffs = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            coeffs[e] = coeffs.get(e, 0) - c
-        return self._new(coeffs, bound, cap)
+        return self._combine(other, -1)
 
     def __mul__(self, other: "PolyFp") -> "PolyFp":
         bound, cap = self._check(other)
-        # pairs whose total degree passes the bound are skipped unformed
+        # pairs whose total degree passes the bound are skipped unformed;
+        # a product with an exponent at the cap is formed and dropped
         limit = math.inf if bound is None else bound
         right = [(e, c, sum(e)) for e, c in other.coeffs.items()]
         coeffs = {}
@@ -198,15 +233,16 @@ class PolyFp:
                 if d2 <= room:
                     e = tuple(map(add, e1, e2))
                     coeffs[e] = coeffs.get(e, 0) + c1 * c2
-        return self._new(coeffs, bound, cap)
+        return self._stored(self.p, self.nvars, self._clean(coeffs, cap), bound, cap)
 
     def scale(self, c) -> "PolyFp":
-        return self._new({e: v * c for e, v in self.coeffs.items()}, self.bound, self.cap)
+        coeffs = self._clean({e: v * c for e, v in self.coeffs.items()})
+        return self._stored(self.p, self.nvars, coeffs, self.bound, self.cap)
 
     def __pow__(self, k: int) -> "PolyFp":
         if k < 0:
             raise ValueError("negative power")
-        result = self._new({(0,) * self.nvars: 1}, self.bound, self.cap)
+        result = type(self)(self.p, self.nvars, {(0,) * self.nvars: 1}, self.bound, self.cap)
         base = self
         while k:
             if k & 1:
@@ -251,7 +287,7 @@ class PolyFp:
         if bound is not None and any(img.coefficient((0,) * like.nvars) for img in images):
             raise ValueError("substitution into a truncated series needs zero constant terms")
         orders = [img.min_degree() for img in images]
-        one = like._new({(0,) * like.nvars: 1}, bound, cap)
+        one = type(like)(like.p, like.nvars, {(0,) * like.nvars: 1}, bound, cap)
         powers = [[one] for _ in images]  # powers[i][k] = images[i] ** k
         coeffs = {}
         for exps, c in self.coeffs.items():
@@ -266,7 +302,7 @@ class PolyFp:
                     term = cache[e] if term is one else term * cache[e]
             for e, v in term.coeffs.items():
                 coeffs[e] = coeffs.get(e, 0) + c * v
-        return like._new(coeffs, bound, cap)
+        return like._stored(like.p, like.nvars, like._clean(coeffs), bound, cap)
 
     def substitute_linear(self, matrix: tuple) -> "PolyFp":
         """Send variable x_j to sum_i matrix[i][j] * x_i (new variable count
@@ -457,15 +493,20 @@ def invariant_bases(action: LinearAction, degrees) -> dict:
         size = len(mons[k])
         rows = []
         for cur in images:
-            block = [[0] * size for _ in range(size)]
+            # sigma - id as {column: value} rows: row b holds the
+            # coefficient of monomial b in each image
+            block = [{b: p - 1} for b in range(size)]
             for col, image in enumerate(cur):
                 for b, v in image.items():
-                    block[b][col] = v
-                block[col][col] = (block[col][col] - 1) % p
+                    x = (block[b].get(col, 0) + v) % p
+                    if x:
+                        block[b][col] = x
+                    else:
+                        del block[b][col]
             rows += block
         out[k] = [
-            PolyFp(p, n, dict(zip(mons[k], vec)))
-            for vec in modp.kernel_basis(rows, p, size)
+            PolyFp._stored(p, n, {mons[k][j]: v for j, v in vec.items()})
+            for vec in modp.kernel_vectors(rows, p, size)
         ]
     return out
 
@@ -516,6 +557,8 @@ MEMBERSHIP_DEGREE_BOUND = 12  # the largest degree subring_membership decides
 
 def subring_membership(f: PolyFp, generators: Sequence[PolyFp]) -> bool:
     """Is f in the degree-(deg f) graded piece of the generated subring?"""
+    if any(g.p != f.p or g.nvars != f.nvars for g in generators):
+        raise ValueError("polynomial domains do not match")
     if f.is_zero():
         return True
     if not f.is_homogeneous():

@@ -40,9 +40,10 @@ commuting order-p element outside it and drops repeats by element
 set, with each least basis rebuilt span by span from scratch and the
 coordinates multiplied out power by power, where the library builds each
 subgroup once, from its least basis, through one span routine.
-``whole_row_rref`` eliminates with whole rows and reduces mod p as it goes,
-where ``modp.rref`` reduces once on entry and works from the pivot column
-on; ``substitute_invariant_basis`` substitutes every monomial afresh and
+``whole_row_rref`` eliminates dense whole rows column by column and
+reduces mod p as it goes, where ``modp.rref`` reduces packed rows, which
+hold only their nonzero entries, one at a time against the pivots kept so
+far and clears the other pivot columns afterwards; ``substitute_invariant_basis`` substitutes every monomial afresh and
 looks up each (sigma - id) entry by coefficient, where the library walks
 each generator's monomial images up the degrees once; and
 ``digit_tuple_add_table`` adds F_p^m vectors as digit tuples, where

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -46,6 +47,96 @@ def test_rref_and_kernel_match_oracle_on_seeded_sparse_matrices():
                 for _ in range(nrows)
             )
             _check_against_oracle(m, p, ncols)
+
+
+def _sparse_stack(rng, p, n, blocks):
+    """sigma - id for powers sigma = tau, tau^2, ... of a random sparse tau:
+    tau permutes n columns in cycles of length 1 to 4, and about one column
+    in ten of each block gets a stray entry."""
+    cycles, start = [], 0
+    while start < n:
+        length = min(rng.randint(1, 4), n - start)
+        cycles.append(list(range(start, start + length)))
+        start += length
+    rows = []
+    for power in range(1, blocks + 1):
+        block = [[0] * n for _ in range(n)]
+        for cycle in cycles:
+            for k, j in enumerate(cycle):
+                block[cycle[(k + power) % len(cycle)]][j] = 1
+        for j in range(n):
+            if rng.random() < 0.1:
+                i = rng.randrange(n)
+                block[i][j] = (block[i][j] + rng.randrange(1, p)) % p
+            block[j][j] = (block[j][j] - 1) % p
+        rows += [tuple(row) for row in block]
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_rref_and_kernel_match_oracle_on_sparse_stacks(p):
+    # the shape invariant_bases feeds: one sigma - id block per generator,
+    # 100 to 120 columns, 1.3 to 1.9% of the entries nonzero, and a kernel
+    # of a few dozen dimensions
+    rng = random.Random(100 + p)
+    for blocks in (1, 2, 3):
+        n = rng.randint(100, 120)
+        _check_against_oracle(_sparse_stack(rng, p, n, blocks), p, n)
+
+
+def _oracle_rank(m, p):
+    return len(whole_row_rref(m, p)[1])
+
+
+@pytest.mark.parametrize("p,r", [(2, 3), (3, 2)])
+def test_mat_inverse_and_rank_over_every_matrix(p, r):
+    # every r x r matrix: GL_3(2) has 168 elements and GL_2(3) has 48
+    invertible = 0
+    for entries in itertools.product(range(p), repeat=r * r):
+        m = tuple(tuple(entries[i * r:(i + 1) * r]) for i in range(r))
+        rank = modp.mat_rank(m, p)
+        assert rank == _oracle_rank(m, p), m
+        if rank < r:
+            with pytest.raises(ValueError, match="singular"):
+                modp.mat_inverse(m, p)
+            continue
+        invertible += 1
+        inv = modp.mat_inverse(m, p)
+        ident = modp.identity_matrix(r)
+        assert modp.mat_mul(m, inv, p) == modp.mat_mul(inv, m, p) == ident, m
+    assert invertible == {2: 168, 3: 48}[p]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_in_span_matches_rank_comparison(p):
+    rng = random.Random(20 + p)
+    for _ in range(300):
+        ncols = rng.randint(1, 7)
+        vectors = [
+            tuple(rng.randint(-p, 2 * p) if rng.random() < 0.4 else 0 for _ in range(ncols))
+            for _ in range(rng.randint(0, 5))
+        ]
+        if vectors and rng.random() < 0.3:
+            # a combination of the vectors, off by multiples of p
+            target = [0] * ncols
+            for v in vectors:
+                c = rng.randrange(p)
+                target = [t + c * x + p * rng.randint(-1, 1) for t, x in zip(target, v)]
+            target = tuple(target)
+        elif rng.random() < 0.1:
+            target = tuple(p * rng.randint(-1, 1) for _ in range(ncols))
+        else:
+            target = tuple(rng.randint(-p, 2 * p) for _ in range(ncols))
+        m = tuple(vectors)
+        want = (
+            _oracle_rank(m, p) == _oracle_rank(m + (target,), p)
+            if vectors
+            else all(x % p == 0 for x in target)
+        )
+        assert modp.in_span(vectors, target, p) == want, (vectors, target, p)
+    assert modp.in_span([], (0, p, -p), p)
+    assert not modp.in_span([], (0, 1, 0), p)
+    assert modp.in_span([(1, 0, 0)], (0, 0, 0), p)
 
 
 def test_rref_of_unreduced_entries():

@@ -185,6 +185,20 @@ def test_degrees_empty_unsorted_or_repeated():
     assert invariant_basis(C3, -1) == []
 
 
+def _assert_stored_clean(poly):
+    """Every stored coefficient is nonzero and reduced, keyed by an nvars-tuple
+    inside the polynomial's truncations."""
+    for e, c in poly.coeffs.items():
+        assert type(e) is tuple and len(e) == poly.nvars, e
+        assert c != 0, e
+        if poly.p is not None:
+            assert 0 < c < poly.p, (e, c)
+        if poly.bound is not None:
+            assert sum(e) <= poly.bound, e
+        if poly.cap is not None:
+            assert max(e, default=0) < poly.cap, e
+
+
 @st.composite
 def matrix_groups(draw):
     p = draw(st.sampled_from((2, 3, 5)))
@@ -206,6 +220,7 @@ def test_random_matrix_groups_match_substitution_oracle(action, degrees):
     for d, basis in invariant_bases(action, degrees).items():
         for f in basis:
             assert all(f.substitute_linear(g) == f for g in action.generators), d
+            _assert_stored_clean(f)
 
 
 def test_linear_action_refuses_what_is_not_a_matrix_group():
@@ -266,6 +281,17 @@ def test_membership_rejects_degree_past_the_bound():
     assert subring_membership(D1 ** 6, [D1])  # degree 12, the bound itself
     with pytest.raises(ValueError, match="degree 13 exceeds bound 12"):
         subring_membership(X ** 13, [D1])
+
+
+def test_membership_refuses_generators_from_another_ring():
+    # a generator in three variables, or over F_3, is not in f's ring: the
+    # first once raised a bare KeyError and the second answered mod 2
+    with pytest.raises(ValueError, match="polynomial domains do not match"):
+        subring_membership(D1, [PolyFp.variable(2, 3, 0)])
+    with pytest.raises(ValueError, match="polynomial domains do not match"):
+        subring_membership(X ** 2 + Y ** 2, [PolyFp(3, 2, {(1, 0): 1, (0, 1): 1})])
+    with pytest.raises(ValueError, match="polynomial domains do not match"):
+        subring_membership(PolyFp.zero(2, 2), [PolyFp.variable(3, 2, 0)])
 
 
 def test_render_parse_round_trip():
@@ -346,3 +372,57 @@ def test_substitute_keeps_the_bound_of_the_series():
     assert g == PolyFp(None, 1, {(1,): 1, (2,): 2, (3,): 2})
     with pytest.raises(ValueError, match="zero constant terms"):
         f.substitute([x + PolyFp.constant(None, 1, 1)])
+
+
+def _raw_sum(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_results_are_stored_clean(data):
+    # each result is compared with the checking constructor applied to the
+    # raw coefficients, or with the naive product; one operand is sometimes
+    # untruncated, so it takes the other's truncations and loses the terms
+    # outside them
+    p = data.draw(st.sampled_from([2, 3, None]), label="p")
+    bound, cap = data.draw(st.sampled_from([(None, None), (5, None), (None, 3), (3, 3)]))
+    f = PolyFp(p, 2, data.draw(_coeff_dicts(p, 4)), bound, cap)
+    plain = data.draw(st.booleans(), label="plain g")
+    g = PolyFp(p, 2, data.draw(_coeff_dicts(p, 4)), *((None, None) if plain else (bound, cap)))
+    product = naive_truncated_product(f.coeffs, g.coeffs, p, bound, cap)
+    results = {
+        "mul": (f * g, PolyFp(p, 2, product, bound, cap)),
+        "add": (f + g, PolyFp(p, 2, _raw_sum(f.coeffs, g.coeffs), bound, cap)),
+        "sub": (g - f, PolyFp(p, 2, _raw_sum(g.coeffs, f.coeffs, -1), bound, cap)),
+    }
+    c = data.draw(_coefficients(p) if p is None else st.integers(-2 * p, 2 * p), label="c")
+    results["scale"] = (
+        f.scale(c), PolyFp(p, 2, {e: v * c for e, v in f.coeffs.items()}, bound, cap)
+    )
+    d = data.draw(st.integers(min_value=0, max_value=6), label="d")
+    results["truncate"] = (
+        g.truncate(d), PolyFp(p, 2, g.coeffs, d if g.bound is None else min(d, g.bound), g.cap)
+    )
+    images = [
+        PolyFp(p, 2, data.draw(_coeff_dicts(p, 2, constant=bound is None)), bound, cap)
+        for _ in range(2)
+    ]
+    composite = naive_truncated_composition(
+        f.coeffs, [img.coeffs for img in images], 2, p, bound, cap
+    )
+    results["substitute"] = (f.substitute(images), PolyFp(p, 2, composite, bound, cap))
+    if p is not None:
+        entry = st.integers(min_value=-p, max_value=2 * p)
+        m = data.draw(st.tuples(*[st.tuples(entry, entry)] * 3), label="matrix")
+        h = PolyFp(p, 2, f.coeffs)
+        images = [PolyFp(p, 3, {(1, 0, 0): m[0][j], (0, 1, 0): m[1][j], (0, 0, 1): m[2][j]})
+                  for j in range(2)]
+        results["substitute_linear"] = (h.substitute_linear(m), h.substitute(images))
+    for name, (got, want) in results.items():
+        _assert_stored_clean(got)
+        assert got.coeffs == want.coeffs, name
+        assert (got.bound, got.cap) == (want.bound, want.cap), name
