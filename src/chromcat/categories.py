@@ -47,18 +47,25 @@ every matrix below it; no morphism object is made for a rejected prefix.
 subgroup and returns a certificate of witnesses; the builder does not call
 it, and the tests compare the builder with it.  The all-tuples brute force
 lives in the test suite as the independent oracle for the reduction.
+
+A skeleton composes Hom(R, V) from a class lead R (t_R = 1) block by block:
+one block incl_k t_k Aut(R) per member U_k <= V, the morphisms with image
+U_k.  Right multiplication by Aut(R) runs through a block and a left a in
+Aut(V) carries the block of U_k to that of a(U_k), so the Aut(V) x Aut(R)
+orbits are counted by the distinct least blocks of the left orbits, which
+are walked with Aut(V)'s generators.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 from . import modp
 from .elemab import LinearMorphism, conjugation_matrix, enumerate_elem_abelians
-from .groups import DEFAULT_ORDER_CAP, FiniteGroup, GroupError, orbit_walk
+from .groups import DEFAULT_ORDER_CAP, FiniteGroup, GroupError, closure
 
 Level = Optional[int]  # int >= 0, or None for Quillen
 
@@ -510,82 +517,84 @@ def iso_classes(cat: ChromCategory) -> list[list[int]]:
 
 
 def skeleton(cat: ChromCategory) -> SkeletonReport:
-    """Object classes under isomorphism in the category, with orbit data.
-
-    Only the hom-sets between class representatives are composed."""
-    groups = [(members, aut) for members, (aut, _) in zip(iso_classes(cat), cat.classes)]
-    if len(groups) > 1:
-        groups = [g for g in groups if cat.objects[g[0][0]].rank > 0]
-    report = SkeletonReport()
-    for members, mats in groups:
+    """Object classes under isomorphism in the category, with orbit data,
+    from the stored classes and poset: only the hom-sets that ``above``
+    links are composed, block by block, and Aut is walked by generators."""
+    p, objects = cat.p, cat.objects
+    classes = [(sorted(ts), aut, ts) for aut, ts in cat.classes]
+    if len(classes) > 1:
+        classes = [c for c in classes if objects[c[0][0]].rank > 0]
+    position = {members[0]: c for c, (members, _, _) in enumerate(classes)}
+    report, generators = SkeletonReport(), [_generators(aut, p) for _, aut, _ in classes]
+    for (members, aut, _), gens in zip(classes, generators):
+        commute = all(
+            modp.mat_mul(a, b, p) == modp.mat_mul(b, a, p)
+            for a, b in itertools.combinations(gens, 2)
+        )
         rep = members[0]
-        abelian = all(
-            modp.mat_mul(a, b, cat.p) == modp.mat_mul(b, a, cat.p)
-            for a in mats
-            for b in mats
-        )
-        exponent = 1
-        for m in mats:
-            k = modp.matrix_order(m, cat.p)
-            exponent = exponent * k // math.gcd(exponent, k)
-        report.classes.append(
-            ObjectClass(
-                rank=cat.objects[rep].rank,
-                representative=rep,
-                members=tuple(members),
-                aut_order=len(mats),
-                aut_abelian=abelian,
-                aut_exponent=exponent,
-            )
-        )
+        report.classes.append(ObjectClass(
+            objects[rep].rank, rep, tuple(members), len(aut), commute, _exponent(aut, p)
+        ))
 
-    for si, (sources, _) in enumerate(groups):
-        for ti, (targets, aut_t) in enumerate(groups):
-            if si == ti:
-                continue
-            hom = cat.hom(sources[0], targets[0])
-            if not hom:
-                continue
-            # hom is sorted, so the orbits come in order of least member
-            ids = orbit_walk(hom, aut_t, lambda a, m: modp.mat_mul(a, m, cat.p))[1]
-            sizes = Counter(ids.values())
-            report.edges.append(
-                SkeletonEdge(
-                    source=si,
-                    target=ti,
-                    hom_size=len(hom),
-                    orbits=tuple((size, len(aut_t) // size) for size in sizes.values()),
-                    two_sided_orbit_count=_subobject_orbit_count(
-                        cat, sources, targets[0], aut_t
-                    ),
-                )
-            )
+    for si, (members, aut, transports) in enumerate(classes):
+        blocks = {}  # target class -> the members U_k <= its lead
+        for k in members:
+            for j in cat.above[k]:
+                if j in position:
+                    blocks.setdefault(position[j], []).append(k)
+        for ti in sorted(blocks.keys() - {si}):
+            v, aut_t, block_of = objects[classes[ti][0][0]], classes[ti][1], {}
+            for b, k in enumerate(blocks[ti]):
+                head = modp.mat_mul(conjugation_matrix(objects[k], v, 0), transports[k], p)
+                block_of.update((modp.mat_mul(head, a, p), b) for a in aut)
+            orbits, least_blocks = [], set()
+            for m in sorted(block_of):  # each left orbit from its least member
+                if m in block_of:
+                    orbit = closure(
+                        m, generators[ti], lambda x, a: modp.mat_mul(a, x, p), len(aut_t))
+                    least_blocks.add(min(block_of.pop(x) for x in orbit))
+                    orbits.append((len(orbit), len(aut_t) // len(orbit)))
+            report.edges.append(SkeletonEdge(
+                si, ti, len(aut) * len(blocks[ti]), tuple(orbits), len(least_blocks)
+            ))
     return report
 
 
-def _subobject_orbit_count(cat, members, v, aut_v) -> int:
-    """The Aut(V) x Aut(R) orbits on Hom(R, V), R the least of ``members``.
+def _generators(aut: tuple, p: int) -> list:
+    """Generators picked greedily from the sorted Aut.  Their span H grows
+    Dimino-style: a new generator g adds the cosets H e, e running over g
+    and each coset representative times each generator, so each element is
+    made once.  Raises AssertionError if Aut is not a group."""
+    members, ident = set(aut), modp.identity_matrix(len(aut[0]))
+    span, gens = {ident}, []
+    for g in aut:
+        if g in span:
+            continue
+        gens.append(g)
+        subgroup, reps = tuple(span), []
+        for e in itertools.chain([g], (modp.mat_mul(r, s, p) for r in reps for s in gens)):
+            if e not in span:
+                coset = [modp.mat_mul(h, e, p) for h in subgroup]
+                if not members.issuperset(coset):
+                    raise AssertionError("Aut is not closed under products")
+                span.update(coset)
+                reps.append(e)
+    if len(span) != len(aut):
+        raise AssertionError("Aut is not a group")
+    return gens
 
-    Hom(R, V) is the union of the blocks incl_k t_k Aut(R) over the members
-    U_k <= V, and each block is one right Aut(R)-orbit, of the morphisms
-    with image U_k.  A left a in Aut(V) carries that image to a(U_k), so
-    the two-sided orbits are the Aut(V)-orbits of those subobjects, each
-    named by the row-reduced basis of its column span.
-    """
-    p = cat.p
 
-    def span(m):
-        return modp.rref(modp.transpose(m), p)[0]
-
-    subobjects = [
-        span(conjugation_matrix(cat.objects[k], cat.objects[v], 0))
-        for k in members
-        if v in cat.above[k]
-    ]
-    leads = orbit_walk(
-        subobjects, aut_v, lambda a, s: span(modp.mat_mul(a, modp.transpose(s), p))
-    )[0]
-    return len(leads)
+def _exponent(aut: tuple, p: int) -> int:
+    """The lcm of the element orders; the powers of each element walked are
+    marked as seen, so each cyclic subgroup is walked once."""
+    seen, exponent, ident = set(), 1, modp.identity_matrix(len(aut[0]))
+    for a in (x for x in aut if x not in seen):
+        powers = [a]
+        while powers[-1] != ident:
+            powers.append(modp.mat_mul(powers[-1], a, p))
+        seen.update(powers)
+        exponent = math.lcm(exponent, len(powers))
+    return exponent
 
 
 # -- stabilization ------------------------------------------------------------

@@ -42,12 +42,14 @@ def _is_int(x) -> bool:
 
 
 def load_group_file(path) -> FiniteGroup:
+    """The group of a group file; every GroupError names the file."""
     with open(path) as fh:
         try:
-            data = json.load(fh)
+            return load_group_data(json.load(fh))
         except json.JSONDecodeError as exc:
             raise GroupError("malformed group file %s: %s" % (path, exc)) from exc
-    return load_group_data(data)
+        except GroupError as exc:
+            raise GroupError("group file %s: %s" % (path, exc)) from exc
 
 
 def builtin_names() -> list[str]:

@@ -195,17 +195,6 @@ def mat_inverse(m: tuple, p: int) -> tuple:
     return tuple(_unpack(basis[i], p, range(r, 2 * r)) for i in range(r))
 
 
-def matrix_order(m: tuple, p: int) -> int:
-    ident = identity_matrix(len(m))
-    acc, k = m, 1
-    while acc != ident:
-        acc = mat_mul(acc, m, p)
-        k += 1
-        if k > p ** (len(m) ** 2):
-            raise ValueError("matrix is not invertible")
-    return k
-
-
 class VectorSpace:
     """F_p^m, each vector named by its coordinates read as base-p digits
     (its index in ``itertools.product`` order), so names order vectors

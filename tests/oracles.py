@@ -19,8 +19,14 @@ lowest degrees sum past the bound, and ``all_pairs_beta_pushforward``
 runs the pushforward through them.  ``union_find_tower`` reads a tower's
 connecting maps node by node, where the library maps a class at a time
 from the shared walks, and ``two_sided_orbits`` multiplies every pair of
-automorphisms into every morphism, where the skeleton counts
-Aut(target)-orbits of subobjects.  The all-pairs category
+automorphisms into every morphism, where the skeleton counts the distinct
+least blocks (one block per image) among its left orbits.
+``elementwise_skeleton`` composes the hom-set between every pair of class
+leads whole, multiplies every Aut(target) element into every morphism,
+takes every Aut element's order and tests every pair for commutativity, and
+counts two-sided orbits as Aut(target)-orbits of row-reduced subobject
+spans, where the library composes only the pairs the poset links, block by
+block, and walks Aut through greedy generators.  The all-pairs category
 builders below share the level test and the enumeration of injective maps
 with the library, but test every injective map W -> V for every pair of
 objects and scan all of G for every pair, where the library composes
@@ -65,6 +71,8 @@ caller in the library.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -85,7 +93,9 @@ from chromcat import (
     modp,
     series_inverse,
 )
+from chromcat.categories import ObjectClass, SkeletonEdge, SkeletonReport, iso_classes
 from chromcat.elemab import conjugation_matrix
+from chromcat.groups import orbit_walk
 
 
 def brute_simultaneous_conjugacy(group, a, b):
@@ -465,6 +475,96 @@ def two_sided_orbits(mats, aut_target, aut_source, p) -> list:
         remaining -= orbit
         orbits.append(sorted(orbit))
     return orbits
+
+
+def matrix_order(m: tuple, p: int) -> int:
+    ident = modp.identity_matrix(len(m))
+    acc, k = m, 1
+    while acc != ident:
+        acc = modp.mat_mul(acc, m, p)
+        k += 1
+        if k > p ** (len(m) ** 2):
+            raise ValueError("matrix is not invertible")
+    return k
+
+
+def elementwise_skeleton(cat) -> SkeletonReport:
+    """Object classes under isomorphism in the category, with orbit data.
+
+    Only the hom-sets between class representatives are composed."""
+    groups = [(members, aut) for members, (aut, _) in zip(iso_classes(cat), cat.classes)]
+    if len(groups) > 1:
+        groups = [g for g in groups if cat.objects[g[0][0]].rank > 0]
+    report = SkeletonReport()
+    for members, mats in groups:
+        rep = members[0]
+        abelian = all(
+            modp.mat_mul(a, b, cat.p) == modp.mat_mul(b, a, cat.p)
+            for a in mats
+            for b in mats
+        )
+        exponent = 1
+        for m in mats:
+            k = matrix_order(m, cat.p)
+            exponent = exponent * k // math.gcd(exponent, k)
+        report.classes.append(
+            ObjectClass(
+                rank=cat.objects[rep].rank,
+                representative=rep,
+                members=tuple(members),
+                aut_order=len(mats),
+                aut_abelian=abelian,
+                aut_exponent=exponent,
+            )
+        )
+
+    for si, (sources, _) in enumerate(groups):
+        for ti, (targets, aut_t) in enumerate(groups):
+            if si == ti:
+                continue
+            hom = cat.hom(sources[0], targets[0])
+            if not hom:
+                continue
+            # hom is sorted, so the orbits come in order of least member
+            ids = orbit_walk(hom, aut_t, lambda a, m: modp.mat_mul(a, m, cat.p))[1]
+            sizes = Counter(ids.values())
+            report.edges.append(
+                SkeletonEdge(
+                    source=si,
+                    target=ti,
+                    hom_size=len(hom),
+                    orbits=tuple((size, len(aut_t) // size) for size in sizes.values()),
+                    two_sided_orbit_count=_subobject_orbit_count(
+                        cat, sources, targets[0], aut_t
+                    ),
+                )
+            )
+    return report
+
+
+def _subobject_orbit_count(cat, members, v, aut_v) -> int:
+    """The Aut(V) x Aut(R) orbits on Hom(R, V), R the least of ``members``.
+
+    Hom(R, V) is the union of the blocks incl_k t_k Aut(R) over the members
+    U_k <= V, and each block is one right Aut(R)-orbit, of the morphisms
+    with image U_k.  A left a in Aut(V) carries that image to a(U_k), so
+    the two-sided orbits are the Aut(V)-orbits of those subobjects, each
+    named by the row-reduced basis of its column span.
+    """
+    p = cat.p
+
+    def span(m):
+        return modp.rref(modp.transpose(m), p)[0]
+
+    subobjects = [
+        span(conjugation_matrix(cat.objects[k], cat.objects[v], 0))
+        for k in members
+        if v in cat.above[k]
+    ]
+    leads = orbit_walk(
+        subobjects, aut_v, lambda a, s: span(modp.mat_mul(a, modp.transpose(s), p))
+    )[0]
+    return len(leads)
 
 
 def canonical_tuple_class(group, tup):

@@ -29,6 +29,7 @@ from capture_cli_golden import _primes_dividing
 from conftest import SMALL_LIBRARY, category, group, stretch_group
 from oracles import (
     class_lead_oracle,
+    elementwise_skeleton,
     level_iso_test,
     level_oracle_all_tuples,
     per_object_scan,
@@ -421,8 +422,9 @@ def test_cli_cr_enumerates_elementary_abelians_once(monkeypatch, capsys):
 
 @pytest.mark.parametrize("name", SMALL_LIBRARY)
 def test_two_sided_orbits_are_subobject_orbits(name):
-    # the skeleton counts Aut(V)-orbits of subobjects; the oracle multiplies
-    # every pair of automorphisms into every morphism
+    # the skeleton counts the distinct least blocks (images) among its left
+    # orbits; the oracle multiplies every pair of automorphisms into every
+    # morphism
     g = group(name)
     for p in (2, 3, 5):
         if g.order % p:
@@ -443,3 +445,80 @@ def test_two_sided_orbits_are_subobject_orbits(name):
                     (len(o), len(aut_t) // len(o))
                     for o in two_sided_orbits(cat.hom(i, j), aut_t, ident, p)
                 ], (p, n, e.source, e.target)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_skeleton_matches_elementwise_oracle(name):
+    # the skeleton composes only the linked pairs, block by block, and walks
+    # Aut through generators; the oracle composes every pair of class leads
+    # whole and multiplies every Aut element into every morphism
+    g = group(name)
+    for p in _primes_dividing(g.order):
+        fusion = Fusion(g, p)
+        for n in list(range(fusion.rank + 1)) + [None]:
+            cat = fusion.category(n)
+            assert skeleton(cat).to_dict() == elementwise_skeleton(cat).to_dict(), (p, n)
+
+
+@pytest.mark.parametrize("name, p", [("agl32", 2), ("f33h", 3)])
+def test_skeleton_matches_elementwise_oracle_past_the_library(name, p):
+    cat = Fusion(stretch_group(name), p).category(1)
+    assert skeleton(cat).to_dict() == elementwise_skeleton(cat).to_dict()
+
+
+def test_skeleton_multiplies_blocks_walks_and_generators_only(monkeypatch):
+    # no subobject span is row-reduced; the products are the blocks of each
+    # linked pair, the left-orbit walks, the Dimino spans of the greedy
+    # generators, their commutators and one walk per cyclic subgroup.  The
+    # element-wise oracle makes 1,091 and 148,395 products (matrix orders
+    # aside) and 375 and 22,542 row reductions on these two categories.
+    cats = {"x32": category("x32", 2, None), "c3wrc3": category("c3wrc3", 3, 0)}
+    calls = {"mat_mul": 0, "rref": 0}
+    for fn in calls:
+        def counting(*args, fn=fn, real=getattr(modp, fn)):
+            calls[fn] += 1
+            return real(*args)
+
+        monkeypatch.setattr(modp, fn, counting)
+    counts = {}
+    for name, cat in cats.items():
+        calls.update(mat_mul=0, rref=0)
+        skeleton(cat)
+        counts[name] = dict(calls)
+    assert counts == {
+        "x32": {"mat_mul": 600, "rref": 0},
+        "c3wrc3": {"mat_mul": 32516, "rref": 0},
+    }
+
+
+def test_skeleton_refuses_an_aut_that_is_not_a_group():
+    # A^(1) of A_4 at p = 2 has Aut = GL_2(2) on the Klein four; without an
+    # element of order 3 it is not closed, and without the identity the span
+    # of the rest is larger than the set
+    cat = category("a4", 2, 1)
+    c = cat.class_of[4]
+    aut, transports = cat.classes[c]
+    assert len(aut) == 6
+    for drop in (((0, 1), (1, 1)), modp.identity_matrix(2)):
+        classes = list(cat.classes)
+        classes[c] = (tuple(a for a in aut if a != drop), transports)
+        broken = ChromCategory(cat.group, 2, 1, "level", cat.objects, classes, cat.above)
+        with pytest.raises(AssertionError):
+            skeleton(broken)
+
+
+def test_stretch_group_levels_one_to_three():
+    # F_3^3 x| H at p = 3: A^(1) > A^(2) > A^(3) = Quillen in morphisms, and
+    # each one-member rank-3 class (a normal subgroup) has |Aut_2| = 144 and
+    # |Aut_3| = 72
+    fusion = Fusion(stretch_group("f33h"), 3)
+    cats = {n: fusion.category(n) for n in (1, 2, 3)}
+    assert {n: cat.morphism_count() for n, cat in cats.items()} == {
+        1: 107_476, 2: 99_268, 3: 99_124,
+    }
+    for n, order in ((2, 144), (3, 72)):
+        lone = [
+            len(aut) for aut, ts in cats[n].classes
+            if len(ts) == 1 and cats[n].objects[min(ts)].rank == 3
+        ]
+        assert lone == [order, order], n

@@ -130,6 +130,17 @@ def test_witness_library_must_be_a_directory(capsys, tmp_path):
     assert json.loads(out)["checked"] == []
 
 
+def test_witness_library_names_a_malformed_group_file(capsys, tmp_path):
+    # a document that parses but names no group fails the scan with its path
+    good = {"name": "A4", "degree": 3, "generators": [[1, 2, 0]]}
+    (tmp_path / "a4.json").write_text(json.dumps(good))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"name": "Bad", "degree": 3, "generators": [[0, 1]]}))
+    code, out, err = run_cli(capsys, "witness", "--library", str(tmp_path))
+    assert code == 2 and out == ""
+    assert str(bad) in err and "generator (0, 1) is not a bijection on 0..2" in err
+
+
 def test_a4_demo_exit_zero(capsys):
     code, out, _ = run_cli(capsys, "a4-demo")
     assert code == 0
