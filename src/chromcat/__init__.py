@@ -80,7 +80,6 @@ from .subrings import (
     UnsupportedGroupError,
     build_CR,
     restriction,
-    sylow_elem_abelian,
     weyl_action,
 )
 

@@ -30,6 +30,7 @@ from .colimits import (
 )
 from .demo import DemoFailure, a4_demo
 from .elemab import enumerate_elem_abelians, p_rank
+from .fgl import is_prime
 from .groups import DEFAULT_ORDER_CAP, GroupError
 from .library import (
     builtin_names,
@@ -38,12 +39,7 @@ from .library import (
     load_group_file,
 )
 from .polyfp import invariant_bases, parse_poly
-from .subrings import (
-    SubringPresentation,
-    sylow_among,
-    sylow_elem_abelian,
-    weyl_action,
-)
+from .subrings import SubringPresentation, sylow_among, weyl_action
 
 class UsageError(ValueError):
     pass
@@ -188,9 +184,12 @@ def _parse_prime(value):
         raise argparse.ArgumentTypeError(
             "%s exceeds the group order cap %d" % (value, DEFAULT_ORDER_CAP)
         )
-    if _prime_divisors(p) != [p]:
+    if not is_prime(p):
         raise argparse.ArgumentTypeError("%s is not a prime" % value)
     return p
+
+
+_parse_prime.__name__ = "prime"
 
 
 def _at_least(k, what):
@@ -211,18 +210,7 @@ def _parse_level(value):
     return None if value == "inf" else _at_least(0, "level")(value)
 
 
-def _prime_divisors(n):
-    """The primes dividing n, by trial division."""
-    primes, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            primes.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        primes.append(n)
-    return primes
+_parse_level.__name__ = "level"
 
 
 # -- commands -------------------------------------------------------------------
@@ -237,7 +225,10 @@ def cmd_group_info(args):
         "exponent": group.exponent(),
         "center_order": len(group.center()),
         "conjugacy_classes": group.conjugacy_class_count(),
-        "p_ranks": {str(p): p_rank(group, p) for p in _prime_divisors(group.order)},
+        "p_ranks": {
+            str(p): p_rank(group, p)
+            for p in range(2, group.order + 1) if group.order % p == 0 and is_prime(p)
+        },
     }
     _emit_json(args, info)
     return 0
@@ -329,14 +320,13 @@ def _read_generators(path, rank):
 def cmd_cr(args):
     group = _load_group(args)
     fusion = Fusion(group, 2)
-    sylow = sylow_among(fusion.objects)
-    weyl = weyl_action(group, sylow)
+    rank = sylow_among(fusion.objects).rank
     if args.generators:
-        gens, name = _read_generators(args.generators, sylow.rank)
+        gens, name = _read_generators(args.generators, rank)
     else:
         gens, name = [], "unit"
     try:
-        presentation = SubringPresentation(sylow, weyl, gens, name=name)
+        presentation = SubringPresentation(fusion, gens, name=name)
     except ValueError as exc:  # an inhomogeneous or non-invariant generator
         raise UsageError(str(exc)) from exc
     cat = fusion.subring(presentation)
@@ -358,13 +348,12 @@ def cmd_cr(args):
 
 def cmd_invariants(args):
     group = _load_group(args)
-    sylow = sylow_elem_abelian(group, args.p)
-    weyl = weyl_action(group, sylow)
+    weyl = weyl_action(Fusion(group, args.p))
     bases = invariant_bases(weyl, range(0, args.max_degree + 1))
     payload = {
         "group": group.name,
         "p": args.p,
-        "sylow_rank": sylow.rank,
+        "sylow_rank": weyl.nvars,
         "weyl_order": weyl.order(),
         "invariants": {
             str(d): [f.render() for f in basis] for d, basis in bases.items()

@@ -11,7 +11,7 @@ separate level 1 from the top level.
 
 from __future__ import annotations
 
-from .categories import quillen_category
+from .categories import Fusion, quillen_category
 from .colimits import colim_points, filtration_tower
 from .fgl import honda_fgl
 from .hopf import (
@@ -23,7 +23,7 @@ from .hopf import (
 )
 from .library import load_builtin
 from .polyfp import invariant_basis, parse_poly, subring_membership
-from .subrings import sylow_elem_abelian, weyl_action
+from .subrings import weyl_action
 
 
 class DemoFailure(AssertionError):
@@ -84,8 +84,7 @@ def a4_demo(degree: int = 8) -> dict:
 
     # Invariant theory: eta and eta^2 avoid the Chern subring generators.
     a4 = load_builtin("a4")
-    sylow = sylow_elem_abelian(a4, 2)
-    weyl = weyl_action(a4, sylow)
+    weyl = weyl_action(Fusion(a4, 2))
     d1 = parse_poly("x^2 + x*y + y^2", 2, 2)
     d0 = parse_poly("x^2*y + x*y^2", 2, 2)
     eta = parse_poly("x^3 + x^2*y + y^3", 2, 2)

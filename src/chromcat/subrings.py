@@ -11,6 +11,11 @@ The condition is checked exactly, not modulo the nilradical: the two versions
 agree for subrings closed under the Steenrod algebra, Steenrod operations are
 out of scope here, and the shipped generator sets are meant exactly.
 
+P, its Weyl group and the embeddings into P are all read off one ``Fusion``
+and its conjugation scan; nothing here walks G.  P is the least object of
+top rank, so it leads its G-class, whose stored Aut is Aut_G(P) and whose
+transports t_P' carry P onto every other Sylow subgroup P'.
+
 Scope guard: every elementary abelian subgroup must be conjugate into P, and
 p must be 2 (odd primes would need the exterior part of the cohomology).
 Violations raise UnsupportedGroupError rather than returning silently wrong
@@ -22,12 +27,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import modp
-from .categories import ChromCategory, Fusion
-from .elemab import (
-    ElemAbelian,
-    conjugation_matrix,
-    enumerate_elem_abelians,
-)
+from .categories import ChromCategory, Fusion, _generators
+from .elemab import ElemAbelian, conjugation_matrix
 from .groups import FiniteGroup, GroupError
 from .polyfp import LinearAction, PolyFp
 
@@ -36,14 +37,10 @@ class UnsupportedGroupError(GroupError):
     """The group falls outside the elementary-abelian-Sylow, p=2 scope."""
 
 
-def sylow_elem_abelian(group: FiniteGroup, p: int = 2) -> ElemAbelian:
-    """The first maximal elementary abelian subgroup that is a full Sylow
-    p-subgroup; raises if the Sylow p-subgroup is not elementary abelian."""
-    return sylow_among(enumerate_elem_abelians(group, p))
-
-
 def sylow_among(objects: Sequence[ElemAbelian]) -> ElemAbelian:
-    """``sylow_elem_abelian`` read off all elementary abelians, by rank."""
+    """The first elementary abelian subgroup, of all of them listed by rank,
+    that is a full Sylow p-subgroup; raises if the Sylow p-subgroup is not
+    elementary abelian."""
     group, p = objects[0].group, objects[0].p
     part = 1
     while group.order % (part * p) == 0:
@@ -56,43 +53,42 @@ def sylow_among(objects: Sequence[ElemAbelian]) -> ElemAbelian:
     )
 
 
-def weyl_action(group: FiniteGroup, sylow: ElemAbelian) -> LinearAction:
+def _sylow_class(fusion: Fusion) -> tuple:
+    """(Aut_G(P), {P': t_P'}): the scanned G-class that P leads."""
+    lead = fusion.objects.index(sylow_among(fusion.objects))
+    return next(c for c in fusion.scan.classes if lead in c[1])
+
+
+def weyl_action(fusion: Fusion) -> LinearAction:
     """Action of N_G(P)/C_G(P) on the polynomial generators of H^*(BP).
 
-    Conjugation by n acts on P with matrix A; the induced left action on
-    degree-one cohomology is the inverse transpose of A.
+    Conjugation acts on P by the matrices a of Aut_G(P); the induced left
+    action on degree-one cohomology is a -> (a^-1)^T, a homomorphism, so the
+    images of Aut's greedy generators generate it (the identity when the
+    Weyl group is trivial).
     """
-    mats = set()
-    for g in group.elements():
-        a = conjugation_matrix(sylow, sylow, g)
-        if a is not None:
-            mats.add(modp.transpose(modp.mat_inverse(a, sylow.p)))
-    return LinearAction(sylow.p, sorted(mats))
+    p, (aut, _) = fusion.p, _sylow_class(fusion)
+    gens = [modp.transpose(modp.mat_inverse(a, p)) for a in _generators(aut, p)]
+    return LinearAction(p, gens or [modp.identity_matrix(len(aut[0]))])
 
 
 class SubringPresentation:
-    """Generators of a subring of H^*(BG), presented on the Sylow variables."""
+    """Generators of a subring of H^*(BG), presented on the Sylow variables
+    of the Fusion that holds G's objects and conjugation scan."""
 
-    def __init__(
-        self,
-        sylow: ElemAbelian,
-        weyl: LinearAction,
-        generators: Sequence[PolyFp],
-        name: str = "R",
-    ):
-        if sylow.p != 2:
+    def __init__(self, fusion: Fusion, generators: Sequence[PolyFp], name: str = "R"):
+        if fusion.p != 2:
             raise UnsupportedGroupError("subring categories are implemented for p = 2 only")
-        self.sylow = sylow
-        self.weyl = weyl
+        self.fusion, self.p, self.name = fusion, fusion.p, name
+        self.sylow = sylow_among(fusion.objects)
+        self.weyl = weyl_action(fusion)
         self.generators = tuple(generators)
-        self.name = name
-        self.p = sylow.p
         for g in self.generators:
-            if g.nvars != sylow.rank or g.p != self.p:
+            if g.nvars != self.sylow.rank or g.p != self.p:
                 raise ValueError("generator does not live on the Sylow variables")
             if not g.is_homogeneous():
                 raise ValueError("generators must be homogeneous")
-            for m in weyl.generators:
+            for m in self.weyl.generators:
                 if g.substitute_linear(m) != g:
                     raise ValueError(
                         "generator %s is not Weyl-invariant" % g.render()
@@ -100,20 +96,22 @@ class SubringPresentation:
 
     @classmethod
     def for_group(cls, group: FiniteGroup, generators: Sequence[PolyFp], name="R"):
-        sylow = sylow_elem_abelian(group, 2)
-        return cls(sylow, weyl_action(group, sylow), generators, name=name)
+        return cls(Fusion(group, 2), generators, name=name)
 
     def restrictions(self, v: ElemAbelian) -> tuple:
-        """Res_V of every generator, along the embedding x -> gxg^-1 of V
-        into P for the least g with gVg^-1 <= P.
+        """Res_V of every generator, along t_P'^-1 incl(V <= P'): V lies in
+        the first Sylow subgroup P' above it, which the scanned t_P' carries
+        P onto, so this is a conjugation embedding of V into P.
 
         Any embedding gives the same restrictions: P is abelian, so by
         Burnside's fusion theorem two embeddings differ by an element of
         N_G(P), and the generators are Weyl-invariant.
         """
-        for g in v.group.elements():
-            emb = conjugation_matrix(v, self.sylow, g)
-            if emb is not None:
+        fusion, p, transports = self.fusion, self.p, _sylow_class(self.fusion)[1]
+        for j in fusion.above[fusion.objects.index(v)]:
+            if j in transports:
+                back = modp.mat_inverse(transports[j], p)
+                emb = modp.mat_mul(back, conjugation_matrix(v, fusion.objects[j], 0), p)
                 return tuple(f.substitute_linear(modp.transpose(emb)) for f in self.generators)
         raise UnsupportedGroupError(
             "object of rank %d is not conjugate into the Sylow subgroup" % v.rank
@@ -131,7 +129,8 @@ def restriction(sylow: ElemAbelian, sub: ElemAbelian, f: PolyFp) -> PolyFp:
 
 def build_CR(group: FiniteGroup, presentation: SubringPresentation) -> ChromCategory:
     """The category C_R: objects all elementary abelians, morphisms the
-    injective f with f^* Res_V = Res_W on every generator.
+    injective f with f^* Res_V = Res_W on every generator, built on the
+    presentation's Fusion, so G's objects and scan are made once.
 
     Fusion in the abelian P is controlled by N_G(P) and the generators are
     Weyl-invariant, so every conjugation embedding into P gives the same
@@ -139,5 +138,6 @@ def build_CR(group: FiniteGroup, presentation: SubringPresentation) -> ChromCate
     contains the Quillen category.  ``Fusion.subring`` joins its classes,
     matching the restriction keys of each class's least member only.
     """
-    return Fusion(group, presentation.p).subring(presentation)
-
+    if group is not presentation.fusion.group:
+        raise GroupError("the presentation is on another group's Sylow subgroup")
+    return presentation.fusion.subring(presentation)

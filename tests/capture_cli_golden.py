@@ -26,7 +26,8 @@ s6 at p = 2, whose A^(1) joins G-classes of Klein fours, so their
 connecting maps cross a level join, and ``category -n 1`` for a6 at p = 3,
 where A^(1) and the Quillen category differ.  Three test-only groups of
 ``tests/golden/groups/``, not bundled, keep ``stab``: AGL(3,2), order
-1344, AGL(1,16), order 240 and 2-rank 4, and F_3^3 : H, order 1944, which
+1344, AGL(1,16), order 240 and 2-rank 4, which also keeps ``invariants
+--max-degree 15`` of its Weyl group C_15, and F_3^3 : H, order 1944, which
 also keeps ``category -n 2`` at p = 3.  F_3^3 : H is the one group known
 here with A^(2) != A^(3); the level searches of it and of AGL(3,2) read
 many objects that lead no G-class, and AGL(1,16) has Aut_1 = GL_4(2).  The DOT
@@ -49,11 +50,12 @@ from pathlib import Path
 from chromcat import (
     UnsupportedGroupError,
     builtin_names,
+    enumerate_elem_abelians,
     load_builtin,
     p_rank,
-    sylow_elem_abelian,
 )
 from chromcat.cli import main
+from chromcat.subrings import sylow_among
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "cli"
 GENERATOR_DIR = Path(__file__).parent / "golden" / "generators"
@@ -140,6 +142,10 @@ def cases():
     stretch = {name: str(GROUP_DIR / (name + ".json")) for name in ("agl32", "agl116", "f33h")}
     out.append(("agl32-p2-stab", ["stab", "-g", stretch["agl32"], "-p", "2"]))
     out.append(("agl116-p2-stab", ["stab", "-g", stretch["agl116"], "-p", "2"]))
+    out.append((
+        "agl116-p2-invariants-d15",
+        ["invariants", "-g", stretch["agl116"], "-p", "2", "--max-degree", "15"],
+    ))
     out.append(("f33h-p3-stab", ["stab", "-g", stretch["f33h"], "-p", "3"]))
     out.append((
         "f33h-p3-category-n2",
@@ -157,7 +163,7 @@ def cases():
             continue
         for p in _primes_dividing(group.order):
             try:
-                sylow_elem_abelian(group, p)
+                sylow_among(enumerate_elem_abelians(group, p))
             except UnsupportedGroupError:
                 continue
             out.append(_invariants_case(name, p, 8))

@@ -33,8 +33,9 @@ objects and scan all of G for every pair, where the library composes
 isomorphisms onto the image with inclusions; ``all_pairs_CR`` tests the
 restriction equation on each such map, restricting along a chosen one of
 the embeddings that ``embeddings_into`` lists, where the library restricts
-along the least-g embedding and searches the isomorphisms between G-class
-leads column by column.  ``with_inclusions``
+along the scan's transport of P onto the first Sylow subgroup above the
+object and searches the isomorphisms between G-class leads column by
+column.  ``with_inclusions``
 multiplies every such composite out into a morphism, where the library
 composes a hom-set only when asked for it, and ``inverse_iso_classes``
 joins two objects when some morphism has its inverse matrix among the
@@ -1057,16 +1058,17 @@ def whole_row_kernel_basis(m, p, ncols):
     return basis
 
 
-def substitute_invariant_basis(action, d):
+def substitute_invariant_basis(action, d, matrices=None):
     """The degree-d invariant basis from a fresh substitution per monomial
-    and one coefficient lookup per (sigma - id) entry."""
+    and one coefficient lookup per (sigma - id) entry, sigma running over
+    ``matrices``, the action's generators by default."""
     p, n = action.p, action.nvars
     mons = sorted(
         (e for e in itertools.product(range(d + 1), repeat=n) if sum(e) == d),
         key=lambda e: tuple(-x for x in e),
     )
     rows = []
-    for g in action.generators:
+    for g in action.generators if matrices is None else matrices:
         images = [PolyFp.monomial(p, n, m).substitute_linear(g) for m in mons]
         for e in mons:
             rows.append(tuple(

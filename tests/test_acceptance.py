@@ -14,6 +14,7 @@ import time
 
 import conftest
 from chromcat import (
+    Fusion,
     HopfExpr,
     PolyFp,
     build_CR,
@@ -32,7 +33,7 @@ from chromcat import (
     verify_kn_injectivity,
 )
 from chromcat.demo import a4_demo
-from chromcat.subrings import SubringPresentation, sylow_elem_abelian, weyl_action
+from chromcat.subrings import SubringPresentation, weyl_action
 from oracles import colim_size_naive
 from test_properties import run_full_battery
 
@@ -96,7 +97,7 @@ def test_criterion_3_tower_point_counts():
 def test_criterion_4_invariant_theory():
     def body():
         a4 = load_builtin("a4")
-        weyl = weyl_action(a4, sylow_elem_abelian(a4, 2))
+        weyl = weyl_action(Fusion(a4, 2))
         d1 = parse_poly("x^2 + x*y + y^2", 2, 2)
         d0 = parse_poly("x^2*y + x*y^2", 2, 2)
         eta = parse_poly("x^3 + x^2*y + y^3", 2, 2)

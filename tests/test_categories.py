@@ -17,6 +17,7 @@ from chromcat import (
     is_level_n_morphism,
     modp,
     p_rank,
+    parse_poly,
     skeleton,
     witness_scan,
 )
@@ -399,25 +400,74 @@ def test_cli_cr_scans_once(fusions, capsys):
     assert _scans(fusions) == {("A5", 2): 1}
 
 
-def test_cli_cr_enumerates_elementary_abelians_once(monkeypatch, capsys):
-    # the Sylow subgroup is read off the Fusion's objects, so the request
-    # enumerates the elementary abelian subgroups once; every chromcat
-    # module that imported the enumeration sees the counting wrapper
-    real = elemab.enumerate_elem_abelians
+def _wrap_everywhere(monkeypatch, module, name, wrapper):
+    """Replace ``module.name`` by wrapper(real) in every chromcat module that
+    imported it."""
+    real = getattr(module, name)
+    wrapped = wrapper(real)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "chromcat" and getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, wrapped)
+
+
+def _counting_enumerations(monkeypatch):
+    """The (group name, p) of every elementary abelian enumeration."""
     calls = []
 
-    def counting(group, p):
-        calls.append((group.name, p))
-        return real(group, p)
+    def wrapper(real):
+        def counting(group, p):
+            calls.append((group.name, p))
+            return real(group, p)
+        return counting
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "chromcat" and getattr(
-            module, "enumerate_elem_abelians", None
-        ) is real:
-            monkeypatch.setattr(module, "enumerate_elem_abelians", counting)
+    _wrap_everywhere(monkeypatch, elemab, "enumerate_elem_abelians", wrapper)
+    return calls
+
+
+def test_cli_cr_enumerates_elementary_abelians_once(monkeypatch, capsys):
+    # the Sylow subgroup is read off the Fusion's objects, so the request
+    # enumerates the elementary abelian subgroups once
+    calls = _counting_enumerations(monkeypatch)
     assert main(["cr", "-g", "a5", "--generators", str(GENERATORS / "chern.json")]) == 0
     assert capsys.readouterr().err == ""
     assert calls == [("A5", 2)]
+
+
+def test_subring_requests_conjugate_by_g_only_in_the_scan(monkeypatch, capsys, fusions):
+    # P, the Weyl group and the embeddings into P are read off the scan, so
+    # no other conjugation_matrix call is by an element g != 0 of G
+    callers = {}
+
+    def wrapper(real):
+        def counting(sub, target, g):
+            if g != 0:
+                caller = sys._getframe(1).f_code.co_name
+                callers[caller] = callers.get(caller, 0) + 1
+            return real(sub, target, g)
+        return counting
+
+    _wrap_everywhere(monkeypatch, elemab, "conjugation_matrix", wrapper)
+    for argv in (
+        ["cr", "-g", "a5", "--generators", str(GENERATORS / "full.json")],
+        ["invariants", "-g", "a5", "-p", "2"],
+        ["invariants", "-g", "s6", "-p", "3"],
+    ):
+        assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert list(callers) == ["_conjugation_scan"]
+    assert _scans(fusions) == {("A5", 2): 2, ("S6", 3): 1}
+
+
+def test_build_cr_makes_one_fusion_and_one_scan(monkeypatch, fusions):
+    # the presentation holds the Fusion that build_CR builds on
+    calls = _counting_enumerations(monkeypatch)
+    a5 = group("a5")
+    gens = [parse_poly(s, 2, 2) for s in ("x^2 + x*y + y^2", "x^2*y + x*y^2")]
+    cat = subrings.build_CR(a5, SubringPresentation.for_group(a5, gens))
+    assert cat.kind == "subring"
+    assert calls == [("A5", 2)]
+    assert len(fusions) == 1
+    assert _scans(fusions) == {("A5", 2): 1}
 
 
 @pytest.mark.parametrize("name", SMALL_LIBRARY)

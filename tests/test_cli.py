@@ -207,6 +207,20 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
     assert report(argv) == golden
 
 
+def test_usage_errors_name_the_prime_and_level_parsers(capsys):
+    # argparse prints a type's __name__; the parsers are named for what
+    # they read, never by the private function behind them
+    for argv, message in (
+        (("category", "-g", "a4", "-p", "x"), "argument -p: invalid prime value: 'x'"),
+        (("category", "-g", "a4", "-n", "1.5"), "argument -n: invalid level value: '1.5'"),
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(list(argv))
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "_parse" not in err
+
+
 def test_input_errors_exit_two(capsys, tmp_path, monkeypatch):
     code, _, err = run_cli(capsys, "group-info", "--group", "definitely-not-a-group")
     assert code == 2

@@ -44,10 +44,9 @@ from chromcat import (
     p_rank,
     parse_poly,
     quillen_category,
-    sylow_elem_abelian,
 )
 from chromcat.categories import iso_classes
-from chromcat.subrings import SubringPresentation
+from chromcat.subrings import SubringPresentation, sylow_among
 from conftest import (
     LEVEL_JOIN_GENERATORS,
     ORACLE_LIBRARY,
@@ -476,8 +475,9 @@ def test_factorized_subring_categories_match_all_pairs_oracle(name):
 
 @pytest.mark.parametrize("name", ELEMENTARY_ABELIAN_SYLOW_2)
 def test_restrictions_agree_along_every_embedding(name):
-    # the library restricts along the least-g embedding into P; every other
-    # conjugation embedding must give the same restrictions
+    # the library restricts along the scan's transport of P onto the first
+    # Sylow subgroup above V; every other conjugation embedding must give the
+    # same restrictions
     g = group(name)
     gens = [f for b in _invariant_bases(g) for f in b]
     presentation = SubringPresentation.for_group(g, gens)
@@ -493,7 +493,7 @@ def test_restrictions_agree_along_every_embedding(name):
 @given(small_permutation_groups())
 def test_subring_categories_match_all_pairs_oracle_on_random_groups(g):
     try:
-        sylow_elem_abelian(g, 2)
+        sylow_among(enumerate_elem_abelians(g, 2))
     except UnsupportedGroupError:
         return  # C_R needs an elementary abelian Sylow 2-subgroup
     _check_subrings_against_all_pairs(g)

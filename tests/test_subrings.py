@@ -9,13 +9,19 @@ from chromcat import (
     UnsupportedGroupError,
     build_CR,
     build_category,
+    builtin_names,
+    enumerate_elem_abelians,
+    group_from_permutations,
     invariant_bases,
+    modp,
     parse_poly,
     quillen_category,
     restriction,
-    sylow_elem_abelian,
     weyl_action,
 )
+from chromcat.groups import GroupError
+from chromcat.subrings import sylow_among
+from capture_cli_golden import _primes_dividing
 from conftest import category, group, stretch_group
 from oracles import (
     all_pairs_CR,
@@ -34,20 +40,71 @@ def a4_presentation(gens, name="R"):
     return SubringPresentation.for_group(group("a4"), gens, name=name)
 
 
+def sylow_of(g):
+    """The elementary abelian Sylow 2-subgroup P that C_R is presented on."""
+    return sylow_among(Fusion(g, 2).objects)
+
+
 def test_sylow_and_weyl():
-    sylow = sylow_elem_abelian(group("a4"), 2)
-    assert sylow.rank == 2
-    weyl = weyl_action(group("a4"), sylow)
+    fusion = Fusion(group("a4"), 2)
+    assert sylow_among(fusion.objects).rank == 2
+    weyl = weyl_action(fusion)
     assert weyl.order() == 3
     # the order-3 action is the unique C_3 in GL_2(F_2)
     assert ((0, 1), (1, 1)) in weyl.elements
 
 
+def _elementary_abelian_sylows():
+    """(label, Fusion) for every bundled and test-only group and every prime
+    dividing its order where the Sylow subgroup is elementary abelian."""
+    named = [(name, group(name)) for name in builtin_names()]
+    named += [(name, stretch_group(name)) for name in ("agl32", "agl116", "f33h")]
+    for name, g in named:
+        for p in _primes_dividing(g.order):
+            try:
+                sylow_among(enumerate_elem_abelians(g, p))
+            except UnsupportedGroupError:
+                continue
+            yield "%s-p%d" % (name, p), Fusion(g, p)
+
+
+def test_weyl_action_lists_the_walk_of_g():
+    # W is generated from Aut_G(P) as the scan stores it; walking all of G
+    # for the g with gPg^-1 = P lists the same group
+    seen = []
+    for label, fusion in _elementary_abelian_sylows():
+        seen.append(label)
+        sylow, p = sylow_among(fusion.objects), fusion.p
+        walk = embeddings_into(fusion.group, sylow, sylow)
+        inverse_transposes = {modp.transpose(modp.mat_inverse(a, p)) for a in walk}
+        assert set(weyl_action(fusion).elements) == inverse_transposes, label
+    assert len(seen) == 26 and "agl116-p2" in seen and "s6-p3" in seen
+
+
+def test_weyl_groups_are_held_by_generators():
+    # greedy generators of Aut_G(P), never the listed group; the identity
+    # when W is trivial, as for the rank-0 P of C_3 at p = 2
+    pins = {
+        "a4": (2, 1, 3), "a5": (2, 1, 3), "agl116": (2, 1, 15), "s6": (3, 2, 8), "c3": (2, 1, 1),
+    }
+    for name, (p, gens, order) in pins.items():
+        g = stretch_group(name) if name == "agl116" else group(name)
+        weyl = weyl_action(Fusion(g, p))
+        assert (len(weyl.generators), weyl.order()) == (gens, order), name
+    assert weyl_action(Fusion(group("c3"), 2)).generators == ((),)
+
+
 def test_sylow_not_elementary_abelian_rejected():
-    with pytest.raises(UnsupportedGroupError):
-        sylow_elem_abelian(group("d8"), 2)
-    with pytest.raises(UnsupportedGroupError):
-        sylow_elem_abelian(group("q8"), 2)
+    for name in ("d8", "q8"):
+        with pytest.raises(UnsupportedGroupError):
+            sylow_of(group(name))
+        with pytest.raises(UnsupportedGroupError):
+            SubringPresentation.for_group(group(name), [])
+
+
+def test_build_cr_refuses_a_presentation_on_another_group():
+    with pytest.raises(GroupError):
+        build_CR(group("a5"), a4_presentation([D1]))
 
 
 def test_generators_must_be_invariant():
@@ -57,7 +114,7 @@ def test_generators_must_be_invariant():
 
 def test_restriction_values():
     a4 = group("a4")
-    sylow = sylow_elem_abelian(a4, 2)
+    sylow = sylow_of(a4)
     cat = category("a4", 2, None)
     w1 = cat.objects[1]
     assert sylow.coordinates(w1.basis[0]) == (1, 0)
@@ -136,7 +193,7 @@ def test_cr_restricts_the_least_member_of_each_quillen_class(monkeypatch):
 def test_cr_embedding_choice_independent():
     a4 = group("a4")
     # every rank-1 object has several conjugation embeddings into the Sylow
-    sylow = sylow_elem_abelian(a4, 2)
+    sylow = sylow_of(a4)
     w1 = category("a4", 2, None).objects[1]
     assert len(embeddings_into(a4, w1, sylow)) > 1
     # C_R restricts along one embedding per object; the oracle, restricting
@@ -191,6 +248,46 @@ def _invariant_presentation(g, top):
     return SubringPresentation.for_group(g, gens)
 
 
+def _psl_2_8():
+    """PSL(2,8) on the projective line F_8 and oo = 8: x -> x + 1, x -> a x
+    and x -> 1/x, F_8 = F_2[a]/(a^3 + a + 1) as bitmasks; order 504."""
+
+    def times(u, v):
+        out = 0
+        for i in range(3):
+            if v >> i & 1:
+                out ^= u << i
+        for i in (4, 3):
+            if out >> i & 1:
+                out ^= 0b1011 << (i - 3)
+        return out
+
+    inverse = {u: next(v for v in range(1, 8) if times(u, v) == 1) for u in range(1, 8)}
+    return group_from_permutations(9, [
+        [v ^ 1 for v in range(8)] + [8],
+        [times(2, v) for v in range(8)] + [8],
+        [8] + [inverse[v] for v in range(1, 8)] + [0],
+    ], "PSL(2,8)")
+
+
+def test_restrictions_follow_transports_that_are_not_involutions():
+    # PSL(2,8) has nine Sylow 2-subgroups, each of rank 3, and W = C_7; the
+    # scan carries P onto five of them by matrices that are not their own
+    # inverses, so restricting along t_P' in place of t_P'^-1 shows
+    g = _psl_2_8()
+    presentation = _invariant_presentation(g, 4)
+    assert (g.order, presentation.weyl.order(), len(presentation.generators)) == (504, 7, 4)
+    fusion = presentation.fusion
+    lead = fusion.objects.index(presentation.sylow)
+    transports = next(ts for _, ts in fusion.scan.classes if lead in ts).values()
+    assert len(transports) == 9
+    assert sum(modp.mat_inverse(t, 2) != t for t in transports) == 5
+    for v in fusion.objects:
+        for emb in embeddings_into(g, v, presentation.sylow):
+            along = tuple(f.substitute_linear(modp.transpose(emb)) for f in presentation.generators)
+            assert presentation.restrictions(v) == along, (v.rank, emb)
+
+
 def test_cr_matches_class_lead_oracle_on_e8():
     # the 34 monomials of degrees 1..4 in three variables: every class's Aut
     # is GL_rank filtered by the full pullback, each transport pulls Res
@@ -222,7 +319,7 @@ def test_cr_on_agl116_is_level_two():
 
 def test_distinguishing_generator():
     a4 = group("a4")
-    sylow = sylow_elem_abelian(a4, 2)
+    sylow = sylow_of(a4)
     swap = LinearMorphism(sylow, sylow, ((0, 1), (1, 0)))
     hit = distinguishing_generator(a4_presentation([D1, D0, ETA]), swap)
     assert hit == ETA  # sigma(eta) = eta + D0
@@ -234,11 +331,10 @@ def test_distinguishing_generator():
 def test_k4_subring_categories():
     # elementary abelian group: Sylow is the whole group, Weyl is trivial
     k4 = group("k4")
-    sylow = sylow_elem_abelian(k4, 2)
-    assert sylow.rank == 2
-    weyl = weyl_action(k4, sylow)
-    assert weyl.order() == 1
+    fusion = Fusion(k4, 2)
+    assert sylow_among(fusion.objects).rank == 2
+    assert weyl_action(fusion).order() == 1
     x2 = parse_poly("x^2", 2, 2)
-    cr = build_CR(k4, SubringPresentation(sylow, weyl, [x2]))
+    cr = build_CR(k4, SubringPresentation(fusion, [x2]))
     # x^2 separates: only maps preserving the first coordinate survive
     assert not cr.equals(build_category(k4, 2, 0))
