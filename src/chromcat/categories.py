@@ -39,10 +39,9 @@ form a key of its orbit.  When rank W <= n the only such S is W itself, so
 Iso_n(W, U) = Iso_Q(W, U) and the scan's class is kept, with no column
 searched; from the p-rank on, A^(n) is the Quillen category.  Level 0 keeps
 every invertible matrix.  Otherwise f's column j is a conjugate in U of W's
-j-th basis element, and the column search that C_R shares fills the columns
-in one at a time, skipping one in the span of those before, and tests each
-S once the columns that tau_S reads are chosen, so a failing prefix cuts
-every matrix below it; no morphism object is made for a rejected prefix.
+j-th basis element, and ``modp.full_rank_matrices``, the column walk that
+also lists GL_r and serves C_R, tests each S once the columns that tau_S
+reads are chosen, so a failing prefix cuts every matrix below it.
 ``is_level_n_morphism`` tests the same reduction with a conjugacy search per
 subgroup and returns a certificate of witnesses; the builder does not call
 it, and the tests compare the builder with it.  The all-tuples brute force
@@ -53,19 +52,20 @@ one block incl_k t_k Aut(R) per member U_k <= V, the morphisms with image
 U_k.  Right multiplication by Aut(R) runs through a block and a left a in
 Aut(V) carries the block of U_k to that of a(U_k), so the Aut(V) x Aut(R)
 orbits are counted by the distinct least blocks of the left orbits, which
-are walked with Aut(V)'s generators.
+are walked with Aut(V)'s greedy generators from ``groups``.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 from . import modp
 from .elemab import LinearMorphism, conjugation_matrix, enumerate_elem_abelians
-from .groups import DEFAULT_ORDER_CAP, FiniteGroup, GroupError, closure
+from .groups import (
+    DEFAULT_ORDER_CAP, FiniteGroup, GroupError, closure, commute, greedy_generators, group_exponent,
+)
 
 Level = Optional[int]  # int >= 0, or None for Quillen
 
@@ -306,7 +306,7 @@ class Fusion:
             def keep(cols):
                 return tuple(f.substitute_linear(cols) for f in res[k]) == want[len(cols)]
 
-            nonzero = modp.VectorSpace(p, rank).digits[1:]
+            nonzero = list(itertools.product(range(p), repeat=rank))[1:]
             return self._search([nonzero] * rank, keep, "subring_pullbacks")
 
         return self._category(None, "subring", self._joined_classes(isos))
@@ -327,13 +327,14 @@ class Fusion:
         if n >= self.rank:
             return self.scan.classes
         if n == 0:
-            by_rank = {}
+            by_rank = {}  # rank r -> (GL_r, identity transports)
             for k, u in enumerate(self.objects):
-                by_rank.setdefault(u.rank, {})[k] = modp.identity_matrix(u.rank)
-            return [
-                (tuple(sorted(modp.enumerate_injective_matrices(r, r, self.p))), transports)
-                for r, transports in by_rank.items()
-            ]
+                if u.rank not in by_rank:
+                    vectors = list(itertools.product(range(self.p), repeat=u.rank))
+                    gl = modp.full_rank_matrices(u.rank, [vectors] * u.rank, self.p)
+                    by_rank[u.rank] = (tuple(sorted(gl)), {})
+                by_rank[u.rank][1][k] = modp.identity_matrix(u.rank)
+            return list(by_rank.values())
         p, objects, (classes, orbits, tau) = self.p, self.objects, self.scan
         quillen = {min(transports): aut for aut, transports in classes}
 
@@ -384,30 +385,16 @@ class Fusion:
         return classes
 
     def _search(self, choices, keep, tested, kept=None):
-        """The invertible square matrices with column j drawn from choices[j]
-        whose every column prefix passes keep, lazily and depth-first.  A
-        column in the span of the earlier ones is skipped; stats[tested]
-        counts the prefixes tested and stats[kept] the matrices found."""
-        p, depth = self.p, len(choices)
+        """``modp.full_rank_matrices`` over these choices and keep, counting
+        prefixes tested in stats[tested] and matrices found in stats[kept]."""
+        def counted(cols):
+            self.stats[tested] += 1
+            passed = keep(cols)
+            if passed and kept and len(cols) == len(choices):
+                self.stats[kept] += 1
+            return passed
 
-        def extend(cols, span):
-            if len(cols) == depth:
-                if kept:
-                    self.stats[kept] += 1
-                yield tuple(zip(*cols))
-                return
-            for c in choices[len(cols)]:
-                if c in span:
-                    continue
-                self.stats[tested] += 1
-                prefix = cols + (c,)
-                if keep(prefix):
-                    wider = span if len(prefix) == depth else {
-                        tuple((x + a * y) % p for x, y in zip(v, c)) for v in span for a in range(p)
-                    }
-                    yield from extend(prefix, wider)
-
-        return extend((), {(0,) * depth})
+        return modp.full_rank_matrices(len(choices), choices, self.p, counted)
 
 
 def quillen_category(group: FiniteGroup, p: int) -> ChromCategory:
@@ -525,15 +512,17 @@ def skeleton(cat: ChromCategory) -> SkeletonReport:
     if len(classes) > 1:
         classes = [c for c in classes if objects[c[0][0]].rank > 0]
     position = {members[0]: c for c, (members, _, _) in enumerate(classes)}
-    report, generators = SkeletonReport(), [_generators(aut, p) for _, aut, _ in classes]
-    for (members, aut, _), gens in zip(classes, generators):
-        commute = all(
-            modp.mat_mul(a, b, p) == modp.mat_mul(b, a, p)
-            for a, b in itertools.combinations(gens, 2)
-        )
-        rep = members[0]
+
+    def mul(a, b):
+        return modp.mat_mul(a, b, p)
+
+    report, generators = SkeletonReport(), []
+    for members, aut, _ in classes:
+        ident, rep = modp.identity_matrix(len(aut[0])), members[0]
+        generators.append(greedy_generators(aut, ident, mul))
         report.classes.append(ObjectClass(
-            objects[rep].rank, rep, tuple(members), len(aut), commute, _exponent(aut, p)
+            objects[rep].rank, rep, tuple(members), len(aut), commute(generators[-1], mul),
+            group_exponent(aut, ident, mul),
         ))
 
     for si, (members, aut, transports) in enumerate(classes):
@@ -550,51 +539,13 @@ def skeleton(cat: ChromCategory) -> SkeletonReport:
             orbits, least_blocks = [], set()
             for m in sorted(block_of):  # each left orbit from its least member
                 if m in block_of:
-                    orbit = closure(
-                        m, generators[ti], lambda x, a: modp.mat_mul(a, x, p), len(aut_t))
+                    orbit = closure(m, generators[ti], lambda x, a: mul(a, x), len(aut_t))
                     least_blocks.add(min(block_of.pop(x) for x in orbit))
                     orbits.append((len(orbit), len(aut_t) // len(orbit)))
             report.edges.append(SkeletonEdge(
                 si, ti, len(aut) * len(blocks[ti]), tuple(orbits), len(least_blocks)
             ))
     return report
-
-
-def _generators(aut: tuple, p: int) -> list:
-    """Generators picked greedily from the sorted Aut.  Their span H grows
-    Dimino-style: a new generator g adds the cosets H e, e running over g
-    and each coset representative times each generator, so each element is
-    made once.  Raises AssertionError if Aut is not a group."""
-    members, ident = set(aut), modp.identity_matrix(len(aut[0]))
-    span, gens = {ident}, []
-    for g in aut:
-        if g in span:
-            continue
-        gens.append(g)
-        subgroup, reps = tuple(span), []
-        for e in itertools.chain([g], (modp.mat_mul(r, s, p) for r in reps for s in gens)):
-            if e not in span:
-                coset = [modp.mat_mul(h, e, p) for h in subgroup]
-                if not members.issuperset(coset):
-                    raise AssertionError("Aut is not closed under products")
-                span.update(coset)
-                reps.append(e)
-    if len(span) != len(aut):
-        raise AssertionError("Aut is not a group")
-    return gens
-
-
-def _exponent(aut: tuple, p: int) -> int:
-    """The lcm of the element orders; the powers of each element walked are
-    marked as seen, so each cyclic subgroup is walked once."""
-    seen, exponent, ident = set(), 1, modp.identity_matrix(len(aut[0]))
-    for a in (x for x in aut if x not in seen):
-        powers = [a]
-        while powers[-1] != ident:
-            powers.append(modp.mat_mul(powers[-1], a, p))
-        seen.update(powers)
-        exponent = math.lcm(exponent, len(powers))
-    return exponent
 
 
 # -- stabilization ------------------------------------------------------------

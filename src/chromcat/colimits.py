@@ -112,7 +112,7 @@ class ColimResult:
     class_reps: list             # class id -> least (object index, point index)
     class_sizes: list            # class id -> number of points in the class
     _walks: dict = field(repr=False)      # least object of [U] -> (first class id, walk)
-    _to_least: list = field(repr=False)   # object -> (least object of its class, iso)
+    _to_least: list = field(repr=False)   # object U -> (least R of its class, t_U)
 
     def to_dict(self) -> dict:
         return {
@@ -166,7 +166,7 @@ def _colim(cat: ChromCategory, f: modp.VectorSpace, walks: dict) -> ColimResult:
         reps.extend((least, k) for k in walk.indices)
         sizes.extend([size] * len(walk.indices))
         for s, t in transports.items():
-            to_least[s] = (least, modp.mat_inverse(t, cat.p))
+            to_least[s] = (least, t)
     if sum(sizes) != sum(counts):
         raise AssertionError("colimit classes do not partition the points")
     return ColimResult(
@@ -210,7 +210,7 @@ def filtration_tower(group: FiniteGroup, p: int, q: int) -> FiltrationTower:
     serve them all.  The map is read one level-(n+1) class at a time, each
     rep looked up in the level-n walk of its class's lead; only a class
     whose least member R was joined to a smaller lead (t_R is not the
-    identity) first applies the isomorphism to each rep.
+    identity) inverts t_R, once, and applies the inverse to each rep.
     """
     m = q_to_pm(q, p)
     fusion = Fusion(group, p)
@@ -225,10 +225,11 @@ def filtration_tower(group: FiniteGroup, p: int, q: int) -> FiltrationTower:
     for (n_hi, hi), (n_lo, lo) in zip(levels, levels[1:]):
         mapping = []
         for r, (_, walk) in hi._walks.items():
-            least, iso = lo._to_least[r]
+            least, t = lo._to_least[r]
             first, lower = lo._walks[least]
+            back = None if least == r else modp.mat_inverse(t, p)
             mapping.extend(
-                first + lower.orbit[pt if least == r else f.apply(iso, pt)]
+                first + lower.orbit[pt if back is None else f.apply(back, pt)]
                 for pt in walk.points
             )
         if set(mapping) != set(range(lo.size)):

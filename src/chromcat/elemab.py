@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import modp
-from .groups import FiniteGroup, GroupError
+from .groups import FiniteGroup, GroupError, commute
 
 
 class ElemAbelian:
@@ -38,9 +38,8 @@ class ElemAbelian:
         for b in basis:
             if group.element_order(b) != p:
                 raise GroupError("basis element %d does not have order %d" % (b, p))
-        for b, c in itertools.combinations(basis, 2):
-            if group.mul(b, c) != group.mul(c, b):
-                raise GroupError("basis elements do not commute")
+        if not commute(basis, group.mul):
+            raise GroupError("basis elements do not commute")
         self._adopt(group, p, tuple(basis), coords)
 
     @classmethod
@@ -182,9 +181,10 @@ def injective_homs(w: ElemAbelian, v: ElemAbelian) -> list[LinearMorphism]:
     """All injective homomorphisms W -> V, in lexicographic column order."""
     if w.p != v.p:
         raise GroupError("subgroups live at different primes")
+    vectors = list(itertools.product(range(w.p), repeat=v.rank))
     return [
         LinearMorphism(w, v, m)
-        for m in modp.enumerate_injective_matrices(v.rank, w.rank, w.p)
+        for m in modp.full_rank_matrices(v.rank, [vectors] * w.rank, w.p)
     ]
 
 

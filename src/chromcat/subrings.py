@@ -27,9 +27,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import modp
-from .categories import ChromCategory, Fusion, _generators
+from .categories import ChromCategory, Fusion
 from .elemab import ElemAbelian, conjugation_matrix
-from .groups import FiniteGroup, GroupError
+from .groups import FiniteGroup, GroupError, greedy_generators
 from .polyfp import LinearAction, PolyFp
 
 
@@ -68,8 +68,9 @@ def weyl_action(fusion: Fusion) -> LinearAction:
     Weyl group is trivial).
     """
     p, (aut, _) = fusion.p, _sylow_class(fusion)
-    gens = [modp.transpose(modp.mat_inverse(a, p)) for a in _generators(aut, p)]
-    return LinearAction(p, gens or [modp.identity_matrix(len(aut[0]))])
+    ident = modp.identity_matrix(len(aut[0]))
+    gens = greedy_generators(aut, ident, lambda a, b: modp.mat_mul(a, b, p))
+    return LinearAction(p, [modp.transpose(modp.mat_inverse(a, p)) for a in gens] or [ident])
 
 
 class SubringPresentation:

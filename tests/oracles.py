@@ -8,8 +8,8 @@ relabelling until stable, where the library walks one Aut-orbit of
 full-support points per isomorphism class in base-p digit tables, and the
 polynomial oracles multiply and compose in full before truncating instead
 of dropping terms as products are formed, the injective-matrix enumerator
-tests each column by a rank computation instead of a span of vector
-names, and the Cayley table composes every pair of permutations instead of
+tests each column by a rank computation instead of a span of earlier
+columns, and the Cayley table composes every pair of permutations instead of
 reading the closure's generator steps.  The Hurewicz oracle convolves every split of
 the coproduct with the * product before reducing, where the library writes
 the reduced image in closed form.  ``all_pairs_star_mul`` and
@@ -58,7 +58,8 @@ each generator's monomial images up the degrees once; and
 ``rational_honda_fgl`` builds the Honda law over the rationals from the
 logarithm l itself and reduces it with ``PolyFp.reduce_mod``, where the
 library builds p G(s/p, t/p) over the integers from l(px)/p.
-``class_lead_oracle`` tests every invertible matrix at each class lead with
+``class_lead_oracle`` tests every invertible matrix at each class lead,
+listed by ``rank_injective_matrices`` and not by the library's walk, with
 ``level_iso_test``, which walks each subspace's conjugate tuples over G
 afresh, or with ``subring_iso_test``, which pulls every restriction back
 along the whole matrix, where the library's column search cuts a prefix as
@@ -249,6 +250,33 @@ def centralizer(group, elements):
     return tuple(
         g for g in range(group.order) if all(t[g][x] == t[x][g] for x in elements)
     )
+
+
+def exponent_by_powers(group):
+    """The lcm of every element's order, each order found by multiplying the
+    element into itself until the identity comes back."""
+    exponent = 1
+    for g in group.elements():
+        x, k = g, 1
+        while x != 0:
+            x, k = group.mul(x, g), k + 1
+        exponent = math.lcm(exponent, k)
+    return exponent
+
+
+def abelian_all_pairs(group):
+    """Does every pair of elements commute?"""
+    elements = group.elements()
+    return all(group.mul(a, b) == group.mul(b, a) for a in elements for b in elements)
+
+
+def product_span(group, gens):
+    """Every product of ``gens``, multiplied out until no product is new."""
+    span = new = {0}
+    while new:
+        new = {group.mul(x, g) for x in new for g in gens} - span
+        span = span | new
+    return span
 
 
 def compose(f, g):
@@ -800,7 +828,7 @@ def class_lead_oracle(cat, iso):
     leads = [min(transports) for _, transports in cat.classes]
     for (aut, transports), r in zip(cat.classes, leads):
         rank = cat.objects[r].rank
-        gl = list(modp.enumerate_injective_matrices(rank, rank, cat.p))
+        gl = list(rank_injective_matrices(rank, rank, cat.p))
         if aut != tuple(sorted(filter(iso(r, r), gl))):
             faults.append(("aut", r))
         faults += [("transport", r, k) for k, t in transports.items() if not iso(r, k)(t)]

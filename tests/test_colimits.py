@@ -12,6 +12,7 @@ from chromcat import (
     quillen_category,
 )
 from chromcat.colimits import FqError, q_to_pm
+from chromcat import modp
 from chromcat.modp import VectorSpace
 from conftest import LEVEL_JOIN_GENERATORS, SMALL_LIBRARY, category, group
 from oracles import (
@@ -192,3 +193,27 @@ def test_tower_maps_by_class_match_union_find(name, p, q):
         for r in hi._walks
     )
     assert tower.to_dict() == union_find_tower(g, p, q).to_dict()
+
+
+@pytest.mark.parametrize("name", ["s6", "a6"])
+def test_tower_inverts_each_joined_lead_once(monkeypatch, name):
+    # a colimit stores each transport t_U as it is; only the tower inverts,
+    # once for each level-(n+1) lead joined to a smaller level-n lead
+    cats = [category(name, 2, n) for n in (None, 0, 1, 2)]
+    inverted = []
+    real = modp.mat_inverse
+
+    def counting(m, p):
+        inverted.append(m)
+        return real(m, p)
+
+    monkeypatch.setattr(modp, "mat_inverse", counting)
+    for cat in cats:
+        colim_points(cat, 4)
+    assert inverted == []
+    tower = filtration_tower(group(name), 2, 4)
+    joined = [
+        r for (_, hi), (_, lo) in zip(tower.levels, tower.levels[1:])
+        for r in hi._walks if lo._to_least[r][0] != r
+    ]
+    assert len(inverted) == len(joined) > 0

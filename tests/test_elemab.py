@@ -130,14 +130,31 @@ def test_count_formula_against_enumeration():
 
 
 def test_span_enumeration_matches_rank_oracle():
+    # the column walk over every vector per column is the rank oracle's list,
+    # from the rows x 0 matrix ((),) * rows up to one column past rows, which
+    # must list nothing without walking GL_rows(p) for a column that cannot
+    # exist; a prefix test cuts exactly the matrices with a failing prefix
+    def keep(cols):
+        return cols[-1][0] != cols[0][-1]
+
+    def prefixes(m):
+        columns = tuple(zip(*m))
+        return [columns[:j] for j in range(1, len(columns) + 1)]
+
     for p in (2, 3, 5):
         for rows in range(6):
+            vectors = list(itertools.product(range(p), repeat=rows))
             for cols in range(rows + 2):
                 if injective_hom_count(cols, rows, p) > 20_000:
                     continue
-                assert list(modp.enumerate_injective_matrices(rows, cols, p)) == list(
-                    rank_injective_matrices(rows, cols, p)
-                ), (rows, cols, p)
+                choices = [vectors] * cols
+                oracle = list(rank_injective_matrices(rows, cols, p))
+                assert list(modp.full_rank_matrices(rows, choices, p)) == oracle, (rows, cols, p)
+                cut = [m for m in oracle if all(keep(prefix) for prefix in prefixes(m))]
+                assert list(modp.full_rank_matrices(rows, choices, p, keep)) == cut
+    assert list(modp.full_rank_matrices(3, [], 2)) == [((),) * 3]
+    assert list(modp.full_rank_matrices(0, [], 2)) == [()]
+    assert list(modp.full_rank_matrices(1, [[(0,), (1,)]] * 2, 2)) == []
 
 
 def test_morphism_application_and_composition():

@@ -5,6 +5,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from chromcat import (
     FiniteGroup,
@@ -13,13 +14,17 @@ from chromcat import (
     cycle_string,
     group_from_permutations,
 )
+from chromcat.groups import greedy_generators
 from chromcat.library import LIBRARY_DIR
-from conftest import group
+from conftest import group, small_permutation_groups
 from oracles import (
+    abelian_all_pairs,
     brute_simultaneous_conjugacy,
     canonical_tuple_class,
     centralizer,
+    exponent_by_powers,
     naive_cayley_table,
+    product_span,
 )
 
 
@@ -188,3 +193,27 @@ def test_exponent_center():
     assert x32.order == 32
     assert len(x32.center()) == 2
     assert sum(1 for g in x32.elements() if x32.element_order(g) == 2) == 19
+
+
+def _check_group_routines(g):
+    # the shared routines against the slow oracles: exponent and abelian test
+    # over every element, and each greedy generator the least element
+    # outside the products of the ones before it
+    assert g.exponent() == exponent_by_powers(g)
+    assert g.is_abelian() == abelian_all_pairs(g)
+    gens = greedy_generators(g.elements(), 0, g.mul)
+    for j, s in enumerate(gens):
+        span = product_span(g, gens[:j])
+        assert s == min(x for x in g.elements() if x not in span)
+    assert product_span(g, gens) == set(g.elements())
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_group_routines_match_oracles(name):
+    _check_group_routines(group(name))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_permutation_groups())
+def test_group_routines_match_oracles_on_random_groups(g):
+    _check_group_routines(g)
