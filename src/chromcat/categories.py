@@ -224,11 +224,11 @@ def _conjugation_scan(group, objects) -> _Scan:
             continue
         orbit, aut, transports = set(), [], {}
         for g in group.elements():
-            images = tuple(group.conjugate(b, g) for b in r.basis)
+            images = group.conjugate_tuple(r.basis, g)
             if images in orbit:
                 continue
             orbit.add(images)
-            k = index[frozenset(group.conjugate(x, g) for x in r.elements)]
+            k = index[frozenset(group.conjugate_tuple(r.elements, g))]
             m = conjugation_matrix(r, objects[k], g)
             if k == i:
                 aut.append(m)

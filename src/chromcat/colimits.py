@@ -27,20 +27,23 @@ of full-support points of one isomorphism class [U]:
 Objects are sorted by rank, so the least point of a class lies in the least
 object U of [U]: the class walk below lists U's full-support points in
 lexicographic order, and each point not yet seen is the least point of its
-class.  The walk depends only on Aut_C(U), so a request walks each distinct
+class: it takes the class's id and Aut_C(U)'s elements other than the
+identity carry it to the rest, so a class with trivial Aut applies no
+matrix.  The walk depends only on Aut_C(U), so a request walks each distinct
 Aut tuple once and every class with that Aut, at every level of a tower,
 shares it; a class's ids are its first id plus the walk's local orbit ids.
 The tower's connecting maps go one class at a time, and only a class whose
-least member was joined to a smaller one a level down applies a matrix to
-its points.  Walks and tables live for one call and are never kept.  F_q
-is ``modp.VectorSpace(p, m)``: a point is r vector names, the full-support
-points of rank r are the space's independent r-tuples, and an F_p-matrix
-applied to a point needs only addition and F_p-scaling, read from two
-tables.  Only that vector space is used, never the field multiplication,
-so q may be any power of p.  The work still grows with q: WORK_BOUND caps
-the q^2 addition-table entries plus the full-support points of every
-class, shared walks counted once per class, and a larger request is
-refused before any table is built.
+least member was joined to a smaller one a level down, by a matrix other
+than the identity, applies a matrix to its points.  Walks and tables live
+for one call and are never kept.  F_q is ``modp.VectorSpace(p, m)``: a
+point is r vector names, the full-support points of rank r are the
+space's independent r-tuples, and an F_p-matrix applied to a point needs
+only addition and F_p-scaling, read from two tables.  Only that vector
+space is used, never the field multiplication, so q may be any power of
+p.  The work still grows with q: WORK_BOUND caps the q^2 addition-table
+entries plus the full-support points of every class, shared walks
+counted once per class, and a larger request is refused before any table
+is built.
 """
 
 from __future__ import annotations
@@ -89,13 +92,17 @@ class _Walk:
 
     ``points`` lists the least point of each orbit in lexicographic order,
     ``indices`` their point indices, and ``orbit`` maps every full-support
-    point to its local orbit id.  Every class whose least member has this
-    Aut shares the walk, at every level of a tower.
+    point to its local orbit id.  A lead takes its id directly, so only
+    Aut's other elements are applied, and a trivial Aut applies none.
+    Every class whose least member has this Aut shares the walk, at every
+    level of a tower.
     """
 
     def __init__(self, f: modp.VectorSpace, auts: tuple):
         rank = len(auts[0])
-        self.points, self.orbit = orbit_walk(f.independent_tuples(rank), auts, f.apply)
+        unit = modp.identity_matrix(rank)
+        moves = [a for a in auts if a != unit]
+        self.points, self.orbit = orbit_walk(f.independent_tuples(rank), moves, f.apply)
         self.indices = [f.point_index(pt) for pt in self.points]
         if len(self.points) * len(auts) != injective_hom_count(rank, f.m, f.p):
             raise AssertionError(
@@ -209,8 +216,9 @@ def filtration_tower(group: FiniteGroup, p: int, q: int) -> FiltrationTower:
     Fusion builds every level, and one field and one walk per distinct Aut
     serve them all.  The map is read one level-(n+1) class at a time, each
     rep looked up in the level-n walk of its class's lead; only a class
-    whose least member R was joined to a smaller lead (t_R is not the
-    identity) inverts t_R, once, and applies the inverse to each rep.
+    whose least member R was joined to a smaller lead inverts t_R, once,
+    and applies the inverse to each rep unless it is the identity matrix
+    (S6 and A6 at p = 2 join two classes through it).
     """
     m = q_to_pm(q, p)
     fusion = Fusion(group, p)
@@ -227,11 +235,12 @@ def filtration_tower(group: FiniteGroup, p: int, q: int) -> FiltrationTower:
         for r, (_, walk) in hi._walks.items():
             least, t = lo._to_least[r]
             first, lower = lo._walks[least]
-            back = None if least == r else modp.mat_inverse(t, p)
-            mapping.extend(
-                first + lower.orbit[pt if back is None else f.apply(back, pt)]
-                for pt in walk.points
-            )
+            points = walk.points
+            if least != r:
+                back = modp.mat_inverse(t, p)
+                if back != modp.identity_matrix(len(back)):
+                    points = [f.apply(back, pt) for pt in points]
+            mapping.extend(first + lower.orbit[pt] for pt in points)
         if set(mapping) != set(range(lo.size)):
             raise AssertionError(
                 "connecting map not surjective between levels %d and %d"

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import cached_property
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -42,15 +43,17 @@ class GroupError(ValueError):
 def orbit_walk(items, group, act) -> tuple:
     """The orbits of a listed group on ``items``, walked in order.
 
-    An item not yet reached leads a new orbit, and act(a, x) for every a in
-    ``group`` is given that orbit's id.  Returns the leads in order and
-    {reached item: orbit id}; walked in sorted order, each lead is the
+    An item not yet reached leads a new orbit and is given its id, and so
+    is act(a, x) for every a in ``group``; as the lead needs no act, the
+    listed group may leave out the identity.  Returns the leads in order
+    and {reached item: orbit id}; walked in sorted order, each lead is the
     least member of its orbit.
     """
     leads, ids = [], {}
     for x in items:
         if x in ids:
             continue
+        ids[x] = len(leads)
         for a in group:
             ids[act(a, x)] = len(leads)
         leads.append(x)
@@ -121,16 +124,16 @@ class FiniteGroup:
     """A finite group given by a closed Cayley table.
 
     ``table[a][b]`` is the index of the product a*b; index 0 is the identity.
-    ``labels`` are display strings (cycle notation for permutation groups).
+    ``labels`` are display strings, the indices when none are given.
     """
+
+    _permutations = None  # a permutation group's closure, which labels it
 
     def __init__(self, table: Sequence[Sequence[int]], labels=None, name="G"):
         self.order = len(table)
         self.table = tuple(tuple(row) for row in table)
         self.name = name
-        if labels is None:
-            labels = tuple(str(i) for i in range(self.order))
-        self.labels = tuple(labels)
+        self._labels = None if labels is None else tuple(labels)
         self._validate()
         self.inverse = tuple(self._find_inverse(a) for a in range(self.order))
         self._order_cache: dict[int, int] = {}
@@ -143,7 +146,7 @@ class FiniteGroup:
         n = self.order
         if n == 0:
             raise GroupError("empty Cayley table")
-        if len(self.labels) != n:
+        if self._labels is not None and len(self._labels) != n:
             raise GroupError("label count does not match order")
         t = self.table
         for row in t:
@@ -165,6 +168,17 @@ class FiniteGroup:
                 return b
         raise GroupError("element %d has no inverse" % a)
 
+    @cached_property
+    def labels(self) -> tuple:
+        """The labels given, else cycle notation for a permutation group,
+        else the indices; formed on first read, as only reports on
+        elementary abelian subgroups print them."""
+        if self._labels is not None:
+            return self._labels
+        if self._permutations is not None:
+            return tuple(map(cycle_string, self._permutations))
+        return tuple(map(str, range(self.order)))
+
     # -- basic arithmetic ---------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
@@ -176,6 +190,11 @@ class FiniteGroup:
     def conjugate(self, g: int, h: int) -> int:
         """h g h^-1."""
         return self.table[self.table[h][g]][self.inverse[h]]
+
+    def conjugate_tuple(self, xs, h: int) -> tuple:
+        """h x h^-1 for each x of ``xs``, reading h's row and h^-1 once."""
+        t, row, h_inv = self.table, self.table[h], self.inverse[h]
+        return tuple([t[row[x]][h_inv] for x in xs])
 
     def elements(self) -> range:
         return range(self.order)
@@ -256,7 +275,9 @@ def group_from_permutations(
     """Close a set of permutations (image arrays on 0..degree-1) into a group.
 
     Elements are discovered breadth-first from the identity, so the element
-    order (and hence every downstream report) is deterministic.
+    order (and hence every downstream report) is deterministic.  The group
+    keeps the permutations and forms its labels, their cycle notation, on
+    first read.
     """
     if degree < 1:
         raise GroupError("degree must be positive")
@@ -291,5 +312,6 @@ def group_from_permutations(
     columns = [tuple(range(len(elements)))]
     for parent, j in reached_by[1:]:
         columns.append(itemgetter(*columns[parent])(right[j]))
-    labels = tuple(cycle_string(e) for e in elements)
-    return FiniteGroup(tuple(zip(*columns)), labels=labels, name=name)
+    group = FiniteGroup(tuple(zip(*columns)), name=name)
+    group._permutations = elements
+    return group

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
+from operator import mul
 from typing import Iterator, Sequence
 
 
@@ -43,15 +44,13 @@ def transpose(m: tuple) -> tuple:
 
 
 def mat_vec(m: tuple, v: tuple, p: int) -> tuple:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) % p for row in m)
+    return tuple(sum(map(mul, row, v)) % p for row in m)
 
 
 def mat_mul(a: tuple, b: tuple, p: int) -> tuple:
-    cols = len(b[0]) if b else 0
-    return tuple(
-        tuple(sum(arow[k] * b[k][j] for k in range(len(b))) % p for j in range(cols))
-        for arow in a
-    )
+    """a . b; a product with b of no rows or no columns has rows ()."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, arow, col)) % p for col in cols) for arow in a)
 
 
 def _pack(m, p: int) -> list:

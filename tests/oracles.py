@@ -47,6 +47,8 @@ commuting order-p element outside it and drops repeats by element
 set, with each least basis rebuilt span by span from scratch and the
 coordinates multiplied out power by power, where the library builds each
 subgroup once, from its least basis, through one span routine.
+``triple_loop_mat_mul`` and ``triple_loop_mat_vec`` index every entry of
+a product, where ``modp`` zips each row with each column of b;
 ``whole_row_rref`` eliminates dense whole rows column by column and
 reduces mod p as it goes, where ``modp.rref`` reduces packed rows, which
 hold only their nonzero entries, one at a time against the pivots kept so
@@ -857,18 +859,27 @@ def rank_injective_matrices(rows, cols, p):
     yield from extend([])
 
 
-def naive_cayley_table(degree, generators):
-    """Breadth-first closure from the identity, then table[a][b] = the index
-    of a o b (b applied first), composing every pair of permutations."""
+def naive_closure(degree, generators):
+    """The permutations reached breadth-first from the identity, each
+    element times each generator (the generator applied first), in the
+    order found."""
     gens = [tuple(g) for g in generators]
     elements = [tuple(range(degree))]
-    index = {elements[0]: 0}
+    seen = {elements[0]}
     for cur in elements:
         for g in gens:
             nxt = tuple(cur[g[i]] for i in range(degree))
-            if nxt not in index:
-                index[nxt] = len(elements)
+            if nxt not in seen:
+                seen.add(nxt)
                 elements.append(nxt)
+    return elements
+
+
+def naive_cayley_table(degree, generators):
+    """``naive_closure``, then table[a][b] = the index of a o b (b applied
+    first), composing every pair of permutations."""
+    elements = naive_closure(degree, generators)
+    index = {e: k for k, e in enumerate(elements)}
     return tuple(
         tuple(index[tuple(a[b[i]] for i in range(degree))] for b in elements)
         for a in elements
@@ -1047,6 +1058,33 @@ def all_pairs_beta_pushforward(orbit, degree):
             factor = all_pairs_circ_mul(factor, powered)
         result = all_pairs_star_mul(result, factor)
     return result
+
+
+def triple_loop_mat_mul(a, b, p):
+    """a . b entry by entry, each entry a sum over k of a[i][k] b[k][j]
+    reduced mod p at the end.  A b with no rows gives rows (), as in modp."""
+    cols = len(b[0]) if b else 0
+    out = []
+    for i in range(len(a)):
+        row = []
+        for j in range(cols):
+            acc = 0
+            for k in range(len(b)):
+                acc += a[i][k] * b[k][j]
+            row.append(acc % p)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def triple_loop_mat_vec(m, v, p):
+    """m . v entry by entry, as ``triple_loop_mat_mul`` with v a column."""
+    out = []
+    for i in range(len(m)):
+        acc = 0
+        for k in range(len(v)):
+            acc += m[i][k] * v[k]
+        out.append(acc % p)
+    return tuple(out)
 
 
 def whole_row_rref(m, p):

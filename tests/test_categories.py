@@ -280,16 +280,22 @@ def test_level_search_matches_class_lead_oracle(name, p, n):
 
 
 def test_levels_read_conjugacy_from_the_scan(monkeypatch):
-    # once the scan has run, no level conjugates an element: each basis
-    # element's G-class is read off its object's orbit
+    # once the scan has run, no level conjugates an element, one at a time
+    # or a tuple at once: each basis element's G-class is read off its
+    # object's orbit
     calls = []
-    conjugate = FiniteGroup.conjugate
+    conjugate, conjugate_tuple = FiniteGroup.conjugate, FiniteGroup.conjugate_tuple
 
     def counting(self, g, h):
         calls.append(g)
         return conjugate(self, g, h)
 
+    def counting_tuple(self, xs, h):
+        calls.append(tuple(xs))
+        return conjugate_tuple(self, xs, h)
+
     monkeypatch.setattr(FiniteGroup, "conjugate", counting)
+    monkeypatch.setattr(FiniteGroup, "conjugate_tuple", counting_tuple)
     for name, p in [("a5", 2), ("s5", 2), ("h27", 3), ("x32", 2)]:
         fusion = Fusion(group(name), p)
         fusion.scan

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from chromcat import (
+    builtin_names,
     colim_points,
     component_count,
     enumerate_elem_abelians,
@@ -14,6 +15,7 @@ from chromcat import (
 from chromcat.colimits import FqError, q_to_pm
 from chromcat import modp
 from chromcat.modp import VectorSpace
+from capture_cli_golden import _primes_dividing
 from conftest import LEVEL_JOIN_GENERATORS, SMALL_LIBRARY, category, group
 from oracles import (
     colim_size_naive,
@@ -161,10 +163,14 @@ def _count_field_work(monkeypatch) -> dict:
 
 
 @pytest.mark.parametrize("name,p,q,expected", [
-    # e8: every Aut is trivial, so one walk per rank and the maps are ranges
-    ("e8", 2, 16, {"points": 15 * 14 * 12 + 15 * 14 + 15 + 1, "applies": 2746, "fields": 1}),
-    # h27: both levels share one walk per rank
-    ("h27", 3, 27, {"points": 26 * 24 + 26 + 1, "fields": 1}),
+    # e8: every Aut is trivial, so one walk per rank, no matrix applied and
+    # the maps are ranges
+    ("e8", 2, 16, {"points": 15 * 14 * 12 + 15 * 14 + 15 + 1, "applies": 0, "fields": 1}),
+    # h27: both levels share one walk per rank; each orbit's lead is given
+    # its id and the other Aut elements are applied to it
+    ("h27", 3, 27, {"points": 26 * 24 + 26 + 1, "applies": 416, "fields": 1}),
+    ("e9", 3, 27, {"points": 26 * 24 + 26 + 1, "applies": 0, "fields": 1}),
+    ("a5", 2, 16, {"applies": 315, "fields": 1}),
 ])
 def test_tower_walks_each_aut_once(monkeypatch, name, p, q, expected):
     counts = _count_field_work(monkeypatch)
@@ -174,6 +180,25 @@ def test_tower_walks_each_aut_once(monkeypatch, name, p, q, expected):
             counts[key] = 0
         filtration_tower(group(name), p, q)
         assert {key: counts[key] for key in expected} == expected
+
+
+def test_no_walk_or_map_applies_the_identity(monkeypatch):
+    # an orbit's lead takes its id without an apply, and a tower maps the
+    # points of a class joined through the identity matrix as they are
+    applied = []
+    apply = VectorSpace.apply
+
+    def recording(self, matrix, pt):
+        applied.append(matrix)
+        return apply(self, matrix, pt)
+
+    monkeypatch.setattr(VectorSpace, "apply", recording)
+    for name in builtin_names():
+        g = group(name)
+        for p in _primes_dividing(g.order):
+            filtration_tower(g, p, p * p)
+            colim_points(category(name, p, 0), p * p)
+    assert applied and all(m != modp.identity_matrix(len(m)) for m in applied)
 
 
 @pytest.mark.parametrize("name,p,q", [

@@ -13,6 +13,8 @@ from chromcat import (
     builtin_names,
     cycle_string,
     group_from_permutations,
+    groups,
+    load_builtin,
 )
 from chromcat.groups import greedy_generators
 from chromcat.library import LIBRARY_DIR
@@ -24,6 +26,7 @@ from oracles import (
     centralizer,
     exponent_by_powers,
     naive_cayley_table,
+    naive_closure,
     product_span,
 )
 
@@ -48,6 +51,40 @@ def test_identity_first_and_labels():
     a4 = group("a4")
     assert a4.labels[0] == "()"
     assert "(0 1)(2 3)" in a4.labels
+
+
+def test_loading_writes_no_labels(monkeypatch):
+    # labels are formed on first read, and loading reads none
+    calls = []
+
+    def counting(perm):
+        calls.append(perm)
+        return cycle_string(perm)
+
+    monkeypatch.setattr(groups, "cycle_string", counting)
+    for name in builtin_names():
+        load_builtin(name)
+    assert calls == []
+    a4 = load_builtin("a4")
+    assert a4.labels[0] == "()"
+    a4.labels
+    assert len(calls) == a4.order
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_labels_are_cycle_notation_of_the_closure(name):
+    doc = json.loads((LIBRARY_DIR / (name + ".json")).read_text())
+    closure = naive_closure(doc["degree"], doc["generators"])
+    assert group(name).labels == tuple(cycle_string(e) for e in closure)
+
+
+def test_label_count_checked_at_construction():
+    table = [[0, 1], [1, 0]]
+    for labels in (["e"], ["e", "a", "b"], []):
+        with pytest.raises(GroupError, match="label count"):
+            FiniteGroup(table, labels=labels)
+    assert FiniteGroup(table, labels=["e", "a"]).labels == ("e", "a")
+    assert FiniteGroup(table).labels == ("0", "1")
 
 
 def test_cycle_string():
@@ -113,6 +150,15 @@ def test_conjugate_convention():
     assert a4.labels[a4.conjugate(u, r)] == "(0 3)(1 2)"
     assert a4.conjugate(u, 0) == u
     assert a4.conjugate(0, r) == 0
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_conjugate_tuple_matches_conjugate(name):
+    g = group(name)
+    xs = tuple(g.elements())
+    for h in g.elements():
+        assert g.conjugate_tuple(xs, h) == tuple(g.conjugate(x, h) for x in xs), h
+        assert g.conjugate_tuple((), h) == ()
 
 
 def test_element_order_and_centralizer():

@@ -11,9 +11,37 @@ from hypothesis import strategies as st
 
 from chromcat import modp
 from chromcat.modp import VectorSpace
-from oracles import digit_tuple_add_table, whole_row_kernel_basis, whole_row_rref
+from oracles import (
+    digit_tuple_add_table,
+    triple_loop_mat_mul,
+    triple_loop_mat_vec,
+    whole_row_kernel_basis,
+    whole_row_rref,
+)
 
 PRIMES = (2, 3, 5, 7)
+
+
+def _matrix(rng, rows, cols, p):
+    """A rows x cols matrix; rows x 0 is ((),) * rows, as modp writes it."""
+    return tuple(tuple(rng.randrange(p) for _ in range(cols)) for _ in range(rows))
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_products_match_triple_loop_on_every_small_shape(p):
+    # every (r x k) . (k x c) and (r x k) . k with r, k, c in 0..4, the
+    # rows x 0 and 0-row shapes included: full_rank_matrices yields
+    # ((),) * rows and the skeleton multiplies such blocks
+    rng = random.Random(p)
+    for r, k, c in itertools.product(range(5), repeat=3):
+        for _ in range(4):
+            a, b = _matrix(rng, r, k, p), _matrix(rng, k, c, p)
+            assert modp.mat_mul(a, b, p) == triple_loop_mat_mul(a, b, p), (a, b)
+            v = tuple(rng.randrange(p) for _ in range(k))
+            assert modp.mat_vec(a, v, p) == triple_loop_mat_vec(a, v, p), (a, v)
+    assert modp.mat_mul(((),) * 3, (), p) == ((),) * 3
+    assert modp.mat_mul(((1, 0), (0, 1)), ((),) * 2, p) == ((),) * 2
+    assert modp.mat_vec(((),) * 2, (), p) == (0, 0)
 
 
 def _check_against_oracle(m, p, ncols):

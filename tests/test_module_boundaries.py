@@ -1,9 +1,12 @@
-"""No chromcat module reaches into another module's private names.
+"""No chromcat module reaches into another module's private names, and
+only ``groups`` and ``elemab`` read a group's Cayley table.
 
 A name with a leading underscore is free to change with its module, so
 another module may neither import it (``from .categories import _x``) nor
-read it off an imported module (``modp._x``).  Each source file is parsed
-with ``ast``; nothing is imported or run.
+read it off an imported module (``modp._x``).  Every other module asks the
+group for products and conjugates, so that the table can give way to
+another representation in those two modules alone.  Each source file is
+parsed with ``ast``; nothing is imported or run.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from pathlib import Path
 import chromcat
 
 SRC = Path(chromcat.__file__).resolve().parent
+TABLE_READERS = {"groups.py", "elemab.py"}
 
 
 def _private_uses(path: Path) -> list:
@@ -55,4 +59,32 @@ def test_the_check_sees_a_private_import_and_read(tmp_path):
     )
     assert _private_uses(sample) == [
         "sample.py imports _generators", "sample.py reads modp._pack",
+    ]
+
+
+def _table_reads(path: Path) -> list:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        "%s reads .table at line %d" % (path.name, node.lineno)
+        for node in sorted(
+            (n for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "table"),
+            key=lambda n: (n.lineno, n.col_offset),
+        )
+    ]
+
+
+def test_only_groups_and_elemab_read_the_cayley_table():
+    readers = {path.name for path in SRC.glob("*.py") if _table_reads(path)}
+    assert readers == TABLE_READERS
+
+
+def test_the_check_sees_a_table_read(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "row = group.table[g]\n"
+        "n = group.order\n"
+        "t, u = self.table, group.mul(g, h)\n"
+    )
+    assert _table_reads(sample) == [
+        "sample.py reads .table at line 1", "sample.py reads .table at line 3",
     ]
