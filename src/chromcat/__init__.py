@@ -55,7 +55,6 @@ from .hopf import (
     coefficient_of,
     hurewicz_eval,
     mod_indecomposables,
-    orbit_from_terms,
     verify_kn_injectivity,
     weyl_orbit_restriction,
 )
@@ -71,7 +70,6 @@ from .polyfp import (
     PolyFp,
     invariant_bases,
     invariant_basis,
-    orbit_sum,
     parse_poly,
     subring_membership,
 )
@@ -79,7 +77,6 @@ from .subrings import (
     SubringPresentation,
     UnsupportedGroupError,
     build_CR,
-    restriction,
     weyl_action,
 )
 

@@ -111,7 +111,7 @@ class ChromCategory:
     ``above`` is the inclusion poset: above[k] lists the j with U_k <= V_j.
     Hom(W_i, V_j) is the union over the objects U_k <= V_j of Iso(i, k)
     followed by the inclusion, and distinct (k, iso) give distinct
-    morphisms, so only ``iso``, ``hom`` and ``homs`` multiply them out, with
+    morphisms, so only ``hom`` and ``homs`` multiply them out, with
     the inclusion matrices of the pairs they read, and keep nothing.
     """
 
@@ -135,22 +135,9 @@ class ChromCategory:
             aut = [modp.mat_mul(a, back, self.p) for a in aut]
         return tuple(sorted(modp.mat_mul(h, a, self.p) for h in heads for a in aut))
 
-    def iso(self, i: int, k: int) -> tuple:
-        """The matrices of Iso(objects[i], objects[k]), sorted."""
-        transports = self.classes[self.class_of[i]][1]
-        return self._composites(i, [transports[k]]) if k in transports else ()
-
-    def _iso_pairs(self):
-        """Every (i, k) with objects[i] and objects[k] isomorphic."""
-        return ((i, k) for i, c in self.class_of.items() for k in self.classes[c][1])
-
-    @property
-    def isos(self) -> dict:
-        """{(i, k): iso(i, k)} over the pairs of isomorphic objects."""
-        return {key: self.iso(*key) for key in self._iso_pairs()}
-
     def hom(self, i: int, j: int) -> tuple:
-        """The matrices of Hom(objects[i], objects[j]), sorted."""
+        """The matrices of Hom(objects[i], objects[j]), sorted; at equal
+        ranks these are Iso(objects[i], objects[j])."""
         v = self.objects[j]
         heads = [
             modp.mat_mul(conjugation_matrix(self.objects[k], v, 0), t, self.p)
@@ -162,7 +149,10 @@ class ChromCategory:
     @property
     def homs(self) -> dict:
         """{(i, j): hom(i, j)} over the nonempty hom-sets."""
-        keys = {(i, j) for i, k in self._iso_pairs() for j in self.above[k]}
+        keys = {
+            (i, j) for i, c in self.class_of.items()
+            for k in self.classes[c][1] for j in self.above[k]
+        }
         return {key: self.hom(*key) for key in sorted(keys)}
 
     def morphism_count(self) -> int:
@@ -294,6 +284,8 @@ class Fusion:
         search joins them: Res_U pulled back along f's first j columns must
         be Res_W on W's first j basis vectors, or the prefix is cut.
         """
+        if presentation.fusion.group is not self.group:
+            raise GroupError("the presentation is on another group's Sylow subgroup")
         p, res = self.p, {}
         for _, transports in self.scan.classes:
             res[min(transports)] = presentation.restrictions(self.objects[min(transports)])
@@ -495,12 +487,6 @@ class SkeletonReport:
             )
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-
-def iso_classes(cat: ChromCategory) -> list[list[int]]:
-    """Object indices grouped into isomorphism classes, each sorted, ordered
-    by least member."""
-    return [sorted(transports) for _, transports in cat.classes]
 
 
 def skeleton(cat: ChromCategory) -> SkeletonReport:

@@ -49,10 +49,6 @@ class FGL:
     def _variable(self, nvars: int, i: int) -> PolyFp:
         return PolyFp.variable(self.p, nvars, i, bound=self.degree)
 
-    def add_series(self, a: PolyFp, b: PolyFp) -> PolyFp:
-        """Formal sum a +_F b for series with zero constant term."""
-        return self.series.substitute([a, b])
-
     def n_series(self, n: int) -> PolyFp:
         """[n]_F(x) for n >= 0, built iteratively as F(x, [n-1]_F(x)); the
         formal inverse a negative n would need is not built."""

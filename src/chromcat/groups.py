@@ -184,9 +184,6 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
     def conjugate(self, g: int, h: int) -> int:
         """h g h^-1."""
         return self.table[self.table[h][g]][self.inverse[h]]

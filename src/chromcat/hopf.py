@@ -115,25 +115,6 @@ def _tag_values(ring: CycRing, fgl: FGL) -> dict:
     }
 
 
-def orbit_from_terms(
-    terms: Sequence[Sequence[tuple]], ring: CycRing, fgl: FGL
-) -> OrbitRestriction:
-    """Build an orbit presentation from explicit ((tag, power), ...) terms;
-    used to rerun a pushforward in a different height's model."""
-    values = _tag_values(ring, fgl)
-    total = ring.zero()
-    for term in terms:
-        prod = ring.one()
-        for tag, e in term:
-            if values.get(tag) is None:
-                raise HopfError("unknown series argument %r" % (tag,))
-            prod = prod * values[tag] ** e
-        total = total + prod
-    return OrbitRestriction(
-        ring=ring, fgl=fgl, total=total, terms=[tuple(t) for t in terms]
-    )
-
-
 def close_weyl_action(
     ring: CycRing, generators: Sequence[Sequence[RingElt]], cap: int = WEYL_CLOSURE_CAP
 ) -> list:

@@ -10,10 +10,10 @@ entries: at p = 2 a row is a Python int, bit j holding column j, and adding
 a row is one XOR; at odd p it is a {column: value} dict.  ``_echelon``
 reduces each row against the rows kept before it, keyed by pivot column
 (the lowest column of a kept row), so a row's work is the pivots its
-entries meet, not the width of the matrix.  ``rref``, ``mat_rank``,
-``mat_inverse``, ``kernel_basis`` and ``in_span`` all go through it, and
-``kernel_vectors`` takes and gives sparse {column: value} rows, so that a
-caller never writes out a dense matrix.
+entries meet, not the width of the matrix.  ``mat_rank``, ``mat_inverse``,
+``kernel_vectors`` and ``in_span`` all go through it, and ``kernel_vectors``
+takes and gives sparse {column: value} rows, so that a caller never writes
+out a dense matrix.
 
 ``full_rank_matrices`` is the one walk over invertible and injective
 matrices, filled in column by column under a prefix test: GL_r, the
@@ -152,40 +152,18 @@ def mat_rank(m: tuple, p: int) -> int:
     return len(_echelon(_pack(m, p), p))
 
 
-def rref(m: tuple, p: int) -> tuple[tuple, tuple]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns).
-
-    Entries are reduced mod p on entry.  The rows are eliminated packed
-    (see the module docstring) and written out dense."""
-    ncols = len(m[0]) if m else 0
-    basis = _rref(_pack(m, p), p)
-    pivots = tuple(sorted(basis))
-    return tuple(_unpack(basis[c], p, range(ncols)) for c in pivots), pivots
-
-
-def _kernel(rows: list, p: int, ncols: int) -> list[dict]:
-    """Basis of the right kernel of the packed ``rows``, as {column: value}
-    dicts with nonzero values: one vector per free column j of the RREF,
+def kernel_vectors(rows: list, p: int, ncols: int) -> list[dict]:
+    """Basis of the right kernel of sparse rows, {column: value} dicts of
+    nonzero entries reduced mod p (odd-p rows are consumed), with the basis
+    vectors as such dicts too: one vector per free column j of the RREF,
     ascending, with 1 at j and minus column j of the RREF at the pivots."""
-    basis = _rref(rows, p)
+    basis = _rref([sum(1 << j for j in row) for row in rows] if p == 2 else rows, p)
     out = {j: {j: 1} for j in range(ncols) if j not in basis}
     for c, row in basis.items():
         for j, v in _entries(row, p):
             if j != c:
                 out[j][c] = -v % p
     return list(out.values())
-
-
-def kernel_vectors(rows: list, p: int, ncols: int) -> list[dict]:
-    """``kernel_basis`` of sparse rows, {column: value} dicts of nonzero
-    entries reduced mod p (odd-p rows are consumed), with the basis vectors
-    as such dicts too."""
-    return _kernel([sum(1 << j for j in row) for row in rows] if p == 2 else rows, p, ncols)
-
-
-def kernel_basis(m: tuple, p: int, ncols: int) -> list[tuple]:
-    """Deterministic basis of the right kernel of m (echelon-derived)."""
-    return [tuple(v.get(j, 0) for j in range(ncols)) for v in _kernel(_pack(m, p), p, ncols)]
 
 
 def mat_inverse(m: tuple, p: int) -> tuple:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from fractions import Fraction
 from operator import add
 from typing import Optional, Sequence
 
@@ -168,22 +167,6 @@ class PolyFp:
 
     def coefficient(self, exps: Sequence[int]):
         return self.coeffs.get(tuple(exps), 0)
-
-    def sorted_terms(self) -> list:
-        return sorted(self.coeffs.items(), key=lambda item: _term_key(item[0]))
-
-    def canonical(self) -> tuple:
-        return tuple(self.sorted_terms())
-
-    def reduce_mod(self, p: int) -> "PolyFp":
-        """Reduce rational coefficients mod p after checking p-integrality."""
-        coeffs = {}
-        for e, c in self.coeffs.items():
-            c = Fraction(c)
-            if c.denominator % p == 0:
-                raise ValueError("coefficient %s at %r is not %d-integral" % (c, e, p))
-            coeffs[e] = c.numerator * pow(c.denominator, -1, p)
-        return type(self)(p, self.nvars, coeffs, self.bound, self.cap)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -414,12 +397,6 @@ class LinearAction:
 
     def order(self) -> int:
         return len(self.elements)
-
-
-def orbit_sum(f: PolyFp, action: LinearAction) -> PolyFp:
-    """Sum of the distinct polynomials in the orbit of f."""
-    orbit = {f.substitute_linear(m) for m in action.elements}
-    return sum(orbit, PolyFp.zero(f.p, f.nvars))
 
 
 def _monomials_of_degree(nvars: int, d: int) -> list:

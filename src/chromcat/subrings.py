@@ -95,10 +95,6 @@ class SubringPresentation:
                         "generator %s is not Weyl-invariant" % g.render()
                     )
 
-    @classmethod
-    def for_group(cls, group: FiniteGroup, generators: Sequence[PolyFp], name="R"):
-        return cls(Fusion(group, 2), generators, name=name)
-
     def restrictions(self, v: ElemAbelian) -> tuple:
         """Res_V of every generator, along t_P'^-1 incl(V <= P'): V lies in
         the first Sylow subgroup P' above it, which the scanned t_P' carries
@@ -117,15 +113,6 @@ class SubringPresentation:
         raise UnsupportedGroupError(
             "object of rank %d is not conjugate into the Sylow subgroup" % v.rank
         )
-
-
-def restriction(sylow: ElemAbelian, sub: ElemAbelian, f: PolyFp) -> PolyFp:
-    """Restrict a polynomial on P's variables along an actual inclusion
-    sub <= P (dual linear substitution by the transposed coordinate matrix)."""
-    inclusion = conjugation_matrix(sub, sylow, 0)
-    if inclusion is None:
-        raise GroupError("subgroup is not contained in the ambient Sylow subgroup")
-    return f.substitute_linear(modp.transpose(inclusion))
 
 
 def build_CR(group: FiniteGroup, presentation: SubringPresentation) -> ChromCategory:

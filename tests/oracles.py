@@ -50,16 +50,18 @@ subgroup once, from its least basis, through one span routine.
 ``triple_loop_mat_mul`` and ``triple_loop_mat_vec`` index every entry of
 a product, where ``modp`` zips each row with each column of b;
 ``whole_row_rref`` eliminates dense whole rows column by column and
-reduces mod p as it goes, where ``modp.rref`` reduces packed rows, which
-hold only their nonzero entries, one at a time against the pivots kept so
-far and clears the other pivot columns afterwards; ``substitute_invariant_basis`` substitutes every monomial afresh and
-looks up each (sigma - id) entry by coefficient, where the library walks
-each generator's monomial images up the degrees once; and
+reduces mod p as it goes, where ``modp`` reduces packed rows, which hold
+only their nonzero entries, one at a time against the pivots kept so far
+and clears the other pivot columns afterwards;
+``substitute_invariant_basis`` substitutes every monomial afresh and looks
+up each (sigma - id) entry by coefficient, where the library walks each
+generator's monomial images up the degrees once; and
 ``digit_tuple_add_table`` adds F_p^m vectors as digit tuples, where
 ``modp.VectorSpace`` builds its table a leading digit at a time.
 ``rational_honda_fgl`` builds the Honda law over the rationals from the
-logarithm l itself and reduces it with ``PolyFp.reduce_mod``, where the
-library builds p G(s/p, t/p) over the integers from l(px)/p.
+logarithm l itself and reduces it mod p after checking each coefficient's
+p-integrality, where the library builds p G(s/p, t/p) over the integers
+from l(px)/p.
 ``class_lead_oracle`` tests every invertible matrix at each class lead,
 listed by ``rank_injective_matrices`` and not by the library's walk, with
 ``level_iso_test``, which walks each subspace's conjugate tuples over G
@@ -69,7 +71,8 @@ soon as it fails and reads conjugacy from the scan.
 
 ``centralizer``, ``compose``, ``identity_morphism``,
 ``distinguishing_generator`` and ``witness`` are reference helpers with no
-caller in the library.
+caller in the library, and ``orbit_from_terms`` builds a pushforward's
+input from explicit terms.
 """
 
 from __future__ import annotations
@@ -97,9 +100,10 @@ from chromcat import (
     modp,
     series_inverse,
 )
-from chromcat.categories import ObjectClass, SkeletonEdge, SkeletonReport, iso_classes
+from chromcat.categories import ObjectClass, SkeletonEdge, SkeletonReport
 from chromcat.elemab import conjugation_matrix
 from chromcat.groups import orbit_walk
+from chromcat.hopf import OrbitRestriction
 
 
 def brute_simultaneous_conjugacy(group, a, b):
@@ -523,7 +527,7 @@ def elementwise_skeleton(cat) -> SkeletonReport:
     """Object classes under isomorphism in the category, with orbit data.
 
     Only the hom-sets between class representatives are composed."""
-    groups = [(members, aut) for members, (aut, _) in zip(iso_classes(cat), cat.classes)]
+    groups = [(sorted(transports), aut) for aut, transports in cat.classes]
     if len(groups) > 1:
         groups = [g for g in groups if cat.objects[g[0][0]].rank > 0]
     report = SkeletonReport()
@@ -585,7 +589,7 @@ def _subobject_orbit_count(cat, members, v, aut_v) -> int:
     p = cat.p
 
     def span(m):
-        return modp.rref(modp.transpose(m), p)[0]
+        return whole_row_rref(modp.transpose(m), p)[0]
 
     subobjects = [
         span(conjugation_matrix(cat.objects[k], cat.objects[v], 0))
@@ -1035,6 +1039,26 @@ def all_pairs_circ_mul(a, b):
     return HopfExpr(p, a.height, a.degree, pairs())
 
 
+def orbit_from_terms(terms, ring, fgl):
+    """The orbit presentation of explicit ((tag, power), ...) terms, valued
+    in ``ring``: "s" and "t" are its variables and "s+t" is their formal sum
+    under ``fgl``; used to rerun a pushforward in another height's model."""
+    values = {"s": ring.variable(0)}
+    if ring.rank > 1:
+        values["t"] = ring.variable(1)
+    if ring.rank == 2:
+        values["s+t"] = ring.fgl_of_variables(fgl)
+    total = ring.zero()
+    for term in terms:
+        prod = ring.one()
+        for tag, e in term:
+            if tag not in values:
+                raise HopfError("unknown series argument %r" % (tag,))
+            prod = prod * values[tag] ** e
+        total = total + prod
+    return OrbitRestriction(ring=ring, fgl=fgl, total=total, terms=[tuple(t) for t in terms])
+
+
 def all_pairs_beta_pushforward(orbit, degree):
     """beta_pushforward with every * and o product formed in full, in the
     library's order: b(u)^(o a) from [1] a factor at a time, each term's
@@ -1110,7 +1134,8 @@ def whole_row_rref(m, p):
 
 
 def whole_row_kernel_basis(m, p, ncols):
-    """The right kernel basis ``modp.kernel_basis`` reads off the RREF."""
+    """The right kernel basis ``modp.kernel_vectors`` reads off the RREF,
+    written out as dense rows."""
     reduced, pivots = whole_row_rref(m, p)
     basis = []
     for j in range(ncols):
@@ -1169,9 +1194,14 @@ def rational_honda_log(p, n, degree):
 
 def rational_honda_fgl(p, n, degree):
     """l^-1(l(s) + l(t)) in ``Fraction`` arithmetic, reduced mod p after
-    the p-integrality check of ``PolyFp.reduce_mod``."""
+    checking that no coefficient has a denominator divisible by p."""
     log_series = rational_honda_log(p, n, degree)
     s, t = (PolyFp.variable(None, 2, i, bound=degree) for i in range(2))
     log_sum = log_series.substitute([s]) + log_series.substitute([t])
-    f_rational = series_inverse(log_series).substitute([log_sum])
-    return FGL(p=p, height=n, degree=degree, series=f_rational.reduce_mod(p))
+    coeffs = {}
+    for e, c in series_inverse(log_series).substitute([log_sum]).coeffs.items():
+        c = Fraction(c)
+        if c.denominator % p == 0:
+            raise ValueError("coefficient %s at %r is not %d-integral" % (c, e, p))
+        coeffs[e] = c.numerator * pow(c.denominator, -1, p)
+    return FGL(p=p, height=n, degree=degree, series=PolyFp(p, 2, coeffs, bound=degree))

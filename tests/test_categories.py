@@ -187,7 +187,7 @@ def test_equals_compares_transports_as_well_as_aut():
     twisted = rebuilt(q.classes[:2] + [(aut, moved)])
     assert q.equals(rebuilt(list(q.classes)))
     assert not q.equals(twisted) and not twisted.equals(q)
-    assert set(q.iso(min(transports), u)) != set(twisted.iso(min(transports), u))
+    assert set(q.hom(min(transports), u)) != set(twisted.hom(min(transports), u))
 
 
 def test_prime_not_dividing_order():
@@ -376,7 +376,7 @@ def test_restrictions_conjugate_once_per_object_in_the_sylow(monkeypatch):
 
     monkeypatch.setattr(subrings, "conjugation_matrix", counting)
     a5 = group("a5")
-    presentation = SubringPresentation.for_group(a5, [])
+    presentation = SubringPresentation(Fusion(a5, 2), [])
     inside = [
         v for v in Fusion(a5, 2).objects
         if v.elements <= presentation.sylow.elements
@@ -469,7 +469,7 @@ def test_build_cr_makes_one_fusion_and_one_scan(monkeypatch, fusions):
     calls = _counting_enumerations(monkeypatch)
     a5 = group("a5")
     gens = [parse_poly(s, 2, 2) for s in ("x^2 + x*y + y^2", "x^2*y + x*y^2")]
-    cat = subrings.build_CR(a5, SubringPresentation.for_group(a5, gens))
+    cat = subrings.build_CR(a5, SubringPresentation(Fusion(a5, 2), gens))
     assert cat.kind == "subring"
     assert calls == [("A5", 2)]
     assert len(fusions) == 1
@@ -523,13 +523,15 @@ def test_skeleton_matches_elementwise_oracle_past_the_library(name, p):
 
 
 def test_skeleton_multiplies_blocks_walks_and_generators_only(monkeypatch):
-    # no subobject span is row-reduced; the products are the blocks of each
-    # linked pair, the left-orbit walks, the Dimino spans of the greedy
-    # generators, their commutators and one walk per cyclic subgroup.  The
-    # element-wise oracle makes 1,091 and 148,395 products (matrix orders
-    # aside) and 375 and 22,542 row reductions on these two categories.
+    # no row reduction at all (every elimination in modp, rank, inverse,
+    # kernel and span test alike, passes through _echelon); the products
+    # are the blocks of each linked pair, the left-orbit walks, the Dimino
+    # spans of the greedy generators, their commutators and one walk per
+    # cyclic subgroup.  The element-wise oracle makes 1,091 and 148,395
+    # products (matrix orders aside) and 375 and 22,542 row reductions on
+    # these two categories.
     cats = {"x32": category("x32", 2, None), "c3wrc3": category("c3wrc3", 3, 0)}
-    calls = {"mat_mul": 0, "rref": 0}
+    calls = {"mat_mul": 0, "_echelon": 0}
     for fn in calls:
         def counting(*args, fn=fn, real=getattr(modp, fn)):
             calls[fn] += 1
@@ -538,12 +540,12 @@ def test_skeleton_multiplies_blocks_walks_and_generators_only(monkeypatch):
         monkeypatch.setattr(modp, fn, counting)
     counts = {}
     for name, cat in cats.items():
-        calls.update(mat_mul=0, rref=0)
+        calls.update(mat_mul=0, _echelon=0)
         skeleton(cat)
         counts[name] = dict(calls)
     assert counts == {
-        "x32": {"mat_mul": 600, "rref": 0},
-        "c3wrc3": {"mat_mul": 32516, "rref": 0},
+        "x32": {"mat_mul": 600, "_echelon": 0},
+        "c3wrc3": {"mat_mul": 32516, "_echelon": 0},
     }
 
 

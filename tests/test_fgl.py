@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import chromcat.fgl
-from chromcat import PolyFp, honda_fgl, series_inverse
+from chromcat import CycRing, PolyFp, honda_fgl, series_inverse
 from oracles import rational_honda_fgl, rational_honda_log
 
 
@@ -31,14 +31,6 @@ def test_series_inverse_exact():
     x = PolyFp.variable(None, 1, 0, bound=4)
     assert log.substitute([exp]) == x
     assert exp.substitute([log]) == x
-
-
-def test_reduce_mod_rejects_non_integral():
-    bad = PolyFp(None, 1, {(1,): Fraction(1, 2)}, bound=3)
-    with pytest.raises(ValueError):
-        bad.reduce_mod(2)
-    ok = PolyFp(None, 1, {(1,): Fraction(1, 3)}, bound=3)
-    assert ok.reduce_mod(2).coefficient((1,)) == 1  # 3^-1 = 1 mod 2
 
 
 @pytest.mark.parametrize("p,n,degree", [
@@ -148,9 +140,12 @@ def test_degree_cap():
 
 def test_formal_sum_in_series():
     fgl = honda_fgl(2, 2, 8)
-    s = PolyFp.variable(2, 2, 0, bound=8)
-    t = PolyFp.variable(2, 2, 1, bound=8)
-    assert fgl.add_series(s, t) == fgl.series
-    # x +_F x = [2](x) embedded in two variables
-    both = fgl.add_series(s, s)
-    assert both.coeffs == {(4, 0): 1}
+    ring = CycRing(2, 2, 2)
+    w, z = ring.variable(0), ring.variable(1)
+    # w +_F z is F's series less every term with an exponent at the cap 4
+    assert ring.fgl_sum(fgl, w, z) == ring.elt(
+        {e: c for e, c in fgl.series.coeffs.items() if max(e) < ring.cap})
+    # w +_F w = [2](w) = w^4, kept by a ring whose cap is 8
+    line = CycRing(2, 3, 1)
+    w = line.variable(0)
+    assert line.fgl_sum(fgl, w, w) == w ** 4

@@ -216,10 +216,10 @@ def test_witness_inverse_and_transitivity_exhaustive(name):
             if len(a) != len(b) or canon[a] != canon[b]:
                 continue
             # compose witnesses through the canonical representative
-            w = g.mul(to_rep[b], g.inv(to_rep[a]))
+            w = g.mul(to_rep[b], g.inverse[to_rep[a]])
             assert all(g.conjugate(x, w) == y for x, y in zip(a, b))
             # and the inverse witness goes back
-            winv = g.inv(w)
+            winv = g.inverse[w]
             assert all(g.conjugate(y, winv) == x for x, y in zip(a, b))
     # cross-class pairs have no witness
     rng = random.Random(3)

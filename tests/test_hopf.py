@@ -16,7 +16,6 @@ from chromcat import (
     honda_fgl,
     hurewicz_eval,
     mod_indecomposables,
-    orbit_from_terms,
     parse_poly,
     verify_kn_injectivity,
     weyl_orbit_restriction,
@@ -26,6 +25,7 @@ from oracles import (
     all_pairs_circ_mul,
     all_pairs_star_mul,
     hurewicz_by_coproduct,
+    orbit_from_terms,
 )
 
 FGL22 = honda_fgl(2, 2, 8)

@@ -1,12 +1,15 @@
-"""No chromcat module reaches into another module's private names, and
-only ``groups`` and ``elemab`` read a group's Cayley table.
+"""No chromcat module reaches into another module's private names, only
+``groups`` and ``elemab`` read a group's Cayley table, and every public
+function and class is reached by something other than the tests.
 
 A name with a leading underscore is free to change with its module, so
 another module may neither import it (``from .categories import _x``) nor
 read it off an imported module (``modp._x``).  Every other module asks the
 group for products and conjugates, so that the table can give way to
-another representation in those two modules alone.  Each source file is
-parsed with ``ast``; nothing is imported or run.
+another representation in those two modules alone.  A public name that no
+other part of the package uses and that the benchmark does not run is code
+kept for the tests alone, which belongs in ``tests/oracles.py``.  Each
+source file is parsed with ``ast``; nothing is imported or run.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from pathlib import Path
 import chromcat
 
 SRC = Path(chromcat.__file__).resolve().parent
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TABLE_READERS = {"groups.py", "elemab.py"}
 
 
@@ -88,3 +92,78 @@ def test_the_check_sees_a_table_read(tmp_path):
     assert _table_reads(sample) == [
         "sample.py reads .table at line 1", "sample.py reads .table at line 3",
     ]
+
+
+def _used_names(node) -> set:
+    """The names and attribute names that ``node`` reads or writes."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def _traced_names(layers: Path) -> set:
+    """Every dotted part of the attrs that ``layers.TARGETS`` wraps."""
+    tree = ast.parse(layers.read_text(), filename=str(layers))
+    return {
+        part
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
+        for target in node.value.elts
+        for part in target.elts[1].value.split(".")
+    }
+
+
+def _unreached(src: Path, perfbench: Path) -> list:
+    """The top-level public functions and classes of the modules in ``src``
+    that no other src code names (``__init__``'s re-exports aside, and a
+    definition's own body aside) and that ``perfbench`` names neither as a
+    ``layers.TARGETS`` attr nor in its code; metric strings do not count."""
+    uses, defined = [], []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            name = getattr(node, "name", None)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not name.startswith("_") and path.name != "__main__.py":
+                    defined.append((path.stem, name))
+            uses.append((path.stem, name, _used_names(node)))
+    benched = _traced_names(perfbench / "layers.py")
+    for path in perfbench.glob("*.py"):
+        benched |= _used_names(ast.parse(path.read_text(), filename=str(path)))
+    return [
+        "%s.%s" % (module, name)
+        for module, name in defined
+        if name not in benched
+        and not any(name in used for m, d, used in uses if (m, d) != (module, name))
+    ]
+
+
+def test_every_public_name_is_reached_outside_the_tests():
+    assert _unreached(SRC, PERFBENCH) == []
+
+
+def test_the_check_sees_a_name_only_tests_reach(tmp_path):
+    src, bench = tmp_path / "src", tmp_path / "perfbench"
+    src.mkdir()
+    bench.mkdir()
+    (src / "__init__.py").write_text("from .a import Kept, loop, unused\n")
+    (src / "__main__.py").write_text("from .b import main\nmain()\n")
+    (src / "a.py").write_text(
+        "class Kept:\n    pass\n\n"
+        "def loop(n):\n    return loop(n - 1) if n else Kept()\n\n"
+        "def unused():\n    pass\n\n"
+        "def traced():\n    pass\n\n"
+        "def benched():\n    pass\n\n"
+        "def _private():\n    pass\n"
+    )
+    (src / "b.py").write_text("from . import a\n\ndef main():\n    return a.Kept\n")
+    (bench / "layers.py").write_text(
+        'TARGETS = (("chromcat.a", "traced", "a.traced", None),)\n'
+        'PER_LAYER = (("a.unused", "count/op", "lower", "count", "a.loop"),)\n'
+    )
+    (bench / "run.py").write_text("def op(cc):\n    return cc.a.benched()\n")
+    assert _unreached(src, bench) == ["a.loop", "a.unused"]

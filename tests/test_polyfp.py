@@ -16,7 +16,6 @@ from chromcat import (
     invariant_bases,
     invariant_basis,
     load_builtin,
-    orbit_sum,
     parse_poly,
     subring_membership,
     weyl_action,
@@ -98,12 +97,6 @@ def test_frobenius_and_substitution_examples():
     assert X.substitute_linear(((1, 0), (0, 1))) == X
     m = ((0, 1), (1, 1))
     assert (X * X * Y).substitute_linear(m) == parse_poly("x*y^2 + y^3", 2, 2)
-
-
-def test_orbit_sums():
-    assert orbit_sum(X * X * Y, C3) == ETA
-    assert orbit_sum(D1, C3) == D1  # invariant: orbit of size one
-    assert orbit_sum(X, C3).is_zero()  # x + y + (x+y) = 0 over F_2
 
 
 def test_invariant_bases():

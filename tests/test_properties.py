@@ -30,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 
 from chromcat import (
+    Fusion,
     UnsupportedGroupError,
     build_CR,
     build_category,
@@ -45,7 +46,6 @@ from chromcat import (
     parse_poly,
     quillen_category,
 )
-from chromcat.categories import iso_classes
 from chromcat.subrings import SubringPresentation, sylow_among
 from conftest import (
     LEVEL_JOIN_GENERATORS,
@@ -317,9 +317,9 @@ def test_subring_transports_match_all_pairs_oracle_on_agl_1_8():
     # some have order 3, so a matched m stored in place of m^-1 shows
     g = _agl_1_8()
     assert g.order == 56
-    weyl = SubringPresentation.for_group(g, []).weyl
+    weyl = SubringPresentation(Fusion(g, 2), []).weyl
     gens = [f for d in range(1, 5) for f in invariant_basis(weyl, d)]
-    presentation = SubringPresentation.for_group(g, gens)
+    presentation = SubringPresentation(Fusion(g, 2), gens)
     cat = build_CR(g, presentation)
     assert cat.equals(quillen_category(g, 2))
     for choice in (0, 1, 2):
@@ -331,7 +331,10 @@ def _materialized(cat):
     after checking the lazy category against it: every hom-set in order
     and without repeats, the morphism count, the isomorphism classes, and
     each composite's witness, which must induce it."""
-    triples = [(i, k, m) for (i, k), mats in cat.isos.items() for m in mats]
+    triples = [
+        (i, k, m) for i, c in cat.class_of.items()
+        for k in cat.classes[c][1] for m in cat.hom(i, k)
+    ]
     # each isomorphism's own witness, which with_inclusions passes on to
     # its composites
     conjugations = {(i, k, m): witness(cat, i, k, m) for i, k, m in triples}
@@ -343,7 +346,8 @@ def _materialized(cat):
             assert lazy == [f.matrix for f in homs.get((i, j), ())], (i, j)
             assert lazy == sorted(set(lazy)), (i, j)
     assert cat.morphism_count() == sum(len(fs) for fs in homs.values())
-    assert iso_classes(cat) == inverse_iso_classes(cat.objects, homs, cat.p)
+    classes = [sorted(transports) for _, transports in cat.classes]
+    assert classes == inverse_iso_classes(cat.objects, homs, cat.p)
     for (i, j), fs in homs.items():
         for f in fs:
             g = witnesses.get((i, j, f.matrix))
@@ -365,9 +369,10 @@ def _check_groupoid_laws(cat):
     Iso(k, i) is exactly the inverses of Iso(i, k), and |Iso(i, k)| is
     |Aut(R)| of the class's least member R."""
     p = cat.p
-    for members, (aut, _) in zip(iso_classes(cat), cat.classes):
+    for aut, transports in cat.classes:
+        members = sorted(transports)
         sample = sorted(set(members[:3] + members[-2:]))
-        isos = {(i, k): cat.iso(i, k) for i in sample for k in sample}
+        isos = {(i, k): cat.hom(i, k) for i in sample for k in sample}
         assert isos[(members[0], members[0])] == aut, members
         for (i, k), mats in isos.items():
             assert len(mats) == len(aut), (i, k)
@@ -388,7 +393,7 @@ def test_isomorphisms_form_a_groupoid(name, p):
 def test_subring_isomorphisms_form_a_groupoid(name):
     g = group(name)
     for gens in ([], [D1 ** 2, D0 ** 2], [D1, D0, ETA]):
-        _check_groupoid_laws(build_CR(g, SubringPresentation.for_group(g, gens)))
+        _check_groupoid_laws(build_CR(g, SubringPresentation(Fusion(g, 2), gens)))
 
 
 def _check_equals_against_materialized(cats):
@@ -415,7 +420,7 @@ def test_lazy_subring_homs_match_materialized_composites(name):
         category(name, 2, None)
     ]
     for gens in ([], [D1 ** 2, D0 ** 2], [D1, D0, ETA]):
-        cats.append(build_CR(g, SubringPresentation.for_group(g, gens)))
+        cats.append(build_CR(g, SubringPresentation(Fusion(g, 2), gens)))
     _check_equals_against_materialized(cats)
 
 
@@ -441,7 +446,7 @@ def test_colimits_match_union_find_on_random_groups(g):
 
 def _invariant_bases(g):
     """The Weyl-invariant bases of degrees 1, 2 and 3 on g's Sylow 2-subgroup."""
-    weyl = SubringPresentation.for_group(g, []).weyl
+    weyl = SubringPresentation(Fusion(g, 2), []).weyl
     return [invariant_basis(weyl, d) for d in (1, 2, 3)]
 
 
@@ -452,7 +457,7 @@ def _check_subrings_against_all_pairs(g, extra=()):
     2, and the one category the library builds must equal each."""
     bases = _invariant_bases(g)
     for gens in ([], *bases, [f for b in bases for f in b], *extra):
-        presentation = SubringPresentation.for_group(g, gens)
+        presentation = SubringPresentation(Fusion(g, 2), gens)
         cat = build_CR(g, presentation)
         for choice in (0, 1, 2):
             _check_against_all_pairs(
@@ -480,7 +485,7 @@ def test_restrictions_agree_along_every_embedding(name):
     # same restrictions
     g = group(name)
     gens = [f for b in _invariant_bases(g) for f in b]
-    presentation = SubringPresentation.for_group(g, gens)
+    presentation = SubringPresentation(Fusion(g, 2), gens)
     for v in enumerate_elem_abelians(g, 2):
         embs = embeddings_into(g, v, presentation.sylow)
         assert embs, (name, v.rank)
@@ -503,4 +508,4 @@ def test_subring_category_axioms():
     # C_R instances satisfy the same categorical axioms
     a4 = group("a4")
     for gens in ([D1, D0, ETA], [D1 ** 2, D0 ** 2], []):
-        _check_axioms(build_CR(a4, SubringPresentation.for_group(a4, gens)), gens)
+        _check_axioms(build_CR(a4, SubringPresentation(Fusion(a4, 2), gens)), gens)

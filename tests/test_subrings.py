@@ -16,7 +16,6 @@ from chromcat import (
     modp,
     parse_poly,
     quillen_category,
-    restriction,
     weyl_action,
 )
 from chromcat.groups import GroupError
@@ -37,7 +36,7 @@ ETA = parse_poly("x^3 + x^2*y + y^3", 2, 2)
 
 
 def a4_presentation(gens, name="R"):
-    return SubringPresentation.for_group(group("a4"), gens, name=name)
+    return SubringPresentation(Fusion(group("a4"), 2), gens, name=name)
 
 
 def sylow_of(g):
@@ -99,12 +98,19 @@ def test_sylow_not_elementary_abelian_rejected():
         with pytest.raises(UnsupportedGroupError):
             sylow_of(group(name))
         with pytest.raises(UnsupportedGroupError):
-            SubringPresentation.for_group(group(name), [])
+            SubringPresentation(Fusion(group(name), 2), [])
 
 
 def test_build_cr_refuses_a_presentation_on_another_group():
     with pytest.raises(GroupError):
         build_CR(group("a5"), a4_presentation([D1]))
+
+
+def test_fusion_subring_refuses_a_presentation_on_another_group():
+    # the keys are looked up by the presentation's own objects, which the
+    # other group's Fusion does not hold
+    with pytest.raises(GroupError, match="another group"):
+        Fusion(group("a5"), 2).subring(a4_presentation([]))
 
 
 def test_generators_must_be_invariant():
@@ -113,17 +119,17 @@ def test_generators_must_be_invariant():
 
 
 def test_restriction_values():
-    a4 = group("a4")
-    sylow = sylow_of(a4)
-    cat = category("a4", 2, None)
-    w1 = cat.objects[1]
-    assert sylow.coordinates(w1.basis[0]) == (1, 0)
-    assert restriction(sylow, w1, D1) == parse_poly("t^2", 2, 1)
-    assert restriction(sylow, w1, D0).is_zero()
-    assert restriction(sylow, w1, ETA) == parse_poly("t^3", 2, 1)
-    assert restriction(sylow, sylow, D1) == D1  # identity inclusion
     zero = parse_poly("0", 2, 2)
-    assert restriction(sylow, w1, zero).is_zero()
+    presentation = a4_presentation([D1, D0, ETA, zero])
+    sylow = presentation.sylow
+    w1 = category("a4", 2, None).objects[1]
+    assert sylow.coordinates(w1.basis[0]) == (1, 0)
+    d1, d0, eta, z = presentation.restrictions(w1)
+    assert d1 == parse_poly("t^2", 2, 1)
+    assert d0.is_zero()
+    assert eta == parse_poly("t^3", 2, 1)
+    assert z.is_zero()
+    assert presentation.restrictions(sylow) == (D1, D0, ETA, zero)  # identity on P
 
 
 def test_cr_recovers_quillen_and_level_one():
@@ -166,7 +172,7 @@ def test_cr_pulls_back_one_key_per_class_and_matrix():
     # = 376.  C_R joins the Quillen classes, so it runs the one scan
     a5 = group("a5")
     fusion = Fusion(a5, 2)
-    cat = fusion.subring(SubringPresentation.for_group(a5, [D1, D0, ETA]))
+    cat = fusion.subring(SubringPresentation(Fusion(a5, 2), [D1, D0, ETA]))
     assert fusion.stats["subring_pullbacks"] == 10
     assert fusion.stats["scans"] == 1
     assert cat.equals(quillen_category(a5, 2))
@@ -184,7 +190,7 @@ def test_cr_restricts_the_least_member_of_each_quillen_class(monkeypatch):
     monkeypatch.setattr(SubringPresentation, "restrictions", counting)
     a5 = group("a5")
     fusion = Fusion(a5, 2)
-    fusion.subring(SubringPresentation.for_group(a5, [D1, D0, ETA]))
+    fusion.subring(SubringPresentation(Fusion(a5, 2), [D1, D0, ETA]))
     assert len(fusion.objects) == 21
     assert calls == [fusion.objects[min(ts)] for _, ts in fusion.scan.classes]
     assert len(calls) == 3
@@ -218,17 +224,17 @@ def test_cr_matches_all_pairs_oracle(name, top):
     # nontrivial, with the Weyl-invariant forms of degrees 1..top (top = 0
     # is the unit subring)
     g = group(name)
-    weyl = SubringPresentation.for_group(g, []).weyl
+    weyl = SubringPresentation(Fusion(g, 2), []).weyl
     gens = [f for basis in invariant_bases(weyl, range(1, top + 1)).values() for f in basis]
-    presentation = SubringPresentation.for_group(g, gens)
+    presentation = SubringPresentation(Fusion(g, 2), gens)
     cat = build_CR(g, presentation)
     assert {key: set(mats) for key, mats in cat.homs.items()} == _oracle_homs(g, presentation)
 
 
 def test_cr_joins_some_quillen_classes_and_equals_no_level():
     e8 = group("e8")
-    presentation = SubringPresentation.for_group(
-        e8, [parse_poly("x^2", 2, 3), parse_poly("y^2 + z^2", 2, 3)]
+    presentation = SubringPresentation(
+        Fusion(e8, 2), [parse_poly("x^2", 2, 3), parse_poly("y^2 + z^2", 2, 3)]
     )
     fusion = Fusion(e8, 2)
     cat = fusion.subring(presentation)
@@ -243,9 +249,9 @@ def test_cr_joins_some_quillen_classes_and_equals_no_level():
 
 def _invariant_presentation(g, top):
     """C_R's presentation by the Weyl-invariant forms of degrees 1..top."""
-    weyl = SubringPresentation.for_group(g, []).weyl
+    weyl = SubringPresentation(Fusion(g, 2), []).weyl
     gens = [f for basis in invariant_bases(weyl, range(1, top + 1)).values() for f in basis]
-    return SubringPresentation.for_group(g, gens)
+    return SubringPresentation(Fusion(g, 2), gens)
 
 
 def _psl_2_8():

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from chromcat import LinearMorphism, SubringPresentation, load_builtin, quillen_category
+from chromcat import Fusion, LinearMorphism, SubringPresentation, load_builtin, quillen_category
 
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
 
@@ -53,11 +53,14 @@ def test_trace_hooks_count_real_results():
     quillen = quillen_category(a4, 2)
     line, klein = quillen.objects[1], quillen.objects[4]
     swap = LinearMorphism(klein, klein, ((0, 1), (1, 0)))
-    presentation = SubringPresentation.for_group(a4, [])
+    presentation = SubringPresentation(Fusion(a4, 2), [])
     q = 4
+    # |Iso(i, k)| |above[k]| q^rank(i) over the isomorphic pairs (i, k):
+    # |Aut(R)| for each of a class's |members|^2 pairs
     unions = sum(
-        len(mats) * len(quillen.above[k]) * q ** quillen.objects[i].rank
-        for (i, k), mats in quillen.isos.items()
+        len(aut) * len(ts) * sum(len(quillen.above[k]) for k in ts)
+        * q ** quillen.objects[min(ts)].rank
+        for aut, ts in quillen.classes
     )
     cases = {
         "group_from_permutations": (
