@@ -11,7 +11,8 @@ bound.  Rewrite rules wired in:
 
 Mixed circle-monomials (such as b_1 o b_2) are kept as formal nonzero
 symbols; nonvanishing is never concluded from them.  The unit v_n is
-suppressed, so all scalars live in F_p.
+suppressed, so all scalars live in F_p, and every coefficient lies in
+F_p[s, t] truncated above the expression's degree.
 
 ``CycRing`` models the coefficient ring F_p[x_1..x_r]/(x_i^(p^n)) of the
 classifying space of (Z/p)^r with v_n set to 1.
@@ -24,7 +25,7 @@ from typing import Optional, Sequence
 
 from .fgl import FGL, is_prime
 from .groups import closure
-from .polyfp import PolyFp
+from .polyfp import PolyFp, sum_of_products
 
 WEYL_CLOSURE_CAP = 24
 
@@ -174,39 +175,53 @@ class HopfExpr:
     """F_p-linear combination of *-monomials with (s, t)-polynomial
     coefficients, truncated above total degree ``degree``.
 
-    ``terms`` is a dict or an iterable of (star, coefficient) pairs; the
-    coefficients of equal stars are added before each distinct star is
-    normalized and its coefficient truncated.  The * and o products never
-    form a coefficient product past the bound: a pair of terms whose lowest
-    degrees sum above ``degree`` is skipped unformed."""
+    ``terms`` is a dict or an iterable of (star, coefficient) pairs;
+    coefficients are truncated at ``degree`` and added over the stars that
+    normalize to the same star, and stars left with a zero coefficient are
+    dropped.  p must be prime, the height at least one and the degree at
+    least zero.  Every coefficient must be a ``PolyFp`` in F_p[s, t]: p
+    equal to the expression's, two variables, no exponent cap and no
+    degree bound below ``degree`` (a coefficient known to a lower degree
+    would clash with the others' truncation in a product).  Anything else
+    raises ``HopfError``, so every stored coefficient is truncated exactly
+    at ``degree``.
+
+    The * and o products file every pair of terms under its normalized
+    output star and sum each star's coefficient products with one
+    ``sum_of_products``; a pair of terms whose lowest degrees sum above
+    ``degree`` is skipped unformed."""
 
     __slots__ = ("p", "height", "degree", "terms")
 
     def __init__(self, p: int, height: int, degree: int, terms=()):
+        if not is_prime(p):
+            raise HopfError("%d is not a prime" % p)
+        if height < 1:
+            raise HopfError("need height >= 1")
+        if degree < 0:
+            raise HopfError("need degree >= 0")
         self.p = p
         self.height = height
         self.degree = degree
-        raw = {}
-        for star, poly in terms.items() if isinstance(terms, dict) else terms:
-            raw[star] = raw[star] + poly if star in raw else poly
         clean = {}
-        for star, poly in raw.items():
+        for star, poly in terms.items() if isinstance(terms, dict) else terms:
+            if (
+                poly.p != p
+                or poly.nvars != 2
+                or poly.cap is not None
+                or (poly.bound is not None and poly.bound < degree)
+            ):
+                raise HopfError(
+                    "coefficients must lie in F_%d[s, t] truncated above degree %d"
+                    % (p, degree)
+                )
             star = self._normalize_star(star)
             if star is None:
                 continue
-            if poly.bound is None or poly.bound > degree:
+            if poly.bound != degree:
                 poly = poly.truncate(degree)
-            if poly.is_zero():
-                continue
-            if star in clean:
-                merged = clean[star] + poly
-                if merged.is_zero():
-                    del clean[star]
-                else:
-                    clean[star] = merged
-            else:
-                clean[star] = poly
-        self.terms = clean
+            clean[star] = clean[star] + poly if star in clean else poly
+        self.terms = {star: poly for star, poly in clean.items() if not poly.is_zero()}
 
     def _normalize_star(self, star):
         c, omonos = star
@@ -236,7 +251,7 @@ class HopfExpr:
     @classmethod
     def grouplike(cls, p, height, degree, c, coeff: Optional[PolyFp] = None):
         coeff = coeff if coeff is not None else PolyFp.constant(p, 2, 1)
-        return cls(p, height, degree, {(c % p, ()): coeff})
+        return cls(p, height, degree, {(c, ()): coeff})
 
     @classmethod
     def omono(cls, p, height, degree, indices, coeff: Optional[PolyFp] = None):
@@ -262,29 +277,48 @@ class HopfExpr:
             self.p, self.height, self.degree, [*self.terms.items(), *other.terms.items()]
         )
 
-    def _bounded_pairs(self, other):
-        """The pairs of terms whose coefficient product can survive the
-        bound.  Every coefficient is truncated at ``degree`` or below, so a
-        pair whose lowest degrees sum past it multiplies to zero; the right
-        terms are sorted by lowest degree and each left term stops at the
-        first one that does not fit."""
+    def _products(self, other, product_star) -> "HopfExpr":
+        """The sum over pairs of terms of their coefficient product, filed
+        under ``product_star(star1, star2)``: a (normalized star, scalar)
+        pair, or None when the pair's product is zero.
+
+        Pairs are grouped by star and each group is summed by one
+        ``sum_of_products``, so no coefficient product is formed alone and
+        no star is merged twice.  Every coefficient is truncated at
+        ``degree``, so a pair whose lowest degrees sum past it multiplies
+        to zero: the right terms are sorted by lowest degree and each left
+        term stops at the first one that does not fit."""
+        self._check(other)
         right = sorted(
             ((poly.min_degree(), star, poly) for star, poly in other.terms.items()),
             key=lambda item: item[0],
         )
+        groups = {}
         for star1, p1 in self.terms.items():
             room = self.degree - p1.min_degree()
             for d2, star2, p2 in right:
                 if d2 > room:
                     break
-                yield star1, p1, star2, p2
+                made = product_star(star1, star2)
+                if made is not None:
+                    star, c = made
+                    groups.setdefault(star, []).append((p1, p2, c))
+        # the result is stored as formed, without the constructor's checks
+        out = object.__new__(HopfExpr)
+        out.p, out.height, out.degree, out.terms = self.p, self.height, self.degree, {}
+        for star, triples in groups.items():
+            poly = sum_of_products(triples, self.degree)
+            if not poly.is_zero():
+                out.terms[star] = poly
+        return out
 
     def star_mul(self, other: "HopfExpr") -> "HopfExpr":
-        """The * product: grouplike tags add, circle factors concatenate."""
-        self._check(other)
-        return HopfExpr(self.p, self.height, self.degree, (
-            (((c1 + c2) % self.p, tuple(sorted(ms1 + ms2))), p1 * p2)
-            for (c1, ms1), p1, (c2, ms2), p2 in self._bounded_pairs(other)
+        """The * product: grouplike tags add, circle factors concatenate.
+        Each factor already passed the pure-b_1 rule, so no product star
+        vanishes."""
+        p = self.p
+        return self._products(other, lambda star1, star2: (
+            ((star1[0] + star2[0]) % p, tuple(sorted(star1[1] + star2[1]))), 1
         ))
 
     def circ_mul(self, other: "HopfExpr") -> "HopfExpr":
@@ -298,23 +332,24 @@ class HopfExpr:
         if self.terms and any(len(ms) > 1 for _, ms in (*self.terms, *other.terms)):
             raise HopfError("circle product needs atomic operands")
 
-        def pairs():
-            for (c1, ms1), p1, (c2, ms2), p2 in self._bounded_pairs(other):
-                if not ms1 and not ms2:
-                    yield ((c1 * c2) % p, ()), p1 * p2
-                elif not ms1:
-                    # [c] o m = c m in positive degree; [0] o m = 0.
-                    if c1 % p:
-                        yield (0, ms2), (p1 * p2).scale(c1)
-                elif not ms2:
-                    if c2 % p:
-                        yield (0, ms1), (p1 * p2).scale(c2)
-                else:
-                    yield (0, (tuple(sorted(ms1[0] + ms2[0])),)), p1 * p2
+        def product_star(star1, star2):
+            (c1, ms1), (c2, ms2) = star1, star2
+            if not ms1 and not ms2:
+                return ((c1 * c2) % p, ()), 1
+            if not ms1:
+                # [c] o m = c m in positive degree; [0] o m = 0.
+                return ((0, ms2), c1) if c1 else None
+            if not ms2:
+                return ((0, ms1), c2) if c2 else None
+            star = self._normalize_star((0, (ms1[0] + ms2[0],)))
+            return None if star is None else (star, 1)
 
-        return HopfExpr(p, self.height, self.degree, pairs())
+        return self._products(other, product_star)
 
     def circ_power(self, k: int) -> "HopfExpr":
+        """The k-fold o product from the o-unit [1], for k >= 0."""
+        if k < 0:
+            raise HopfError("negative circle power")
         out = HopfExpr.grouplike(self.p, self.height, self.degree, 1)
         for _ in range(k):
             out = out.circ_mul(self)

@@ -6,7 +6,9 @@ group laws and Hopf-ring coefficients), and the model rings
 F_p[x_1..x_r]/(x_i^cap).  Polynomials store nonzero coefficients keyed by
 exponent tuples; rendering and iteration follow a graded order (total
 degree, then descending lexicographic exponents) so "x^2*y + x*y^2" style
-strings are reproducible and parseable back.
+strings are reproducible and parseable back.  Every product is formed by
+``sum_of_products``, which adds c * a * b over a list of triples in one
+pass; ``a * b`` is its one-triple case.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ class PolyFp:
     The constructor reduces, checks and truncates the coefficients it is
     given.  Results of arithmetic are built by ``_stored``, which trusts its
     coefficients to be reduced, nonzero and inside both truncations: each
-    operation keeps them so as it forms them.
+    operation keeps them so as it forms them.  A product is the one-triple
+    case of ``sum_of_products``.
     """
 
     __slots__ = ("p", "nvars", "coeffs", "bound", "cap")
@@ -204,19 +207,7 @@ class PolyFp:
         return self._combine(other, -1)
 
     def __mul__(self, other: "PolyFp") -> "PolyFp":
-        bound, cap = self._check(other)
-        # pairs whose total degree passes the bound are skipped unformed;
-        # a product with an exponent at the cap is formed and dropped
-        limit = math.inf if bound is None else bound
-        right = [(e, c, sum(e)) for e, c in other.coeffs.items()]
-        coeffs = {}
-        for e1, c1 in self.coeffs.items():
-            room = limit - sum(e1)
-            for e2, c2, d2 in right:
-                if d2 <= room:
-                    e = tuple(map(add, e1, e2))
-                    coeffs[e] = coeffs.get(e, 0) + c1 * c2
-        return self._stored(self.p, self.nvars, self._clean(coeffs, cap), bound, cap)
+        return sum_of_products([(self, other, 1)])
 
     def scale(self, c) -> "PolyFp":
         coeffs = self._clean({e: v * c for e, v in self.coeffs.items()})
@@ -323,6 +314,58 @@ class PolyFp:
 
     def __repr__(self):
         return "%s(%r, %r)" % (type(self).__name__, self.p, self.render())
+
+
+def sum_of_products(triples: Sequence[tuple], bound: Optional[int] = None) -> PolyFp:
+    """The sum of c * a * b over the (a, b, c) triples, formed in one pass.
+
+    Each pair a, b is checked as ``a * b`` checks it, and the truncations
+    of all the pairs must meet as ``+`` meets them, so a mismatch raises
+    the same ValueError.  The sum lives under the truncations they share
+    and, when ``bound`` is given, under that degree bound as well.  Pairs
+    of terms whose total degree passes the bound are skipped unformed; a
+    product with an exponent at the cap is formed and dropped.  The sum is
+    reduced and cleaned once, at the end.  ``a * b`` is the one triple
+    (a, b, 1).
+    """
+    if not triples:
+        raise ValueError("need at least one product")
+    first = triples[0][0]
+    p, nvars = first.p, first.nvars
+    top = cap = None
+    for a, b, _ in triples:
+        if a.p != p or a.nvars != nvars:
+            raise ValueError("polynomial domains do not match")
+        pair_bound, pair_cap = a._check(b)
+        if pair_bound != top or pair_cap != cap:
+            top, cap = _meet(top, pair_bound), _meet(cap, pair_cap)
+    if bound is not None and (top is None or bound < top):
+        top = bound
+    limit = math.inf if top is None else top
+    coeffs = {}
+    get = coeffs.get
+    for a, b, c in triples:
+        if nvars == 2:
+            # exponents added pairwise: the two-variable rings (series,
+            # Hopf coefficients, rank-2 model rings) are the hot ones
+            right = b.coeffs.items()
+            for (x1, y1), c1 in a.coeffs.items():
+                room = limit - x1 - y1
+                c1 *= c
+                for (x2, y2), c2 in right:
+                    if x2 + y2 <= room:
+                        e = (x1 + x2, y1 + y2)
+                        coeffs[e] = get(e, 0) + c1 * c2
+        else:
+            right = [(e, v, sum(e)) for e, v in b.coeffs.items()]
+            for e1, c1 in a.coeffs.items():
+                room = limit - sum(e1)
+                c1 *= c
+                for e2, c2, d2 in right:
+                    if d2 <= room:
+                        e = tuple(map(add, e1, e2))
+                        coeffs[e] = get(e, 0) + c1 * c2
+    return first._stored(p, nvars, first._clean(coeffs, cap), top, cap)
 
 
 _FACTOR_RE = re.compile(r"^([A-Za-z]\w*)(?:\^(\d+))?$")

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from chromcat import hopf
 from chromcat import (
     CycRing,
     HopfError,
@@ -136,6 +137,67 @@ def test_grouplike_rules():
     assert e0.star_mul(m) == m       # [0] is the * unit
 
 
+@pytest.mark.parametrize("coeff", [
+    PolyFp.constant(3, 2, 2),  # a mod-3 coefficient
+    PolyFp.constant(None, 2, 1),  # an integer coefficient
+    PolyFp.constant(2, 3, 1),  # three variables
+    PolyFp.constant(2, 1, 1),  # one variable
+    CycRing(2, 2, 2).variable(0),  # a model-ring element, under an exponent cap
+    PolyFp.variable(2, 2, 0, bound=3),  # known only to degree 3
+])
+def test_expression_refuses_a_coefficient_outside_its_ring(coeff):
+    # unchecked, a mod-3 coefficient rendered as "(2) b1" in a mod-2
+    # expression and a three-variable one as "b1"
+    with pytest.raises(HopfError, match=r"F_2\[s, t\] truncated above degree 8"):
+        HopfExpr(2, 1, 8, {(0, ((1,),)): coeff})
+    with pytest.raises(HopfError):
+        HopfExpr.omono(2, 1, 8, (1,), coeff)
+
+
+def test_coefficients_truncated_at_or_above_the_degree_are_kept_at_it():
+    s = PolyFp.variable(2, 2, 0)
+    for coeff in (s + s ** 5, (s + s ** 5).truncate(4), (s + s ** 5).truncate(6)):
+        e = HopfExpr(2, 1, 4, {(0, ((1,),)): coeff})
+        assert e.terms == {(0, ((1,),)): s}
+        assert e.terms[(0, ((1,),))].bound == 4
+
+
+def test_a_coefficient_known_to_a_lower_degree_reaches_neither_product():
+    # with a coefficient bounded at 3 in a degree-8 expression the all-pairs
+    # products would refuse the mixed truncations, and the kernel would skip
+    # the pairs that pass the bound; the expression refuses it instead
+    low = PolyFp.variable(2, 2, 0, bound=3)
+    for product in (HopfExpr.star_mul, all_pairs_star_mul, HopfExpr.circ_mul, all_pairs_circ_mul):
+        with pytest.raises(HopfError, match="truncated above degree 8"):
+            product(HopfExpr.omono(2, 1, 8, (2,), low), HopfExpr.omono(2, 1, 8, (1,)))
+
+
+@pytest.mark.parametrize("p", [4, 6, 9, 1, 0])
+def test_expression_needs_a_prime(p):
+    # unchecked, HopfExpr(4, ...) rendered the grouplike [3]
+    with pytest.raises(HopfError, match="not a prime"):
+        HopfExpr(p, 1, 4)
+    if p > 1:
+        with pytest.raises(HopfError, match="not a prime"):
+            HopfExpr.grouplike(p, 1, 4, 3)
+
+
+@pytest.mark.parametrize("height,degree", [(0, 4), (-1, 4), (1, -1)])
+def test_expression_needs_positive_height_and_nonnegative_degree(height, degree):
+    # unchecked, height 0 killed every b_1
+    with pytest.raises(HopfError, match="height|degree"):
+        HopfExpr.omono(2, height, degree, (1,))
+
+
+def test_circle_power_needs_a_nonnegative_exponent():
+    bs = b_series(PolyFp.variable(2, 2, 0), 2, 2, 6)
+    assert bs.circ_power(0) == HopfExpr.grouplike(2, 2, 6, 1)
+    assert bs.circ_power(2) == bs.circ_mul(bs)
+    # unchecked, k = -1 gave the unit [1]
+    with pytest.raises(HopfError, match="negative"):
+        bs.circ_power(-1)
+
+
 def test_circle_product_needs_atomic_operands():
     zero = HopfExpr.zero(2, 2, 8)
     e1 = HopfExpr.grouplike(2, 2, 8, 1)
@@ -163,7 +225,8 @@ def test_circle_product_refuses_even_when_the_bound_kills_every_pair():
 
 def _random_expr(rng, p, degree, atomic):
     """A HopfExpr whose terms have coefficients of every lowest degree from
-    0 past the bound, so that some pairs straddle it."""
+    0 past the bound, so that some pairs straddle it.  A coefficient comes
+    untruncated, truncated at the degree or truncated above it."""
     monomials = [
         PolyFp.monomial(p, 2, (a, d - a)) for d in range(degree + 2) for a in range(d + 1)
     ]
@@ -180,11 +243,14 @@ def _random_expr(rng, p, degree, atomic):
         coeff = PolyFp.zero(p, 2)
         for mono in rng.sample(monomials, rng.randrange(1, 4)):
             coeff = coeff + mono.scale(rng.randrange(1, p))
-        terms.append((star, coeff))
+        bound = rng.choice((None, degree, degree + 2))
+        terms.append((star, coeff if bound is None else coeff.truncate(bound)))
     return HopfExpr(p, 1, degree, terms)
 
 
-@pytest.mark.parametrize("p,degree", [(2, 3), (2, 6), (3, 4)])
+@pytest.mark.parametrize(
+    "p,degree", [(2, 3), (2, 6), (2, 10), (3, 4), (3, 8), (5, 5), (5, 10)]
+)
 def test_products_match_all_pairs_oracle_across_the_bound(p, degree):
     rng = random.Random(18_000 + 10 * p + degree)
     for _ in range(40):
@@ -192,6 +258,114 @@ def test_products_match_all_pairs_oracle_across_the_bound(p, degree):
         assert a.star_mul(b).terms == all_pairs_star_mul(a, b).terms
         a, b = (_random_expr(rng, p, degree, atomic=True) for _ in range(2))
         assert a.circ_mul(b).terms == all_pairs_circ_mul(a, b).terms
+
+
+def _assert_products_match_oracle(a, b):
+    star, circ = a.star_mul(b), a.circ_mul(b)
+    assert star.terms == all_pairs_star_mul(a, b).terms
+    assert circ.terms == all_pairs_circ_mul(a, b).terms
+    return star, circ
+
+
+@pytest.mark.parametrize("p,c,d", [(3, 1, 2), (5, 2, 3), (5, 4, 1)])
+def test_grouplikes_scale_circle_monomials_on_both_sides(p, c, d):
+    s, t = (PolyFp.variable(p, 2, i) for i in range(2))
+    # [c] s + b1 t and b1 t + [d] s: [c] o b1 and b1 o [d] both land on b1,
+    # scaled by c and by d, and cancel since c + d = 0 mod p
+    left = HopfExpr(p, 1, 6, {(c, ()): s, (0, ((1,),)): t})
+    right = HopfExpr(p, 1, 6, {(0, ((1,),)): t, (d, ()): s})
+    _, circ = _assert_products_match_oracle(left, right)
+    assert circ == HopfExpr(p, 1, 6, {((c * d) % p, ()): s * s, (0, ((1, 1),)): t * t})
+    # with a b2 on the right the two scaled pairs land on different stars
+    right = HopfExpr(p, 1, 6, {(0, ((2,),)): t, (d, ()): s})
+    _, circ = _assert_products_match_oracle(left, right)
+    assert circ == HopfExpr(p, 1, 6, {
+        ((c * d) % p, ()): s * s,
+        (0, ((2,),)): (s * t).scale(c),
+        (0, ((1,),)): (t * s).scale(d),
+        (0, ((1, 2),)): t * t,
+    })
+
+
+def test_circle_products_drop_stars_the_pure_b1_rule_kills():
+    s, t = PolyFp.variable(3, 2, 0), PolyFp.variable(3, 2, 1)
+    # at p^n = 3, b1 o (b1 o b1) vanishes and b1 o b1 o b2 does not
+    left = HopfExpr(3, 1, 6, {(0, ((1,),)): s, (0, ((1, 1),)): t})
+    right = HopfExpr(3, 1, 6, {(0, ((1,),)): t, (0, ((2,),)): s})
+    _, circ = _assert_products_match_oracle(left, right)
+    assert circ == HopfExpr(3, 1, 6, {
+        (0, ((1, 1),)): s * t, (0, ((1, 2),)): s * s, (0, ((1, 1, 2),)): t * s,
+    })
+    # at p^n = 2 the one pair vanishes
+    b1 = HopfExpr.omono(2, 1, 6, (1,), PolyFp.variable(2, 2, 0))
+    assert b1.circ_mul(b1).is_zero() and all_pairs_circ_mul(b1, b1).is_zero()
+
+
+def test_star_products_that_cancel_across_pairs_leave_no_term():
+    s = PolyFp.variable(2, 2, 0)
+    # b1 * b2 comes from two pairs, each s^2, and cancels mod 2
+    a = HopfExpr(2, 2, 6, {(0, ((1,),)): s, (0, ((2,),)): s})
+    star, _ = _assert_products_match_oracle(a, a)
+    assert star == HopfExpr(2, 2, 6, {(0, ((1,), (1,))): s * s, (0, ((2,), (2,))): s * s})
+    # and a whole product can cancel
+    g = HopfExpr(2, 2, 6, {(0, ()): s, (1, ()): s})
+    assert g.star_mul(g).is_zero() and all_pairs_star_mul(g, g).is_zero()
+
+
+def _unit_stars(a, b, product):
+    """The output stars of the pairs of terms a product forms: each pair's
+    all-pairs product with unit coefficients, for the pairs whose lowest
+    degrees fit under the bound."""
+    stars = set()
+    for star1, p1 in a.terms.items():
+        for star2, p2 in b.terms.items():
+            if p1.min_degree() + p2.min_degree() <= a.degree:
+                one = HopfExpr(a.p, a.height, a.degree, {star1: PolyFp.constant(a.p, 2, 1)})
+                two = HopfExpr(a.p, a.height, a.degree, {star2: PolyFp.constant(a.p, 2, 1)})
+                stars |= set(product(one, two).terms)
+    return stars
+
+
+@pytest.mark.parametrize("p,degree", [(2, 6), (3, 8)])
+def test_products_sum_each_output_star_once(monkeypatch, p, degree):
+    rng = random.Random(28_000 + p)
+    cases = []
+    for atomic, product, oracle in (
+        (False, HopfExpr.star_mul, all_pairs_star_mul),
+        (True, HopfExpr.circ_mul, all_pairs_circ_mul),
+    ):
+        for _ in range(20):
+            a, b = (_random_expr(rng, p, degree, atomic) for _ in range(2))
+            cases.append((a, b, product, _unit_stars(a, b, oracle)))
+    s = PolyFp.variable(2, 2, 0)
+    cancel = HopfExpr(2, 2, 6, {(0, ((1,),)): s, (0, ((2,),)): s})
+    cases.append((cancel, cancel, HopfExpr.star_mul, _unit_stars(cancel, cancel, all_pairs_star_mul)))
+
+    counts = {"mul": 0, "sum": 0, "triples": 0}
+    real_mul, real_sum = PolyFp.__mul__, hopf.sum_of_products
+
+    def counting_mul(a, b):
+        counts["mul"] += 1
+        return real_mul(a, b)
+
+    def counting_sum(triples, bound=None):
+        counts["sum"] += 1
+        counts["triples"] += len(triples)
+        return real_sum(triples, bound)
+
+    monkeypatch.setattr(PolyFp, "__mul__", counting_mul)
+    monkeypatch.setattr(hopf, "sum_of_products", counting_sum)
+    several = 0
+    for a, b, product, stars in cases:
+        counts.update(mul=0, sum=0, triples=0)
+        result = product(a, b)
+        assert counts["mul"] == 0
+        assert counts["sum"] == len(stars)
+        assert set(result.terms) <= stars
+        several += counts["triples"] > counts["sum"]
+    # some products file several pairs under one star, so a sum per pair
+    # would show
+    assert several
 
 
 def test_equal_terms_are_added_before_truncation():

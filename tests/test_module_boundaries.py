@@ -4,7 +4,8 @@ function and class is reached by something other than the tests.
 
 A name with a leading underscore is free to change with its module, so
 another module may neither import it (``from .categories import _x``) nor
-read it off an imported module (``modp._x``).  Every other module asks the
+read it off an imported module (``modp._x``) or off a name imported from
+one (``PolyFp._stored`` after ``from .polyfp import PolyFp``).  Every other module asks the
 group for products and conjugates, so that the table can give way to
 another representation in those two modules alone.  A public name that no
 other part of the package uses and that the benchmark does not run is code
@@ -26,7 +27,7 @@ TABLE_READERS = {"groups.py", "elemab.py"}
 
 def _private_uses(path: Path) -> list:
     tree = ast.parse(path.read_text(), filename=str(path))
-    modules, found = set(), []
+    imported, found = set(), []
     for node in ast.walk(tree):
         if not isinstance(node, ast.ImportFrom):
             continue
@@ -35,13 +36,13 @@ def _private_uses(path: Path) -> list:
         for alias in node.names:
             if alias.name.startswith("_"):
                 found.append("%s imports %s" % (path.name, alias.name))
-            elif node.module in (None, "chromcat"):  # from . import modp
-                modules.add(alias.asname or alias.name)
+            else:  # a module (from . import modp) or a name in one
+                imported.add(alias.asname or alias.name)
     for node in ast.walk(tree):
         if (
             isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name)
-            and node.value.id in modules
+            and node.value.id in imported
             and node.attr.startswith("_")
         ):
             found.append("%s reads %s.%s" % (path.name, node.value.id, node.attr))
@@ -57,12 +58,20 @@ def test_the_check_sees_a_private_import_and_read(tmp_path):
     sample = tmp_path / "sample.py"
     sample.write_text(
         "from .categories import Fusion, _generators\n"
+        "from .polyfp import PolyFp as Poly\n"
         "from . import modp\n"
+        "from dataclasses import dataclass\n"
         "x = modp._pack\n"
         "y = modp.mat_mul\n"
+        "z = Poly._stored(2, 1, {})\n"
+        "w = Fusion.category\n"
+        "v = dataclass._private\n"
+        "u = self._own\n"
     )
-    assert _private_uses(sample) == [
-        "sample.py imports _generators", "sample.py reads modp._pack",
+    assert sorted(_private_uses(sample)) == [
+        "sample.py imports _generators",
+        "sample.py reads Poly._stored",
+        "sample.py reads modp._pack",
     ]
 
 

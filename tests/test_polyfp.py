@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chromcat import (
+    CycRing,
     Fusion,
     LinearAction,
     PolyFp,
@@ -21,7 +22,7 @@ from chromcat import (
     weyl_action,
 )
 from chromcat.modp import mat_rank
-from chromcat.polyfp import _monomials_of_degree, graded_piece
+from chromcat.polyfp import _monomials_of_degree, graded_piece, sum_of_products
 from oracles import (
     naive_truncated_composition,
     naive_truncated_power,
@@ -307,11 +308,11 @@ def _coefficients(p):
     return st.integers(min_value=0, max_value=p - 1)
 
 
-def _coeff_dicts(p, max_degree, constant=True):
+def _coeff_dicts(p, max_degree, constant=True, nvars=2):
     mons = [
         e
         for d in range(0 if constant else 1, max_degree + 1)
-        for e in _monomials_of_degree(2, d)
+        for e in _monomials_of_degree(nvars, d)
     ]
     return st.dictionaries(st.sampled_from(mons), _coefficients(p), max_size=5)
 
@@ -340,6 +341,68 @@ def test_truncated_arithmetic_matches_naive_oracle(data):
         f.coeffs, [img.coeffs for img in images], 2, p, bound, cap
     )
     assert f.substitute(images).coeffs == composite
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sum_of_products_matches_products_and_sums(data):
+    # one to four (a, b, c) triples over F_2, F_3, F_5 and Q in one to three
+    # variables, each operand truncated or plain, with or without an extra
+    # bound: the one-pass sum agrees with c * a * b formed by * and added by
+    # +, and with full products truncated at the end
+    p = data.draw(st.sampled_from([2, 3, 5, None]), label="p")
+    nvars = data.draw(st.integers(min_value=1, max_value=3), label="nvars")
+    bound, cap = data.draw(st.sampled_from([(None, None), (5, None), (None, 3), (3, 3)]))
+    extra = data.draw(st.sampled_from([None, 0, 2, 4, 7]), label="extra bound")
+    triples = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=4), label="triples")):
+        a, b = (
+            PolyFp(p, nvars, data.draw(_coeff_dicts(p, 4, nvars=nvars)),
+                   *((None, None) if data.draw(st.booleans()) else (bound, cap)))
+            for _ in range(2)
+        )
+        c = data.draw(_coefficients(p) if p is None else st.integers(-p, 2 * p), label="c")
+        triples.append((a, b, c))
+    got = sum_of_products(triples, extra)
+    _assert_stored_clean(got)
+    total = None
+    for a, b, c in triples:
+        term = (a * b).scale(c)
+        total = term if total is None else total + term
+    if extra is not None:
+        total = total.truncate(extra)
+    assert got.coeffs == total.coeffs
+    assert (got.bound, got.cap) == (total.bound, total.cap)
+    assert type(got) is PolyFp
+    naive = {}
+    for a, b, c in triples:
+        for e, v in naive_truncated_product(a.coeffs, b.coeffs, p, total.bound, total.cap).items():
+            naive[e] = naive.get(e, 0) + c * v
+    assert got == PolyFp(p, nvars, naive)
+
+
+def test_sum_of_products_checks_every_pair():
+    x5 = PolyFp.variable(2, 2, 0, bound=5)
+    x6 = PolyFp.variable(2, 2, 0, bound=6)
+    with pytest.raises(ValueError, match="truncations do not match"):
+        sum_of_products([(X, X, 1), (x5, x6, 1)])
+    # each pair agrees with itself, but the two products do not add
+    with pytest.raises(ValueError, match="truncations do not match"):
+        sum_of_products([(x5, x5, 1), (x6, x6, 1)])
+    with pytest.raises(ValueError, match="domains do not match"):
+        sum_of_products([(X, X, 1), (X, PolyFp.variable(3, 2, 0), 1)])
+    with pytest.raises(ValueError, match="domains do not match"):
+        sum_of_products([(X, X, 1), (PolyFp.variable(2, 3, 0), PolyFp.variable(2, 3, 0), 1)])
+    with pytest.raises(ValueError, match="at least one"):
+        sum_of_products([])
+    # x^3 * x^3 passes the bound 5 and is skipped; x * x^2 is kept, twice
+    x3 = PolyFp.monomial(2, 2, (3, 0)).truncate(5)
+    x2 = PolyFp.monomial(2, 2, (2, 0))
+    assert sum_of_products([(x3, x3, 1), (x5, x2, 1), (x2, x5, 1)]).is_zero()
+    assert sum_of_products([(x3, x3, 1), (x5, x2, 1)]) == PolyFp.monomial(2, 2, (3, 0))
+    # the class of the first operand carries over, as a * b keeps it
+    w = CycRing(2, 2, 2).variable(0)
+    assert type(sum_of_products([(w, w, 1)])) is type(w) is type(w * w)
 
 
 def test_different_truncations_do_not_mix():
