@@ -307,7 +307,7 @@ class HopfExpr:
         out = object.__new__(HopfExpr)
         out.p, out.height, out.degree, out.terms = self.p, self.height, self.degree, {}
         for star, triples in groups.items():
-            poly = sum_of_products(triples, self.degree)
+            poly = sum_of_products(triples)
             if not poly.is_zero():
                 out.terms[star] = poly
         return out

@@ -44,6 +44,13 @@ def _meet(a: Optional[int], b: Optional[int]) -> Optional[int]:
     return a
 
 
+def _live_bound(nvars: int, bound: Optional[int], cap: Optional[int]) -> Optional[int]:
+    """The bound, or None when no term under the cap can pass it."""
+    if cap is not None and bound is not None and bound >= nvars * (cap - 1):
+        return None
+    return bound
+
+
 class PolyFp:
     """A polynomial in a fixed number of variables.
 
@@ -94,8 +101,7 @@ class PolyFp:
     def _set(self, p, nvars, coeffs: dict, bound, cap) -> "PolyFp":
         """Store the fields, dropping a bound that no term under the cap can
         pass."""
-        if cap is not None and bound is not None and bound >= nvars * (cap - 1):
-            bound = None
+        bound = _live_bound(nvars, bound, cap)
         self.p, self.nvars, self.coeffs, self.bound, self.cap = p, nvars, coeffs, bound, cap
         return self
 
@@ -316,17 +322,16 @@ class PolyFp:
         return "%s(%r, %r)" % (type(self).__name__, self.p, self.render())
 
 
-def sum_of_products(triples: Sequence[tuple], bound: Optional[int] = None) -> PolyFp:
+def sum_of_products(triples: Sequence[tuple]) -> PolyFp:
     """The sum of c * a * b over the (a, b, c) triples, formed in one pass.
 
     Each pair a, b is checked as ``a * b`` checks it, and the truncations
-    of all the pairs must meet as ``+`` meets them, so a mismatch raises
-    the same ValueError.  The sum lives under the truncations they share
-    and, when ``bound`` is given, under that degree bound as well.  Pairs
-    of terms whose total degree passes the bound are skipped unformed; a
-    product with an exponent at the cap is formed and dropped.  The sum is
-    reduced and cleaned once, at the end.  ``a * b`` is the one triple
-    (a, b, 1).
+    are met pair by pair as ``a1 * b1 + a2 * b2 + ...`` meets them, a bound
+    made moot by the cap being dropped at each step, so a mismatch raises
+    the same ValueError.  Pairs of terms whose total degree passes the
+    bound are skipped unformed; a product with an exponent at the cap is
+    formed and dropped.  The sum is reduced and cleaned once, at the end.
+    ``a * b`` is the one triple (a, b, 1).
     """
     if not triples:
         raise ValueError("need at least one product")
@@ -338,16 +343,18 @@ def sum_of_products(triples: Sequence[tuple], bound: Optional[int] = None) -> Po
             raise ValueError("polynomial domains do not match")
         pair_bound, pair_cap = a._check(b)
         if pair_bound != top or pair_cap != cap:
-            top, cap = _meet(top, pair_bound), _meet(cap, pair_cap)
-    if bound is not None and (top is None or bound < top):
-        top = bound
+            pair_bound = _live_bound(nvars, pair_bound, pair_cap)
+            cap = _meet(cap, pair_cap)
+            top = _live_bound(nvars, _meet(top, pair_bound), cap)
     limit = math.inf if top is None else top
     coeffs = {}
     get = coeffs.get
     for a, b, c in triples:
         if nvars == 2:
             # exponents added pairwise: the two-variable rings (series,
-            # Hopf coefficients, rank-2 model rings) are the hot ones
+            # Hopf coefficients, rank-2 model rings) are the hot ones.  The
+            # operands mostly have a few terms, so the right one is read
+            # as it is, not first listed with its degrees
             right = b.coeffs.items()
             for (x1, y1), c1 in a.coeffs.items():
                 room = limit - x1 - y1

@@ -225,8 +225,7 @@ def test_circle_product_refuses_even_when_the_bound_kills_every_pair():
 
 def _random_expr(rng, p, degree, atomic):
     """A HopfExpr whose terms have coefficients of every lowest degree from
-    0 past the bound, so that some pairs straddle it.  A coefficient comes
-    untruncated, truncated at the degree or truncated above it."""
+    0 past the bound, so that some pairs straddle it."""
     monomials = [
         PolyFp.monomial(p, 2, (a, d - a)) for d in range(degree + 2) for a in range(d + 1)
     ]
@@ -243,8 +242,7 @@ def _random_expr(rng, p, degree, atomic):
         coeff = PolyFp.zero(p, 2)
         for mono in rng.sample(monomials, rng.randrange(1, 4)):
             coeff = coeff + mono.scale(rng.randrange(1, p))
-        bound = rng.choice((None, degree, degree + 2))
-        terms.append((star, coeff if bound is None else coeff.truncate(bound)))
+        terms.append((star, coeff))
     return HopfExpr(p, 1, degree, terms)
 
 
@@ -348,10 +346,10 @@ def test_products_sum_each_output_star_once(monkeypatch, p, degree):
         counts["mul"] += 1
         return real_mul(a, b)
 
-    def counting_sum(triples, bound=None):
+    def counting_sum(triples):
         counts["sum"] += 1
         counts["triples"] += len(triples)
-        return real_sum(triples, bound)
+        return real_sum(triples)
 
     monkeypatch.setattr(PolyFp, "__mul__", counting_mul)
     monkeypatch.setattr(hopf, "sum_of_products", counting_sum)

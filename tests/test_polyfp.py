@@ -347,30 +347,37 @@ def test_truncated_arithmetic_matches_naive_oracle(data):
 @given(st.data())
 def test_sum_of_products_matches_products_and_sums(data):
     # one to four (a, b, c) triples over F_2, F_3, F_5 and Q in one to three
-    # variables, each operand truncated or plain, with or without an extra
-    # bound: the one-pass sum agrees with c * a * b formed by * and added by
-    # +, and with full products truncated at the end
+    # variables, each operand plain, bounded, capped or both, and in some
+    # examples bounded one higher: the one-pass sum agrees with c * a * b
+    # formed by * and added by +, raising where they raise, and with full
+    # products truncated at the end
     p = data.draw(st.sampled_from([2, 3, 5, None]), label="p")
     nvars = data.draw(st.integers(min_value=1, max_value=3), label="nvars")
-    bound, cap = data.draw(st.sampled_from([(None, None), (5, None), (None, 3), (3, 3)]))
-    extra = data.draw(st.sampled_from([None, 0, 2, 4, 7]), label="extra bound")
+    bound = data.draw(st.integers(min_value=3, max_value=5), label="bound")
+    cap = data.draw(st.integers(min_value=2, max_value=3), label="cap")
+    kinds = [(None, None), (bound, None), (None, cap), (bound, cap)]
+    if data.draw(st.booleans(), label="mixed bounds"):
+        kinds.append((bound + 1, None))
     triples = []
     for _ in range(data.draw(st.integers(min_value=1, max_value=4), label="triples")):
         a, b = (
             PolyFp(p, nvars, data.draw(_coeff_dicts(p, 4, nvars=nvars)),
-                   *((None, None) if data.draw(st.booleans()) else (bound, cap)))
+                   *data.draw(st.sampled_from(kinds), label="truncation"))
             for _ in range(2)
         )
         c = data.draw(_coefficients(p) if p is None else st.integers(-p, 2 * p), label="c")
         triples.append((a, b, c))
-    got = sum_of_products(triples, extra)
-    _assert_stored_clean(got)
     total = None
-    for a, b, c in triples:
-        term = (a * b).scale(c)
-        total = term if total is None else total + term
-    if extra is not None:
-        total = total.truncate(extra)
+    try:
+        for a, b, c in triples:
+            term = (a * b).scale(c)
+            total = term if total is None else total + term
+    except ValueError:
+        with pytest.raises(ValueError, match="truncations do not match"):
+            sum_of_products(triples)
+        return
+    got = sum_of_products(triples)
+    _assert_stored_clean(got)
     assert got.coeffs == total.coeffs
     assert (got.bound, got.cap) == (total.bound, total.cap)
     assert type(got) is PolyFp
@@ -395,6 +402,23 @@ def test_sum_of_products_checks_every_pair():
         sum_of_products([(X, X, 1), (PolyFp.variable(2, 3, 0), PolyFp.variable(2, 3, 0), 1)])
     with pytest.raises(ValueError, match="at least one"):
         sum_of_products([])
+    # a bound the cap makes moot is dropped before the pairs meet, as * and
+    # + drop it: bounds 4 and 5 under cap 3 in two variables both go
+    b4, b5 = PolyFp.variable(2, 2, 0, bound=4), PolyFp.variable(2, 2, 1, bound=5)
+    c3 = PolyFp(2, 2, {(1, 0): 1, (0, 2): 1}, cap=3)
+    moot = sum_of_products([(b4, c3, 1), (b5, c3, 1)])
+    assert moot == b4 * c3 + b5 * c3 == PolyFp(2, 2, {(2, 0): 1, (1, 1): 1, (1, 2): 1})
+    assert (moot.bound, moot.cap) == (None, 3)
+    # the running sum drops it too: after a capped pair, a bound-5 pair
+    # leaves no bound, so a bound-3 pair can follow
+    b2, b3 = PolyFp.variable(2, 2, 0, bound=2), PolyFp.variable(2, 2, 0, bound=3)
+    later = sum_of_products([(b4, c3, 1), (b5, X, 1), (b3, c3, 1)])
+    assert later == b4 * c3 + b5 * X + b3 * c3 and (later.bound, later.cap) == (3, 3)
+    # bounds the cap leaves alive still clash
+    with pytest.raises(ValueError, match="truncations do not match"):
+        b2 * c3 + b3 * c3
+    with pytest.raises(ValueError, match="truncations do not match"):
+        sum_of_products([(b2, c3, 1), (b3, c3, 1)])
     # x^3 * x^3 passes the bound 5 and is skipped; x * x^2 is kept, twice
     x3 = PolyFp.monomial(2, 2, (3, 0)).truncate(5)
     x2 = PolyFp.monomial(2, 2, (2, 0))
