@@ -433,20 +433,6 @@ class SkeletonReport:
     classes: list = field(default_factory=list)
     edges: list = field(default_factory=list)
 
-    def class_by_rank(self, rank: int) -> ObjectClass:
-        matches = [c for c in self.classes if c.rank == rank]
-        if len(matches) != 1:
-            raise KeyError("rank %d does not name a unique class" % rank)
-        return matches[0]
-
-    def edge(self, source_rank: int, target_rank: int) -> SkeletonEdge:
-        si = self.classes.index(self.class_by_rank(source_rank))
-        ti = self.classes.index(self.class_by_rank(target_rank))
-        for e in self.edges:
-            if e.source == si and e.target == ti:
-                return e
-        raise KeyError("no edge %d -> %d" % (source_rank, target_rank))
-
     def to_dict(self) -> dict:
         return {
             "classes": [

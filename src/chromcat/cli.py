@@ -30,7 +30,6 @@ from .colimits import (
 )
 from .demo import DemoFailure, a4_demo
 from .elemab import enumerate_elem_abelians, p_rank
-from .fgl import is_prime
 from .groups import DEFAULT_ORDER_CAP, GroupError
 from .library import (
     builtin_names,
@@ -38,8 +37,9 @@ from .library import (
     load_builtin,
     load_group_file,
 )
+from .modp import is_prime
 from .polyfp import invariant_bases, parse_poly
-from .subrings import SubringPresentation, sylow_among, weyl_action
+from .subrings import SubringPresentation, sylow_among, sylow_class, weyl_action
 
 class UsageError(ValueError):
     pass
@@ -348,13 +348,14 @@ def cmd_cr(args):
 
 def cmd_invariants(args):
     group = _load_group(args)
-    weyl = weyl_action(Fusion(group, args.p))
+    fusion = Fusion(group, args.p)
+    weyl = weyl_action(fusion)
     bases = invariant_bases(weyl, range(0, args.max_degree + 1))
     payload = {
         "group": group.name,
         "p": args.p,
         "sylow_rank": weyl.nvars,
-        "weyl_order": weyl.order(),
+        "weyl_order": len(sylow_class(fusion)[0]),  # |W| = |Aut_G(P)|
         "invariants": {
             str(d): [f.render() for f in basis] for d, basis in bases.items()
         },

@@ -11,9 +11,9 @@ total degree (their ``bound``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+from .modp import is_prime
 from .polyfp import PolyFp
 
 
@@ -82,11 +82,6 @@ class FGL:
         if left != right:
             failures.append("F(F(s,t),u) != F(s,F(t,u))")
         return failures
-
-
-def is_prime(p: int) -> bool:
-    """Trial division; every integer below 2 is not prime."""
-    return p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1))
 
 
 def honda_fgl(p: int, n: int, degree: int) -> FGL:

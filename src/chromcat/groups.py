@@ -16,9 +16,11 @@ elements s with (x s) y = x (s y) for all x, y are closed under products, so
 it suffices to test the s of a generating set, |S| * order^2 products in all.
 
 Each walk of a listed group lives here once, over elements and a ``mul``:
-``orbit_walk`` and ``closure`` (classes, orbits, matrix and Weyl actions),
-the Dimino-style ``greedy_generators`` (Light's test, skeletons, Weyl
-groups), ``group_exponent`` and ``commute`` (``FiniteGroup``, skeletons).
+``orbit_walk`` and ``closure`` (classes, orbits, the Hopf-ring Weyl
+action), the Dimino-style ``greedy_generators`` (Light's test, skeletons,
+Weyl groups), ``group_exponent`` and ``commute`` (``FiniteGroup``,
+skeletons).  A matrix group acting on polynomials is never closed: it
+stays its generators.
 
 Conjugation convention: ``conjugate(g, h) = h * g * h**-1`` throughout the
 package.  A tuple witness g for simultaneous conjugacy satisfies

@@ -23,8 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .fgl import FGL, is_prime
+from .fgl import FGL
 from .groups import closure
+from .modp import is_prime
 from .polyfp import PolyFp, sum_of_products
 
 WEYL_CLOSURE_CAP = 24
@@ -32,6 +33,11 @@ WEYL_CLOSURE_CAP = 24
 
 class HopfError(ValueError):
     pass
+
+
+def _check_prime(p) -> None:
+    if not is_prime(p):
+        raise HopfError("%d is not a prime" % p)
 
 
 # -- truncated polynomial ring F_p[x_1..x_r]/(x_i^(p^n)) -----------------------
@@ -194,8 +200,7 @@ class HopfExpr:
     __slots__ = ("p", "height", "degree", "terms")
 
     def __init__(self, p: int, height: int, degree: int, terms=()):
-        if not is_prime(p):
-            raise HopfError("%d is not a prime" % p)
+        _check_prime(p)
         if height < 1:
             raise HopfError("need height >= 1")
         if degree < 0:
@@ -250,11 +255,13 @@ class HopfExpr:
 
     @classmethod
     def grouplike(cls, p, height, degree, c, coeff: Optional[PolyFp] = None):
+        _check_prime(p)
         coeff = coeff if coeff is not None else PolyFp.constant(p, 2, 1)
         return cls(p, height, degree, {(c, ()): coeff})
 
     @classmethod
     def omono(cls, p, height, degree, indices, coeff: Optional[PolyFp] = None):
+        _check_prime(p)
         coeff = coeff if coeff is not None else PolyFp.constant(p, 2, 1)
         return cls(p, height, degree, {(0, (tuple(sorted(indices)),)): coeff})
 
@@ -494,8 +501,7 @@ def verify_kn_injectivity(p: int, height: int) -> dict:
     Only pure-b_1 powers and grouplikes are ever read as nonzero, exactly the
     terms whose nonvanishing the model asserts.
     """
-    if not is_prime(p):
-        raise HopfError("%d is not a prime" % p)
+    _check_prime(p)
     if height < 1:
         raise HopfError("need height >= 1")
     q = p ** height

@@ -12,8 +12,9 @@ reduces each row against the rows kept before it, keyed by pivot column
 (the lowest column of a kept row), so a row's work is the pivots its
 entries meet, not the width of the matrix.  ``mat_rank``, ``mat_inverse``,
 ``kernel_vectors`` and ``in_span`` all go through it, and ``kernel_vectors``
-takes and gives sparse {column: value} rows, so that a caller never writes
-out a dense matrix.
+and ``in_span`` take sparse {column: value} rows, so that no caller writes
+out a wide matrix densely: ``mat_rank`` and ``mat_inverse`` see only the
+small matrices of homomorphisms.
 
 ``full_rank_matrices`` is the one walk over invertible and injective
 matrices, filled in column by column under a prefix test: GL_r, the
@@ -23,6 +24,7 @@ walk over independent r-tuples lists a colimit's full-support points, r
 elements of F_q = F_p^m, and stays apart from the column walk because it
 adds names by table lookups: about 8 times as fast as the column walk plus
 naming on the 2,520 rank-3 and 20,160 rank-4 points at q = 16.
+``is_prime`` is the package's one primality test.
 """
 
 from __future__ import annotations
@@ -31,6 +33,18 @@ import itertools
 from functools import cached_property
 from operator import mul
 from typing import Iterator, Sequence
+
+
+def is_prime(p: int) -> bool:
+    """Trial division in a plain loop, since every PolyFp construction asks."""
+    if p < 2:
+        return False
+    q = 2
+    while q * q <= p:
+        if p % q == 0:
+            return False
+        q += 1
+    return True
 
 
 def identity_matrix(r: int) -> tuple:
@@ -53,11 +67,12 @@ def mat_mul(a: tuple, b: tuple, p: int) -> tuple:
     return tuple(tuple(sum(map(mul, arow, col)) % p for col in cols) for arow in a)
 
 
-def _pack(m, p: int) -> list:
-    """Dense rows as packed rows, entries reduced mod p."""
+def _pack(rows, p: int) -> list:
+    """Rows given as (column, value) pairs as packed rows, entries reduced
+    mod p."""
     if p == 2:
-        return [sum(1 << j for j, x in enumerate(row) if x & 1) for row in m]
-    return [{j: x % p for j, x in enumerate(row) if x % p} for row in m]
+        return [sum(1 << j for j, x in row if x & 1) for row in rows]
+    return [{j: x % p for j, x in row if x % p} for row in rows]
 
 
 def _unpack(row, p: int, cols: range) -> tuple:
@@ -149,7 +164,7 @@ def _rref(rows, p: int) -> dict:
 
 
 def mat_rank(m: tuple, p: int) -> int:
-    return len(_echelon(_pack(m, p), p))
+    return len(_echelon(_pack(map(enumerate, m), p), p))
 
 
 def kernel_vectors(rows: list, p: int, ncols: int) -> list[dict]:
@@ -168,7 +183,8 @@ def kernel_vectors(rows: list, p: int, ncols: int) -> list[dict]:
 
 def mat_inverse(m: tuple, p: int) -> tuple:
     r = len(m)
-    basis = _rref(_pack([tuple(row) + e for row, e in zip(m, identity_matrix(r))], p), p)
+    rows = [enumerate(tuple(row) + e) for row, e in zip(m, identity_matrix(r))]
+    basis = _rref(_pack(rows, p), p)
     if any(i not in basis for i in range(r)):
         raise ValueError("matrix is singular over F_%d" % p)
     return tuple(_unpack(basis[i], p, range(r, 2 * r)) for i in range(r))
@@ -292,7 +308,10 @@ def enumerate_subspaces(ambient: int, dim: int, p: int) -> Iterator[tuple]:
             yield tuple(tuple(r) for r in rows)
 
 
-def in_span(vectors: list[tuple], target: tuple, p: int) -> bool:
-    """Is ``target`` in the span of ``vectors``?  One elimination: the target
-    is reduced against the echelon form of the vectors."""
-    return not _reduce(_pack([target], p)[0], _echelon(_pack(vectors, p), p), p)
+def in_span(vectors: list[dict], target: dict, p: int) -> bool:
+    """Is ``target`` in the span of ``vectors``?  Each is a sparse
+    {column: value} dict, as ``kernel_vectors`` takes, its entries reduced
+    mod p here.  One elimination: the target is reduced against the echelon
+    form of the vectors."""
+    rows = _pack([v.items() for v in vectors] + [target.items()], p)
+    return not _reduce(rows.pop(), _echelon(rows, p), p)

@@ -9,6 +9,10 @@ degree, then descending lexicographic exponents) so "x^2*y + x*y^2" style
 strings are reproducible and parseable back.  Every product is formed by
 ``sum_of_products``, which adds c * a * b over a list of triples in one
 pass; ``a * b`` is its one-triple case.
+
+A ``LinearAction`` is a matrix group held by its generators alone, and
+``invariant_bases`` solves for the forms they all fix, so no group is
+listed.  Of chromcat, this module imports ``modp`` only.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from operator import add
 from typing import Optional, Sequence
 
 from . import modp
-from .groups import closure
 
 
 def default_names(nvars: int) -> tuple:
@@ -54,16 +57,16 @@ def _live_bound(nvars: int, bound: Optional[int], cap: Optional[int]) -> Optiona
 class PolyFp:
     """A polynomial in a fixed number of variables.
 
-    Coefficients are integers mod ``p``, or exact integers or rationals when
-    ``p`` is None.  Two optional truncations make it an element of a
-    quotient ring: under ``bound`` every term of total degree above the
-    bound dies (a truncated power series), under ``cap`` every term with an
-    exponent >= cap dies (F_p[x_1..x_r]/(x_i^cap)).  Both kill an ideal, so
-    dropping terms while a product is formed gives the same result as
-    dropping them afterwards.  An operand without a truncation takes the
-    other's; two different truncations do not mix.  A bound that no term
-    under the cap can pass is dropped.  Equality and hashing compare
-    coefficients only.
+    Coefficients are integers mod a prime ``p``, or exact integers or
+    rationals when ``p`` is None; any other ``p`` raises ValueError.  Two
+    optional truncations make it an element of a quotient ring: under
+    ``bound`` every term of total degree above the bound dies (a truncated
+    power series), under ``cap`` every term with an exponent >= cap dies
+    (F_p[x_1..x_r]/(x_i^cap)).  Both kill an ideal, so dropping terms while
+    a product is formed gives the same result as dropping them afterwards.
+    An operand without a truncation takes the other's; two different
+    truncations do not mix.  A bound that no term under the cap can pass is
+    dropped.  Equality and hashing compare coefficients only.
 
     The constructor reduces, checks and truncates the coefficients it is
     given.  Results of arithmetic are built by ``_stored``, which trusts its
@@ -82,6 +85,8 @@ class PolyFp:
         bound: Optional[int] = None,
         cap: Optional[int] = None,
     ):
+        if p is not None and not modp.is_prime(p):
+            raise ValueError("%r is not a prime" % (p,))
         clean = {}
         for exps, c in (coeffs or {}).items():
             if p is not None:
@@ -411,16 +416,15 @@ def parse_poly(
 
 
 class LinearAction:
-    """A finite matrix group over F_p acting on polynomial variables.
-
-    Built from square invertible generators of one size, stored reduced mod
-    p; the closure (including the identity) is computed eagerly and capped,
-    since actions here are Weyl groups of desk-scale groups.
+    """A matrix group over F_p acting on polynomial variables, held by its
+    generators: square, of one size, invertible mod the prime p and stored
+    reduced.  The group they generate is never listed; a form is invariant
+    exactly when every generator fixes it.
     """
 
-    CLOSURE_CAP = 20_000
-
     def __init__(self, p: int, generators: Sequence[tuple]):
+        if not modp.is_prime(p):
+            raise ValueError("%r is not a prime" % (p,))
         self.p = p
         self.generators = tuple(
             tuple(tuple(x % p for x in r) for r in m) for m in generators
@@ -435,18 +439,6 @@ class LinearAction:
                 )
             if modp.mat_rank(g, p) != self.nvars:
                 raise ValueError("generator %r is singular over F_%d" % (g, p))
-        elements = closure(
-            modp.identity_matrix(self.nvars),
-            self.generators,
-            lambda cur, g: modp.mat_mul(cur, g, p),
-            self.CLOSURE_CAP,
-        )
-        if elements is None:
-            raise ValueError("matrix group closure cap exceeded")
-        self.elements = tuple(sorted(elements))
-
-    def order(self) -> int:
-        return len(self.elements)
 
 
 def _monomials_of_degree(nvars: int, d: int) -> list:
@@ -593,16 +585,7 @@ def subring_membership(f: PolyFp, generators: Sequence[PolyFp]) -> bool:
     d = f.degree()
     if d > MEMBERSHIP_DEGREE_BOUND:
         raise ValueError("degree %d exceeds bound %d" % (d, MEMBERSHIP_DEGREE_BOUND))
-    spanning = graded_piece(generators, d)
-    mons = _monomials_of_degree(f.nvars, d)
-    index = {m: i for i, m in enumerate(mons)}
-
-    def vec(poly):
-        row = [0] * len(mons)
-        for e, c in poly.coeffs.items():
-            row[index[e]] = c
-        return tuple(row)
-
-    span_vectors = [vec(g) for g in spanning]
-    return modp.in_span(span_vectors, vec(f), f.p)
+    index = {m: i for i, m in enumerate(_monomials_of_degree(f.nvars, d))}
+    rows = [{index[e]: c for e, c in g.coeffs.items()} for g in graded_piece(generators, d)]
+    return modp.in_span(rows, {index[e]: c for e, c in f.coeffs.items()}, f.p)
 

@@ -13,8 +13,10 @@ out of scope here, and the shipped generator sets are meant exactly.
 
 P, its Weyl group and the embeddings into P are all read off one ``Fusion``
 and its conjugation scan; nothing here walks G.  P is the least object of
-top rank, so it leads its G-class, whose stored Aut is Aut_G(P) and whose
-transports t_P' carry P onto every other Sylow subgroup P'.
+top rank, so it leads its G-class (``sylow_class``), whose stored Aut is
+Aut_G(P) and whose transports t_P' carry P onto every other Sylow subgroup
+P'.  The Weyl action is held by generators only; its order is the length
+of the listed Aut_G(P).
 
 Scope guard: every elementary abelian subgroup must be conjugate into P, and
 p must be 2 (odd primes would need the exterior part of the cohomology).
@@ -53,8 +55,10 @@ def sylow_among(objects: Sequence[ElemAbelian]) -> ElemAbelian:
     )
 
 
-def _sylow_class(fusion: Fusion) -> tuple:
-    """(Aut_G(P), {P': t_P'}): the scanned G-class that P leads."""
+def sylow_class(fusion: Fusion) -> tuple:
+    """(Aut_G(P), {P': t_P'}): the scanned G-class that P leads.  Aut_G(P)
+    is listed, so |W| is its length: the Weyl action a -> (a^-1)^T is
+    injective."""
     lead = fusion.objects.index(sylow_among(fusion.objects))
     return next(c for c in fusion.scan.classes if lead in c[1])
 
@@ -67,7 +71,7 @@ def weyl_action(fusion: Fusion) -> LinearAction:
     images of Aut's greedy generators generate it (the identity when the
     Weyl group is trivial).
     """
-    p, (aut, _) = fusion.p, _sylow_class(fusion)
+    p, (aut, _) = fusion.p, sylow_class(fusion)
     ident = modp.identity_matrix(len(aut[0]))
     gens = greedy_generators(aut, ident, lambda a, b: modp.mat_mul(a, b, p))
     return LinearAction(p, [modp.transpose(modp.mat_inverse(a, p)) for a in gens] or [ident])
@@ -104,7 +108,7 @@ class SubringPresentation:
         Burnside's fusion theorem two embeddings differ by an element of
         N_G(P), and the generators are Weyl-invariant.
         """
-        fusion, p, transports = self.fusion, self.p, _sylow_class(self.fusion)[1]
+        fusion, p, transports = self.fusion, self.p, sylow_class(self.fusion)[1]
         for j in fusion.above[fusion.objects.index(v)]:
             if j in transports:
                 back = modp.mat_inverse(transports[j], p)

@@ -55,7 +55,9 @@ only their nonzero entries, one at a time against the pivots kept so far
 and clears the other pivot columns afterwards;
 ``substitute_invariant_basis`` substitutes every monomial afresh and looks
 up each (sigma - id) entry by coefficient, where the library walks each
-generator's monomial images up the degrees once; and
+generator's monomial images up the degrees once;
+``matrix_group_elements`` lists the group a ``LinearAction`` generates,
+frontier by frontier, where the library never lists it; and
 ``digit_tuple_add_table`` adds F_p^m vectors as digit tuples, where
 ``modp.VectorSpace`` builds its table a leading digit at a time.
 ``rational_honda_fgl`` builds the Honda law over the rationals from the
@@ -70,9 +72,9 @@ along the whole matrix, where the library's column search cuts a prefix as
 soon as it fails and reads conjugacy from the scan.
 
 ``centralizer``, ``compose``, ``identity_morphism``,
-``distinguishing_generator`` and ``witness`` are reference helpers with no
-caller in the library, and ``orbit_from_terms`` builds a pushforward's
-input from explicit terms.
+``distinguishing_generator``, ``witness``, ``skeleton_class_by_rank`` and
+``skeleton_edge`` are reference helpers with no caller in the library, and
+``orbit_from_terms`` builds a pushforward's input from explicit terms.
 """
 
 from __future__ import annotations
@@ -521,6 +523,24 @@ def matrix_order(m: tuple, p: int) -> int:
         if k > p ** (len(m) ** 2):
             raise ValueError("matrix is not invertible")
     return k
+
+
+def skeleton_class_by_rank(report: SkeletonReport, rank: int) -> ObjectClass:
+    """The one class of the given rank in a skeleton report."""
+    matches = [c for c in report.classes if c.rank == rank]
+    if len(matches) != 1:
+        raise KeyError("rank %d does not name a unique class" % rank)
+    return matches[0]
+
+
+def skeleton_edge(report: SkeletonReport, source_rank: int, target_rank: int) -> SkeletonEdge:
+    """The edge between the one class of each of two ranks."""
+    si = report.classes.index(skeleton_class_by_rank(report, source_rank))
+    ti = report.classes.index(skeleton_class_by_rank(report, target_rank))
+    for e in report.edges:
+        if e.source == si and e.target == ti:
+            return e
+    raise KeyError("no edge %d -> %d" % (source_rank, target_rank))
 
 
 def elementwise_skeleton(cat) -> SkeletonReport:
@@ -1098,6 +1118,25 @@ def triple_loop_mat_mul(a, b, p):
             row.append(acc % p)
         out.append(tuple(row))
     return tuple(out)
+
+
+def matrix_group_elements(action) -> set:
+    """Every element of the group a ``LinearAction``'s generators generate,
+    the identity included: a breadth-first walk, one frontier at a time,
+    multiplying by ``triple_loop_mat_mul``."""
+    n, p = action.nvars, action.p
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    seen, frontier = {identity}, [identity]
+    while frontier:
+        found = []
+        for m in frontier:
+            for g in action.generators:
+                x = triple_loop_mat_mul(m, g, p)
+                if x not in seen:
+                    seen.add(x)
+                    found.append(x)
+        frontier = found
+    return seen
 
 
 def triple_loop_mat_vec(m, v, p):

@@ -34,7 +34,7 @@ from chromcat import (
 )
 from chromcat.demo import a4_demo
 from chromcat.subrings import SubringPresentation, weyl_action
-from oracles import colim_size_naive
+from oracles import colim_size_naive, skeleton_edge
 from test_properties import run_full_battery
 
 
@@ -52,11 +52,11 @@ def test_criterion_1_a4_skeletons():
         a4 = load_builtin("a4")
         sk2 = skeleton(build_category(a4, 2, 2))
         assert [(c.rank, c.aut_order) for c in sk2.classes] == [(1, 1), (2, 3)]
-        edge2 = sk2.edge(1, 2)
+        edge2 = skeleton_edge(sk2, 1, 2)
         assert edge2.hom_size == 3 and edge2.orbits == ((3, 1),)
         sk1 = skeleton(build_category(a4, 2, 1))
         assert [(c.rank, c.aut_order) for c in sk1.classes] == [(1, 1), (2, 6)]
-        edge1 = sk1.edge(1, 2)
+        edge1 = skeleton_edge(sk1, 1, 2)
         assert edge1.orbits == ((3, 2),)
 
     _timed("1 (A_4 skeletons)", 1.0, body)

@@ -34,6 +34,7 @@ from oracles import (
     level_iso_test,
     level_oracle_all_tuples,
     per_object_scan,
+    skeleton_edge,
     two_sided_orbits,
     witness,
 )
@@ -90,12 +91,12 @@ def test_a4_level_categories():
 def test_skeleton_a4():
     sk2 = skeleton(category("a4", 2, 2))
     assert [(c.rank, c.aut_order) for c in sk2.classes] == [(1, 1), (2, 3)]
-    edge2 = sk2.edge(1, 2)
+    edge2 = skeleton_edge(sk2, 1, 2)
     assert edge2.hom_size == 3
     assert edge2.orbits == ((3, 1),)
     sk1 = skeleton(category("a4", 2, 1))
     assert [(c.rank, c.aut_order) for c in sk1.classes] == [(1, 1), (2, 6)]
-    edge1 = sk1.edge(1, 2)
+    edge1 = skeleton_edge(sk1, 1, 2)
     assert edge1.hom_size == 3
     assert edge1.orbits == ((3, 2),)
     # orbit sizes recover the hom-set size

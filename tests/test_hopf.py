@@ -177,9 +177,12 @@ def test_expression_needs_a_prime(p):
     # unchecked, HopfExpr(4, ...) rendered the grouplike [3]
     with pytest.raises(HopfError, match="not a prime"):
         HopfExpr(p, 1, 4)
-    if p > 1:
-        with pytest.raises(HopfError, match="not a prime"):
-            HopfExpr.grouplike(p, 1, 4, 3)
+    # the default coefficient over F_p is built only after the check: at
+    # p = 0 it once raised a bare ZeroDivisionError
+    with pytest.raises(HopfError, match="not a prime"):
+        HopfExpr.grouplike(p, 1, 4, 3)
+    with pytest.raises(HopfError, match="not a prime"):
+        HopfExpr.omono(p, 1, 4, (1,))
 
 
 @pytest.mark.parametrize("height,degree", [(0, 4), (-1, 4), (1, -1)])

@@ -142,34 +142,51 @@ def test_mat_inverse_and_rank_over_every_matrix(p, r):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_in_span_matches_rank_comparison(p):
+    # vectors and targets are sparse {column: value} dicts whose entries are
+    # not reduced: an entry of -p, p or 2p is present yet zero mod p
     rng = random.Random(20 + p)
+
+    def dense(vector, ncols):
+        return tuple(vector.get(j, 0) for j in range(ncols))
+
     for _ in range(300):
         ncols = rng.randint(1, 7)
         vectors = [
-            tuple(rng.randint(-p, 2 * p) if rng.random() < 0.4 else 0 for _ in range(ncols))
+            {j: rng.randint(-p, 2 * p) for j in range(ncols) if rng.random() < 0.4}
             for _ in range(rng.randint(0, 5))
         ]
         if vectors and rng.random() < 0.3:
             # a combination of the vectors, off by multiples of p
-            target = [0] * ncols
+            target = {j: p * rng.randint(-1, 1) for j in range(ncols)}
             for v in vectors:
                 c = rng.randrange(p)
-                target = [t + c * x + p * rng.randint(-1, 1) for t, x in zip(target, v)]
-            target = tuple(target)
+                for j, x in v.items():
+                    target[j] += c * x
         elif rng.random() < 0.1:
-            target = tuple(p * rng.randint(-1, 1) for _ in range(ncols))
+            target = {j: p * rng.randint(-1, 1) for j in range(ncols) if rng.random() < 0.5}
         else:
-            target = tuple(rng.randint(-p, 2 * p) for _ in range(ncols))
-        m = tuple(vectors)
+            target = {j: rng.randint(-p, 2 * p) for j in range(ncols) if rng.random() < 0.6}
+        m = tuple(dense(v, ncols) for v in vectors)
         want = (
-            _oracle_rank(m, p) == _oracle_rank(m + (target,), p)
+            _oracle_rank(m, p) == _oracle_rank(m + (dense(target, ncols),), p)
             if vectors
-            else all(x % p == 0 for x in target)
+            else all(x % p == 0 for x in target.values())
         )
         assert modp.in_span(vectors, target, p) == want, (vectors, target, p)
-    assert modp.in_span([], (0, p, -p), p)
-    assert not modp.in_span([], (0, 1, 0), p)
-    assert modp.in_span([(1, 0, 0)], (0, 0, 0), p)
+    assert modp.in_span([], {1: p, 2: -p}, p)
+    assert modp.in_span([], {}, p)
+    assert not modp.in_span([], {1: 1}, p)
+    assert modp.in_span([{0: 1}], {}, p)
+    assert modp.in_span([{0: 1}], {0: 1 - p}, p)
+    assert not modp.in_span([{0: p}], {0: 1}, p)
+
+
+@pytest.mark.parametrize("n,prime", [
+    (-3, False), (0, False), (1, False), (2, True), (3, True), (4, False),
+    (9, False), (25, False), (97, True), (2047, False), (2053, True),
+])
+def test_is_prime_by_trial_division(n, prime):
+    assert modp.is_prime(n) == prime
 
 
 def test_rref_of_unreduced_entries():

@@ -1,6 +1,7 @@
 """No chromcat module reaches into another module's private names, only
-``groups`` and ``elemab`` read a group's Cayley table, and every public
-function and class is reached by something other than the tests.
+``groups`` and ``elemab`` read a group's Cayley table, ``polyfp`` imports
+no chromcat module but ``modp``, and every public function and class is
+reached by something other than the tests.
 
 A name with a leading underscore is free to change with its module, so
 another module may neither import it (``from .categories import _x``) nor
@@ -9,8 +10,11 @@ one (``PolyFp._stored`` after ``from .polyfp import PolyFp``).  Every other modu
 group for products and conjugates, so that the table can give way to
 another representation in those two modules alone.  A public name that no
 other part of the package uses and that the benchmark does not run is code
-kept for the tests alone, which belongs in ``tests/oracles.py``.  Each
-source file is parsed with ``ast``; nothing is imported or run.
+kept for the tests alone, which belongs in ``tests/oracles.py``.  The
+polynomials and their linear actions need only F_p linear algebra, so that
+a matrix group enters ``polyfp`` by its generators, never listed by a
+group walk.  Each source file is parsed with ``ast``; nothing is imported
+or run.
 """
 
 from __future__ import annotations
@@ -101,6 +105,45 @@ def test_the_check_sees_a_table_read(tmp_path):
     assert _table_reads(sample) == [
         "sample.py reads .table at line 1", "sample.py reads .table at line 3",
     ]
+
+
+def _chromcat_imports(path: Path) -> set:
+    """The chromcat modules that ``path`` imports, relatively or by name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            parts = [alias.name.split(".") for alias in node.names]
+            found.update(p[1] for p in parts if p[0] == "chromcat" and len(p) > 1)
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                if parts[0] != "chromcat":
+                    continue
+                parts = parts[1:]
+            if parts and parts[0]:
+                found.add(parts[0])
+            else:  # from . import modp
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_polyfp_imports_only_modp():
+    assert _chromcat_imports(SRC / "polyfp.py") == {"modp"}
+
+
+def test_the_check_sees_every_chromcat_import(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from __future__ import annotations\n"
+        "import itertools\n"
+        "from . import modp\n"
+        "from .groups import closure\n"
+        "from chromcat.fgl import is_prime\n"
+        "from chromcat import hopf\n"
+        "import chromcat.elemab\n"
+    )
+    assert _chromcat_imports(sample) == {"modp", "groups", "fgl", "hopf", "elemab"}
 
 
 def _used_names(node) -> set:

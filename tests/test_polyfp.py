@@ -24,6 +24,7 @@ from chromcat import (
 from chromcat.modp import mat_rank
 from chromcat.polyfp import _monomials_of_degree, graded_piece, sum_of_products
 from oracles import (
+    matrix_group_elements,
     naive_truncated_composition,
     naive_truncated_power,
     naive_truncated_product,
@@ -135,7 +136,7 @@ def _check_against_oracle(action, degrees, matrices=None):
 
 
 def test_gl32_invariant_bases_match_substitution_oracle():
-    assert GL32.order() == 168
+    assert len(matrix_group_elements(GL32)) == 168
     _check_against_oracle(GL32, range(15))
     # the Dickson invariants of degrees 4, 6 and 7 are the first ones
     dims = [len(b) for b in invariant_bases(GL32, range(8)).values()]
@@ -161,7 +162,7 @@ def test_weyl_invariant_bases_match_substitution_oracle():
     seen = []
     for label, action in _weyl_actions():
         seen.append(label)
-        _check_against_oracle(action, range(9), action.elements)
+        _check_against_oracle(action, range(9), sorted(matrix_group_elements(action)))
     # every group of the library whose Sylow subgroup is elementary abelian
     assert "a6-p3" in seen and "s6-p3" in seen and "e8-p2" in seen
     assert len(seen) == 21
@@ -236,20 +237,51 @@ def test_linear_action_refuses_what_is_not_a_matrix_group():
         LinearAction(2, [((1, 0), (1,))])
     with pytest.raises(ValueError, match="at least one"):
         LinearAction(2, [])
+    # F_4 is not Z/4: the identity is invertible mod 4, yet no field acts
+    with pytest.raises(ValueError, match="4 is not a prime"):
+        LinearAction(4, [((1, 0), (0, 1))])
+    with pytest.raises(ValueError, match="0 is not a prime"):
+        LinearAction(0, [((1,),)])
+
+
+def test_gl42_is_held_by_its_two_generators():
+    # a transvection and the coordinate 4-cycle generate GL_4(2), 20,160
+    # matrices; the action never lists them, so no size of the group
+    # stops it, and the first invariants are the Dickson ones of degree 8
+    transvection = ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    cycle = ((0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+    action = LinearAction(2, [transvection, cycle])
+    assert action.generators == (transvection, cycle)
+    bases = invariant_bases(action, range(3))
+    assert bases == {0: [PolyFp.constant(2, 4, 1)], 1: [], 2: []}
+    assert len(matrix_group_elements(action)) == 20160
+
+
+def test_polynomials_refuse_a_p_that_is_not_prime():
+    # each of these once raised a bare ZeroDivisionError, stored 0 for the
+    # constant 1, or stored the coefficient -1
+    for p in (0, 1, -3, 4, 6):
+        with pytest.raises(ValueError, match="is not a prime"):
+            PolyFp.constant(p, 2, 5)
+        with pytest.raises(ValueError, match="is not a prime"):
+            PolyFp.zero(p, 2)
+    # None is the exact ring, and its coefficients stay as given
+    assert PolyFp.constant(None, 2, -3).coefficient((0, 0)) == -3
 
 
 def test_linear_action_stores_generators_reduced():
     action = LinearAction(5, [((6, -5), (10, -1))])
     assert action.generators == (((1, 0), (0, 4)),)
-    assert action.order() == 2
+    assert len(matrix_group_elements(action)) == 2
     assert invariant_basis(action, 2) == substitute_invariant_basis(action, 2)
 
 
 def test_dickson_full_gl_invariance():
     gl2 = LinearAction(2, [((0, 1), (1, 1)), SWAP])
-    assert gl2.order() == 6
+    elements = matrix_group_elements(gl2)
+    assert len(elements) == 6
     for f in (D1, D0):
-        for m in gl2.elements:
+        for m in elements:
             assert f.substitute_linear(m) == f
     # eta is C_3-invariant but the swap moves it by D_0
     assert ETA.substitute_linear(SWAP) == ETA + D0
