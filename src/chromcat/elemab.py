@@ -2,11 +2,12 @@
 
 A subgroup is identified by its element set and is the span of its least
 basis: scanning the elements in index order, each one outside the span of
-those already taken joins the basis.  One routine, ``_extend``, grows a
-span and its coordinate table by one order-p element; the constructor and
-the enumerator both build through it, so every downstream enumeration is
-deterministic.  Group homomorphisms between elementary
-abelians are exactly F_p-linear maps and are represented as matrices only.
+those already taken joins the basis.  Every subgroup comes from
+``enumerate_elem_abelians``, which grows each span and its coordinate
+table by one order-p element with ``_extend``, so every downstream
+enumeration is deterministic; a caller naming a subgroup by its elements
+finds it in that list.  Group homomorphisms between elementary abelians
+are exactly F_p-linear maps and are represented as matrices only.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import modp
-from .groups import FiniteGroup, GroupError, commute
+from .groups import FiniteGroup, GroupError
 
 
 class ElemAbelian:
@@ -26,38 +27,20 @@ class ElemAbelian:
     and parent-group element indices; rank 0 is the trivial subgroup.
     """
 
-    def __init__(self, group: FiniteGroup, p: int, elements: frozenset):
-        elements = frozenset(elements)
-        basis, coords = [], {0: ()}
-        for e in sorted(elements):
-            if e not in coords:
-                basis.append(e)
-                coords = _extend(group, p, coords, e)
-        if coords.keys() != elements:
-            raise GroupError("element set is not an elementary abelian subgroup")
-        for b in basis:
-            if group.element_order(b) != p:
-                raise GroupError("basis element %d does not have order %d" % (b, p))
-        if not commute(basis, group.mul):
-            raise GroupError("basis elements do not commute")
-        self._adopt(group, p, tuple(basis), coords)
-
     @classmethod
     def _spanned(cls, group: FiniteGroup, p: int, basis: tuple, coords: dict):
         """The subgroup whose least basis is ``basis``, with coords its
-        coordinate table {element: coordinates}; nothing is checked."""
+        coordinate table {element: coordinates}; nothing is checked, as
+        only ``enumerate_elem_abelians`` builds one."""
         v = cls.__new__(cls)
-        v._adopt(group, p, basis, coords)
+        v.group = group
+        v.p = p
+        v.basis = basis
+        v.rank = len(basis)
+        v.elements = frozenset(coords)
+        v._coords = coords
+        v._by_coords = {c: g for g, c in coords.items()}
         return v
-
-    def _adopt(self, group, p, basis, coords):
-        self.group = group
-        self.p = p
-        self.basis = basis
-        self.rank = len(basis)
-        self.elements = frozenset(coords)
-        self._coords = coords
-        self._by_coords = {c: g for g, c in coords.items()}
 
     def element_at(self, coords: Sequence[int]) -> int:
         return self._by_coords[tuple(c % self.p for c in coords)]

@@ -1,26 +1,28 @@
-"""Exact finite group arithmetic on Cayley tables.
+"""Exact finite permutation groups and their Cayley tables.
 
-Groups are materialized as full multiplication tables over element indices
-0..order-1 with the identity fixed at index 0.  Elements of a group are plain
-integers; every operation here is pure and instances never mutate after
-construction (internal caches are idempotent).
+Every group enters as permutation generators through
+``group_from_permutations``, the only builder of a ``FiniteGroup``: it
+checks the degree, that each generator is a bijection and the order cap.
+A caller holding a Cayley table passes its rows, the left-regular
+permutations (Cayley's theorem).  A closure of bijections is a group, so
+the table read off it is never checked.
 
-A permutation group's table is read off its closure.  The breadth-first
-closure records x * gen_j for every element x and generator gen_j, and the
-generator step by which each element k was first reached from its parent;
-then a * k = (a * parent_k) * gen_j, so every table entry is one integer
-lookup and no permutation is composed after the closure.
+Tables are over element indices 0..order-1 with the identity at index 0.
+Elements of a group are plain integers; every operation here is pure and
+instances never mutate after construction (internal caches are idempotent).
 
-Every table is checked for associativity exhaustively by Light's test: the
-elements s with (x s) y = x (s y) for all x, y are closed under products, so
-it suffices to test the s of a generating set, |S| * order^2 products in all.
+The breadth-first closure records x * gen_j for every element x and
+generator gen_j, and the generator step by which each element k was first
+reached from its parent; then a * k = (a * parent_k) * gen_j, so every
+table entry is one integer lookup and no permutation is composed after the
+closure.  Each inverse is one inverted permutation and one index lookup.
 
 Each walk of a listed group lives here once, over elements and a ``mul``:
 ``orbit_walk`` and ``closure`` (classes, orbits, the Hopf-ring Weyl
-action), the Dimino-style ``greedy_generators`` (Light's test, skeletons,
-Weyl groups), ``group_exponent`` and ``commute`` (``FiniteGroup``,
-skeletons).  A matrix group acting on polynomials is never closed: it
-stays its generators.
+action), the Dimino-style ``greedy_generators`` (``FiniteGroup``,
+skeletons, Weyl groups), ``group_exponent`` and ``commute``
+(``FiniteGroup``, skeletons).  A matrix group acting on polynomials is
+never closed: it stays its generators.
 
 Conjugation convention: ``conjugate(g, h) = h * g * h**-1`` throughout the
 package.  A tuple witness g for simultaneous conjugacy satisfies
@@ -123,63 +125,30 @@ def commute(generators, mul) -> bool:
 
 
 class FiniteGroup:
-    """A finite group given by a closed Cayley table.
+    """A finite permutation group, held as the closure of its generators.
 
-    ``table[a][b]`` is the index of the product a*b; index 0 is the identity.
-    ``labels`` are display strings, the indices when none are given.
+    ``table[a][b]`` is the index of the product a*b and ``inverse[a]`` that
+    of a^-1; index 0 is the identity.  Only ``group_from_permutations``
+    builds one.
     """
 
-    _permutations = None  # a permutation group's closure, which labels it
-
-    def __init__(self, table: Sequence[Sequence[int]], labels=None, name="G"):
-        self.order = len(table)
-        self.table = tuple(tuple(row) for row in table)
-        self.name = name
-        self._labels = None if labels is None else tuple(labels)
-        self._validate()
-        self.inverse = tuple(self._find_inverse(a) for a in range(self.order))
-        self._order_cache: dict[int, int] = {}
-
-    def _validate(self):
-        """Closure, identity, and associativity by Light's test, which needs
-        every element to be a product of generators: the greedy picker gives
-        that even for a non-associative table, as each element is picked or
-        formed as a product."""
-        n = self.order
-        if n == 0:
-            raise GroupError("empty Cayley table")
-        if self._labels is not None and len(self._labels) != n:
-            raise GroupError("label count does not match order")
-        t = self.table
-        for row in t:
-            if len(row) != n or min(row) < 0 or max(row) >= n:
-                raise GroupError("Cayley table is not closed")
-        if t[0] != tuple(range(n)) or any(t[a][0] != a for a in range(n)):
-            raise GroupError("index 0 is not a two-sided identity")
-        for s in greedy_generators(range(n), 0, self.mul):
-            times_row_s = itemgetter(*t[s])  # row_x -> x (s y) for every y
-            for row_x in t:
-                if t[row_x[s]] != times_row_s(row_x):
-                    raise GroupError("multiplication table is not associative")
-
-    def _find_inverse(self, a: int) -> int:
-        row = self.table[a]
-        if 0 in row:
-            b = row.index(0)
-            if self.table[b][a] == 0:
-                return b
-        raise GroupError("element %d has no inverse" % a)
+    @classmethod
+    def _closed(cls, permutations: list, table: tuple, inverse: tuple, name: str):
+        """The group whose elements are ``permutations``, in closure order."""
+        group = cls.__new__(cls)
+        group.order = len(table)
+        group.table = table
+        group.inverse = inverse
+        group.name = name
+        group._permutations = permutations
+        group._order_cache = {}
+        return group
 
     @cached_property
     def labels(self) -> tuple:
-        """The labels given, else cycle notation for a permutation group,
-        else the indices; formed on first read, as only reports on
-        elementary abelian subgroups print them."""
-        if self._labels is not None:
-            return self._labels
-        if self._permutations is not None:
-            return tuple(map(cycle_string, self._permutations))
-        return tuple(map(str, range(self.order)))
+        """The cycle notation of each element, formed on first read, as only
+        reports on elementary abelian subgroups print them."""
+        return tuple(map(cycle_string, self._permutations))
 
     # -- basic arithmetic ---------------------------------------------------
 
@@ -276,7 +245,8 @@ def group_from_permutations(
     Elements are discovered breadth-first from the identity, so the element
     order (and hence every downstream report) is deterministic.  The group
     keeps the permutations and forms its labels, their cycle notation, on
-    first read.
+    first read.  Raises ``GroupError`` for a degree below 1, a generator
+    that is not a bijection, or a closure past ``order_cap``.
     """
     if degree < 1:
         raise GroupError("degree must be positive")
@@ -311,6 +281,7 @@ def group_from_permutations(
     columns = [tuple(range(len(elements)))]
     for parent, j in reached_by[1:]:
         columns.append(itemgetter(*columns[parent])(right[j]))
-    group = FiniteGroup(tuple(zip(*columns)), name=name)
-    group._permutations = elements
-    return group
+    # the inverse permutation lists the points by their images
+    points = range(degree)
+    inverse = tuple(index[tuple(sorted(points, key=e.__getitem__))] for e in elements)
+    return FiniteGroup._closed(elements, tuple(zip(*columns)), inverse, name)

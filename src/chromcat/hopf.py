@@ -7,7 +7,10 @@ b_{i_k}, with bivariate (s, t) polynomial coefficients truncated at a degree
 bound.  Rewrite rules wired in:
 
   [c] * [d] = [c+d]        [c] o [d] = [cd]        [c] o m = c m  (deg m > 0)
-  b_i o b_0 = 0 (i > 0)    pure b_1 monomials of weight >= p^n vanish
+  pure b_1 monomials of weight >= p^n vanish
+
+Every b-index is at least 1 (b_i o b_0 = 0 for i > 0, so b_0 is never
+written); a circle-monomial with a lower index raises ``HopfError``.
 
 Mixed circle-monomials (such as b_1 o b_2) are kept as formal nonzero
 symbols; nonvanishing is never concluded from them.  The unit v_n is
@@ -235,6 +238,8 @@ class HopfExpr:
             om = tuple(sorted(om))
             if not om:
                 raise HopfError("empty circle-monomial")
+            if om[0] < 1:
+                raise HopfError("b-index %d is below 1" % om[0])
             if len(om) >= self.p ** self.height and all(i == 1 for i in om):
                 return None  # pure b_1 power at or above weight p^n
             kept.append(om)

@@ -68,11 +68,12 @@ class PolyFp:
     truncations do not mix.  A bound that no term under the cap can pass is
     dropped.  Equality and hashing compare coefficients only.
 
-    The constructor reduces, checks and truncates the coefficients it is
-    given.  Results of arithmetic are built by ``_stored``, which trusts its
-    coefficients to be reduced, nonzero and inside both truncations: each
-    operation keeps them so as it forms them.  A product is the one-triple
-    case of ``sum_of_products``.
+    The constructor checks every exponent tuple it is given, a zero
+    coefficient's too (nvars entries, none negative, else ValueError), then
+    reduces and truncates the coefficients.  Results of arithmetic are built
+    by ``_stored``, which trusts its coefficients to be reduced, nonzero and
+    inside both truncations: each operation keeps them so as it forms them.
+    A product is the one-triple case of ``sum_of_products``.
     """
 
     __slots__ = ("p", "nvars", "coeffs", "bound", "cap")
@@ -89,13 +90,15 @@ class PolyFp:
             raise ValueError("%r is not a prime" % (p,))
         clean = {}
         for exps, c in (coeffs or {}).items():
+            exps = tuple(exps)
+            if len(exps) != nvars:
+                raise ValueError("exponent tuple has wrong length")
+            if min(exps, default=0) < 0:
+                raise ValueError("exponent tuple has a negative entry")
             if p is not None:
                 c %= p
             if not c:
                 continue
-            exps = tuple(exps)
-            if len(exps) != nvars:
-                raise ValueError("exponent tuple has wrong length")
             if bound is not None and sum(exps) > bound:
                 continue
             if cap is not None and max(exps, default=0) >= cap:

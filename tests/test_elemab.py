@@ -199,19 +199,23 @@ def test_enumeration_matches_extend_and_dedupe_oracle_on_random_groups(g):
         _assert_matches_reference(g, p)
 
 
-def test_constructor_rejects_what_is_not_elementary_abelian():
+def test_subgroups_come_only_from_the_enumerator():
+    # no constructor takes an element set; a subgroup named by its elements
+    # is looked up in the enumeration, where no other set appears
     s3, c4, d8 = group("s3"), group("c4"), group("d8")
+    with pytest.raises(TypeError):
+        ElemAbelian(d8, 2, {0})
     u, v = (s3.labels.index(x) for x in ("(0 1)", "(1 2)"))
+    a, b = (d8.labels.index(x) for x in ("(1 3)", "(0 1)(2 3)"))
     for g, p, elements in (
         (s3, 2, {0, u, v}),                # not closed: u*v is missing
         (c4, 2, set(c4.elements())),       # its generator has order 4
         (s3, 2, {0, u, v, s3.mul(u, v)}),  # the involutions do not commute
+        (d8, 2, {0, a, b, d8.mul(a, b)}),  # the span of its least basis, not abelian
     ):
-        with pytest.raises(GroupError):
-            ElemAbelian(g, p, elements)
-    # two involutions of D8 whose product is the largest of the four, so
-    # the set is the span of its least basis and only commuting fails
-    a, b = (d8.labels.index(x) for x in ("(1 3)", "(0 1)(2 3)"))
-    assert a < b < d8.mul(a, b)
-    with pytest.raises(GroupError, match="do not commute"):
-        ElemAbelian(d8, 2, {0, a, b, d8.mul(a, b)})
+        assert all(w.elements != elements for w in enumerate_elem_abelians(g, p))
+    c, d = (d8.labels.index(x) for x in ("(1 3)", "(0 2)"))
+    klein = {0, c, d, d8.mul(c, d)}
+    (found,) = [w for w in enumerate_elem_abelians(d8, 2) if w.elements == klein]
+    assert c < d8.mul(c, d) < d  # so the least basis is (c, cd)
+    assert found.basis == (c, d8.mul(c, d))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from chromcat import (
 )
 from chromcat.groups import greedy_generators
 from chromcat.library import LIBRARY_DIR
-from conftest import group, small_permutation_groups
+from conftest import group, small_permutation_groups, stretch_group
 from oracles import (
     abelian_all_pairs,
     brute_simultaneous_conjugacy,
@@ -38,13 +39,27 @@ def test_closure_orders():
 
 
 def test_non_bijective_generator_rejected():
-    with pytest.raises(GroupError):
+    with pytest.raises(GroupError, match=r"^generator \(0, 0, 1\) is not a bijection on 0\.\.2$"):
         group_from_permutations(3, [(0, 0, 1)])
+    with pytest.raises(GroupError, match="^degree must be positive$"):
+        group_from_permutations(0, [])
 
 
 def test_order_cap():
-    with pytest.raises(GroupError):
+    with pytest.raises(GroupError, match="^closure exceeds order cap 50$"):
         group_from_permutations(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], order_cap=50)
+
+
+def test_a_table_enters_as_its_rows():
+    # no constructor takes a table; its rows are the left-regular
+    # permutations b -> a * b, which close to the same group (Cayley)
+    s3 = group("s3")
+    with pytest.raises(TypeError):
+        FiniteGroup(s3.table)
+    regular = group_from_permutations(s3.order, s3.table)
+    assert regular.order == 6
+    assert not regular.is_abelian()
+    assert regular.conjugacy_class_count() == 3
 
 
 def test_identity_first_and_labels():
@@ -78,26 +93,10 @@ def test_labels_are_cycle_notation_of_the_closure(name):
     assert group(name).labels == tuple(cycle_string(e) for e in closure)
 
 
-def test_label_count_checked_at_construction():
-    table = [[0, 1], [1, 0]]
-    for labels in (["e"], ["e", "a", "b"], []):
-        with pytest.raises(GroupError, match="label count"):
-            FiniteGroup(table, labels=labels)
-    assert FiniteGroup(table, labels=["e", "a"]).labels == ("e", "a")
-    assert FiniteGroup(table).labels == ("0", "1")
-
-
 def test_cycle_string():
     assert cycle_string((0, 1, 2)) == "()"
     assert cycle_string((1, 2, 0)) == "(0 1 2)"
     assert cycle_string((1, 0, 3, 2)) == "(0 1)(2 3)"
-
-
-def test_malformed_tables_rejected():
-    with pytest.raises(GroupError):
-        FiniteGroup([[0, 1], [1, 1]])  # not a group: 1*1=1
-    with pytest.raises(GroupError):
-        FiniteGroup([[1, 0], [0, 1]])  # identity not at index 0
 
 
 @pytest.mark.parametrize("name", builtin_names())
@@ -107,39 +106,51 @@ def test_closure_table_matches_all_pairs_composition(name):
     if name in ("s5", "x32"):
         orders.append(doc["generators"][::-1])
     for gens in orders:
-        table = group_from_permutations(doc["degree"], gens).table
-        assert table == naive_cayley_table(doc["degree"], gens)
+        g = group_from_permutations(doc["degree"], gens)
+        assert g.table == naive_cayley_table(doc["degree"], gens)
+        _assert_inverses(g)
 
 
-def test_non_associative_tables_rejected():
-    # a Latin square with identity 0 and every element its own inverse, but
-    # (1 * 1) * 2 = 2 while 1 * (1 * 2) = 4
-    loop = [
-        [0, 1, 2, 3, 4],
-        [1, 0, 3, 4, 2],
-        [2, 4, 0, 1, 3],
-        [3, 2, 4, 0, 1],
-        [4, 3, 1, 2, 0],
-    ]
-    with pytest.raises(GroupError, match="not associative"):
-        FiniteGroup(loop)
-    # C2 x loop with (a, l) at index a + 2 l: element 1 = (1, e) associates
-    # with everything, so the check must go on to later generators
-    product = [
-        [(a ^ b) + 2 * loop[l][m] for m in range(5) for b in range(2)]
-        for l in range(5)
-        for a in range(2)
-    ]
-    with pytest.raises(GroupError, match="not associative"):
-        FiniteGroup(product)
-    # S5 with two non-identity entries of one row swapped: every row is still
-    # a permutation and index 0 is still the identity
-    table = [list(row) for row in group("s5").table]
-    row = table[7]
-    assert 0 not in (row[3], row[11])
-    row[3], row[11] = row[11], row[3]
-    with pytest.raises(GroupError, match="not associative"):
-        FiniteGroup(table)
+def _assert_inverses(g):
+    t = g.table
+    assert all(t[a][a_inv] == 0 == t[a_inv][a] for a, a_inv in enumerate(g.inverse))
+
+
+def _stretch_doc(name):
+    return json.loads((Path(__file__).parent / "golden" / "groups" / (name + ".json")).read_text())
+
+
+def test_closure_table_matches_all_pairs_composition_on_agl116():
+    doc = _stretch_doc("agl116")
+    g = stretch_group("agl116")
+    assert g.order == 240
+    assert g.table == naive_cayley_table(doc["degree"], doc["generators"])
+    _assert_inverses(g)
+
+
+@pytest.mark.parametrize("name, order", [("agl32", 1344), ("f33h", 1944)])
+def test_closure_table_matches_composition_by_generators_and_sampled_pairs(name, order):
+    # every product by a generator, on either side, and 20,000 seeded pairs
+    doc = _stretch_doc(name)
+    elements = naive_closure(doc["degree"], doc["generators"])
+    index = {e: k for k, e in enumerate(elements)}
+    g = stretch_group(name)
+    assert g.order == len(elements) == order
+    gens = [index[tuple(s)] for s in doc["generators"]]
+    rng = random.Random(30)
+    pairs = [pair for a in g.elements() for s in gens for pair in ((a, s), (s, a))]
+    pairs += [(rng.randrange(order), rng.randrange(order)) for _ in range(20000)]
+    for a, b in pairs:
+        assert g.table[a][b] == index[tuple(elements[a][i] for i in elements[b])], (a, b)
+    _assert_inverses(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_permutation_groups(with_generators=True))
+def test_closure_table_matches_all_pairs_composition_on_random_groups(drawn):
+    g, degree, gens = drawn
+    assert g.table == naive_cayley_table(degree, gens)
+    _assert_inverses(g)
 
 
 def test_conjugate_convention():

@@ -185,6 +185,16 @@ def test_expression_needs_a_prime(p):
         HopfExpr.omono(p, 1, 4, (1,))
 
 
+@pytest.mark.parametrize("indices", [(1, 0), (0,), (-3,), (2, -1, 1)])
+def test_circle_monomials_need_indices_from_one(indices):
+    # unchecked, (1, 0) rendered "b0ob1", and so did b1 o b0 as a product;
+    # (-3,) rendered "b-3"
+    with pytest.raises(HopfError, match="below 1"):
+        HopfExpr.omono(2, 2, 4, indices)
+    with pytest.raises(HopfError, match="below 1"):
+        HopfExpr(2, 2, 4, {(1, ((1,), indices)): PolyFp.constant(2, 2, 0)})
+
+
 @pytest.mark.parametrize("height,degree", [(0, 4), (-1, 4), (1, -1)])
 def test_expression_needs_positive_height_and_nonnegative_degree(height, degree):
     # unchecked, height 0 killed every b_1

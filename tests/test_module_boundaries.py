@@ -1,7 +1,7 @@
 """No chromcat module reaches into another module's private names, only
 ``groups`` and ``elemab`` read a group's Cayley table, ``polyfp`` imports
-no chromcat module but ``modp``, and every public function and class is
-reached by something other than the tests.
+no chromcat module but ``modp``, and every public function, class and
+method is reached by something other than the tests.
 
 A name with a leading underscore is free to change with its module, so
 another module may neither import it (``from .categories import _x``) nor
@@ -10,7 +10,8 @@ one (``PolyFp._stored`` after ``from .polyfp import PolyFp``).  Every other modu
 group for products and conjugates, so that the table can give way to
 another representation in those two modules alone.  A public name that no
 other part of the package uses and that the benchmark does not run is code
-kept for the tests alone, which belongs in ``tests/oracles.py``.  The
+kept for the tests alone, which belongs in ``tests/oracles.py``; the one
+exception is ``KEPT_FOR_CALLERS``, two value constructors.  The
 polynomials and their linear actions need only F_p linear algebra, so that
 a matrix group enters ``polyfp`` by its generators, never listed by a
 group walk.  Each source file is parsed with ``ast``; nothing is imported
@@ -168,34 +169,56 @@ def _traced_names(layers: Path) -> set:
     }
 
 
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+# Value constructors kept for library callers though no src code builds a
+# value that way: a single circle-monomial and a single monomial.
+KEPT_FOR_CALLERS = ["hopf.HopfExpr.omono", "polyfp.PolyFp.monomial"]
+
+
+def _units(path: Path):
+    """(owner, node) for each top-level statement of ``path`` and each
+    statement of a top-level class body; a definition's owner is
+    (module, name), or (module, class, name) for a class member, and the
+    rest of a class, its decorators and bases too, is owned by the class."""
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        owner = (path.stem, getattr(node, "name", None))
+        if not isinstance(node, ast.ClassDef):
+            yield owner, node
+            continue
+        yield owner, ast.Module(body=node.decorator_list + node.bases + node.keywords)
+        for member in node.body:
+            yield (owner + (member.name,) if isinstance(member, DEFS) else owner), member
+
+
 def _unreached(src: Path, perfbench: Path) -> list:
-    """The top-level public functions and classes of the modules in ``src``
-    that no other src code names (``__init__``'s re-exports aside, and a
-    definition's own body aside) and that ``perfbench`` names neither as a
-    ``layers.TARGETS`` attr nor in its code; metric strings do not count."""
+    """The public top-level functions and classes of the modules in ``src``,
+    and the public methods of their classes, that no other src code names
+    (``__init__``'s re-exports aside, and a definition's own body aside)
+    and that ``perfbench`` names neither as a ``layers.TARGETS`` attr nor
+    in its code; metric strings do not count."""
     uses, defined = [], []
     for path in sorted(src.glob("*.py")):
         if path.name == "__init__.py":
             continue
-        for node in ast.parse(path.read_text(), filename=str(path)).body:
-            name = getattr(node, "name", None)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not name.startswith("_") and path.name != "__main__.py":
-                    defined.append((path.stem, name))
-            uses.append((path.stem, name, _used_names(node)))
+        for owner, node in _units(path):
+            uses.append((owner, _used_names(node)))
+            public = isinstance(node, DEFS) and not owner[-1].startswith("_")
+            if public and path.name != "__main__.py":
+                defined.append(owner)
     benched = _traced_names(perfbench / "layers.py")
     for path in perfbench.glob("*.py"):
         benched |= _used_names(ast.parse(path.read_text(), filename=str(path)))
     return [
-        "%s.%s" % (module, name)
-        for module, name in defined
-        if name not in benched
-        and not any(name in used for m, d, used in uses if (m, d) != (module, name))
+        ".".join(key)
+        for key in defined
+        if key[-1] not in benched
+        and not any(key[-1] in used for owner, used in uses if owner[: len(key)] != key)
     ]
 
 
 def test_every_public_name_is_reached_outside_the_tests():
-    assert _unreached(SRC, PERFBENCH) == []
+    assert _unreached(SRC, PERFBENCH) == KEPT_FOR_CALLERS
 
 
 def test_the_check_sees_a_name_only_tests_reach(tmp_path):
@@ -210,12 +233,30 @@ def test_the_check_sees_a_name_only_tests_reach(tmp_path):
         "def unused():\n    pass\n\n"
         "def traced():\n    pass\n\n"
         "def benched():\n    pass\n\n"
-        "def _private():\n    pass\n"
+        "def _private():\n    pass\n\n"
+        "class Poly:\n"
+        "    size = 0\n"
+        "    def __init__(self):\n        self.grow()\n"
+        "    def grow(self):\n        pass\n"
+        "    def recur(self):\n        return self.recur()\n"
+        "    def used(self):\n        pass\n"
+        "    def sibling(self):\n        pass\n"
+        "    def spare(self):\n        return self.sibling()\n"
+        "    def timed(self):\n        pass\n"
+        "    def measured(self):\n        pass\n"
+        "    def _hidden(self):\n        pass\n"
     )
-    (src / "b.py").write_text("from . import a\n\ndef main():\n    return a.Kept\n")
+    (src / "b.py").write_text(
+        "from . import a\n\ndef main():\n    return a.Kept, a.Poly().used()\n"
+    )
     (bench / "layers.py").write_text(
-        'TARGETS = (("chromcat.a", "traced", "a.traced", None),)\n'
+        'TARGETS = (("chromcat.a", "traced", "a.traced", None),\n'
+        '           ("chromcat.a", "Poly.timed", "a.timed", None))\n'
         'PER_LAYER = (("a.unused", "count/op", "lower", "count", "a.loop"),)\n'
     )
-    (bench / "run.py").write_text("def op(cc):\n    return cc.a.benched()\n")
-    assert _unreached(src, bench) == ["a.loop", "a.unused"]
+    (bench / "run.py").write_text(
+        "def op(cc):\n    return cc.a.benched(), cc.a.Poly().measured()\n"
+    )
+    # a sibling method names grow and sibling; recur is named in its own
+    # def alone and spare nowhere
+    assert _unreached(src, bench) == ["a.loop", "a.unused", "a.Poly.recur", "a.Poly.spare"]

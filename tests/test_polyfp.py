@@ -269,6 +269,22 @@ def test_polynomials_refuse_a_p_that_is_not_prime():
     assert PolyFp.constant(None, 2, -3).coefficient((0, 0)) == -3
 
 
+def test_polynomials_check_every_exponent_tuple():
+    # the zero-coefficient skip once ran before the length check, and a
+    # negative exponent gave degree -1 and rendered as ""
+    for p, nvars, exps in ((2, 2, (1, 2, 3)), (2, 2, (1,)), (None, 1, (1, 1))):
+        for c in (0, 1, 2):
+            with pytest.raises(ValueError, match="wrong length"):
+                PolyFp(p, nvars, {exps: c})
+    for c in (0, 1, 2, 3):
+        with pytest.raises(ValueError, match="negative"):
+            PolyFp(2, 1, {(-1,): c})
+        with pytest.raises(ValueError, match="negative"):
+            PolyFp(3, 2, {(5, -1): c}, bound=2, cap=3)
+    # a zero coefficient on a well-formed tuple is still dropped
+    assert PolyFp(2, 2, {(1, 2): 2}).is_zero()
+
+
 def test_linear_action_stores_generators_reduced():
     action = LinearAction(5, [((6, -5), (10, -1))])
     assert action.generators == (((1, 0), (0, 4)),)
