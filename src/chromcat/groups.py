@@ -132,6 +132,9 @@ class FiniteGroup:
     builds one.
     """
 
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a FiniteGroup is built by group_from_permutations")
+
     @classmethod
     def _closed(cls, permutations: list, table: tuple, inverse: tuple, name: str):
         """The group whose elements are ``permutations``, in closure order."""

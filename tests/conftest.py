@@ -63,13 +63,11 @@ LEVEL_JOIN_GENERATORS = [[5, 3, 1, 7, 6, 4, 0, 2], [1, 0, 5, 3, 7, 2, 6, 4]]
 
 
 @st.composite
-def small_permutation_groups(draw, with_generators=False):
-    """1-3 random permutations of degree <= 6 whose closure has order <= 120,
-    closed into a group; (group, degree, generators) with ``with_generators``."""
+def small_permutation_groups(draw):
+    """1-3 random permutations of degree <= 6 whose closure has order <= 120."""
     degree = draw(st.integers(1, 6))
     gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
     try:
-        g = group_from_permutations(degree, gens, order_cap=120)
+        return group_from_permutations(degree, gens, order_cap=120)
     except GroupError:
         assume(False)
-    return (g, degree, gens) if with_generators else g

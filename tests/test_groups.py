@@ -6,7 +6,8 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chromcat import (
     FiniteGroup,
@@ -54,8 +55,9 @@ def test_a_table_enters_as_its_rows():
     # no constructor takes a table; its rows are the left-regular
     # permutations b -> a * b, which close to the same group (Cayley)
     s3 = group("s3")
-    with pytest.raises(TypeError):
-        FiniteGroup(s3.table)
+    for args in [(), (s3.table,)]:
+        with pytest.raises(TypeError, match="built by group_from_permutations"):
+            FiniteGroup(*args)
     regular = group_from_permutations(s3.order, s3.table)
     assert regular.order == 6
     assert not regular.is_abelian()
@@ -146,9 +148,15 @@ def test_closure_table_matches_composition_by_generators_and_sampled_pairs(name,
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_permutation_groups(with_generators=True))
-def test_closure_table_matches_all_pairs_composition_on_random_groups(drawn):
-    g, degree, gens = drawn
+@given(st.data())
+def test_closure_table_matches_all_pairs_composition_on_random_groups(data):
+    # the draw of conftest.small_permutation_groups, keeping the generators
+    degree = data.draw(st.integers(1, 6))
+    gens = data.draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
+    try:
+        g = group_from_permutations(degree, gens, order_cap=120)
+    except GroupError:
+        assume(False)
     assert g.table == naive_cayley_table(degree, gens)
     _assert_inverses(g)
 

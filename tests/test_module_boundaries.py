@@ -21,6 +21,7 @@ or run.
 from __future__ import annotations
 
 import ast
+import copy
 from pathlib import Path
 
 import chromcat
@@ -180,13 +181,16 @@ def _units(path: Path):
     """(owner, node) for each top-level statement of ``path`` and each
     statement of a top-level class body; a definition's owner is
     (module, name), or (module, class, name) for a class member, and the
-    rest of a class, its decorators and bases too, is owned by the class."""
+    rest of a class is owned by the class.  A class comes first as its
+    header, the definition with its decorators and bases but no body."""
     for node in ast.parse(path.read_text(), filename=str(path)).body:
         owner = (path.stem, getattr(node, "name", None))
         if not isinstance(node, ast.ClassDef):
             yield owner, node
             continue
-        yield owner, ast.Module(body=node.decorator_list + node.bases + node.keywords)
+        header = copy.copy(node)
+        header.body = []
+        yield owner, header
         for member in node.body:
             yield (owner + (member.name,) if isinstance(member, DEFS) else owner), member
 
@@ -229,6 +233,7 @@ def test_the_check_sees_a_name_only_tests_reach(tmp_path):
     (src / "__main__.py").write_text("from .b import main\nmain()\n")
     (src / "a.py").write_text(
         "class Kept:\n    pass\n\n"
+        "class Spare:\n    pass\n\n"
         "def loop(n):\n    return loop(n - 1) if n else Kept()\n\n"
         "def unused():\n    pass\n\n"
         "def traced():\n    pass\n\n"
@@ -258,5 +263,7 @@ def test_the_check_sees_a_name_only_tests_reach(tmp_path):
         "def op(cc):\n    return cc.a.benched(), cc.a.Poly().measured()\n"
     )
     # a sibling method names grow and sibling; recur is named in its own
-    # def alone and spare nowhere
-    assert _unreached(src, bench) == ["a.loop", "a.unused", "a.Poly.recur", "a.Poly.spare"]
+    # def alone, and the class Spare and the method spare nowhere
+    assert _unreached(src, bench) == [
+        "a.Spare", "a.loop", "a.unused", "a.Poly.recur", "a.Poly.spare",
+    ]
