@@ -22,6 +22,7 @@ from .categories import (
     witness_scan,
 )
 from .colimits import (
+    ColimResult,
     FqError,
     colim_points,
     component_count,
@@ -72,8 +73,10 @@ def _emit_json(args, payload):
 
 # The writer below gives exactly json.dumps(value, indent=2, sort_keys=True).
 # The stdlib uses its C encoder only without indent, so reports are written
-# here: a list of scalars with one join, a list of same-shaped int records
-# with one % template, the rest by a plain recursion.
+# here: a list of scalars with one join, of ints with one % template, a
+# colimit's class list from its result with one % template per block, the
+# rest by a plain recursion that appends every piece to one list, joined
+# once, so no piece is copied again into each list or dict around it.
 
 _INDENT = "  "
 _SCALAR_TEXT = {
@@ -86,39 +89,63 @@ _SCALAR_TEXT = {
 
 def _json_text(value, nl="\n"):
     """value as json.dumps(value, indent=2, sort_keys=True) writes it, where
-    nl is the newline and indentation of the line that holds value."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
+    nl is the newline and indentation of the line that holds value.  A
+    ``ColimResult`` stands for its class list, the records {"rep": [object,
+    point], "size": points} of its classes."""
+    out = []
+    _write(value, nl, out)
+    return "".join(out)
+
+
+def _write(value, nl, out):
+    """Append the pieces of _json_text(value, nl) to out."""
+    scalar = _SCALAR_TEXT.get(type(value))
+    if scalar is not None:
+        out.append(scalar(value))
+        return
     inner = nl + _INDENT
+    sep = "," + inner
     if isinstance(value, (list, tuple)):
         if not value:
-            return "[]"
-        sep = "," + inner
+            out.append("[]")
+            return
+        out.append("[" + inner)
         body = _scalars_body(value, sep)
         if body is None:
-            body = _records_body(value, inner)
-        if body is None:
-            body = sep.join([_json_text(x, inner) for x in value])
-        return "[" + inner + body + nl + "]"
-    if isinstance(value, dict):
+            for x in value:
+                _write(x, inner, out)
+                out.append(sep)
+        else:
+            out += (body, sep)
+        out[-1] = nl + "]"  # in place of the last separator
+    elif isinstance(value, dict):
         if not value:
-            return "{}"
+            out.append("{}")
+            return
+        out.append("{" + inner)
         # sorted on the keys themselves, as json.dumps sorts before it
         # turns int, float, bool or None keys into strings
-        return "{" + inner + ("," + inner).join(
-            encode_basestring_ascii(_key_text(k)) + ": " + _json_text(v, inner)
-            for k, v in sorted(value.items())
-        ) + nl + "}"
-    # floats, and anything json.dumps refuses with its own TypeError
-    return json.dumps(value)
+        for k, v in sorted(value.items()):
+            out.append(encode_basestring_ascii(_key_text(k)) + ": ")
+            _write(v, inner, out)
+            out.append(sep)
+        out[-1] = nl + "}"
+    elif type(value) is ColimResult:
+        # one template per block, its object and size written in, takes the
+        # block's point indices
+        key, item = inner + _INDENT, inner + 2 * _INDENT
+        rows = [
+            sep.join([
+                "{" + key + '"rep": [' + item + "%d," % least + item + "%d" + key + "],"
+                + key + '"size": %d' % points + inner + "}"
+            ] * len(leads)) % tuple(leads)
+            for least, points, leads in value.blocks if leads
+        ]
+        out += ("[" + inner, sep.join(rows), nl + "]") if rows else ("[]",)
+    else:
+        # floats, subclasses of the scalar types, and anything json.dumps
+        # refuses with its own TypeError
+        out.append(json.dumps(value))
 
 
 def _key_text(key):
@@ -134,47 +161,13 @@ def _key_text(key):
 
 def _scalars_body(items, sep):
     """Exact ints, strings, bools and Nones joined by sep, or None when any
-    item is something else."""
+    item is something else.  Exact ints alone take one % template."""
+    if {int}.issuperset(map(type, items)):
+        return sep.join(["%d"] * len(items)) % tuple(items)
     try:
         return sep.join([_SCALAR_TEXT[type(x)](x) for x in items])
     except KeyError:
         return None
-
-
-def _records_body(rows, nl):
-    """Dicts that share one set of str keys, joined by "," + nl, or None when
-    any row differs.  Each value must be an exact int, or a list of exact
-    ints of one length in every row; one % template then writes them all."""
-    first = rows[0]
-    if type(first) is not dict or set(map(type, first)) != {str}:
-        return None
-    # None marks an int field, else the length of a list field
-    fields = [
-        (k, len(first[k]) if type(first[k]) is list else None) for k in sorted(first)
-    ]
-    shape = first.keys()
-    values = []
-    for row in rows:
-        if type(row) is not dict or row.keys() != shape:
-            return None
-        for k, w in fields:
-            v = row[k]
-            if w is None:
-                values.append(v)
-            elif type(v) is list and len(v) == w:
-                values += v
-            else:
-                return None
-    if not {int}.issuperset(map(type, values)):
-        return None
-    inner, deeper = nl + _INDENT, nl + 2 * _INDENT
-    template = "{" + inner + ("," + inner).join(
-        encode_basestring_ascii(k).replace("%", "%%") + ": "
-        + ("%d" if w is None else "[]" if w == 0
-           else "[" + deeper + ("," + deeper).join(["%d"] * w) + inner + "]")
-        for k, w in fields
-    ) + nl + "}"
-    return ("," + nl).join([template] * len(rows)) % tuple(values)
 
 
 def _parse_prime(value):
@@ -286,18 +279,20 @@ def cmd_colim(args):
     group = _load_group(args)
     if args.tower:
         tower = filtration_tower(group, args.p, args.q)
-        payload = {"group": group.name, "p": args.p, **tower.to_dict()}
+        levels = [{"n": n, "size": res.size, "classes": res} for n, res in tower.levels]
+        fields = {"q": tower.q, "levels": levels, "surjections": tower.surjections}
     else:
         cat = build_category(group, args.p, args.n)
         res = colim_points(cat, args.q)
-        payload = {
-            "group": group.name,
-            "p": args.p,
+        fields = {
             "level": "inf" if args.n is None else args.n,
             "components": component_count(cat),
-            **res.to_dict(),
+            "q": res.q,
+            "object_counts": res.object_counts,
+            "size": res.size,
+            "classes": res,
         }
-    _emit_json(args, payload)
+    _emit_json(args, {"group": group.name, "p": args.p, **fields})
     return 0
 
 

@@ -32,6 +32,9 @@ identity carry it to the rest, so a class with trivial Aut applies no
 matrix.  The walk depends only on Aut_C(U), so a request walks each distinct
 Aut tuple once and every class with that Aut, at every level of a tower,
 shares it; a class's ids are its first id plus the walk's local orbit ids.
+The result keeps the classes of [U] as one block: [U]'s least object,
+the points in each class, and the walk's lead indices, shared with the
+walk and never copied.
 The tower's connecting maps go one class at a time, and only a class whose
 least member was joined to a smaller one a level down, by a matrix other
 than the identity, applies a matrix to its points.  Walks and tables live
@@ -116,21 +119,12 @@ class ColimResult:
     q: int
     object_counts: list          # points per object
     size: int                    # number of colimit classes
-    class_reps: list             # class id -> least (object index, point index)
-    class_sizes: list            # class id -> number of points in the class
+    # per class [U], in class-id order: (least object R, points in each of
+    # its colimit classes, the index in R of each one's least point); a [U]
+    # of rank above m has no full-support point and so no class
+    blocks: list
     _walks: dict = field(repr=False)      # least object of [U] -> (first class id, walk)
     _to_least: list = field(repr=False)   # object U -> (least R of its class, t_U)
-
-    def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "object_counts": list(self.object_counts),
-            "size": self.size,
-            "classes": [
-                {"rep": list(rep), "size": size}
-                for rep, size in zip(self.class_reps, self.class_sizes)
-            ],
-        }
 
 
 def _check_work(cat: ChromCategory, q: int) -> ChromCategory:
@@ -161,27 +155,27 @@ def _colim(cat: ChromCategory, f: modp.VectorSpace, walks: dict) -> ColimResult:
     ``walks`` (Aut tuple -> walk) and adding the walks it lacks."""
     n = len(cat.objects)
     counts = [f.q ** v.rank for v in cat.objects]
-    reps, sizes, by_least, to_least = [], [], {}, [None] * n
+    blocks, by_least, to_least = [], {}, [None] * n
+    size = 0
     for auts, transports in cat.classes:
         least = min(transports)
         if auts not in walks:
             walks[auts] = _Walk(f, auts)
         walk = walks[auts]
-        by_least[least] = (len(reps), walk)
+        by_least[least] = (size, walk)
         # Hom(U, V) is Iso(U, U_k) followed by U_k <= V, one V per object above U_k
-        size = len(auts) * sum(len(cat.above[k]) for k in transports)
-        reps.extend((least, k) for k in walk.indices)
-        sizes.extend([size] * len(walk.indices))
+        points = len(auts) * sum(len(cat.above[k]) for k in transports)
+        blocks.append((least, points, walk.indices))
+        size += len(walk.indices)
         for s, t in transports.items():
             to_least[s] = (least, t)
-    if sum(sizes) != sum(counts):
+    if sum(points * len(leads) for _, points, leads in blocks) != sum(counts):
         raise AssertionError("colimit classes do not partition the points")
     return ColimResult(
         q=f.q,
         object_counts=counts,
-        size=len(reps),
-        class_reps=reps,
-        class_sizes=sizes,
+        size=size,
+        blocks=blocks,
         _walks=by_least,
         _to_least=to_least,
     )
@@ -195,16 +189,6 @@ class FiltrationTower:
 
     def sizes(self) -> list:
         return [res.size for _, res in self.levels]
-
-    def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "levels": [
-                {"n": n, "size": res.size, "classes": res.to_dict()["classes"]}
-                for n, res in self.levels
-            ],
-            "surjections": [list(s) for s in self.surjections],
-        }
 
 
 def filtration_tower(group: FiniteGroup, p: int, q: int) -> FiltrationTower:

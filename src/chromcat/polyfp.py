@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from operator import add
+from operator import add, index
 from typing import Optional, Sequence
 
 from . import modp
@@ -69,10 +69,13 @@ class PolyFp:
     dropped.  Equality and hashing compare coefficients only.
 
     The constructor checks every exponent tuple it is given, a zero
-    coefficient's too (nvars entries, none negative, else ValueError), then
-    reduces and truncates the coefficients.  Results of arithmetic are built
-    by ``_stored``, which trusts its coefficients to be reduced, nonzero and
-    inside both truncations: each operation keeps them so as it forms them.
+    coefficient's too (nvars integer entries, none negative), and every
+    coefficient (an integer, or when ``p`` is None an exact rational, one
+    with a ``denominator`` such as a ``Fraction``), raising ValueError on
+    any other; then it reduces and truncates the coefficients.  Results of
+    arithmetic are built by ``_stored``, which trusts its coefficients to be
+    reduced, nonzero and inside both truncations: each operation keeps them
+    so as it forms them.
     A product is the one-triple case of ``sum_of_products``.
     """
 
@@ -90,13 +93,21 @@ class PolyFp:
             raise ValueError("%r is not a prime" % (p,))
         clean = {}
         for exps, c in (coeffs or {}).items():
-            exps = tuple(exps)
+            try:
+                exps = tuple(map(index, exps))
+                if p is not None:
+                    c = index(c) % p
+                elif not hasattr(c, "denominator"):
+                    raise TypeError
+            except TypeError:
+                raise ValueError(
+                    "term %r: %r needs integer exponents and an integer coefficient, "
+                    "or a Fraction when p is None" % (exps, c)
+                ) from None
             if len(exps) != nvars:
                 raise ValueError("exponent tuple has wrong length")
             if min(exps, default=0) < 0:
                 raise ValueError("exponent tuple has a negative entry")
-            if p is not None:
-                c %= p
             if not c:
                 continue
             if bound is not None and sum(exps) > bound:

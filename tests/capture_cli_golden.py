@@ -6,6 +6,13 @@ on the path:
 
     PYTHONPATH=src python tests/capture_cli_golden.py
 
+This deletes every golden first.  With ``--check`` it writes nothing: it
+runs every case, prints the name of each golden that differs from its
+report, is missing, or belongs to no case, and exits 1 if it printed any
+(0 otherwise):
+
+    PYTHONPATH=src python tests/capture_cli_golden.py --check
+
 For every bundled group of order <= 64 it keeps ``group-info``.  For every
 such group and every prime p dividing its order it keeps ``elemab``, which
 lists the elementary abelian p-subgroups with their bases, and
@@ -185,7 +192,21 @@ def report(argv):
     return buf.getvalue()
 
 
-if __name__ == "__main__":
+def check():
+    """The file names of the goldens that a fresh capture would change:
+    reports that differ or are missing, and files no case writes."""
+    kept = cases()
+    differ = [
+        file_name for file_name, argv in kept
+        if not (GOLDEN_DIR / file_name).is_file()
+        or (GOLDEN_DIR / file_name).read_text() != report(argv)
+    ]
+    names = {file_name for file_name, _ in kept}
+    stale = sorted(path.name for path in GOLDEN_DIR.glob("*.*") if path.name not in names)
+    return differ + stale
+
+
+def capture():
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for stale in GOLDEN_DIR.glob("*.*"):
         stale.unlink()
@@ -193,3 +214,21 @@ if __name__ == "__main__":
     for file_name, argv in kept:
         (GOLDEN_DIR / file_name).write_text(report(argv))
     sys.stdout.write("wrote %d reports to %s\n" % (len(kept), GOLDEN_DIR))
+
+
+def run(argv):
+    """The script: capture, or with ``--check`` list what a capture would
+    change; the exit status."""
+    if argv == ["--check"]:
+        differ = check()
+        sys.stdout.write("".join(name + "\n" for name in differ))
+        return 1 if differ else 0
+    if argv:
+        sys.stderr.write("usage: capture_cli_golden.py [--check]\n")
+        return 2
+    capture()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(run(sys.argv[1:]))

@@ -410,16 +410,44 @@ class UnionFindColim:
     class_members: list          # class id -> list of (object index, point index)
     class_reps: list             # class id -> (object index, point index)
 
-    def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "object_counts": list(self.object_counts),
-            "size": self.size,
-            "classes": [
-                {"rep": list(rep), "size": len(members)}
-                for rep, members in zip(self.class_reps, self.class_members)
-            ],
-        }
+
+def colim_classes(res) -> list:
+    """The class list {"rep": [object, point], "size": points} of a
+    ``UnionFindColim``, or of a ``ColimResult`` expanded from its blocks."""
+    if isinstance(res, UnionFindColim):
+        return [
+            {"rep": list(rep), "size": len(members)}
+            for rep, members in zip(res.class_reps, res.class_members)
+        ]
+    return [
+        {"rep": [least, k], "size": points}
+        for least, points, leads in res.blocks
+        for k in leads
+    ]
+
+
+def colim_dict(res) -> dict:
+    """Every field of a ``ColimResult`` or ``UnionFindColim`` that the
+    colimit oracles compare, as plain lists and dicts."""
+    return {
+        "q": res.q,
+        "object_counts": list(res.object_counts),
+        "size": res.size,
+        "classes": colim_classes(res),
+    }
+
+
+def tower_dict(tower) -> dict:
+    """Every field of a ``FiltrationTower`` that the tower oracles compare:
+    q, each level's n, size and classes, and the connecting maps."""
+    return {
+        "q": tower.q,
+        "levels": [
+            {"n": n, "size": res.size, "classes": colim_classes(res)}
+            for n, res in tower.levels
+        ],
+        "surjections": [list(s) for s in tower.surjections],
+    }
 
 
 def union_find_colim(cat, q) -> UnionFindColim:

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from capture_cli_golden import GOLDEN_DIR, cases, report
+import capture_cli_golden
+from capture_cli_golden import GOLDEN_DIR, check, report
 from chromcat import builtin_names, bundled_library, load_builtin, load_group_file
 from chromcat.cli import main
 from chromcat.groups import GroupError
@@ -170,14 +171,31 @@ def test_a4_demo_exit_zero(capsys):
 
 def test_cli_matches_golden():
     # reports kept by capture_cli_golden.py stay byte-identical
-    kept = {path.name for path in GOLDEN_DIR.glob("*.*")}
-    assert kept == {file_name for file_name, _ in cases()}
-    changed = [
-        file_name
-        for file_name, argv in cases()
-        if report(argv) != (GOLDEN_DIR / file_name).read_text()
-    ]
-    assert changed == []
+    assert check() == []
+
+
+def test_golden_check_names_what_a_capture_would_change(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(capture_cli_golden, "GOLDEN_DIR", tmp_path)
+    monkeypatch.setattr(capture_cli_golden, "cases", lambda: [
+        ("c2-group-info.json", ["group-info", "-g", "c2"]),
+        ("c3-group-info.json", ["group-info", "-g", "c3"]),
+        ("k4-p2-colim-n1.json", ["colim", "-g", "k4", "-q", "2", "-n", "1"]),
+    ])
+    assert capture_cli_golden.run([]) == 0
+    capsys.readouterr()
+    assert capture_cli_golden.run(["--check"]) == 0
+    assert capsys.readouterr().out == ""
+    (tmp_path / "c2-group-info.json").write_text("{}\n")
+    (tmp_path / "c3-group-info.json").unlink()
+    (tmp_path / "old.json").write_text("{}\n")
+    kept = sorted(path.name for path in tmp_path.iterdir())
+    texts = [(tmp_path / name).read_text() for name in kept]
+    assert capture_cli_golden.run(["--check"]) == 1
+    assert capsys.readouterr().out == "c2-group-info.json\nc3-group-info.json\nold.json\n"
+    # the check writes nothing
+    assert sorted(path.name for path in tmp_path.iterdir()) == kept
+    assert [(tmp_path / name).read_text() for name in kept] == texts
+    assert capture_cli_golden.run(["--bogus"]) == 2
 
 
 def test_stretch_golden_has_two_strict_steps():

@@ -285,6 +285,30 @@ def test_polynomials_check_every_exponent_tuple():
     assert PolyFp(2, 2, {(1, 2): 2}).is_zero()
 
 
+def test_polynomials_check_exponent_and_coefficient_types():
+    # a float exponent once gave degree 1.5 and rendered as "t^1", and a
+    # float coefficient was stored and rendered as "1.5*t"
+    for p in (2, 3, None):
+        for c in (0, 1):
+            with pytest.raises(ValueError, match="integer exponents"):
+                PolyFp(p, 1, {(1.5,): c})
+            with pytest.raises(ValueError, match="integer exponents"):
+                PolyFp(p, 2, {(1, Fraction(1)): c}, bound=3)
+            with pytest.raises(ValueError, match="integer exponents"):
+                PolyFp(p, 1, {("1",): c})
+    for c in (1.5, 2.0, 0.0, "1"):
+        for p in (2, None):
+            with pytest.raises(ValueError, match="integer coefficient"):
+                PolyFp(p, 1, {(1,): c})
+    with pytest.raises(ValueError, match="integer coefficient"):
+        PolyFp(3, 1, {(1,): Fraction(1, 2)})
+    # exact values of other integer types enter as ints, and Fractions stay
+    # exact when p is None
+    f = PolyFp(2, 2, {(True, 2): 3})
+    assert f.coeffs == {(1, 2): 1} and type(next(iter(f.coeffs))[0]) is int
+    assert PolyFp(None, 1, {(2,): Fraction(1, 2)}).coefficient((2,)) == Fraction(1, 2)
+
+
 def test_linear_action_stores_generators_reduced():
     action = LinearAction(5, [((6, -5), (10, -1))])
     assert action.generators == (((1, 0), (0, 4)),)

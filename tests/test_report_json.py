@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -9,14 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chromcat.cli as cli
+from chromcat import ColimResult
+from oracles import colim_classes
 
 
 def expected(value):
-    return json.dumps(value, indent=2, sort_keys=True)
+    return json.dumps(value, indent=2, sort_keys=True, default=colim_classes)
 
 
-# quotes, backslashes, control characters, "%" (the record template's own
-# escape), non-ASCII and astral characters, besides whatever text() draws
+# quotes, backslashes, control characters, "%", non-ASCII and astral
+# characters, besides whatever text() draws
 awkward = st.text(alphabet=st.sampled_from('a"\\\n\t\x00\x1f\x7f%é€\U0001f600'))
 strings = awkward | st.text()
 ints = st.integers(min_value=-(2 ** 70), max_value=2 ** 70)
@@ -96,16 +99,52 @@ def test_writer_edge_cases():
             cli._json_text(value)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("colim", "-g", "e8", "-q", "16", "--tower"),
-        ("colim", "-g", "h27", "-p", "3", "-q", "27", "--tower"),
-        ("colim", "-g", "e8", "-q", "16", "-n", "1"),
-    ],
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(ints, ints, st.lists(ints, max_size=4)), max_size=5),
+    st.integers(0, 3),
 )
+def test_class_rows_match_json_dumps(blocks, depth):
+    # blocks as a colimit result holds them, empty ones among them; the
+    # writer reads nothing else of the result
+    value = ColimResult(
+        q=0, object_counts=[], size=0, blocks=blocks, _walks={}, _to_least=[]
+    )
+    for _ in range(depth):
+        value = {"classes": value, "n": depth}
+    assert cli._json_text(value) == expected(value)
+
+
+# The stdout of three reports larger than any golden, as it was before class
+# lists were written from the colimit result: a change to the payload itself
+# shows here, where the json.dumps comparison below reads the same run's
+# payload.
+PRODUCTION_REPORTS = [
+    (
+        ("colim", "-g", "e8", "-q", "16", "--tower"),
+        "cd7a205f499b02e0bfd4f7e6b1473f43bcba5aa1ddbf47bbdda55bd0b8ae479f",
+    ),
+    (
+        ("colim", "-g", "h27", "-p", "3", "-q", "27", "--tower"),
+        "874678281742751a7609dc63229bfdfbc179b0374ceaec6970d85b85593a724b",
+    ),
+    (
+        ("colim", "-g", "e8", "-q", "16", "-n", "1"),
+        "05857816f7bd1ae49eb8a18115e64913ca35a88c4926e74aa0e80d46f34dd451",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PRODUCTION_REPORTS)
+def test_production_reports_keep_their_bytes(argv, digest, capsys):
+    assert cli.main(list(argv)) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in PRODUCTION_REPORTS])
 def test_live_reports_match_json_dumps(argv, capsys, monkeypatch):
-    # reports larger than any golden, written byte for byte as json.dumps would
+    # written byte for byte as json.dumps writes the payload, its class
+    # lists expanded from the result's blocks
     payloads = []
     emit_json = cli._emit_json
 
