@@ -15,6 +15,10 @@ least member R and one t_U in Iso_C(R, U) per member U, and the inclusion
 poset.  Iso_C(W, U) = t_U Aut_C(R) t_W^-1, and hom-sets are composed from
 these when asked for and never kept; morphism counts, isomorphism classes,
 equality and colimit class sizes are read off the classes and the poset.
+Every stored matrix is coded (``modp``): a tuple of row codes, multiplied
+by ``space.mul`` of the Fusion's F_p^rank.  The scan, the searches, the
+joins, ``equals`` and the skeleton run on codes; ``hom`` and ``homs``
+decode the matrices they return, and codes sort as the decoded tuples do.
 
 A ``Fusion`` is one group at one prime for as long as its caller holds it:
 the objects, their inclusion poset and one conjugation scan of the group,
@@ -41,7 +45,10 @@ searched; from the p-rank on, A^(n) is the Quillen category.  Level 0 keeps
 every invertible matrix.  Otherwise f's column j is a conjugate in U of W's
 j-th basis element, and ``modp.full_rank_matrices``, the column walk that
 also lists GL_r and serves C_R, tests each S once the columns that tau_S
-reads are chosen, so a failing prefix cuts every matrix below it.
+reads are chosen, so a failing prefix cuts every matrix below it.  That
+test is one coded product: the codes of tau_S in W, cut to the columns
+read, times the chosen column codes are the codes in U of the images,
+which index U's elements.
 ``is_level_n_morphism`` tests the same reduction with a conjugacy search per
 subgroup and returns a certificate of witnesses; the builder does not call
 it, and the tests compare the builder with it.  The all-tuples brute force
@@ -57,7 +64,6 @@ are walked with Aut(V)'s greedy generators from ``groups``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
@@ -93,7 +99,7 @@ def is_level_n_morphism(f: LinearMorphism, n: int) -> LevelCertificate:
         return LevelCertificate(True, {})
     witnesses = {}
     for rows in modp.enumerate_subspaces(w.rank, m, w.p):
-        basis = tuple(w.element_at(r) for r in rows)
+        basis = tuple(w.element_at(modp.encode(r, w.p)) for r in rows)
         images = tuple(f(x) for x in basis)
         g = group.simultaneous_conjugacy(basis, images)
         if g is None:
@@ -107,17 +113,19 @@ class ChromCategory:
     stored as one groupoid per isomorphism class over the inclusion poset.
 
     ``classes`` lists the classes in order of least member R, each as
-    (Aut_C(R) as a sorted tuple of matrices, {U: t_U in Iso_C(R, U)}), and
-    ``above`` is the inclusion poset: above[k] lists the j with U_k <= V_j.
-    Hom(W_i, V_j) is the union over the objects U_k <= V_j of Iso(i, k)
-    followed by the inclusion, and distinct (k, iso) give distinct
-    morphisms, so only ``hom`` and ``homs`` multiply them out, with
-    the inclusion matrices of the pairs they read, and keep nothing.
+    (Aut_C(R) as a sorted tuple of coded matrices, {U: t_U in Iso_C(R, U)}),
+    and ``above`` is the inclusion poset: above[k] lists the j with U_k <=
+    V_j.  Hom(W_i, V_j) is the union over the objects U_k <= V_j of Iso(i,
+    k) followed by the inclusion, and distinct (k, iso) give distinct
+    morphisms, so only ``hom`` and ``homs`` multiply them out, with the
+    inclusion matrices of the pairs they read, and keep nothing.  ``space``
+    is F_p^rank of the largest object, whose ``mul`` multiplies the codes.
     """
 
-    def __init__(self, group, p, level, kind, objects, classes, above):
+    def __init__(self, group, space, level, kind, objects, classes, above):
         self.group = group
-        self.p = p
+        self.space = space
+        self.p = space.p
         self.level = level
         self.kind = kind  # "level" | "quillen" | "subring"
         self.objects = tuple(objects)
@@ -129,22 +137,23 @@ class ChromCategory:
         """h a t_i^-1 for h in heads and a in Aut(R) of i's class, sorted; the
         builders give each R the identity t_R, so sets out of R invert nothing."""
         aut, transports = self.classes[self.class_of[i]]
-        t = transports[i]
-        if heads and t != modp.identity_matrix(len(t)):
-            back = modp.mat_inverse(t, self.p)
-            aut = [modp.mat_mul(a, back, self.p) for a in aut]
-        return tuple(sorted(modp.mat_mul(h, a, self.p) for h in heads for a in aut))
+        t, mul = transports[i], self.space.mul
+        if heads and t != modp.identity_code(len(t), self.p):
+            back = modp.code_inverse(t, self.p)
+            aut = [mul(a, back) for a in aut]
+        return sorted(mul(h, a) for h in heads for a in aut)
 
     def hom(self, i: int, j: int) -> tuple:
-        """The matrices of Hom(objects[i], objects[j]), sorted; at equal
-        ranks these are Iso(objects[i], objects[j])."""
+        """The matrices of Hom(objects[i], objects[j]), sorted, as tuples;
+        at equal ranks these are Iso(objects[i], objects[j])."""
         v = self.objects[j]
         heads = [
-            modp.mat_mul(conjugation_matrix(self.objects[k], v, 0), t, self.p)
+            self.space.mul(conjugation_matrix(self.objects[k], v, 0), t)
             for k, t in self.classes[self.class_of[i]][1].items()
             if j in self.above[k]
         ]
-        return self._composites(i, heads)
+        cols = self.objects[i].rank
+        return tuple(modp.decode_matrix(m, cols, self.p) for m in self._composites(i, heads))
 
     @property
     def homs(self) -> dict:
@@ -172,7 +181,7 @@ class ChromCategory:
         for (aut, mine), (other_aut, theirs) in zip(self.classes, other.classes):
             auts = set(aut)
             if aut != other_aut or any(
-                modp.mat_mul(modp.mat_inverse(mine[k], self.p), t, self.p) not in auts
+                self.space.mul(modp.code_inverse(mine[k], self.p), t) not in auts
                 for k, t in theirs.items()
             ):
                 return False
@@ -246,6 +255,7 @@ class Fusion:
         self.p = p
         self.objects = tuple(enumerate_elem_abelians(group, p))
         self.rank = max(v.rank for v in self.objects)
+        self.space = modp.VectorSpace(p, self.rank)
         self.above = tuple(  # above[k]: the j with objects[k] <= objects[j]
             tuple(j for j, v in enumerate(self.objects) if u.elements <= v.elements)
             for u in self.objects
@@ -296,16 +306,16 @@ class Fusion:
             want = [tuple(f.substitute_linear(unit[:j]) for f in res[i]) for j in range(rank + 1)]
 
             def keep(cols):
+                cols = tuple(modp.decode(c, rank, p) for c in cols)
                 return tuple(f.substitute_linear(cols) for f in res[k]) == want[len(cols)]
 
-            nonzero = list(itertools.product(range(p), repeat=rank))[1:]
-            return self._search([nonzero] * rank, keep, "subring_pullbacks")
+            return self._search([range(1, p ** rank)] * rank, keep, "subring_pullbacks")
 
         return self._category(None, "subring", self._joined_classes(isos))
 
     def _category(self, level, kind, classes) -> ChromCategory:
         return ChromCategory(
-            self.group, self.p, level, kind, self.objects, classes, self.above
+            self.group, self.space, level, kind, self.objects, classes, self.above
         )
 
     def _level_classes(self, n: int) -> list:
@@ -322,12 +332,13 @@ class Fusion:
             by_rank = {}  # rank r -> (GL_r, identity transports)
             for k, u in enumerate(self.objects):
                 if u.rank not in by_rank:
-                    vectors = list(itertools.product(range(self.p), repeat=u.rank))
-                    gl = modp.full_rank_matrices(u.rank, [vectors] * u.rank, self.p)
+                    vectors = range(self.p ** u.rank)
+                    gl = modp.full_rank_matrices(self.space, u.rank, [vectors] * u.rank)
                     by_rank[u.rank] = (tuple(sorted(gl)), {})
-                by_rank[u.rank][1][k] = modp.identity_matrix(u.rank)
+                by_rank[u.rank][1][k] = modp.identity_code(u.rank, self.p)
             return list(by_rank.values())
         p, objects, (classes, orbits, tau) = self.p, self.objects, self.scan
+        mul = self.space.mul
         quillen = {min(transports): aut for aut, transports in classes}
 
         def isos(i, k):
@@ -341,14 +352,15 @@ class Fusion:
             tests = [[] for _ in range(w.rank + 1)]  # tests[j]: the S read by j columns
             for s, v in enumerate(objects if all(choices) else ()):
                 if v.rank == n and v.elements <= w.elements:
+                    # the columns tau_S reads: all but its codes' shared
+                    # trailing zero digits
                     coords = [w.coordinates(b) for b in tau[s]]
-                    d = next(j for j in range(w.rank, 0, -1) if any(c[j - 1] for c in coords))
-                    tests[d].append((orbits[s], [c[:d] for c in coords]))
+                    zeros = next(t for t in range(w.rank) if any(c // p ** t % p for c in coords))
+                    tests[w.rank - zeros].append((orbits[s], [c // p ** zeros for c in coords]))
 
             def keep(cols):
-                m = tuple(zip(*cols))
                 return all(
-                    tuple(u.element_at(modp.mat_vec(m, c, p)) for c in coords) in orbit
+                    tuple(map(u.element_at, mul(coords, cols))) in orbit
                     for orbit, coords in tests[len(cols)]
                 )
 
@@ -370,7 +382,7 @@ class Fusion:
                 same_rank = self.objects[lead].rank == self.objects[r].rank
                 f = next(isos(lead, r), None) if same_rank else None
                 if f is not None:
-                    joined.update((k, modp.mat_mul(t, f, self.p)) for k, t in transports.items())
+                    joined.update((k, self.space.mul(t, f)) for k, t in transports.items())
                     break
             else:
                 classes.append((tuple(sorted(isos(r, r))), dict(transports)))
@@ -386,7 +398,7 @@ class Fusion:
                 self.stats[kept] += 1
             return passed
 
-        return modp.full_rank_matrices(len(choices), choices, self.p, counted)
+        return modp.full_rank_matrices(self.space, len(choices), choices, counted)
 
 
 def quillen_category(group: FiniteGroup, p: int) -> ChromCategory:
@@ -479,18 +491,15 @@ def skeleton(cat: ChromCategory) -> SkeletonReport:
     """Object classes under isomorphism in the category, with orbit data,
     from the stored classes and poset: only the hom-sets that ``above``
     links are composed, block by block, and Aut is walked by generators."""
-    p, objects = cat.p, cat.objects
+    p, objects, mul = cat.p, cat.objects, cat.space.mul
     classes = [(sorted(ts), aut, ts) for aut, ts in cat.classes]
     if len(classes) > 1:
         classes = [c for c in classes if objects[c[0][0]].rank > 0]
     position = {members[0]: c for c, (members, _, _) in enumerate(classes)}
 
-    def mul(a, b):
-        return modp.mat_mul(a, b, p)
-
     report, generators = SkeletonReport(), []
     for members, aut, _ in classes:
-        ident, rep = modp.identity_matrix(len(aut[0])), members[0]
+        ident, rep = modp.identity_code(len(aut[0]), p), members[0]
         generators.append(greedy_generators(aut, ident, mul))
         report.classes.append(ObjectClass(
             objects[rep].rank, rep, tuple(members), len(aut), commute(generators[-1], mul),
@@ -506,8 +515,8 @@ def skeleton(cat: ChromCategory) -> SkeletonReport:
         for ti in sorted(blocks.keys() - {si}):
             v, aut_t, block_of = objects[classes[ti][0][0]], classes[ti][1], {}
             for b, k in enumerate(blocks[ti]):
-                head = modp.mat_mul(conjugation_matrix(objects[k], v, 0), transports[k], p)
-                block_of.update((modp.mat_mul(head, a, p), b) for a in aut)
+                head = mul(conjugation_matrix(objects[k], v, 0), transports[k])
+                block_of.update((mul(head, a), b) for a in aut)
             orbits, least_blocks = [], set()
             for m in sorted(block_of):  # each left orbit from its least member
                 if m in block_of:

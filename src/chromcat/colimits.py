@@ -33,20 +33,21 @@ matrix.  The walk depends only on Aut_C(U), so a request walks each distinct
 Aut tuple once and every class with that Aut, at every level of a tower,
 shares it; a class's ids are its first id plus the walk's local orbit ids.
 The result keeps the classes of [U] as one block: [U]'s least object,
-the points in each class, and the walk's lead indices, shared with the
-walk and never copied.
+the points in each class, and the walk's leads, shared with the walk and
+never copied.
 The tower's connecting maps go one class at a time, and only a class whose
 least member was joined to a smaller one a level down, by a matrix other
 than the identity, applies a matrix to its points.  Walks and tables live
 for one call and are never kept.  F_q is ``modp.VectorSpace(p, m)``: a
-point is r vector names, the full-support points of rank r are the
-space's independent r-tuples, and an F_p-matrix applied to a point needs
-only addition and F_p-scaling, read from two tables.  Only that vector
-space is used, never the field multiplication, so q may be any power of
-p.  The work still grows with q: WORK_BOUND caps the q^2 addition-table
-entries plus the full-support points of every class, shared walks
-counted once per class, and a larger request is refused before any table
-is built.
+point is its point index, one int whose base-q digits are its r vector
+codes, the full-support points of rank r are the space's independent
+r-tuples, and ``apply`` multiplies a coded F_p-matrix into a point with
+only addition and F_p-scaling, XOR at p = 2 and two tables at odd p.  Only
+that vector space is used, never the field multiplication, so q may be any
+power of p.  The work still grows with q: WORK_BOUND caps the q^2
+addition-table entries plus the full-support points of every class,
+shared walks counted once per class, and a larger request is refused
+before any table is built.
 """
 
 from __future__ import annotations
@@ -93,9 +94,9 @@ def q_to_pm(q: int, p: int) -> int:
 class _Walk:
     """The orbits of one Aut tuple on the full-support points of its rank.
 
-    ``points`` lists the least point of each orbit in lexicographic order,
-    ``indices`` their point indices, and ``orbit`` maps every full-support
-    point to its local orbit id.  A lead takes its id directly, so only
+    ``points`` lists the point index of the least point of each orbit, in
+    increasing order, and ``orbit`` maps every full-support point to its
+    local orbit id.  A lead takes its id directly, so only
     Aut's other elements are applied, and a trivial Aut applies none.
     Every class whose least member has this Aut shares the walk, at every
     level of a tower.
@@ -103,10 +104,9 @@ class _Walk:
 
     def __init__(self, f: modp.VectorSpace, auts: tuple):
         rank = len(auts[0])
-        unit = modp.identity_matrix(rank)
+        unit = modp.identity_code(rank, f.p)
         moves = [a for a in auts if a != unit]
         self.points, self.orbit = orbit_walk(f.independent_tuples(rank), moves, f.apply)
-        self.indices = [f.point_index(pt) for pt in self.points]
         if len(self.points) * len(auts) != injective_hom_count(rank, f.m, f.p):
             raise AssertionError(
                 "Aut of rank %d does not act freely on its full-support points"
@@ -165,8 +165,8 @@ def _colim(cat: ChromCategory, f: modp.VectorSpace, walks: dict) -> ColimResult:
         by_least[least] = (size, walk)
         # Hom(U, V) is Iso(U, U_k) followed by U_k <= V, one V per object above U_k
         points = len(auts) * sum(len(cat.above[k]) for k in transports)
-        blocks.append((least, points, walk.indices))
-        size += len(walk.indices)
+        blocks.append((least, points, walk.points))
+        size += len(walk.points)
         for s, t in transports.items():
             to_least[s] = (least, t)
     if sum(points * len(leads) for _, points, leads in blocks) != sum(counts):
@@ -221,8 +221,8 @@ def filtration_tower(group: FiniteGroup, p: int, q: int) -> FiltrationTower:
             first, lower = lo._walks[least]
             points = walk.points
             if least != r:
-                back = modp.mat_inverse(t, p)
-                if back != modp.identity_matrix(len(back)):
+                back = modp.code_inverse(t, p)
+                if back != modp.identity_code(len(back), p):
                     points = [f.apply(back, pt) for pt in points]
             mapping.extend(first + lower.orbit[pt] for pt in points)
         if set(mapping) != set(range(lo.size)):

@@ -3,18 +3,21 @@
 A subgroup is identified by its element set and is the span of its least
 basis: scanning the elements in index order, each one outside the span of
 those already taken joins the basis.  Every subgroup comes from
-``enumerate_elem_abelians``, which grows each span and its coordinate
-table by one order-p element with ``_extend``, so every downstream
+``enumerate_elem_abelians``, which grows each span by one order-p element
+with ``_extend`` and builds each span once per parent, so every downstream
 enumeration is deterministic; a caller naming a subgroup by its elements
-finds it in that list.  Group homomorphisms between elementary abelians
-are exactly F_p-linear maps and are represented as matrices only.
+finds it in that list.  Coordinates are ``modp`` codes: the element
+b_1^c_1 ... b_r^c_r has the code of (c_1, ..., c_r), a subgroup lists its
+elements in code order, so ``element_at`` is one index and ``coordinates``
+one dict read, and growing by e sends code k to k * p + j for e^j.
+Group homomorphisms between elementary abelians are exactly F_p-linear
+maps: ``conjugation_matrix`` gives them as coded matrices, and
+``LinearMorphism`` and ``injective_homs`` as tuple matrices.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Sequence
 
 from . import modp
 from .groups import FiniteGroup, GroupError
@@ -23,29 +26,31 @@ from .groups import FiniteGroup, GroupError
 class ElemAbelian:
     """An elementary abelian p-subgroup of a finite group, with basis.
 
-    ``element_at(coords)`` and ``coordinates(g)`` translate between F_p^rank
-    and parent-group element indices; rank 0 is the trivial subgroup.
+    ``element_at(code)`` and ``coordinates(g)`` translate between the codes
+    of F_p^rank and parent-group element indices; rank 0 is the trivial
+    subgroup.
     """
 
     @classmethod
-    def _spanned(cls, group: FiniteGroup, p: int, basis: tuple, coords: dict):
-        """The subgroup whose least basis is ``basis``, with coords its
-        coordinate table {element: coordinates}; nothing is checked, as
-        only ``enumerate_elem_abelians`` builds one."""
+    def _spanned(cls, group: FiniteGroup, p: int, basis: tuple, elements: list):
+        """The subgroup whose least basis is ``basis``, with its elements
+        listed in code order; nothing is checked, as only
+        ``enumerate_elem_abelians`` builds one."""
         v = cls.__new__(cls)
         v.group = group
         v.p = p
         v.basis = basis
         v.rank = len(basis)
-        v.elements = frozenset(coords)
-        v._coords = coords
-        v._by_coords = {c: g for g, c in coords.items()}
+        v.elements = frozenset(elements)
+        v._at = tuple(elements)
+        v._coords = {g: k for k, g in enumerate(elements)}
         return v
 
-    def element_at(self, coords: Sequence[int]) -> int:
-        return self._by_coords[tuple(c % self.p for c in coords)]
+    def element_at(self, code: int) -> int:
+        return self._at[code]
 
-    def coordinates(self, g: int) -> tuple:
+    def coordinates(self, g: int) -> int:
+        """The code of g's coordinates."""
         try:
             return self._coords[g]
         except KeyError:
@@ -72,13 +77,13 @@ class ElemAbelian:
         return "ElemAbelian(p=%d, rank=%d, basis=%r)" % (self.p, self.rank, self.basis)
 
 
-def _extend(group: FiniteGroup, p: int, coords: dict, e: int) -> dict:
-    """The table {element: coordinates} grown by the order-p element e:
-    each entry a gives a*e^k, with coordinates (coords(a), k), for k < p."""
-    table, grown = group.table, {}
-    for a, c in coords.items():
-        for k in range(p):
-            grown[a] = c + (k,)
+def _extend(group: FiniteGroup, p: int, elements: list, e: int) -> list:
+    """The elements of span(A, e), A's listed in code order, in code order:
+    a at code k gives a*e^j at code k * p + j, for j < p."""
+    table, grown = group.table, []
+    for a in elements:
+        for _ in range(p):
+            grown.append(a)
             a = table[a][e]
     return grown
 
@@ -90,26 +95,31 @@ def enumerate_elem_abelians(group: FiniteGroup, p: int) -> list[ElemAbelian]:
     (b_1, ..., b_k, x) comes only from A = span(b_1, ..., b_k) and x.  So A
     is extended only by order-p elements x outside A, past A's last basis
     element and commuting with A's basis, for which x is the least element
-    of span(A, x) outside A.  Output is sorted by (rank, sorted element
+    of span(A, x) outside A.  Each span is built once per A: every x in
+    span(A, x) outside A gives that span, so the ones a span built from A
+    has reached are skipped.  Output is sorted by (rank, sorted element
     indices).
     """
     table = group.table
     order_p = [g for g in range(1, group.order) if group.element_order(g) == p]
-    level = [ElemAbelian._spanned(group, p, (), {0: ()})]
+    level = [ElemAbelian._spanned(group, p, (), [0])]
     out = []
     while level:
         out += level
         nxt = []
         for a in level:
             last = a.basis[-1] if a.basis else 0
+            covered = set(a.elements)
             for x in order_p:
-                if x <= last or x in a.elements:
+                if x <= last or x in covered:
                     continue
                 if any(table[x][b] != table[b][x] for b in a.basis):
                     continue
-                coords = _extend(group, p, a._coords, x)
-                if min(g for g in coords if g not in a.elements) == x:
-                    nxt.append(ElemAbelian._spanned(group, p, a.basis + (x,), coords))
+                elements = _extend(group, p, a._at, x)
+                outside = set(elements) - a.elements
+                covered |= outside
+                if min(outside) == x:
+                    nxt.append(ElemAbelian._spanned(group, p, a.basis + (x,), elements))
         level = nxt
     out.sort(key=lambda v: (v.rank, v.sorted_elements()))
     return out
@@ -134,6 +144,13 @@ class LinearMorphism:
     def __post_init__(self):
         if self.source.p != self.target.p:
             raise GroupError("source and target live at different primes")
+        rows, cols = self.target.rank, self.source.rank
+        if len(self.matrix) != rows or any(len(row) != cols for row in self.matrix):
+            widths = "/".join(str(w) for w in sorted({len(row) for row in self.matrix}))
+            raise GroupError(
+                "matrix has shape %d x %s, not rank(target) x rank(source) = %d x %d"
+                % (len(self.matrix), widths or "0", rows, cols)
+            )
         if modp.mat_rank(self.matrix, self.source.p) != self.source.rank:
             raise GroupError("matrix does not have full column rank")
 
@@ -143,13 +160,15 @@ class LinearMorphism:
 
     def __call__(self, w: int) -> int:
         """Image of a source group element under the linear map."""
-        coords = self.source.coordinates(w)
-        return self.target.element_at(modp.mat_vec(self.matrix, coords, self.p))
+        p = self.p
+        coords = modp.decode(self.source.coordinates(w), self.source.rank, p)
+        return self.target.element_at(modp.encode(modp.mat_vec(self.matrix, coords, p), p))
 
 
 def conjugation_matrix(sub: ElemAbelian, target: ElemAbelian, g: int):
-    """Matrix of x -> gxg^-1 : sub -> target in basis coordinates, or None
-    when g does not conjugate sub into target; g = 0 gives the inclusion."""
+    """Coded matrix of x -> gxg^-1 : sub -> target in basis coordinates, or
+    None when g does not conjugate sub into target; g = 0 gives the
+    inclusion."""
     group = sub.group
     cols = []
     for b in sub.basis:
@@ -157,17 +176,17 @@ def conjugation_matrix(sub: ElemAbelian, target: ElemAbelian, g: int):
         if image not in target:
             return None
         cols.append(target.coordinates(image))
-    return tuple(tuple(col[i] for col in cols) for i in range(target.rank))
+    return modp.from_columns(cols, target.rank, sub.p)
 
 
 def injective_homs(w: ElemAbelian, v: ElemAbelian) -> list[LinearMorphism]:
     """All injective homomorphisms W -> V, in lexicographic column order."""
     if w.p != v.p:
         raise GroupError("subgroups live at different primes")
-    vectors = list(itertools.product(range(w.p), repeat=v.rank))
+    p, vectors = w.p, range(w.p ** v.rank)
     return [
-        LinearMorphism(w, v, m)
-        for m in modp.full_rank_matrices(v.rank, [vectors] * w.rank, w.p)
+        LinearMorphism(w, v, modp.decode_matrix(m, w.rank, p))
+        for m in modp.full_rank_matrices(modp.VectorSpace(p, v.rank), v.rank, [vectors] * w.rank)
     ]
 
 

@@ -1,9 +1,23 @@
 """Exact linear algebra over the prime field F_p.
 
-Matrices are tuples of row tuples with entries in 0..p-1; vectors are plain
-tuples.  The matrices range from 2 x 2 automorphisms to the stacked
-(sigma - id) blocks of ``polyfp.invariant_bases``, hundreds of columns wide
-and about 2% nonzero.
+One integer code names every vector of F_p^r: its coordinates read as
+base-p digits, the first coordinate most significant.  That is its index in
+``itertools.product`` order and its name in ``VectorSpace(p, m)`` for every
+m >= r, so codes order vectors lexicographically.  A matrix on the request
+path is the tuple of its row codes, and such tuples of one shape sort
+exactly as the tuples of row tuples they encode.  ``VectorSpace.mul``
+multiplies them: each digit d of a row of a adds d times one row of b, by
+one XOR at p = 2 and through the space's addition and scaling tables at odd
+p.  ``from_columns`` writes column codes as row codes, ``code_inverse``
+inverts, and ``encode``, ``decode`` and their matrix forms cross to the
+tuple form at the boundaries that return or print a matrix.
+
+Tuple matrices, tuples of row tuples with entries in 0..p-1, remain at
+those boundaries and for library callers: ``mat_mul``, ``mat_vec``,
+``mat_inverse``, ``mat_rank`` and ``transpose`` take them.  The matrices
+eliminated range from 2 x 2 automorphisms to the stacked (sigma - id)
+blocks of ``polyfp.invariant_bases``, hundreds of columns wide and about 2%
+nonzero.
 
 Every elimination runs on packed rows, which store only the nonzero
 entries: at p = 2 a row is a Python int, bit j holding column j, and adding
@@ -11,20 +25,18 @@ a row is one XOR; at odd p it is a {column: value} dict.  ``_echelon``
 reduces each row against the rows kept before it, keyed by pivot column
 (the lowest column of a kept row), so a row's work is the pivots its
 entries meet, not the width of the matrix.  ``mat_rank``, ``mat_inverse``,
-``kernel_vectors`` and ``in_span`` all go through it, and ``kernel_vectors``
-and ``in_span`` take sparse {column: value} rows, so that no caller writes
-out a wide matrix densely: ``mat_rank`` and ``mat_inverse`` see only the
-small matrices of homomorphisms.
+``code_inverse``, ``kernel_vectors`` and ``in_span`` all go through it, and
+``kernel_vectors`` and ``in_span`` take sparse {column: value} rows, so that
+no caller writes out a wide matrix densely.
 
 ``full_rank_matrices`` is the one walk over invertible and injective
-matrices, filled in column by column under a prefix test: GL_r, the
-injective homomorphisms and the searches of A^(n) and C_R all use it.
-``VectorSpace(p, m)`` is F_p^m with each vector named by one integer.  Its
-walk over independent r-tuples lists a colimit's full-support points, r
-elements of F_q = F_p^m, and stays apart from the column walk because it
-adds names by table lookups: about 8 times as fast as the column walk plus
-naming on the 2,520 rank-3 and 20,160 rank-4 points at q = 16.
-``is_prime`` is the package's one primality test.
+matrices, filled in column code by column code under a prefix test: GL_r,
+the injective homomorphisms and the searches of A^(n) and C_R all use it.
+``VectorSpace(p, m)`` is also F_q = F_p^m for the colimits: a point of rank
+r is r vectors of F_q, named by its point index, their codes read as
+base-q digits, and ``apply`` and ``independent_tuples`` work on that index,
+so a colimit walk handles ints only.  ``is_prime`` is the package's one
+primality test.
 """
 
 from __future__ import annotations
@@ -190,24 +202,72 @@ def mat_inverse(m: tuple, p: int) -> tuple:
     return tuple(_unpack(basis[i], p, range(r, 2 * r)) for i in range(r))
 
 
-class VectorSpace:
-    """F_p^m, each vector named by its coordinates read as base-p digits
-    (its index in ``itertools.product`` order), so names order vectors
-    lexicographically.
+def encode(v: Sequence[int], p: int) -> int:
+    """The code of the vector v, its entries reduced mod p."""
+    k = 0
+    for x in v:
+        k = k * p + x % p
+    return k
 
-    A point of rank r is a tuple of r vector names; its point index reads
-    them as base-q digits, q = p^m.  The addition table has q^2 entries and
-    is built on first use: a walk over single vectors never needs it.
+
+def decode(k: int, r: int, p: int) -> tuple:
+    """The r coordinates of the vector with code k."""
+    out = [0] * r
+    for i in range(r - 1, -1, -1):
+        k, out[i] = divmod(k, p)
+    return tuple(out)
+
+
+def encode_matrix(m: tuple, p: int) -> tuple:
+    return tuple(encode(row, p) for row in m)
+
+
+def decode_matrix(m: tuple, cols: int, p: int) -> tuple:
+    """The tuple form of the coded matrix m with ``cols`` columns."""
+    return tuple(decode(row, cols, p) for row in m)
+
+
+def identity_code(r: int, p: int) -> tuple:
+    return tuple(p ** i for i in range(r - 1, -1, -1))
+
+
+def from_columns(cols: Sequence[int], rows: int, p: int) -> tuple:
+    """The rows x len(cols) matrix whose columns have the codes ``cols``, as
+    row codes: each column adds the last digit of every row."""
+    out = [0] * rows
+    for c in cols:
+        for i in range(rows - 1, -1, -1):
+            c, d = divmod(c, p)
+            out[i] = out[i] * p + d
+    return tuple(out)
+
+
+def code_inverse(m: tuple, p: int) -> tuple:
+    """The inverse of a coded square matrix.  At p = 2, row i packed with
+    the identity's row i above its r bits is one row of [m | 1] whose
+    lowest bits are m's columns, last column lowest, so the reduced row with
+    pivot at m's column j carries row j of the inverse above them."""
+    r = len(m)
+    if p != 2:
+        return encode_matrix(mat_inverse(decode_matrix(m, r, p), p), p)
+    basis = _rref([row | 1 << (2 * r - 1 - i) for i, row in enumerate(m)], 2)
+    if any(b not in basis for b in range(r)):
+        raise ValueError("matrix is singular over F_2")
+    return tuple(basis[b] >> r for b in range(r - 1, -1, -1))
+
+
+class VectorSpace:
+    """F_p^m, each vector named by its code, so a vector of F_p^r, r <= m,
+    has its F_p^r name here too.
+
+    A point of rank r is r vectors, named by its point index: their codes
+    read as base-q digits, q = p^m.  The addition table has q^2 entries and
+    the scaling table pq; both are built on first use, and at p = 2, where
+    adding is XOR and scaling by 0 or 1 needs no table, never.
     """
 
     def __init__(self, p: int, m: int):
         self.p, self.m, self.q = p, m, p ** m
-        self.digits = tuple(itertools.product(range(p), repeat=m))
-        self._index = {e: k for k, e in enumerate(self.digits)}
-        self.scale = [
-            [self._index[tuple(c * x % p for x in a)] for a in self.digits]
-            for c in range(p)
-        ]
 
     @cached_property
     def add(self) -> list:
@@ -223,68 +283,110 @@ class VectorSpace:
             size *= p
         return table
 
-    def apply(self, matrix: tuple, pt: tuple) -> tuple:
-        """The point matrix . pt."""
-        add, scale = self.add, self.scale
+    @cached_property
+    def scale(self) -> list:
+        # scale[c]: each code times c, built a leading digit at a time too
+        p, tables = self.p, []
+        for c in range(p):
+            table, size = [0], 1
+            for _ in range(self.m):
+                table = [c * a0 % p * size + x for a0 in range(p) for x in table]
+                size *= p
+            tables.append(table)
+        return tables
+
+    def _combine(self, a, back) -> list:
+        """x . b for each row x of a, the rows of b listed last first in
+        ``back``: the digit of x at place j, units first, adds that multiple
+        of back[j]."""
         out = []
-        for row in matrix:
-            acc = 0
-            for c, x in zip(row, pt):
-                if c:
-                    acc = add[acc][scale[c][x]]
+        if self.p == 2:
+            for row in a:
+                acc = 0
+                while row:
+                    low = row & -row
+                    acc ^= back[low.bit_length() - 1]
+                    row ^= low
+                out.append(acc)
+            return out
+        p, add, scale = self.p, self.add, self.scale
+        for row in a:
+            acc = j = 0
+            while row:
+                row, d = divmod(row, p)
+                if d:
+                    acc = add[acc][scale[d][back[j]]]
+                j += 1
             out.append(acc)
-        return tuple(out)
+        return out
 
-    def independent_tuples(self, r: int) -> Iterator[tuple]:
-        """Every r-tuple of F_p-independent vectors, lexicographically."""
-        q, p = self.q, self.p
+    def mul(self, a: tuple, b: tuple) -> tuple:
+        """The coded product a . b: b's rows are vectors of this space and
+        a's rows have len(b) digits."""
+        return tuple(self._combine(a, b[::-1]))
 
-        def extend(prefix, span):
-            if len(prefix) == r - 1:
-                for x in range(q):
-                    if x not in span:
-                        yield prefix + (x,)
-                return
-            add, scale = self.add, self.scale
-            for x in range(q):
-                if x not in span:
-                    wider = {add[s][scale[c][x]] for s in span for c in range(p)}
-                    yield from extend(prefix + (x,), wider)
-
-        return extend((), {0}) if r else iter([()])
-
-    def point_index(self, pt: tuple) -> int:
+    def apply(self, matrix: tuple, pt: int) -> int:
+        """The point matrix . pt, by point index: the coded matrix combines
+        pt's r vectors, which the index lists last first by divmod."""
+        q, back = self.q, []
+        for _ in matrix:
+            pt, x = divmod(pt, q)
+            back.append(x)
         k = 0
-        for x in pt:
-            k = k * self.q + x
+        for x in self._combine(matrix, back):
+            k = k * q + x
         return k
 
+    def wider(self, span: set, x: int) -> set:
+        """The span of ``span``, a subspace, and the vector x."""
+        if self.p == 2:
+            return span | {s ^ x for s in span}
+        add, scale = self.add, self.scale
+        return {add[s][scale[c][x]] for s in span for c in range(self.p)}
 
-def full_rank_matrices(rows: int, choices: Sequence, p: int, keep=None) -> Iterator[tuple]:
+    def independent_tuples(self, r: int) -> Iterator[int]:
+        """The point index of every r-tuple of F_p-independent vectors, in
+        increasing order, which is lexicographic order."""
+        q = self.q
+
+        def extend(base, span, left):
+            if left == 1:
+                for x in range(q):
+                    if x not in span:
+                        yield base + x
+                return
+            for x in range(q):
+                if x not in span:
+                    yield from extend((base + x) * q, self.wider(span, x), left - 1)
+
+        return extend(0, {0}, r) if r else iter([0])
+
+
+def full_rank_matrices(
+    space: VectorSpace, rows: int, choices: Sequence, keep=None
+) -> Iterator[tuple]:
     """The rows x len(choices) matrices of full column rank with column j
-    drawn from choices[j], lazily and depth-first in the choices' order.  A
-    column in the span of the earlier ones is skipped, and a prefix (a tuple
-    of columns) failing ``keep`` cuts every matrix below it.  A rows x 0
-    matrix is ((),) * rows; past rows columns nothing is walked."""
-    cols = len(choices)
+    drawn from choices[j], codes of F_p^rows (rows at most space.m), as row
+    codes, lazily and depth-first in the choices' order.  A column in the
+    span of the earlier ones is skipped, and a prefix (a tuple of column
+    codes) failing ``keep`` cuts every matrix below it.  A rows x 0 matrix
+    is (0,) * rows; past rows columns nothing is walked."""
+    cols, p = len(choices), space.p
     if cols > rows:
         return iter(())
 
     def extend(prefix, span):
         if len(prefix) == cols:
-            yield tuple(zip(*prefix)) if cols else ((),) * rows
+            yield from_columns(prefix, rows, p)
             return
         for c in choices[len(prefix)]:
             if c in span:
                 continue
             longer = prefix + (c,)
             if keep is None or keep(longer):
-                wider = span if len(longer) == cols else {
-                    tuple((x + a * y) % p for x, y in zip(v, c)) for v in span for a in range(p)
-                }
-                yield from extend(longer, wider)
+                yield from extend(longer, span if len(longer) == cols else space.wider(span, c))
 
-    return extend((), {(0,) * rows})
+    return extend((), {0})
 
 
 def enumerate_subspaces(ambient: int, dim: int, p: int) -> Iterator[tuple]:

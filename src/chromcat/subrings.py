@@ -72,9 +72,11 @@ def weyl_action(fusion: Fusion) -> LinearAction:
     Weyl group is trivial).
     """
     p, (aut, _) = fusion.p, sylow_class(fusion)
-    ident = modp.identity_matrix(len(aut[0]))
-    gens = greedy_generators(aut, ident, lambda a, b: modp.mat_mul(a, b, p))
-    return LinearAction(p, [modp.transpose(modp.mat_inverse(a, p)) for a in gens] or [ident])
+    r = len(aut[0])
+    gens = greedy_generators(aut, modp.identity_code(r, p), fusion.space.mul)
+    return LinearAction(p, [
+        modp.transpose(modp.decode_matrix(modp.code_inverse(a, p), r, p)) for a in gens
+    ] or [modp.identity_matrix(r)])
 
 
 class SubringPresentation:
@@ -111,9 +113,10 @@ class SubringPresentation:
         fusion, p, transports = self.fusion, self.p, sylow_class(self.fusion)[1]
         for j in fusion.above[fusion.objects.index(v)]:
             if j in transports:
-                back = modp.mat_inverse(transports[j], p)
-                emb = modp.mat_mul(back, conjugation_matrix(v, fusion.objects[j], 0), p)
-                return tuple(f.substitute_linear(modp.transpose(emb)) for f in self.generators)
+                back = modp.code_inverse(transports[j], p)
+                emb = fusion.space.mul(back, conjugation_matrix(v, fusion.objects[j], 0))
+                pullback = modp.transpose(modp.decode_matrix(emb, v.rank, p))
+                return tuple(f.substitute_linear(pullback) for f in self.generators)
         raise UnsupportedGroupError(
             "object of rank %d is not conjugate into the Sylow subgroup" % v.rank
         )

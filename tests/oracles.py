@@ -75,6 +75,8 @@ soon as it fails and reads conjugacy from the scan.
 ``distinguishing_generator``, ``witness``, ``skeleton_class_by_rank`` and
 ``skeleton_edge`` are reference helpers with no caller in the library, and
 ``orbit_from_terms`` builds a pushforward's input from explicit terms.
+``conjugation_matrix`` and ``tuple_classes`` write the library's coded
+matrices as tuples of row tuples, so every oracle here works on tuples.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ from chromcat import (
     series_inverse,
 )
 from chromcat.categories import ObjectClass, SkeletonEdge, SkeletonReport
-from chromcat.elemab import conjugation_matrix
+from chromcat.elemab import conjugation_matrix as coded_conjugation_matrix
 from chromcat.groups import orbit_walk
 from chromcat.hopf import OrbitRestriction
 
@@ -116,10 +118,29 @@ def brute_simultaneous_conjugacy(group, a, b):
     return None
 
 
+def conjugation_matrix(sub, target, g):
+    """The library's conjugation matrix as a tuple of row tuples, or None."""
+    m = coded_conjugation_matrix(sub, target, g)
+    return None if m is None else modp.decode_matrix(m, sub.rank, sub.p)
+
+
+def tuple_classes(classes, objects, p) -> list:
+    """Classes (Aut(R), {U: t_U}) as a category or scan stores them, each
+    coded matrix written as a tuple of row tuples."""
+    out = []
+    for aut, transports in classes:
+        rank = objects[min(transports)].rank
+        out.append((
+            tuple(modp.decode_matrix(a, rank, p) for a in aut),
+            {k: modp.decode_matrix(t, rank, p) for k, t in transports.items()},
+        ))
+    return out
+
+
 def witness(cat, i, j, matrix):
     """The least g inducing the morphism objects[i] -> objects[j] of cat
     with this matrix, or None when it is not a conjugation morphism."""
-    images = [cat.objects[j].element_at(col) for col in zip(*matrix)]
+    images = [cat.objects[j].element_at(modp.encode(col, cat.p)) for col in zip(*matrix)]
     return brute_simultaneous_conjugacy(cat.group, cat.objects[i].basis, images)
 
 
@@ -575,7 +596,10 @@ def elementwise_skeleton(cat) -> SkeletonReport:
     """Object classes under isomorphism in the category, with orbit data.
 
     Only the hom-sets between class representatives are composed."""
-    groups = [(sorted(transports), aut) for aut, transports in cat.classes]
+    groups = [
+        (sorted(transports), aut)
+        for aut, transports in tuple_classes(cat.classes, cat.objects, cat.p)
+    ]
     if len(groups) > 1:
         groups = [g for g in groups if cat.objects[g[0][0]].rank > 0]
     report = SkeletonReport()
@@ -720,7 +744,9 @@ def all_pairs_conjugation_homs(group, objects):
                 images = tuple(group.conjugate(b, g) for b in w.basis)
                 if any(x not in v for x in images):
                     continue
-                matrix = modp.transpose(tuple(v.coordinates(x) for x in images))
+                matrix = modp.transpose(
+                    tuple(modp.decode(v.coordinates(x), v.rank, v.p) for x in images)
+                )
                 if w.rank == 0:
                     matrix = tuple(() for _ in range(v.rank))
                 if matrix not in seen:
@@ -838,13 +864,19 @@ def level_iso_test(cat, n):
         if i not in subspaces:
             subspaces[i] = []
             for rows in modp.enumerate_subspaces(w.rank, min(n, w.rank), p):
-                basis = tuple(w.element_at(r) for r in rows)
+                basis = tuple(w.element_at(modp.encode(r, p)) for r in rows)
                 orbit = {tuple(group.conjugate(b, g) for b in basis) for g in group.elements()}
                 subspaces[i].append((rows, orbit))
         # the conjugates inside U, in U's coordinates, fewest first
         inside = sorted(
             (
-                ({tuple(map(u.coordinates, t)) for t in orbit if u.elements.issuperset(t)}, rows)
+                (
+                    {
+                        tuple(modp.decode(u.coordinates(x), u.rank, p) for x in t)
+                        for t in orbit if u.elements.issuperset(t)
+                    },
+                    rows,
+                )
                 for rows, orbit in subspaces[i]
             ),
             key=lambda pair: len(pair[0]),
@@ -879,8 +911,9 @@ def class_lead_oracle(cat, iso):
     must be exactly the m that pass, each transport t_U must pass, and no
     m may carry R onto the least member of a later class of its rank."""
     faults = []
-    leads = [min(transports) for _, transports in cat.classes]
-    for (aut, transports), r in zip(cat.classes, leads):
+    classes = tuple_classes(cat.classes, cat.objects, cat.p)
+    leads = [min(transports) for _, transports in classes]
+    for (aut, transports), r in zip(classes, leads):
         rank = cat.objects[r].rank
         gl = list(rank_injective_matrices(rank, rank, cat.p))
         if aut != tuple(sorted(filter(iso(r, r), gl))):

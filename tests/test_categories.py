@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import sys
 from pathlib import Path
@@ -35,6 +36,7 @@ from oracles import (
     level_oracle_all_tuples,
     per_object_scan,
     skeleton_edge,
+    tuple_classes,
     two_sided_orbits,
     witness,
 )
@@ -176,14 +178,14 @@ def test_equals_compares_transports_as_well_as_aut():
     # partition and Aut(R) but changes Iso(R, U)
     q = category("a5", 2, None)
     aut, transports = q.classes[2]
-    swap = ((0, 1), (1, 0))
+    swap = modp.encode_matrix(((0, 1), (1, 0)), 2)
     assert len(aut) == 3 and swap not in aut
     u = max(transports)
     moved = dict(transports)
-    moved[u] = modp.mat_mul(transports[u], swap, 2)
+    moved[u] = q.space.mul(transports[u], swap)
 
     def rebuilt(classes):
-        return ChromCategory(q.group, 2, None, "quillen", q.objects, classes, q.above)
+        return ChromCategory(q.group, q.space, None, "quillen", q.objects, classes, q.above)
 
     twisted = rebuilt(q.classes[:2] + [(aut, moved)])
     assert q.equals(rebuilt(list(q.classes)))
@@ -351,7 +353,7 @@ def test_scan_matches_per_object_oracle(name, p):
     fusion = Fusion(g, p)
     classes, orbits = per_object_scan(g, fusion.objects)
     scan = fusion.scan
-    assert scan.classes == classes
+    assert tuple_classes(scan.classes, fusion.objects, p) == classes
     for k, u in enumerate(fusion.objects):
         tau = scan.tau[k]
         words = {
@@ -491,7 +493,8 @@ def test_two_sided_orbits_are_subobject_orbits(name):
             report = skeleton(cat)
             for e in report.edges:
                 i, j = (report.classes[c].representative for c in (e.source, e.target))
-                aut_s, aut_t = (cat.classes[cat.class_of[k]][0] for k in (i, j))
+                classes = tuple_classes(cat.classes, cat.objects, p)
+                aut_s, aut_t = (classes[cat.class_of[k]][0] for k in (i, j))
                 assert e.two_sided_orbit_count == len(
                     two_sided_orbits(cat.hom(i, j), aut_t, aut_s, p)
                 ), (p, n, e.source, e.target)
@@ -530,23 +533,23 @@ def test_skeleton_multiplies_blocks_walks_and_generators_only(monkeypatch):
     # spans of the greedy generators, their commutators and one walk per
     # cyclic subgroup.  The element-wise oracle makes 1,091 and 148,395
     # products (matrix orders aside) and 375 and 22,542 row reductions on
-    # these two categories.
+    # these two categories.  Every product is a coded one.
     cats = {"x32": category("x32", 2, None), "c3wrc3": category("c3wrc3", 3, 0)}
-    calls = {"mat_mul": 0, "_echelon": 0}
-    for fn in calls:
-        def counting(*args, fn=fn, real=getattr(modp, fn)):
+    calls = {"mul": 0, "_echelon": 0}
+    for owner, fn in ((modp.VectorSpace, "mul"), (modp, "_echelon")):
+        def counting(*args, fn=fn, real=getattr(owner, fn)):
             calls[fn] += 1
             return real(*args)
 
-        monkeypatch.setattr(modp, fn, counting)
+        monkeypatch.setattr(owner, fn, counting)
     counts = {}
     for name, cat in cats.items():
-        calls.update(mat_mul=0, _echelon=0)
+        calls.update(mul=0, _echelon=0)
         skeleton(cat)
         counts[name] = dict(calls)
     assert counts == {
-        "x32": {"mat_mul": 600, "_echelon": 0},
-        "c3wrc3": {"mat_mul": 32516, "_echelon": 0},
+        "x32": {"mul": 600, "_echelon": 0},
+        "c3wrc3": {"mul": 32516, "_echelon": 0},
     }
 
 
@@ -558,10 +561,10 @@ def test_skeleton_refuses_an_aut_that_is_not_a_group():
     c = cat.class_of[4]
     aut, transports = cat.classes[c]
     assert len(aut) == 6
-    for drop in (((0, 1), (1, 1)), modp.identity_matrix(2)):
+    for drop in (modp.encode_matrix(((0, 1), (1, 1)), 2), modp.identity_code(2, 2)):
         classes = list(cat.classes)
         classes[c] = (tuple(a for a in aut if a != drop), transports)
-        broken = ChromCategory(cat.group, 2, 1, "level", cat.objects, classes, cat.above)
+        broken = ChromCategory(cat.group, cat.space, 1, "level", cat.objects, classes, cat.above)
         with pytest.raises(AssertionError):
             skeleton(broken)
 
@@ -581,3 +584,35 @@ def test_stretch_group_levels_one_to_three():
             if len(ts) == 1 and cats[n].objects[min(ts)].rank == 3
         ]
         assert lone == [order, order], n
+
+
+# SHA-256 of repr(cat.homs), the tuple matrices of every nonempty hom-set,
+# at every level and the Quillen category (n None), recorded while
+# categories held their matrices as tuples of row tuples: the coded
+# classes must decode to the same hom-sets, in the same order.
+HOMS_PINS = [
+    ("a4", 2, 0, "595d4eddf32c756abe1527e9095ca50396f200ddba80417ab958a0177f995d78"),
+    ("a4", 2, 1, "595d4eddf32c756abe1527e9095ca50396f200ddba80417ab958a0177f995d78"),
+    ("a4", 2, 2, "00b8bcdcc0a62cea6517a88d2ea6008fb74e6c1f467753e0e0e7a150c3ca3e13"),
+    ("a4", 2, None, "00b8bcdcc0a62cea6517a88d2ea6008fb74e6c1f467753e0e0e7a150c3ca3e13"),
+    ("x32", 2, 0, "09a65aab8101bb745e8ee8888650d4f071327fafb1e813d6a898b17c79b2403e"),
+    ("x32", 2, 1, "71dc554e19b3cdb586b85b480f1b9d7a912f05dc6bafd0806747fe8680aad26d"),
+    ("x32", 2, 2, "71dc554e19b3cdb586b85b480f1b9d7a912f05dc6bafd0806747fe8680aad26d"),
+    ("x32", 2, 3, "71dc554e19b3cdb586b85b480f1b9d7a912f05dc6bafd0806747fe8680aad26d"),
+    ("x32", 2, None, "71dc554e19b3cdb586b85b480f1b9d7a912f05dc6bafd0806747fe8680aad26d"),
+    ("c3wrc3", 3, 0, "f7d814bf813a2d0ad1bb87c17d4fdbdbccebdcb16be8cfea3a8f9f32f5e494f3"),
+    ("c3wrc3", 3, 1, "8eeb2cb9a159f980463cdb47445e36a751bc2808bd284642611394580bbb87b4"),
+    ("c3wrc3", 3, 2, "8eeb2cb9a159f980463cdb47445e36a751bc2808bd284642611394580bbb87b4"),
+    ("c3wrc3", 3, 3, "8eeb2cb9a159f980463cdb47445e36a751bc2808bd284642611394580bbb87b4"),
+    ("c3wrc3", 3, None, "8eeb2cb9a159f980463cdb47445e36a751bc2808bd284642611394580bbb87b4"),
+    ("h27", 3, 0, "61a462550373974fcfe11b9eed3c95c1bb63be6caa5049fc130e23ad7399741c"),
+    ("h27", 3, 1, "0eb5ea34756ef21a84f36ad3368d2053bae8b56e69585bc7d9699174efd1bb23"),
+    ("h27", 3, 2, "0eb5ea34756ef21a84f36ad3368d2053bae8b56e69585bc7d9699174efd1bb23"),
+    ("h27", 3, None, "0eb5ea34756ef21a84f36ad3368d2053bae8b56e69585bc7d9699174efd1bb23"),
+]
+
+
+@pytest.mark.parametrize("name,p,n,digest", HOMS_PINS)
+def test_homs_keep_their_bytes(name, p, n, digest):
+    homs = Fusion(group(name), p).category(n).homs
+    assert hashlib.sha256(repr(homs).encode()).hexdigest() == digest

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from chromcat import (
     ElemAbelian,
     GroupError,
+    LinearMorphism,
     builtin_names,
     enumerate_elem_abelians,
     injective_hom_count,
@@ -15,6 +16,7 @@ from chromcat import (
     modp,
     p_rank,
 )
+from chromcat import elemab
 from conftest import ORACLE_LIBRARY, group, small_permutation_groups
 from oracles import (
     brute_elem_abelian_count,
@@ -55,10 +57,12 @@ def test_subgroup_closure_and_tables():
             for a in v.elements:
                 for b in v.elements:
                     assert g.mul(a, b) in v.elements
-            # coordinates round-trip
-            for coords in itertools.product(range(2), repeat=v.rank):
-                assert v.coordinates(v.element_at(coords)) == coords
-            assert v.coordinates(0) == (0,) * v.rank
+            # coordinates round-trip; the code of e_j is 2^(rank - 1 - j)
+            for code in range(2 ** v.rank):
+                assert v.coordinates(v.element_at(code)) == code
+            assert v.coordinates(0) == 0
+            for j, b in enumerate(v.basis):
+                assert v.element_at(2 ** (v.rank - 1 - j)) == b
 
 
 def test_least_basis_choice():
@@ -68,7 +72,7 @@ def test_least_basis_choice():
     # basis is the greedy lexicographically least one
     assert rank2.basis == (elems[1], elems[2])
     u, v = rank2.basis
-    assert rank2.coordinates(a4.mul(u, v)) == (1, 1)
+    assert rank2.coordinates(a4.mul(u, v)) == modp.encode((1, 1), 2) == 3
 
 
 @pytest.mark.parametrize("name", ORACLE_LIBRARY)
@@ -94,6 +98,38 @@ def test_elements_not_in_subgroup_rejected():
     outside = next(g for g in a4.elements() if g not in v.elements)
     with pytest.raises(GroupError):
         v.coordinates(outside)
+
+
+def test_morphism_refuses_a_matrix_of_the_wrong_shape():
+    # a line into the Klein four of A_4 is a 2 x 1 matrix; a 1 x 1 or a
+    # 3 x 1 matrix used to be accepted and then fail on its first call
+    subs = enumerate_elem_abelians(group("a4"), 2)
+    line, klein = subs[1], subs[4]
+    for matrix, shape in [
+        (((1,),), "1 x 1"), (((1,), (0,), (0,)), "3 x 1"), (((1, 0), (0,)), "2 x 1/2"),
+        ((), "0 x 0"),
+    ]:
+        with pytest.raises(GroupError, match="shape %s, not .* = 2 x 1" % shape):
+            LinearMorphism(line, klein, matrix)
+    with pytest.raises(GroupError, match="shape 1 x 2, not .* = 2 x 2"):
+        LinearMorphism(klein, klein, ((1, 0),))
+    f = LinearMorphism(line, klein, ((1,), (0,)))
+    assert f(line.basis[0]) == klein.basis[0]
+
+
+def test_each_span_is_built_once_per_parent(monkeypatch):
+    # every x in span(A, x) outside A builds the same span, so an x that
+    # an earlier build from A reached is skipped: one _extend per span
+    # tried from each A, where trying every x made 447, 194, 968 and 229
+    calls = []
+    real = elemab._extend
+    monkeypatch.setattr(elemab, "_extend", lambda *args: calls.append(1) or real(*args))
+    counts = {}
+    for name, p in [("c3wrc3", 3), ("x32", 2), ("s6", 2), ("a6", 3)]:
+        calls.clear()
+        enumerate_elem_abelians(group(name), p)
+        counts[name, p] = len(calls)
+    assert counts == {("c3wrc3", 3): 99, ("x32", 2): 121, ("s6", 2): 585, ("a6", 3): 78}
 
 
 def test_injective_hom_counts():
@@ -134,7 +170,9 @@ def test_span_enumeration_matches_rank_oracle():
     # from the rows x 0 matrix ((),) * rows up to one column past rows, which
     # must list nothing without walking GL_rows(p) for a column that cannot
     # exist; a prefix test cuts exactly the matrices with a failing prefix
-    def keep(cols):
+    # the walk takes and gives codes: columns are codes of F_p^rows, listed
+    # in itertools.product order, and matrices are row codes
+    def keep_columns(cols):
         return cols[-1][0] != cols[0][-1]
 
     def prefixes(m):
@@ -143,18 +181,25 @@ def test_span_enumeration_matches_rank_oracle():
 
     for p in (2, 3, 5):
         for rows in range(6):
-            vectors = list(itertools.product(range(p), repeat=rows))
+            space = modp.VectorSpace(p, rows)
+
+            def keep(cols):
+                return keep_columns([modp.decode(c, rows, p) for c in cols])
+
             for cols in range(rows + 2):
                 if injective_hom_count(cols, rows, p) > 20_000:
                     continue
-                choices = [vectors] * cols
+                choices = [range(p ** rows)] * cols
                 oracle = list(rank_injective_matrices(rows, cols, p))
-                assert list(modp.full_rank_matrices(rows, choices, p)) == oracle, (rows, cols, p)
-                cut = [m for m in oracle if all(keep(prefix) for prefix in prefixes(m))]
-                assert list(modp.full_rank_matrices(rows, choices, p, keep)) == cut
-    assert list(modp.full_rank_matrices(3, [], 2)) == [((),) * 3]
-    assert list(modp.full_rank_matrices(0, [], 2)) == [()]
-    assert list(modp.full_rank_matrices(1, [[(0,), (1,)]] * 2, 2)) == []
+                walk = modp.full_rank_matrices(space, rows, choices)
+                assert [modp.decode_matrix(m, cols, p) for m in walk] == oracle, (rows, cols, p)
+                cut = [m for m in oracle if all(map(keep_columns, prefixes(m)))]
+                walk = modp.full_rank_matrices(space, rows, choices, keep)
+                assert [modp.decode_matrix(m, cols, p) for m in walk] == cut
+    space = modp.VectorSpace(2, 3)
+    assert list(modp.full_rank_matrices(space, 3, [])) == [(0,) * 3]
+    assert list(modp.full_rank_matrices(space, 0, [])) == [()]
+    assert list(modp.full_rank_matrices(space, 1, [[0, 1]] * 2)) == []
 
 
 def test_morphism_application_and_composition():
@@ -180,8 +225,11 @@ def _assert_matches_reference(g, p):
     for v, r in zip(subs, reference):
         assert v.basis == r.basis
         assert v.rank == len(r.basis)
-        assert list(v._by_coords.items()) == list(r.by_coords.items())
-        assert list(v._coords.items()) == list(r.coords.items())
+        # the oracle's tables are keyed by coordinate tuples, the library's
+        # by their codes, which list the tuples in the same order
+        assert [v.element_at(k) for k in range(p ** v.rank)] == list(r.by_coords.values())
+        assert list(v._coords.items()) == [(g, modp.encode(c, p)) for g, c in r.coords.items()]
+        assert list(r.by_coords) == list(itertools.product(range(p), repeat=v.rank))
 
 
 @pytest.mark.parametrize("name", builtin_names())

@@ -31,17 +31,88 @@ def _matrix(rng, rows, cols, p):
 def test_products_match_triple_loop_on_every_small_shape(p):
     # every (r x k) . (k x c) and (r x k) . k with r, k, c in 0..4, the
     # rows x 0 and 0-row shapes included: full_rank_matrices yields
-    # ((),) * rows and the skeleton multiplies such blocks
+    # ((),) * rows and the skeleton multiplies such blocks.  The coded
+    # product, with b's rows in F_p^c, is the same product; an r x 0 times
+    # a 0 x c matrix is the zero r x c matrix, of rows 0.  The coded a . v
+    # is the level test's product, v against the rows of a's transpose, and
+    # the coded inverse of each square a that has one is mat_inverse's
     rng = random.Random(p)
     for r, k, c in itertools.product(range(5), repeat=3):
+        space = VectorSpace(p, c)
         for _ in range(4):
             a, b = _matrix(rng, r, k, p), _matrix(rng, k, c, p)
             assert modp.mat_mul(a, b, p) == triple_loop_mat_mul(a, b, p), (a, b)
             v = tuple(rng.randrange(p) for _ in range(k))
             assert modp.mat_vec(a, v, p) == triple_loop_mat_vec(a, v, p), (a, v)
+            coded = space.mul(modp.encode_matrix(a, p), modp.encode_matrix(b, p))
+            want = triple_loop_mat_mul(a, b, p) if k else ((0,) * c,) * r
+            assert modp.decode_matrix(coded, c, p) == want, (a, b)
+            columns = modp.encode_matrix(modp.transpose(a), p) if r else (0,) * k
+            image = VectorSpace(p, r).mul((modp.encode(v, p),), columns)
+            assert image == (modp.encode(triple_loop_mat_vec(a, v, p), p),), (a, v)
+            if r == k and modp.mat_rank(a, p) == r:
+                inv = modp.code_inverse(modp.encode_matrix(a, p), p)
+                assert modp.decode_matrix(inv, r, p) == modp.mat_inverse(a, p), a
+            elif r == k:
+                with pytest.raises(ValueError, match="singular"):
+                    modp.code_inverse(modp.encode_matrix(a, p), p)
     assert modp.mat_mul(((),) * 3, (), p) == ((),) * 3
     assert modp.mat_mul(((1, 0), (0, 1)), ((),) * 2, p) == ((),) * 2
     assert modp.mat_vec(((),) * 2, (), p) == (0, 0)
+    assert VectorSpace(p, 0).mul((0,) * 3, ()) == (0,) * 3
+    assert modp.code_inverse((), p) == ()
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 3), (3, 1), (3, 2), (5, 1)])
+def test_apply_matches_triple_loop_on_every_small_point(p, m):
+    # a point of F_q^r, q = p^m, is r vectors of F_p^m read as base-q
+    # digits; apply multiplies them by an r x r matrix, r in 0..4
+    rng = random.Random(10 * p + m)
+    f = VectorSpace(p, m)
+    for r in range(5):
+        for _ in range(6):
+            a = _matrix(rng, r, r, p)
+            pt = _matrix(rng, r, m, p)
+            index = modp.encode([modp.encode(x, p) for x in pt], f.q)
+            image = triple_loop_mat_mul(a, pt, p) if r else ()
+            want = modp.encode([modp.encode(x, p) for x in image], f.q)
+            assert f.apply(modp.encode_matrix(a, p), index) == want, (a, pt)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_codes_round_trip_in_product_order(p):
+    # the code of a vector is its index in itertools.product order, and
+    # decode inverts encode; entries are reduced mod p on the way in
+    for r in range(7):
+        for k, digits in enumerate(itertools.product(range(p), repeat=r)):
+            assert modp.encode(digits, p) == k
+            assert modp.decode(k, r, p) == digits
+    assert modp.encode((p + 1, -1), p) == p + p - 1
+    assert modp.identity_code(3, p) == modp.encode_matrix(modp.identity_matrix(3), p)
+    cols = ((1, 0, 2 % p), (0, 1, 1))
+    assert modp.from_columns([modp.encode(c, p) for c in cols], 3, p) == modp.encode_matrix(
+        modp.transpose(cols), p
+    )
+
+
+@st.composite
+def _same_shape_pairs(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    r, c = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    entries = st.integers(0, p - 1)
+    matrix = st.tuples(*[st.tuples(*[entries] * c)] * r)
+    return p, c, draw(matrix), draw(matrix)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_same_shape_pairs())
+def test_code_order_is_row_tuple_order(case):
+    # a tuple of row codes sorts as the tuple of rows it encodes, so the
+    # sorted Aut tuples, hom-sets and skeleton blocks keep their order
+    p, c, a, b = case
+    ca, cb = modp.encode_matrix(a, p), modp.encode_matrix(b, p)
+    assert (ca < cb, ca == cb) == (a < b, a == b)
+    assert modp.decode_matrix(ca, c, p) == a
 
 
 def _check_against_oracle(m, p, ncols):

@@ -65,6 +65,7 @@ from oracles import (
     level_oracle_all_tuples,
     tower_dict,
     union_find_colim,
+    tuple_classes,
     union_find_tower,
     with_inclusions,
     witness,
@@ -371,7 +372,7 @@ def _check_groupoid_laws(cat):
     Iso(k, i) is exactly the inverses of Iso(i, k), and |Iso(i, k)| is
     |Aut(R)| of the class's least member R."""
     p = cat.p
-    for aut, transports in cat.classes:
+    for aut, transports in tuple_classes(cat.classes, cat.objects, p):
         members = sorted(transports)
         sample = sorted(set(members[:3] + members[-2:]))
         isos = {(i, k): cat.hom(i, k) for i in sample for k in sample}
