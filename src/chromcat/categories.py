@@ -352,11 +352,9 @@ class Fusion:
             tests = [[] for _ in range(w.rank + 1)]  # tests[j]: the S read by j columns
             for s, v in enumerate(objects if all(choices) else ()):
                 if v.rank == n and v.elements <= w.elements:
-                    # the columns tau_S reads: all but its codes' shared
-                    # trailing zero digits
                     coords = [w.coordinates(b) for b in tau[s]]
-                    zeros = next(t for t in range(w.rank) if any(c // p ** t % p for c in coords))
-                    tests[w.rank - zeros].append((orbits[s], [c // p ** zeros for c in coords]))
+                    read, cut = modp.leading_columns(coords, w.rank, p)
+                    tests[read].append((orbits[s], cut))
 
             def keep(cols):
                 return all(

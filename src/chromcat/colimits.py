@@ -44,10 +44,11 @@ codes, the full-support points of rank r are the space's independent
 r-tuples, and ``apply`` multiplies a coded F_p-matrix into a point with
 only addition and F_p-scaling, XOR at p = 2 and two tables at odd p.  Only
 that vector space is used, never the field multiplication, so q may be any
-power of p.  The work still grows with q: WORK_BOUND caps the q^2
-addition-table entries plus the full-support points of every class,
-shared walks counted once per class, and a larger request is refused
-before any table is built.
+power of p.  The work still grows with q: WORK_BOUND caps q^2 (the size
+of the addition table at odd p; p = 2 adds by XOR and builds none, but is
+charged the same so that one bound serves every p) plus the full-support
+points of every class, shared walks counted once per class, and a larger
+request is refused before any table is built.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .categories import ChromCategory, Fusion
 from .elemab import injective_hom_count
 from .groups import FiniteGroup, orbit_walk
 
-# Most addition-table entries plus full-support points one colimit may use.
+# Most q^2 plus full-support points one colimit may use.
 WORK_BOUND = 2 ** 20
 
 
@@ -71,7 +72,7 @@ class FqError(ValueError):
 def q_to_pm(q: int, p: int) -> int:
     """The exponent m with q = p^m, or raise.
 
-    Also raises when the q^2 addition-table entries alone pass WORK_BOUND.
+    Also raises when q^2 alone passes WORK_BOUND.
     Neither check needs a category, so callers run this before any build.
     """
     m = 0
@@ -85,7 +86,7 @@ def q_to_pm(q: int, p: int) -> int:
         raise FqError("field size must be at least p")
     if q * q > WORK_BOUND:
         raise FqError(
-            "q = %d needs %d addition-table entries, past the work bound %d"
+            "q = %d is charged q^2 = %d, past the work bound %d"
             % (q, q * q, WORK_BOUND)
         )
     return m
@@ -128,16 +129,16 @@ class ColimResult:
 
 
 def _check_work(cat: ChromCategory, q: int) -> ChromCategory:
-    """cat, or raise when its q^2 table entries plus the full-support points
-    of every class pass WORK_BOUND.  Classes that share a walk are counted
-    once each, so the bound does not depend on how much is shared."""
+    """cat, or raise when q^2 plus the full-support points of every class
+    pass WORK_BOUND.  Classes that share a walk are counted once each, so
+    the bound does not depend on how much is shared."""
     walked = sum(
         math.prod(q - cat.p ** i for i in range(cat.objects[min(transports)].rank))
         for _, transports in cat.classes
     )
     if q * q + walked > WORK_BOUND:
         raise FqError(
-            "q = %d needs %d addition-table entries and %d full-support points, "
+            "q = %d is charged q^2 = %d plus %d full-support points, "
             "past the work bound %d on their sum" % (q, q * q, walked, WORK_BOUND)
         )
     return cat

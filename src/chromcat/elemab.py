@@ -47,6 +47,9 @@ class ElemAbelian:
         return v
 
     def element_at(self, code: int) -> int:
+        """The element with coordinate code ``code``, which must lie in
+        range(p ** rank): it is one unchecked index, as the level search
+        calls it for every image it tests."""
         return self._at[code]
 
     def coordinates(self, g: int) -> int:

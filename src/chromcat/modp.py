@@ -8,8 +8,9 @@ path is the tuple of its row codes, and such tuples of one shape sort
 exactly as the tuples of row tuples they encode.  ``VectorSpace.mul``
 multiplies them: each digit d of a row of a adds d times one row of b, by
 one XOR at p = 2 and through the space's addition and scaling tables at odd
-p.  ``from_columns`` writes column codes as row codes, ``code_inverse``
-inverts, and ``encode``, ``decode`` and their matrix forms cross to the
+p.  ``from_columns`` writes column codes as row codes, ``leading_columns``
+cuts rows to the columns they read, ``code_inverse`` inverts through the
+tuple form, and ``encode``, ``decode`` and their matrix forms cross to the
 tuple form at the boundaries that return or print a matrix.
 
 Tuple matrices, tuples of row tuples with entries in 0..p-1, remain at
@@ -25,7 +26,7 @@ a row is one XOR; at odd p it is a {column: value} dict.  ``_echelon``
 reduces each row against the rows kept before it, keyed by pivot column
 (the lowest column of a kept row), so a row's work is the pivots its
 entries meet, not the width of the matrix.  ``mat_rank``, ``mat_inverse``,
-``code_inverse``, ``kernel_vectors`` and ``in_span`` all go through it, and
+``kernel_vectors`` and ``in_span`` all go through it, and
 ``kernel_vectors`` and ``in_span`` take sparse {column: value} rows, so that
 no caller writes out a wide matrix densely.
 
@@ -243,17 +244,18 @@ def from_columns(cols: Sequence[int], rows: int, p: int) -> tuple:
 
 
 def code_inverse(m: tuple, p: int) -> tuple:
-    """The inverse of a coded square matrix.  At p = 2, row i packed with
-    the identity's row i above its r bits is one row of [m | 1] whose
-    lowest bits are m's columns, last column lowest, so the reduced row with
-    pivot at m's column j carries row j of the inverse above them."""
-    r = len(m)
-    if p != 2:
-        return encode_matrix(mat_inverse(decode_matrix(m, r, p), p), p)
-    basis = _rref([row | 1 << (2 * r - 1 - i) for i, row in enumerate(m)], 2)
-    if any(b not in basis for b in range(r)):
-        raise ValueError("matrix is singular over F_2")
-    return tuple(basis[b] >> r for b in range(r - 1, -1, -1))
+    """The inverse of a coded square matrix, through ``mat_inverse``."""
+    return encode_matrix(mat_inverse(decode_matrix(m, len(m), p), p), p)
+
+
+def leading_columns(m: tuple, cols: int, p: int) -> tuple:
+    """(k, cut): the number k of leading columns the coded rows of m, each
+    with ``cols`` columns, read (all but their shared trailing zero
+    columns), and the rows cut to those k columns."""
+    zeros = 0
+    while zeros < cols and not any(c // p ** zeros % p for c in m):
+        zeros += 1
+    return cols - zeros, [c // p ** zeros for c in m]
 
 
 class VectorSpace:

@@ -51,8 +51,9 @@ def test_products_match_triple_loop_on_every_small_shape(p):
             image = VectorSpace(p, r).mul((modp.encode(v, p),), columns)
             assert image == (modp.encode(triple_loop_mat_vec(a, v, p), p),), (a, v)
             if r == k and modp.mat_rank(a, p) == r:
-                inv = modp.code_inverse(modp.encode_matrix(a, p), p)
-                assert modp.decode_matrix(inv, r, p) == modp.mat_inverse(a, p), a
+                inv = modp.decode_matrix(modp.code_inverse(modp.encode_matrix(a, p), p), r, p)
+                assert inv == modp.mat_inverse(a, p), a
+                assert triple_loop_mat_mul(a, inv, p) == modp.identity_matrix(r), a
             elif r == k:
                 with pytest.raises(ValueError, match="singular"):
                     modp.code_inverse(modp.encode_matrix(a, p), p)
@@ -61,6 +62,19 @@ def test_products_match_triple_loop_on_every_small_shape(p):
     assert modp.mat_vec(((),) * 2, (), p) == (0, 0)
     assert VectorSpace(p, 0).mul((0,) * 3, ()) == (0,) * 3
     assert modp.code_inverse((), p) == ()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_leading_columns_drop_only_shared_trailing_zero_columns(p):
+    rng = random.Random(p)
+    for rows, cols in itertools.product(range(1, 4), range(5)):
+        for _ in range(8):
+            # rows whose columns past a random width are zero
+            width = rng.randrange(cols + 1)
+            a = [[rng.randrange(p) if j < width else 0 for j in range(cols)] for _ in range(rows)]
+            read = max((j + 1 for row in a for j, x in enumerate(row) if x), default=0)
+            cut = [modp.encode(row[:read], p) for row in a]
+            assert modp.leading_columns([modp.encode(row, p) for row in a], cols, p) == (read, cut), a
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (2, 3), (3, 1), (3, 2), (5, 1)])
