@@ -18,7 +18,13 @@ from .polyfp import PolyFp
 
 
 def series_inverse(f: PolyFp) -> PolyFp:
-    """Compositional inverse of a truncated univariate series x + O(x^2)."""
+    """Compositional inverse of a truncated univariate series x + O(x^2).
+
+    g is built in one walk up the degrees k: coefficient k of f(g) = x
+    gives g_k = -sum_{j=2..k} f_j (g^j)_k, and (g^j)_k =
+    sum_a g_a (g^(j-1))_(k-a) reads only coefficients of g below k, which a
+    table of power coefficients holds.  Exact over Z, Q and F_p.
+    """
     if (
         f.nvars != 1
         or f.bound is None
@@ -26,15 +32,21 @@ def series_inverse(f: PolyFp) -> PolyFp:
         or f.coefficient((0,))
     ):
         raise ValueError("inverse needs a truncated univariate series of the form x + ...")
-    d = f.bound
-    g_coeffs = {(1,): 1}
+    d, p = f.bound, f.p
+    fs = [f.coefficient((j,)) for j in range(d + 1)]
+    g = [0] * (d + 1)
+    g[1] = 1
+    # powers[j][k]: coefficient k of g^j, known once g is known below k
+    powers = [None, g] + [[0] * (d + 1) for _ in range(2, d + 1)]
     for k in range(2, d + 1):
-        # step k reads only coefficient k of f(g), so g is cut at degree k
-        g = PolyFp(f.p, 1, g_coeffs, bound=k)
-        err = f.substitute([g]).coefficient((k,))
-        if err:
-            g_coeffs[(k,)] = -err
-    return PolyFp(f.p, 1, g_coeffs, bound=d)
+        total = 0
+        for j in range(2, k + 1):
+            prev = powers[j - 1]
+            c = sum(g[a] * prev[k - a] for a in range(1, k - j + 2))
+            powers[j][k] = c if p is None else c % p
+            total += fs[j] * c
+        g[k] = -total if p is None else -total % p
+    return PolyFp(p, 1, {(k,): c for k, c in enumerate(g) if c}, bound=d)
 
 
 @dataclass(frozen=True)

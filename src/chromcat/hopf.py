@@ -195,10 +195,9 @@ class HopfExpr:
     raises ``HopfError``, so every stored coefficient is truncated exactly
     at ``degree``.
 
-    The * and o products file every pair of terms under its normalized
-    output star and sum each star's coefficient products with one
-    ``sum_of_products``; a pair of terms whose lowest degrees sum above
-    ``degree`` is skipped unformed."""
+    The * and o products form all their stars' coefficients with one
+    ``sum_of_products`` call; a pair of terms whose lowest degrees sum
+    above ``degree`` is skipped unformed."""
 
     __slots__ = ("p", "height", "degree", "terms")
 
@@ -294,12 +293,16 @@ class HopfExpr:
         under ``product_star(star1, star2)``: a (normalized star, scalar)
         pair, or None when the pair's product is zero.
 
-        Pairs are grouped by star and each group is summed by one
-        ``sum_of_products``, so no coefficient product is formed alone and
-        no star is merged twice.  Every coefficient is truncated at
-        ``degree``, so a pair whose lowest degrees sum past it multiplies
-        to zero: the right terms are sorted by lowest degree and each left
-        term stops at the first one that does not fit."""
+        One pass over the pairs files each pair's coefficient dicts under
+        its output star, and one ``sum_of_products`` call sums every
+        star's group into a plain dict, so no coefficient product is formed
+        alone and each nonzero star is reduced and stored once.
+        That call checks every coefficient of both operands once: F_p[s, t],
+        bound ``degree``, no cap, or the ValueError of a mismatched product.
+        As every coefficient is truncated at ``degree``, a pair whose lowest
+        degrees sum past it multiplies to zero: the right terms are sorted
+        by lowest degree and each left term stops at the first one that
+        does not fit."""
         self._check(other)
         right = sorted(
             ((poly.min_degree(), star, poly) for star, poly in other.terms.items()),
@@ -314,14 +317,13 @@ class HopfExpr:
                 made = product_star(star1, star2)
                 if made is not None:
                     star, c = made
-                    groups.setdefault(star, []).append((p1, p2, c))
+                    groups.setdefault(star, []).append((p1.coeffs, p2.coeffs, c))
         # the result is stored as formed, without the constructor's checks
         out = object.__new__(HopfExpr)
-        out.p, out.height, out.degree, out.terms = self.p, self.height, self.degree, {}
-        for star, triples in groups.items():
-            poly = sum_of_products(triples)
-            if not poly.is_zero():
-                out.terms[star] = poly
+        out.p, out.height, out.degree = self.p, self.height, self.degree
+        out.terms = sum_of_products(groups, [
+            PolyFp.zero(self.p, 2, self.degree), *self.terms.values(), *other.terms.values()
+        ])
         return out
 
     def star_mul(self, other: "HopfExpr") -> "HopfExpr":

@@ -6,9 +6,13 @@ group laws and Hopf-ring coefficients), and the model rings
 F_p[x_1..x_r]/(x_i^cap).  Polynomials store nonzero coefficients keyed by
 exponent tuples; rendering and iteration follow a graded order (total
 degree, then descending lexicographic exponents) so "x^2*y + x*y^2" style
-strings are reproducible and parseable back.  Every product is formed by
-``sum_of_products``, which adds c * a * b over a list of triples in one
-pass; ``a * b`` is its one-triple case.
+strings are reproducible and parseable back.  Every product of coefficient
+dicts is formed by one loop, which adds c * a * b over a list of triples
+into a plain dict in one pass; each result is then reduced, cleaned and
+stored once.  ``a * b`` is its one-triple case, ``sum_of_products`` sums
+many keyed groups in one call with one check per operand, and
+``substitute_linear`` multiplies the cached powers of its linear forms as
+plain dicts.
 
 A ``LinearAction`` is a matrix group held by its generators alone, and
 ``invariant_bases`` solves for the forms they all fix, so no group is
@@ -54,6 +58,23 @@ def _live_bound(nvars: int, bound: Optional[int], cap: Optional[int]) -> Optiona
     return bound
 
 
+def _term(p: Optional[int], exps, c) -> tuple:
+    """(exps, c) with integer exponents and c reduced mod p, or c as it is
+    when p is None and c is an exact rational; ValueError otherwise."""
+    try:
+        exps = tuple(map(index, exps))
+        if p is not None:
+            return exps, index(c) % p
+        if hasattr(c, "denominator"):
+            return exps, c
+    except TypeError:
+        pass
+    raise ValueError(
+        "term %r: %r needs integer exponents and an integer coefficient, "
+        "or a Fraction when p is None" % (exps, c)
+    )
+
+
 class PolyFp:
     """A polynomial in a fixed number of variables.
 
@@ -76,7 +97,8 @@ class PolyFp:
     arithmetic are built by ``_stored``, which trusts its coefficients to be
     reduced, nonzero and inside both truncations: each operation keeps them
     so as it forms them.
-    A product is the one-triple case of ``sum_of_products``.
+    Steps towards a result, such as the products a sum or a substitution
+    adds up, stay plain dicts, and only the result is stored.
     """
 
     __slots__ = ("p", "nvars", "coeffs", "bound", "cap")
@@ -93,17 +115,7 @@ class PolyFp:
             raise ValueError("%r is not a prime" % (p,))
         clean = {}
         for exps, c in (coeffs or {}).items():
-            try:
-                exps = tuple(map(index, exps))
-                if p is not None:
-                    c = index(c) % p
-                elif not hasattr(c, "denominator"):
-                    raise TypeError
-            except TypeError:
-                raise ValueError(
-                    "term %r: %r needs integer exponents and an integer coefficient, "
-                    "or a Fraction when p is None" % (exps, c)
-                ) from None
+            exps, c = _term(p, exps, c)
             if len(exps) != nvars:
                 raise ValueError("exponent tuple has wrong length")
             if min(exps, default=0) < 0:
@@ -138,7 +150,7 @@ class PolyFp:
         if p is None:
             coeffs = {e: c for e, c in coeffs.items() if c}
         else:
-            coeffs = {e: c % p for e, c in coeffs.items() if c % p}
+            coeffs = {e: r for e, c in coeffs.items() if (r := c % p)}
         if cap is not None:
             coeffs = {e: c for e, c in coeffs.items() if max(e, default=0) < cap}
         return coeffs
@@ -232,7 +244,12 @@ class PolyFp:
         return self._combine(other, -1)
 
     def __mul__(self, other: "PolyFp") -> "PolyFp":
-        return sum_of_products([(self, other, 1)])
+        bound, cap = self._check(other)
+        coeffs = _add_products(
+            {}, ((self.coeffs, other.coeffs, 1),), self.nvars,
+            math.inf if bound is None else bound,
+        )
+        return self._stored(self.p, self.nvars, self._clean(coeffs, cap), bound, cap)
 
     def scale(self, c) -> "PolyFp":
         coeffs = self._clean({e: v * c for e, v in self.coeffs.items()})
@@ -305,17 +322,43 @@ class PolyFp:
 
     def substitute_linear(self, matrix: tuple) -> "PolyFp":
         """Send variable x_j to sum_i matrix[i][j] * x_i (new variable count
-        = number of matrix rows)."""
-        new_nvars = len(matrix)
+        = number of matrix rows).
+
+        The result is a plain ``PolyFp`` under this polynomial's bound and
+        no cap.  Each variable's image is a linear form, so the expansion
+        is direct: the forms' powers are kept as coefficient dicts, each
+        term's image is their product, and the sum is stored once.  Each
+        entry is checked as a coefficient is.
+        """
+        rows, p = len(matrix), self.p
         if any(len(row) != self.nvars for row in matrix):
             raise ValueError("matrix shape does not match variable count")
-        units = [tuple(int(i == k) for i in range(new_nvars)) for k in range(new_nvars)]
-        return self.substitute(
-            [
-                PolyFp(self.p, new_nvars, {units[k]: matrix[k][j] for k in range(new_nvars)})
-                for j in range(self.nvars)
-            ]
-        )
+        units = [tuple(int(i == k) for i in range(rows)) for k in range(rows)]
+        forms = [
+            {units[k]: c for k in range(rows) if (c := _term(p, units[k], matrix[k][j])[1])}
+            for j in range(self.nvars)
+        ]
+
+        def times(a: dict, b: dict) -> dict:
+            return self._clean(_add_products({}, ((a, b, 1),), rows, math.inf))
+
+        one = {(0,) * rows: 1}
+        powers = [[one, form] for form in forms]  # powers[j][e] = forms[j] ** e
+        products = []  # each term's last product, added into the sum at once
+        for exps, c in self.coeffs.items():
+            factors = []
+            for j, e in enumerate(exps):
+                if e:
+                    cache = powers[j]
+                    while len(cache) <= e:
+                        cache.append(times(cache[-1], cache[1]))
+                    factors.append(cache[e])
+            term = one
+            for factor in factors[:-1]:
+                term = factor if term is one else times(term, factor)
+            products.append((term, factors[-1] if factors else one, c))
+        coeffs = _add_products({}, products, rows, math.inf)
+        return PolyFp._stored(p, rows, self._clean(coeffs), self.bound)
 
     # -- rendering -----------------------------------------------------------
 
@@ -341,32 +384,11 @@ class PolyFp:
         return "%s(%r, %r)" % (type(self).__name__, self.p, self.render())
 
 
-def sum_of_products(triples: Sequence[tuple]) -> PolyFp:
-    """The sum of c * a * b over the (a, b, c) triples, formed in one pass.
-
-    Each pair a, b is checked as ``a * b`` checks it, and the truncations
-    are met pair by pair as ``a1 * b1 + a2 * b2 + ...`` meets them, a bound
-    made moot by the cap being dropped at each step, so a mismatch raises
-    the same ValueError.  Pairs of terms whose total degree passes the
-    bound are skipped unformed; a product with an exponent at the cap is
-    formed and dropped.  The sum is reduced and cleaned once, at the end.
-    ``a * b`` is the one triple (a, b, 1).
-    """
-    if not triples:
-        raise ValueError("need at least one product")
-    first = triples[0][0]
-    p, nvars = first.p, first.nvars
-    top = cap = None
-    for a, b, _ in triples:
-        if a.p != p or a.nvars != nvars:
-            raise ValueError("polynomial domains do not match")
-        pair_bound, pair_cap = a._check(b)
-        if pair_bound != top or pair_cap != cap:
-            pair_bound = _live_bound(nvars, pair_bound, pair_cap)
-            cap = _meet(cap, pair_cap)
-            top = _live_bound(nvars, _meet(top, pair_bound), cap)
-    limit = math.inf if top is None else top
-    coeffs = {}
+def _add_products(coeffs: dict, triples, nvars: int, limit) -> dict:
+    """Add c * a * b into ``coeffs`` for each (a, b, c) of ``triples``, a
+    and b coefficient dicts in ``nvars`` variables, and return ``coeffs``;
+    nothing is reduced.  This is the module's one product loop.  Pairs of
+    terms whose total degree passes ``limit`` are skipped unformed."""
     get = coeffs.get
     for a, b, c in triples:
         if nvars == 2:
@@ -374,8 +396,8 @@ def sum_of_products(triples: Sequence[tuple]) -> PolyFp:
             # Hopf coefficients, rank-2 model rings) are the hot ones.  The
             # operands mostly have a few terms, so the right one is read
             # as it is, not first listed with its degrees
-            right = b.coeffs.items()
-            for (x1, y1), c1 in a.coeffs.items():
+            right = b.items()
+            for (x1, y1), c1 in a.items():
                 room = limit - x1 - y1
                 c1 *= c
                 for (x2, y2), c2 in right:
@@ -383,15 +405,44 @@ def sum_of_products(triples: Sequence[tuple]) -> PolyFp:
                         e = (x1 + x2, y1 + y2)
                         coeffs[e] = get(e, 0) + c1 * c2
         else:
-            right = [(e, v, sum(e)) for e, v in b.coeffs.items()]
-            for e1, c1 in a.coeffs.items():
+            right = [(e, v, sum(e)) for e, v in b.items()]
+            for e1, c1 in a.items():
                 room = limit - sum(e1)
                 c1 *= c
                 for e2, c2, d2 in right:
                     if d2 <= room:
                         e = tuple(map(add, e1, e2))
                         coeffs[e] = get(e, 0) + c1 * c2
-    return first._stored(p, nvars, first._clean(coeffs, cap), top, cap)
+    return coeffs
+
+
+def sum_of_products(groups: dict, operands: Sequence[PolyFp]) -> dict:
+    """{key: the sum of c * a * b over the (a, b, c) of groups[key]}, for
+    the keys whose sum is nonzero.
+
+    Each a and b is the coefficient dict of one of ``operands``, which are
+    checked once for the call, not pair by pair: each must have exactly the
+    first's p, variable count, bound and cap (none takes another's
+    truncation, as in ``a * b``), or ValueError is raised naming the
+    domains or the truncations.  Pairs of terms whose total degree passes
+    the bound are skipped unformed; a product with an exponent at the cap
+    is formed and dropped.  Each group is summed by the one product loop,
+    then reduced, cleaned and stored once in the first's ring.
+    """
+    first = operands[0]
+    p, nvars, bound, cap = first.p, first.nvars, first.bound, first.cap
+    for poly in operands:
+        if poly.p != p or poly.nvars != nvars:
+            raise ValueError("polynomial domains do not match")
+        if poly.bound != bound or poly.cap != cap:
+            raise ValueError("polynomial truncations do not match")
+    limit = math.inf if bound is None else bound
+    out = {}
+    for key, triples in groups.items():
+        coeffs = first._clean(_add_products({}, triples, nvars, limit), cap)
+        if coeffs:
+            out[key] = first._stored(p, nvars, coeffs, bound, cap)
+    return out
 
 
 _FACTOR_RE = re.compile(r"^([A-Za-z]\w*)(?:\^(\d+))?$")

@@ -63,7 +63,12 @@ frontier by frontier, where the library never lists it; and
 ``rational_honda_fgl`` builds the Honda law over the rationals from the
 logarithm l itself and reduces it mod p after checking each coefficient's
 p-integrality, where the library builds p G(s/p, t/p) over the integers
-from l(px)/p.
+from l(px)/p; it inverts l by ``series_inverse_by_substitution``, one full
+substitution per degree, where the library walks a table of power
+coefficients once.  ``linear_substitution`` sends each variable to a
+``PolyFp`` linear form through the general ``substitute``, where
+``substitute_linear`` expands the forms' powers as coefficient dicts; the
+C_R oracles and ``substitute_invariant_basis`` pull back through it.
 ``class_lead_oracle`` tests every invertible matrix at each class lead,
 listed by ``rank_injective_matrices`` and not by the library's walk, with
 ``level_iso_test``, which walks each subspace's conjugate tuples over G
@@ -102,7 +107,6 @@ from chromcat import (
     is_level_n_morphism,
     mod_indecomposables,
     modp,
-    series_inverse,
 )
 from chromcat.categories import ObjectClass, SkeletonEdge, SkeletonReport
 from chromcat.elemab import conjugation_matrix as coded_conjugation_matrix
@@ -327,7 +331,7 @@ def distinguishing_generator(presentation, f):
         presentation.restrictions(f.target),
         presentation.restrictions(f.source),
     ):
-        if rv.substitute_linear(pullback) != rw:
+        if linear_substitution(rv, pullback) != rw:
             return gen
     return None
 
@@ -731,6 +735,24 @@ def naive_truncated_composition(f, images, nvars, p, bound=None, cap=None):
     return _truncate_late({e: c for e, c in out.items() if c}, bound, cap)
 
 
+def linear_substitution(f, matrix):
+    """f with x_j sent to sum_i matrix[i][j] x_i, through the general
+    ``PolyFp.substitute`` with one ``PolyFp`` image per variable, where
+    ``substitute_linear`` expands the linear forms' powers as coefficient
+    dicts.  The result has one variable per matrix row."""
+    rows = len(matrix)
+    if any(len(row) != f.nvars for row in matrix):
+        raise ValueError("matrix shape does not match variable count")
+    if not f.nvars:
+        # substitute keeps a constant in its own ring
+        return PolyFp(f.p, rows, {(0,) * rows: f.coefficient(())}, f.bound)
+    units = [tuple(int(i == k) for i in range(rows)) for k in range(rows)]
+    return f.substitute([
+        PolyFp(f.p, rows, {units[k]: matrix[k][j] for k in range(rows)})
+        for j in range(f.nvars)
+    ])
+
+
 def all_pairs_conjugation_homs(group, objects):
     """hom(W, V) = maps x -> gxg^-1 with gWg^-1 <= V, plus one witness each."""
     homs = {}
@@ -834,12 +856,12 @@ def all_pairs_CR(group, presentation, embedding_choice=0):
     for v in objects:
         embs = embeddings_into(group, v, presentation.sylow)
         emb = modp.transpose(embs[embedding_choice % len(embs)])
-        res.append([g.substitute_linear(emb) for g in presentation.generators])
+        res.append([linear_substitution(g, emb) for g in presentation.generators])
 
     def keep(i, j, f):
         pullback = modp.transpose(f.matrix)
         return all(
-            rv.substitute_linear(pullback) == rw for rv, rw in zip(res[j], res[i])
+            linear_substitution(rv, pullback) == rw for rv, rw in zip(res[j], res[i])
         )
 
     homs = all_pairs_filtered_homs(objects, keep)
@@ -896,10 +918,12 @@ def subring_iso_test(cat, presentation):
     res = []
     for v in cat.objects:
         emb = modp.transpose(embeddings_into(cat.group, v, presentation.sylow)[0])
-        res.append(tuple(f.substitute_linear(emb) for f in presentation.generators))
+        res.append(tuple(linear_substitution(f, emb) for f in presentation.generators))
 
     def iso(i, k):
-        return lambda m: tuple(f.substitute_linear(modp.transpose(m)) for f in res[k]) == res[i]
+        return lambda m: tuple(
+            linear_substitution(f, modp.transpose(m)) for f in res[k]
+        ) == res[i]
 
     return iso
 
@@ -1260,7 +1284,7 @@ def substitute_invariant_basis(action, d, matrices=None):
     )
     rows = []
     for g in action.generators if matrices is None else matrices:
-        images = [PolyFp.monomial(p, n, m).substitute_linear(g) for m in mons]
+        images = [linear_substitution(PolyFp.monomial(p, n, m), g) for m in mons]
         for e in mons:
             rows.append(tuple(
                 (img.coefficient(e) - (1 if m == e else 0)) % p
@@ -1282,6 +1306,28 @@ def digit_tuple_add_table(p, m):
     ]
 
 
+def series_inverse_by_substitution(f):
+    """Compositional inverse of a truncated univariate series x + O(x^2),
+    one full substitution per degree k: g is cut at degree k and coefficient
+    k of f(g) is cancelled, where ``fgl.series_inverse`` fills a table of
+    power coefficients in one walk."""
+    if (
+        f.nvars != 1
+        or f.bound is None
+        or f.coefficient((1,)) != 1
+        or f.coefficient((0,))
+    ):
+        raise ValueError("inverse needs a truncated univariate series of the form x + ...")
+    d = f.bound
+    g_coeffs = {(1,): 1}
+    for k in range(2, d + 1):
+        g = PolyFp(f.p, 1, g_coeffs, bound=k)
+        err = f.substitute([g]).coefficient((k,))
+        if err:
+            g_coeffs[(k,)] = -err
+    return PolyFp(f.p, 1, g_coeffs, bound=d)
+
+
 def rational_honda_log(p, n, degree):
     """The Honda logarithm l(x) = sum_i x^(p^(n i)) / p^i over Q."""
     log = {(1,): Fraction(1)}
@@ -1299,7 +1345,7 @@ def rational_honda_fgl(p, n, degree):
     s, t = (PolyFp.variable(None, 2, i, bound=degree) for i in range(2))
     log_sum = log_series.substitute([s]) + log_series.substitute([t])
     coeffs = {}
-    for e, c in series_inverse(log_series).substitute([log_sum]).coeffs.items():
+    for e, c in series_inverse_by_substitution(log_series).substitute([log_sum]).coeffs.items():
         c = Fraction(c)
         if c.denominator % p == 0:
             raise ValueError("coefficient %s at %r is not %d-integral" % (c, e, p))

@@ -3,10 +3,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chromcat.fgl
 from chromcat import CycRing, PolyFp, honda_fgl, series_inverse
-from oracles import rational_honda_fgl, rational_honda_log
+from oracles import rational_honda_fgl, rational_honda_log, series_inverse_by_substitution
 
 
 def test_series_arithmetic():
@@ -31,6 +33,47 @@ def test_series_inverse_exact():
     x = PolyFp.variable(None, 1, 0, bound=4)
     assert log.substitute([exp]) == x
     assert exp.substitute([log]) == x
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_series_inverse_matches_one_substitution_per_degree(data):
+    # integer, Fraction and F_p series x + ... to degree 1..16, sparse and
+    # dense: the one-walk inverse equals the inverse that cancels
+    # coefficient k of f(g) by a full substitution at each degree k
+    p = data.draw(st.sampled_from([None, "fraction", 2, 3, 5, 7]), label="p")
+    d = data.draw(st.integers(min_value=1, max_value=16), label="d")
+    if p == "fraction":
+        p, entry = None, st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5))
+    elif p is None:
+        entry = st.integers(-6, 6)
+    else:
+        entry = st.integers(-p, 2 * p)
+    density = data.draw(st.sampled_from([0.0, 0.25, 1.0]), label="density")
+    coeffs = {(1,): 1}
+    for k in range(2, d + 1):
+        if data.draw(st.floats(0, 1), label="draw %d" % k) < density:
+            coeffs[(k,)] = data.draw(entry, label="f_%d" % k)
+    f = PolyFp(p, 1, coeffs, bound=d)
+    got, want = series_inverse(f), series_inverse_by_substitution(f)
+    assert got.coeffs == want.coeffs
+    assert (type(got), got.p, got.nvars, got.bound, got.cap) == (PolyFp, p, 1, d, None)
+    assert f.substitute([got]) == PolyFp.variable(p, 1, 0, bound=d)
+
+
+@pytest.mark.parametrize("f", [
+    PolyFp(None, 2, {(1, 0): 1}, bound=4),  # two variables
+    PolyFp(None, 1, {(1,): 1}),  # no bound
+    PolyFp(None, 1, {(1,): 2, (2,): 1}, bound=4),  # leading coefficient 2
+    PolyFp(3, 1, {(1,): 2}, bound=4),  # -1 mod 3
+    PolyFp(None, 1, {(0,): 1, (1,): 1}, bound=4),  # a constant term
+    PolyFp(2, 1, {(1,): 1}, bound=0),  # x lost to the bound
+    PolyFp(None, 1, {(2,): 1}, bound=4),  # no linear term
+])
+def test_series_inverse_refuses_what_is_not_x_plus_higher_terms(f):
+    for inverse in (series_inverse, series_inverse_by_substitution):
+        with pytest.raises(ValueError, match="of the form x"):
+            inverse(f)
 
 
 @pytest.mark.parametrize("p,n,degree", [

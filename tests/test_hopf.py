@@ -339,6 +339,9 @@ def _unit_stars(a, b, product):
 
 @pytest.mark.parametrize("p,degree", [(2, 6), (3, 8)])
 def test_products_sum_each_output_star_once(monkeypatch, p, degree):
+    # the oracle's results and the stars the pairs reach are formed before
+    # the counters go in; in the cancelling case the two pairs filed under
+    # b1 * b2 cancel, so that star is formed but not stored
     rng = random.Random(28_000 + p)
     cases = []
     for atomic, product, oracle in (
@@ -347,36 +350,71 @@ def test_products_sum_each_output_star_once(monkeypatch, p, degree):
     ):
         for _ in range(20):
             a, b = (_random_expr(rng, p, degree, atomic) for _ in range(2))
-            cases.append((a, b, product, _unit_stars(a, b, oracle)))
+            cases.append((a, b, product, oracle(a, b), _unit_stars(a, b, oracle)))
     s = PolyFp.variable(2, 2, 0)
     cancel = HopfExpr(2, 2, 6, {(0, ((1,),)): s, (0, ((2,),)): s})
-    cases.append((cancel, cancel, HopfExpr.star_mul, _unit_stars(cancel, cancel, all_pairs_star_mul)))
+    cases.append((
+        cancel, cancel, HopfExpr.star_mul, all_pairs_star_mul(cancel, cancel),
+        _unit_stars(cancel, cancel, all_pairs_star_mul),
+    ))
 
-    counts = {"mul": 0, "sum": 0, "triples": 0}
+    counts = {"mul": 0, "sums": 0, "stored": 0, "stars": 0, "pairs": 0}
     real_mul, real_sum = PolyFp.__mul__, hopf.sum_of_products
+    real_stored = PolyFp._stored.__func__
 
     def counting_mul(a, b):
         counts["mul"] += 1
         return real_mul(a, b)
 
-    def counting_sum(triples):
-        counts["sum"] += 1
-        counts["triples"] += len(triples)
-        return real_sum(triples)
+    def counting_sum(groups, operands):
+        counts["sums"] += 1
+        counts["stars"] += len(groups)
+        counts["pairs"] += sum(len(triples) for triples in groups.values())
+        return real_sum(groups, operands)
+
+    def counting_stored(cls, *args):
+        counts["stored"] += 1
+        return real_stored(cls, *args)
 
     monkeypatch.setattr(PolyFp, "__mul__", counting_mul)
     monkeypatch.setattr(hopf, "sum_of_products", counting_sum)
+    monkeypatch.setattr(PolyFp, "_stored", classmethod(counting_stored))
     several = 0
-    for a, b, product, stars in cases:
-        counts.update(mul=0, sum=0, triples=0)
+    for a, b, product, want, stars in cases:
+        counts.update(mul=0, sums=0, stored=0, stars=0, pairs=0)
         result = product(a, b)
+        # one call sums every star's group, and no coefficient product is
+        # formed alone
         assert counts["mul"] == 0
-        assert counts["sum"] == len(stars)
+        assert counts["sums"] == 1
+        assert counts["stars"] == len(stars)
+        # each nonzero star is stored once, and no other polynomial is
+        assert counts["stored"] == len(result.terms)
         assert set(result.terms) <= stars
-        several += counts["triples"] > counts["sum"]
+        assert result.terms == want.terms
+        several += counts["pairs"] > counts["stars"]
     # some products file several pairs under one star, so a sum per pair
     # would show
     assert several
+
+
+@pytest.mark.parametrize("coeff,message", [
+    (PolyFp.variable(3, 2, 0, bound=6), "domains do not match"),
+    (PolyFp.variable(2, 3, 0, bound=6), "domains do not match"),
+    (PolyFp.variable(2, 2, 0), "truncations do not match"),
+    (PolyFp.variable(2, 2, 0, bound=7), "truncations do not match"),
+    (PolyFp(2, 2, {(1, 0): 1}, bound=6, cap=8), "truncations do not match"),
+])
+def test_products_check_every_coefficient_once(coeff, message):
+    # a coefficient put into the terms past the constructor's check is
+    # refused by either product, though the bound kills its only pair
+    b1 = HopfExpr.omono(2, 2, 6, (1,), PolyFp.monomial(2, 2, (6, 0)))
+    tampered = HopfExpr.omono(2, 2, 6, (2,), PolyFp.monomial(2, 2, (6, 0)))
+    tampered.terms[(0, ((3,),))] = coeff
+    for left, right in ((b1, tampered), (tampered, b1)):
+        for product in (HopfExpr.star_mul, HopfExpr.circ_mul):
+            with pytest.raises(ValueError, match=message):
+                product(left, right)
 
 
 def test_equal_terms_are_added_before_truncation():

@@ -24,6 +24,7 @@ from chromcat import (
 from chromcat.modp import mat_rank
 from chromcat.polyfp import _monomials_of_degree, graded_piece, sum_of_products
 from oracles import (
+    linear_substitution,
     matrix_group_elements,
     naive_truncated_composition,
     naive_truncated_power,
@@ -415,90 +416,161 @@ def test_truncated_arithmetic_matches_naive_oracle(data):
     assert f.substitute(images).coeffs == composite
 
 
+def _raised(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_substitute_linear_matches_general_substitution(data):
+    # over F_2, F_3, F_5 and Q, in 0..3 variables, plain, bounded, capped or
+    # both, with 0..3 matrix rows and some columns zero: the direct expansion
+    # equals substitution of one linear PolyFp per variable, in coefficients,
+    # class, bound and cap; a wrong shape or a non-integer entry raises the
+    # same ValueError
+    p = data.draw(st.sampled_from([2, 3, 5, None]), label="p")
+    nvars = data.draw(st.integers(min_value=0, max_value=3), label="nvars")
+    rows = data.draw(st.integers(min_value=0, max_value=3), label="rows")
+    bound, cap = data.draw(st.sampled_from([(None, None), (4, None), (None, 3), (3, 3), (2, 2)]))
+    f = PolyFp(p, nvars, data.draw(_coeff_dicts(p, 4, nvars=nvars)), bound, cap)
+    if data.draw(st.booleans(), label="ring element"):
+        f = CycRing(p or 2, 1, nvars).elt(f.coeffs) if p is not None else f
+    entry = _coefficients(p) if p is None else st.integers(min_value=-p, max_value=2 * p)
+    columns = [
+        [0] * rows if data.draw(st.booleans(), label="zero column")
+        else [data.draw(entry, label="entry") for _ in range(rows)]
+        for _ in range(nvars)
+    ]
+    matrix = tuple(tuple(col[k] for col in columns) for k in range(rows))
+    got, want = f.substitute_linear(matrix), linear_substitution(f, matrix)
+    _assert_stored_clean(got)
+    assert got.coeffs == want.coeffs
+    assert type(got) is type(want) is PolyFp
+    assert (got.p, got.nvars, got.bound, got.cap) == (want.p, rows, f.bound, None)
+    if rows and nvars:
+        k, j = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, nvars - 1))
+        bad = data.draw(st.sampled_from([0.5, "1", None, 1.0]), label="bad entry")
+        broken = tuple(
+            tuple(bad if (r, c) == (k, j) else matrix[r][c] for c in range(nvars))
+            for r in range(rows)
+        )
+        message = _raised(lambda: f.substitute_linear(broken))
+        assert message == _raised(lambda: linear_substitution(f, broken))
+        assert "needs integer exponents and an integer coefficient" in message
+    short = tuple(row[:-1] for row in matrix) if nvars else ((0,),)
+    if rows or not nvars:
+        message = _raised(lambda: f.substitute_linear(short))
+        assert message == _raised(lambda: linear_substitution(f, short))
+        assert message == "matrix shape does not match variable count"
+
+
+@pytest.mark.parametrize("p", [5, None])
+def test_substitute_linear_multiplies_every_factor(p):
+    # terms with three variables in them, under a dense matrix with rows to
+    # spare: each term's image is the product of all three forms' powers
+    f = PolyFp(p, 3, {(1, 1, 1): 1, (2, 1, 2): 3, (0, 3, 1): 2, (1, 0, 0): 1})
+    matrix = ((1, 2, 0), (3, 1, 4), (0, 1, 1), (2, 0, 3))
+    got = f.substitute_linear(matrix)
+    assert got == linear_substitution(f, matrix) and got.nvars == 4
+
+
+def test_substitute_linear_has_one_variable_per_row():
+    # with no variables to send, the result still lives in one variable per
+    # matrix row, under the polynomial's bound
+    got = PolyFp.constant(2, 0, 1).substitute_linear(((), ()))
+    assert (got.nvars, got.coeffs, got.bound, got.cap) == (2, {(0, 0): 1}, None, None)
+    bounded = PolyFp(None, 0, {(): Fraction(1, 2)}, bound=3).substitute_linear(((),) * 3)
+    assert (bounded.nvars, bounded.coeffs, bounded.bound) == (3, {(0, 0, 0): Fraction(1, 2)}, 3)
+    assert PolyFp.zero(3, 0).substitute_linear(((),)) == PolyFp.zero(3, 1)
+    # and with no rows, every variable goes to zero in the ring of no variables
+    assert X.substitute_linear(()) == PolyFp.zero(2, 0)
+    assert (X * Y + PolyFp.constant(2, 2, 1)).substitute_linear(()) == PolyFp.constant(2, 0, 1)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_sum_of_products_matches_products_and_sums(data):
-    # one to four (a, b, c) triples over F_2, F_3, F_5 and Q in one to three
-    # variables, each operand plain, bounded, capped or both, and in some
-    # examples bounded one higher: the one-pass sum agrees with c * a * b
-    # formed by * and added by +, raising where they raise, and with full
-    # products truncated at the end
+    # zero to four keyed groups of one to three (a, b, c) triples over F_2,
+    # F_3, F_5 and Q in one to three variables, the operands plain, bounded,
+    # capped or both, and in some examples one more operand capped higher:
+    # each key's one-pass sum agrees with c * a * b formed by * and added by
+    # +, and with full products truncated at the end; the keys whose sum is
+    # zero are left out and the others keep their order, and operands whose
+    # truncations differ raise
     p = data.draw(st.sampled_from([2, 3, 5, None]), label="p")
     nvars = data.draw(st.integers(min_value=1, max_value=3), label="nvars")
     bound = data.draw(st.integers(min_value=3, max_value=5), label="bound")
     cap = data.draw(st.integers(min_value=2, max_value=3), label="cap")
-    kinds = [(None, None), (bound, None), (None, cap), (bound, cap)]
-    if data.draw(st.booleans(), label="mixed bounds"):
-        kinds.append((bound + 1, None))
-    triples = []
-    for _ in range(data.draw(st.integers(min_value=1, max_value=4), label="triples")):
-        a, b = (
-            PolyFp(p, nvars, data.draw(_coeff_dicts(p, 4, nvars=nvars)),
-                   *data.draw(st.sampled_from(kinds), label="truncation"))
-            for _ in range(2)
-        )
-        c = data.draw(_coefficients(p) if p is None else st.integers(-p, 2 * p), label="c")
-        triples.append((a, b, c))
-    total = None
-    try:
+    bound, cap = data.draw(st.sampled_from([(None, None), (bound, None), (None, cap), (bound, cap)]))
+    operands = [
+        PolyFp(p, nvars, data.draw(_coeff_dicts(p, 4, nvars=nvars)), bound, cap)
+        for _ in range(data.draw(st.integers(min_value=1, max_value=4), label="operands"))
+    ]
+    if data.draw(st.booleans(), label="mixed truncations"):
+        odd = PolyFp(p, nvars, data.draw(_coeff_dicts(p, 4, nvars=nvars)), bound, (cap or 2) + 1)
+        with pytest.raises(ValueError, match="truncations do not match"):
+            sum_of_products({0: [(odd.coeffs, odd.coeffs, 1)]}, [*operands, odd])
+    operand = st.sampled_from(operands)
+    groups = {
+        key: [
+            (data.draw(operand), data.draw(operand),
+             data.draw(_coefficients(p) if p is None else st.integers(-p, 2 * p), label="c"))
+            for _ in range(data.draw(st.integers(min_value=1, max_value=3), label="triples"))
+        ]
+        for key in range(data.draw(st.integers(min_value=0, max_value=4), label="keys"))
+    }
+    got = sum_of_products(
+        {key: [(a.coeffs, b.coeffs, c) for a, b, c in triples] for key, triples in groups.items()},
+        operands,
+    )
+    want = {}
+    for key, triples in groups.items():
+        total = None
+        naive = {}
         for a, b, c in triples:
             term = (a * b).scale(c)
             total = term if total is None else total + term
-    except ValueError:
-        with pytest.raises(ValueError, match="truncations do not match"):
-            sum_of_products(triples)
-        return
-    got = sum_of_products(triples)
-    _assert_stored_clean(got)
-    assert got.coeffs == total.coeffs
-    assert (got.bound, got.cap) == (total.bound, total.cap)
-    assert type(got) is PolyFp
-    naive = {}
-    for a, b, c in triples:
-        for e, v in naive_truncated_product(a.coeffs, b.coeffs, p, total.bound, total.cap).items():
-            naive[e] = naive.get(e, 0) + c * v
-    assert got == PolyFp(p, nvars, naive)
+            for e, v in naive_truncated_product(a.coeffs, b.coeffs, p, total.bound, cap).items():
+                naive[e] = naive.get(e, 0) + c * v
+        assert total == PolyFp(p, nvars, naive)
+        want[key] = total
+    assert list(got) == [key for key in groups if not want[key].is_zero()]
+    for key, poly in got.items():
+        _assert_stored_clean(poly)
+        assert poly.coeffs == want[key].coeffs
+        assert (type(poly), poly.bound, poly.cap) == (PolyFp, want[key].bound, want[key].cap)
 
 
-def test_sum_of_products_checks_every_pair():
-    x5 = PolyFp.variable(2, 2, 0, bound=5)
-    x6 = PolyFp.variable(2, 2, 0, bound=6)
-    with pytest.raises(ValueError, match="truncations do not match"):
-        sum_of_products([(X, X, 1), (x5, x6, 1)])
-    # each pair agrees with itself, but the two products do not add
-    with pytest.raises(ValueError, match="truncations do not match"):
-        sum_of_products([(x5, x5, 1), (x6, x6, 1)])
-    with pytest.raises(ValueError, match="domains do not match"):
-        sum_of_products([(X, X, 1), (X, PolyFp.variable(3, 2, 0), 1)])
-    with pytest.raises(ValueError, match="domains do not match"):
-        sum_of_products([(X, X, 1), (PolyFp.variable(2, 3, 0), PolyFp.variable(2, 3, 0), 1)])
-    with pytest.raises(ValueError, match="at least one"):
-        sum_of_products([])
-    # a bound the cap makes moot is dropped before the pairs meet, as * and
-    # + drop it: bounds 4 and 5 under cap 3 in two variables both go
-    b4, b5 = PolyFp.variable(2, 2, 0, bound=4), PolyFp.variable(2, 2, 1, bound=5)
-    c3 = PolyFp(2, 2, {(1, 0): 1, (0, 2): 1}, cap=3)
-    moot = sum_of_products([(b4, c3, 1), (b5, c3, 1)])
-    assert moot == b4 * c3 + b5 * c3 == PolyFp(2, 2, {(2, 0): 1, (1, 1): 1, (1, 2): 1})
-    assert (moot.bound, moot.cap) == (None, 3)
-    # the running sum drops it too: after a capped pair, a bound-5 pair
-    # leaves no bound, so a bound-3 pair can follow
-    b2, b3 = PolyFp.variable(2, 2, 0, bound=2), PolyFp.variable(2, 2, 0, bound=3)
-    later = sum_of_products([(b4, c3, 1), (b5, X, 1), (b3, c3, 1)])
-    assert later == b4 * c3 + b5 * X + b3 * c3 and (later.bound, later.cap) == (3, 3)
-    # bounds the cap leaves alive still clash
-    with pytest.raises(ValueError, match="truncations do not match"):
-        b2 * c3 + b3 * c3
-    with pytest.raises(ValueError, match="truncations do not match"):
-        sum_of_products([(b2, c3, 1), (b3, c3, 1)])
-    # x^3 * x^3 passes the bound 5 and is skipped; x * x^2 is kept, twice
-    x3 = PolyFp.monomial(2, 2, (3, 0)).truncate(5)
-    x2 = PolyFp.monomial(2, 2, (2, 0))
-    assert sum_of_products([(x3, x3, 1), (x5, x2, 1), (x2, x5, 1)]).is_zero()
-    assert sum_of_products([(x3, x3, 1), (x5, x2, 1)]) == PolyFp.monomial(2, 2, (3, 0))
-    # the class of the first operand carries over, as a * b keeps it
+def test_sum_of_products_checks_every_operand_once():
+    # one operand outside the first's ring raises, though no product names
+    # it; an untruncated operand does not take the others' truncation here
+    x4 = PolyFp.variable(2, 2, 0, bound=4)
+    for other, message in [
+        (PolyFp.variable(3, 2, 0, bound=4), "domains do not match"),
+        (PolyFp.variable(2, 3, 0, bound=4), "domains do not match"),
+        (PolyFp.variable(2, 2, 0), "truncations do not match"),
+        (PolyFp.variable(2, 2, 0, bound=5), "truncations do not match"),
+        (PolyFp(2, 2, {(1, 0): 1}, bound=4, cap=8), "truncations do not match"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            sum_of_products({0: [(x4.coeffs, x4.coeffs, 1)]}, [x4, other])
+    # x^3 * x^3 passes the bound 4 and is skipped, so that key is left out,
+    # and so is a key whose two products cancel mod 2
+    x3 = PolyFp.monomial(2, 2, (3, 0)).truncate(4)
+    got = sum_of_products({
+        "past": [(x3.coeffs, x3.coeffs, 1)],
+        "x^2": [(x4.coeffs, x4.coeffs, 1)],
+        "gone": [(x4.coeffs, x4.coeffs, 1), (x4.coeffs, x4.coeffs, 1)],
+        "x^4": [(x3.coeffs, x4.coeffs, 1), (x4.coeffs, x3.coeffs, 1), (x4.coeffs, x3.coeffs, 1)],
+    }, [x4, x3])
+    assert got == {"x^2": x4 * x4, "x^4": x3 * x4} and got["x^2"].bound == 4
+    assert sum_of_products({}, [x4]) == {}
+    # the sums live in the first operand's ring, its class included, as
+    # a * b keeps a's
     w = CycRing(2, 2, 2).variable(0)
-    assert type(sum_of_products([(w, w, 1)])) is type(w) is type(w * w)
+    assert type(sum_of_products({0: [(w.coeffs, w.coeffs, 1)]}, [w])[0]) is type(w) is type(w * w)
 
 
 def test_different_truncations_do_not_mix():
@@ -515,6 +587,19 @@ def test_different_truncations_do_not_mix():
     # a bound no term under the cap can pass is dropped
     assert PolyFp(2, 2, {(1, 0): 1}, bound=6, cap=4).bound is None
     assert PolyFp(2, 2, {(1, 0): 1}, bound=5, cap=4).bound == 5
+    # so products under cap 3 in two variables drop bounds 4 and 5 before
+    # they meet, and a later bound-3 product can follow; bounds the cap
+    # leaves alive still clash
+    b4, b5 = PolyFp.variable(2, 2, 0, bound=4), PolyFp.variable(2, 2, 1, bound=5)
+    c3 = PolyFp(2, 2, {(1, 0): 1, (0, 2): 1}, cap=3)
+    moot = b4 * c3 + b5 * c3
+    assert moot == PolyFp(2, 2, {(2, 0): 1, (1, 1): 1, (1, 2): 1})
+    assert (moot.bound, moot.cap) == (None, 3)
+    b2, b3 = PolyFp.variable(2, 2, 0, bound=2), PolyFp.variable(2, 2, 0, bound=3)
+    later = b4 * c3 + b5 * X + b3 * c3
+    assert (later.bound, later.cap) == (3, 3)
+    with pytest.raises(ValueError, match="truncations do not match"):
+        b2 * c3 + b3 * c3
 
 
 def test_substitute_keeps_the_bound_of_the_series():
