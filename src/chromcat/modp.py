@@ -16,9 +16,10 @@ tuple form at the boundaries that return or print a matrix.
 Tuple matrices, tuples of row tuples with entries in 0..p-1, remain at
 those boundaries and for library callers: ``mat_mul``, ``mat_vec``,
 ``mat_inverse``, ``mat_rank`` and ``transpose`` take them.  The matrices
-eliminated range from 2 x 2 automorphisms to the stacked (sigma - id)
-blocks of ``polyfp.invariant_bases``, hundreds of columns wide and about 2%
-nonzero.
+eliminated range from 2 x 2 automorphisms to the rows of
+``polyfp.invariant_bases``, one per monomial, which hold (sigma - id) of
+the monomial for every generator sigma side by side, hundreds to
+thousands of columns wide.
 
 Every elimination runs on packed rows, which store only the nonzero
 entries: at p = 2 a row is a Python int, bit j holding column j, and adding
@@ -26,9 +27,13 @@ a row is one XOR; at odd p it is a {column: value} dict.  ``_echelon``
 reduces each row against the rows kept before it, keyed by pivot column
 (the lowest column of a kept row), so a row's work is the pivots its
 entries meet, not the width of the matrix.  ``mat_rank``, ``mat_inverse``,
-``kernel_vectors`` and ``in_span`` all go through it, and
-``kernel_vectors`` and ``in_span`` take sparse {column: value} rows, so that
-no caller writes out a wide matrix densely.
+``relations`` and ``in_span`` all go through it.  ``relations`` finds the
+linear relations among packed rows in one forward elimination, each row
+tagged past its own columns, and returns them already in echelon form;
+``shift_sum`` multiplies a packed row by a form whose terms move its
+columns, which is how ``polyfp`` multiplies monomial images by linear
+forms.  ``in_span`` takes sparse {column: value} rows, so that no caller
+writes out a wide matrix densely.
 
 ``full_rank_matrices`` is the one walk over invertible and injective
 matrices, filled in column code by column code under a prefix test: GL_r,
@@ -95,13 +100,6 @@ def _unpack(row, p: int, cols: range) -> tuple:
     return tuple(row.get(j, 0) for j in cols)
 
 
-def _entries(row, p: int):
-    """The (column, value) pairs of a packed row's nonzero entries."""
-    if p == 2:
-        return [(j, 1) for j, bit in enumerate(bin(row)[:1:-1]) if bit == "1"]
-    return row.items()
-
-
 def _axpy(row: dict, f: int, other: dict, p: int) -> None:
     """row += f * other in place, for odd-p rows and f nonzero mod p."""
     for k, v in other.items():
@@ -133,20 +131,22 @@ def _reduce(row, basis: dict, p: int):
     return row
 
 
-def _echelon(rows, p: int) -> dict:
+def _echelon(rows, p: int, width=None, relations=None) -> dict:
     """{pivot column: row}: each packed row is reduced against the rows kept
-    before it and, if anything is left, kept scaled to 1 at its lowest
-    column.  Odd-p rows are consumed."""
+    before it and, if anything is left below ``width`` (anywhere, when
+    width is None), kept scaled to 1 at its lowest column; a row with
+    nothing left below width is appended to ``relations``.  Odd-p rows are
+    consumed."""
     basis = {}
     for row in rows:
         row = _reduce(row, basis, p)
         if not row:
             continue
-        if p == 2:
-            basis[(row & -row).bit_length() - 1] = row
+        c = (row & -row).bit_length() - 1 if p == 2 else min(row)
+        if width is not None and c >= width:
+            relations.append(row)
             continue
-        c = min(row)
-        if row[c] != 1:
+        if p != 2 and row[c] != 1:
             inv = pow(row[c], -1, p)
             row = {k: v * inv % p for k, v in row.items()}
         basis[c] = row
@@ -180,18 +180,52 @@ def mat_rank(m: tuple, p: int) -> int:
     return len(_echelon(_pack(map(enumerate, m), p), p))
 
 
-def kernel_vectors(rows: list, p: int, ncols: int) -> list[dict]:
-    """Basis of the right kernel of sparse rows, {column: value} dicts of
-    nonzero entries reduced mod p (odd-p rows are consumed), with the basis
-    vectors as such dicts too: one vector per free column j of the RREF,
-    ascending, with 1 at j and minus column j of the RREF at the pivots."""
-    basis = _rref([sum(1 << j for j in row) for row in rows] if p == 2 else rows, p)
-    out = {j: {j: 1} for j in range(ncols) if j not in basis}
-    for c, row in basis.items():
-        for j, v in _entries(row, p):
-            if j != c:
-                out[j][c] = -v % p
-    return list(out.values())
+def relations(rows, p: int, width: int, labels: Sequence) -> list[dict]:
+    """The linear relations among packed rows whose columns lie below
+    ``width``: for each row j in the span of the rows before it, the one
+    vector c with c_j = 1, zero at every other such row and
+    sum_i c_i row_i = 0, as {labels[i]: c_i} over its nonzero entries, in
+    order of j.  Odd-p rows are consumed.
+
+    One forward elimination: row j is tagged with a 1 at column width + j,
+    past its own columns.  Pivots are lowest columns, so every kept row
+    pivots on one of its own columns and its tag only names independent
+    rows; a row whose own columns reduce to nothing holds its relation in
+    its tag, and no relation is reduced any further."""
+    if p == 2:
+        tagged = (row | 1 << width + j for j, row in enumerate(rows))
+    else:
+        tagged = ({**row, width + j: 1} for j, row in enumerate(rows))
+    found = []
+    _echelon(tagged, p, width, found)
+    if p != 2:
+        return [{labels[k - width]: v for k, v in row.items()} for row in found]
+    out = []
+    for row in found:
+        row, vec = row >> width, {}
+        while row:
+            low = row & -row
+            vec[labels[low.bit_length() - 1]] = 1
+            row ^= low
+        out.append(vec)
+    return out
+
+
+def shift_sum(row, terms, p: int):
+    """The packed row sum w * (row with each column c moved to c + s) over
+    the (s, w) of ``terms``, each w nonzero mod p: a row over monomial
+    names times a linear form, where multiplying by a variable adds a
+    shift to a name."""
+    if p == 2:
+        acc = 0
+        for s, _ in terms:
+            acc ^= row << s
+        return acc
+    acc = {}
+    for c, v in row.items():
+        for s, w in terms:
+            acc[c + s] = acc.get(c + s, 0) + v * w
+    return {c: v % p for c, v in acc.items() if v % p}
 
 
 def mat_inverse(m: tuple, p: int) -> tuple:
@@ -414,8 +448,8 @@ def enumerate_subspaces(ambient: int, dim: int, p: int) -> Iterator[tuple]:
 
 def in_span(vectors: list[dict], target: dict, p: int) -> bool:
     """Is ``target`` in the span of ``vectors``?  Each is a sparse
-    {column: value} dict, as ``kernel_vectors`` takes, its entries reduced
-    mod p here.  One elimination: the target is reduced against the echelon
-    form of the vectors."""
+    {column: value} dict, its entries reduced mod p here.  One
+    elimination: the target is reduced against the echelon form of the
+    vectors."""
     rows = _pack([v.items() for v in vectors] + [target.items()], p)
     return not _reduce(rows.pop(), _echelon(rows, p), p)

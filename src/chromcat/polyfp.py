@@ -16,7 +16,12 @@ plain dicts.
 
 A ``LinearAction`` is a matrix group held by its generators alone, and
 ``invariant_bases`` solves for the forms they all fix, so no group is
-listed.  Of chromcat, this module imports ``modp`` only.
+listed.  It names each monomial by an integer, so that multiplying by a
+variable adds a fixed shift, walks the generators' monomial images up the
+degrees as ``modp`` packed rows over these names, and reads each wanted
+degree's fixed forms off one forward elimination, as the relations among
+the rows of (sigma - id) of its monomials.  Of chromcat, this module
+imports ``modp`` only.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from operator import add, index
+from operator import add, index, neg
 from typing import Optional, Sequence
 
 from . import modp
@@ -39,7 +44,7 @@ def default_names(nvars: int) -> tuple:
 
 
 def _term_key(exps: tuple) -> tuple:
-    return (sum(exps), tuple(-e for e in exps))
+    return (sum(exps), tuple(map(neg, exps)))
 
 
 def _meet(a: Optional[int], b: Optional[int]) -> Optional[int]:
@@ -367,9 +372,9 @@ class PolyFp:
         if not self.coeffs:
             return "0"
         names = tuple(names) if names else default_names(self.nvars)
-        parts = []
-        for exps, c in sorted(self.coeffs.items(), key=lambda item: key(item[0])):
-            factors = []
+        coeffs, parts = self.coeffs, []
+        for exps in sorted(coeffs, key=key) if len(coeffs) > 1 else coeffs:
+            c, factors = coeffs[exps], []
             if c != 1 or not any(exps):
                 factors.append(str(c))
             for name, e in zip(names, exps):
@@ -521,77 +526,65 @@ def _monomials_of_degree(nvars: int, d: int) -> list:
     return out
 
 
-def _times_form(image: dict, step: list, form: list, p: int) -> dict:
-    """image * sum_i w x_i over the (i, w) of form, monomials named by index:
-    step[c][i] is the index of monomial c times x_i."""
-    out = {}
-    for c, v in image.items():
-        row = step[c]
-        for i, w in form:
-            out[row[i]] = out.get(row[i], 0) + v * w
-    return {b: v % p for b, v in out.items() if v % p}
-
-
 def invariant_bases(action: LinearAction, degrees) -> dict:
-    """{d: echelon-form basis of the degree-d forms fixed by the action}.
+    """{d: echelon-form basis of the degree-d forms fixed by the action},
+    one key per distinct degree, ascending; each degree must be an int.
 
-    Each basis solves the stacked (sigma - id) kernel over the monomial
-    basis, one block per generator; generators suffice since fixedness is
-    closed under products.  Each generator's monomial images are walked up
-    the degrees once: the image of m * x_j is the image of m times the
-    image sum_i g[i][j] x_i of x_j.
+    A degree-k monomial is named by the base-(top + 1) digits of its first
+    n - 1 exponents, top the largest degree asked for, so multiplying by
+    x_i adds a fixed shift to its name (0 for the last variable), and the
+    names of one degree descend as the monomials do lexicographically.
+    Each generator's monomial images go up the degrees once as ``modp``
+    packed rows over these names (an int at p = 2, a {name: value} dict at
+    odd p): the image of m * x_j is the image of m times the image
+    sum_i g[i][j] x_i of x_j, a sum of shifts.  At a wanted degree each
+    monomial m gives one row, (sigma - id)(m) for every generator sigma
+    side by side.  A form sum c_m m is fixed by the generators, hence by
+    the group, exactly when sum c_m row_m = 0, and ``modp.relations``
+    returns these relations in echelon form: one per monomial whose row
+    depends on the rows before it, 1 there and 0 at every other such one.
     """
     p, n = action.p, action.nvars
-    wanted = set(degrees)
+    wanted = set()
+    for d in degrees:
+        if isinstance(d, bool) or not isinstance(d, int):
+            raise ValueError("degree %r is not an integer" % (d,))
+        wanted.add(d)
     out = {d: [] for d in sorted(wanted) if d < 0}
-    top = max(wanted, default=-1)
-    mons = [_monomials_of_degree(n, k) for k in range(top + 1)]
-    # up[k][a][i]: the index in mons[k + 1] of mons[k][a] * x_i
-    up = []
-    for k in range(top):
-        index = {m: b for b, m in enumerate(mons[k + 1])}
-        up.append([
-            [index[m[:i] + (m[i] + 1,) + m[i + 1:]] for i in range(n)]
-            for m in mons[k]
-        ])
-    # forms[t][j]: the image of x_j under generator t, as (i, coefficient)
+    base = max(wanted, default=-1) + 1
+    shifts = modp.identity_code(n - 1, base) + (0,) if n else ()
+    # forms[t][j]: the image of x_j under generator t, as the (shift,
+    # coefficient) pairs of its terms
     forms = [
-        [[(i, g[i][j]) for i in range(n) if g[i][j]] for j in range(n)]
+        [[(s, w) for s, w in zip(shifts, col) if w] for col in zip(*g)]
         for g in action.generators
     ]
-    # images[t][b]: the image under generator t of the b-th monomial of the
-    # current degree, as {monomial index: coefficient}
-    images = [[{0: 1}] for _ in action.generators]
-    for k in range(top + 1):
+    # images[name]: the monomial's image under each generator
+    images = {0: [1 if p == 2 else {0: 1}] * len(forms)}
+    for k in range(base):
         if k:
-            step = up[k - 1]
-            for t, form in enumerate(forms):
-                cur = [None] * len(mons[k])
-                for a, image in enumerate(images[t]):
-                    for j, b in enumerate(step[a]):
-                        if cur[b] is None:
-                            cur[b] = _times_form(image, step, form[j], p)
-                images[t] = cur
+            images, last = {}, images
+            for name, imgs in last.items():
+                for j, s in enumerate(shifts):
+                    if name + s not in images:
+                        images[name + s] = [
+                            modp.shift_sum(img, f[j], p) for img, f in zip(imgs, forms)
+                        ]
         if k not in wanted:
             continue
-        size = len(mons[k])
-        rows = []
-        for cur in images:
-            # sigma - id as {column: value} rows: row b holds the
-            # coefficient of monomial b in each image
-            block = [{b: p - 1} for b in range(size)]
-            for col, image in enumerate(cur):
-                for b, v in image.items():
-                    x = (block[b].get(col, 0) + v) % p
-                    if x:
-                        block[b][col] = x
-                    else:
-                        del block[b][col]
-            rows += block
-        out[k] = [
-            PolyFp._stored(p, n, {mons[k][j]: v for j, v in vec.items()})
-            for vec in modp.kernel_vectors(rows, p, size)
-        ]
+        width, rows, mons = max(images, default=0) + 1, [], []
+        for name, imgs in images.items():  # generator t's block at t * width
+            if p == 2:
+                rows.append(sum((img ^ 1 << name) << t * width for t, img in enumerate(imgs)))
+            else:
+                rows.append({
+                    t * width + a: v for t, img in enumerate(imgs)
+                    for a, v in {**img, name: (img.get(name, 0) - 1) % p}.items() if v
+                })
+            e = modp.decode(name, n - 1, base)
+            mons.append(e + (k - sum(e),) if n else ())
+        relations = modp.relations(rows, p, len(forms) * width, mons)
+        out[k] = [PolyFp._stored(p, n, coeffs) for coeffs in relations]
     return out
 
 

@@ -53,9 +53,12 @@ a product, where ``modp`` zips each row with each column of b;
 reduces mod p as it goes, where ``modp`` reduces packed rows, which hold
 only their nonzero entries, one at a time against the pivots kept so far
 and clears the other pivot columns afterwards;
-``substitute_invariant_basis`` substitutes every monomial afresh and looks
-up each (sigma - id) entry by coefficient, where the library walks each
-generator's monomial images up the degrees once;
+``whole_row_kernel_basis`` reads a right kernel off that RREF, where
+``modp.relations`` tags each row and finds the relations among them in
+one forward elimination; ``substitute_invariant_basis`` substitutes every
+monomial afresh, looks up each (sigma - id) entry by coefficient and
+solves for the kernel, where the library walks each generator's monomial
+images up the degrees once as packed rows over integer monomial names;
 ``matrix_group_elements`` lists the group a ``LinearAction`` generates,
 frontier by frontier, where the library never lists it; and
 ``digit_tuple_add_table`` adds F_p^m vectors as digit tuples, where
@@ -82,6 +85,9 @@ soon as it fails and reads conjugacy from the scan.
 ``orbit_from_terms`` builds a pushforward's input from explicit terms.
 ``conjugation_matrix`` and ``tuple_classes`` write the library's coded
 matrices as tuples of row tuples, so every oracle here works on tuples.
+``render_by_items`` is ``PolyFp.render`` as it was before it sorted bare
+exponent tuples: it sorts every (exponents, coefficient) item through a
+lambda, a one-term polynomial's too.
 """
 
 from __future__ import annotations
@@ -112,6 +118,7 @@ from chromcat.categories import ObjectClass, SkeletonEdge, SkeletonReport
 from chromcat.elemab import conjugation_matrix as coded_conjugation_matrix
 from chromcat.groups import orbit_walk
 from chromcat.hopf import OrbitRestriction
+from chromcat.polyfp import default_names
 
 
 def brute_simultaneous_conjugacy(group, a, b):
@@ -1258,8 +1265,9 @@ def whole_row_rref(m, p):
 
 
 def whole_row_kernel_basis(m, p, ncols):
-    """The right kernel basis ``modp.kernel_vectors`` reads off the RREF,
-    written out as dense rows."""
+    """The right kernel basis read off the RREF, written out as dense rows:
+    one vector per free column j, 1 at j and minus column j of the RREF at
+    the pivots, which is what ``modp.relations`` gives among the columns."""
     reduced, pivots = whole_row_rref(m, p)
     basis = []
     for j in range(ncols):
@@ -1351,3 +1359,26 @@ def rational_honda_fgl(p, n, degree):
             raise ValueError("coefficient %s at %r is not %d-integral" % (c, e, p))
         coeffs[e] = c.numerator * pow(c.denominator, -1, p)
     return FGL(p=p, height=n, degree=degree, series=PolyFp(p, 2, coeffs, bound=degree))
+
+
+def render_by_items(poly, names=None, key=None):
+    """'c*x^a*y^b + ...' with the (exponents, coefficient) items sorted by
+    ``key`` on their exponents through a lambda; ``key`` defaults to
+    ``PolyFp.render``'s graded order, built by a generator expression."""
+    if key is None:
+        key = lambda exps: (sum(exps), tuple(-e for e in exps))  # noqa: E731
+    if not poly.coeffs:
+        return "0"
+    names = tuple(names) if names else default_names(poly.nvars)
+    parts = []
+    for exps, c in sorted(poly.coeffs.items(), key=lambda item: key(item[0])):
+        factors = []
+        if c != 1 or not any(exps):
+            factors.append(str(c))
+        for name, e in zip(names, exps):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append("%s^%d" % (name, e))
+        parts.append("*".join(factors))
+    return " + ".join(parts)

@@ -130,10 +130,13 @@ def test_code_order_is_row_tuple_order(case):
 
 
 def _check_against_oracle(m, p, ncols):
-    # kernel_vectors takes and gives sparse rows; written out dense here
-    rows = [{j: x % p for j, x in enumerate(row) if x % p} for row in m]
+    # the relations among m's columns are m's right kernel: each column is
+    # fed to relations as a packed row over m's rows, and the relations,
+    # {column: value} dicts, are written out dense here
+    columns = modp._pack([[(i, row[j]) for i, row in enumerate(m)] for j in range(ncols)], p)
     kernel = [
-        tuple(v.get(j, 0) for j in range(ncols)) for v in modp.kernel_vectors(rows, p, ncols)
+        tuple(v.get(j, 0) for j in range(ncols))
+        for v in modp.relations(columns, p, len(m), range(ncols))
     ]
     assert kernel == whole_row_kernel_basis(m, p, ncols), (m, p)
     assert modp.mat_rank(m, p) == _oracle_rank(m, p), (m, p)

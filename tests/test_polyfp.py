@@ -17,11 +17,13 @@ from chromcat import (
     invariant_bases,
     invariant_basis,
     load_builtin,
+    modp,
     parse_poly,
     subring_membership,
     weyl_action,
 )
-from chromcat.modp import mat_rank
+from chromcat.hopf import RingElt
+from chromcat.modp import mat_mul, mat_rank
 from chromcat.polyfp import _monomials_of_degree, graded_piece, sum_of_products
 from oracles import (
     linear_substitution,
@@ -29,6 +31,7 @@ from oracles import (
     naive_truncated_composition,
     naive_truncated_power,
     naive_truncated_product,
+    render_by_items,
     substitute_invariant_basis,
 )
 
@@ -181,6 +184,77 @@ def test_degrees_empty_unsorted_or_repeated():
     # a negative degree has no forms
     assert invariant_bases(C3, [-1, 2]) == {-1: [], 2: [D1]}
     assert invariant_basis(C3, -1) == []
+
+
+def test_degrees_must_be_ints():
+    # a float is no degree, even a whole one, and a bool is not taken as 0 or 1
+    for bad in (2.0, True, False, "2", None):
+        with pytest.raises(ValueError, match="degree %r is not an integer" % (bad,)):
+            invariant_bases(C3, [1, bad])
+        with pytest.raises(ValueError, match="is not an integer"):
+            invariant_basis(C3, bad)
+
+
+def test_one_elimination_per_wanted_degree(monkeypatch):
+    # names stand in for monomial lists, and each distinct wanted degree
+    # is one forward elimination of its rows: 1, 10, 21 and 36 monomials
+    # of degree 0, 3, 5 and 7 in three variables
+    want = invariant_bases(GL32, range(8))
+    calls, eliminations = [], []
+    relations, echelon = modp.relations, modp._echelon
+
+    def counted_relations(rows, p, width, labels):
+        calls.append(len(labels))
+        return relations(rows, p, width, labels)
+
+    def counted_echelon(*args):
+        eliminations.append(args[1])
+        return echelon(*args)
+
+    def refuse(*args):
+        raise AssertionError("a monomial list was built")
+
+    monkeypatch.setattr("chromcat.polyfp._monomials_of_degree", refuse)
+    monkeypatch.setattr(modp, "relations", counted_relations)
+    monkeypatch.setattr(modp, "_echelon", counted_echelon)
+    bases = invariant_bases(GL32, [7, 3, -2, 7, 0, 5])
+    assert calls == [1, 10, 21, 36]
+    assert eliminations == [2] * 4
+    assert bases == {-2: [], **{d: want[d] for d in (0, 3, 5, 7)}}
+
+
+@st.composite
+def invertible_actions(draw):
+    """p in {2, 3, 5, 7}, 0 to 4 variables and 1 to 3 generators, each
+    P . L . U: a permutation, a unit lower and an invertible upper
+    triangular matrix, so that every draw is invertible."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    n = draw(st.integers(min_value=0, max_value=4))
+    entry, unit = st.integers(0, p - 1), st.integers(1, p - 1)
+    gens = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        perm = draw(st.permutations(range(n)))
+        factors = [
+            tuple(tuple(int(perm[i] == j) for j in range(n)) for i in range(n)),
+            tuple(
+                tuple(1 if i == j else draw(entry) if i > j else 0 for j in range(n))
+                for i in range(n)
+            ),
+            tuple(
+                tuple(draw(unit) if i == j else draw(entry) if i < j else 0 for j in range(n))
+                for i in range(n)
+            ),
+        ]
+        gens.append(mat_mul(mat_mul(factors[0], factors[1], p), factors[2], p))
+    return LinearAction(p, gens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(invertible_actions(), st.lists(st.integers(min_value=-3, max_value=8), max_size=5))
+def test_invariant_bases_match_oracle_on_any_degree_set(action, degrees):
+    # unsorted, repeated and negative degrees, one call against the
+    # substitution oracle and against one call per degree
+    _check_against_oracle(action, degrees)
 
 
 def _assert_stored_clean(poly):
@@ -665,3 +739,26 @@ def test_results_are_stored_clean(data):
         _assert_stored_clean(got)
         assert got.coeffs == want.coeffs, name
         assert (got.bound, got.cap) == (want.bound, want.cap), name
+
+
+@st.composite
+def rendered_polys(draw):
+    p = draw(st.sampled_from((2, 3, 5, None)))
+    n = draw(st.integers(min_value=0, max_value=4))
+    exps = st.tuples(*[st.integers(min_value=0, max_value=4)] * n)
+    coeffs = draw(st.dictionaries(exps, st.integers(-7, 7), max_size=draw(st.sampled_from((1, 8)))))
+    names = draw(st.sampled_from((None, ("a", "b", "c", "d")[:n])))
+    return PolyFp(p, n, coeffs), names
+
+
+@settings(max_examples=300, deadline=None)
+@given(rendered_polys())
+def test_render_matches_item_sort_oracle(case):
+    # one-term polynomials skip the sort; every other sorts bare exponent
+    # tuples, under the default key and under RingElt's ascending one
+    poly, names = case
+    assert poly.render(names) == render_by_items(poly, names)
+    ascending = lambda e: (sum(e), e)  # noqa: E731
+    assert poly.render(names, key=ascending) == render_by_items(poly, names, ascending)
+    elt = RingElt(poly.p, poly.nvars, poly.coeffs)
+    assert elt.render() == render_by_items(elt, "wzuv"[: poly.nvars], ascending)
