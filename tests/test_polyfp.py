@@ -746,7 +746,8 @@ def rendered_polys(draw):
     p = draw(st.sampled_from((2, 3, 5, None)))
     n = draw(st.integers(min_value=0, max_value=4))
     exps = st.tuples(*[st.integers(min_value=0, max_value=4)] * n)
-    coeffs = draw(st.dictionaries(exps, st.integers(-7, 7), max_size=draw(st.sampled_from((1, 8)))))
+    size = draw(st.sampled_from((1, 8)))
+    coeffs = draw(st.dictionaries(exps, st.integers(-7, 7), max_size=size))
     names = draw(st.sampled_from((None, ("a", "b", "c", "d")[:n])))
     return PolyFp(p, n, coeffs), names
 
