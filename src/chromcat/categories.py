@@ -26,12 +26,14 @@ whose G-classes are the Quillen category's.  A^(n) for 0 < n < p-rank and
 C_R join those classes in one routine, through one pruned column search
 between class leads only, so C_R restricts its generators to one object per
 G-class; a request that compares several categories scans the group once.
-The scan walks G from the least object R of each G-class only: it records
-the orbit {g R.basis g^-1}, Aut_Q(R), and for each conjugate U the first
-tuple tau_U of the orbit that spans U, with t_U from the same least g.  A
-basis tuple seen before costs one lookup, so a class costs |G| lookups and
-|G : C_G(R)| target searches, and a member, read through its lead's orbit
-(the orbit of tau_U), nothing.  The j-th entries of the orbit's tuples are
+The scan is one Schreier orbit walk (Sims 1970) from the least object R of
+each G-class: each new tuple of the orbit {g R.basis g^-1} is conjugated
+by each generator's conjugation map from ``groups``, so a class costs
+|G : C_G(R)| |gens| tuple conjugations and |G : C_G(R)| target searches,
+and G is never listed.  It records the orbit, Aut_Q(R), and for each
+conjugate U the first tuple tau_U of the walk that spans U, with t_U its
+coordinates in U; a member, read through its lead's orbit (the orbit of
+tau_U), costs nothing.  The j-th entries of the orbit's tuples are
 the G-class of R's j-th basis element, so the level search reads conjugacy
 from the scan and conjugates nothing itself.
 
@@ -174,14 +176,15 @@ class ChromCategory:
         """Hom-set by hom-set equality over the identical object list.  The
         objects fix the inclusions and the split is unique, so equal hom-sets
         are equal iso sets: the same classes with the same Aut(R), and each
-        transport of the other in this one's Iso(R, U) = t_U Aut(R)."""
+        transport of the other in this one's Iso(R, U) = t_U Aut(R), which
+        holds t_U itself, so an equal transport is not inverted."""
         same_objects = self.group is other.group and self.objects == other.objects
         if not same_objects or self.class_of != other.class_of:
             return False
         for (aut, mine), (other_aut, theirs) in zip(self.classes, other.classes):
             auts = set(aut)
             if aut != other_aut or any(
-                self.space.mul(modp.code_inverse(mine[k], self.p), t) not in auts
+                t != mine[k] and self.space.mul(modp.code_inverse(mine[k], self.p), t) not in auts
                 for k, t in theirs.items()
             ):
                 return False
@@ -200,42 +203,50 @@ class ChromCategory:
 
 
 class _Scan(NamedTuple):
-    """What one walk of G per G-class yields: the Quillen classes, and for
+    """What one orbit walk per G-class yields: the Quillen classes, and for
     every object U the orbit {g R.basis g^-1} of its class lead R, one set
-    per class, and tau[U], that orbit's first tuple that spans U."""
+    per class, and tau[U], that orbit's first tuple that spans U; and the
+    tuple conjugations the walks made."""
 
     classes: list
     orbits: list
     tau: list
+    conjugations: int
 
 
 def _conjugation_scan(group, objects) -> _Scan:
-    """One walk of G from the least object R of each G-class; a conjugate
-    basis tuple seen before adds nothing.  The first new tuple that spans a
-    conjugate U gives tau_U and t_U, and Aut_Q(R) collects those of U = R,
-    so tau_R = R.basis."""
+    """One Schreier orbit walk from the least object R of each G-class: the
+    walk conjugates each new basis tuple by each generator's conjugation
+    map, and a tuple seen before adds nothing.  The first tuple that spans
+    a conjugate U gives tau_U, and t_U is its coordinates in U; Aut_Q(R)
+    collects the coordinates of every tuple that spans R, so tau_R =
+    R.basis and t_R = 1."""
     index = {u.elements: k for k, u in enumerate(objects)}
-    classes = []
-    orbits = [None] * len(objects)
-    tau = [None] * len(objects)
+    maps, p = group.conjugation_maps, objects[0].p
+    classes, orbits, tau = [], [None] * len(objects), [None] * len(objects)
+    conjugations = 0
     for i, r in enumerate(objects):
         if orbits[i] is not None:
             continue
-        orbit, aut, transports = set(), [], {}
-        for g in group.elements():
-            images = group.conjugate_tuple(r.basis, g)
-            if images in orbit:
-                continue
-            orbit.add(images)
-            k = index[frozenset(group.conjugate_tuple(r.elements, g))]
-            m = conjugation_matrix(r, objects[k], g)
-            if k == i:
-                aut.append(m)
-            if k not in transports:
-                transports[k] = m
-                orbits[k], tau[k] = orbit, images
+        orbit, aut, transports = {r.basis}, [], {}
+        walk = [(r.basis, i)]  # (tuple, the object it spans), read as it grows
+        for images, k in walk:
+            u = objects[k]
+            if k == i or k not in transports:
+                m = modp.from_columns([u.coordinates(x) for x in images], u.rank, p)
+                if k == i:
+                    aut.append(m)
+                if k not in transports:
+                    transports[k] = m
+                    orbits[k], tau[k] = orbit, images
+            for phi in maps:
+                nxt = tuple([phi[x] for x in images])
+                if nxt not in orbit:
+                    orbit.add(nxt)
+                    walk.append((nxt, index[frozenset([phi[x] for x in u.elements])]))
+        conjugations += len(walk) * len(maps)
         classes.append((tuple(sorted(aut)), transports))
-    return _Scan(classes, orbits, tau)
+    return _Scan(classes, orbits, tau, conjugations)
 
 
 class Fusion:
@@ -245,9 +256,9 @@ class Fusion:
     scan once, on first use, and builds the level-n, Quillen and subring
     categories from its classes, searching between class leads only.
     ``stats`` counts what it did: objects, scans run, G-classes of objects,
-    column prefixes tested and matrices kept by the level search, and
-    prefixes C_R pulled back along.  Nothing is kept anywhere else, so the
-    scan lives exactly as long as the Fusion.
+    tuples the scan conjugated, column prefixes tested and matrices kept by
+    the level search, and prefixes C_R pulled back along.  Nothing is kept
+    anywhere else, so the scan lives exactly as long as the Fusion.
     """
 
     def __init__(self, group: FiniteGroup, p: int):
@@ -264,6 +275,7 @@ class Fusion:
             "objects": len(self.objects),
             "scans": 0,
             "classes": 0,
+            "scan_conjugations": 0,
             "level_candidates": 0,
             "level_kept": 0,
             "subring_pullbacks": 0,
@@ -276,6 +288,7 @@ class Fusion:
             self._scan = _conjugation_scan(self.group, self.objects)
             self.stats["scans"] += 1
             self.stats["classes"] = len(self._scan.classes)
+            self.stats["scan_conjugations"] = self._scan.conjugations
         return self._scan
 
     def category(self, n: Level) -> ChromCategory:
@@ -337,7 +350,7 @@ class Fusion:
                     by_rank[u.rank] = (tuple(sorted(gl)), {})
                 by_rank[u.rank][1][k] = modp.identity_code(u.rank, self.p)
             return list(by_rank.values())
-        p, objects, (classes, orbits, tau) = self.p, self.objects, self.scan
+        p, objects, (classes, orbits, tau, _) = self.p, self.objects, self.scan
         mul = self.space.mul
         quillen = {min(transports): aut for aut, transports in classes}
 

@@ -16,13 +16,18 @@ generator gen_j, and the generator step by which each element k was first
 reached from its parent; then a * k = (a * parent_k) * gen_j, so every
 table entry is one integer lookup and no permutation is composed after the
 closure.  Each inverse is one inverted permutation and one index lookup.
+The group keeps its generators' indices, without the identity or repeats,
+and lends one conjugation map x -> g x g^-1 per generator g, a tuple over
+the elements: the conjugation scan of ``categories`` walks each G-class of
+subgroups as a Schreier orbit under these maps, and the class count closes
+each conjugacy class under them, so neither lists G per class.
 
 Each walk of a listed group lives here once, over elements and a ``mul``:
-``orbit_walk`` and ``closure`` (classes, orbits, the Hopf-ring Weyl
-action), the Dimino-style ``greedy_generators`` (``FiniteGroup``,
-skeletons, Weyl groups), ``group_exponent`` and ``commute``
-(``FiniteGroup``, skeletons).  A matrix group acting on polynomials is
-never closed: it stays its generators.
+``orbit_walk`` and ``closure`` (conjugacy classes, orbits, the Hopf-ring
+Weyl action), the Dimino-style ``greedy_generators`` (skeletons, Weyl
+groups), ``group_exponent`` and ``commute`` (``FiniteGroup``, skeletons).
+A matrix group acting on polynomials is never closed: it stays its
+generators.
 
 Conjugation convention: ``conjugate(g, h) = h * g * h**-1`` throughout the
 package.  A tuple witness g for simultaneous conjugacy satisfies
@@ -136,12 +141,14 @@ class FiniteGroup:
         raise TypeError("a FiniteGroup is built by group_from_permutations")
 
     @classmethod
-    def _closed(cls, permutations: list, table: tuple, inverse: tuple, name: str):
-        """The group whose elements are ``permutations``, in closure order."""
+    def _closed(cls, permutations, table, inverse, generators: tuple, name: str):
+        """The group whose elements are ``permutations``, in closure order,
+        generated by the elements ``generators`` (no identity, no repeats)."""
         group = cls.__new__(cls)
         group.order = len(table)
         group.table = table
         group.inverse = inverse
+        group.generators = generators
         group.name = name
         group._permutations = permutations
         group._order_cache = {}
@@ -162,10 +169,15 @@ class FiniteGroup:
         """h g h^-1."""
         return self.table[self.table[h][g]][self.inverse[h]]
 
-    def conjugate_tuple(self, xs, h: int) -> tuple:
-        """h x h^-1 for each x of ``xs``, reading h's row and h^-1 once."""
-        t, row, h_inv = self.table, self.table[h], self.inverse[h]
-        return tuple([t[row[x]][h_inv] for x in xs])
+    @cached_property
+    def conjugation_maps(self) -> tuple:
+        """One map per generator g, as the tuple x -> g x g^-1."""
+        t, maps = self.table, []
+        for g in self.generators:
+            g_inv = self.inverse[g]
+            by_inverse = [row[g_inv] for row in t]
+            maps.append(tuple([by_inverse[y] for y in t[g]]))
+        return tuple(maps)
 
     def elements(self) -> range:
         return range(self.order)
@@ -185,7 +197,7 @@ class FiniteGroup:
         return group_exponent(self.elements(), 0, self.mul)
 
     def is_abelian(self) -> bool:
-        return commute(greedy_generators(self.elements(), 0, self.mul), self.mul)
+        return commute(self.generators, self.mul)
 
     def center(self) -> tuple:
         t = self.table
@@ -194,8 +206,13 @@ class FiniteGroup:
         )
 
     def conjugacy_class_count(self) -> int:
-        elements = self.elements()
-        return len(orbit_walk(elements, elements, lambda h, g: self.conjugate(g, h))[0])
+        """One closure per class under the conjugation maps."""
+        seen, count = set(), 0
+        for x in self.elements():
+            if x not in seen:
+                seen.update(closure(x, self.conjugation_maps, lambda y, m: m[y], self.order))
+                count += 1
+        return count
 
     # -- conjugacy search ---------------------------------------------------
 
@@ -287,4 +304,5 @@ def group_from_permutations(
     # the inverse permutation lists the points by their images
     points = range(degree)
     inverse = tuple(index[tuple(sorted(points, key=e.__getitem__))] for e in elements)
-    return FiniteGroup._closed(elements, tuple(zip(*columns)), inverse, name)
+    generators = tuple(dict.fromkeys(index[g] for g in gens if index[g]))
+    return FiniteGroup._closed(elements, tuple(zip(*columns)), inverse, generators, name)

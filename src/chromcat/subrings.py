@@ -12,7 +12,8 @@ agree for subrings closed under the Steenrod algebra, Steenrod operations are
 out of scope here, and the shipped generator sets are meant exactly.
 
 P, its Weyl group and the embeddings into P are all read off one ``Fusion``
-and its conjugation scan; nothing here walks G.  P is the least object of
+and its conjugation scan, which walks orbits from G's generators; nothing
+here walks G or conjugates by an element of it.  P is the least object of
 top rank, so it leads its G-class (``sylow_class``), whose stored Aut is
 Aut_G(P) and whose transports t_P' carry P onto every other Sylow subgroup
 P'.  The Weyl action is held by generators only; its order is the length

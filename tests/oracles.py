@@ -41,7 +41,9 @@ composes a hom-set only when asked for it, and ``inverse_iso_classes``
 joins two objects when some morphism has its inverse matrix among the
 morphisms back, where the library reads its classes off the groupoids it
 stores.  ``per_object_scan`` walks all of G from every object, where the
-library walks it from one object per G-class.
+library walks one orbit per G-class from G's generators.
+``class_count_by_all_conjugators`` conjugates each class lead by every
+element, where the library closes each class under the generators.
 ``extend_and_dedupe_elem_abelians`` extends every subgroup by every
 commuting order-p element outside it and drops repeats by element
 set, with each least basis rebuilt span by span from scratch and the
@@ -308,6 +310,17 @@ def abelian_all_pairs(group):
     """Does every pair of elements commute?"""
     elements = group.elements()
     return all(group.mul(a, b) == group.mul(b, a) for a in elements for b in elements)
+
+
+def class_count_by_all_conjugators(group):
+    """The number of conjugacy classes: each element not yet reached leads
+    a class, {h x h^-1} over every h of G."""
+    seen, count = set(), 0
+    for x in group.elements():
+        if x not in seen:
+            seen.update(group.conjugate(x, h) for h in group.elements())
+            count += 1
+    return count
 
 
 def product_span(group, gens):
@@ -793,8 +806,8 @@ def per_object_scan(group, objects):
     """(classes, orbits) from a walk of all of G from every object:
     orbits[i] = {g W_i.basis g^-1}, and the least object R of each G-class
     also finds Aut_Q(R) and the first conjugation onto each conjugate, where
-    the library walks G from class leads only and reads each member through
-    its lead's orbit."""
+    the library walks one orbit from each class lead by G's generators and
+    reads each member through its lead's orbit."""
     index = {u.elements: k for k, u in enumerate(objects)}
     classes = []
     orbits = []

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from chromcat import (
     Fusion,
@@ -28,8 +29,9 @@ from chromcat.cli import main
 from chromcat.elemab import LinearMorphism
 from chromcat.groups import FiniteGroup
 from capture_cli_golden import _primes_dividing
-from conftest import SMALL_LIBRARY, category, group, stretch_group
+from conftest import SMALL_LIBRARY, category, group, small_permutation_groups, stretch_group
 from oracles import (
+    centralizer,
     class_lead_oracle,
     elementwise_skeleton,
     level_iso_test,
@@ -191,6 +193,13 @@ def test_equals_compares_transports_as_well_as_aut():
     assert q.equals(rebuilt(list(q.classes)))
     assert not q.equals(twisted) and not twisted.equals(q)
     assert set(q.hom(min(transports), u)) != set(twisted.hom(min(transports), u))
+    # moving it by a rotation in Aut(R) instead keeps Iso(R, U) = t_U Aut(R)
+    rotation = next(a for a in aut if a != modp.identity_code(2, 2))
+    rotated = dict(transports)
+    rotated[u] = q.space.mul(transports[u], rotation)
+    same = rebuilt(q.classes[:2] + [(aut, rotated)])
+    assert q.equals(same) and same.equals(q)
+    assert set(q.hom(min(transports), u)) == set(same.hom(min(transports), u))
 
 
 def test_prime_not_dividing_order():
@@ -247,10 +256,11 @@ def test_hom_chain_report_scans_once(fusions):
     # A^(1) tests 3 first columns on the Klein four and, below each, the 2
     # conjugates outside its span, 9 prefixes, and keeps the 6 of GL_2(2);
     # A^(2) and A^(3) are Quillen's and test none.  The scan finds 3
-    # G-classes: the trivial group, the involutions and the Klein four
+    # G-classes: the trivial group, the involutions and the Klein four, with
+    # orbits of 1, 3 and 3 basis tuples, each conjugated by both generators
     assert fusions[0].stats == {
-        "objects": 5, "scans": 1, "classes": 3, "level_candidates": 9,
-        "level_kept": 6, "subring_pullbacks": 0,
+        "objects": 5, "scans": 1, "classes": 3, "scan_conjugations": 14,
+        "level_candidates": 9, "level_kept": 6, "subring_pullbacks": 0,
     }
     hom_chain_report(group("s5"), 2)
     assert _scans(fusions) == {("A4", 2): 1, ("S5", 2): 1}
@@ -260,14 +270,16 @@ def test_level_search_tests_class_representatives_only(fusions):
     # Aut_n of each Quillen representative, and one column search per later
     # representative of its rank, counted in column prefixes tested; the
     # candidate product took 95 on S6, and testing every equal-rank pair of
-    # objects took 1,140 candidates on S5 and 55,425 on S6
+    # objects took 1,140 candidates on S5 and 55,425 on S6.  The scan
+    # conjugates each tuple of an orbit by each of the 2 generators; walking
+    # all of G per class took 600 conjugations on S5 and 7,920 on S6
     hom_chain_report(group("s5"), 2)
     hom_chain_report(group("s6"), 2)
     assert [f.stats for f in fusions] == [
-        {"objects": 46, "scans": 1, "classes": 5, "level_candidates": 13,
-         "level_kept": 8, "subring_pullbacks": 0},
-        {"objects": 271, "scans": 1, "classes": 11, "level_candidates": 74,
-         "level_kept": 36, "subring_pullbacks": 0},
+        {"objects": 46, "scans": 1, "classes": 5, "scan_conjugations": 172,
+         "level_candidates": 13, "level_kept": 8, "subring_pullbacks": 0},
+        {"objects": 271, "scans": 1, "classes": 11, "scan_conjugations": 1322,
+         "level_candidates": 74, "level_kept": 36, "subring_pullbacks": 0},
     ]
 
 
@@ -283,25 +295,26 @@ def test_level_search_matches_class_lead_oracle(name, p, n):
 
 
 def test_levels_read_conjugacy_from_the_scan(monkeypatch):
-    # once the scan has run, no level conjugates an element, one at a time
-    # or a tuple at once: each basis element's G-class is read off its
-    # object's orbit
+    # once the scan has run, no level conjugates an element or reads the
+    # generators' conjugation maps: each basis element's G-class is read
+    # off its object's orbit
     calls = []
-    conjugate, conjugate_tuple = FiniteGroup.conjugate, FiniteGroup.conjugate_tuple
+    conjugate, maps = FiniteGroup.conjugate, FiniteGroup.conjugation_maps
 
     def counting(self, g, h):
         calls.append(g)
         return conjugate(self, g, h)
 
-    def counting_tuple(self, xs, h):
-        calls.append(tuple(xs))
-        return conjugate_tuple(self, xs, h)
+    def counting_maps(self):
+        calls.append("maps")
+        return maps.__get__(self, FiniteGroup)
 
     monkeypatch.setattr(FiniteGroup, "conjugate", counting)
-    monkeypatch.setattr(FiniteGroup, "conjugate_tuple", counting_tuple)
+    monkeypatch.setattr(FiniteGroup, "conjugation_maps", property(counting_maps))
     for name, p in [("a5", 2), ("s5", 2), ("h27", 3), ("x32", 2)]:
         fusion = Fusion(group(name), p)
         fusion.scan
+        assert "maps" in calls, (name, p)
         calls.clear()
         for n in range(fusion.rank + 1):
             fusion.category(n)
@@ -309,8 +322,10 @@ def test_levels_read_conjugacy_from_the_scan(monkeypatch):
 
 
 def test_scan_walks_g_once_per_g_class(monkeypatch):
-    # only the least object of each G-class walks G; a member is read
-    # through its lead's orbit, which every member of the class shares
+    # one orbit walk per G-class, from its least object R, and none lists
+    # G: each of the |G : C_G(R)| tuples of R's orbit is conjugated once by
+    # each generator; a member is read through its lead's orbit, which
+    # every member of the class shares
     calls = []
     elements = FiniteGroup.elements
 
@@ -320,11 +335,16 @@ def test_scan_walks_g_once_per_g_class(monkeypatch):
 
     monkeypatch.setattr(FiniteGroup, "elements", counting)
     for name, walks in [("a5", 3), ("s5", 5), ("s6", 11)]:
-        fusion = Fusion(group(name), 2)
+        g = group(name)
+        fusion = Fusion(g, 2)
         calls.clear()
         scan = fusion.scan
-        assert len(calls) == walks == len(scan.classes), name
-        assert len({id(orbit) for orbit in scan.orbits}) == walks, name
+        assert calls == [], name
+        assert len(scan.classes) == walks == len({id(orbit) for orbit in scan.orbits}), name
+        leads = [min(transports) for _, transports in scan.classes]
+        sizes = [g.order // len(centralizer(g, fusion.objects[r].basis)) for r in leads]
+        assert [len(scan.orbits[r]) for r in leads] == sizes, name
+        assert fusion.stats["scan_conjugations"] == sum(sizes) * len(g.generators), name
 
 
 SCAN_CASES = [
@@ -344,16 +364,23 @@ def _power_product(g, xs, exponents):
     return out
 
 
-@pytest.mark.parametrize("name, p", SCAN_CASES)
-def test_scan_matches_per_object_oracle(name, p):
-    # the Quillen classes are the per-object walk's, and writing each
-    # object's basis as a word in tau_U carries its lead's orbit onto the
-    # oracle's orbit of that basis
-    g = group(name)
+def _check_scan_against_oracle(g, p):
+    # the Quillen classes are the per-object walk's: the same Aut_Q(R) and
+    # members, and each t_U in the oracle's t_U Aut_Q(R) = Iso_Q(R, U), as
+    # the two walks may reach U first by different elements of G.  Writing
+    # each object's basis as a word in tau_U carries its lead's orbit onto
+    # the oracle's orbit of that basis
     fusion = Fusion(g, p)
     classes, orbits = per_object_scan(g, fusion.objects)
     scan = fusion.scan
-    assert tuple_classes(scan.classes, fusion.objects, p) == classes
+    found = tuple_classes(scan.classes, fusion.objects, p)
+    assert len(found) == len(classes)
+    for (aut, transports), (oracle_aut, oracle_transports) in zip(found, classes):
+        assert aut == oracle_aut
+        assert transports.keys() == oracle_transports.keys()
+        for k, t in transports.items():
+            back = modp.mat_inverse(oracle_transports[k], p)
+            assert modp.mat_mul(back, t, p) in aut, (g.name, p, k)
     for k, u in enumerate(fusion.objects):
         tau = scan.tau[k]
         words = {
@@ -362,10 +389,23 @@ def test_scan_matches_per_object_oracle(name, p):
         assert len(words) == p ** u.rank and set(words) == u.elements
         coords = [words[b] for b in u.basis]
         rebased = {tuple(_power_product(g, t, e) for e in coords) for t in scan.orbits[k]}
-        assert rebased == orbits[k], (name, p, k)
+        assert rebased == orbits[k], (g.name, p, k)
     for _, transports in scan.classes:
         lead = min(transports)
         assert scan.tau[lead] == fusion.objects[lead].basis
+
+
+@pytest.mark.parametrize("name, p", SCAN_CASES)
+def test_scan_matches_per_object_oracle(name, p):
+    _check_scan_against_oracle(group(name), p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_permutation_groups(padded=True))
+def test_scan_matches_per_object_oracle_on_random_groups(g):
+    # generator lists that repeat a generator and list the identity
+    for p in _primes_dividing(g.order):
+        _check_scan_against_oracle(g, p)
 
 
 def test_restrictions_conjugate_once_per_object_in_the_sylow(monkeypatch):
@@ -443,8 +483,9 @@ def test_cli_cr_enumerates_elementary_abelians_once(monkeypatch, capsys):
 
 
 def test_subring_requests_conjugate_by_g_only_in_the_scan(monkeypatch, capsys, fusions):
-    # P, the Weyl group and the embeddings into P are read off the scan, so
-    # no other conjugation_matrix call is by an element g != 0 of G
+    # P, the Weyl group and the embeddings into P are read off the scan,
+    # which reads each t_U off coordinates, so no conjugation_matrix call is
+    # by an element g != 0 of G
     callers = {}
 
     def wrapper(real):
@@ -463,7 +504,7 @@ def test_subring_requests_conjugate_by_g_only_in_the_scan(monkeypatch, capsys, f
     ):
         assert main(argv) == 0
     assert capsys.readouterr().err == ""
-    assert list(callers) == ["_conjugation_scan"]
+    assert callers == {}
     assert _scans(fusions) == {("A5", 2): 2, ("S6", 3): 1}
 
 

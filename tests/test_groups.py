@@ -26,6 +26,7 @@ from oracles import (
     brute_simultaneous_conjugacy,
     canonical_tuple_class,
     centralizer,
+    class_count_by_all_conjugators,
     exponent_by_powers,
     naive_cayley_table,
     naive_closure,
@@ -173,11 +174,29 @@ def test_conjugate_convention():
 
 @pytest.mark.parametrize("name", builtin_names())
 def test_conjugate_tuple_matches_conjugate(name):
+    # the scan conjugates tuples through the generators' conjugation maps
     g = group(name)
-    xs = tuple(g.elements())
-    for h in g.elements():
-        assert g.conjugate_tuple(xs, h) == tuple(g.conjugate(x, h) for x in xs), h
-        assert g.conjugate_tuple((), h) == ()
+    assert len(g.conjugation_maps) == len(g.generators)
+    for h, conjugation in zip(g.generators, g.conjugation_maps):
+        assert conjugation == tuple(g.conjugate(x, h) for x in g.elements()), h
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_generators_drop_the_identity_and_repeats(data):
+    degree = data.draw(st.integers(1, 6))
+    gens = data.draw(st.lists(st.permutations(range(degree)), max_size=4))
+    gens += data.draw(st.lists(st.sampled_from(gens + [list(range(degree))]), max_size=3))
+    try:
+        g = group_from_permutations(degree, gens, order_cap=120)
+    except GroupError:
+        assume(False)
+    distinct = []
+    for perm in map(tuple, gens):
+        if perm != tuple(range(degree)) and perm not in distinct:
+            distinct.append(perm)
+    assert [g.labels[k] for k in g.generators] == [cycle_string(perm) for perm in distinct]
+    assert product_span(g, g.generators) == set(g.elements())
 
 
 def test_element_order_and_centralizer():
@@ -282,3 +301,12 @@ def test_group_routines_match_oracles(name):
 @given(small_permutation_groups())
 def test_group_routines_match_oracles_on_random_groups(g):
     _check_group_routines(g)
+
+
+@pytest.mark.parametrize("name", builtin_names() + ["agl116", "agl32", "f33h"])
+def test_class_count_and_abelian_test_match_oracles(name):
+    # both read G's generators; the oracles conjugate by and multiply with
+    # every element
+    g = stretch_group(name) if name in ("agl116", "agl32", "f33h") else group(name)
+    assert g.conjugacy_class_count() == class_count_by_all_conjugators(g)
+    assert g.is_abelian() == abelian_all_pairs(g)
