@@ -63,13 +63,13 @@ LEVEL_JOIN_GENERATORS = [[5, 3, 1, 7, 6, 4, 0, 2], [1, 0, 5, 3, 7, 2, 6, 4]]
 
 
 @st.composite
-def small_permutation_groups(draw, padded=False):
-    """1-3 random permutations of degree <= 6 whose closure has order <= 120;
-    ``padded`` lists the first one again, and the identity, after them."""
+def small_permutation_groups(draw):
+    """1-3 random permutations of degree <= 6 whose closure has order <= 120,
+    listed with the first one again and the identity after them: neither
+    changes the group, and both must drop out of its generators."""
     degree = draw(st.integers(1, 6))
     gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
-    if padded:
-        gens = gens + [gens[0], list(range(degree))]
+    gens = gens + [gens[0], list(range(degree))]
     try:
         return group_from_permutations(degree, gens, order_cap=120)
     except GroupError:

@@ -401,9 +401,9 @@ def test_scan_matches_per_object_oracle(name, p):
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_permutation_groups(padded=True))
+@given(small_permutation_groups())
 def test_scan_matches_per_object_oracle_on_random_groups(g):
-    # generator lists that repeat a generator and list the identity
+    # the drawn generator lists repeat a generator and list the identity
     for p in _primes_dividing(g.order):
         _check_scan_against_oracle(g, p)
 

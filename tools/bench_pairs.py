@@ -2,21 +2,21 @@
 
     python3 tools/bench_pairs.py --parent ../parent --change ../change \\
         --workload category-build --workload colim-tower --workload algebra-pipeline \\
-        --seed 3500 --pairs 10 --seconds 30 --out BENCH_35.json
+        --seed 3600 --out BENCH_35.json
     python3 tools/bench_pairs.py --parent ../parent --change ../change \\
-        --cli "stab -g s6 -p 2" --cli-runs 3 --out BENCH_35.json
+        --cli "stab -g s6 -p 2" --out BENCH_35.json
 
 ``--parent`` and ``--change`` are two checkouts of the trees compared, made
 with ``git archive`` under directory names of equal length: the benchmark's
 peak RSS reads the length of the checkout's path.  For each workload, pair
-i runs ``perfbench/run.py --workload W --seed <seed + i> --seconds S
+i of ten runs ``perfbench/run.py --workload W --seed <seed + i> --seconds 30
 --trace 0`` in both trees, the parent first in even pairs and the change
 first in odd ones, and the end-to-end metrics of its last stdout line are
 kept.  Each metric is summarised per side (runs, median, quartile spread)
 with the pairs the change wins and the change of the median, in the
 direction ``BENCHMARK.json`` gives.
 
-Each ``--cli`` request is run ``--cli-runs`` times per side, alternating,
+Each ``--cli`` request is run three times per side, alternating,
 as ``python3 -m chromcat <args>`` from the tree's root with its ``src`` on
 the path; the wall time includes process start, and stdout is hashed so
 identical reports can be told.  Paths in the arguments are read relative
@@ -42,11 +42,15 @@ import sys
 import time
 from pathlib import Path
 
+PAIRS = 10
+SECONDS = 30
+CLI_RUNS = 3
 
-def _run_workload(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+
+def _run_workload(tree: Path, workload: str, seed: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(SECONDS), "--trace", "0"],
         cwd=tree, capture_output=True, text=True,
     )
     if proc.returncode != 0:
@@ -74,12 +78,12 @@ def _compare(parent: list, change: list, better: str) -> dict:
     }
 
 
-def bench_workload(trees: dict, workload: str, seeds: list, seconds: float, better: dict) -> dict:
+def bench_workload(trees: dict, workload: str, seeds: list, better: dict) -> dict:
     results = {"parent": [], "change": []}
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            results[side].append(_run_workload(trees[side], workload, seed, seconds))
+            results[side].append(_run_workload(trees[side], workload, seed))
             sys.stderr.write("%s seed %d %s: ops_per_s %.1f\n" % (
                 workload, seed, side, results[side][-1]["metrics"]["ops_per_s"]["value"]))
     metrics = {
@@ -99,10 +103,10 @@ def bench_workload(trees: dict, workload: str, seeds: list, seconds: float, bett
     }
 
 
-def bench_cli(trees: dict, request: str, runs: int) -> dict:
+def bench_cli(trees: dict, request: str) -> dict:
     args = shlex.split(request)
     times, hashes = {"parent": [], "change": []}, {"parent": set(), "change": set()}
-    for i in range(runs):
+    for i in range(CLI_RUNS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             env = dict(os.environ, PYTHONPATH=str(trees[side] / "src"))
@@ -128,10 +132,7 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--workload", action="append", default=[])
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--cli", action="append", default=[])
-    parser.add_argument("--cli-runs", type=int, default=3)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
@@ -146,14 +147,14 @@ def main(argv=None) -> int:
         platform.system(), os.cpu_count() or 0, platform.python_version())
     workloads = out.setdefault("workloads", {})
     for workload in args.workload:
-        seeds = list(range(args.seed, args.seed + args.pairs))
-        workloads[workload] = bench_workload(trees, workload, seeds, args.seconds, better)
+        seeds = list(range(args.seed, args.seed + PAIRS))
+        workloads[workload] = bench_workload(trees, workload, seeds, better)
         workloads[workload]["command"] = (
-            "python3 perfbench/run.py --workload %s --seed S --seconds %g --trace 0"
-            % (workload, args.seconds))
+            "python3 perfbench/run.py --workload %s --seed S --seconds %d --trace 0"
+            % (workload, SECONDS))
     cli = out.setdefault("cli", {})
     for request in args.cli:
-        cli[request] = bench_cli(trees, request, args.cli_runs)
+        cli[request] = bench_cli(trees, request)
     args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     return 0
 
