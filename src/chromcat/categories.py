@@ -22,10 +22,12 @@ decode the matrices they return, and codes sort as the decoded tuples do.
 
 A ``Fusion`` is one group at one prime for as long as its caller holds it:
 the objects, their inclusion poset and one conjugation scan of the group,
-whose G-classes are the Quillen category's.  A^(n) for 0 < n < p-rank and
-C_R join those classes in one routine, through one pruned column search
-between class leads only, so C_R restricts its generators to one object per
-G-class; a request that compares several categories scans the group once.
+whose G-classes are the Quillen category's; objects come sorted by rank,
+so the poset tests each against the later ones of higher rank only.
+A^(n) for 0 < n < p-rank and C_R join those classes in one routine, through
+one pruned column search between class leads only, so C_R restricts its
+generators to one object per G-class; a request that compares several
+categories scans the group once.
 The scan is one Schreier orbit walk (Sims 1970) from the least object R of
 each G-class: each new tuple of the orbit {g R.basis g^-1} is conjugated
 by each generator's conjugation map from ``groups``, so a class costs
@@ -66,11 +68,12 @@ are walked with Aut(V)'s greedy generators from ``groups``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 from . import modp
-from .elemab import LinearMorphism, conjugation_matrix, enumerate_elem_abelians
+from .elemab import LinearMorphism, enumerate_elem_abelians, inclusion_matrix
 from .groups import (
     DEFAULT_ORDER_CAP, FiniteGroup, GroupError, closure, commute, greedy_generators, group_exponent,
 )
@@ -150,7 +153,7 @@ class ChromCategory:
         at equal ranks these are Iso(objects[i], objects[j])."""
         v = self.objects[j]
         heads = [
-            self.space.mul(conjugation_matrix(self.objects[k], v, 0), t)
+            self.space.mul(inclusion_matrix(self.objects[k], v), t)
             for k, t in self.classes[self.class_of[i]][1].items()
             if j in self.above[k]
         ]
@@ -267,9 +270,11 @@ class Fusion:
         self.objects = tuple(enumerate_elem_abelians(group, p))
         self.rank = max(v.rank for v in self.objects)
         self.space = modp.VectorSpace(p, self.rank)
-        self.above = tuple(  # above[k]: the j with objects[k] <= objects[j]
-            tuple(j for j, v in enumerate(self.objects) if u.elements <= v.elements)
-            for u in self.objects
+        # above[k]: k and the j with objects[k] < objects[j], all of higher rank
+        ranks, sets = [v.rank for v in self.objects], [v.elements for v in self.objects]
+        self.above = tuple(
+            (k,) + tuple(j for j in range(bisect_right(ranks, r), len(sets)) if u <= sets[j])
+            for k, (r, u) in enumerate(zip(ranks, sets))
         )
         self.stats = {
             "objects": len(self.objects),
@@ -526,7 +531,7 @@ def skeleton(cat: ChromCategory) -> SkeletonReport:
         for ti in sorted(blocks.keys() - {si}):
             v, aut_t, block_of = objects[classes[ti][0][0]], classes[ti][1], {}
             for b, k in enumerate(blocks[ti]):
-                head = mul(conjugation_matrix(objects[k], v, 0), transports[k])
+                head = mul(inclusion_matrix(objects[k], v), transports[k])
                 block_of.update((mul(head, a), b) for a in aut)
             orbits, least_blocks = [], set()
             for m in sorted(block_of):  # each left orbit from its least member

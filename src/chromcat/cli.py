@@ -32,12 +32,7 @@ from .colimits import (
 from .demo import DemoFailure, a4_demo
 from .elemab import enumerate_elem_abelians, p_rank
 from .groups import DEFAULT_ORDER_CAP, GroupError
-from .library import (
-    builtin_names,
-    bundled_library,
-    load_builtin,
-    load_group_file,
-)
+from .library import LIBRARY_DIR, builtin_names, bundled_library, load_group_file
 from .modp import is_prime
 from .polyfp import invariant_bases, parse_poly
 from .subrings import SubringPresentation, sylow_among, sylow_class, weyl_action
@@ -49,11 +44,11 @@ class UsageError(ValueError):
 def _load_group(args):
     if args.group is None:
         raise UsageError("a group is required (--group NAME_OR_PATH)")
-    path = Path(args.group)
+    path, builtin = Path(args.group), LIBRARY_DIR / (args.group + ".json")
     if path.exists():
         return load_group_file(path)
-    if args.group in builtin_names():
-        return load_builtin(args.group)
+    if path.name == args.group and builtin.is_file():  # a bare name, no directory
+        return load_group_file(builtin)
     raise UsageError(
         "group %r is neither a file nor a builtin (builtins: %s)"
         % (args.group, ", ".join(builtin_names()))

@@ -4,15 +4,16 @@ A subgroup is identified by its element set and is the span of its least
 basis: scanning the elements in index order, each one outside the span of
 those already taken joins the basis.  Every subgroup comes from
 ``enumerate_elem_abelians``, which grows each span by one order-p element
-with ``_extend`` and builds each span once per parent, so every downstream
-enumeration is deterministic; a caller naming a subgroup by its elements
-finds it in that list.  Coordinates are ``modp`` codes: the element
+with ``_extend``, from a candidate list that each span carries, and builds
+each span once per parent, so every downstream enumeration is
+deterministic; a caller naming a subgroup by its elements finds it in that
+list.  Coordinates are ``modp`` codes: the element
 b_1^c_1 ... b_r^c_r has the code of (c_1, ..., c_r), a subgroup lists its
 elements in code order, so ``element_at`` is one index and ``coordinates``
 one dict read, and growing by e sends code k to k * p + j for e^j.
 Group homomorphisms between elementary abelians are exactly F_p-linear
-maps: ``conjugation_matrix`` gives them as coded matrices, and
-``LinearMorphism`` and ``injective_homs`` as tuple matrices.
+maps: ``inclusion_matrix`` gives an inclusion as a coded matrix, and
+``LinearMorphism`` and ``injective_homs`` give maps as tuple matrices.
 """
 
 from __future__ import annotations
@@ -98,31 +99,35 @@ def enumerate_elem_abelians(group: FiniteGroup, p: int) -> list[ElemAbelian]:
     (b_1, ..., b_k, x) comes only from A = span(b_1, ..., b_k) and x.  So A
     is extended only by order-p elements x outside A, past A's last basis
     element and commuting with A's basis, for which x is the least element
-    of span(A, x) outside A.  Each span is built once per A: every x in
-    span(A, x) outside A gives that span, so the ones a span built from A
-    has reached are skipped.  Output is sorted by (rank, sorted element
-    indices).
+    of span(A, x) outside A.  These candidates are carried with A: the
+    trivial group's are all order-p elements, and a kept span(A, x) gets
+    A's candidates after x that commute with x, so a candidate is tested
+    against the new basis element only.  Each span is built once per A:
+    every x in span(A, x) outside A gives that span, so the ones a span
+    built from A has reached are skipped.  Output is sorted by (rank,
+    sorted element indices).
     """
     table = group.table
     order_p = [g for g in range(1, group.order) if group.element_order(g) == p]
-    level = [ElemAbelian._spanned(group, p, (), [0])]
+    level = [(ElemAbelian._spanned(group, p, (), [0]), order_p)]
     out = []
     while level:
-        out += level
+        out += [a for a, _ in level]
         nxt = []
-        for a in level:
-            last = a.basis[-1] if a.basis else 0
+        for a, candidates in level:
             covered = set(a.elements)
-            for x in order_p:
-                if x <= last or x in covered:
-                    continue
-                if any(table[x][b] != table[b][x] for b in a.basis):
+            for at, x in enumerate(candidates):
+                if x in covered:
                     continue
                 elements = _extend(group, p, a._at, x)
                 outside = set(elements) - a.elements
                 covered |= outside
                 if min(outside) == x:
-                    nxt.append(ElemAbelian._spanned(group, p, a.basis + (x,), elements))
+                    row = table[x]
+                    nxt.append((
+                        ElemAbelian._spanned(group, p, a.basis + (x,), elements),
+                        [y for y in candidates[at + 1:] if row[y] == table[y][x]],
+                    ))
         level = nxt
     out.sort(key=lambda v: (v.rank, v.sorted_elements()))
     return out
@@ -168,18 +173,9 @@ class LinearMorphism:
         return self.target.element_at(modp.encode(modp.mat_vec(self.matrix, coords, p), p))
 
 
-def conjugation_matrix(sub: ElemAbelian, target: ElemAbelian, g: int):
-    """Coded matrix of x -> gxg^-1 : sub -> target in basis coordinates, or
-    None when g does not conjugate sub into target; g = 0 gives the
-    inclusion."""
-    group = sub.group
-    cols = []
-    for b in sub.basis:
-        image = group.conjugate(b, g)
-        if image not in target:
-            return None
-        cols.append(target.coordinates(image))
-    return modp.from_columns(cols, target.rank, sub.p)
+def inclusion_matrix(sub: ElemAbelian, target: ElemAbelian):
+    """Coded matrix of the inclusion sub <= target in basis coordinates."""
+    return modp.from_columns([target.coordinates(b) for b in sub.basis], target.rank, sub.p)
 
 
 def injective_homs(w: ElemAbelian, v: ElemAbelian) -> list[LinearMorphism]:

@@ -11,11 +11,14 @@ Tables are over element indices 0..order-1 with the identity at index 0.
 Elements of a group are plain integers; every operation here is pure and
 instances never mutate after construction (internal caches are idempotent).
 
-The breadth-first closure records x * gen_j for every element x and
-generator gen_j, and the generator step by which each element k was first
-reached from its parent; then a * k = (a * parent_k) * gen_j, so every
-table entry is one integer lookup and no permutation is composed after the
-closure.  Each inverse is one inverted permutation and one index lookup.
+The breadth-first closure reads every element x through every generator
+gen_j with one ``operator.itemgetter`` (x * gen_j is x o gen_j), and
+records x * gen_j and the step by which each element k was first reached
+from its parent.  The table is then built a row at a time: for k = parent
+* gen_j, row k is row parent read through left_j, the map a -> gen_j * a,
+so each row is one itemgetter call and no permutation is composed after
+the closure.  left_j itself comes from the recorded steps, and k^-1 =
+gen_j^-1 * parent^-1 is one lookup in the inverse permutation of left_j.
 The group keeps its generators' indices, without the identity or repeats,
 and lends one conjugation map x -> g x g^-1 per generator g, a tuple over
 the elements: the conjugation scan of ``categories`` walks each G-class of
@@ -29,8 +32,8 @@ groups), ``group_exponent`` and ``commute`` (``FiniteGroup``, skeletons).
 A matrix group acting on polynomials is never closed: it stays its
 generators.
 
-Conjugation convention: ``conjugate(g, h) = h * g * h**-1`` throughout the
-package.  A tuple witness g for simultaneous conjugacy satisfies
+Conjugation convention: conjugation by g is x -> g * x * g**-1 throughout
+the package.  A tuple witness g for simultaneous conjugacy satisfies
 ``g a_i g**-1 = b_i`` for all i.
 """
 
@@ -165,10 +168,6 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def conjugate(self, g: int, h: int) -> int:
-        """h g h^-1."""
-        return self.table[self.table[h][g]][self.inverse[h]]
-
     @cached_property
     def conjugation_maps(self) -> tuple:
         """One map per generator g, as the tuple x -> g x g^-1."""
@@ -231,11 +230,6 @@ class FiniteGroup:
 # -- permutation closure ------------------------------------------------------
 
 
-def _compose(p: tuple, q: tuple) -> tuple:
-    """(p o q)(i) = p(q(i)): apply q first."""
-    return tuple(p[q[i]] for i in range(len(q)))
-
-
 def cycle_string(perm: Sequence[int]) -> str:
     seen = [False] * len(perm)
     parts = []
@@ -270,23 +264,23 @@ def group_from_permutations(
     """
     if degree < 1:
         raise GroupError("degree must be positive")
-    gens = []
-    for g in generators:
-        g = tuple(g)
-        if sorted(g) != list(range(degree)):
+    ident, gens = tuple(range(degree)), []  # the identity and repeats reach nothing
+    for g in map(tuple, generators):
+        if sorted(g) != list(ident):
             raise GroupError("generator %r is not a bijection on 0..%d" % (g, degree - 1))
-        gens.append(g)
+        if g != ident and g not in gens:
+            gens.append(g)
 
-    ident = tuple(range(degree))
     elements = [ident]
     index = {ident: 0}
+    steps = [itemgetter(*g) for g in gens]  # x * gens[j] = x o gens[j]
     right = [[] for _ in gens]  # right[j][x]: index of x * gens[j]
     reached_by = [None]  # (parent, j): element k is parent * gens[j]
     x = 0
     while x < len(elements):
         cur = elements[x]
-        for j, g in enumerate(gens):
-            nxt = _compose(cur, g)
+        for j, step in enumerate(steps):
+            nxt = step(cur)
             k = index.get(nxt)
             if k is None:
                 if len(elements) >= order_cap:
@@ -297,12 +291,21 @@ def group_from_permutations(
             right[j].append(k)
         x += 1
 
-    # columns[k][a] = a * k = (a * parent) * gens[j]
-    columns = [tuple(range(len(elements)))]
+    # left[j][k] = gens[j] * k = (gens[j] * parent) * gens[i] for k = parent
+    # * gens[i], and back[j], its inverse permutation, is a -> gens[j]^-1 * a;
+    # then k = parent * gens[j] has row k = row parent read through left[j]
+    # and k^-1 = gens[j]^-1 * parent^-1
+    order = len(elements)
+    lefts, backs = [], []
+    for g in gens:
+        left = [index[g]]
+        for parent, i in reached_by[1:]:
+            left.append(right[i][left[parent]])
+        lefts.append(itemgetter(*left))
+        backs.append(sorted(range(order), key=left.__getitem__))
+    rows, inverse = [tuple(range(order))], [0]
     for parent, j in reached_by[1:]:
-        columns.append(itemgetter(*columns[parent])(right[j]))
-    # the inverse permutation lists the points by their images
-    points = range(degree)
-    inverse = tuple(index[tuple(sorted(points, key=e.__getitem__))] for e in elements)
-    generators = tuple(dict.fromkeys(index[g] for g in gens if index[g]))
-    return FiniteGroup._closed(elements, tuple(zip(*columns)), inverse, generators, name)
+        rows.append(lefts[j](rows[parent]))
+        inverse.append(backs[j][inverse[parent]])
+    generators = tuple(index[g] for g in gens)
+    return FiniteGroup._closed(elements, tuple(rows), tuple(inverse), generators, name)

@@ -31,7 +31,7 @@ from typing import Sequence
 
 from . import modp
 from .categories import ChromCategory, Fusion
-from .elemab import ElemAbelian, conjugation_matrix
+from .elemab import ElemAbelian, inclusion_matrix
 from .groups import FiniteGroup, GroupError, greedy_generators
 from .polyfp import LinearAction, PolyFp
 
@@ -115,7 +115,7 @@ class SubringPresentation:
         for j in fusion.above[fusion.objects.index(v)]:
             if j in transports:
                 back = modp.code_inverse(transports[j], p)
-                emb = fusion.space.mul(back, conjugation_matrix(v, fusion.objects[j], 0))
+                emb = fusion.space.mul(back, inclusion_matrix(v, fusion.objects[j]))
                 pullback = modp.transpose(modp.decode_matrix(emb, v.rank, p))
                 return tuple(f.substitute_linear(pullback) for f in self.generators)
         raise UnsupportedGroupError(

@@ -25,6 +25,9 @@ def group(name):
     return load_builtin(name)
 
 
+STRETCH = ("agl116", "agl32", "f33h")  # the test-only groups past the library
+
+
 @functools.lru_cache(maxsize=None)
 def stretch_group(name):
     """A test-only group of ``golden/groups/``, not bundled."""

@@ -85,8 +85,14 @@ soon as it fails and reads conjugacy from the scan.
 ``distinguishing_generator``, ``witness``, ``skeleton_class_by_rank`` and
 ``skeleton_edge`` are reference helpers with no caller in the library, and
 ``orbit_from_terms`` builds a pushforward's input from explicit terms.
-``conjugation_matrix`` and ``tuple_classes`` write the library's coded
-matrices as tuples of row tuples, so every oracle here works on tuples.
+``conjugate`` (h g h^-1) and ``conjugation_matrix`` (x -> g x g^-1 from
+one object into another, or None) conjugate by any element of G, read off
+the Cayley table, where the library conjugates only by its generators'
+maps in the scan and otherwise takes inclusion matrices.
+``inclusion_poset_all_pairs`` tests every pair of objects for inclusion,
+where ``Fusion`` tests each object against those of higher rank only.
+``conjugation_matrix`` and ``tuple_classes`` write matrices as tuples of
+row tuples, so every oracle here works on tuples.
 ``render_by_items`` is ``PolyFp.render`` as it was before it sorted bare
 exponent tuples: it sorts every (exponents, coefficient) item through a
 lambda, a one-term polynomial's too.
@@ -117,24 +123,35 @@ from chromcat import (
     modp,
 )
 from chromcat.categories import ObjectClass, SkeletonEdge, SkeletonReport
-from chromcat.elemab import conjugation_matrix as coded_conjugation_matrix
 from chromcat.groups import orbit_walk
 from chromcat.hopf import OrbitRestriction
 from chromcat.polyfp import default_names
 
 
+def conjugate(group, g, h):
+    """h g h^-1, read off the Cayley table."""
+    return group.table[group.table[h][g]][group.inverse[h]]
+
+
 def brute_simultaneous_conjugacy(group, a, b):
     """Plain scan of the whole group for a witness."""
     for g in group.elements():
-        if all(group.conjugate(x, g) == y for x, y in zip(a, b)):
+        if all(conjugate(group, x, g) == y for x, y in zip(a, b)):
             return g
     return None
 
 
 def conjugation_matrix(sub, target, g):
-    """The library's conjugation matrix as a tuple of row tuples, or None."""
-    m = coded_conjugation_matrix(sub, target, g)
-    return None if m is None else modp.decode_matrix(m, sub.rank, sub.p)
+    """The matrix of x -> g x g^-1 : sub -> target in basis coordinates, as
+    a tuple of row tuples, or None when g does not conjugate sub into
+    target; g = 0 gives the inclusion."""
+    cols = []
+    for b in sub.basis:
+        image = conjugate(sub.group, b, g)
+        if image not in target:
+            return None
+        cols.append(target.coordinates(image))
+    return modp.decode_matrix(modp.from_columns(cols, target.rank, sub.p), sub.rank, sub.p)
 
 
 def tuple_classes(classes, objects, p) -> list:
@@ -169,7 +186,7 @@ def level_oracle_all_tuples(f, n):
     image = {w: f(w) for w in elements}
     fixes = set()
     for g in group.elements():
-        fix = frozenset(w for w in elements if image[w] == group.conjugate(w, g))
+        fix = frozenset(w for w in elements if image[w] == conjugate(group, w, g))
         if len(fix) == len(elements):
             return True  # g conjugates every tuple at once
         fixes.add(fix)
@@ -286,6 +303,13 @@ def extend_and_dedupe_elem_abelians(group, p):
     return [_reference_record(group, p, s) for s in sets]
 
 
+def inclusion_poset_all_pairs(objects):
+    """above[k]: every j with objects[k] <= objects[j], each pair tested."""
+    return tuple(
+        tuple(j for j, v in enumerate(objects) if u.elements <= v.elements) for u in objects
+    )
+
+
 def centralizer(group, elements):
     """Pointwise centralizer of a tuple of elements, as sorted indices."""
     t = group.table
@@ -318,7 +342,7 @@ def class_count_by_all_conjugators(group):
     seen, count = set(), 0
     for x in group.elements():
         if x not in seen:
-            seen.update(group.conjugate(x, h) for h in group.elements())
+            seen.update(conjugate(group, x, h) for h in group.elements())
             count += 1
     return count
 
@@ -701,7 +725,7 @@ def _subobject_orbit_count(cat, members, v, aut_v) -> int:
 def canonical_tuple_class(group, tup):
     """Least conjugate of a tuple, by exhaustive enumeration."""
     return min(
-        tuple(group.conjugate(x, g) for x in tup) for g in group.elements()
+        tuple(conjugate(group, x, g) for x in tup) for g in group.elements()
     )
 
 
@@ -783,7 +807,7 @@ def all_pairs_conjugation_homs(group, objects):
                 continue
             seen = {}
             for g in group.elements():
-                images = tuple(group.conjugate(b, g) for b in w.basis)
+                images = tuple(conjugate(group, b, g) for b in w.basis)
                 if any(x not in v for x in images):
                     continue
                 matrix = modp.transpose(
@@ -815,12 +839,12 @@ def per_object_scan(group, objects):
         leads = not any(i in transports for _, transports in classes)
         orbit, aut, transports = set(), [], {}
         for g in group.elements():
-            images = tuple(group.conjugate(b, g) for b in w.basis)
+            images = tuple(conjugate(group, b, g) for b in w.basis)
             if images in orbit:
                 continue
             orbit.add(images)
             if leads:
-                k = index[frozenset(group.conjugate(x, g) for x in w.elements)]
+                k = index[frozenset(conjugate(group, x, g) for x in w.elements)]
                 m = conjugation_matrix(w, objects[k], g)
                 if k == i:
                     aut.append(m)
@@ -907,7 +931,7 @@ def level_iso_test(cat, n):
             subspaces[i] = []
             for rows in modp.enumerate_subspaces(w.rank, min(n, w.rank), p):
                 basis = tuple(w.element_at(modp.encode(r, p)) for r in rows)
-                orbit = {tuple(group.conjugate(b, g) for b in basis) for g in group.elements()}
+                orbit = {tuple(conjugate(group, b, g) for b in basis) for g in group.elements()}
                 subspaces[i].append((rows, orbit))
         # the conjugates inside U, in U's coordinates, fewest first
         inside = sorted(

@@ -29,11 +29,15 @@ from chromcat.cli import main
 from chromcat.elemab import LinearMorphism
 from chromcat.groups import FiniteGroup
 from capture_cli_golden import _primes_dividing
-from conftest import SMALL_LIBRARY, category, group, small_permutation_groups, stretch_group
+from conftest import (
+    SMALL_LIBRARY, STRETCH, category, group, small_permutation_groups, stretch_group,
+)
 from oracles import (
     centralizer,
     class_lead_oracle,
+    conjugate,
     elementwise_skeleton,
+    inclusion_poset_all_pairs,
     level_iso_test,
     level_oracle_all_tuples,
     per_object_scan,
@@ -169,7 +173,7 @@ def test_witness_cache_induces_morphisms():
                 f = LinearMorphism(q.objects[i], q.objects[j], m)
                 wit = witness(q, i, j, m)
                 for x in f.source.elements:
-                    assert g.conjugate(x, wit) == f(x)
+                    assert conjugate(g, x, wit) == f(x)
                 # level categories carry the same conjugation witnesses
                 assert witness(category(name, p, 1), i, j, m) == wit
 
@@ -295,30 +299,28 @@ def test_level_search_matches_class_lead_oracle(name, p, n):
 
 
 def test_levels_read_conjugacy_from_the_scan(monkeypatch):
-    # once the scan has run, no level conjugates an element or reads the
-    # generators' conjugation maps: each basis element's G-class is read
-    # off its object's orbit
-    calls = []
-    conjugate, maps = FiniteGroup.conjugate, FiniteGroup.conjugation_maps
-
-    def counting(self, g, h):
-        calls.append(g)
-        return conjugate(self, g, h)
+    # once the scan has run, no level reads the generators' conjugation
+    # maps, the Cayley table or the inverses, so none conjugates an
+    # element: each basis element's G-class is read off its object's orbit
+    reads = []
+    maps = FiniteGroup.conjugation_maps
 
     def counting_maps(self):
-        calls.append("maps")
+        reads.append("maps")
         return maps.__get__(self, FiniteGroup)
 
-    monkeypatch.setattr(FiniteGroup, "conjugate", counting)
     monkeypatch.setattr(FiniteGroup, "conjugation_maps", property(counting_maps))
     for name, p in [("a5", 2), ("s5", 2), ("h27", 3), ("x32", 2)]:
         fusion = Fusion(group(name), p)
         fusion.scan
-        assert "maps" in calls, (name, p)
-        calls.clear()
-        for n in range(fusion.rank + 1):
-            fusion.category(n)
-        assert calls == [], (name, p)
+        assert reads == ["maps"], (name, p)
+        reads.clear()
+        with monkeypatch.context() as m:
+            m.setattr(fusion.group, "table", None)
+            m.setattr(fusion.group, "inverse", None)
+            for n in range(fusion.rank + 1):
+                fusion.category(n)
+        assert reads == [], (name, p)
 
 
 def test_scan_walks_g_once_per_g_class(monkeypatch):
@@ -408,16 +410,36 @@ def test_scan_matches_per_object_oracle_on_random_groups(g):
         _check_scan_against_oracle(g, p)
 
 
+
+def _check_poset_against_all_pairs(g):
+    for p in _primes_dividing(g.order):
+        fusion = Fusion(g, p)
+        assert fusion.above == inclusion_poset_all_pairs(fusion.objects), p
+
+
+@pytest.mark.parametrize("name", builtin_names() + list(STRETCH))
+def test_inclusion_poset_matches_all_pairs(name):
+    # above[k] tests only the objects of higher rank than objects[k]
+    _check_poset_against_all_pairs(stretch_group(name) if name in STRETCH else group(name))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_permutation_groups())
+def test_inclusion_poset_matches_all_pairs_on_random_groups(g):
+    _check_poset_against_all_pairs(g)
+
+
 def test_restrictions_conjugate_once_per_object_in_the_sylow(monkeypatch):
-    # an object inside P embeds along g = 0, the first element tried
+    # an object inside P embeds by its one inclusion into P itself, with
+    # the identity transport t_P
     calls = []
-    conjugation_matrix = subrings.conjugation_matrix
+    inclusion_matrix = subrings.inclusion_matrix
 
-    def counting(sub, target, g):
-        calls.append(g)
-        return conjugation_matrix(sub, target, g)
+    def counting(sub, target):
+        calls.append((sub, target))
+        return inclusion_matrix(sub, target)
 
-    monkeypatch.setattr(subrings, "conjugation_matrix", counting)
+    monkeypatch.setattr(subrings, "inclusion_matrix", counting)
     a5 = group("a5")
     presentation = SubringPresentation(Fusion(a5, 2), [])
     inside = [
@@ -428,7 +450,7 @@ def test_restrictions_conjugate_once_per_object_in_the_sylow(monkeypatch):
     for v in inside:
         calls.clear()
         presentation.restrictions(v)
-        assert calls == [0]
+        assert calls == [(v, presentation.sylow)]
 
 
 def test_filtration_tower_scans_once(fusions):
@@ -484,19 +506,21 @@ def test_cli_cr_enumerates_elementary_abelians_once(monkeypatch, capsys):
 
 def test_subring_requests_conjugate_by_g_only_in_the_scan(monkeypatch, capsys, fusions):
     # P, the Weyl group and the embeddings into P are read off the scan,
-    # which reads each t_U off coordinates, so no conjugation_matrix call is
-    # by an element g != 0 of G
-    callers = {}
+    # which reads each t_U off coordinates; every other matrix is an
+    # inclusion, so only the scan reads the conjugation maps and nothing
+    # searches G for a conjugating element
+    readers = []
+    maps = FiniteGroup.conjugation_maps
 
-    def wrapper(real):
-        def counting(sub, target, g):
-            if g != 0:
-                caller = sys._getframe(1).f_code.co_name
-                callers[caller] = callers.get(caller, 0) + 1
-            return real(sub, target, g)
-        return counting
+    def counting_maps(self):
+        readers.append(sys._getframe(1).f_code.co_name)
+        return maps.__get__(self, FiniteGroup)
 
-    _wrap_everywhere(monkeypatch, elemab, "conjugation_matrix", wrapper)
+    def no_search(self, a, b):
+        raise AssertionError("simultaneous_conjugacy called")
+
+    monkeypatch.setattr(FiniteGroup, "conjugation_maps", property(counting_maps))
+    monkeypatch.setattr(FiniteGroup, "simultaneous_conjugacy", no_search)
     for argv in (
         ["cr", "-g", "a5", "--generators", str(GENERATORS / "full.json")],
         ["invariants", "-g", "a5", "-p", "2"],
@@ -504,7 +528,7 @@ def test_subring_requests_conjugate_by_g_only_in_the_scan(monkeypatch, capsys, f
     ):
         assert main(argv) == 0
     assert capsys.readouterr().err == ""
-    assert callers == {}
+    assert set(readers) == {"_conjugation_scan"}
     assert _scans(fusions) == {("A5", 2): 2, ("S6", 3): 1}
 
 

@@ -32,6 +32,20 @@ def test_builtin_library_loads():
         load_builtin("nope")
 
 
+def test_a_bare_group_name_finds_its_builtin_and_a_path_does_not(capsys, monkeypatch, tmp_path):
+    # a name with a directory part is read as a path only, even where the
+    # library holds a file at it (../library/a4 from the library)
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "group-info", "-g", "a4")
+    assert code == 0 and json.loads(out)["name"] == "A4"
+    for name in ("../library/a4", "library/a4", "a4.json", "nope"):
+        code, out, err = run_cli(capsys, "group-info", "-g", name)
+        assert (code, out) == (2, ""), name
+        assert err == "error: group %r is neither a file nor a builtin (builtins: %s)\n" % (
+            name, ", ".join(builtin_names())
+        )
+
+
 def test_load_group_file_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -17,7 +17,7 @@ from chromcat import (
     p_rank,
 )
 from chromcat import elemab
-from conftest import ORACLE_LIBRARY, group, small_permutation_groups
+from conftest import ORACLE_LIBRARY, STRETCH, group, small_permutation_groups, stretch_group
 from oracles import (
     brute_elem_abelian_count,
     compose,
@@ -232,9 +232,9 @@ def _assert_matches_reference(g, p):
         assert list(r.by_coords) == list(itertools.product(range(p), repeat=v.rank))
 
 
-@pytest.mark.parametrize("name", builtin_names())
+@pytest.mark.parametrize("name", builtin_names() + list(STRETCH))
 def test_enumeration_matches_extend_and_dedupe_oracle(name):
-    g = group(name)
+    g = stretch_group(name) if name in STRETCH else group(name)
     for p in (d for d in range(2, g.order + 1) if g.order % d == 0):
         if all(p % d for d in range(2, p)):
             _assert_matches_reference(g, p)

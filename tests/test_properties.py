@@ -60,6 +60,7 @@ from oracles import (
     all_pairs_CR,
     all_pairs_category,
     colim_dict,
+    conjugate,
     embeddings_into,
     inverse_iso_classes,
     level_oracle_all_tuples,
@@ -357,7 +358,7 @@ def _materialized(cat):
             assert witness(cat, i, j, f.matrix) == g, (i, j, f.matrix)
             if g is not None:
                 assert all(
-                    cat.group.conjugate(x, g) == f(x) for x in f.source.elements
+                    conjugate(cat.group, x, g) == f(x) for x in f.source.elements
                 )
     return {key: [f.matrix for f in fs] for key, fs in homs.items()}
 
