@@ -449,12 +449,14 @@ def mod_indecomposables(e: HopfExpr) -> HopfExpr:
 
 def coefficient_of(e: HopfExpr, indices: Sequence[int], degree: int) -> PolyFp:
     """The degree-``degree`` part of the coefficient of the named
-    circle-monomial in the reduced expression."""
+    circle-monomial in the reduced expression.  The indices are normalized
+    as ``HopfExpr`` normalizes a star: an empty tuple or a b-index below 1
+    raises ``HopfError``, and a pure b_1 power at or above weight p^n reads
+    zero."""
     if degree > e.degree:
         raise HopfError("degree %d exceeds the truncation bound %d" % (degree, e.degree))
-    reduced = mod_indecomposables(e)
-    om = tuple(sorted(indices))
-    poly = reduced.terms.get((0, (om,)))
+    star = e._normalize_star((0, (indices,)))
+    poly = mod_indecomposables(e).terms.get(star) if star else None
     if poly is None:
         return PolyFp.zero(e.p, 2)
     return poly.homogeneous_part(degree)

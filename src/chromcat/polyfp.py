@@ -9,10 +9,10 @@ degree, then descending lexicographic exponents) so "x^2*y + x*y^2" style
 strings are reproducible and parseable back.  Every product of coefficient
 dicts is formed by one loop, which adds c * a * b over a list of triples
 into a plain dict in one pass; each result is then reduced, cleaned and
-stored once.  ``a * b`` is its one-triple case, ``sum_of_products`` sums
-many keyed groups in one call with one check per operand, and
-``substitute_linear`` multiplies the cached powers of its linear forms as
-plain dicts.
+stored once.  ``a * b`` is its one-triple case, and ``sum_of_products``
+sums many keyed groups in one call with one check per operand.  One
+expansion loop, ``PolyFp._expand``, puts coefficient dicts in for the
+variables for ``substitute``, ``substitute_linear`` and ``graded_piece``.
 
 A ``LinearAction`` is a matrix group held by its generators alone, and
 ``invariant_bases`` solves for the forms they all fix, so no group is
@@ -54,13 +54,6 @@ def _meet(a: Optional[int], b: Optional[int]) -> Optional[int]:
     if b is not None and a != b:
         raise ValueError("polynomial truncations do not match")
     return a
-
-
-def _live_bound(nvars: int, bound: Optional[int], cap: Optional[int]) -> Optional[int]:
-    """The bound, or None when no term under the cap can pass it."""
-    if cap is not None and bound is not None and bound >= nvars * (cap - 1):
-        return None
-    return bound
 
 
 def _term(p: Optional[int], exps, c) -> tuple:
@@ -137,7 +130,8 @@ class PolyFp:
     def _set(self, p, nvars, coeffs: dict, bound, cap) -> "PolyFp":
         """Store the fields, dropping a bound that no term under the cap can
         pass."""
-        bound = _live_bound(nvars, bound, cap)
+        if cap is not None and bound is not None and bound >= nvars * (cap - 1):
+            bound = None
         self.p, self.nvars, self.coeffs, self.bound, self.cap = p, nvars, coeffs, bound, cap
         return self
 
@@ -284,56 +278,34 @@ class PolyFp:
         return hash((self.p, self.nvars, frozenset(self.coeffs.items())))
 
     def substitute(self, images: Sequence["PolyFp"]) -> "PolyFp":
-        """Plug images[i] in for variable i.
+        """Plug images[i] in for variable i, expanded by ``_expand``.
 
         The result lives where the images do: their class, coefficient
         domain, variable count and truncations, under this polynomial's
         degree bound as well.  Under a degree bound every image needs zero
-        constant term, so a term whose lowest possible degree passes the
-        bound is skipped unformed.
+        constant term.
         """
         if len(images) != self.nvars:
             raise ValueError("need one image per variable")
         like = images[0] if images else self
-        if like.p != self.p:
-            raise ValueError("polynomial domains do not match")
         bound, cap = like.bound, like.cap
         for img in images:
-            if img.p != like.p or img.nvars != like.nvars:
+            if img.p != self.p or img.nvars != like.nvars:
                 raise ValueError("polynomial domains do not match")
             bound, cap = _meet(bound, img.bound), _meet(cap, img.cap)
         if self.bound is not None and (bound is None or self.bound < bound):
             bound = self.bound
-            images = [img.truncate(bound) for img in images]
         if bound is not None and any(img.coefficient((0,) * like.nvars) for img in images):
             raise ValueError("substitution into a truncated series needs zero constant terms")
-        orders = [img.min_degree() for img in images]
-        one = type(like)(like.p, like.nvars, {(0,) * like.nvars: 1}, bound, cap)
-        powers = [[one] for _ in images]  # powers[i][k] = images[i] ** k
-        coeffs = {}
-        for exps, c in self.coeffs.items():
-            if bound is not None and sum(e * o for e, o in zip(exps, orders) if e) > bound:
-                continue
-            term = one
-            for i, e in enumerate(exps):
-                if e:
-                    cache = powers[i]
-                    while len(cache) <= e:
-                        cache.append(cache[-1] * images[i])
-                    term = cache[e] if term is one else term * cache[e]
-            for e, v in term.coeffs.items():
-                coeffs[e] = coeffs.get(e, 0) + c * v
-        return like._stored(like.p, like.nvars, like._clean(coeffs), bound, cap)
+        coeffs = self._expand([img.coeffs for img in images], like.nvars, bound, cap)
+        return like._stored(like.p, like.nvars, coeffs, bound, cap)
 
     def substitute_linear(self, matrix: tuple) -> "PolyFp":
         """Send variable x_j to sum_i matrix[i][j] * x_i (new variable count
-        = number of matrix rows).
+        = number of matrix rows), expanded by ``_expand``.
 
         The result is a plain ``PolyFp`` under this polynomial's bound and
-        no cap.  Each variable's image is a linear form, so the expansion
-        is direct: the forms' powers are kept as coefficient dicts, each
-        term's image is their product, and the sum is stored once.  Each
-        entry is checked as a coefficient is.
+        no cap.  Each entry is checked as a coefficient is.
         """
         rows, p = len(matrix), self.p
         if any(len(row) != self.nvars for row in matrix):
@@ -343,18 +315,32 @@ class PolyFp:
             {units[k]: c for k in range(rows) if (c := _term(p, units[k], matrix[k][j])[1])}
             for j in range(self.nvars)
         ]
+        return PolyFp._stored(p, rows, self._expand(forms, rows, self.bound, None), self.bound)
+
+    def _expand(self, forms: list, nvars: int, bound, cap) -> dict:
+        """This polynomial's coefficients with the dict forms[i] put in for
+        variable i, in ``nvars`` variables: the module's one expansion loop.
+        Each form's powers are cached, every product is formed by
+        ``_add_products`` under ``bound`` and cleaned under ``cap``, each
+        term's last factor goes straight into the one final sum, and a term
+        whose lowest possible degree passes the bound is skipped unformed."""
+        limit = math.inf if bound is None else bound
 
         def times(a: dict, b: dict) -> dict:
-            return self._clean(_add_products({}, ((a, b, 1),), rows, math.inf))
+            return self._clean(_add_products({}, ((a, b, 1),), nvars, limit), cap)
 
-        one = {(0,) * rows: 1}
-        powers = [[one, form] for form in forms]  # powers[j][e] = forms[j] ** e
+        one = {(0,) * nvars: 1}
+        if bound is not None:  # each form's lowest degree, read under a bound only
+            orders = [min(map(sum, form), default=math.inf) for form in forms]
+        powers = [[one, form] for form in forms]  # powers[i][e] = forms[i] ** e
         products = []  # each term's last product, added into the sum at once
         for exps, c in self.coeffs.items():
+            if bound is not None and sum(e * o for e, o in zip(exps, orders) if e) > bound:
+                continue
             factors = []
-            for j, e in enumerate(exps):
+            for i, e in enumerate(exps):
                 if e:
-                    cache = powers[j]
+                    cache = powers[i]
                     while len(cache) <= e:
                         cache.append(times(cache[-1], cache[1]))
                     factors.append(cache[e])
@@ -362,8 +348,7 @@ class PolyFp:
             for factor in factors[:-1]:
                 term = factor if term is one else times(term, factor)
             products.append((term, factors[-1] if factors else one, c))
-        coeffs = _add_products({}, products, rows, math.inf)
-        return PolyFp._stored(p, rows, self._clean(coeffs), self.bound)
+        return self._clean(_add_products({}, products, nvars, limit), cap)
 
     # -- rendering -----------------------------------------------------------
 
@@ -602,30 +587,31 @@ def _weighted_exponents(weights: Sequence[int], total: int):
             yield ()
         return
     w = weights[0]
-    limit = total // w if w else 0
-    for e in range(limit + 1):
+    for e in range(total // w + 1 if w else 1):
         for rest in _weighted_exponents(weights[1:], total - e * w):
             yield (e,) + rest
 
 
 def graded_piece(generators: Sequence[PolyFp], d: int) -> list[PolyFp]:
     """Spanning set of the degree-d part of the subring the generators
-    generate (monomials in the generators of weighted degree exactly d)."""
+    generate: each monomial in them of weighted degree exactly d, expanded
+    by ``_expand`` under their shared truncations into a plain ``PolyFp``."""
     if not generators:
         return []
     p, nvars = generators[0].p, generators[0].nvars
-    weights = []
+    bound, cap, weights = None, None, []
     for g in generators:
         if not g.is_homogeneous() or g.is_zero():
             raise ValueError("generators must be nonzero homogeneous polynomials")
+        if g.p != p or g.nvars != nvars:
+            raise ValueError("polynomial domains do not match")
+        bound, cap = _meet(bound, g.bound), _meet(cap, g.cap)
         weights.append(g.degree())
-    out = []
+    forms, out = [g.coeffs for g in generators], []
     for exps in _weighted_exponents(weights, d):
-        prod = PolyFp.constant(p, nvars, 1)
-        for g, e in zip(generators, exps):
-            prod = prod * g ** e
-        if not prod.is_zero():
-            out.append(prod)
+        coeffs = PolyFp._stored(p, len(forms), {exps: 1})._expand(forms, nvars, bound, cap)
+        if coeffs:
+            out.append(PolyFp._stored(p, nvars, coeffs, bound, cap))
     return out
 
 
@@ -636,11 +622,11 @@ def subring_membership(f: PolyFp, generators: Sequence[PolyFp]) -> bool:
     """Is f in the degree-(deg f) graded piece of the generated subring?"""
     if any(g.p != f.p or g.nvars != f.nvars for g in generators):
         raise ValueError("polynomial domains do not match")
-    if f.is_zero():
-        return True
     if not f.is_homogeneous():
         raise ValueError("membership test requires a homogeneous polynomial")
     d = f.degree()
+    if d < 1:
+        return True  # 0 and the constants lie in every subring
     if d > MEMBERSHIP_DEGREE_BOUND:
         raise ValueError("degree %d exceeds bound %d" % (d, MEMBERSHIP_DEGREE_BOUND))
     index = {m: i for i, m in enumerate(_monomials_of_degree(f.nvars, d))}

@@ -70,10 +70,14 @@ logarithm l itself and reduces it mod p after checking each coefficient's
 p-integrality, where the library builds p G(s/p, t/p) over the integers
 from l(px)/p; it inverts l by ``series_inverse_by_substitution``, one full
 substitution per degree, where the library walks a table of power
-coefficients once.  ``linear_substitution`` sends each variable to a
-``PolyFp`` linear form through the general ``substitute``, where
-``substitute_linear`` expands the forms' powers as coefficient dicts; the
-C_R oracles and ``substitute_invariant_basis`` pull back through it.
+coefficients once.  ``linear_substitution`` multiplies each term out in
+full by ``naive_truncated_composition``, where ``substitute_linear``
+expands cached powers of its linear forms; the C_R oracles and
+``substitute_invariant_basis`` pull back through it.
+``graded_piece_by_powers`` forms each monomial in the generators as a
+product of ``PolyFp`` powers and lists the exponent tuples by filtering a
+product of ranges, where ``graded_piece`` expands each monomial by one
+substitution of coefficient dicts over a recursive tuple walk.
 ``class_lead_oracle`` tests every invertible matrix at each class lead,
 listed by ``rank_injective_matrices`` and not by the library's walk, with
 ``level_iso_test``, which walks each subspace's conjugate tuples over G
@@ -780,21 +784,47 @@ def naive_truncated_composition(f, images, nvars, p, bound=None, cap=None):
 
 
 def linear_substitution(f, matrix):
-    """f with x_j sent to sum_i matrix[i][j] x_i, through the general
-    ``PolyFp.substitute`` with one ``PolyFp`` image per variable, where
-    ``substitute_linear`` expands the linear forms' powers as coefficient
-    dicts.  The result has one variable per matrix row."""
+    """f with x_j sent to sum_i matrix[i][j] x_i, each term multiplied out
+    in full by ``naive_truncated_composition`` and truncated at f's bound
+    afterwards, where ``substitute_linear`` expands cached powers of the
+    linear forms.  Each linear form is built by the checking constructor,
+    so a non-integer entry raises its ValueError.  The result has one
+    variable per matrix row and no cap."""
     rows = len(matrix)
     if any(len(row) != f.nvars for row in matrix):
         raise ValueError("matrix shape does not match variable count")
-    if not f.nvars:
-        # substitute keeps a constant in its own ring
-        return PolyFp(f.p, rows, {(0,) * rows: f.coefficient(())}, f.bound)
     units = [tuple(int(i == k) for i in range(rows)) for k in range(rows)]
-    return f.substitute([
-        PolyFp(f.p, rows, {units[k]: matrix[k][j] for k in range(rows)})
+    forms = [
+        PolyFp(f.p, rows, {units[k]: matrix[k][j] for k in range(rows)}).coeffs
         for j in range(f.nvars)
-    ])
+    ]
+    composite = naive_truncated_composition(f.coeffs, forms, rows, f.p, f.bound)
+    return PolyFp(f.p, rows, composite, f.bound)
+
+
+def graded_piece_by_powers(generators, d):
+    """``polyfp.graded_piece`` as a product of generator powers: each
+    monomial of weighted degree d is 1 * g_1 ** e_1 * g_2 ** e_2 * ...,
+    formed by ``PolyFp`` arithmetic, where the library expands it by one
+    substitution of plain coefficient dicts."""
+    if not generators:
+        return []
+    p, nvars = generators[0].p, generators[0].nvars
+    weights = []
+    for g in generators:
+        if not g.is_homogeneous() or g.is_zero():
+            raise ValueError("generators must be nonzero homogeneous polynomials")
+        weights.append(g.degree())
+    out = []
+    for exps in itertools.product(*(range(d // w + 1 if w else 1) for w in weights)):
+        if sum(e * w for e, w in zip(exps, weights)) != d:
+            continue
+        prod = PolyFp.constant(p, nvars, 1)
+        for g, e in zip(generators, exps):
+            prod = prod * g ** e
+        if not prod.is_zero():
+            out.append(prod)
+    return out
 
 
 def all_pairs_conjugation_homs(group, objects):

@@ -550,6 +550,24 @@ def test_coefficient_degree_bound():
         coefficient_of(HopfExpr.grouplike(2, 2, 4, 0), (1,), 5)
 
 
+def test_coefficient_of_normalizes_indices_as_hopf_expr_does():
+    # indices that HopfExpr refuses raise, where they once read a zero; the
+    # order of the indices does not matter, and a pure b_1 power at or above
+    # weight p^n = 4 reads zero, as HopfExpr drops it
+    s = PolyFp.variable(2, 2, 0)
+    e = HopfExpr.omono(2, 2, 4, (1, 2), s) + HopfExpr.omono(2, 2, 4, (1, 1, 1), s * s)
+    for bad in [(0,), (), (2, 0)]:
+        with pytest.raises(HopfError):
+            HopfExpr.omono(2, 2, 4, bad)
+        with pytest.raises(HopfError):
+            coefficient_of(e, bad, 0)
+    assert coefficient_of(e, (2, 1), 1) == coefficient_of(e, (1, 2), 1) == s
+    assert coefficient_of(e, (1, 1, 1), 2) == s * s
+    assert HopfExpr.omono(2, 2, 4, (1, 1, 1, 1)).is_zero()
+    assert coefficient_of(e, (1, 1, 1, 1), 0).is_zero()
+    assert coefficient_of(e, (1, 1, 1, 1, 1), 0).is_zero()
+
+
 # -- Hurewicz ----------------------------------------------------------------------
 
 

@@ -26,6 +26,7 @@ from chromcat.hopf import RingElt
 from chromcat.modp import mat_mul, mat_rank
 from chromcat.polyfp import _monomials_of_degree, graded_piece, sum_of_products
 from oracles import (
+    graded_piece_by_powers,
     linear_substitution,
     matrix_group_elements,
     naive_truncated_composition,
@@ -437,6 +438,58 @@ def test_membership_refuses_generators_from_another_ring():
         subring_membership(PolyFp.zero(2, 2), [PolyFp.variable(3, 2, 0)])
 
 
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("nvars", [0, 1, 2, 3])
+def test_constants_are_members_whatever_the_generators(p, nvars):
+    # 1 lies in every subring, the one no generator generates too; a
+    # nonconstant f stays outside that one
+    gens = [PolyFp.variable(p, nvars, 0) ** 2] if nvars else []
+    for c in range(1, p):
+        assert subring_membership(PolyFp.constant(p, nvars, c), [])
+        assert subring_membership(PolyFp.constant(p, nvars, c), gens)
+    assert subring_membership(PolyFp.zero(p, nvars), [])
+    if nvars:
+        x = PolyFp.variable(p, nvars, nvars - 1)
+        assert not subring_membership(x, [])
+        assert not subring_membership(x * x, [])
+        assert subring_membership(x * x, [x])
+
+
+@st.composite
+def graded_piece_cases(draw):
+    # 0..3 homogeneous generators of degree 0..3 over F_2, F_3 or F_5 in 1..3
+    # variables, plain PolyFp or RingElt, each untruncated or under one shared
+    # bound, cap or both; a weighted degree from -1 to 8
+    p = draw(st.sampled_from((2, 3, 5)), label="p")
+    nvars = draw(st.integers(min_value=1, max_value=3), label="nvars")
+    bound, cap = draw(st.sampled_from([(None, None), (6, None), (None, 3), (5, 3)]))
+    gens = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3), label="generators")):
+        k = draw(st.integers(min_value=0, max_value=3), label="degree")
+        coeffs = draw(st.dictionaries(
+            st.sampled_from(_monomials_of_degree(nvars, k)),
+            st.integers(min_value=1, max_value=p - 1), min_size=1, max_size=4,
+        ))
+        cls = draw(st.sampled_from((PolyFp, RingElt)), label="class")
+        plain = draw(st.booleans(), label="untruncated")
+        gens.append(cls(p, nvars, coeffs, *((None, None) if plain else (bound, cap))))
+    gens = [g for g in gens if not g.is_zero()]
+    return gens, draw(st.integers(min_value=-1, max_value=8), label="d")
+
+
+@settings(max_examples=200, deadline=None)
+@given(graded_piece_cases())
+def test_graded_piece_matches_products_of_powers(case):
+    # one expansion per monomial gives the oracle's list: same order,
+    # coefficients, class, bound and cap
+    gens, d = case
+    got, want = graded_piece(gens, d), graded_piece_by_powers(gens, d)
+    assert [g.coeffs for g in got] == [w.coeffs for w in want]
+    for g, w in zip(got, want):
+        _assert_stored_clean(g)
+        assert (type(g), g.bound, g.cap) == (type(w), w.bound, w.cap)
+
+
 def test_render_parse_round_trip():
     cases = [D1, D0, ETA, PolyFp.zero(2, 2), PolyFp.constant(2, 2, 1), ETA ** 2]
     for f in cases:
@@ -687,6 +740,35 @@ def test_substitute_keeps_the_bound_of_the_series():
         f.substitute([x + PolyFp.constant(None, 1, 1)])
 
 
+def test_substitutions_store_one_polynomial_per_call(monkeypatch):
+    # powers, products and the sum stay plain dicts; only the result is
+    # stored, for a bounded series, a capped ring element, no variables and
+    # a linear map
+    stored, store = [], PolyFp._set
+
+    def counting(self, *args):
+        stored.append(self)
+        return store(self, *args)
+
+    f = PolyFp(3, 2, {(3, 1): 1, (2, 2): 2, (0, 4): 1, (1, 0): 2, (0, 0): 1}, bound=6)
+    images = [PolyFp(3, 2, {(1, 0): 1, (1, 1): 2}, bound=8), PolyFp(3, 2, {(0, 1): 1, (2, 0): 1})]
+    ring = CycRing(3, 1, 2)
+    ring_images = [ring.variable(0) + ring.variable(1), ring.variable(1) * ring.variable(1)]
+    plain, constant = PolyFp(3, 2, f.coeffs), PolyFp(3, 0, {(): 2})
+    monkeypatch.setattr(PolyFp, "_set", counting)
+    calls = [
+        lambda: f.substitute(images),
+        lambda: plain.substitute(ring_images),
+        lambda: constant.substitute([]),
+        lambda: f.substitute_linear(((1, 2), (2, 0), (1, 1))),
+        lambda: constant.substitute_linear(((),) * 2),
+    ]
+    for call in calls:
+        stored.clear()
+        result = call()
+        assert len(stored) == 1 and stored[0] is result
+
+
 def _raw_sum(a, b, sign=1):
     out = dict(a)
     for e, c in b.items():
@@ -734,7 +816,8 @@ def test_results_are_stored_clean(data):
         h = PolyFp(p, 2, f.coeffs)
         images = [PolyFp(p, 3, {(1, 0, 0): m[0][j], (0, 1, 0): m[1][j], (0, 0, 1): m[2][j]})
                   for j in range(2)]
-        results["substitute_linear"] = (h.substitute_linear(m), h.substitute(images))
+        linear = naive_truncated_composition(h.coeffs, [img.coeffs for img in images], 3, p)
+        results["substitute_linear"] = (h.substitute_linear(m), PolyFp(p, 3, linear))
     for name, (got, want) in results.items():
         _assert_stored_clean(got)
         assert got.coeffs == want.coeffs, name
