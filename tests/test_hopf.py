@@ -551,9 +551,9 @@ def test_coefficient_degree_bound():
 
 
 def test_coefficient_of_normalizes_indices_as_hopf_expr_does():
-    # indices that HopfExpr refuses raise, where they once read a zero; the
-    # order of the indices does not matter, and a pure b_1 power at or above
-    # weight p^n = 4 reads zero, as HopfExpr drops it
+    # indices that HopfExpr refuses raise here too; the order of the indices
+    # does not matter, and a pure b_1 power at or above weight p^n = 4 reads
+    # zero, as HopfExpr drops it
     s = PolyFp.variable(2, 2, 0)
     e = HopfExpr.omono(2, 2, 4, (1, 2), s) + HopfExpr.omono(2, 2, 4, (1, 1, 1), s * s)
     for bad in [(0,), (), (2, 0)]:

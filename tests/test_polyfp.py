@@ -553,10 +553,10 @@ def _raised(call):
 @given(st.data())
 def test_substitute_linear_matches_general_substitution(data):
     # over F_2, F_3, F_5 and Q, in 0..3 variables, plain, bounded, capped or
-    # both, with 0..3 matrix rows and some columns zero: the direct expansion
-    # equals substitution of one linear PolyFp per variable, in coefficients,
-    # class, bound and cap; a wrong shape or a non-integer entry raises the
-    # same ValueError
+    # both, with 0..3 matrix rows and some columns zero: the expansion equals
+    # each term multiplied out in full by the oracle, in coefficients, class,
+    # bound and cap; a wrong shape or a non-integer entry raises the same
+    # ValueError
     p = data.draw(st.sampled_from([2, 3, 5, None]), label="p")
     nvars = data.draw(st.integers(min_value=0, max_value=3), label="nvars")
     rows = data.draw(st.integers(min_value=0, max_value=3), label="rows")
