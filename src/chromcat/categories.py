@@ -144,7 +144,7 @@ class ChromCategory:
         aut, transports = self.classes[self.class_of[i]]
         t, mul = transports[i], self.space.mul
         if heads and t != modp.identity_code(len(t), self.p):
-            back = modp.code_inverse(t, self.p)
+            back = self.space.inverse(t)
             aut = [mul(a, back) for a in aut]
         return sorted(mul(h, a) for h in heads for a in aut)
 
@@ -187,7 +187,7 @@ class ChromCategory:
         for (aut, mine), (other_aut, theirs) in zip(self.classes, other.classes):
             auts = set(aut)
             if aut != other_aut or any(
-                t != mine[k] and self.space.mul(modp.code_inverse(mine[k], self.p), t) not in auts
+                t != mine[k] and self.space.mul(self.space.inverse(mine[k]), t) not in auts
                 for k, t in theirs.items()
             ):
                 return False
@@ -565,17 +565,15 @@ class HomChainReport:
 def hom_chain_report(group: FiniteGroup, p: int) -> HomChainReport:
     """Strictness of A^(n) >= A^(n+1) for 1 <= n <= p-rank, and the first
     level equal to the Quillen category, from one Fusion: only the levels
-    below the p-rank test candidates."""
+    below the p-rank test candidates.  The levels shrink to A^(p-rank),
+    the Quillen category, so that level is 1 past the last strict step."""
     fusion = Fusion(group, p)
     rank = fusion.rank
     cats = {n: fusion.category(n) for n in range(1, rank + 2)}
     strict = {
         n: not cats[n].equals(cats[n + 1]) for n in range(1, rank + 1)
     }
-    quillen = fusion.category(None)
-    stab = next(
-        (n for n in range(1, rank + 2) if cats[n].equals(quillen)), rank + 1
-    )
+    stab = 1 + max((n for n in strict if strict[n]), default=0)
     return HomChainReport(p_rank=rank, stabilization_rank=stab, strict=strict)
 
 

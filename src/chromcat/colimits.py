@@ -222,7 +222,7 @@ def filtration_tower(group: FiniteGroup, p: int, q: int) -> FiltrationTower:
             first, lower = lo._walks[least]
             points = walk.points
             if least != r:
-                back = modp.code_inverse(t, p)
+                back = fusion.space.inverse(t)
                 if back != modp.identity_code(len(back), p):
                     points = [f.apply(back, pt) for pt in points]
             mapping.extend(first + lower.orbit[pt] for pt in points)

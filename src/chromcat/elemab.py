@@ -100,15 +100,21 @@ def enumerate_elem_abelians(group: FiniteGroup, p: int) -> list[ElemAbelian]:
     is extended only by order-p elements x outside A, past A's last basis
     element and commuting with A's basis, for which x is the least element
     of span(A, x) outside A.  These candidates are carried with A: the
-    trivial group's are all order-p elements, and a kept span(A, x) gets
+    trivial group's are all order-p elements, the g != 1 with g^p = 1 (p - 1
+    table reads each), and a kept span(A, x) gets
     A's candidates after x that commute with x, so a candidate is tested
     against the new basis element only.  Each span is built once per A:
     every x in span(A, x) outside A gives that span, so the ones a span
     built from A has reached are skipped.  Output is sorted by (rank,
     sorted element indices).
     """
-    table = group.table
-    order_p = [g for g in range(1, group.order) if group.element_order(g) == p]
+    table, order_p = group.table, []
+    for g in range(1, group.order):
+        x = g
+        for _ in range(p - 1):
+            x = table[x][g]
+        if x == 0:
+            order_p.append(g)
     level = [(ElemAbelian._spanned(group, p, (), [0]), order_p)]
     out = []
     while level:

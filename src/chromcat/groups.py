@@ -9,7 +9,8 @@ the table read off it is never checked.
 
 Tables are over element indices 0..order-1 with the identity at index 0.
 Elements of a group are plain integers; every operation here is pure and
-instances never mutate after construction (internal caches are idempotent).
+instances never mutate after construction, save ``labels`` and
+``conjugation_maps``, each formed once on first read.
 
 The breadth-first closure reads every element x through every generator
 gen_j with one ``operator.itemgetter`` (x * gen_j is x o gen_j), and
@@ -154,7 +155,6 @@ class FiniteGroup:
         group.generators = generators
         group.name = name
         group._permutations = permutations
-        group._order_cache = {}
         return group
 
     @cached_property
@@ -180,17 +180,6 @@ class FiniteGroup:
 
     def elements(self) -> range:
         return range(self.order)
-
-    def element_order(self, g: int) -> int:
-        cached = self._order_cache.get(g)
-        if cached is not None:
-            return cached
-        x, k = g, 1
-        while x != 0:
-            x = self.table[x][g]
-            k += 1
-        self._order_cache[g] = k
-        return k
 
     def exponent(self) -> int:
         return group_exponent(self.elements(), 0, self.mul)

@@ -8,15 +8,16 @@ path is the tuple of its row codes, and such tuples of one shape sort
 exactly as the tuples of row tuples they encode.  ``VectorSpace.mul``
 multiplies them: each digit d of a row of a adds d times one row of b, by
 one XOR at p = 2 and through the space's addition and scaling tables at odd
-p.  ``from_columns`` writes column codes as row codes, ``leading_columns``
-cuts rows to the columns they read, ``code_inverse`` inverts through the
-tuple form, and ``encode``, ``decode`` and their matrix forms cross to the
-tuple form at the boundaries that return or print a matrix.
+p.  ``VectorSpace.inverse`` inverts one by its powers, never leaving the
+coded form.  ``from_columns`` writes column codes as row codes,
+``leading_columns`` cuts rows to the columns they read, and ``encode``,
+``decode`` and ``decode_matrix`` cross to the tuple form at the boundaries
+that return or print a matrix.
 
 Tuple matrices, tuples of row tuples with entries in 0..p-1, remain at
 those boundaries and for library callers: ``mat_mul``, ``mat_vec``,
-``mat_inverse``, ``mat_rank`` and ``transpose`` take them.  The matrices
-eliminated range from 2 x 2 automorphisms to the rows of
+``mat_rank`` and ``transpose`` take them.  The matrices eliminated range
+from 2 x 2 automorphisms to the rows of
 ``polyfp.invariant_bases``, one per monomial, which hold (sigma - id) of
 the monomial for every generator sigma side by side, hundreds to
 thousands of columns wide.
@@ -26,10 +27,11 @@ entries: at p = 2 a row is a Python int, bit j holding column j, and adding
 a row is one XOR; at odd p it is a {column: value} dict.  ``_echelon``
 reduces each row against the rows kept before it, keyed by pivot column
 (the lowest column of a kept row), so a row's work is the pivots its
-entries meet, not the width of the matrix.  ``mat_rank``, ``mat_inverse``,
-``relations`` and ``in_span`` all go through it.  ``relations`` finds the
-linear relations among packed rows in one forward elimination, each row
-tagged past its own columns, and returns them already in echelon form;
+entries meet, not the width of the matrix.  It is the one elimination:
+``mat_rank``, ``relations`` and ``in_span`` all go through it.
+``relations`` finds the linear relations among packed rows in one forward
+elimination, each row tagged past its own columns, and returns them
+already in echelon form;
 ``shift_sum`` multiplies a packed row by a form whose terms move its
 columns, which is how ``polyfp`` multiplies monomial images by linear
 forms.  ``in_span`` takes sparse {column: value} rows, so that no caller
@@ -93,13 +95,6 @@ def _pack(rows, p: int) -> list:
     return [{j: x % p for j, x in row if x % p} for row in rows]
 
 
-def _unpack(row, p: int, cols: range) -> tuple:
-    """The entries of a packed row at ``cols``, as a dense tuple."""
-    if p == 2:
-        return tuple(row >> j & 1 for j in cols)
-    return tuple(row.get(j, 0) for j in cols)
-
-
 def _axpy(row: dict, f: int, other: dict, p: int) -> None:
     """row += f * other in place, for odd-p rows and f nonzero mod p."""
     for k, v in other.items():
@@ -150,29 +145,6 @@ def _echelon(rows, p: int, width=None, relations=None) -> dict:
             inv = pow(row[c], -1, p)
             row = {k: v * inv % p for k, v in row.items()}
         basis[c] = row
-    return basis
-
-
-def _rref(rows, p: int) -> dict:
-    """The echelon basis of the packed rows, each row cleared at every other
-    pivot column: the reduced row echelon form, keyed by pivot.
-
-    Rows are cleared highest pivot first, so every row subtracted is
-    already clear and changes the row at no other pivot column."""
-    basis = _echelon(rows, p)
-    mask = sum(1 << c for c in basis) if p == 2 else 0
-    for c in sorted(basis, reverse=True):
-        row = basis[c]
-        if p == 2:
-            hits = (row & mask) ^ (1 << c)
-            while hits:
-                low = hits & -hits
-                row ^= basis[low.bit_length() - 1]
-                hits ^= low
-            basis[c] = row
-        else:
-            for k in [k for k in row if k != c and k in basis]:
-                _axpy(row, -row[k], basis[k], p)
     return basis
 
 
@@ -228,15 +200,6 @@ def shift_sum(row, terms, p: int):
     return {c: v % p for c, v in acc.items() if v % p}
 
 
-def mat_inverse(m: tuple, p: int) -> tuple:
-    r = len(m)
-    rows = [enumerate(tuple(row) + e) for row, e in zip(m, identity_matrix(r))]
-    basis = _rref(_pack(rows, p), p)
-    if any(i not in basis for i in range(r)):
-        raise ValueError("matrix is singular over F_%d" % p)
-    return tuple(_unpack(basis[i], p, range(r, 2 * r)) for i in range(r))
-
-
 def encode(v: Sequence[int], p: int) -> int:
     """The code of the vector v, its entries reduced mod p."""
     k = 0
@@ -251,10 +214,6 @@ def decode(k: int, r: int, p: int) -> tuple:
     for i in range(r - 1, -1, -1):
         k, out[i] = divmod(k, p)
     return tuple(out)
-
-
-def encode_matrix(m: tuple, p: int) -> tuple:
-    return tuple(encode(row, p) for row in m)
 
 
 def decode_matrix(m: tuple, cols: int, p: int) -> tuple:
@@ -275,11 +234,6 @@ def from_columns(cols: Sequence[int], rows: int, p: int) -> tuple:
             c, d = divmod(c, p)
             out[i] = out[i] * p + d
     return tuple(out)
-
-
-def code_inverse(m: tuple, p: int) -> tuple:
-    """The inverse of a coded square matrix, through ``mat_inverse``."""
-    return encode_matrix(mat_inverse(decode_matrix(m, len(m), p), p), p)
 
 
 def leading_columns(m: tuple, cols: int, p: int) -> tuple:
@@ -360,6 +314,19 @@ class VectorSpace:
         """The coded product a . b: b's rows are vectors of this space and
         a's rows have len(b) digits."""
         return tuple(self._combine(a, b[::-1]))
+
+    def inverse(self, m: tuple) -> tuple:
+        """The inverse of the coded square matrix m, whose rows are vectors
+        of this space: the power of m before the first power that is the
+        identity.  An element of GL_r(p) has order at most p^r - 1, a Singer
+        cycle's, so m is singular when none of its first p^r powers is."""
+        one, back = identity_code(len(m), self.p), m[::-1]
+        before, power = one, m
+        for _ in range(self.p ** len(m)):
+            if power == one:
+                return before
+            before, power = power, tuple(self._combine(power, back))
+        raise ValueError("matrix is singular over F_%d" % self.p)
 
     def apply(self, matrix: tuple, pt: int) -> int:
         """The point matrix . pt, by point index: the coded matrix combines

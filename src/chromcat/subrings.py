@@ -76,7 +76,7 @@ def weyl_action(fusion: Fusion) -> LinearAction:
     r = len(aut[0])
     gens = greedy_generators(aut, modp.identity_code(r, p), fusion.space.mul)
     return LinearAction(p, [
-        modp.transpose(modp.decode_matrix(modp.code_inverse(a, p), r, p)) for a in gens
+        modp.transpose(modp.decode_matrix(fusion.space.inverse(a), r, p)) for a in gens
     ] or [modp.identity_matrix(r)])
 
 
@@ -114,7 +114,7 @@ class SubringPresentation:
         fusion, p, transports = self.fusion, self.p, sylow_class(self.fusion)[1]
         for j in fusion.above[fusion.objects.index(v)]:
             if j in transports:
-                back = modp.code_inverse(transports[j], p)
+                back = fusion.space.inverse(transports[j])
                 emb = fusion.space.mul(back, inclusion_matrix(v, fusion.objects[j]))
                 pullback = modp.transpose(modp.decode_matrix(emb, v.rank, p))
                 return tuple(f.substitute_linear(pullback) for f in self.generators)

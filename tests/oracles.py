@@ -44,6 +44,8 @@ stores.  ``per_object_scan`` walks all of G from every object, where the
 library walks one orbit per G-class from G's generators.
 ``class_count_by_all_conjugators`` conjugates each class lead by every
 element, where the library closes each class under the generators.
+``element_order_by_powers`` multiplies an element into itself until the
+identity comes back, where the enumerator reads only whether g^p = 1.
 ``extend_and_dedupe_elem_abelians`` extends every subgroup by every
 commuting order-p element outside it and drops repeats by element
 set, with each least basis rebuilt span by span from scratch and the
@@ -53,8 +55,10 @@ subgroup once, from its least basis, through one span routine.
 a product, where ``modp`` zips each row with each column of b;
 ``whole_row_rref`` eliminates dense whole rows column by column and
 reduces mod p as it goes, where ``modp`` reduces packed rows, which hold
-only their nonzero entries, one at a time against the pivots kept so far
-and clears the other pivot columns afterwards;
+only their nonzero entries, one at a time against the pivots kept so far;
+``whole_row_inverse`` reads an inverse off the RREF of [m | 1], where
+``VectorSpace.inverse`` walks the coded powers of m, and ``encode_matrix``
+codes a tuple matrix row by row for the tests that feed coded routines;
 ``whole_row_kernel_basis`` reads a right kernel off that RREF, where
 ``modp.relations`` tags each row and finds the relations among them in
 one forward elimination; ``substitute_invariant_basis`` substitutes every
@@ -217,7 +221,7 @@ def brute_elem_abelian_count(group, p, rank, budget=200_000):
     if rank == 0:
         return 1
     order_p = [
-        g for g in group.elements() if g != 0 and group.element_order(g) == p
+        g for g in group.elements() if g != 0 and element_order_by_powers(group, g) == p
     ]
     size = p ** rank
     import math
@@ -286,7 +290,7 @@ def extend_and_dedupe_elem_abelians(group, p):
     """Every elementary abelian p-subgroup, grown rank by rank: each subgroup
     is extended by every commuting order-p element outside it, and the
     results are deduplicated by element set.  Sorted by (rank, elements)."""
-    order_p = [g for g in range(1, group.order) if group.element_order(g) == p]
+    order_p = [g for g in range(1, group.order) if element_order_by_powers(group, g) == p]
     levels = [{frozenset({0})}]
     while levels[-1]:
         nxt = set()
@@ -322,15 +326,20 @@ def centralizer(group, elements):
     )
 
 
+def element_order_by_powers(group, g):
+    """The order of g, found by multiplying g into itself until the identity
+    comes back."""
+    x, k = g, 1
+    while x != 0:
+        x, k = group.mul(x, g), k + 1
+    return k
+
+
 def exponent_by_powers(group):
-    """The lcm of every element's order, each order found by multiplying the
-    element into itself until the identity comes back."""
+    """The lcm of every element's order, each by ``element_order_by_powers``."""
     exponent = 1
     for g in group.elements():
-        x, k = g, 1
-        while x != 0:
-            x, k = group.mul(x, g), k + 1
-        exponent = math.lcm(exponent, k)
+        exponent = math.lcm(exponent, element_order_by_powers(group, g))
     return exponent
 
 
@@ -1122,7 +1131,7 @@ def inverse_iso_classes(objects, homs, p):
                 continue
             back = {f.matrix for f in homs.get((j, i), ())}
             for f in homs.get((i, j), ()):
-                if modp.mat_inverse(f.matrix, p) in back:
+                if whole_row_inverse(f.matrix, p) in back:
                     parent[find(j)] = find(i)
                     break
     classes = {}
@@ -1329,6 +1338,24 @@ def whole_row_rref(m, p):
         pivots.append(col)
         rank += 1
     return tuple(tuple(r) for r in rows[:rank]), tuple(pivots)
+
+
+def whole_row_inverse(m, p):
+    """The inverse of the square tuple matrix m, the right half of
+    ``whole_row_rref`` of [m | 1]; a singular m leaves a pivot in that half
+    and raises ValueError."""
+    r = len(m)
+    rows, pivots = whole_row_rref(
+        [tuple(row) + e for row, e in zip(m, modp.identity_matrix(r))], p
+    )
+    if pivots[:r] != tuple(range(r)):
+        raise ValueError("matrix is singular over F_%d" % p)
+    return tuple(row[r:] for row in rows)
+
+
+def encode_matrix(m, p):
+    """The coded form of the tuple matrix m, the tuple of its row codes."""
+    return tuple(modp.encode(row, p) for row in m)
 
 
 def whole_row_kernel_basis(m, p, ncols):

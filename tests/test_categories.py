@@ -37,6 +37,7 @@ from oracles import (
     class_lead_oracle,
     conjugate,
     elementwise_skeleton,
+    encode_matrix,
     inclusion_poset_all_pairs,
     level_iso_test,
     level_oracle_all_tuples,
@@ -44,6 +45,7 @@ from oracles import (
     skeleton_edge,
     tuple_classes,
     two_sided_orbits,
+    whole_row_inverse,
     witness,
 )
 
@@ -145,6 +147,18 @@ def test_stabilization_rank_one_groups():
     assert report.strict == {1: False, 2: False}
 
 
+@pytest.mark.parametrize("name", list(builtin_names()) + ["agl32", "f33h"])
+def test_stabilization_rank_is_the_first_quillen_level(name):
+    # the report reads the rank off its strict steps; the oracle is the
+    # first n >= 1 at which A^(n) equals the Quillen category
+    g = stretch_group(name) if name in STRETCH else group(name)
+    for p in _primes_dividing(g.order):
+        fusion = Fusion(g, p)
+        quillen = fusion.category(None)
+        first = next(n for n in itertools.count(1) if fusion.category(n).equals(quillen))
+        assert hom_chain_report(g, p).stabilization_rank == first, p
+
+
 def test_quaternion_has_rank_one():
     report = hom_chain_report(group("q8"), 2)
     assert report.p_rank == 1
@@ -184,7 +198,7 @@ def test_equals_compares_transports_as_well_as_aut():
     # partition and Aut(R) but changes Iso(R, U)
     q = category("a5", 2, None)
     aut, transports = q.classes[2]
-    swap = modp.encode_matrix(((0, 1), (1, 0)), 2)
+    swap = encode_matrix(((0, 1), (1, 0)), 2)
     assert len(aut) == 3 and swap not in aut
     u = max(transports)
     moved = dict(transports)
@@ -381,7 +395,7 @@ def _check_scan_against_oracle(g, p):
         assert aut == oracle_aut
         assert transports.keys() == oracle_transports.keys()
         for k, t in transports.items():
-            back = modp.mat_inverse(oracle_transports[k], p)
+            back = whole_row_inverse(oracle_transports[k], p)
             assert modp.mat_mul(back, t, p) in aut, (g.name, p, k)
     for k, u in enumerate(fusion.objects):
         tau = scan.tau[k]
@@ -592,8 +606,8 @@ def test_skeleton_matches_elementwise_oracle_past_the_library(name, p):
 
 
 def test_skeleton_multiplies_blocks_walks_and_generators_only(monkeypatch):
-    # no row reduction at all (every elimination in modp, rank, inverse,
-    # kernel and span test alike, passes through _echelon); the products
+    # no row reduction at all (every elimination in modp, rank, kernel and
+    # span test alike, passes through _echelon); the products
     # are the blocks of each linked pair, the left-orbit walks, the Dimino
     # spans of the greedy generators, their commutators and one walk per
     # cyclic subgroup.  The element-wise oracle makes 1,091 and 148,395
@@ -626,7 +640,7 @@ def test_skeleton_refuses_an_aut_that_is_not_a_group():
     c = cat.class_of[4]
     aut, transports = cat.classes[c]
     assert len(aut) == 6
-    for drop in (modp.encode_matrix(((0, 1), (1, 1)), 2), modp.identity_code(2, 2)):
+    for drop in (encode_matrix(((0, 1), (1, 1)), 2), modp.identity_code(2, 2)):
         classes = list(cat.classes)
         classes[c] = (tuple(a for a in aut if a != drop), transports)
         broken = ChromCategory(cat.group, cat.space, 1, "level", cat.objects, classes, cat.above)

@@ -231,13 +231,13 @@ def test_tower_inverts_each_joined_lead_once(monkeypatch, name):
     # once for each level-(n+1) lead joined to a smaller level-n lead
     cats = [category(name, 2, n) for n in (None, 0, 1, 2)]
     inverted = []
-    real = modp.code_inverse
+    real = modp.VectorSpace.inverse
 
-    def counting(m, p):
+    def counting(space, m):
         inverted.append(m)
-        return real(m, p)
+        return real(space, m)
 
-    monkeypatch.setattr(modp, "code_inverse", counting)
+    monkeypatch.setattr(modp.VectorSpace, "inverse", counting)
     for cat in cats:
         colim_points(cat, 4)
     assert inverted == []

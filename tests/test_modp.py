@@ -13,8 +13,11 @@ from chromcat import modp
 from chromcat.modp import VectorSpace
 from oracles import (
     digit_tuple_add_table,
+    encode_matrix,
+    matrix_order,
     triple_loop_mat_mul,
     triple_loop_mat_vec,
+    whole_row_inverse,
     whole_row_kernel_basis,
     whole_row_rref,
 )
@@ -35,7 +38,8 @@ def test_products_match_triple_loop_on_every_small_shape(p):
     # product, with b's rows in F_p^c, is the same product; an r x 0 times
     # a 0 x c matrix is the zero r x c matrix, of rows 0.  The coded a . v
     # is the level test's product, v against the rows of a's transpose, and
-    # the coded inverse of each square a that has one is mat_inverse's
+    # the coded inverse of each square a that has one is the whole-row
+    # oracle's
     rng = random.Random(p)
     for r, k, c in itertools.product(range(5), repeat=3):
         space = VectorSpace(p, c)
@@ -44,24 +48,24 @@ def test_products_match_triple_loop_on_every_small_shape(p):
             assert modp.mat_mul(a, b, p) == triple_loop_mat_mul(a, b, p), (a, b)
             v = tuple(rng.randrange(p) for _ in range(k))
             assert modp.mat_vec(a, v, p) == triple_loop_mat_vec(a, v, p), (a, v)
-            coded = space.mul(modp.encode_matrix(a, p), modp.encode_matrix(b, p))
+            coded = space.mul(encode_matrix(a, p), encode_matrix(b, p))
             want = triple_loop_mat_mul(a, b, p) if k else ((0,) * c,) * r
             assert modp.decode_matrix(coded, c, p) == want, (a, b)
-            columns = modp.encode_matrix(modp.transpose(a), p) if r else (0,) * k
+            columns = encode_matrix(modp.transpose(a), p) if r else (0,) * k
             image = VectorSpace(p, r).mul((modp.encode(v, p),), columns)
             assert image == (modp.encode(triple_loop_mat_vec(a, v, p), p),), (a, v)
             if r == k and modp.mat_rank(a, p) == r:
-                inv = modp.decode_matrix(modp.code_inverse(modp.encode_matrix(a, p), p), r, p)
-                assert inv == modp.mat_inverse(a, p), a
+                inv = modp.decode_matrix(VectorSpace(p, r).inverse(encode_matrix(a, p)), r, p)
+                assert inv == whole_row_inverse(a, p), a
                 assert triple_loop_mat_mul(a, inv, p) == modp.identity_matrix(r), a
             elif r == k:
                 with pytest.raises(ValueError, match="singular"):
-                    modp.code_inverse(modp.encode_matrix(a, p), p)
+                    VectorSpace(p, r).inverse(encode_matrix(a, p))
     assert modp.mat_mul(((),) * 3, (), p) == ((),) * 3
     assert modp.mat_mul(((1, 0), (0, 1)), ((),) * 2, p) == ((),) * 2
     assert modp.mat_vec(((),) * 2, (), p) == (0, 0)
     assert VectorSpace(p, 0).mul((0,) * 3, ()) == (0,) * 3
-    assert modp.code_inverse((), p) == ()
+    assert VectorSpace(p, 0).inverse(()) == ()
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -90,7 +94,7 @@ def test_apply_matches_triple_loop_on_every_small_point(p, m):
             index = modp.encode([modp.encode(x, p) for x in pt], f.q)
             image = triple_loop_mat_mul(a, pt, p) if r else ()
             want = modp.encode([modp.encode(x, p) for x in image], f.q)
-            assert f.apply(modp.encode_matrix(a, p), index) == want, (a, pt)
+            assert f.apply(encode_matrix(a, p), index) == want, (a, pt)
 
 
 @pytest.mark.parametrize("p", (2, 3, 5))
@@ -102,9 +106,9 @@ def test_codes_round_trip_in_product_order(p):
             assert modp.encode(digits, p) == k
             assert modp.decode(k, r, p) == digits
     assert modp.encode((p + 1, -1), p) == p + p - 1
-    assert modp.identity_code(3, p) == modp.encode_matrix(modp.identity_matrix(3), p)
+    assert modp.identity_code(3, p) == encode_matrix(modp.identity_matrix(3), p)
     cols = ((1, 0, 2 % p), (0, 1, 1))
-    assert modp.from_columns([modp.encode(c, p) for c in cols], 3, p) == modp.encode_matrix(
+    assert modp.from_columns([modp.encode(c, p) for c in cols], 3, p) == encode_matrix(
         modp.transpose(cols), p
     )
 
@@ -124,7 +128,7 @@ def test_code_order_is_row_tuple_order(case):
     # a tuple of row codes sorts as the tuple of rows it encodes, so the
     # sorted Aut tuples, hom-sets and skeleton blocks keep their order
     p, c, a, b = case
-    ca, cb = modp.encode_matrix(a, p), modp.encode_matrix(b, p)
+    ca, cb = encode_matrix(a, p), encode_matrix(b, p)
     assert (ca < cb, ca == cb) == (a < b, a == b)
     assert modp.decode_matrix(ca, c, p) == a
 
@@ -209,6 +213,12 @@ def _oracle_rank(m, p):
     return len(whole_row_rref(m, p)[1])
 
 
+def _inverse(m, p):
+    """The tuple matrix m inverted by ``VectorSpace.inverse`` on its code."""
+    r = len(m)
+    return modp.decode_matrix(VectorSpace(p, r).inverse(encode_matrix(m, p)), r, p)
+
+
 @pytest.mark.parametrize("p,r", [(2, 3), (3, 2)])
 def test_mat_inverse_and_rank_over_every_matrix(p, r):
     # every r x r matrix: GL_3(2) has 168 elements and GL_2(3) has 48
@@ -219,10 +229,10 @@ def test_mat_inverse_and_rank_over_every_matrix(p, r):
         assert rank == _oracle_rank(m, p), m
         if rank < r:
             with pytest.raises(ValueError, match="singular"):
-                modp.mat_inverse(m, p)
+                _inverse(m, p)
             continue
         invertible += 1
-        inv = modp.mat_inverse(m, p)
+        inv = _inverse(m, p)
         ident = modp.identity_matrix(r)
         assert modp.mat_mul(m, inv, p) == modp.mat_mul(inv, m, p) == ident, m
     assert invertible == {2: 168, 3: 48}[p]
@@ -281,10 +291,10 @@ def test_rref_of_unreduced_entries():
     # p itself is zero: it must not be taken as a pivot
     assert modp.mat_rank(((3, 6, -3),), 3) == 0
     assert modp.mat_rank(((-1, 4), (4, -6)), 5) == 1
-    assert modp.mat_inverse(((2, 1), (1, 0)), 2) == ((0, 1), (1, 0))
-    assert modp.mat_inverse(((-1, 4), (5, 7)), 5) == ((4, 2), (0, 3))
+    assert _inverse(((2, 1), (1, 0)), 2) == ((0, 1), (1, 0))
+    assert _inverse(((-1, 4), (5, 7)), 5) == ((4, 2), (0, 3))
     with pytest.raises(ValueError, match="singular"):
-        modp.mat_inverse(((3, 1), (6, 2)), 3)
+        _inverse(((3, 1), (6, 2)), 3)
 
 
 def test_mat_inverse_over_each_prime():
@@ -295,11 +305,27 @@ def test_mat_inverse_over_each_prime():
                 m = tuple(tuple(rng.randrange(p) for _ in range(r)) for _ in range(r))
                 if modp.mat_rank(m, p) < r:
                     with pytest.raises(ValueError, match="singular"):
-                        modp.mat_inverse(m, p)
+                        _inverse(m, p)
                     continue
                 ident = modp.identity_matrix(r)
-                inv = modp.mat_inverse(m, p)
+                inv = _inverse(m, p)
                 assert modp.mat_mul(m, inv, p) == modp.mat_mul(inv, m, p) == ident
+
+
+@pytest.mark.parametrize("p, low", [(2, (1, 1, 0, 0)), (2, (1, 1, 0, 0, 0, 0)), (3, (1, 2, 0))])
+def test_inverse_walks_singer_cycles(p, low):
+    # the companion matrix of a primitive x^r + ... + low[1] x + low[0]
+    # (x^4 + x + 1 and x^6 + x + 1 at p = 2, x^3 + 2x + 1 at p = 3) has the
+    # largest order in GL_r(p), p^r - 1: the power walk must reach it
+    r = len(low)
+    m = tuple(
+        tuple(1 if j == i - 1 else 0 for j in range(r - 1)) + (-low[i] % p,)
+        for i in range(r)
+    )
+    assert matrix_order(m, p) == p ** r - 1
+    inv = _inverse(m, p)
+    assert inv == whole_row_inverse(m, p)
+    assert modp.mat_mul(m, inv, p) == modp.identity_matrix(r)
 
 
 @pytest.mark.parametrize("p,max_m", [(2, 8), (3, 5), (5, 3), (7, 2)])

@@ -29,6 +29,7 @@ from oracles import (
     embeddings_into,
     matrix_group_elements,
     subring_iso_test,
+    whole_row_inverse,
 )
 
 D1 = parse_poly("x^2 + x*y + y^2", 2, 2)
@@ -77,7 +78,7 @@ def test_weyl_action_lists_the_walk_of_g():
         seen.append(label)
         sylow, p = sylow_among(fusion.objects), fusion.p
         walk = embeddings_into(fusion.group, sylow, sylow)
-        inverse_transposes = {modp.transpose(modp.mat_inverse(a, p)) for a in walk}
+        inverse_transposes = {modp.transpose(whole_row_inverse(a, p)) for a in walk}
         assert matrix_group_elements(weyl_action(fusion)) == inverse_transposes, label
         assert len(sylow_class(fusion)[0]) == len(inverse_transposes), label
     assert len(seen) == 26 and "agl116-p2" in seen and "s6-p3" in seen
@@ -291,7 +292,7 @@ def test_restrictions_follow_transports_that_are_not_involutions():
     lead = fusion.objects.index(presentation.sylow)
     transports = next(ts for _, ts in fusion.scan.classes if lead in ts).values()
     assert len(transports) == 9
-    assert sum(modp.code_inverse(t, 2) != t for t in transports) == 5
+    assert sum(fusion.space.inverse(t) != t for t in transports) == 5
     for v in fusion.objects:
         for emb in embeddings_into(g, v, presentation.sylow):
             along = tuple(f.substitute_linear(modp.transpose(emb)) for f in presentation.generators)
