@@ -22,12 +22,12 @@ decode the matrices they return, and codes sort as the decoded tuples do.
 
 A ``Fusion`` is one group at one prime for as long as its caller holds it:
 the objects, their inclusion poset and one conjugation scan of the group,
-whose G-classes are the Quillen category's; objects come sorted by rank,
-so the poset tests each against the later ones of higher rank only.
-A^(n) for 0 < n < p-rank and C_R join those classes in one routine, through
-one pruned column search between class leads only, so C_R restricts its
-generators to one object per G-class; a request that compares several
-categories scans the group once.
+made when the Fusion is built, whose G-classes are the Quillen category's;
+objects come sorted by rank, so the poset tests each against the later ones
+of higher rank only.  A^(n) for n < p-rank and C_R join those classes in one
+routine, through one column search between class leads only, so C_R
+restricts its generators to one object per G-class; a request that
+compares several categories scans the group once.
 The scan is one Schreier orbit walk (Sims 1970) from the least object R of
 each G-class: each new tuple of the orbit {g R.basis g^-1} is conjugated
 by each generator's conjugation map from ``groups``, so a class costs
@@ -45,11 +45,12 @@ such a subgroup of rank <= n, so f: W -> U is level-n exactly when, for each
 object S <= W of rank min(n, rank W), the images under f of S's basis tau_S
 form a key of its orbit.  When rank W <= n the only such S is W itself, so
 Iso_n(W, U) = Iso_Q(W, U) and the scan's class is kept, with no column
-searched; from the p-rank on, A^(n) is the Quillen category.  Level 0 keeps
-every invertible matrix.  Otherwise f's column j is a conjugate in U of W's
-j-th basis element, and ``modp.full_rank_matrices``, the column walk that
-also lists GL_r and serves C_R, tests each S once the columns that tau_S
-reads are chosen, so a failing prefix cuts every matrix below it.  That
+searched; from the p-rank on, A^(n) is the Quillen category.  Level 0
+tests nothing, so each rank's G-classes join the first, whose Aut is GL.
+Otherwise f's column j is a conjugate in U of W's j-th basis element, and
+``modp.full_rank_matrices``, the column walk that also lists GL_r and
+serves C_R, tests each S once the columns that tau_S reads are chosen, so
+a failing prefix cuts every matrix below it.  That
 test is one coded product: the codes of tau_S in W, cut to the columns
 read, times the chosen column codes are the codes in U of the images,
 which index U's elements.
@@ -256,7 +257,7 @@ class Fusion:
     """One group at one prime, shared by every category a request builds.
 
     It holds the objects and their inclusion poset, runs the conjugation
-    scan once, on first use, and builds the level-n, Quillen and subring
+    scan once, when it is built, and builds the level-n, Quillen and subring
     categories from its classes, searching between class leads only.
     ``stats`` counts what it did: objects, scans run, G-classes of objects,
     tuples the scan conjugated, column prefixes tested and matrices kept by
@@ -276,25 +277,16 @@ class Fusion:
             (k,) + tuple(j for j in range(bisect_right(ranks, r), len(sets)) if u <= sets[j])
             for k, (r, u) in enumerate(zip(ranks, sets))
         )
+        self.scan = _conjugation_scan(group, self.objects)
         self.stats = {
             "objects": len(self.objects),
-            "scans": 0,
-            "classes": 0,
-            "scan_conjugations": 0,
+            "scans": 1,
+            "classes": len(self.scan.classes),
+            "scan_conjugations": self.scan.conjugations,
             "level_candidates": 0,
             "level_kept": 0,
             "subring_pullbacks": 0,
         }
-        self._scan = None
-
-    @property
-    def scan(self) -> _Scan:
-        if self._scan is None:
-            self._scan = _conjugation_scan(self.group, self.objects)
-            self.stats["scans"] += 1
-            self.stats["classes"] = len(self._scan.classes)
-            self.stats["scan_conjugations"] = self._scan.conjugations
-        return self._scan
 
     def category(self, n: Level) -> ChromCategory:
         """A^(n); n None gives the Quillen category."""
@@ -337,24 +329,16 @@ class Fusion:
         )
 
     def _level_classes(self, n: int) -> list:
-        """The classes of A^(n).  At n = 0 each rank is one class, with Aut =
-        GL and identity transports; otherwise a Quillen class of rank <= n
-        stays, and a larger one joins or leads as the column search finds.
+        """The classes of A^(n): a Quillen class of rank <= n stays, and a
+        larger one joins or leads as the column search finds.  At n = 0 the
+        search keeps every invertible matrix, so each rank is one class with
+        Aut = GL, and a member U of a joined class carries t_U f.  Otherwise
         W = objects[i] leads its G-class, so its orbit's tuples are conjugates
         of its basis; f: W -> U passes a rank-n object S <= W when it carries
         tau_S into the orbit of S's lead, which holds tau_S.
         """
         if n >= self.rank:
             return self.scan.classes
-        if n == 0:
-            by_rank = {}  # rank r -> (GL_r, identity transports)
-            for k, u in enumerate(self.objects):
-                if u.rank not in by_rank:
-                    vectors = range(self.p ** u.rank)
-                    gl = modp.full_rank_matrices(self.space, u.rank, [vectors] * u.rank)
-                    by_rank[u.rank] = (tuple(sorted(gl)), {})
-                by_rank[u.rank][1][k] = modp.identity_code(u.rank, self.p)
-            return list(by_rank.values())
         p, objects, (classes, orbits, tau, _) = self.p, self.objects, self.scan
         mul = self.space.mul
         quillen = {min(transports): aut for aut, transports in classes}
@@ -363,6 +347,8 @@ class Fusion:
             w, u = objects[i], objects[k]
             if w.rank <= n:
                 return iter(quillen[i] if i == k else ())
+            if n == 0:
+                return modp.full_rank_matrices(self.space, w.rank, [range(1, p ** w.rank)] * w.rank)
             choices = [
                 [u.coordinates(x) for x in sorted(u.elements & set(col))]
                 for col in zip(*orbits[i])

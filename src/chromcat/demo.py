@@ -25,6 +25,8 @@ from .library import load_builtin
 from .polyfp import invariant_basis, parse_poly, subring_membership
 from .subrings import weyl_action
 
+DEGREE = 8  # the truncation of the formal group law and of the pushforward
+
 
 class DemoFailure(AssertionError):
     pass
@@ -35,18 +37,18 @@ def _require(condition, message):
         raise DemoFailure(message)
 
 
-def a4_demo(degree: int = 8) -> dict:
+def a4_demo() -> dict:
     """Run the full pipeline; returns the staged report, raising on any
     failed assertion."""
     report = {}
 
     # Formal group law stage.
-    fgl = honda_fgl(2, 2, degree)
+    fgl = honda_fgl(2, 2, DEGREE)
     _require(not fgl.axiom_failures(), "formal group law axioms failed")
     two = fgl.p_series()
     _require(
         two.coeffs == {(4,): 1},
-        "2-series of the height-2 law should be x^4 up to degree %d" % degree,
+        "2-series of the height-2 law should be x^4 up to degree %d" % DEGREE,
     )
     low = {e: c for e, c in fgl.series.coeffs.items() if sum(e) < 4}
     _require(
@@ -71,7 +73,7 @@ def a4_demo(degree: int = 8) -> dict:
     report["mackey_total"] = orbit.total.render()
 
     # Pushforward, reduction, coefficient extraction.
-    push = beta_pushforward(orbit, degree)
+    push = beta_pushforward(orbit, DEGREE)
     reduced = mod_indecomposables(push)
     coeff = coefficient_of(push, (1, 1, 1), 3)
     expected = parse_poly("s^3 + s^2*t + t^3", 2, 2, names=("s", "t"))

@@ -125,19 +125,17 @@ def _tag_values(ring: CycRing, fgl: FGL) -> dict:
     }
 
 
-def close_weyl_action(
-    ring: CycRing, generators: Sequence[Sequence[RingElt]], cap: int = WEYL_CLOSURE_CAP
-) -> list:
+def close_weyl_action(ring: CycRing, generators: Sequence[Sequence[RingElt]]) -> list:
     """Close substitution endomorphisms (tuples of variable images) into a
-    group; raises if the closure does not stop within the cap."""
+    group; raises if the closure does not stop within WEYL_CLOSURE_CAP."""
     elements = closure(
         tuple(ring.variable(i) for i in range(ring.rank)),
         [tuple(gen) for gen in generators],
         lambda cur, gen: tuple(img.substitute(gen) for img in cur),
-        cap,
+        WEYL_CLOSURE_CAP,
     )
     if elements is None:
-        raise HopfError("Weyl action failed to close within %d elements" % cap)
+        raise HopfError("Weyl action failed to close within %d elements" % WEYL_CLOSURE_CAP)
     return elements
 
 
@@ -191,9 +189,9 @@ class HopfExpr:
     least zero.  Every coefficient must be a ``PolyFp`` in F_p[s, t]: p
     equal to the expression's, two variables, no exponent cap and no
     degree bound below ``degree`` (a coefficient known to a lower degree
-    would clash with the others' truncation in a product).  Anything else
-    raises ``HopfError``, so every stored coefficient is truncated exactly
-    at ``degree``.
+    would clash with the others' truncation in a product).  A star's tag
+    and b-indices must be integers.  Anything else raises ``HopfError``, so
+    every stored coefficient is truncated exactly at ``degree``.
 
     The * and o products form all their stars' coefficients with one
     ``sum_of_products`` call; a pair of terms whose lowest degrees sum
@@ -232,6 +230,8 @@ class HopfExpr:
 
     def _normalize_star(self, star):
         c, omonos = star
+        if not isinstance(c, int) or not all(isinstance(i, int) for om in omonos for i in om):
+            raise HopfError("star %r needs an integer tag and b-indices" % (star,))
         kept = []
         for om in omonos:
             om = tuple(sorted(om))
@@ -267,7 +267,7 @@ class HopfExpr:
     def omono(cls, p, height, degree, indices, coeff: Optional[PolyFp] = None):
         _check_prime(p)
         coeff = coeff if coeff is not None else PolyFp.constant(p, 2, 1)
-        return cls(p, height, degree, {(0, (tuple(sorted(indices)),)): coeff})
+        return cls(p, height, degree, {(0, (tuple(indices),)): coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -481,7 +481,8 @@ def hurewicz_eval(
     """Image of beta_t under the coalgebra map of a rank-1 ring element,
     reduced mod *-decomposables.
 
-    ``element`` maps exponents (< p^height) to F_p coefficients c_k.  The
+    ``element`` maps integer exponents (< p^height) to integer coefficients
+    c_k, read mod p; any other term, zero or not, raises ``HopfError``.  The
     coproduct psi(beta_t) = sum beta_u x beta_v splits t over the terms
     c_k x^k, and a split giving two terms a positive share is a *-product of
     two circle-monomials, which dies.  So beta_0 goes to [c_0], and beta_t
@@ -490,10 +491,11 @@ def hurewicz_eval(
     """
     if not 0 <= t < p ** height:
         raise HopfError("beta index out of range")
+    for k, v in element.items():
+        if not (isinstance(k, int) and isinstance(v, int) and 0 <= k < p ** height):
+            raise HopfError("term %r: %r needs an integer exponent in [0, %d) and an "
+                            "integer coefficient" % (k, v, p ** height))
     items = sorted((k, v % p) for k, v in element.items() if v % p)
-    for k, _ in items:
-        if not 0 <= k < p ** height:
-            raise HopfError("exponent %d out of range" % k)
     if t == 0:
         return HopfExpr.grouplike(p, height, degree, dict(items).get(0, 0))
     return HopfExpr(p, height, degree, (

@@ -302,20 +302,26 @@ def test_level_search_tests_class_representatives_only(fusions):
 
 
 @pytest.mark.parametrize(
-    "name, p, n", [("agl32", 2, 1), ("agl32", 2, 2), ("agl32", 2, 3), ("f33h", 3, 1), ("f33h", 3, 2)]
+    "name, p, n",
+    [
+        ("agl32", 2, 0), ("agl32", 2, 1), ("agl32", 2, 2), ("agl32", 2, 3),
+        ("f33h", 3, 0), ("f33h", 3, 1), ("f33h", 3, 2), ("agl116", 2, 0),
+    ],
 )
 def test_level_search_matches_class_lead_oracle(name, p, n):
-    # rank-3 levels past the all-pairs oracles' order 64: every class's Aut
-    # is GL_3 filtered by the level test, each transport passes it, and no
-    # matrix joins two class leads
+    # levels past the all-pairs oracles' order 64: every class's Aut is GL
+    # filtered by the level test, each transport passes it, and no matrix
+    # joins two class leads.  At level 0 the later G-classes of each rank
+    # join the first, so most transports there are not the identity
     cat = Fusion(stretch_group(name), p).category(n)
     assert class_lead_oracle(cat, level_iso_test(cat, n)) == []
 
 
 def test_levels_read_conjugacy_from_the_scan(monkeypatch):
-    # once the scan has run, no level reads the generators' conjugation
-    # maps, the Cayley table or the inverses, so none conjugates an
-    # element: each basis element's G-class is read off its object's orbit
+    # the scan, run when the Fusion is built, reads the generators'
+    # conjugation maps once; after it no level reads them, the Cayley table
+    # or the inverses, so none conjugates an element: each basis element's
+    # G-class is read off its object's orbit
     reads = []
     maps = FiniteGroup.conjugation_maps
 
@@ -326,7 +332,6 @@ def test_levels_read_conjugacy_from_the_scan(monkeypatch):
     monkeypatch.setattr(FiniteGroup, "conjugation_maps", property(counting_maps))
     for name, p in [("a5", 2), ("s5", 2), ("h27", 3), ("x32", 2)]:
         fusion = Fusion(group(name), p)
-        fusion.scan
         assert reads == ["maps"], (name, p)
         reads.clear()
         with monkeypatch.context() as m:
@@ -338,10 +343,10 @@ def test_levels_read_conjugacy_from_the_scan(monkeypatch):
 
 
 def test_scan_walks_g_once_per_g_class(monkeypatch):
-    # one orbit walk per G-class, from its least object R, and none lists
-    # G: each of the |G : C_G(R)| tuples of R's orbit is conjugated once by
-    # each generator; a member is read through its lead's orbit, which
-    # every member of the class shares
+    # one orbit walk per G-class, from its least object R, and building the
+    # Fusion, which runs the scan, never lists G: each of the |G : C_G(R)|
+    # tuples of R's orbit is conjugated once by each generator; a member is
+    # read through its lead's orbit, which every member of the class shares
     calls = []
     elements = FiniteGroup.elements
 
@@ -352,8 +357,8 @@ def test_scan_walks_g_once_per_g_class(monkeypatch):
     monkeypatch.setattr(FiniteGroup, "elements", counting)
     for name, walks in [("a5", 3), ("s5", 5), ("s6", 11)]:
         g = group(name)
-        fusion = Fusion(g, 2)
         calls.clear()
+        fusion = Fusion(g, 2)
         scan = fusion.scan
         assert calls == [], name
         assert len(scan.classes) == walks == len({id(orbit) for orbit in scan.orbits}), name

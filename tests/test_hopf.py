@@ -84,9 +84,10 @@ def test_weyl_action_closure_cap():
     w, z = ring.variable(0), ring.variable(1)
     f = ring.fgl_of_variables(FGL22)
     assert len(close_weyl_action(ring, [[z, f]])) == 3
-    assert len(close_weyl_action(ring, [[z, f]], cap=3)) == 3
-    with pytest.raises(HopfError):
-        close_weyl_action(ring, [[z, f]], cap=2)
+    # [[z, f], [w + z^3, z]] closes to 48 elements, past the cap of 24
+    assert hopf.WEYL_CLOSURE_CAP == 24
+    with pytest.raises(HopfError, match="within 24 elements"):
+        close_weyl_action(ring, [[z, f], [w + z * z * z, z]])
     # depth-first, each element listed when it is found: weyl_orbit_restriction
     # lists its terms in this order
     assert close_weyl_action(ring, [[z, f], [z, w]]) == [
@@ -193,6 +194,31 @@ def test_circle_monomials_need_indices_from_one(indices):
         HopfExpr.omono(2, 2, 4, indices)
     with pytest.raises(HopfError, match="below 1"):
         HopfExpr(2, 2, 4, {(1, ((1,), indices)): PolyFp.constant(2, 2, 0)})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: HopfExpr.grouplike(2, 1, 0, 1.5),
+    lambda: HopfExpr.grouplike(2, 1, 0, "1"),
+    lambda: HopfExpr.omono(2, 2, 0, (1.5,)),
+    lambda: HopfExpr.omono(2, 2, 0, (1, "2")),
+    lambda: HopfExpr(2, 2, 4, {(None, ()): PolyFp.constant(2, 2, 1)}),
+], ids=["float-tag", "str-tag", "float-index", "str-index", "none-tag"])
+def test_expressions_need_integer_tags_and_b_indices(make):
+    # unchecked, grouplike(2, 1, 0, 1.5) rendered "[1]" and
+    # omono(2, 2, 0, (1.5,)) rendered "b1"
+    with pytest.raises(HopfError, match="integer tag and b-indices"):
+        make()
+
+
+@pytest.mark.parametrize("element", [
+    {99: 2}, {99: 1}, {-1: 2}, {4: 0}, {"a": 2}, {1.0: 2}, {1: 1.5}, {1: None},
+])
+def test_hurewicz_checks_every_term_before_dropping_zeros(element):
+    # unchecked, a term whose coefficient is 0 mod p was dropped first, so
+    # {99: 2}, {-1: 2} and {"a": 2} evaluated to zero while {99: 1} raised
+    for t in (0, 1):
+        with pytest.raises(HopfError, match=r"integer exponent in \[0, 4\)"):
+            hurewicz_eval(element, t, 2, 2)
 
 
 @pytest.mark.parametrize("height,degree", [(0, 4), (-1, 4), (1, -1)])
