@@ -10,7 +10,6 @@ formal-group-law / Hopf-ring calculus behind the A_4 worked example.
 from .categories import (
     ChromCategory,
     Fusion,
-    HomChainReport,
     LevelCertificate,
     SkeletonReport,
     build_category,

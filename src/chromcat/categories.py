@@ -70,7 +70,7 @@ are walked with Aut(V)'s greedy generators from ``groups``.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from . import modp
@@ -416,74 +416,38 @@ def build_category(group: FiniteGroup, p: int, n: Level) -> ChromCategory:
 # -- skeleton reports ---------------------------------------------------------
 
 
-@dataclass
-class ObjectClass:
-    rank: int
-    representative: int          # object index of the class representative
-    members: tuple               # object indices
-    aut_order: int
-    aut_abelian: bool
-    aut_exponent: int
-
-
-@dataclass
-class SkeletonEdge:
-    source: int                  # index into SkeletonReport.classes
-    target: int
-    hom_size: int
-    orbits: tuple                # (orbit_size, stabilizer_order) under Aut(target)
-    two_sided_orbit_count: int   # quotient by Aut(target) x Aut(source)
-
-
-@dataclass
 class SkeletonReport:
-    """Isomorphism classes and morphism orbit data for a category.
+    """Isomorphism classes and morphism orbit data for a category, kept as
+    the records the JSON report prints.
 
-    The rank-0 class is omitted whenever any positive-rank object exists: the
-    trivial subgroup is initial and carries no structure, and the report then
-    matches the usual two-node pictures.
+    Each class is {rank, representative (object index), members (object
+    indices), aut_order, aut_abelian, aut_exponent}; each edge is {source,
+    target (indices into ``classes``), hom_size, orbits ([orbit size,
+    stabilizer order] under Aut(target)), two_sided_orbit_count (the
+    quotient by Aut(target) x Aut(source))}.  The rank-0 class is omitted
+    whenever any positive-rank object exists: the trivial subgroup is
+    initial and carries no structure, and the report then matches the usual
+    two-node pictures.
     """
 
-    classes: list = field(default_factory=list)
-    edges: list = field(default_factory=list)
+    def __init__(self):
+        self.classes, self.edges = [], []
 
     def to_dict(self) -> dict:
-        return {
-            "classes": [
-                {
-                    "rank": c.rank,
-                    "representative": c.representative,
-                    "members": list(c.members),
-                    "aut_order": c.aut_order,
-                    "aut_abelian": c.aut_abelian,
-                    "aut_exponent": c.aut_exponent,
-                }
-                for c in self.classes
-            ],
-            "edges": [
-                {
-                    "source": e.source,
-                    "target": e.target,
-                    "hom_size": e.hom_size,
-                    "orbits": [list(o) for o in e.orbits],
-                    "two_sided_orbit_count": e.two_sided_orbit_count,
-                }
-                for e in self.edges
-            ],
-        }
+        return {"classes": self.classes, "edges": self.edges}
 
     def to_dot(self) -> str:
         lines = ["digraph skeleton {"]
         for k, c in enumerate(self.classes):
-            lines.append('  V%d [label="rank=%d |Aut|=%d"];' % (k, c.rank, c.aut_order))
+            lines.append('  V%d [label="rank=%d |Aut|=%d"];' % (k, c["rank"], c["aut_order"]))
         for e in self.edges:
-            if e.source == e.target:
+            if e["source"] == e["target"]:
                 continue
-            stabs = sorted({s for (_, s) in e.orbits})
+            stabs = sorted({s for (_, s) in e["orbits"]})
             stab = ",".join(str(s) for s in stabs)
             lines.append(
                 '  V%d -> V%d [label="%d morphisms, stab=%s"];'
-                % (e.source, e.target, e.hom_size, stab)
+                % (e["source"], e["target"], e["hom_size"], stab)
             )
         lines.append("}")
         return "\n".join(lines) + "\n"
@@ -503,10 +467,14 @@ def skeleton(cat: ChromCategory) -> SkeletonReport:
     for members, aut, _ in classes:
         ident, rep = modp.identity_code(len(aut[0]), p), members[0]
         generators.append(greedy_generators(aut, ident, mul))
-        report.classes.append(ObjectClass(
-            objects[rep].rank, rep, tuple(members), len(aut), commute(generators[-1], mul),
-            group_exponent(aut, ident, mul),
-        ))
+        report.classes.append({
+            "rank": objects[rep].rank,
+            "representative": rep,
+            "members": members,
+            "aut_order": len(aut),
+            "aut_abelian": commute(generators[-1], mul),
+            "aut_exponent": group_exponent(aut, ident, mul),
+        })
 
     for si, (members, aut, transports) in enumerate(classes):
         blocks = {}  # target class -> the members U_k <= its lead
@@ -524,43 +492,38 @@ def skeleton(cat: ChromCategory) -> SkeletonReport:
                 if m in block_of:
                     orbit = closure(m, generators[ti], lambda x, a: mul(a, x), len(aut_t))
                     least_blocks.add(min(block_of.pop(x) for x in orbit))
-                    orbits.append((len(orbit), len(aut_t) // len(orbit)))
-            report.edges.append(SkeletonEdge(
-                si, ti, len(aut) * len(blocks[ti]), tuple(orbits), len(least_blocks)
-            ))
+                    orbits.append([len(orbit), len(aut_t) // len(orbit)])
+            report.edges.append({
+                "source": si,
+                "target": ti,
+                "hom_size": len(aut) * len(blocks[ti]),
+                "orbits": orbits,
+                "two_sided_orbit_count": len(least_blocks),
+            })
     return report
 
 
 # -- stabilization ------------------------------------------------------------
 
 
-@dataclass
-class HomChainReport:
-    p_rank: int
-    stabilization_rank: int  # smallest n >= 1 with A^(n) equal to the Quillen category
-    strict: dict  # level n -> True iff A^(n) strictly contains A^(n+1)
-
-    def to_dict(self) -> dict:
-        return {
-            "p_rank": self.p_rank,
-            "stabilization_rank": self.stabilization_rank,
-            "strict": {str(k): v for k, v in sorted(self.strict.items())},
-        }
-
-
-def hom_chain_report(group: FiniteGroup, p: int) -> HomChainReport:
-    """Strictness of A^(n) >= A^(n+1) for 1 <= n <= p-rank, and the first
-    level equal to the Quillen category, from one Fusion: only the levels
-    below the p-rank test candidates.  The levels shrink to A^(p-rank),
-    the Quillen category, so that level is 1 past the last strict step."""
+def hom_chain_report(group: FiniteGroup, p: int) -> dict:
+    """The printed ``stab`` report: the p-rank, the stabilization rank (the
+    smallest n >= 1 with A^(n) equal to the Quillen category) and, keyed by
+    str(n) for 1 <= n <= p-rank, whether A^(n) strictly contains A^(n+1),
+    from one Fusion: only the levels below the p-rank test candidates.  The
+    levels shrink to A^(p-rank), the Quillen category, so that level is 1
+    past the last strict step."""
     fusion = Fusion(group, p)
     rank = fusion.rank
     cats = {n: fusion.category(n) for n in range(1, rank + 2)}
     strict = {
         n: not cats[n].equals(cats[n + 1]) for n in range(1, rank + 1)
     }
-    stab = 1 + max((n for n in strict if strict[n]), default=0)
-    return HomChainReport(p_rank=rank, stabilization_rank=stab, strict=strict)
+    return {
+        "p_rank": rank,
+        "stabilization_rank": 1 + max((n for n in strict if strict[n]), default=0),
+        "strict": {str(n): v for n, v in strict.items()},
+    }
 
 
 def witness_scan(

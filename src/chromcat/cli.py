@@ -265,7 +265,7 @@ def cmd_category(args):
 def cmd_stab(args):
     group = _load_group(args)
     report = hom_chain_report(group, args.p)
-    _emit_json(args, {"group": group.name, "p": args.p, **report.to_dict()})
+    _emit_json(args, {"group": group.name, "p": args.p, **report})
     return 0
 
 

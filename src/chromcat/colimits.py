@@ -34,11 +34,14 @@ Aut tuple once and every class with that Aut, at every level of a tower,
 shares it; a class's ids are its first id plus the walk's local orbit ids.
 The result keeps the classes of [U] as one block: [U]'s least object,
 the points in each class, and the walk's leads, shared with the walk and
-never copied.
-The tower's connecting maps go one class at a time, and only a class whose
-least member was joined to a smaller one a level down, by a matrix other
-than the identity, applies a matrix to its points.  Walks and tables live
-for one call and are never kept.  F_q is ``modp.VectorSpace(p, m)``: a
+never copied; it keeps nothing else of the category or the walks.
+The tower's connecting maps go one class at a time and read the lower
+category itself: a level-(n+1) lead R lies in the level-n class
+``class_of[R]``, whose least member and t_R the category stores, and only
+a class whose R was joined to a smaller lead a level down, by a matrix
+other than the identity, applies a matrix to its points.  Walks and
+tables live for one call and are never kept.
+F_q is ``modp.VectorSpace(p, m)``: a
 point is its point index, one int whose base-q digits are its r vector
 codes, the full-support points of rank r are the space's independent
 r-tuples, and ``apply`` multiplies a coded F_p-matrix into a point with
@@ -54,7 +57,7 @@ request is refused before any table is built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import modp
 from .categories import ChromCategory, Fusion
@@ -124,8 +127,6 @@ class ColimResult:
     # its colimit classes, the index in R of each one's least point); a [U]
     # of rank above m has no full-support point and so no class
     blocks: list
-    _walks: dict = field(repr=False)      # least object of [U] -> (first class id, walk)
-    _to_least: list = field(repr=False)   # object U -> (least R of its class, t_U)
 
 
 def _check_work(cat: ChromCategory, q: int) -> ChromCategory:
@@ -154,31 +155,21 @@ def colim_points(cat: ChromCategory, q: int) -> ColimResult:
 def _colim(cat: ChromCategory, f: modp.VectorSpace, walks: dict) -> ColimResult:
     """colim_points over the field f, taking each class's walk from
     ``walks`` (Aut tuple -> walk) and adding the walks it lacks."""
-    n = len(cat.objects)
     counts = [f.q ** v.rank for v in cat.objects]
-    blocks, by_least, to_least = [], {}, [None] * n
-    size = 0
+    blocks = []
     for auts, transports in cat.classes:
-        least = min(transports)
         if auts not in walks:
             walks[auts] = _Walk(f, auts)
-        walk = walks[auts]
-        by_least[least] = (size, walk)
         # Hom(U, V) is Iso(U, U_k) followed by U_k <= V, one V per object above U_k
         points = len(auts) * sum(len(cat.above[k]) for k in transports)
-        blocks.append((least, points, walk.points))
-        size += len(walk.points)
-        for s, t in transports.items():
-            to_least[s] = (least, t)
+        blocks.append((min(transports), points, walks[auts].points))
     if sum(points * len(leads) for _, points, leads in blocks) != sum(counts):
         raise AssertionError("colimit classes do not partition the points")
     return ColimResult(
         q=f.q,
         object_counts=counts,
-        size=size,
+        size=sum(len(leads) for _, _, leads in blocks),
         blocks=blocks,
-        _walks=by_least,
-        _to_least=to_least,
     )
 
 
@@ -199,11 +190,13 @@ def filtration_tower(group: FiniteGroup, p: int, q: int) -> FiltrationTower:
     lower level's; the connecting map sends a level-(n+1) class to the
     level-n class of its representative and is checked surjective.  One
     Fusion builds every level, and one field and one walk per distinct Aut
-    serve them all.  The map is read one level-(n+1) class at a time, each
-    rep looked up in the level-n walk of its class's lead; only a class
-    whose least member R was joined to a smaller lead inverts t_R, once,
-    and applies the inverse to each rep unless it is the identity matrix
-    (S6 and A6 at p = 2 join two classes through it).
+    serve them all.  The map is read one level-(n+1) class at a time, off
+    the two categories: its lead R lies in the level-n class ``class_of[R]``,
+    whose first id is the number of leads of the classes before it, and
+    each rep is looked up in that class's walk.  Only a class whose R is
+    not the least member of its level-n class inverts t_R, once, and
+    applies the inverse to each rep unless it is the identity matrix (S6
+    and A6 at p = 2 join two classes through it).
     """
     m = q_to_pm(q, p)
     fusion = Fusion(group, p)
@@ -215,18 +208,22 @@ def filtration_tower(group: FiniteGroup, p: int, q: int) -> FiltrationTower:
     walks = {}
     levels = [(n, _colim(cat, f, walks)) for n, cat in cats]
     surjections = []
-    for (n_hi, hi), (n_lo, lo) in zip(levels, levels[1:]):
+    for (n_hi, hi), (n_lo, lo) in zip(cats, cats[1:]):
+        first = [0]
+        for auts, _ in lo.classes:
+            first.append(first[-1] + len(walks[auts].points))
         mapping = []
-        for r, (_, walk) in hi._walks.items():
-            least, t = lo._to_least[r]
-            first, lower = lo._walks[least]
-            points = walk.points
-            if least != r:
-                back = fusion.space.inverse(t)
+        for auts, transports in hi.classes:
+            r = min(transports)
+            c = lo.class_of[r]
+            lower, joined = lo.classes[c]
+            points = walks[auts].points
+            if min(joined) != r:
+                back = fusion.space.inverse(joined[r])
                 if back != modp.identity_code(len(back), p):
                     points = [f.apply(back, pt) for pt in points]
-            mapping.extend(first + lower.orbit[pt] for pt in points)
-        if set(mapping) != set(range(lo.size)):
+            mapping.extend(first[c] + walks[lower].orbit[pt] for pt in points)
+        if set(mapping) != set(range(first[-1])):
             raise AssertionError(
                 "connecting map not surjective between levels %d and %d"
                 % (n_hi, n_lo)

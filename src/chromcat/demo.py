@@ -75,7 +75,7 @@ def a4_demo() -> dict:
     # Pushforward, reduction, coefficient extraction.
     push = beta_pushforward(orbit, DEGREE)
     reduced = mod_indecomposables(push)
-    coeff = coefficient_of(push, (1, 1, 1), 3)
+    coeff = coefficient_of(reduced, (1, 1, 1), 3)
     expected = parse_poly("s^3 + s^2*t + t^3", 2, 2, names=("s", "t"))
     _require(
         coeff == expected,

@@ -72,9 +72,6 @@ class CycRing:
     def zero(self) -> RingElt:
         return self.elt()
 
-    def one(self) -> RingElt:
-        return self.elt({(0,) * self.rank: 1})
-
     def variable(self, i: int) -> RingElt:
         exps = [0] * self.rank
         exps[i] = 1
@@ -100,9 +97,9 @@ class CycRing:
 class OrbitRestriction:
     """A Mackey restriction: the reduced ring value plus, when the orbit of a
     monomial stays inside the tag set {w, z, F(w,z)}, its structured form as a
-    list of ((tag, power), ...) terms ready for the homology pushforward."""
+    list of ((tag, power), ...) terms ready for the homology pushforward.
+    The ring is the height-n model of ``fgl``, which fixes p and the height."""
 
-    ring: CycRing
     fgl: FGL
     total: RingElt
     terms: Optional[list]  # list of tuples of (tag, power); tags "s", "t", "s+t"
@@ -169,7 +166,7 @@ def weyl_orbit_restriction(
         ]
         if any(tag is None for term in terms for tag, _ in term):
             terms = None
-    return OrbitRestriction(ring=ring, fgl=fgl, total=total, terms=terms)
+    return OrbitRestriction(fgl=fgl, total=total, terms=terms)
 
 
 # -- Hopf expressions ------------------------------------------------------------
@@ -252,10 +249,6 @@ class HopfExpr:
     def _check(self, other):
         if self._ctx() != other._ctx():
             raise HopfError("expressions live in different contexts")
-
-    @classmethod
-    def zero(cls, p, height, degree):
-        return cls(p, height, degree)
 
     @classmethod
     def grouplike(cls, p, height, degree, c, coeff: Optional[PolyFp] = None):
@@ -410,13 +403,12 @@ def beta_pushforward(orbit: OrbitRestriction, degree: int) -> HopfExpr:
 
     Each factor u^a contributes b(u)^(o a); factors combine by o inside a
     term and term images combine by *, following the standard generating
-    function relation for complex oriented theories.
+    function relation for complex oriented theories.  p and the height are
+    the formal group law's.
     """
     if orbit.terms is None:
         raise HopfError("orbit sum is not presented in series-argument form")
-    p, height = orbit.ring.p, orbit.ring.height
-    if orbit.ring.p != orbit.fgl.p or orbit.ring.height != orbit.fgl.height:
-        raise HopfError("ring and formal group law disagree")
+    p, height = orbit.fgl.p, orbit.fgl.height
     if degree > orbit.fgl.degree:
         raise HopfError("formal group law is not truncated deep enough")
     args = {
@@ -536,37 +528,24 @@ def verify_kn_injectivity(p: int, height: int) -> dict:
             witnesses.append(
                 {"element": {i: c}, "beta": t, "image": image.render()}
             )
-    for c0 in range(1, p):
-        for cm in range(1, p):
-            element = {0: c0, q - 1: cm}
-            found = first_witness(element)
-            if found is None:
-                raise HopfError("special-form element has zero image everywhere")
-            top = hurewicz_eval(element, q - 1, p, height)
-            if top.is_zero():
-                raise HopfError(
-                    "special-form element vanishes on beta_%d" % (q - 1)
-                )
-            witnesses.append(
-                {
-                    "element": {0: c0, q - 1: cm},
-                    "beta": q - 1,
-                    "image": top.render(),
-                }
-            )
     # distinctness of the recovered coefficients: beta_0 reads off c_0 and
-    # beta_{q-1} then reads off c_{q-1}
+    # beta_{q-1} then reads off c_{q-1}; the special-form elements, c_0 and
+    # c_{q-1} both nonzero, take their beta_{q-1} image as their witness
     seen = {}
     for c0 in range(p):
         for cm in range(p):
             element = {0: c0, q - 1: cm}
-            sig = (
-                hurewicz_eval(element, 0, p, height).render(),
-                hurewicz_eval(element, q - 1, p, height).render(),
-            )
+            top = hurewicz_eval(element, q - 1, p, height)
+            sig = (hurewicz_eval(element, 0, p, height).render(), top.render())
             if sig in seen:
                 raise HopfError(
                     "elements %r and %r are not separated" % (seen[sig], element)
                 )
             seen[sig] = element
+            if c0 and cm:
+                if top.is_zero():
+                    raise HopfError(
+                        "special-form element vanishes on beta_%d" % (q - 1)
+                    )
+                witnesses.append({"element": element, "beta": q - 1, "image": sig[1]})
     return {"p": p, "height": height, "witnesses": witnesses, "ok": True}

@@ -250,10 +250,6 @@ class PolyFp:
         )
         return self._stored(self.p, self.nvars, self._clean(coeffs, cap), bound, cap)
 
-    def scale(self, c) -> "PolyFp":
-        coeffs = self._clean({e: v * c for e, v in self.coeffs.items()})
-        return self._stored(self.p, self.nvars, coeffs, self.bound, self.cap)
-
     def __pow__(self, k: int) -> "PolyFp":
         if k < 0:
             raise ValueError("negative power")

@@ -130,7 +130,7 @@ from chromcat import (
     mod_indecomposables,
     modp,
 )
-from chromcat.categories import ObjectClass, SkeletonEdge, SkeletonReport
+from chromcat.categories import SkeletonReport
 from chromcat.groups import orbit_walk
 from chromcat.hopf import OrbitRestriction
 from chromcat.polyfp import default_names
@@ -635,20 +635,20 @@ def matrix_order(m: tuple, p: int) -> int:
     return k
 
 
-def skeleton_class_by_rank(report: SkeletonReport, rank: int) -> ObjectClass:
+def skeleton_class_by_rank(report: SkeletonReport, rank: int) -> dict:
     """The one class of the given rank in a skeleton report."""
-    matches = [c for c in report.classes if c.rank == rank]
+    matches = [c for c in report.classes if c["rank"] == rank]
     if len(matches) != 1:
         raise KeyError("rank %d does not name a unique class" % rank)
     return matches[0]
 
 
-def skeleton_edge(report: SkeletonReport, source_rank: int, target_rank: int) -> SkeletonEdge:
+def skeleton_edge(report: SkeletonReport, source_rank: int, target_rank: int) -> dict:
     """The edge between the one class of each of two ranks."""
     si = report.classes.index(skeleton_class_by_rank(report, source_rank))
     ti = report.classes.index(skeleton_class_by_rank(report, target_rank))
     for e in report.edges:
-        if e.source == si and e.target == ti:
+        if e["source"] == si and e["target"] == ti:
             return e
     raise KeyError("no edge %d -> %d" % (source_rank, target_rank))
 
@@ -675,16 +675,14 @@ def elementwise_skeleton(cat) -> SkeletonReport:
         for m in mats:
             k = matrix_order(m, cat.p)
             exponent = exponent * k // math.gcd(exponent, k)
-        report.classes.append(
-            ObjectClass(
-                rank=cat.objects[rep].rank,
-                representative=rep,
-                members=tuple(members),
-                aut_order=len(mats),
-                aut_abelian=abelian,
-                aut_exponent=exponent,
-            )
-        )
+        report.classes.append({
+            "rank": cat.objects[rep].rank,
+            "representative": rep,
+            "members": list(members),
+            "aut_order": len(mats),
+            "aut_abelian": abelian,
+            "aut_exponent": exponent,
+        })
 
     for si, (sources, _) in enumerate(groups):
         for ti, (targets, aut_t) in enumerate(groups):
@@ -696,17 +694,15 @@ def elementwise_skeleton(cat) -> SkeletonReport:
             # hom is sorted, so the orbits come in order of least member
             ids = orbit_walk(hom, aut_t, lambda a, m: modp.mat_mul(a, m, cat.p))[1]
             sizes = Counter(ids.values())
-            report.edges.append(
-                SkeletonEdge(
-                    source=si,
-                    target=ti,
-                    hom_size=len(hom),
-                    orbits=tuple((size, len(aut_t) // size) for size in sizes.values()),
-                    two_sided_orbit_count=_subobject_orbit_count(
-                        cat, sources, targets[0], aut_t
-                    ),
-                )
-            )
+            report.edges.append({
+                "source": si,
+                "target": ti,
+                "hom_size": len(hom),
+                "orbits": [[size, len(aut_t) // size] for size in sizes.values()],
+                "two_sided_orbit_count": _subobject_orbit_count(
+                    cat, sources, targets[0], aut_t
+                ),
+            })
     return report
 
 
@@ -1145,10 +1141,10 @@ def _single_term_hurewicz(p, height, degree, coeff, power, t):
     if power == 0:
         if t == 0:
             return HopfExpr.grouplike(p, height, degree, coeff)
-        return HopfExpr.zero(p, height, degree)
+        return HopfExpr(p, height, degree)
     if t == 0:
         return HopfExpr.grouplike(p, height, degree, 0)
-    total = HopfExpr.zero(p, height, degree)
+    total = HopfExpr(p, height, degree)
     # compositions of t into `power` positive parts, as cut points; parts
     # with a zero entry die against b_0
     for cuts in itertools.combinations(range(1, t), power - 1):
@@ -1168,13 +1164,13 @@ def hurewicz_by_coproduct(element, t, p, height, degree=0):
     if not items:
         if t == 0:
             return HopfExpr.grouplike(p, height, degree, 0)
-        return HopfExpr.zero(p, height, degree)
+        return HopfExpr(p, height, degree)
 
     def convolve(terms, tt):
         power, coeff = terms[0]
         if len(terms) == 1:
             return _single_term_hurewicz(p, height, degree, coeff, power, tt)
-        out = HopfExpr.zero(p, height, degree)
+        out = HopfExpr(p, height, degree)
         for u in range(tt + 1):
             left = _single_term_hurewicz(p, height, degree, coeff, power, u)
             if left.is_zero():
@@ -1217,10 +1213,10 @@ def all_pairs_circ_mul(a, b):
                     yield ((c1 * c2) % p, ()), p1 * p2
                 elif not ms1:
                     if c1 % p:
-                        yield (0, ms2), (p1 * p2).scale(c1)
+                        yield (0, ms2), p1 * p2 * PolyFp.constant(p, 2, c1)
                 elif not ms2:
                     if c2 % p:
-                        yield (0, ms1), (p1 * p2).scale(c2)
+                        yield (0, ms1), p1 * p2 * PolyFp.constant(p, 2, c2)
                 else:
                     yield (0, (tuple(sorted(ms1[0] + ms2[0])),)), p1 * p2
 
@@ -1238,13 +1234,13 @@ def orbit_from_terms(terms, ring, fgl):
         values["s+t"] = ring.fgl_of_variables(fgl)
     total = ring.zero()
     for term in terms:
-        prod = ring.one()
+        prod = ring.elt({(0,) * ring.rank: 1})
         for tag, e in term:
             if tag not in values:
                 raise HopfError("unknown series argument %r" % (tag,))
             prod = prod * values[tag] ** e
         total = total + prod
-    return OrbitRestriction(ring=ring, fgl=fgl, total=total, terms=[tuple(t) for t in terms])
+    return OrbitRestriction(fgl=fgl, total=total, terms=[tuple(t) for t in terms])
 
 
 def all_pairs_beta_pushforward(orbit, degree):
@@ -1253,7 +1249,7 @@ def all_pairs_beta_pushforward(orbit, degree):
     factors o-multiplied from [1], the term images *-multiplied from [0].
     The order matters: pure b_1 monomials of weight p^n are dropped as they
     form, so the o product is not associative in this calculus."""
-    p, height = orbit.ring.p, orbit.ring.height
+    p, height = orbit.fgl.p, orbit.fgl.height
     args = {
         "s": PolyFp.variable(p, 2, 0),
         "t": PolyFp.variable(p, 2, 1),

@@ -100,25 +100,25 @@ def test_a4_level_categories():
 
 def test_skeleton_a4():
     sk2 = skeleton(category("a4", 2, 2))
-    assert [(c.rank, c.aut_order) for c in sk2.classes] == [(1, 1), (2, 3)]
+    assert [(c["rank"], c["aut_order"]) for c in sk2.classes] == [(1, 1), (2, 3)]
     edge2 = skeleton_edge(sk2, 1, 2)
-    assert edge2.hom_size == 3
-    assert edge2.orbits == ((3, 1),)
+    assert edge2["hom_size"] == 3
+    assert edge2["orbits"] == [[3, 1]]
     sk1 = skeleton(category("a4", 2, 1))
-    assert [(c.rank, c.aut_order) for c in sk1.classes] == [(1, 1), (2, 6)]
+    assert [(c["rank"], c["aut_order"]) for c in sk1.classes] == [(1, 1), (2, 6)]
     edge1 = skeleton_edge(sk1, 1, 2)
-    assert edge1.hom_size == 3
-    assert edge1.orbits == ((3, 2),)
+    assert edge1["hom_size"] == 3
+    assert edge1["orbits"] == [[3, 2]]
     # orbit sizes recover the hom-set size
     for edge in sk1.edges + sk2.edges:
-        total = sum(size for size, _ in edge.orbits)
-        assert total == edge.hom_size
+        total = sum(size for size, _ in edge["orbits"])
+        assert total == edge["hom_size"]
 
 
 def test_skeleton_trivial_group():
     sk = skeleton(category("c1", 2, None))
     assert len(sk.classes) == 1
-    assert sk.classes[0].rank == 0
+    assert sk.classes[0]["rank"] == 0
 
 
 def test_skeleton_dot_round_trip():
@@ -132,19 +132,19 @@ def test_skeleton_dot_round_trip():
 
 def test_stabilization_a4():
     report = hom_chain_report(group("a4"), 2)
-    assert report.p_rank == 2
-    assert report.stabilization_rank == 2
-    assert report.strict == {1: True, 2: False}
+    assert report["p_rank"] == 2
+    assert report["stabilization_rank"] == 2
+    assert report["strict"] == {"1": True, "2": False}
 
 
 def test_stabilization_rank_one_groups():
     # cyclic 2-group: p-rank 1
-    assert hom_chain_report(group("c4"), 2).stabilization_rank == 1
+    assert hom_chain_report(group("c4"), 2)["stabilization_rank"] == 1
     # elementary abelian: all conjugation is trivial, so every level is the
     # inclusion category
     report = hom_chain_report(group("k4"), 2)
-    assert report.stabilization_rank == 1
-    assert report.strict == {1: False, 2: False}
+    assert report["stabilization_rank"] == 1
+    assert report["strict"] == {"1": False, "2": False}
 
 
 @pytest.mark.parametrize("name", list(builtin_names()) + ["agl32", "f33h"])
@@ -156,13 +156,13 @@ def test_stabilization_rank_is_the_first_quillen_level(name):
         fusion = Fusion(g, p)
         quillen = fusion.category(None)
         first = next(n for n in itertools.count(1) if fusion.category(n).equals(quillen))
-        assert hom_chain_report(g, p).stabilization_rank == first, p
+        assert hom_chain_report(g, p)["stabilization_rank"] == first, p
 
 
 def test_quaternion_has_rank_one():
     report = hom_chain_report(group("q8"), 2)
-    assert report.p_rank == 1
-    assert report.stabilization_rank == 1
+    assert report["p_rank"] == 1
+    assert report["stabilization_rank"] == 1
 
 
 def test_witness_scan():
@@ -225,7 +225,7 @@ def test_prime_not_dividing_order():
     assert len(q.objects) == 1 and q.objects[0].rank == 0
     assert len(q.hom(0, 0)) == 1
     sk = skeleton(q)
-    assert len(sk.classes) == 1 and sk.classes[0].rank == 0
+    assert len(sk.classes) == 1 and sk.classes[0]["rank"] == 0
 
 
 def test_oracle_agreement_spot():
@@ -576,19 +576,19 @@ def test_two_sided_orbits_are_subobject_orbits(name):
             cat = category(name, p, n)
             report = skeleton(cat)
             for e in report.edges:
-                i, j = (report.classes[c].representative for c in (e.source, e.target))
+                i, j = (report.classes[e[end]]["representative"] for end in ("source", "target"))
                 classes = tuple_classes(cat.classes, cat.objects, p)
                 aut_s, aut_t = (classes[cat.class_of[k]][0] for k in (i, j))
-                assert e.two_sided_orbit_count == len(
+                assert e["two_sided_orbit_count"] == len(
                     two_sided_orbits(cat.hom(i, j), aut_t, aut_s, p)
-                ), (p, n, e.source, e.target)
+                ), (p, n, e["source"], e["target"])
                 # with a trivial source group the oracle's orbits are the
                 # one-sided Aut(target)-orbits, in order of least member
                 ident = (modp.identity_matrix(cat.objects[i].rank),)
-                assert list(e.orbits) == [
-                    (len(o), len(aut_t) // len(o))
+                assert e["orbits"] == [
+                    [len(o), len(aut_t) // len(o)]
                     for o in two_sided_orbits(cat.hom(i, j), aut_t, ident, p)
-                ], (p, n, e.source, e.target)
+                ], (p, n, e["source"], e["target"])
 
 
 @pytest.mark.parametrize("name", builtin_names())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -25,6 +26,12 @@ from oracles import (
 PRIMES = (2, 3, 5, 7)
 
 
+@functools.lru_cache(maxsize=None)
+def _space(p, r):
+    """One VectorSpace per (p, r), so that each of its tables is built once."""
+    return VectorSpace(p, r)
+
+
 def _matrix(rng, rows, cols, p):
     """A rows x cols matrix; rows x 0 is ((),) * rows, as modp writes it."""
     return tuple(tuple(rng.randrange(p) for _ in range(cols)) for _ in range(rows))
@@ -42,7 +49,7 @@ def test_products_match_triple_loop_on_every_small_shape(p):
     # oracle's
     rng = random.Random(p)
     for r, k, c in itertools.product(range(5), repeat=3):
-        space = VectorSpace(p, c)
+        space = _space(p, c)
         for _ in range(4):
             a, b = _matrix(rng, r, k, p), _matrix(rng, k, c, p)
             assert modp.mat_mul(a, b, p) == triple_loop_mat_mul(a, b, p), (a, b)
@@ -52,15 +59,15 @@ def test_products_match_triple_loop_on_every_small_shape(p):
             want = triple_loop_mat_mul(a, b, p) if k else ((0,) * c,) * r
             assert modp.decode_matrix(coded, c, p) == want, (a, b)
             columns = encode_matrix(modp.transpose(a), p) if r else (0,) * k
-            image = VectorSpace(p, r).mul((modp.encode(v, p),), columns)
+            image = _space(p, r).mul((modp.encode(v, p),), columns)
             assert image == (modp.encode(triple_loop_mat_vec(a, v, p), p),), (a, v)
             if r == k and modp.mat_rank(a, p) == r:
-                inv = modp.decode_matrix(VectorSpace(p, r).inverse(encode_matrix(a, p)), r, p)
+                inv = modp.decode_matrix(_space(p, r).inverse(encode_matrix(a, p)), r, p)
                 assert inv == whole_row_inverse(a, p), a
                 assert triple_loop_mat_mul(a, inv, p) == modp.identity_matrix(r), a
             elif r == k:
                 with pytest.raises(ValueError, match="singular"):
-                    VectorSpace(p, r).inverse(encode_matrix(a, p))
+                    _space(p, r).inverse(encode_matrix(a, p))
     assert modp.mat_mul(((),) * 3, (), p) == ((),) * 3
     assert modp.mat_mul(((1, 0), (0, 1)), ((),) * 2, p) == ((),) * 2
     assert modp.mat_vec(((),) * 2, (), p) == (0, 0)
@@ -216,7 +223,7 @@ def _oracle_rank(m, p):
 def _inverse(m, p):
     """The tuple matrix m inverted by ``VectorSpace.inverse`` on its code."""
     r = len(m)
-    return modp.decode_matrix(VectorSpace(p, r).inverse(encode_matrix(m, p)), r, p)
+    return modp.decode_matrix(_space(p, r).inverse(encode_matrix(m, p)), r, p)
 
 
 @pytest.mark.parametrize("p,r", [(2, 3), (3, 2)])

@@ -11,7 +11,10 @@ group for products and conjugates, so that the table can give way to
 another representation in those two modules alone.  A public name that no
 other part of the package uses and that the benchmark does not run is code
 kept for the tests alone, which belongs in ``tests/oracles.py``; the one
-exception is ``KEPT_FOR_CALLERS``, two value constructors.  The
+exception is ``KEPT_FOR_CALLERS``, two value constructors.  A method is
+used only through an attribute read, and ``self.m``, ``cls.m`` or ``C.m``
+inside class C reaches m only on C's own line of descent, so a local or
+another class's attribute of the same name reaches nothing.  The
 polynomials and their linear actions need only F_p linear algebra, so that
 a matrix group enters ``polyfp`` by its generators, never listed by a
 group walk.  Each source file is parsed with ``ast``; nothing is imported
@@ -157,6 +160,22 @@ def _used_names(node) -> set:
     }
 
 
+def _reads(node, owner_class) -> tuple:
+    """(names, attrs): the plain names that ``node`` reads or writes, and
+    each attribute name with the class it is confined to.  In the body of
+    ``owner_class``, an attribute of ``self``, ``cls`` or the class's own
+    name is confined to that class; any other attribute to None."""
+    own = {"self", "cls", owner_class}
+    names, attrs = set(), set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            confined = owner_class and isinstance(n.value, ast.Name) and n.value.id in own
+            attrs.add((n.attr, owner_class if confined else None))
+    return names, attrs
+
+
 def _traced_names(layers: Path) -> set:
     """Every dotted part of the attrs that ``layers.TARGETS`` wraps."""
     tree = ast.parse(layers.read_text(), filename=str(layers))
@@ -178,21 +197,22 @@ KEPT_FOR_CALLERS = ["hopf.HopfExpr.omono", "polyfp.PolyFp.monomial"]
 
 
 def _units(path: Path):
-    """(owner, node) for each top-level statement of ``path`` and each
-    statement of a top-level class body; a definition's owner is
+    """(owner, class, node) for each top-level statement of ``path`` and
+    each statement of a top-level class body; a definition's owner is
     (module, name), or (module, class, name) for a class member, and the
     rest of a class is owned by the class.  A class comes first as its
-    header, the definition with its decorators and bases but no body."""
+    header, the definition with its decorators and bases but no body.
+    ``class`` names the class whose body holds the node, or is None."""
     for node in ast.parse(path.read_text(), filename=str(path)).body:
         owner = (path.stem, getattr(node, "name", None))
         if not isinstance(node, ast.ClassDef):
-            yield owner, node
+            yield owner, None, node
             continue
         header = copy.copy(node)
         header.body = []
-        yield owner, header
+        yield owner, None, header
         for member in node.body:
-            yield (owner + (member.name,) if isinstance(member, DEFS) else owner), member
+            yield (owner + (member.name,) if isinstance(member, DEFS) else owner), node.name, member
 
 
 def _unreached(src: Path, perfbench: Path) -> list:
@@ -200,24 +220,50 @@ def _unreached(src: Path, perfbench: Path) -> list:
     and the public methods of their classes, that no other src code names
     (``__init__``'s re-exports aside, and a definition's own body aside)
     and that ``perfbench`` names neither as a ``layers.TARGETS`` attr nor
-    in its code; metric strings do not count."""
-    uses, defined = [], []
+    in its code; metric strings do not count.  A top-level definition is
+    named by a plain name or an attribute, a method by an attribute alone,
+    and an attribute confined to a class (see ``_reads``) names only the
+    methods of that class, of its bases and of its subclasses."""
+    uses, defined, bases = [], [], {}
     for path in sorted(src.glob("*.py")):
         if path.name == "__init__.py":
             continue
-        for owner, node in _units(path):
-            uses.append((owner, _used_names(node)))
+        for owner, owner_class, node in _units(path):
+            uses.append((owner, *_reads(node, owner_class)))
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {b.id for b in node.bases if isinstance(b, ast.Name)}
             public = isinstance(node, DEFS) and not owner[-1].startswith("_")
             if public and path.name != "__main__.py":
                 defined.append(owner)
     benched = _traced_names(perfbench / "layers.py")
     for path in perfbench.glob("*.py"):
         benched |= _used_names(ast.parse(path.read_text(), filename=str(path)))
+
+    def ancestors(c):
+        found, todo = set(), [c]
+        while todo:
+            new = bases.get(todo.pop(), set()) - found
+            found |= new
+            todo += new
+        return found
+
+    def reaches(names, attrs, key):
+        if len(key) == 2 and key[-1] in names:
+            return True
+        return any(
+            attr == key[-1]
+            and (c is None or len(key) == 3 and (
+                c == key[1] or c in ancestors(key[1]) or key[1] in ancestors(c)))
+            for attr, c in attrs
+        )
+
     return [
         ".".join(key)
         for key in defined
         if key[-1] not in benched
-        and not any(key[-1] in used for owner, used in uses if owner[: len(key)] != key)
+        and not any(
+            reaches(names, attrs, key) for owner, names, attrs in uses if owner[: len(key)] != key
+        )
     ]
 
 
@@ -249,10 +295,19 @@ def test_the_check_sees_a_name_only_tests_reach(tmp_path):
         "    def spare(self):\n        return self.sibling()\n"
         "    def timed(self):\n        pass\n"
         "    def measured(self):\n        pass\n"
-        "    def _hidden(self):\n        pass\n"
+        "    def local(self):\n        pass\n"
+        "    def tabled(self):\n        pass\n"
+        "    def inherited(self):\n        return self.hook()\n"
+        "    def _hidden(self):\n        pass\n\n"
+        "class Table:\n"
+        "    def __init__(self):\n        self.tabled = {}\n\n"
+        "class Sub(Poly):\n"
+        "    def go(self):\n        return self.inherited()\n"
+        "    def hook(self):\n        pass\n"
     )
     (src / "b.py").write_text(
-        "from . import a\n\ndef main():\n    return a.Kept, a.Poly().used()\n"
+        "from . import a\n\ndef main():\n    local = a.Kept\n"
+        "    return local, a.Poly().used(), a.Table(), a.Sub().go()\n"
     )
     (bench / "layers.py").write_text(
         'TARGETS = (("chromcat.a", "traced", "a.traced", None),\n'
@@ -263,7 +318,10 @@ def test_the_check_sees_a_name_only_tests_reach(tmp_path):
         "def op(cc):\n    return cc.a.benched(), cc.a.Poly().measured()\n"
     )
     # a sibling method names grow and sibling; recur is named in its own
-    # def alone, and the class Spare and the method spare nowhere
+    # def alone, and the class Spare and the method spare nowhere; local is
+    # named only by a local variable, tabled only by another class's
+    # self.tabled; a subclass's self reaches inherited, and a base's hook
     assert _unreached(src, bench) == [
         "a.Spare", "a.loop", "a.unused", "a.Poly.recur", "a.Poly.spare",
+        "a.Poly.local", "a.Poly.tabled",
     ]

@@ -657,7 +657,7 @@ def test_sum_of_products_matches_products_and_sums(data):
         total = None
         naive = {}
         for a, b, c in triples:
-            term = (a * b).scale(c)
+            term = a * b * PolyFp.constant(p, nvars, c)
             total = term if total is None else total + term
             for e, v in naive_truncated_product(a.coeffs, b.coeffs, p, total.bound, cap).items():
                 naive[e] = naive.get(e, 0) + c * v
@@ -796,7 +796,7 @@ def test_results_are_stored_clean(data):
     }
     c = data.draw(_coefficients(p) if p is None else st.integers(-2 * p, 2 * p), label="c")
     results["scale"] = (
-        f.scale(c), PolyFp(p, 2, {e: v * c for e, v in f.coeffs.items()}, bound, cap)
+        f * PolyFp.constant(p, 2, c), PolyFp(p, 2, {e: v * c for e, v in f.coeffs.items()}, bound, cap)
     )
     d = data.draw(st.integers(min_value=0, max_value=6), label="d")
     results["truncate"] = (

@@ -107,9 +107,7 @@ def test_writer_edge_cases():
 def test_class_rows_match_json_dumps(blocks, depth):
     # blocks as a colimit result holds them, empty ones among them; the
     # writer reads nothing else of the result
-    value = ColimResult(
-        q=0, object_counts=[], size=0, blocks=blocks, _walks={}, _to_least=[]
-    )
+    value = ColimResult(q=0, object_counts=[], size=0, blocks=blocks)
     for _ in range(depth):
         value = {"classes": value, "n": depth}
     assert cli._json_text(value) == expected(value)
