@@ -531,8 +531,9 @@ def witness_scan(
 ) -> dict:
     """Scan (name, group) pairs for A^(n) != A^(n+1); reports what was found.
 
-    Groups over the order cap are skipped with a warning entry.  Absence of a
-    witness in the library proves nothing beyond the library itself.
+    Groups over ``order_cap`` are listed as ``skipped``: as the group loader
+    refuses every file past its own cap, only a lower ``order_cap`` lists any.
+    Absence of a witness in the library proves nothing beyond the library.
     """
     found = []
     skipped = []

@@ -35,7 +35,7 @@ from .groups import DEFAULT_ORDER_CAP, GroupError
 from .library import LIBRARY_DIR, builtin_names, bundled_library, load_group_file
 from .modp import is_prime
 from .polyfp import invariant_bases, parse_poly
-from .subrings import SubringPresentation, sylow_among, sylow_class, weyl_action
+from .subrings import SubringPresentation, build_CR, sylow_among, sylow_class, weyl_action
 
 class UsageError(ValueError):
     pass
@@ -319,7 +319,7 @@ def cmd_cr(args):
         presentation = SubringPresentation(fusion, gens, name=name)
     except ValueError as exc:  # an inhomogeneous or non-invariant generator
         raise UsageError(str(exc)) from exc
-    cat = fusion.subring(presentation)
+    cat = build_CR(group, presentation)
     comparisons = {}
     for n in range(0, fusion.rank + 1):
         comparisons["A^(%d)" % n] = cat.equals(fusion.category(n))

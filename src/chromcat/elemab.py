@@ -4,13 +4,13 @@ A subgroup is identified by its element set and is the span of its least
 basis: scanning the elements in index order, each one outside the span of
 those already taken joins the basis.  Every subgroup comes from
 ``enumerate_elem_abelians``, which grows each span by one order-p element
-with ``_extend``, from a candidate list that each span carries, and builds
-each span once per parent, so every downstream enumeration is
-deterministic; a caller naming a subgroup by its elements finds it in that
-list.  Coordinates are ``modp`` codes: the element
-b_1^c_1 ... b_r^c_r has the code of (c_1, ..., c_r), a subgroup lists its
-elements in code order, so ``element_at`` is one index and ``coordinates``
-one dict read, and growing by e sends code k to k * p + j for e^j.
+from a candidate list that each span carries, and builds each span once
+per parent, so every downstream enumeration is deterministic; a caller
+naming a subgroup by its elements finds it in that list.  Coordinates are
+``modp`` codes: b_1^c_1 ... b_r^c_r has the code of (c_1, ..., c_r), a
+subgroup lists its elements in code order, so ``element_at`` is one index
+and ``coordinates`` one dict read, and growing by e sends code k to
+k * p + j for e^j, the order in which ``FiniteGroup.times_powers`` walks.
 Group homomorphisms between elementary abelians are exactly F_p-linear
 maps: ``inclusion_matrix`` gives an inclusion as a coded matrix, and
 ``LinearMorphism`` and ``injective_homs`` give maps as tuple matrices.
@@ -81,17 +81,6 @@ class ElemAbelian:
         return "ElemAbelian(p=%d, rank=%d, basis=%r)" % (self.p, self.rank, self.basis)
 
 
-def _extend(group: FiniteGroup, p: int, elements: list, e: int) -> list:
-    """The elements of span(A, e), A's listed in code order, in code order:
-    a at code k gives a*e^j at code k * p + j, for j < p."""
-    table, grown = group.table, []
-    for a in elements:
-        for _ in range(p):
-            grown.append(a)
-            a = table[a][e]
-    return grown
-
-
 def enumerate_elem_abelians(group: FiniteGroup, p: int) -> list[ElemAbelian]:
     """All elementary abelian p-subgroups, trivial subgroup included.
 
@@ -100,22 +89,14 @@ def enumerate_elem_abelians(group: FiniteGroup, p: int) -> list[ElemAbelian]:
     is extended only by order-p elements x outside A, past A's last basis
     element and commuting with A's basis, for which x is the least element
     of span(A, x) outside A.  These candidates are carried with A: the
-    trivial group's are all order-p elements, the g != 1 with g^p = 1 (p - 1
-    table reads each), and a kept span(A, x) gets
+    trivial group's are all order-p elements, and a kept span(A, x) gets
     A's candidates after x that commute with x, so a candidate is tested
     against the new basis element only.  Each span is built once per A:
     every x in span(A, x) outside A gives that span, so the ones a span
     built from A has reached are skipped.  Output is sorted by (rank,
     sorted element indices).
     """
-    table, order_p = group.table, []
-    for g in range(1, group.order):
-        x = g
-        for _ in range(p - 1):
-            x = table[x][g]
-        if x == 0:
-            order_p.append(g)
-    level = [(ElemAbelian._spanned(group, p, (), [0]), order_p)]
+    level = [(ElemAbelian._spanned(group, p, (), [0]), group.elements_of_order(p))]
     out = []
     while level:
         out += [a for a, _ in level]
@@ -125,14 +106,13 @@ def enumerate_elem_abelians(group: FiniteGroup, p: int) -> list[ElemAbelian]:
             for at, x in enumerate(candidates):
                 if x in covered:
                     continue
-                elements = _extend(group, p, a._at, x)
+                elements = group.times_powers(a._at, x, p)
                 outside = set(elements) - a.elements
                 covered |= outside
                 if min(outside) == x:
-                    row = table[x]
                     nxt.append((
                         ElemAbelian._spanned(group, p, a.basis + (x,), elements),
-                        [y for y in candidates[at + 1:] if row[y] == table[y][x]],
+                        group.commuting_with(x, candidates[at + 1:]),
                     ))
         level = nxt
     out.sort(key=lambda v: (v.rank, v.sorted_elements()))

@@ -5,7 +5,8 @@ Every group enters as permutation generators through
 checks the degree, that each generator is a bijection and the order cap.
 A caller holding a Cayley table passes its rows, the left-regular
 permutations (Cayley's theorem).  A closure of bijections is a group, so
-the table read off it is never checked.
+the table read off it is never checked.  No other module reads the table:
+``elemab`` asks for its order-p elements, walks and commuting candidates.
 
 Tables are over element indices 0..order-1 with the identity at index 0.
 Elements of a group are plain integers; every operation here is pure and
@@ -17,14 +18,13 @@ gen_j with one ``operator.itemgetter`` (x * gen_j is x o gen_j), and
 records x * gen_j and the step by which each element k was first reached
 from its parent.  The table is then built a row at a time: for k = parent
 * gen_j, row k is row parent read through left_j, the map a -> gen_j * a,
-so each row is one itemgetter call and no permutation is composed after
-the closure.  left_j itself comes from the recorded steps, and k^-1 =
-gen_j^-1 * parent^-1 is one lookup in the inverse permutation of left_j.
-The group keeps its generators' indices, without the identity or repeats,
-and lends one conjugation map x -> g x g^-1 per generator g, a tuple over
-the elements: the conjugation scan of ``categories`` walks each G-class of
-subgroups as a Schreier orbit under these maps, and the class count closes
-each conjugacy class under them, so neither lists G per class.
+which comes from the recorded steps, so each row is one itemgetter call
+and no permutation is composed after the closure.  The group keeps its
+generators' indices, without the identity or repeats, and lends one
+conjugation map x -> g x g^-1 per generator g, a tuple over the elements:
+the conjugation scan of ``categories`` walks each G-class of subgroups as
+a Schreier orbit under these maps, and the class count closes each
+conjugacy class under them, so neither lists G per class.
 
 Each walk of a listed group lives here once, over elements and a ``mul``:
 ``orbit_walk`` and ``closure`` (conjugacy classes, orbits, the Hopf-ring
@@ -136,22 +136,20 @@ def commute(generators, mul) -> bool:
 class FiniteGroup:
     """A finite permutation group, held as the closure of its generators.
 
-    ``table[a][b]`` is the index of the product a*b and ``inverse[a]`` that
-    of a^-1; index 0 is the identity.  Only ``group_from_permutations``
-    builds one.
+    ``table[a][b]`` is the index of the product a*b; index 0 is the
+    identity.  Only ``group_from_permutations`` builds one.
     """
 
     def __init__(self, *args, **kwargs):
         raise TypeError("a FiniteGroup is built by group_from_permutations")
 
     @classmethod
-    def _closed(cls, permutations, table, inverse, generators: tuple, name: str):
+    def _closed(cls, permutations, table, generators: tuple, name: str):
         """The group whose elements are ``permutations``, in closure order,
         generated by the elements ``generators`` (no identity, no repeats)."""
         group = cls.__new__(cls)
         group.order = len(table)
         group.table = table
-        group.inverse = inverse
         group.generators = generators
         group.name = name
         group._permutations = permutations
@@ -173,7 +171,7 @@ class FiniteGroup:
         """One map per generator g, as the tuple x -> g x g^-1."""
         t, maps = self.table, []
         for g in self.generators:
-            g_inv = self.inverse[g]
+            g_inv = t[g].index(0)
             by_inverse = [row[g_inv] for row in t]
             maps.append(tuple([by_inverse[y] for y in t[g]]))
         return tuple(maps)
@@ -202,16 +200,42 @@ class FiniteGroup:
                 count += 1
         return count
 
+    def elements_of_order(self, p: int) -> list:
+        """The g != 1 with g^p = 1, in index order (p - 1 products each)."""
+        t, out = self.table, []
+        for g in range(1, self.order):
+            x = g
+            for _ in range(p - 1):
+                x = t[x][g]
+            if x == 0:
+                out.append(g)
+        return out
+
+    def times_powers(self, elements: Sequence[int], e: int, p: int) -> list:
+        """a, a e, ..., a e^(p-1) for each a of ``elements`` in turn."""
+        t, out = self.table, []
+        for a in elements:
+            for _ in range(p):
+                out.append(a)
+                a = t[a][e]
+        return out
+
+    def commuting_with(self, x: int, candidates: Sequence[int]) -> list:
+        """The candidates that commute with x, in order."""
+        t = self.table
+        row = t[x]
+        return [y for y in candidates if row[y] == t[y][x]]
+
     # -- conjugacy search ---------------------------------------------------
 
     def simultaneous_conjugacy(self, a: Sequence[int], b: Sequence[int]) -> Optional[int]:
-        """Least g with g a_i g^-1 = b_i for all i, or None (a plain scan)."""
+        """Least g with g a_i = b_i g for all i, or None (a plain scan)."""
         a, b = tuple(a), tuple(b)
         if len(a) != len(b):
             raise GroupError("tuples must have equal length")
         t, pairs = self.table, list(zip(a, b))
-        for g, (row, g_inv) in enumerate(zip(t, self.inverse)):
-            if all(t[row[x]][g_inv] == y for x, y in pairs):
+        for g, row in enumerate(t):
+            if all(row[x] == t[y][g] for x, y in pairs):
                 return g
         return None
 
@@ -281,20 +305,15 @@ def group_from_permutations(
         x += 1
 
     # left[j][k] = gens[j] * k = (gens[j] * parent) * gens[i] for k = parent
-    # * gens[i], and back[j], its inverse permutation, is a -> gens[j]^-1 * a;
-    # then k = parent * gens[j] has row k = row parent read through left[j]
-    # and k^-1 = gens[j]^-1 * parent^-1
-    order = len(elements)
-    lefts, backs = [], []
+    # * gens[i]; then k = parent * gens[j] has row parent read through left[j]
+    lefts = []
     for g in gens:
         left = [index[g]]
         for parent, i in reached_by[1:]:
             left.append(right[i][left[parent]])
         lefts.append(itemgetter(*left))
-        backs.append(sorted(range(order), key=left.__getitem__))
-    rows, inverse = [tuple(range(order))], [0]
+    rows = [tuple(range(len(elements)))]
     for parent, j in reached_by[1:]:
         rows.append(lefts[j](rows[parent]))
-        inverse.append(backs[j][inverse[parent]])
     generators = tuple(index[g] for g in gens)
-    return FiniteGroup._closed(elements, tuple(rows), tuple(inverse), generators, name)
+    return FiniteGroup._closed(elements, tuple(rows), generators, name)

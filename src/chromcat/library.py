@@ -71,8 +71,8 @@ def bundled_library(
 ) -> list[tuple[str, FiniteGroup]]:
     """(name, group) pairs from a library directory, smallest orders first.
 
-    Groups whose closure exceeds max_order are dropped here (the scan caller
-    reports groups over its own cap itself).  A path that is not a directory
+    Groups over max_order are dropped; a file past ``DEFAULT_ORDER_CAP`` is
+    refused with a ``GroupError`` naming it.  A path that is not a directory
     is an error, not an empty library.
     """
     directory = Path(directory) if directory else LIBRARY_DIR

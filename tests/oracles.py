@@ -45,12 +45,14 @@ library walks one orbit per G-class from G's generators.
 ``class_count_by_all_conjugators`` conjugates each class lead by every
 element, where the library closes each class under the generators.
 ``element_order_by_powers`` multiplies an element into itself until the
-identity comes back, where the enumerator reads only whether g^p = 1.
+identity comes back, where ``FiniteGroup.elements_of_order`` reads only
+whether g^p = 1, and ``span_by_powers`` multiplies each coordinate tuple
+out, where ``FiniteGroup.times_powers`` walks a * e^j from a listed span.
 ``extend_and_dedupe_elem_abelians`` extends every subgroup by every
 commuting order-p element outside it and drops repeats by element
 set, with each least basis rebuilt span by span from scratch and the
 coordinates multiplied out power by power, where the library builds each
-subgroup once, from its least basis, through one span routine.
+subgroup once, from its least basis, through ``times_powers``.
 ``triple_loop_mat_mul`` and ``triple_loop_mat_vec`` index every entry of
 a product, where ``modp`` zips each row with each column of b;
 ``whole_row_rref`` eliminates dense whole rows column by column and
@@ -137,8 +139,9 @@ from chromcat.polyfp import default_names
 
 
 def conjugate(group, g, h):
-    """h g h^-1, read off the Cayley table."""
-    return group.table[group.table[h][g]][group.inverse[h]]
+    """h g h^-1, read off the Cayley table; h^-1 is read off h's row."""
+    t = group.table
+    return t[t[h][g]][t[h].index(0)]
 
 
 def brute_simultaneous_conjugacy(group, a, b):
@@ -275,15 +278,24 @@ def _reference_record(group, p, elements):
         if e not in span:
             basis.append(e)
             span = _scratch_span(group, basis)
-    by_coords, coords = {}, {}
+    by_coords = dict(zip(
+        itertools.product(range(p), repeat=len(basis)), span_by_powers(group, p, basis)
+    ))
+    coords = {g: c for c, g in by_coords.items()}
+    return ElemAbelianRecord(tuple(sorted(elements)), tuple(basis), by_coords, coords)
+
+
+def span_by_powers(group, p, basis):
+    """b_1^c_1 ... b_r^c_r for every coordinate tuple c in lexicographic
+    order, that is in code order, each multiplied out power by power."""
+    out = []
     for c in itertools.product(range(p), repeat=len(basis)):
         g = 0
         for b, k in zip(basis, c):
             for _ in range(k):
                 g = group.mul(g, b)
-        by_coords[c] = g
-        coords[g] = c
-    return ElemAbelianRecord(tuple(sorted(elements)), tuple(basis), by_coords, coords)
+        out.append(g)
+    return out
 
 
 def extend_and_dedupe_elem_abelians(group, p):

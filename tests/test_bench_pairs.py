@@ -1,11 +1,13 @@
 """``tools/bench_pairs.py``, the tool every benchmark claim is made with,
 checked without running the benchmark: how pairs are won, when the median
-gap has no parent spread to be measured in, and that trees under paths of
-unequal length are refused before anything is read or written."""
+gap has no parent spread to be measured in, that trees under paths of
+unequal length are refused before anything is read or written, and that
+each tree's source line count is written."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -58,3 +60,23 @@ def test_main_refuses_paths_of_unequal_length_before_reading(tmp_path, capsys):
     assert exit_info.value.code == 2
     assert "equal length" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_main_writes_each_trees_source_line_count(tmp_path):
+    # no workload and no request: only the machine and the line counts
+    for side, files in (("parent", {"a.py": "x = 1\ny = 2\n"}),
+                        ("change", {"a.py": "x = 1\n", "b.py": "\n\n\n", "c.txt": "z\n"})):
+        src = tmp_path / side / "src" / "chromcat"
+        src.mkdir(parents=True)
+        for name, text in files.items():
+            (src / name).write_text(text)
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
+    out = tmp_path / "BENCH.json"
+    out.write_text(json.dumps({"workloads": {"kept": {}}}))
+    assert bench_pairs.main([
+        "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+        "--out", str(out),
+    ]) == 0
+    written = json.loads(out.read_text())
+    assert written["src_lines"] == {"parent": 2, "change": 4}
+    assert written["workloads"] == {"kept": {}}

@@ -319,9 +319,9 @@ def test_level_search_matches_class_lead_oracle(name, p, n):
 
 def test_levels_read_conjugacy_from_the_scan(monkeypatch):
     # the scan, run when the Fusion is built, reads the generators'
-    # conjugation maps once; after it no level reads them, the Cayley table
-    # or the inverses, so none conjugates an element: each basis element's
-    # G-class is read off its object's orbit
+    # conjugation maps once; after it no level reads them or the Cayley
+    # table, so none conjugates an element: each basis element's G-class is
+    # read off its object's orbit; the group keeps no inverse array
     reads = []
     maps = FiniteGroup.conjugation_maps
 
@@ -335,8 +335,8 @@ def test_levels_read_conjugacy_from_the_scan(monkeypatch):
         assert reads == ["maps"], (name, p)
         reads.clear()
         with monkeypatch.context() as m:
+            assert not hasattr(fusion.group, "inverse")
             m.setattr(fusion.group, "table", None)
-            m.setattr(fusion.group, "inverse", None)
             for n in range(fusion.rank + 1):
                 fusion.category(n)
         assert reads == [], (name, p)

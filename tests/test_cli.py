@@ -146,14 +146,24 @@ def test_witness_library_must_be_a_directory(capsys, tmp_path):
 
 
 def test_witness_library_names_a_malformed_group_file(capsys, tmp_path):
-    # a document that parses but names no group fails the scan with its path
+    # a document that parses but names no group fails the scan with its
+    # path, and so does S7 on 7 points (order 5040): the loader refuses it
+    # past the order cap, so the scan never reaches its own cap and lists
+    # nothing as skipped, whatever --max-order is
     good = {"name": "A4", "degree": 3, "generators": [[1, 2, 0]]}
     (tmp_path / "a4.json").write_text(json.dumps(good))
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"name": "Bad", "degree": 3, "generators": [[0, 1]]}))
-    code, out, err = run_cli(capsys, "witness", "--library", str(tmp_path))
-    assert code == 2 and out == ""
-    assert str(bad) in err and "generator (0, 1) is not a bijection on 0..2" in err
+    s7 = {"name": "S7", "degree": 7, "generators": [[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]]}
+    for doc, extra, message in [
+        ({"name": "Bad", "degree": 3, "generators": [[0, 1]]}, (),
+         "generator (0, 1) is not a bijection on 0..2"),
+        (s7, (), "closure exceeds order cap 2048"),
+        (s7, ("--max-order", "10000"), "closure exceeds order cap 2048"),
+    ]:
+        bad.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "witness", "--library", str(tmp_path), *extra)
+        assert code == 2 and out == ""
+        assert str(bad) in err and message in err
 
 
 def test_a4_demo_exit_zero(capsys):

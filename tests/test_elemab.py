@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from chromcat import (
     ElemAbelian,
+    FiniteGroup,
     GroupError,
     LinearMorphism,
     builtin_names,
@@ -16,7 +17,6 @@ from chromcat import (
     modp,
     p_rank,
 )
-from chromcat import elemab
 from conftest import ORACLE_LIBRARY, STRETCH, group, small_permutation_groups, stretch_group
 from oracles import (
     brute_elem_abelian_count,
@@ -119,11 +119,11 @@ def test_morphism_refuses_a_matrix_of_the_wrong_shape():
 
 def test_each_span_is_built_once_per_parent(monkeypatch):
     # every x in span(A, x) outside A builds the same span, so an x that
-    # an earlier build from A reached is skipped: one _extend per span
+    # an earlier build from A reached is skipped: one span walk per span
     # tried from each A, where trying every x made 447, 194, 968 and 229
     calls = []
-    real = elemab._extend
-    monkeypatch.setattr(elemab, "_extend", lambda *args: calls.append(1) or real(*args))
+    real = FiniteGroup.times_powers
+    monkeypatch.setattr(FiniteGroup, "times_powers", lambda *args: calls.append(1) or real(*args))
     counts = {}
     for name, p in [("c3wrc3", 3), ("x32", 2), ("s6", 2), ("a6", 3)]:
         calls.clear()

@@ -14,13 +14,15 @@ from chromcat import (
     GroupError,
     builtin_names,
     cycle_string,
+    enumerate_elem_abelians,
     group_from_permutations,
     groups,
     load_builtin,
 )
 from chromcat.groups import greedy_generators
 from chromcat.library import LIBRARY_DIR
-from conftest import group, small_permutation_groups, stretch_group
+from chromcat.modp import is_prime
+from conftest import STRETCH, group, small_permutation_groups, stretch_group
 from oracles import (
     abelian_all_pairs,
     brute_simultaneous_conjugacy,
@@ -33,6 +35,7 @@ from oracles import (
     naive_cayley_table,
     naive_closure,
     product_span,
+    span_by_powers,
 )
 
 
@@ -117,8 +120,10 @@ def test_closure_table_matches_all_pairs_composition(name):
 
 
 def _assert_inverses(g):
+    # the inverse read off each row is two-sided
     t = g.table
-    assert all(t[a][a_inv] == 0 == t[a_inv][a] for a, a_inv in enumerate(g.inverse))
+    for a, row in enumerate(t):
+        assert row.count(0) == 1 and t[row.index(0)][a] == 0, a
 
 
 def _stretch_doc(name):
@@ -256,10 +261,10 @@ def test_witness_inverse_and_transitivity_exhaustive(name):
             if len(a) != len(b) or canon[a] != canon[b]:
                 continue
             # compose witnesses through the canonical representative
-            w = g.mul(to_rep[b], g.inverse[to_rep[a]])
+            w = g.mul(to_rep[b], g.table[to_rep[a]].index(0))
             assert all(conjugate(g, x, w) == y for x, y in zip(a, b))
-            # and the inverse witness goes back
-            winv = g.inverse[w]
+            # and the inverse witness, read off w's row, goes back
+            winv = g.table[w].index(0)
             assert all(conjugate(g, y, winv) == x for x, y in zip(a, b))
     # cross-class pairs have no witness
     rng = random.Random(3)
@@ -268,6 +273,47 @@ def test_witness_inverse_and_transitivity_exhaustive(name):
         for b in sample:
             if len(a) == len(b) and canon[a] != canon[b]:
                 assert g.simultaneous_conjugacy(a, b) is None
+
+
+def _group_and_primes(name):
+    g = stretch_group(name) if name in STRETCH else group(name)
+    primes = [p for p in range(2, g.order + 1) if g.order % p == 0 and is_prime(p)]
+    return g, primes
+
+
+@pytest.mark.parametrize("name", builtin_names() + list(STRETCH))
+def test_elements_of_order_match_orders_by_powers(name):
+    g, primes = _group_and_primes(name)
+    for p in primes:
+        assert g.elements_of_order(p) == [
+            x for x in g.elements() if element_order_by_powers(g, x) == p
+        ], p
+
+
+@pytest.mark.parametrize("name", builtin_names() + list(STRETCH))
+def test_commuting_filter_matches_centralizers(name):
+    # each order-p x against every element, listed in a seeded shuffle
+    g, primes = _group_and_primes(name)
+    candidates = list(g.elements())
+    random.Random(42).shuffle(candidates)
+    for p in primes:
+        for x in g.elements_of_order(p):
+            commuting = set(centralizer(g, (x,)))
+            assert g.commuting_with(x, candidates) == [
+                y for y in candidates if y in commuting
+            ], (p, x)
+
+
+@pytest.mark.parametrize("name", builtin_names() + list(STRETCH))
+def test_span_walk_lists_each_span_in_code_order(name):
+    # span(A, e) from A's code order, for A the span of all but the last
+    # basis element of each enumerated subgroup
+    g, primes = _group_and_primes(name)
+    for p in primes:
+        for v in enumerate_elem_abelians(g, p)[1:]:
+            walked = g.times_powers(span_by_powers(g, p, v.basis[:-1]), v.basis[-1], p)
+            assert walked == span_by_powers(g, p, v.basis), (p, v.basis)
+            assert walked == [v.element_at(k) for k in range(p ** v.rank)]
 
 
 def test_exponent_center():

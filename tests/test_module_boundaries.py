@@ -1,5 +1,5 @@
 """No chromcat module reaches into another module's private names, only
-``groups`` and ``elemab`` read a group's Cayley table, ``polyfp`` imports
+``groups`` reads a group's Cayley table, ``polyfp`` imports
 no chromcat module but ``modp``, and every public function, class and
 method is reached by something other than the tests.
 
@@ -7,8 +7,8 @@ A name with a leading underscore is free to change with its module, so
 another module may neither import it (``from .categories import _x``) nor
 read it off an imported module (``modp._x``) or off a name imported from
 one (``PolyFp._stored`` after ``from .polyfp import PolyFp``).  Every other module asks the
-group for products and conjugates, so that the table can give way to
-another representation in those two modules alone.  A public name that no
+group for products, conjugates and the enumerator's walks, so that the
+table can give way to another representation in ``groups`` alone.  A public name that no
 other part of the package uses and that the benchmark does not run is code
 kept for the tests alone, which belongs in ``tests/oracles.py``; the one
 exception is ``KEPT_FOR_CALLERS``, two value constructors.  A method is
@@ -31,7 +31,7 @@ import chromcat
 
 SRC = Path(chromcat.__file__).resolve().parent
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-TABLE_READERS = {"groups.py", "elemab.py"}
+TABLE_READERS = {"groups.py"}
 
 
 def _private_uses(path: Path) -> list:

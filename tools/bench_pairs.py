@@ -24,8 +24,10 @@ to each tree.
 
 The output file is updated in place: the workloads and CLI rows of this
 call replace those of the same name, and the rest of the file is kept, so
-separate calls can fill one file.  Each run prints one progress line to
-stderr.
+separate calls can fill one file.  Each call also writes ``src_lines``,
+the newline count of each tree's ``src/chromcat/*.py`` (what ``wc -l``
+totals), the size the project tracks from change to change.  Each run
+prints one progress line to stderr.
 """
 
 from __future__ import annotations
@@ -56,6 +58,11 @@ def _run_workload(tree: Path, workload: str, seed: int) -> dict:
     if proc.returncode != 0:
         raise SystemExit("run failed in %s (seed %d): %s" % (tree, seed, proc.stderr.strip()))
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _src_lines(tree: Path) -> int:
+    paths = (tree / "src" / "chromcat").glob("*.py")
+    return sum(path.read_bytes().count(b"\n") for path in paths)
 
 
 def _spread(runs: list) -> dict:
@@ -145,6 +152,7 @@ def main(argv=None) -> int:
     out = json.loads(args.out.read_text()) if args.out.exists() else {}
     out["machine"] = "%s, %d cores, Python %s" % (
         platform.system(), os.cpu_count() or 0, platform.python_version())
+    out["src_lines"] = {side: _src_lines(tree) for side, tree in trees.items()}
     workloads = out.setdefault("workloads", {})
     for workload in args.workload:
         seeds = list(range(args.seed, args.seed + PAIRS))
