@@ -71,7 +71,10 @@ def _emit_json(args, payload):
 # here: a list of scalars with one join, of ints with one % template, a
 # colimit's class list from its result with one % template per block, the
 # rest by a plain recursion that appends every piece to one list, joined
-# once, so no piece is copied again into each list or dict around it.
+# once, so no piece is copied again into each list or dict around it.  A
+# tower's levels share their walks' lead lists, so one call formats each
+# block text once: a block with the same leads list, object, size and
+# indentation at another level reuses it.
 
 _INDENT = "  "
 _SCALAR_TEXT = {
@@ -88,12 +91,15 @@ def _json_text(value, nl="\n"):
     ``ColimResult`` stands for its class list, the records {"rep": [object,
     point], "size": points} of its classes."""
     out = []
-    _write(value, nl, out)
+    _write(value, nl, out, {})
     return "".join(out)
 
 
-def _write(value, nl, out):
-    """Append the pieces of _json_text(value, nl) to out."""
+def _write(value, nl, out, blocks):
+    """Append the pieces of _json_text(value, nl) to out.  ``blocks`` holds
+    the colimit block texts written so far in this call, keyed by the
+    identity of the leads list, the object, the size and the newline; the
+    value being written keeps every such list alive, so no key is reused."""
     scalar = _SCALAR_TEXT.get(type(value))
     if scalar is not None:
         out.append(scalar(value))
@@ -108,7 +114,7 @@ def _write(value, nl, out):
         body = _scalars_body(value, sep)
         if body is None:
             for x in value:
-                _write(x, inner, out)
+                _write(x, inner, out, blocks)
                 out.append(sep)
         else:
             out += (body, sep)
@@ -122,20 +128,24 @@ def _write(value, nl, out):
         # turns int, float, bool or None keys into strings
         for k, v in sorted(value.items()):
             out.append(encode_basestring_ascii(_key_text(k)) + ": ")
-            _write(v, inner, out)
+            _write(v, inner, out, blocks)
             out.append(sep)
         out[-1] = nl + "}"
     elif type(value) is ColimResult:
         # one template per block, its object and size written in, takes the
         # block's point indices
         key, item = inner + _INDENT, inner + 2 * _INDENT
-        rows = [
-            sep.join([
-                "{" + key + '"rep": [' + item + "%d," % least + item + "%d" + key + "],"
-                + key + '"size": %d' % points + inner + "}"
-            ] * len(leads)) % tuple(leads)
-            for least, points, leads in value.blocks if leads
-        ]
+        rows = []
+        for least, points, leads in value.blocks:
+            if not leads:
+                continue
+            block = (id(leads), least, points, nl)
+            if block not in blocks:
+                blocks[block] = sep.join([
+                    "{" + key + '"rep": [' + item + "%d," % least + item + "%d" + key + "],"
+                    + key + '"size": %d' % points + inner + "}"
+                ] * len(leads)) % tuple(leads)
+            rows.append(blocks[block])
         out += ("[" + inner, sep.join(rows), nl + "]") if rows else ("[]",)
     else:
         # floats, subclasses of the scalar types, and anything json.dumps
@@ -199,6 +209,20 @@ def _parse_level(value):
 
 
 _parse_level.__name__ = "level"
+
+
+def _parse_max_order(value):
+    n = _at_least(1, "max order")(value)
+    # the loaders refuse every group past the cap, so a larger bound does
+    # nothing
+    if n > DEFAULT_ORDER_CAP:
+        raise argparse.ArgumentTypeError(
+            "%s exceeds the group order cap %d" % (value, DEFAULT_ORDER_CAP)
+        )
+    return n
+
+
+_parse_max_order.__name__ = "max order"
 
 
 # -- commands -------------------------------------------------------------------
@@ -435,7 +459,11 @@ def _build_parser():
     common(sp, group=False)
     sp.add_argument("-n", type=_at_least(0, "level"), default=1)
     sp.add_argument("--library", help="directory of group JSON files (default: bundled)")
-    sp.add_argument("--max-order", type=_at_least(1, "max order"), default=64)
+    sp.add_argument(
+        "--max-order", type=_parse_max_order, default=64,
+        help="largest group order scanned, at most the group order cap %d "
+        "(default 64)" % DEFAULT_ORDER_CAP,
+    )
     sp.set_defaults(func=cmd_witness)
 
     sp = sub.add_parser("a4-demo", help="run the A_4 worked example")

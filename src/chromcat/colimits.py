@@ -27,31 +27,35 @@ of full-support points of one isomorphism class [U]:
 Objects are sorted by rank, so the least point of a class lies in the least
 object U of [U]: the class walk below lists U's full-support points in
 lexicographic order, and each point not yet seen is the least point of its
-class: it takes the class's id and Aut_C(U)'s elements other than the
-identity carry it to the rest, so a class with trivial Aut applies no
-matrix.  The walk depends only on Aut_C(U), so a request walks each distinct
-Aut tuple once and every class with that Aut, at every level of a tower,
-shares it; a class's ids are its first id plus the walk's local orbit ids.
-The result keeps the classes of [U] as one block: [U]'s least object,
-the points in each class, and the walk's leads, shared with the walk and
-never copied; it keeps nothing else of the category or the walks.
+class: it takes the class's id and the actions of Aut_C(U)'s elements
+other than the identity carry it to the rest.  A class with trivial Aut
+applies no matrix: its points are its leads, numbered in one pass.  The
+walk depends only on Aut_C(U), so a request walks each distinct Aut tuple
+once and every class with that Aut, at every level of a tower, shares it;
+a class's ids are its first id plus the walk's local orbit ids.  The
+result keeps the classes of [U] as one block: [U]'s least object, the
+points in each class, and the walk's leads, shared with the walk and
+never copied; it keeps nothing else of the category or the walks, and the
+CLI writes a block shared by several tower levels once.
 The tower's connecting maps go one class at a time and read the lower
 category itself: a level-(n+1) lead R lies in the level-n class
-``class_of[R]``, whose least member and t_R the category stores, and only
-a class whose R was joined to a smaller lead a level down, by a matrix
-other than the identity, applies a matrix to its points.  Walks and
-tables live for one call and are never kept.
-F_q is ``modp.VectorSpace(p, m)``: a
-point is its point index, one int whose base-q digits are its r vector
-codes, the full-support points of rank r are the space's independent
-r-tuples, and ``apply`` multiplies a coded F_p-matrix into a point with
-only addition and F_p-scaling, XOR at p = 2 and two tables at odd p.  Only
-that vector space is used, never the field multiplication, so q may be any
-power of p.  The work still grows with q: WORK_BOUND caps q^2 (the size
-of the addition table at odd p; p = 2 adds by XOR and builds none, but is
-charged the same so that one bound serves every p) plus the full-support
-points of every class, shared walks counted once per class, and a larger
-request is refused before any table is built.
+``class_of[R]``, whose least member and t_R the category stores.  A class
+whose R is that least member and whose walk is the lower class's walk maps
+its orbits in order, as one range; only a class whose R was joined to a
+smaller lead a level down, by a matrix other than the identity, applies a
+matrix to its points.  Walks and tables live for one call only.
+F_q is ``modp.VectorSpace(p, m)``: a point is its point index, one int
+whose base-q digits are its r vector codes, the full-support points of
+rank r are the space's independent r-tuples, listed at once, and
+``action`` turns a coded F_p-matrix into its map on point indices, built
+once per matrix, with only addition and F_p-scaling: XOR and shifts at
+p = 2, two tables at odd p.  Only that vector space is used, never the
+field multiplication, so q may be any power of p.  The work still grows
+with q: WORK_BOUND caps q^2 (the size of the addition table at odd p;
+p = 2 adds by XOR and builds none, but is charged the same so that one
+bound serves every p) plus the full-support points of every class, shared
+walks counted once per class, and a larger request is refused before any
+table is built.
 """
 
 from __future__ import annotations
@@ -100,17 +104,21 @@ class _Walk:
 
     ``points`` lists the point index of the least point of each orbit, in
     increasing order, and ``orbit`` maps every full-support point to its
-    local orbit id.  A lead takes its id directly, so only
-    Aut's other elements are applied, and a trivial Aut applies none.
-    Every class whose least member has this Aut shares the walk, at every
-    level of a tower.
+    local orbit id.  A lead takes its id directly, so only the actions of
+    Aut's other elements are applied; a trivial Aut makes every point a
+    lead, numbered in one pass.  Every class whose least member has this
+    Aut shares the walk, at every level of a tower.
     """
 
     def __init__(self, f: modp.VectorSpace, auts: tuple):
         rank = len(auts[0])
         unit = modp.identity_code(rank, f.p)
-        moves = [a for a in auts if a != unit]
-        self.points, self.orbit = orbit_walk(f.independent_tuples(rank), moves, f.apply)
+        points = f.independent_tuples(rank)
+        if len(auts) == 1:
+            self.points, self.orbit = points, dict(zip(points, range(len(points))))
+        else:
+            moves = [f.action(a) for a in auts if a != unit]
+            self.points, self.orbit = orbit_walk(points, moves)
         if len(self.points) * len(auts) != injective_hom_count(rank, f.m, f.p):
             raise AssertionError(
                 "Aut of rank %d does not act freely on its full-support points"
@@ -218,11 +226,16 @@ def filtration_tower(group: FiniteGroup, p: int, q: int) -> FiltrationTower:
             c = lo.class_of[r]
             lower, joined = lo.classes[c]
             points = walks[auts].points
-            if min(joined) != r:
+            if min(joined) == r:
+                if lower == auts:  # one walk, one lead: orbit i maps to orbit i
+                    mapping.extend(range(first[c], first[c] + len(points)))
+                    continue
+            else:
                 back = fusion.space.inverse(joined[r])
                 if back != modp.identity_code(len(back), p):
-                    points = [f.apply(back, pt) for pt in points]
-            mapping.extend(first[c] + walks[lower].orbit[pt] for pt in points)
+                    points = map(f.action(back), points)
+            orbit = walks[lower].orbit
+            mapping += [first[c] + orbit[pt] for pt in points]
         if set(mapping) != set(range(first[-1])):
             raise AssertionError(
                 "connecting map not surjective between levels %d and %d"

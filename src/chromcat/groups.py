@@ -26,10 +26,11 @@ the conjugation scan of ``categories`` walks each G-class of subgroups as
 a Schreier orbit under these maps, and the class count closes each
 conjugacy class under them, so neither lists G per class.
 
-Each walk of a listed group lives here once, over elements and a ``mul``:
-``orbit_walk`` and ``closure`` (conjugacy classes, orbits, the Hopf-ring
-Weyl action), the Dimino-style ``greedy_generators`` (skeletons, Weyl
-groups), ``group_exponent`` and ``commute`` (``FiniteGroup``, skeletons).
+Each walk of a listed group lives here once: ``orbit_walk`` over one map
+per element (colimit orbits), and over elements and a ``mul``,
+``closure`` (conjugacy classes, the Hopf-ring Weyl action), the
+Dimino-style ``greedy_generators`` (skeletons, Weyl groups),
+``group_exponent`` and ``commute`` (``FiniteGroup``, skeletons).
 A matrix group acting on polynomials is never closed: it stays its
 generators.
 
@@ -53,22 +54,23 @@ class GroupError(ValueError):
     """Raised for malformed group data or violated construction limits."""
 
 
-def orbit_walk(items, group, act) -> tuple:
+def orbit_walk(items, maps) -> tuple:
     """The orbits of a listed group on ``items``, walked in order.
 
-    An item not yet reached leads a new orbit and is given its id, and so
-    is act(a, x) for every a in ``group``; as the lead needs no act, the
-    listed group may leave out the identity.  Returns the leads in order
-    and {reached item: orbit id}; walked in sorted order, each lead is the
-    least member of its orbit.
+    The group is given as ``maps``, one map x -> a.x per element a.  An
+    item not yet reached leads a new orbit and is given its id, and so is
+    each map's image of it; as the lead needs no map, the listed group may
+    leave out the identity.  Returns the leads in order and {reached item:
+    orbit id}; walked in sorted order, each lead is the least member of its
+    orbit.
     """
     leads, ids = [], {}
     for x in items:
         if x in ids:
             continue
         ids[x] = len(leads)
-        for a in group:
-            ids[act(a, x)] = len(leads)
+        for a in maps:
+            ids[a(x)] = len(leads)
         leads.append(x)
     return leads, ids
 

@@ -42,8 +42,11 @@ matrices, filled in column code by column code under a prefix test: GL_r,
 the injective homomorphisms and the searches of A^(n) and C_R all use it.
 ``VectorSpace(p, m)`` is also F_q = F_p^m for the colimits: a point of rank
 r is r vectors of F_q, named by its point index, their codes read as
-base-q digits, and ``apply`` and ``independent_tuples`` work on that index,
-so a colimit walk handles ints only.  ``is_prime`` is the package's one
+base-q digits, so a colimit walk handles ints only.  Only this module
+knows that layout: ``independent_tuples`` lists the full-support points,
+and ``action`` turns a coded matrix into its map on point indices once,
+so that applying it to a point takes no decoding (at p = 2, one shift,
+mask and multiplication per coordinate).  ``is_prime`` is the package's one
 primality test.
 """
 
@@ -328,17 +331,47 @@ class VectorSpace:
             before, power = power, tuple(self._combine(power, back))
         raise ValueError("matrix is singular over F_%d" % self.p)
 
-    def apply(self, matrix: tuple, pt: int) -> int:
-        """The point matrix . pt, by point index: the coded matrix combines
-        pt's r vectors, which the index lists last first by divmod."""
-        q, back = self.q, []
-        for _ in matrix:
-            pt, x = divmod(pt, q)
-            back.append(x)
-        k = 0
-        for x in self._combine(matrix, back):
-            k = k * q + x
-        return k
+    def action(self, matrix: tuple):
+        """The map pt -> matrix . pt on point indices, built once for the
+        coded square matrix: its rows have r digits, and a point of rank r
+        is r vectors of this space, read as base-q digits.  At p = 2 the
+        image is the XOR over j of digit j of the point times column j of
+        the matrix written with 0/1 base-q digits, which carries nothing;
+        at odd p each image digit adds the scaled digits of its row's
+        nonzero entries through the tables."""
+        p, q, r = self.p, self.q, len(matrix)
+        if p == 2:
+            mask = q - 1
+            terms = [
+                (self.m * (r - 1 - j),
+                 sum(q ** (r - 1 - i) for i, row in enumerate(matrix) if row >> r - 1 - j & 1))
+                for j in range(r)
+            ]
+
+            def act(pt):
+                image = 0
+                for shift, column in terms:
+                    image ^= (pt >> shift & mask) * column
+                return image
+
+            return act
+        add, scale = self.add, self.scale
+        rows = [
+            [(q ** (r - 1 - j), scale[row // p ** (r - 1 - j) % p])
+             for j in range(r) if row // p ** (r - 1 - j) % p]
+            for row in matrix
+        ]
+
+        def act(pt):
+            image = 0
+            for terms in rows:
+                acc = 0
+                for power, times in terms:
+                    acc = add[acc][times[pt // power % q]]
+                image = image * q + acc
+            return image
+
+        return act
 
     def wider(self, span: set, x: int) -> set:
         """The span of ``span``, a subspace, and the vector x."""
@@ -347,22 +380,26 @@ class VectorSpace:
         add, scale = self.add, self.scale
         return {add[s][scale[c][x]] for s in span for c in range(self.p)}
 
-    def independent_tuples(self, r: int) -> Iterator[int]:
+    def independent_tuples(self, r: int) -> list:
         """The point index of every r-tuple of F_p-independent vectors, in
-        increasing order, which is lexicographic order."""
-        q = self.q
+        increasing order, which is lexicographic order.  One span per
+        coordinate is alive at a time, and each prefix's last coordinates
+        are written by one comprehension."""
+        q, out = self.q, []
 
         def extend(base, span, left):
             if left == 1:
-                for x in range(q):
-                    if x not in span:
-                        yield base + x
+                out.extend([base + x for x in range(q) if x not in span])
                 return
             for x in range(q):
                 if x not in span:
-                    yield from extend((base + x) * q, self.wider(span, x), left - 1)
+                    extend((base + x) * q, self.wider(span, x), left - 1)
 
-        return extend(0, {0}, r) if r else iter([0])
+        if r:
+            extend(0, {0}, r)
+        else:
+            out.append(0)
+        return out
 
 
 def full_rank_matrices(

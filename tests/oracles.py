@@ -18,7 +18,13 @@ truncate afterwards, where the library skips each pair of terms whose
 lowest degrees sum past the bound, and ``all_pairs_beta_pushforward``
 runs the pushforward through them.  ``union_find_tower`` reads a tower's
 connecting maps node by node, where the library maps a class at a time
-from the shared walks, and ``two_sided_orbits`` multiplies every pair of
+from the shared walks.  ``reference_walk`` lists the independent tuples
+point by point from a generator, applies every Aut element but the
+identity to each lead by decoding it, multiplying digit by digit and
+encoding again, and numbers each point in ``listed_orbit_walk``'s loop,
+where the library lists each prefix's last coordinates in one
+comprehension, acts by one map per matrix built once, and numbers a
+trivial Aut's points in one pass; and ``two_sided_orbits`` multiplies every pair of
 automorphisms into every morphism, where the skeleton counts the distinct
 least blocks (one block per image) among its left orbits.
 ``elementwise_skeleton`` composes the hom-set between every pair of class
@@ -133,7 +139,6 @@ from chromcat import (
     modp,
 )
 from chromcat.categories import SkeletonReport
-from chromcat.groups import orbit_walk
 from chromcat.hopf import OrbitRestriction
 from chromcat.polyfp import default_names
 
@@ -544,6 +549,62 @@ def tower_dict(tower) -> dict:
     }
 
 
+def listed_orbit_walk(items, group, act) -> tuple:
+    """The orbits of a listed group on ``items``, walked in order: an item
+    not yet reached leads a new orbit, and act(a, x) is given its id for
+    every a in ``group``.  Returns the leads and {reached item: orbit id}."""
+    leads, ids = [], {}
+    for x in items:
+        if x in ids:
+            continue
+        ids[x] = len(leads)
+        for a in group:
+            ids[act(a, x)] = len(leads)
+        leads.append(x)
+    return leads, ids
+
+
+def independent_tuples_by_prefix(f, r):
+    """The point index of every r-tuple of F_p-independent vectors of the
+    space f, in increasing order, one point at a time from a generator."""
+    q = f.q
+
+    def extend(base, span, left):
+        if left == 1:
+            for x in range(q):
+                if x not in span:
+                    yield base + x
+            return
+        for x in range(q):
+            if x not in span:
+                yield from extend((base + x) * q, f.wider(span, x), left - 1)
+
+    return extend(0, {0}, r) if r else iter([0])
+
+
+def apply_by_digits(f, matrix, pt):
+    """The point index of matrix . pt over the space f: pt's r vectors are
+    decoded into F_p digits, multiplied by the decoded matrix and encoded
+    again."""
+    p, q, m, r = f.p, f.q, f.m, len(matrix)
+    vectors = modp.decode(pt, r, q)
+    rows = [modp.decode(v, m, p) for v in vectors]
+    image = triple_loop_mat_mul(modp.decode_matrix(matrix, r, p), rows, p) if r else ()
+    return modp.encode([modp.encode(row, p) for row in image], q)
+
+
+def reference_walk(f, auts) -> tuple:
+    """(leads, {point: orbit id}) of the Aut tuple ``auts`` on the
+    full-support points of its rank over the space f, walked point by
+    point: every Aut element but the identity is applied to each lead."""
+    rank = len(auts[0])
+    unit = modp.identity_code(rank, f.p)
+    moves = [a for a in auts if a != unit]
+    return listed_orbit_walk(
+        independent_tuples_by_prefix(f, rank), moves, lambda a, pt: apply_by_digits(f, a, pt)
+    )
+
+
 def union_find_colim(cat, q) -> UnionFindColim:
     """Union-find quotient of the disjoint object point sets by all morphisms."""
     elements = fq_elements(q, cat.p)
@@ -704,7 +765,7 @@ def elementwise_skeleton(cat) -> SkeletonReport:
             if not hom:
                 continue
             # hom is sorted, so the orbits come in order of least member
-            ids = orbit_walk(hom, aut_t, lambda a, m: modp.mat_mul(a, m, cat.p))[1]
+            ids = listed_orbit_walk(hom, aut_t, lambda a, m: modp.mat_mul(a, m, cat.p))[1]
             sizes = Counter(ids.values())
             report.edges.append({
                 "source": si,
@@ -737,7 +798,7 @@ def _subobject_orbit_count(cat, members, v, aut_v) -> int:
         for k in members
         if v in cat.above[k]
     ]
-    leads = orbit_walk(
+    leads = listed_orbit_walk(
         subobjects, aut_v, lambda a, s: span(modp.mat_mul(a, modp.transpose(s), p))
     )[0]
     return len(leads)

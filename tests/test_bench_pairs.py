@@ -1,8 +1,9 @@
 """``tools/bench_pairs.py``, the tool every benchmark claim is made with,
 checked without running the benchmark: how pairs are won, when the median
 gap has no parent spread to be measured in, that trees under paths of
-unequal length are refused before anything is read or written, and that
-each tree's source line count is written."""
+unequal length are refused before anything is read or written, that
+each tree's source line count is written, and that ``--repeat-seed`` runs
+a second series of pairs on its own seeds."""
 
 from __future__ import annotations
 
@@ -80,3 +81,52 @@ def test_main_writes_each_trees_source_line_count(tmp_path):
     written = json.loads(out.read_text())
     assert written["src_lines"] == {"parent": 2, "change": 4}
     assert written["workloads"] == {"kept": {}}
+
+
+def test_repeat_seed_writes_a_second_series_on_its_own_seeds(tmp_path, monkeypatch):
+    # _run_workload is stubbed, so no benchmark runs: each run reads its
+    # seed as ops_per_s, the change 5 higher than the parent
+    runs = []
+
+    def stub(tree, workload, seed):
+        side = tree.name
+        runs.append((workload, seed, side))
+        value = seed + (5 if side == "change" else 0)
+        return {"metrics": {"ops_per_s": {"value": value}},
+                "correct": True, "attempted": 3, "failed": 0}
+
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    spec = {"end_to_end": [{"name": "ops_per_s", "better": "higher"}]}
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(spec))
+    monkeypatch.setattr(bench_pairs, "_run_workload", stub)
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--workload", "w1", "--workload", "w2", "--seed", "100", "--out", str(out)]
+    assert bench_pairs.main(argv + ["--repeat-seed", "500"]) == 0
+    written = json.loads(out.read_text())
+    for key, first in (("workloads", 100), ("repeat_series", 500)):
+        assert sorted(written[key]) == ["w1", "w2"]
+        for workload in ("w1", "w2"):
+            series = written[key][workload]
+            seeds = list(range(first, first + bench_pairs.PAIRS))
+            assert series["seeds"] == seeds
+            metric = series["metrics"]["ops_per_s"]
+            assert metric["parent"]["runs"] == seeds
+            assert metric["change_wins_pairs"] == bench_pairs.PAIRS
+            assert series["attempted_ops"] == {"parent": 30, "change": 30}
+            assert "--workload %s" % workload in series["command"]
+    # every first series runs before any repeat, each pair alternating
+    # which side goes first
+    firsts = list(range(100, 110))
+    repeats = list(range(500, 510))
+    assert [seed for _, seed, _ in runs[::2]] == 2 * firsts + 2 * repeats
+    assert [side for _, _, side in runs[:4]] == ["parent", "change", "change", "parent"]
+    assert len(runs) == 2 * 2 * 2 * bench_pairs.PAIRS
+    # without the option no repeat series is run, and the one on file is kept
+    runs.clear()
+    assert bench_pairs.main(argv[:-2] + ["--workload", "w3", "--out", str(out)]) == 0
+    again = json.loads(out.read_text())
+    assert again["repeat_series"] == written["repeat_series"]
+    assert sorted(again["workloads"]) == ["w1", "w2", "w3"]
+    assert {seed for _, seed, _ in runs} == set(range(100, 110))

@@ -149,7 +149,8 @@ def test_witness_library_names_a_malformed_group_file(capsys, tmp_path):
     # a document that parses but names no group fails the scan with its
     # path, and so does S7 on 7 points (order 5040): the loader refuses it
     # past the order cap, so the scan never reaches its own cap and lists
-    # nothing as skipped, whatever --max-order is
+    # nothing as skipped; a --max-order past the cap could not take effect,
+    # so the parser refuses it before any file is read
     good = {"name": "A4", "degree": 3, "generators": [[1, 2, 0]]}
     (tmp_path / "a4.json").write_text(json.dumps(good))
     bad = tmp_path / "bad.json"
@@ -158,12 +159,22 @@ def test_witness_library_names_a_malformed_group_file(capsys, tmp_path):
         ({"name": "Bad", "degree": 3, "generators": [[0, 1]]}, (),
          "generator (0, 1) is not a bijection on 0..2"),
         (s7, (), "closure exceeds order cap 2048"),
-        (s7, ("--max-order", "10000"), "closure exceeds order cap 2048"),
+        (s7, ("--max-order", "2048"), "closure exceeds order cap 2048"),
     ]:
         bad.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "witness", "--library", str(tmp_path), *extra)
         assert code == 2 and out == ""
         assert str(bad) in err and message in err
+    with pytest.raises(SystemExit) as exit_info:
+        main(["witness", "--library", str(tmp_path), "--max-order", "10000"])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and str(bad) not in err
+    assert "argument --max-order: 10000 exceeds the group order cap 2048" in err
+    with pytest.raises(SystemExit) as exit_info:
+        main(["witness", "--help"])
+    assert exit_info.value.code == 0
+    assert "at most the group order cap 2048" in " ".join(capsys.readouterr().out.split())
 
 
 def test_a4_demo_exit_zero(capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from chromcat import (
@@ -13,8 +15,9 @@ from chromcat import (
     p_rank,
     quillen_category,
 )
-from chromcat.colimits import FqError, q_to_pm
+from chromcat.colimits import FqError, _Walk, q_to_pm
 from chromcat import modp
+from chromcat.groups import closure
 from chromcat.modp import VectorSpace
 from capture_cli_golden import _primes_dividing
 from conftest import LEVEL_JOIN_GENERATORS, SMALL_LIBRARY, category, group
@@ -23,6 +26,7 @@ from oracles import (
     colim_dict,
     colim_size_naive,
     fq_points,
+    reference_walk,
     tower_dict,
     union_find_colim,
     union_find_tower,
@@ -140,30 +144,65 @@ def test_class_counts_follow_the_closed_form():
     assert sum(c["size"] for c in colim_classes(res)) == sum(res.object_counts) == 1 + 3 * 16 + 256
 
 
+def _aut_cases(p, r, seed):
+    """Sorted Aut tuples of rank r over F_p, as coded matrices: the trivial
+    group, GL_r, and the closures of one or two random elements of GL_r."""
+    space = VectorSpace(p, r)
+    unit = modp.identity_code(r, p)
+    gl = sorted(modp.full_rank_matrices(space, r, [range(p ** r)] * r))
+    yield (unit,)
+    yield tuple(gl)
+    rng = random.Random(seed)
+    for k in (1, 1, 2, 2):
+        gens = [rng.choice(gl) for _ in range(k)]
+        yield tuple(sorted(closure(unit, gens, space.mul, len(gl))))
+
+
+@pytest.mark.parametrize("p,r,m", [
+    (2, 0, 1), (2, 1, 1), (2, 1, 3), (2, 2, 2), (2, 2, 4), (2, 3, 3), (2, 3, 4),
+    (3, 1, 2), (3, 2, 2), (3, 2, 3), (5, 2, 2),
+])
+def test_walk_matches_the_point_by_point_walk(p, r, m):
+    # leads and orbit ids of the listing, the per-matrix actions and the
+    # trivial Aut's numbering against the walk that lists points from a
+    # generator and applies each matrix digit by digit
+    f = VectorSpace(p, m)
+    for auts in _aut_cases(p, r, 100 * p + 10 * r + m):
+        walk = _Walk(f, auts)
+        leads, ids = reference_walk(f, auts)
+        assert walk.points == leads, auts
+        assert walk.orbit == ids, auts
+
+
 def _count_field_work(monkeypatch, q) -> dict:
-    """Count full-support points walked, ``apply`` calls and fields F_q
-    built, told by their size q from the Fusion's F_p^rank, whose tables
+    """Count full-support points listed, matrix actions applied and fields
+    F_q built, told by their size q from the Fusion's F_p^rank, whose tables
     multiply matrices; in the cases pinned below the two sizes differ."""
     counts = {"points": 0, "applies": 0, "fields": 0}
-    walk, apply, init = (
-        VectorSpace.independent_tuples, VectorSpace.apply, VectorSpace.__init__
+    listing, action, init = (
+        VectorSpace.independent_tuples, VectorSpace.action, VectorSpace.__init__
     )
 
-    def counting_walk(self, r):
-        for pt in walk(self, r):
-            counts["points"] += 1
-            yield pt
+    def counting_listing(self, r):
+        points = listing(self, r)
+        counts["points"] += len(points)
+        return points
 
-    def counting_apply(self, matrix, pt):
-        counts["applies"] += 1
-        return apply(self, matrix, pt)
+    def counting_action(self, matrix):
+        act = action(self, matrix)
+
+        def counting(pt):
+            counts["applies"] += 1
+            return act(pt)
+
+        return counting
 
     def counting_init(self, p, m):
         counts["fields"] += p ** m == q
         init(self, p, m)
 
-    monkeypatch.setattr(VectorSpace, "independent_tuples", counting_walk)
-    monkeypatch.setattr(VectorSpace, "apply", counting_apply)
+    monkeypatch.setattr(VectorSpace, "independent_tuples", counting_listing)
+    monkeypatch.setattr(VectorSpace, "action", counting_action)
     monkeypatch.setattr(VectorSpace, "__init__", counting_init)
     return counts
 
@@ -173,7 +212,7 @@ def _count_field_work(monkeypatch, q) -> dict:
     # the maps are ranges
     ("e8", 2, 16, {"points": 15 * 14 * 12 + 15 * 14 + 15 + 1, "applies": 0, "fields": 1}),
     # h27: both levels share one walk per rank; each orbit's lead is given
-    # its id and the other Aut elements are applied to it
+    # its id and the actions of the other Aut elements are applied to it
     ("h27", 3, 27, {"points": 26 * 24 + 26 + 1, "applies": 416, "fields": 1}),
     ("e9", 3, 27, {"points": 26 * 24 + 26 + 1, "applies": 0, "fields": 1}),
     ("a5", 2, 16, {"applies": 315, "fields": 1}),
@@ -189,16 +228,21 @@ def test_tower_walks_each_aut_once(monkeypatch, name, p, q, expected):
 
 
 def test_no_walk_or_map_applies_the_identity(monkeypatch):
-    # an orbit's lead takes its id without an apply, and a tower maps the
+    # an orbit's lead takes its id without an action, and a tower maps the
     # points of a class joined through the identity matrix as they are
     applied = []
-    apply = VectorSpace.apply
+    action = VectorSpace.action
 
-    def recording(self, matrix, pt):
-        applied.append((matrix, self.p))
-        return apply(self, matrix, pt)
+    def recording(self, matrix):
+        act = action(self, matrix)
 
-    monkeypatch.setattr(VectorSpace, "apply", recording)
+        def applying(pt):
+            applied.append((matrix, self.p))
+            return act(pt)
+
+        return applying
+
+    monkeypatch.setattr(VectorSpace, "action", recording)
     for name in builtin_names():
         g = group(name)
         for p in _primes_dividing(g.order):

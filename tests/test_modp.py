@@ -88,20 +88,27 @@ def test_leading_columns_drop_only_shared_trailing_zero_columns(p):
             assert modp.leading_columns([modp.encode(row, p) for row in a], cols, p) == (read, cut), a
 
 
-@pytest.mark.parametrize("p,m", [(2, 1), (2, 3), (3, 1), (3, 2), (5, 1)])
+@pytest.mark.parametrize("p,m", [(p, m) for p in (2, 3, 5) for m in (1, 2, 3)])
 def test_apply_matches_triple_loop_on_every_small_point(p, m):
     # a point of F_q^r, q = p^m, is r vectors of F_p^m read as base-q
-    # digits; apply multiplies them by an r x r matrix, r in 0..4
+    # digits; the action built once for an r x r matrix, r in 0..4 (every
+    # r <= m among them), multiplies them by it, at every point of F_q^r
+    # when there are at most 729 and at 40 random ones past that
     rng = random.Random(10 * p + m)
     f = VectorSpace(p, m)
     for r in range(5):
         for _ in range(6):
             a = _matrix(rng, r, r, p)
-            pt = _matrix(rng, r, m, p)
-            index = modp.encode([modp.encode(x, p) for x in pt], f.q)
-            image = triple_loop_mat_mul(a, pt, p) if r else ()
-            want = modp.encode([modp.encode(x, p) for x in image], f.q)
-            assert f.apply(encode_matrix(a, p), index) == want, (a, pt)
+            act = f.action(encode_matrix(a, p))
+            if f.q ** r <= 729:
+                indices = range(f.q ** r)
+            else:
+                indices = [rng.randrange(f.q ** r) for _ in range(40)]
+            for index in indices:
+                pt = [modp.decode(x, m, p) for x in modp.decode(index, r, f.q)]
+                image = triple_loop_mat_mul(a, pt, p) if r else ()
+                want = modp.encode([modp.encode(x, p) for x in image], f.q)
+                assert act(index) == want, (a, pt)
 
 
 @pytest.mark.parametrize("p", (2, 3, 5))

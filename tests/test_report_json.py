@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chromcat.cli as cli
-from chromcat import ColimResult
+from chromcat import ColimResult, filtration_tower
+from conftest import group
 from oracles import colim_classes
 
 
@@ -111,6 +113,57 @@ def test_class_rows_match_json_dumps(blocks, depth):
     for _ in range(depth):
         value = {"classes": value, "n": depth}
     assert cli._json_text(value) == expected(value)
+
+
+def _recorded_memos(monkeypatch) -> list:
+    """Each block memo the writer is handed, in order of first use."""
+    memos = []
+    write = cli._write
+
+    def recording(value, nl, out, blocks):
+        if not any(blocks is memo for memo in memos):
+            memos.append(blocks)
+        write(value, nl, out, blocks)
+
+    monkeypatch.setattr(cli, "_write", recording)
+    return memos
+
+
+def test_repeated_blocks_are_written_once_per_call(monkeypatch):
+    # a tower's levels share their walks' lead lists; each call formats a
+    # block once per leads list, object, size and indentation, and its memo
+    # is its own: a fresh dict that nothing holds once the call returns or
+    # raises
+    memos = _recorded_memos(monkeypatch)
+    tower = filtration_tower(group("e8"), 2, 16)
+    e8 = {
+        "group": "E8", "p": 2, "q": tower.q, "surjections": tower.surjections,
+        "levels": [{"n": n, "size": res.size, "classes": res} for n, res in tower.levels],
+    }
+    leads, other = [3, 5, 8], [1]
+    a = ColimResult(q=4, object_counts=[], size=0,
+                    blocks=[(0, 4, leads), (1, 4, leads), (1, 7, leads), (2, 1, [])])
+    b = ColimResult(q=4, object_counts=[], size=0,
+                    blocks=[(0, 4, leads), (2, 2, other), (1, 4, leads), (3, 5, [])])
+    synthetic = {
+        "levels": [{"n": 2, "classes": a}, {"n": 1, "classes": b}],
+        "again": [a, b],
+        "top": a,
+        "empty": ColimResult(q=4, object_counts=[], size=0, blocks=[(0, 1, [])]),
+    }
+    # e8's three levels hold the same 16 blocks; the synthetic payload
+    # formats a's three blocks at each of three indentations and b's one
+    # block that a lacks at two
+    for payload, formatted in ((e8, 16), (synthetic, 3 + 1 + 3 + 1 + 3)):
+        assert cli._json_text(payload) == expected(payload)
+        assert len(memos[-1]) == formatted
+    bad = {"a": a, "b": {(1, 2): 3}}
+    with pytest.raises(TypeError):
+        json.dumps(bad, indent=2, sort_keys=True, default=colim_classes)
+    with pytest.raises(TypeError):
+        cli._json_text(bad)
+    assert len(memos) == 3 and memos[-1]
+    assert [sys.getrefcount(memos[i]) for i in range(3)] == [2, 2, 2]
 
 
 # The stdout of three reports larger than any golden, as it was before class

@@ -2,7 +2,7 @@
 
     python3 tools/bench_pairs.py --parent ../parent --change ../change \\
         --workload category-build --workload colim-tower --workload algebra-pipeline \\
-        --seed 3600 --out BENCH_35.json
+        --seed 3600 --repeat-seed 3700 --out BENCH_35.json
     python3 tools/bench_pairs.py --parent ../parent --change ../change \\
         --cli "stab -g s6 -p 2" --out BENCH_35.json
 
@@ -14,7 +14,10 @@ i of ten runs ``perfbench/run.py --workload W --seed <seed + i> --seconds 30
 first in odd ones, and the end-to-end metrics of its last stdout line are
 kept.  Each metric is summarised per side (runs, median, quartile spread)
 with the pairs the change wins and the change of the median, in the
-direction ``BENCHMARK.json`` gives.
+direction ``BENCHMARK.json`` gives.  With ``--repeat-seed S`` each workload
+also gets a second, independent series of ten pairs on seeds S..S+9, run
+after every first series and written under ``repeat_series``: one series
+can pass a small gain on noise, and a claim should hold in both.
 
 Each ``--cli`` request is run three times per side, alternating,
 as ``python3 -m chromcat <args>`` from the tree's root with its ``src`` on
@@ -22,9 +25,9 @@ the path; the wall time includes process start, and stdout is hashed so
 identical reports can be told.  Paths in the arguments are read relative
 to each tree.
 
-The output file is updated in place: the workloads and CLI rows of this
-call replace those of the same name, and the rest of the file is kept, so
-separate calls can fill one file.  Each call also writes ``src_lines``,
+The output file is updated in place: the workloads, repeat series and
+CLI rows of this call replace those of the same name, and the rest of the
+file is kept, so separate calls can fill one file.  Each call also writes ``src_lines``,
 the newline count of each tree's ``src/chromcat/*.py`` (what ``wc -l``
 totals), the size the project tracks from change to change.  Each run
 prints one progress line to stderr.
@@ -102,6 +105,8 @@ def bench_workload(trees: dict, workload: str, seeds: list, better: dict) -> dic
         for name, direction in better.items()
     }
     return {
+        "command": "python3 perfbench/run.py --workload %s --seed S --seconds %d --trace 0"
+        % (workload, SECONDS),
         "seeds": seeds,
         "correct": {side: all(r["correct"] for r in rs) for side, rs in results.items()},
         "attempted_ops": {side: sum(r["attempted"] for r in rs) for side, rs in results.items()},
@@ -139,6 +144,8 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--workload", action="append", default=[])
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--repeat-seed", type=int,
+                        help="first seed of a second series per workload (repeat_series)")
     parser.add_argument("--cli", action="append", default=[])
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
@@ -153,13 +160,14 @@ def main(argv=None) -> int:
     out["machine"] = "%s, %d cores, Python %s" % (
         platform.system(), os.cpu_count() or 0, platform.python_version())
     out["src_lines"] = {side: _src_lines(tree) for side, tree in trees.items()}
-    workloads = out.setdefault("workloads", {})
-    for workload in args.workload:
-        seeds = list(range(args.seed, args.seed + PAIRS))
-        workloads[workload] = bench_workload(trees, workload, seeds, better)
-        workloads[workload]["command"] = (
-            "python3 perfbench/run.py --workload %s --seed S --seconds %d --trace 0"
-            % (workload, SECONDS))
+    series = [("workloads", args.seed)]
+    if args.repeat_seed is not None:
+        series.append(("repeat_series", args.repeat_seed))
+    for key, first in series:
+        runs = out.setdefault(key, {})
+        for workload in args.workload:
+            seeds = list(range(first, first + PAIRS))
+            runs[workload] = bench_workload(trees, workload, seeds, better)
     cli = out.setdefault("cli", {})
     for request in args.cli:
         cli[request] = bench_cli(trees, request)
